@@ -32,13 +32,15 @@ plain list return types below are unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from contextlib import contextmanager
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, Aggregate
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.candidates import CandidateAnswer
+from repro.core.nway.driver import OPERATORS
 from repro.core.nway.nested_loop import NestedLoopJoin
 from repro.core.nway.partial_join import PartialJoin, two_way_algorithm_by_name
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -49,11 +51,9 @@ from repro.exec.budget import PartialResult, QueryBudget
 from repro.exec.governor import ExecutionGovernor
 from repro.extensions.measures import measure_by_name
 from repro.extensions.series_join import (
-    SeriesBackwardJoin,
-    SeriesIDJ,
+    SeriesAllPairsJoin,
+    SeriesPartialJoin,
     make_series_context,
-    series_multi_way_join,
-    series_two_way_join,
 )
 from repro.exec.governed import (
     run_governed_multi_way,
@@ -91,24 +91,33 @@ def _reject_dht_options_under_measure(resolved, **options) -> None:
         )
 
 
-def _governed_multi_way(
-    spec: NWayJoinSpec,
-    algorithm: str,
-    m: int,
-    budget: Optional[QueryBudget],
-    on_budget: str,
-    fault_injector,
-) -> PartialResult:
-    """Install a governor on the spec's engine and run the budgeted join."""
+@contextmanager
+def _governed(engine, walk_cache, budget: Optional[QueryBudget], fault_injector):
+    """An :class:`ExecutionGovernor` installed on ``engine`` for the block."""
     governor = ExecutionGovernor(
         budget, fault_injector=fault_injector
-    ).install(spec.engine, spec.walk_cache)
+    ).install(engine, walk_cache)
     try:
-        return run_governed_multi_way(
-            spec, governor, algorithm=algorithm, m=m, on_budget=on_budget
-        )
+        yield governor
     finally:
         governor.uninstall()
+
+
+@contextmanager
+def _traced(engine, tracer, name: str, algorithm: str, k: int):
+    """``tracer`` installed on ``engine`` under a root ``query`` span for
+    the block (cleared in a ``finally``); a no-op without a tracer."""
+    if tracer is None:
+        yield
+        return
+    engine.tracer = tracer
+    try:
+        with tracer.span(
+            "query", name, stats=engine.stats, algorithm=algorithm.lower(), k=k,
+        ):
+            yield
+    finally:
+        engine.tracer = None
 
 
 # The core 2-way names have measure-generic counterparts where the
@@ -196,81 +205,43 @@ def two_way_join(
         At most ``k`` pairs in descending score order — or, governed, a
         :class:`~repro.exec.budget.PartialResult` wrapping them.
     """
-    if tracer is not None:
-        if engine is None:
-            engine = WalkEngine(graph)
-        engine.tracer = tracer
-        try:
-            with tracer.span(
-                "query", "two-way", stats=engine.stats,
-                algorithm=algorithm.lower(), k=k,
-            ):
-                return two_way_join(
-                    graph, left, right, k, algorithm=algorithm,
-                    params=params, d=d, epsilon=epsilon, engine=engine,
-                    walk_cache=walk_cache, bound_cache=bound_cache,
-                    max_block_bytes=max_block_bytes, measure=measure,
-                    budget=budget, on_budget=on_budget,
-                    fault_injector=fault_injector,
+    if k < 0:
+        # Before any context exists: a bad k must not walk (or warm a
+        # shared cache) first.
+        raise GraphValidationError(f"k must be >= 0, got {k}")
+    if tracer is not None and engine is None:
+        engine = WalkEngine(graph)
+    with _traced(engine, tracer, "two-way", algorithm, k):
+        resolved = _resolve_measure(measure)
+        if resolved is not None:
+            name = algorithm.lower()
+            if name not in _SERIES_TWO_WAY:
+                raise GraphValidationError(
+                    f"algorithm {algorithm!r} is DHT-only; under measure "
+                    f"{resolved.name} choose from {sorted(_SERIES_TWO_WAY)}"
                 )
-        finally:
-            engine.tracer = None
-    resolved = _resolve_measure(measure)
-    governed = budget is not None or fault_injector is not None
-    if resolved is not None:
-        name = algorithm.lower()
-        if name not in _SERIES_TWO_WAY:
-            raise GraphValidationError(
-                f"algorithm {algorithm!r} is DHT-only; under measure "
-                f"{resolved.name} choose from {sorted(_SERIES_TWO_WAY)}"
+            _reject_dht_options_under_measure(
+                resolved, params=params, d=d, epsilon=epsilon,
             )
-        _reject_dht_options_under_measure(
-            resolved, params=params, d=d, epsilon=epsilon,
-        )
-        if governed:
             context = make_series_context(
                 graph, resolved, left, right, engine=engine,
                 walk_cache=walk_cache, bound_cache=bound_cache,
                 max_block_bytes=max_block_bytes,
             )
-            cls = (
-                SeriesBackwardJoin
-                if _SERIES_TWO_WAY[name] == "basic"
-                else SeriesIDJ
+            join = OPERATORS[_SERIES_TWO_WAY[name]](context)
+        else:
+            context = make_context(
+                graph, left, right, params=params, d=d, epsilon=epsilon,
+                engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
+                max_block_bytes=max_block_bytes,
             )
-            join = cls.from_context(context)
-            governor = ExecutionGovernor(
-                budget, fault_injector=fault_injector
-            ).install(context.engine, context.walk_cache)
-            try:
-                return run_governed_top_k(join, k, governor, on_budget)
-            finally:
-                governor.uninstall()
-        return series_two_way_join(
-            graph, left, right, k,
-            measure=resolved,
-            algorithm=_SERIES_TWO_WAY[name],
-            engine=engine,
-            walk_cache=walk_cache,
-            bound_cache=bound_cache,
-            max_block_bytes=max_block_bytes,
-        )
-    context = make_context(
-        graph, left, right, params=params, d=d, epsilon=epsilon, engine=engine,
-        walk_cache=walk_cache, bound_cache=bound_cache,
-        max_block_bytes=max_block_bytes,
-    )
-    algorithm_cls = two_way_algorithm_by_name(algorithm)
-    join = algorithm_cls(context)
-    if governed:
-        governor = ExecutionGovernor(
-            budget, fault_injector=fault_injector
-        ).install(context.engine, context.walk_cache)
-        try:
+            join = two_way_algorithm_by_name(algorithm)(context)
+        if budget is None and fault_injector is None:
+            return join.top_k(k)
+        with _governed(
+            context.engine, context.walk_cache, budget, fault_injector
+        ) as governor:
             return run_governed_top_k(join, k, governor, on_budget)
-        finally:
-            governor.uninstall()
-    return join.top_k(k)
 
 
 _NWAY_ALGORITHMS = ("nl", "ap", "pj", "pj-i")
@@ -375,32 +346,41 @@ def multi_way_join(
         carries its node tuple and per-edge scores — or, governed, a
         :class:`~repro.exec.budget.PartialResult` wrapping them.
     """
-    if tracer is not None:
-        if engine is None:
-            engine = WalkEngine(graph)
-        engine.tracer = tracer
-        try:
-            with tracer.span(
-                "query", "multi-way", stats=engine.stats,
-                algorithm=algorithm.lower(), k=k,
-            ):
-                return multi_way_join(
-                    graph, query_graph, node_sets, k, algorithm=algorithm,
-                    aggregate=aggregate, m=m, params=params, d=d,
-                    epsilon=epsilon, engine=engine, walk_cache=walk_cache,
-                    share_walks=share_walks, bound_cache=bound_cache,
-                    share_bounds=share_bounds,
-                    max_block_bytes=max_block_bytes,
-                    walk_cache_bytes=walk_cache_bytes, measure=measure,
-                    plan=plan, budget=budget, on_budget=on_budget,
-                    fault_injector=fault_injector,
-                )
-        finally:
-            engine.tracer = None
+    if tracer is not None and engine is None:
+        engine = WalkEngine(graph)
+    with _traced(engine, tracer, "multi-way", algorithm, k):
+        name, spec = _nway_spec(
+            algorithm, measure, graph=graph, query_graph=query_graph,
+            node_sets=node_sets, k=k, aggregate=aggregate, params=params, d=d,
+            epsilon=epsilon, engine=engine, walk_cache=walk_cache,
+            share_walks=share_walks, bound_cache=bound_cache,
+            share_bounds=share_bounds, max_block_bytes=max_block_bytes,
+            walk_cache_bytes=walk_cache_bytes, plan=plan,
+        )
+        if name == "nl" and plan != "fixed":
+            raise GraphValidationError(
+                "the NL strategy scores answers one tuple at a time; it has "
+                "no per-edge build order or operator choice to plan — use "
+                "'ap', 'pj', or 'pj-i' with plan='auto'"
+            )
+        if budget is None and fault_injector is None:
+            return _run_strategy(spec, name, m)
+        with _governed(
+            spec.engine, spec.walk_cache, budget, fault_injector
+        ) as governor:
+            return run_governed_multi_way(
+                spec, governor, algorithm=name, m=m, on_budget=on_budget
+            )
+
+
+def _nway_spec(
+    algorithm: str, measure, node_sets, params, d, epsilon, **fields
+) -> Tuple[str, NWayJoinSpec]:
+    """The normalised algorithm name and the one :class:`NWayJoinSpec`
+    both n-way entry points run (DHT or measure, governed or not)."""
     resolved = _resolve_measure(measure)
-    governed = budget is not None or fault_injector is not None
+    name = algorithm.lower()
     if resolved is not None:
-        name = algorithm.lower()
         if name not in ("ap", "pj", "pj-i"):
             raise GraphValidationError(
                 f"algorithm {algorithm!r} is DHT-only; under measure "
@@ -409,81 +389,33 @@ def multi_way_join(
         _reject_dht_options_under_measure(
             resolved, params=params, d=d, epsilon=epsilon,
         )
-        if governed:
-            spec = NWayJoinSpec(
-                graph=graph,
-                query_graph=query_graph,
-                node_sets=[list(nodes) for nodes in node_sets],
-                k=k,
-                aggregate=aggregate,
-                engine=engine,
-                measure=resolved,
-                walk_cache=walk_cache,
-                share_walks=share_walks,
-                bound_cache=bound_cache,
-                share_bounds=share_bounds,
-                max_block_bytes=max_block_bytes,
-                walk_cache_bytes=walk_cache_bytes,
-                plan=plan,
-            )
-            return _governed_multi_way(
-                spec, name, m, budget, on_budget, fault_injector
-            )
-        return series_multi_way_join(
-            graph, query_graph, node_sets, k,
-            measure=resolved,
-            aggregate=aggregate,
-            engine=engine,
-            algorithm=name,
-            m=m,
-            walk_cache=walk_cache,
-            share_walks=share_walks,
-            bound_cache=bound_cache,
-            share_bounds=share_bounds,
-            max_block_bytes=max_block_bytes,
-            walk_cache_bytes=walk_cache_bytes,
-            plan=plan,
-        )
-    name = algorithm.lower()
-    if name == "nl" and plan != "fixed":
+    elif name not in _NWAY_ALGORITHMS:
         raise GraphValidationError(
-            "the NL strategy scores answers one tuple at a time; it has no "
-            "per-edge build order or operator choice to plan — use 'ap', "
-            "'pj', or 'pj-i' with plan='auto'"
+            f"unknown n-way algorithm {algorithm!r}; "
+            f"choose from {_NWAY_ALGORITHMS}"
         )
     spec = NWayJoinSpec(
-        graph=graph,
-        query_graph=query_graph,
         node_sets=[list(nodes) for nodes in node_sets],
-        k=k,
-        aggregate=aggregate,
-        params=params,
-        d=d,
-        epsilon=epsilon,
-        engine=engine,
-        walk_cache=walk_cache,
-        share_walks=share_walks,
-        bound_cache=bound_cache,
-        share_bounds=share_bounds,
-        max_block_bytes=max_block_bytes,
-        walk_cache_bytes=walk_cache_bytes,
-        plan=plan,
+        params=params, d=d, epsilon=epsilon, measure=resolved, **fields,
     )
-    if governed:
-        return _governed_multi_way(
-            spec, name, m, budget, on_budget, fault_injector
-        )
+    return name, spec
+
+
+def _run_strategy(spec: NWayJoinSpec, name: str, m: int, plan=None):
+    """Run ``name`` on ``spec`` through its executor class — the named,
+    per-strategy faces of the one :class:`~repro.core.nway.driver.NWayDriver`
+    (``plan`` overrides ``spec.plan``, e.g. to replay an explained plan)."""
     if name == "nl":
         return NestedLoopJoin(spec).run()
     if name == "ap":
-        return AllPairsJoin(spec).run()
-    if name == "pj":
-        return PartialJoin(spec, m=m).run()
-    if name == "pj-i":
-        return PartialJoinIncremental(spec, m=m).run()
-    raise GraphValidationError(
-        f"unknown n-way algorithm {algorithm!r}; choose from {_NWAY_ALGORITHMS}"
-    )
+        executor = AllPairsJoin if spec.measure is None else SeriesAllPairsJoin
+        return executor(spec, plan=plan).run()
+    if spec.measure is not None:
+        # The measure path has no incremental PJ-i; it runs PJ.
+        executor = SeriesPartialJoin
+    else:
+        executor = PartialJoin if name == "pj" else PartialJoinIncremental
+    return executor(spec, m=m, plan=plan).run()
 
 
 def serve(graph: Graph, **config) -> "object":
@@ -551,90 +483,21 @@ def explain_multi_way_plan(
     run produced — bit-identical to an untraced :func:`multi_way_join`
     with the same plan (the CLI's ``--explain analyze`` prints it).
     """
-    resolved = _resolve_measure(measure)
-    name = algorithm.lower()
-    if resolved is not None:
-        if name not in ("ap", "pj", "pj-i"):
-            raise GraphValidationError(
-                f"algorithm {algorithm!r} is DHT-only; under measure "
-                f"{resolved.name} choose from ['ap', 'pj', 'pj-i']"
-            )
-        _reject_dht_options_under_measure(
-            resolved, params=params, d=d, epsilon=epsilon,
-        )
-        spec = NWayJoinSpec(
-            graph=graph,
-            query_graph=query_graph,
-            node_sets=[list(nodes) for nodes in node_sets],
-            k=k,
-            aggregate=aggregate,
-            engine=engine,
-            measure=resolved,
-            walk_cache=walk_cache,
-            share_walks=share_walks,
-            bound_cache=bound_cache,
-            share_bounds=share_bounds,
-            max_block_bytes=max_block_bytes,
-            walk_cache_bytes=walk_cache_bytes,
-            plan=plan,
-        )
-        # The measure path has no incremental PJ-i; it runs PJ.
-        strategy = "ap" if name == "ap" else "pj"
-        resolved_plan = spec.resolve_plan(strategy, m=m)
-        if not analyze:
-            return resolved_plan
-        return _analyze_plan(spec, strategy, resolved_plan, m)
-    if name == "nl":
-        raise GraphValidationError(
-            "the NL strategy scores answers one tuple at a time; it has no "
-            "per-edge build order or operator choice to plan — use 'ap', "
-            "'pj', or 'pj-i'"
-        )
-    if name not in ("ap", "pj", "pj-i"):
-        raise GraphValidationError(
-            f"unknown n-way algorithm {algorithm!r}; "
-            f"choose from {_NWAY_ALGORITHMS}"
-        )
-    spec = NWayJoinSpec(
-        graph=graph,
-        query_graph=query_graph,
-        node_sets=[list(nodes) for nodes in node_sets],
-        k=k,
-        aggregate=aggregate,
-        params=params,
-        d=d,
-        epsilon=epsilon,
-        engine=engine,
-        walk_cache=walk_cache,
-        share_walks=share_walks,
-        bound_cache=bound_cache,
-        share_bounds=share_bounds,
-        max_block_bytes=max_block_bytes,
-        walk_cache_bytes=walk_cache_bytes,
-        plan=plan,
+    name, spec = _nway_spec(
+        algorithm, measure, graph=graph, query_graph=query_graph,
+        node_sets=node_sets, k=k, aggregate=aggregate, params=params, d=d,
+        epsilon=epsilon, engine=engine, walk_cache=walk_cache,
+        share_walks=share_walks, bound_cache=bound_cache,
+        share_bounds=share_bounds, max_block_bytes=max_block_bytes,
+        walk_cache_bytes=walk_cache_bytes, plan=plan,
     )
-    resolved_plan = spec.resolve_plan(name, m=m)
+    # The planner rejects "nl" (nothing to plan); the measure path has
+    # no incremental PJ-i and plans the PJ it runs.
+    strategy = "pj" if name == "pj-i" and spec.measure is not None else name
+    resolved_plan = spec.resolve_plan(strategy, m=m)
     if not analyze:
         return resolved_plan
-    return _analyze_plan(spec, name, resolved_plan, m)
-
-
-def _run_planned(spec: NWayJoinSpec, strategy: str, resolved_plan, m: int):
-    """Execute ``resolved_plan`` verbatim through its matching executor."""
-    if spec.measure is not None:
-        from repro.extensions.series_join import (
-            SeriesAllPairsJoin,
-            SeriesPartialJoin,
-        )
-
-        if strategy == "ap":
-            return SeriesAllPairsJoin(spec, plan=resolved_plan).run()
-        return SeriesPartialJoin(spec, m=m, plan=resolved_plan).run()
-    if strategy == "ap":
-        return AllPairsJoin(spec, plan=resolved_plan).run()
-    if strategy == "pj":
-        return PartialJoin(spec, m=m, plan=resolved_plan).run()
-    return PartialJoinIncremental(spec, m=m, plan=resolved_plan).run()
+    return _analyze_plan(spec, strategy, resolved_plan, m)
 
 
 def _analyze_plan(spec: NWayJoinSpec, strategy: str, resolved_plan, m: int):
@@ -644,16 +507,9 @@ def _analyze_plan(spec: NWayJoinSpec, strategy: str, resolved_plan, m: int):
     from repro.obs import AnalyzedPlan, QueryTracer, edge_actuals_from_trace
 
     tracer = QueryTracer()
-    spec.engine.tracer = tracer
     t_start = time.perf_counter()
-    try:
-        with tracer.span(
-            "query", "explain-analyze", stats=spec.engine.stats,
-            algorithm=strategy, k=spec.k,
-        ):
-            answers = _run_planned(spec, strategy, resolved_plan, m)
-    finally:
-        spec.engine.tracer = None
+    with _traced(spec.engine, tracer, "explain-analyze", strategy, spec.k):
+        answers = _run_strategy(spec, strategy, m, plan=resolved_plan)
     elapsed = time.perf_counter() - t_start
     root = tracer.traces[-1]
     return AnalyzedPlan(

@@ -285,13 +285,15 @@ def _dht_params(args) -> DHTParams:
     return DHTParams.dht_lambda(args.decay)
 
 
-def _series_measure(args):
-    """The non-DHT measure object selected by ``--measure``, or ``None``."""
+def _measure_kwargs(args) -> dict:
+    """The API keywords ``--measure`` selects: a non-DHT measure object
+    (which fixes its own depth), or the DHT params plus ``epsilon``."""
     if args.measure == "ppr":
-        return TruncatedPPR(damping=args.damping, epsilon=args.epsilon)
+        return {"measure": TruncatedPPR(damping=args.damping, epsilon=args.epsilon)}
     if args.measure == "simrank":
-        return SimRankMeasure(decay=args.sr_decay, iterations=args.sr_iterations)
-    return None
+        measure = SimRankMeasure(decay=args.sr_decay, iterations=args.sr_iterations)
+        return {"measure": measure}
+    return {"params": _dht_params(args), "epsilon": args.epsilon}
 
 
 def _query_graph(shape: str, n: int, bidirectional: bool,
@@ -324,27 +326,15 @@ def _resolve_sets(path: str, names: Sequence[str]) -> List[List[int]]:
 def _run_two_way(args) -> int:
     graph = read_edge_list(args.graph)
     left, right = _resolve_sets(args.sets, [args.left, args.right])
-    measure = _series_measure(args)
-    budget = _budget(args)
     engine, tracer = _obs_setup(args, graph)
-    if measure is not None:
-        result = two_way_join(
-            graph, left, right, k=args.k,
-            algorithm=args.algorithm,
-            measure=measure,
-            max_block_bytes=args.max_block_bytes,
-            budget=budget, on_budget=args.on_budget,
-            engine=engine, tracer=tracer,
-        )
-    else:
-        result = two_way_join(
-            graph, left, right, k=args.k,
-            algorithm=args.algorithm,
-            params=_dht_params(args), epsilon=args.epsilon,
-            max_block_bytes=args.max_block_bytes,
-            budget=budget, on_budget=args.on_budget,
-            engine=engine, tracer=tracer,
-        )
+    result = two_way_join(
+        graph, left, right, k=args.k,
+        algorithm=args.algorithm,
+        max_block_bytes=args.max_block_bytes,
+        budget=_budget(args), on_budget=args.on_budget,
+        engine=engine, tracer=tracer,
+        **_measure_kwargs(args),
+    )
     _obs_export(args, engine, tracer)
     pairs, partial = _unwrap(result)
     if args.as_json:
@@ -376,11 +366,16 @@ def _run_multi_way(args) -> int:
     query = _query_graph(
         args.shape, len(sets), args.bidirectional, args.node_sets
     )
-    measure = _series_measure(args)
     budget = _budget(args)
-    aggregate = aggregate_by_name(args.aggregate)
     engine, tracer = _obs_setup(args, graph)
-    plan_arg: object = args.plan
+    # One keyword set for explaining and for running, so the join
+    # executes precisely the spec that was explained.
+    query_kwargs = dict(
+        algorithm=args.algorithm, aggregate=aggregate_by_name(args.aggregate),
+        m=args.m, share_walks=args.share_walks, share_bounds=args.share_bounds,
+        max_block_bytes=args.max_block_bytes, plan=args.plan, engine=engine,
+        **_measure_kwargs(args),
+    )
     plan_obj = None
     analyzed = None
     if args.explain:
@@ -394,22 +389,9 @@ def _run_multi_way(args) -> int:
         # executes precisely what was explained (no double planning).
         # With 'analyze' the traced replay happens inside the API call
         # and its answers are the query's answers.
-        explain_kwargs = dict(
-            algorithm=args.algorithm, aggregate=aggregate, m=args.m,
-            share_walks=args.share_walks, share_bounds=args.share_bounds,
-            max_block_bytes=args.max_block_bytes, plan=args.plan,
-            engine=engine, analyze=analyze,
+        plan_obj = explain_multi_way_plan(
+            graph, query, sets, args.k, analyze=analyze, **query_kwargs
         )
-        if measure is not None:
-            plan_obj = explain_multi_way_plan(
-                graph, query, sets, args.k, measure=measure, **explain_kwargs
-            )
-        else:
-            plan_obj = explain_multi_way_plan(
-                graph, query, sets, args.k,
-                params=_dht_params(args), epsilon=args.epsilon,
-                **explain_kwargs,
-            )
         if analyze:
             analyzed = plan_obj
             if args.trace_out is not None and analyzed.trace is not None:
@@ -419,36 +401,13 @@ def _run_multi_way(args) -> int:
             _obs_export(args, engine, None)
             result = list(analyzed.answers)
         else:
-            plan_arg = plan_obj
+            query_kwargs["plan"] = plan_obj
     if analyzed is None:
-        if measure is not None:
-            result = multi_way_join(
-                graph, query, sets, k=args.k,
-                algorithm=args.algorithm,
-                aggregate=aggregate,
-                m=args.m,
-                measure=measure,
-                share_walks=args.share_walks,
-                share_bounds=args.share_bounds,
-                max_block_bytes=args.max_block_bytes,
-                plan=plan_arg,
-                budget=budget, on_budget=args.on_budget,
-                engine=engine, tracer=tracer,
-            )
-        else:
-            result = multi_way_join(
-                graph, query, sets, k=args.k,
-                algorithm=args.algorithm,
-                aggregate=aggregate,
-                m=args.m,
-                params=_dht_params(args), epsilon=args.epsilon,
-                share_walks=args.share_walks,
-                share_bounds=args.share_bounds,
-                max_block_bytes=args.max_block_bytes,
-                plan=plan_arg,
-                budget=budget, on_budget=args.on_budget,
-                engine=engine, tracer=tracer,
-            )
+        result = multi_way_join(
+            graph, query, sets, k=args.k,
+            budget=budget, on_budget=args.on_budget, tracer=tracer,
+            **query_kwargs,
+        )
         _obs_export(args, engine, tracer)
     answers, partial = _unwrap(result)
     if args.as_json:

@@ -12,7 +12,9 @@ simplest complete scorer.  ``B-BJ`` is offered as a faster alternative
 materialiser (it changes nothing about which results are produced); it
 propagates its targets in batched blocks and, through the spec's shared
 walk cache, reuses full-depth walks across edges whose right sets
-overlap (star / clique query graphs).
+overlap (star / clique query graphs).  The loop itself is the shared
+:class:`~repro.core.nway.driver.NWayDriver` with the *materialised*
+edge source.
 """
 
 from __future__ import annotations
@@ -20,71 +22,37 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.nway.candidates import CandidateAnswer
+from repro.core.nway.driver import NWayDriver
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.backward import BackwardBasicJoin
-from repro.core.two_way.base import sort_pairs
-from repro.core.two_way.forward import ForwardBasicJoin
 from repro.graph.validation import GraphValidationError
-from repro.rankjoin.inputs import MaterializedInput
-from repro.rankjoin.pbrj import PBRJ
 
-_MATERIALIZERS = {
-    "f-bj": ForwardBasicJoin,
-    "b-bj": BackwardBasicJoin,
-}
+_MATERIALISERS = ("b-bj", "f-bj")
 
 
-class AllPairsJoin:
+class AllPairsJoin(NWayDriver):
     """``AP``: full per-edge materialisation + PBRJ rank join.
 
     ``plan`` (or ``spec.plan``) chooses per-edge materialiser
     (``f-bj``/``b-bj``), build order, and ``b-bj``'s block width; the
     materialised lists are complete either way, so plans only move
-    cost, never answers.
+    cost, never answers.  ``stats`` is the rank join's own record.
     """
 
     name = "AP"
 
     def __init__(self, spec: NWayJoinSpec, two_way: str = "f-bj", plan=None) -> None:
-        if two_way.lower() not in _MATERIALIZERS:
+        if two_way.lower() not in _MATERIALISERS:
             raise GraphValidationError(
                 f"unknown AP materializer {two_way!r}; "
-                f"choose from {sorted(_MATERIALIZERS)}"
+                f"choose from {list(_MATERIALISERS)}"
             )
-        self._spec = spec
-        self._default_operator = two_way.lower()
-        self._plan = plan
+        super().__init__(spec, "ap", two_way.lower(), plan=plan)
         self.stats = None
 
     def run(self) -> List[CandidateAnswer]:
         """Materialise every edge's full join, then rank-join."""
-        spec = self._spec
-        if spec.k == 0:
-            return []
-        plan = spec.resolve_plan(
-            "ap", plan=self._plan, default_operator=self._default_operator
-        )
-        self.plan = plan
-        num_edges = spec.query_graph.num_edges
-        inputs = [None] * num_edges
-        for e in plan.build_order:
-            ep = plan.edges[e]
-            materializer_cls = _MATERIALIZERS[ep.operator]
-            with spec.trace_edge_span(e, ep.operator):
-                if ep.operator == "b-bj" and ep.block_size is not None:
-                    materializer = materializer_cls(
-                        spec.edge_context(e), block_size=ep.block_size
-                    )
-                else:
-                    materializer = materializer_cls(spec.edge_context(e))
-                pairs = sort_pairs(materializer.all_pairs())
-                inputs[e] = MaterializedInput(
-                    pairs, name=spec.query_graph.edge_name(e)
-                )
-        with spec.engine.trace_span("rankjoin", self.name):
-            driver = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
-            answers = driver.run()
-        self.stats = driver.stats
+        answers = super().run()
+        self.stats = self.rank_join
         return answers
 
 

@@ -1,0 +1,401 @@
+"""The one n-way driver: an edge source per query edge under one PBRJ.
+
+The paper's n-way strategies differ in exactly one thing — how a query
+edge's descending pair stream is produced — and share the rest (a
+rank join over those streams).  :class:`NWayDriver` is that shared
+rest, written once: resolve the plan, walk its build order, open one
+*edge source* per edge, hand the streams to one
+:class:`~repro.rankjoin.pbrj.PBRJ`, fill one stats record.  The
+sources (``ap``: materialised, ``pj``: restart, ``pj-i``: incremental)
+and the per-edge 2-way operators each come from one table below;
+``docs/ALGORITHMS.md`` has both tables with the paper's cost models.
+
+Governance is a guard at the same seam, read from the thread-local
+``spec.engine.governor``: without a governor it is the identity; with
+one, a budget stop in an edge's build leaves that edge its snapshot
+prefix (with score intervals) and no refills, a stop in a refill ends
+that stream, and the reasons are collected for
+:func:`repro.exec.governed.run_governed_multi_way` to flag the result.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.core.nway.candidates import CandidateAnswer
+from repro.core.nway.spec import NWayJoinSpec
+from repro.core.two_way.backward import (
+    BackwardBasicJoin,
+    BackwardIDJX,
+    BackwardIDJY,
+    BoundFactory,
+    y_bound_factory,
+)
+from repro.core.two_way.base import ScoredPair, TwoWayContext, sort_pairs
+from repro.core.two_way.forward import ForwardBasicJoin, ForwardIDJ
+from repro.core.two_way.incremental import IncrementalTwoWayJoin
+from repro.exec.budget import BudgetExhaustedError, PartialResult
+from repro.graph.validation import GraphValidationError
+from repro.rankjoin.inputs import RankJoinInput
+from repro.rankjoin.pbrj import PBRJ, RankJoinStats
+
+Interval = Tuple[float, float]
+
+
+def _series_operator(class_name: str) -> Callable:
+    """A measure-generic operator, resolved at call time so ``core``
+    never imports ``extensions`` at module load."""
+
+    def build(context: TwoWayContext, **knobs):
+        from repro.extensions import series_join
+
+        return getattr(series_join, class_name).from_context(context, **knobs)
+
+    return build
+
+
+_DHT_OPERATORS = {
+    "f-bj": ForwardBasicJoin,
+    "f-idj": ForwardIDJ,
+    "b-bj": BackwardBasicJoin,
+    "b-idj-x": BackwardIDJX,
+    "b-idj-y": BackwardIDJY,
+}
+
+#: Plan operator name -> ``context -> join`` factory (the block
+#: operators ``b-bj`` / ``basic`` also accept a ``block_size`` knob).
+OPERATORS = {
+    **_DHT_OPERATORS,
+    "idj": _series_operator("SeriesIDJ"),
+    "basic": _series_operator("SeriesBackwardJoin"),
+}
+
+
+def _by_name(table: dict, name: str, what: str) -> Callable:
+    try:
+        return table[name.lower()]
+    except KeyError:
+        raise GraphValidationError(
+            f"unknown {what} {name!r}; choose from {sorted(table)}"
+        ) from None
+
+
+def two_way_algorithm_by_name(name: str) -> Callable:
+    """Factory for a 2-way join algorithm class by its paper name."""
+    return _by_name(_DHT_OPERATORS, name, "2-way algorithm")
+
+
+def snapshot_partial(join, k: Optional[int], reason: str) -> PartialResult:
+    """Best-effort top-``k`` (``None``: all) from a stopped join's
+    threshold state: the last completed deepening round's
+    ``[h_l, h_l + tail_l]`` intervals (``budget_snapshot``), else the
+    exactly-scored ``partial_pairs`` — see :mod:`repro.exec.governed`
+    for why both are sound."""
+    snapshot = getattr(join, "budget_snapshot", None)
+    if snapshot is not None:
+        left_scores, tails = snapshot["left_scores"], snapshot["tails"]
+        entries = [
+            (ScoredPair(p, q, float(left_scores[i, j])), float(tails[j]))
+            for j, q in enumerate(snapshot["targets"])
+            for i, p in enumerate(snapshot["left"])
+            if p != q
+        ]
+    else:
+        entries = [
+            (pair, 0.0) for pair in getattr(join, "partial_pairs", None) or []
+        ]
+    entries.sort(key=lambda e: (-e[0].score, e[0].left, e[0].right))
+    entries = entries[:k]
+    return PartialResult(
+        results=[pair for pair, _ in entries],
+        bounds=[(pair.score, pair.score + tail) for pair, tail in entries],
+        exact=False,
+        reason=reason,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Edge sources: ``initial()`` is the stream's sorted prefix, ``next_pair``
+# extends it by one pair (``None``: the prefix is the whole stream),
+# ``join`` / ``limit`` are what a budget stop in ``initial()`` snapshots,
+# and ``refills`` counts a lazy source's ``getNextNodePair`` work.
+
+
+class _Materialised:
+    """``AP``: the edge's whole 2-way join, sorted; nothing to refill."""
+
+    next_pair = None
+    limit = None
+
+    def __init__(self, context, factory, m, block_size, bound_factory) -> None:
+        if factory is ForwardBasicJoin and context.engine.governor is not None:
+            # F-BJ keeps no ``partial_pairs`` for a budget stop to
+            # report; a governed materialisation scores backward.
+            factory = BackwardBasicJoin
+        knobs = {} if block_size is None else {"block_size": block_size}
+        self.join = factory(context, **knobs)
+
+    def initial(self) -> List[ScoredPair]:
+        return sort_pairs(self.join.all_pairs())
+
+
+class _RestartProvider:
+    """``PJ``: ``getNextNodePair`` the slow way — rerun top-``(m+1)``.
+
+    "From scratch" algorithmically: the reruns share the context's
+    walk/bound caches, so they re-score cached walks instead of
+    re-propagating them.
+    """
+
+    def __init__(self, context, factory, m, block_size, bound_factory) -> None:
+        self._context = context
+        self._factory = factory
+        self.limit = m
+        self.refills = 0
+        self.join = None
+
+    def initial(self) -> List[ScoredPair]:
+        self.join = self._factory(self._context)
+        return self.join.top_k(self.limit)
+
+    def next_pair(self) -> Optional[ScoredPair]:
+        if self.limit >= self._context.num_pairs:
+            return None
+        self.limit += 1
+        self.refills += 1
+        result = self._factory(self._context).top_k(self.limit)
+        if len(result) < self.limit:
+            return None
+        return result[-1]
+
+
+class _Incremental:
+    """``PJ-i``: one :class:`IncrementalTwoWayJoin` per edge.
+
+    The ``F``-structure is its own operator, so the plan's operator
+    name is not consulted — only the caller's bound flavour.
+    """
+
+    def __init__(self, context, factory, m, block_size, bound_factory) -> None:
+        self.join = IncrementalTwoWayJoin(context, bound_factory=bound_factory)
+        self.limit = m
+        self.refills = 0
+
+    def initial(self) -> List[ScoredPair]:
+        return self.join.top(self.limit)
+
+    def next_pair(self) -> Optional[ScoredPair]:
+        self.refills += 1
+        return self.join.next_pair()
+
+
+_SOURCES = {"ap": _Materialised, "pj": _RestartProvider, "pj-i": _Incremental}
+
+
+# ---------------------------------------------------------------------------
+# The governance guard
+
+
+class _Unguarded:
+    """No governor installed: every call passes straight through."""
+
+    def initial(self, e, open_source):
+        source = open_source()
+        return source.initial(), source
+
+    def refill(self, pull):
+        return pull
+
+    def drain(self, rank_join):
+        return rank_join()
+
+
+class _Governed:
+    """Budget stops become shorter streams plus a reason, never errors.
+
+    A stopped edge never aborts the join: it contributes what its join
+    can soundly report, and the driver's ``reasons`` / ``intervals``
+    (shared with this guard) let the caller flag the answers partial.
+    """
+
+    def __init__(self, governor, reasons, intervals) -> None:
+        self._governor = governor
+        self._reasons = reasons
+        self._intervals = intervals  # (edge, left, right) -> (lower, upper)
+
+    def _flag_partial(self, reason: str) -> None:
+        self._governor.count_budget_stop()
+        self._reasons.append(reason)
+
+    def _partial_prefix(self, e, source, reason: str):
+        # A snapshot prefix is ranked by lower bounds; a refill could
+        # emit a pair the prefix already contains, violating PBRJ's
+        # sorted-stream contract — so the stopped edge's stream ends at
+        # its prefix.
+        self._flag_partial(reason)
+        partial = snapshot_partial(source.join, source.limit, reason)
+        for pair, interval in zip(partial.results, partial.bounds):
+            self._intervals[(e, pair.left, pair.right)] = interval
+        return partial.results, None
+
+    def initial(self, e, open_source):
+        try:
+            source = open_source()
+        except BudgetExhaustedError as exc:
+            # The budget died before this edge even started: it
+            # contributes an empty stream (sound — no fabricated pairs).
+            self._flag_partial(exc.reason)
+            return [], None
+        try:
+            return source.initial(), source
+        except BudgetExhaustedError as exc:
+            return self._partial_prefix(e, source, exc.reason)
+        except MemoryError:
+            return self._partial_prefix(e, source, "bytes")
+
+    def refill(self, pull):
+        def guarded() -> Optional[ScoredPair]:
+            # A refill that hits the budget exhausts this input instead
+            # of erroring the whole rank join.
+            try:
+                return pull()
+            except BudgetExhaustedError as exc:
+                self._flag_partial(exc.reason)
+            except MemoryError:
+                self._flag_partial("bytes")
+            return None
+
+        return guarded
+
+    def drain(self, rank_join):
+        try:
+            return rank_join()
+        except BudgetExhaustedError as exc:
+            # Checkpoints inside cached-walk lookups can still fire
+            # during candidate expansion; no answer is fabricated.
+            self._flag_partial(exc.reason)
+            return []
+
+
+@dataclass
+class PartialJoinStats:
+    """Instrumentation of one lazy (``PJ`` / ``PJ-i``) n-way run."""
+
+    next_pair_calls: int = 0
+    rank_join_pulls: int = 0
+    pulls_per_edge: List[int] = field(default_factory=list)
+
+
+class NWayDriver:
+    """One n-way join: ``strategy``'s edge sources under one PBRJ.
+
+    ``strategy`` (``"ap"``/``"pj"``/``"pj-i"``) picks the edge source
+    and the planner's candidates; ``default_operator`` is what a
+    ``"fixed"`` plan gives every edge; ``m`` is the lazy sources' prefix
+    length (``AP`` ignores it); ``plan`` overrides ``spec.plan``;
+    ``block_size`` is a caller's explicit width for the materialised
+    source (it beats the plan's knob); ``bound_factory`` is the
+    incremental source's bound flavour; ``label`` names the
+    ``rankjoin`` trace span (default ``self.name``).  The public
+    per-strategy classes (``PartialJoin`` ...) document them in full.
+
+    After :meth:`run`: ``plan`` is the resolved plan, ``stats`` the
+    lazy-strategy record, ``rank_join`` the PBRJ's own stats, and — under
+    a governor — ``reasons`` / ``intervals`` what the guard collected.
+    """
+
+    name = "n-way"
+
+    def __init__(
+        self,
+        spec: NWayJoinSpec,
+        strategy: str,
+        default_operator: str,
+        m: int = 50,
+        plan=None,
+        block_size: Optional[int] = None,
+        bound_factory: BoundFactory = y_bound_factory,
+        label: Optional[str] = None,
+    ) -> None:
+        if strategy != "ap" and m < 0:
+            raise GraphValidationError(f"m must be >= 0, got {m}")
+        self._spec = spec
+        self._strategy = strategy
+        self._default_operator = default_operator
+        self._m = m
+        self._plan = plan
+        self._block_size = block_size
+        self._bound_factory = bound_factory
+        self._label = label if label is not None else self.name
+        self.plan = None
+        self.stats = PartialJoinStats()
+        self.rank_join: Optional[RankJoinStats] = None
+        self.reasons: List[str] = []
+        self.intervals: Dict[tuple, Interval] = {}
+
+    def _open(self, e: int, ep):
+        """The edge source of query edge ``e`` under its plan row."""
+        return _SOURCES[self._strategy](
+            self._spec.edge_context(e),
+            _by_name(OPERATORS, ep.operator, "plan operator"),
+            self._m,
+            ep.block_size if self._block_size is None else self._block_size,
+            self._bound_factory,
+        )
+
+    def run(self) -> List[CandidateAnswer]:
+        """Build every edge's stream, rank-join them, return the top-``k``."""
+        spec = self._spec
+        if spec.k == 0:
+            return []
+        plan = self.plan = spec.resolve_plan(
+            self._strategy,
+            plan=self._plan,
+            default_operator=self._default_operator,
+            m=self._m,
+        )
+        governor = spec.engine.governor
+        guard = (
+            _Unguarded() if governor is None
+            else _Governed(governor, self.reasons, self.intervals)
+        )
+        inputs: List[Optional[RankJoinInput]] = [None] * spec.query_graph.num_edges
+        lazy = []  # the sources that can refill
+        # The plan orders the *builds*; PBRJ still consumes ``inputs``
+        # positionally (``inputs[e]`` streams query edge ``e``), so build
+        # order affects walk-cache residency — never which pairs an edge
+        # yields.
+        for e in plan.build_order:
+            ep = plan.edges[e]
+            operator = ep.operator
+            with spec.trace_edge_span(e, operator):
+                initial, source = guard.initial(e, lambda: self._open(e, ep))
+            refill = None
+            if source is not None and source.next_pair is not None:
+                lazy.append(source)
+
+                def pull(next_pair=source.next_pair, e=e, operator=operator):
+                    # Refills trace as ``refill`` spans so explain-analyze
+                    # attributes their walks to the edge's plan row.
+                    with spec.trace_edge_span(e, operator, kind="refill"):
+                        return next_pair()
+
+                refill = guard.refill(pull)
+            inputs[e] = RankJoinInput(
+                initial, refill=refill, name=spec.query_graph.edge_name(e)
+            )
+        pbrj = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
+
+        def rank_join() -> List[CandidateAnswer]:
+            with spec.engine.trace_span("rankjoin", self._label):
+                return pbrj.run()
+
+        answers = guard.drain(rank_join)
+        self.rank_join = pbrj.stats
+        self.stats = PartialJoinStats(
+            next_pair_calls=sum(source.refills for source in lazy),
+            rank_join_pulls=pbrj.stats.pulls,
+            pulls_per_edge=pbrj.stats.pulls_per_edge,
+        )
+        return answers

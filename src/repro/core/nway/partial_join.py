@@ -12,81 +12,25 @@ waste (re-ranking from scratch) remains, keeping the PJ/PJ-i comparison
 honest.
 
 The per-edge 2-way joins default to ``B-IDJ-Y``, the paper's best
-algorithm for this role (Section VII-A).
+algorithm for this role (Section VII-A).  The loop itself is the shared
+:class:`~repro.core.nway.driver.NWayDriver` with the *restart* edge
+source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.backward import (
-    BackwardBasicJoin,
-    BackwardIDJX,
-    BackwardIDJY,
+from repro.core.nway.driver import (  # noqa: F401 - re-exported names
+    NWayDriver,
+    PartialJoinStats,
+    two_way_algorithm_by_name,
 )
-from repro.core.two_way.base import ScoredPair, TwoWayContext
-from repro.core.two_way.forward import ForwardBasicJoin, ForwardIDJ
-from repro.graph.validation import GraphValidationError
-from repro.rankjoin.inputs import LazyInput
-from repro.rankjoin.pbrj import PBRJ
-
-_TWO_WAY_ALGORITHMS = {
-    "f-bj": ForwardBasicJoin,
-    "f-idj": ForwardIDJ,
-    "b-bj": BackwardBasicJoin,
-    "b-idj-x": BackwardIDJX,
-    "b-idj-y": BackwardIDJY,
-}
+from repro.core.nway.spec import NWayJoinSpec
 
 
-def two_way_algorithm_by_name(name: str) -> Callable:
-    """Factory for a 2-way join algorithm class by its paper name."""
-    try:
-        return _TWO_WAY_ALGORITHMS[name.lower()]
-    except KeyError:
-        raise GraphValidationError(
-            f"unknown 2-way algorithm {name!r}; "
-            f"choose from {sorted(_TWO_WAY_ALGORITHMS)}"
-        ) from None
-
-
-@dataclass
-class PartialJoinStats:
-    """Instrumentation of one ``PJ`` run."""
-
-    initial_join_time: float = 0.0
-    next_pair_calls: int = 0
-    rank_join_pulls: int = 0
-    pulls_per_edge: List[int] = field(default_factory=list)
-
-
-class _RestartProvider:
-    """``getNextNodePair`` the slow way: rerun top-``(m+1)`` from scratch."""
-
-    def __init__(self, context: TwoWayContext, algorithm_cls: Callable, m: int) -> None:
-        self._context = context
-        self._algorithm_cls = algorithm_cls
-        self._m = m
-        self.restarts = 0
-
-    def initial(self) -> List[ScoredPair]:
-        return self._algorithm_cls(self._context).top_k(self._m)
-
-    def next_pair(self) -> Optional[ScoredPair]:
-        if self._m >= self._context.num_pairs:
-            return None
-        self._m += 1
-        self.restarts += 1
-        result = self._algorithm_cls(self._context).top_k(self._m)
-        if len(result) < self._m:
-            return None
-        return result[-1]
-
-
-class PartialJoin:
+class PartialJoin(NWayDriver):
     """``PJ`` (Algorithm 1): top-``m`` prefixes + PBRJ + restart refills.
 
     Parameters
@@ -114,61 +58,12 @@ class PartialJoin:
         two_way: str = "b-idj-y",
         plan=None,
     ) -> None:
-        if m < 0:
-            raise GraphValidationError(f"m must be >= 0, got {m}")
-        self._spec = spec
-        self._m = m
         two_way_algorithm_by_name(two_way)  # validate the default eagerly
-        self._default_operator = two_way.lower()
-        self._plan = plan
-        self.stats = PartialJoinStats()
+        super().__init__(spec, "pj", two_way.lower(), m=m, plan=plan)
 
     def run(self) -> List[CandidateAnswer]:
         """Execute ``PJ`` and return the top-``k`` answers."""
-        spec = self._spec
-        if spec.k == 0:
-            return []
-        plan = spec.resolve_plan(
-            "pj",
-            plan=self._plan,
-            default_operator=self._default_operator,
-            m=self._m,
-        )
-        self.plan = plan
-        num_edges = spec.query_graph.num_edges
-        inputs: List[Optional[LazyInput]] = [None] * num_edges
-        providers = []
-        # The plan orders the *builds*; the PBRJ driver still consumes
-        # ``inputs`` positionally (``inputs[e]`` streams query edge
-        # ``e``), so build order affects walk-cache residency — never
-        # which pairs an edge yields.
-        for e in plan.build_order:
-            operator = plan.edges[e].operator
-            algorithm_cls = two_way_algorithm_by_name(operator)
-            with spec.trace_edge_span(e, operator):
-                context = spec.edge_context(e)
-                provider = _RestartProvider(context, algorithm_cls, self._m)
-                providers.append(provider)
-                initial = provider.initial()
-
-            def refill(provider=provider, e=e, operator=operator):
-                # Restart refills trace as ``refill`` spans so
-                # explain-analyze attributes their walks to the edge.
-                with spec.trace_edge_span(e, operator, kind="refill"):
-                    return provider.next_pair()
-
-            inputs[e] = LazyInput(
-                initial,
-                refill=refill,
-                name=spec.query_graph.edge_name(e),
-            )
-        with spec.engine.trace_span("rankjoin", self.name):
-            driver = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
-            answers = driver.run()
-        self.stats.next_pair_calls = sum(p.restarts for p in providers)
-        self.stats.rank_join_pulls = driver.stats.pulls
-        self.stats.pulls_per_edge = driver.stats.pulls_per_edge
-        return answers
+        return super().run()
 
 
 def partial_join(

@@ -6,38 +6,31 @@ top-``m`` prefix is computed by a ``B-IDJ`` instrumented to retain its
 bound information in the ``F`` structure, and every later
 ``getNextNodePair`` is answered by refining ``F`` instead of re-running a
 join from scratch.  This is the paper's best n-way algorithm (up to 50x
-faster than ``PJ``; two orders of magnitude at ``k = 200``).
+faster than ``PJ``; two orders of magnitude at ``k = 200``).  The loop
+itself is the shared :class:`~repro.core.nway.driver.NWayDriver` with
+the *incremental* edge source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
 from repro.core.nway.candidates import CandidateAnswer
+from repro.core.nway.driver import NWayDriver, PartialJoinStats
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.backward import x_bound_factory, y_bound_factory
-from repro.core.two_way.incremental import IncrementalTwoWayJoin
 from repro.graph.validation import GraphValidationError
-from repro.rankjoin.inputs import LazyInput
-from repro.rankjoin.pbrj import PBRJ
 
 _BOUND_FACTORIES = {
     "x": x_bound_factory,
     "y": y_bound_factory,
 }
 
-
-@dataclass
-class PartialJoinIncStats:
-    """Instrumentation of one ``PJ-i`` run."""
-
-    next_pair_calls: int = 0
-    rank_join_pulls: int = 0
-    pulls_per_edge: List[int] = field(default_factory=list)
+#: ``PJ-i`` fills the same record as ``PJ``.
+PartialJoinIncStats = PartialJoinStats
 
 
-class PartialJoinIncremental:
+class PartialJoinIncremental(NWayDriver):
     """``PJ-i``: top-``m`` prefixes + PBRJ + F-structure refills.
 
     Parameters
@@ -61,64 +54,19 @@ class PartialJoinIncremental:
     def __init__(
         self, spec: NWayJoinSpec, m: int = 50, bound: str = "y", plan=None
     ) -> None:
-        if m < 0:
-            raise GraphValidationError(f"m must be >= 0, got {m}")
         bound = bound.lower()
-        try:
-            self._bound_factory = _BOUND_FACTORIES[bound]
-        except KeyError:
+        if bound not in _BOUND_FACTORIES:
             raise GraphValidationError(
                 f"unknown bound {bound!r}; choose from {sorted(_BOUND_FACTORIES)}"
-            ) from None
-        self._spec = spec
-        self._m = m
-        self._default_operator = f"b-idj-{bound}"
-        self._plan = plan
-        self.stats = PartialJoinIncStats()
+            )
+        super().__init__(
+            spec, "pj-i", f"b-idj-{bound}", m=m, plan=plan,
+            bound_factory=_BOUND_FACTORIES[bound],
+        )
 
     def run(self) -> List[CandidateAnswer]:
         """Execute ``PJ-i`` and return the top-``k`` answers."""
-        spec = self._spec
-        if spec.k == 0:
-            return []
-        plan = spec.resolve_plan(
-            "pj-i",
-            plan=self._plan,
-            default_operator=self._default_operator,
-            m=self._m,
-        )
-        self.plan = plan
-        num_edges = spec.query_graph.num_edges
-        inputs: List[LazyInput] = [None] * num_edges
-        joins = []
-        for e in plan.build_order:
-            operator = plan.edges[e].operator
-            with spec.trace_edge_span(e, operator):
-                context = spec.edge_context(e)
-                join = IncrementalTwoWayJoin(
-                    context, bound_factory=self._bound_factory
-                )
-                joins.append(join)
-                initial = join.top(self._m)
-
-            def refill(join=join, e=e, operator=operator):
-                # F-structure refinements trace as ``refill`` spans so
-                # explain-analyze attributes their walks to the edge.
-                with spec.trace_edge_span(e, operator, kind="refill"):
-                    return join.next_pair()
-
-            inputs[e] = LazyInput(
-                initial,
-                refill=refill,
-                name=spec.query_graph.edge_name(e),
-            )
-        with spec.engine.trace_span("rankjoin", self.name):
-            driver = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
-            answers = driver.run()
-        self.stats.next_pair_calls = sum(inp.refill_calls for inp in inputs)
-        self.stats.rank_join_pulls = driver.stats.pulls
-        self.stats.pulls_per_edge = driver.stats.pulls_per_edge
-        return answers
+        return super().run()
 
 
 def partial_join_incremental(

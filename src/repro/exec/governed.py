@@ -44,12 +44,11 @@ walk layer's ``repro.exec.budget`` dependency cycle-free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.core.nway.partial_join import _RestartProvider, two_way_algorithm_by_name
+from repro.core.nway.driver import Interval, NWayDriver, snapshot_partial
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.backward import BackwardBasicJoin
-from repro.core.two_way.base import ScoredPair
+from repro.core.two_way.base import sort_pairs
 from repro.exec.budget import (
     ON_BUDGET_POLICIES,
     BudgetExhaustedError,
@@ -57,16 +56,7 @@ from repro.exec.budget import (
     exact_result,
 )
 from repro.exec.governor import ExecutionGovernor
-from repro.extensions.series_join import (
-    SeriesBackwardJoin,
-    SeriesIDJ,
-    _SeriesRestartProvider,
-)
 from repro.graph.validation import GraphValidationError
-from repro.rankjoin.inputs import LazyInput, MaterializedInput
-from repro.rankjoin.pbrj import PBRJ
-
-Interval = Tuple[float, float]
 
 
 def _check_policy(on_budget: str) -> None:
@@ -77,38 +67,27 @@ def _check_policy(on_budget: str) -> None:
         )
 
 
-def _snapshot_partial(join, k: int, reason: str) -> PartialResult:
-    """Best-effort top-``k`` from a stopped join's threshold state."""
-    snapshot = getattr(join, "budget_snapshot", None)
-    if snapshot is not None:
-        left_scores = snapshot["left_scores"]
-        tails = snapshot["tails"]
-        entries: List[Tuple[ScoredPair, Interval]] = []
-        for j, q in enumerate(snapshot["targets"]):
-            tail = float(tails[j])
-            for i, p in enumerate(snapshot["left"]):
-                if p == q:
-                    continue
-                lower = float(left_scores[i, j])
-                entries.append((ScoredPair(p, q, lower), (lower, lower + tail)))
-        entries.sort(key=lambda e: (-e[0].score, e[0].left, e[0].right))
-        entries = entries[:k]
-        return PartialResult(
-            results=[pair for pair, _ in entries],
-            bounds=[interval for _, interval in entries],
-            exact=False,
-            reason=reason,
-        )
-    prefix = getattr(join, "partial_pairs", None)
-    if prefix:
-        pairs = sorted(prefix, key=lambda sp: (-sp.score, sp.left, sp.right))[:k]
-        return PartialResult(
-            results=pairs,
-            bounds=[(pair.score, pair.score) for pair in pairs],
-            exact=False,
-            reason=reason,
-        )
-    return PartialResult(results=[], bounds=[], exact=False, reason=reason)
+def _run_governed(call, join, limit, governor, on_budget: str) -> PartialResult:
+    """``call()`` under the governor: exact on completion, else ``join``'s
+    top-``limit`` snapshot (``on_budget="partial"``) or the re-raised
+    :class:`BudgetExhaustedError` (``"error"``), the stop counted either
+    way.  A genuine :class:`MemoryError` that survived the adaptive
+    backoff is treated as ``reason="bytes"`` exhaustion."""
+    _check_policy(on_budget)
+    try:
+        return exact_result(call())
+    except BudgetExhaustedError as exc:
+        governor.count_budget_stop()
+        if on_budget == "error":
+            raise
+        return snapshot_partial(join, limit, exc.reason)
+    except MemoryError as exc:
+        governor.count_budget_stop()
+        if on_budget == "error":
+            raise BudgetExhaustedError(
+                "bytes", "allocation failed below the minimum window"
+            ) from exc
+        return snapshot_partial(join, limit, "bytes")
 
 
 def run_governed_top_k(
@@ -122,24 +101,8 @@ def run_governed_top_k(
     Returns an exact :class:`PartialResult` when the join completes, a
     flagged-partial one on exhaustion (``on_budget="partial"``), or
     re-raises the :class:`BudgetExhaustedError` (``on_budget="error"``).
-    A genuine :class:`MemoryError` that survived the adaptive backoff is
-    treated as ``reason="bytes"`` exhaustion.
     """
-    _check_policy(on_budget)
-    try:
-        return exact_result(join.top_k(k))
-    except BudgetExhaustedError as exc:
-        governor.count_budget_stop()
-        if on_budget == "error":
-            raise
-        return _snapshot_partial(join, k, exc.reason)
-    except MemoryError as exc:
-        governor.count_budget_stop()
-        if on_budget == "error":
-            raise BudgetExhaustedError(
-                "bytes", "allocation failed below the minimum window"
-            ) from exc
-        return _snapshot_partial(join, k, "bytes")
+    return _run_governed(lambda: join.top_k(k), join, k, governor, on_budget)
 
 
 def run_governed_all_pairs(
@@ -153,35 +116,9 @@ def run_governed_all_pairs(
     partial result's intervals are degenerate — partial in coverage
     only.
     """
-    _check_policy(on_budget)
-    try:
-        pairs = sorted(
-            join.all_pairs(), key=lambda sp: (-sp.score, sp.left, sp.right)
-        )
-        return exact_result(pairs)
-    except BudgetExhaustedError as exc:
-        governor.count_budget_stop()
-        if on_budget == "error":
-            raise
-        return _snapshot_partial(join, len(join.partial_pairs or []), exc.reason)
-    except MemoryError as exc:
-        governor.count_budget_stop()
-        if on_budget == "error":
-            raise BudgetExhaustedError(
-                "bytes", "allocation failed below the minimum window"
-            ) from exc
-        return _snapshot_partial(join, len(join.partial_pairs or []), "bytes")
-
-
-def _edge_join(spec: NWayJoinSpec, context, algorithm: str, deepening: bool):
-    """The per-edge 2-way join object for a governed n-way strategy."""
-    if spec.measure is not None:
-        if deepening and algorithm != "basic":
-            return SeriesIDJ.from_context(context)
-        return SeriesBackwardJoin.from_context(context)
-    if deepening:
-        return two_way_algorithm_by_name(algorithm)(context)
-    return BackwardBasicJoin(context)
+    return _run_governed(
+        lambda: sort_pairs(join.all_pairs()), join, None, governor, on_budget
+    )
 
 
 def run_governed_multi_way(
@@ -204,6 +141,12 @@ def run_governed_multi_way(
     final answers are flagged partial with componentwise-aggregated
     bounds.
 
+    The join itself is the shared
+    :class:`~repro.core.nway.driver.NWayDriver`, whose guard reads the
+    installed ``governor`` off ``spec.engine`` and collects the stop
+    reasons and per-pair intervals assembled here.  Governed ``"pj-i"``
+    runs the restart source: the incremental join keeps no snapshot.
+
     ``plan`` (or ``spec.plan``) chooses edge build order — and, for the
     ``PJ`` strategies, per-edge operators.  Plans only reorder which
     walks the budget is spent on: soundness of the flagged intervals is
@@ -223,107 +166,22 @@ def run_governed_multi_way(
             f"unknown n-way algorithm {algorithm!r}; "
             f"choose from ('pj', 'pj-i', 'ap', 'nl')"
         )
-    if spec.k == 0:
-        return PartialResult(results=[], bounds=[], exact=True)
-
     if name == "ap":
         default_operator = "basic" if spec.measure is not None else "b-bj"
     elif spec.measure is not None:
         default_operator = "idj"
     else:
         default_operator = two_way.lower()
-    edge_plan = spec.resolve_plan(
+    driver = NWayDriver(
+        spec,
         "ap" if name == "ap" else "pj",
-        plan=plan,
-        default_operator=default_operator,
+        default_operator,
         m=m,
+        plan=plan,
+        label=name,
     )
-
-    reasons: List[str] = []
-    intervals = {}  # (edge, left, right) -> (lower, upper)
-    inputs = [None] * spec.query_graph.num_edges
-    for e in edge_plan.build_order:
-        edge_name = spec.query_graph.edge_name(e)
-        operator = edge_plan.edges[e].operator
-        with spec.trace_edge_span(e, operator):
-            try:
-                context = spec.edge_context(e)
-            except BudgetExhaustedError as exc:
-                # The budget died before this edge even started: it
-                # contributes an empty stream (sound — no fabricated
-                # pairs).
-                governor.count_budget_stop()
-                reasons.append(exc.reason)
-                inputs[e] = MaterializedInput([], name=edge_name)
-                continue
-            if name == "ap":
-                # The governed AP materialisers stay the
-                # snapshot-capable backward pair regardless of the plan
-                # operator — the plan contributes the build order.
-                join = _edge_join(spec, context, operator, deepening=False)
-                partial = run_governed_all_pairs(
-                    join, governor, on_budget="partial"
-                )
-                if not partial.exact:
-                    reasons.append(partial.reason)
-                for pair, interval in zip(partial.results, partial.bounds):
-                    intervals[(e, pair.left, pair.right)] = interval
-                inputs[e] = MaterializedInput(partial.results, name=edge_name)
-                continue
-            if spec.measure is not None:
-                provider = _SeriesRestartProvider(
-                    context,
-                    m,
-                    join_cls=(
-                        SeriesBackwardJoin if operator == "basic" else SeriesIDJ
-                    ),
-                )
-            else:
-                provider = _RestartProvider(
-                    context, two_way_algorithm_by_name(operator), m
-                )
-            join = _edge_join(spec, context, operator, deepening=True)
-            partial = run_governed_top_k(join, m, governor, on_budget="partial")
-            for pair, interval in zip(partial.results, partial.bounds):
-                intervals[(e, pair.left, pair.right)] = interval
-        if partial.exact:
-            def refill(provider=provider, e=e, operator=operator):
-                # A restart refill that hits the budget exhausts this
-                # input instead of erroring the whole rank join.
-                try:
-                    with spec.trace_edge_span(e, operator, kind="refill"):
-                        pair = provider.next_pair()
-                except BudgetExhaustedError as exc:
-                    governor.count_budget_stop()
-                    reasons.append(exc.reason)
-                    return None
-                except MemoryError:
-                    governor.count_budget_stop()
-                    reasons.append("bytes")
-                    return None
-                if pair is not None:
-                    intervals[(e, pair.left, pair.right)] = (pair.score, pair.score)
-                return pair
-            inputs[e] = LazyInput(partial.results, refill=refill, name=edge_name)
-        else:
-            # A snapshot prefix is ranked by lower bounds; a restart
-            # refill could emit a pair the prefix already contains,
-            # violating PBRJ's sorted-stream contract — so the stopped
-            # edge's stream ends at its prefix.
-            reasons.append(partial.reason)
-            inputs[e] = MaterializedInput(partial.results, name=edge_name)
-
-    driver = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
-    try:
-        with spec.engine.trace_span("rankjoin", name):
-            answers = driver.run()
-    except BudgetExhaustedError as exc:
-        # Checkpoints inside cached-walk lookups can still fire during
-        # candidate expansion; the buffered answers so far are sound.
-        governor.count_budget_stop()
-        reasons.append(exc.reason)
-        answers = []
-
+    answers = driver.run()
+    reasons, intervals = driver.reasons, driver.intervals
     exact = not reasons
     if not exact and on_budget == "error":
         raise BudgetExhaustedError(reasons[0])

@@ -22,14 +22,12 @@ from repro.extensions.series_join import (
     SeriesIDJ,
     SeriesPartialJoin,
     make_series_context,
-    series_multi_way_join,
     series_two_way_join,
 )
 from repro.extensions.simrank import (
     SimRankJoin,
     SimRankMeasure,
     simrank_matrix,
-    simrank_multi_way_join,
 )
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "exact_ppr_to_target",
     "make_series_context",
     "measure_by_name",
-    "series_multi_way_join",
     "series_two_way_join",
     "simrank_matrix",
-    "simrank_multi_way_join",
 ]

@@ -39,10 +39,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.nway.aggregates import MIN, Aggregate
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.partial_join import PartialJoinStats
-from repro.core.nway.query_graph import QueryGraph
+from repro.core.nway.driver import NWayDriver
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.backward import DEFAULT_BLOCK_SIZE
 from repro.exec.budget import MemoryBudgetExceeded
@@ -50,14 +48,11 @@ from repro.core.two_way.base import (
     BoundedTopK,
     ScoredPair,
     TwoWayContext,
-    sort_pairs,
     top_k_pairs,
 )
 from repro.extensions.measures import SeriesMeasure, SeriesYBound
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
-from repro.rankjoin.inputs import LazyInput, MaterializedInput
-from repro.rankjoin.pbrj import PBRJ
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 from repro.walks.rounds import DeepeningRounds, columns_for_budget
@@ -508,12 +503,21 @@ def series_two_way_join(
     return join.top_k(k)
 
 
-class SeriesAllPairsJoin:
+def _require_measure(spec: NWayJoinSpec) -> None:
+    if spec.measure is None:
+        raise GraphValidationError(
+            "series n-way joins need a measure spec (NWayJoinSpec.measure)"
+        )
+
+
+class SeriesAllPairsJoin(NWayDriver):
     """``AP`` generalised: full per-edge materialisation + PBRJ rank join.
 
     Every edge materialises through the batched
     :class:`SeriesBackwardJoin`; with the spec's shared walk cache,
     edges whose right sets overlap score repeated targets from memory.
+    The loop is the shared :class:`~repro.core.nway.driver.NWayDriver`
+    (materialised source); ``stats`` is the rank join's own record.
     """
 
     name = "Series-AP"
@@ -524,209 +528,39 @@ class SeriesAllPairsJoin:
         block_size: int = DEFAULT_BLOCK_SIZE,
         plan=None,
     ) -> None:
-        if spec.measure is None:
-            raise GraphValidationError(
-                "series n-way joins need a measure spec (NWayJoinSpec.measure)"
-            )
-        self._spec = spec
-        self._block_size = block_size
-        self._plan = plan
+        _require_measure(spec)
+        # A caller's explicit block width beats the plan's knob.
+        explicit = None if block_size == DEFAULT_BLOCK_SIZE else block_size
+        super().__init__(spec, "ap", "basic", plan=plan, block_size=explicit)
         self.stats = None
 
     def run(self) -> List[CandidateAnswer]:
         """Materialise every edge's full join, then rank-join."""
-        spec = self._spec
-        if spec.k == 0:
-            return []
-        plan = spec.resolve_plan("ap", plan=self._plan, default_operator="basic")
-        self.plan = plan
-        num_edges = spec.query_graph.num_edges
-        inputs = [None] * num_edges
-        for e in plan.build_order:
-            # A caller's explicit block width beats the plan's knob.
-            block_size = self._block_size
-            ep = plan.edges[e]
-            if block_size == DEFAULT_BLOCK_SIZE and ep.block_size is not None:
-                block_size = ep.block_size
-            with spec.trace_edge_span(e, ep.operator):
-                join = SeriesBackwardJoin.from_context(
-                    spec.edge_context(e), block_size=block_size
-                )
-                inputs[e] = MaterializedInput(
-                    sort_pairs(join.all_pairs()),
-                    name=spec.query_graph.edge_name(e),
-                )
-        with spec.engine.trace_span("rankjoin", self.name):
-            driver = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
-            answers = driver.run()
-        self.stats = driver.stats
+        answers = super().run()
+        self.stats = self.rank_join
         return answers
 
 
-class _SeriesRestartProvider:
-    """``getNextNodePair`` the ``PJ`` way: rerun top-``(m+1)`` from scratch.
-
-    "From scratch" algorithmically — the reruns share the context's
-    walk/bound caches, so they re-score cached walks instead of
-    re-propagating, exactly like the DHT ``PJ``.
-    """
-
-    def __init__(self, context: TwoWayContext, m: int, join_cls=None) -> None:
-        self._context = context
-        self._m = m
-        self._join_cls = join_cls if join_cls is not None else SeriesIDJ
-        self.restarts = 0
-
-    def initial(self) -> List[ScoredPair]:
-        return self._join_cls.from_context(self._context).top_k(self._m)
-
-    def next_pair(self) -> Optional[ScoredPair]:
-        if self._m >= self._context.num_pairs:
-            return None
-        self._m += 1
-        self.restarts += 1
-        result = self._join_cls.from_context(self._context).top_k(self._m)
-        if len(result) < self._m:
-            return None
-        return result[-1]
-
-
-class SeriesPartialJoin:
+class SeriesPartialJoin(NWayDriver):
     """``PJ`` generalised: top-``m`` prefixes + PBRJ + restart refills.
 
     Per-edge prefixes come from :class:`SeriesIDJ` (the pruned
     algorithm), refills rerun it at ``m+1`` against the spec's shared
     caches — the measure-generic twin of
-    :class:`repro.core.nway.partial_join.PartialJoin`.
+    :class:`repro.core.nway.partial_join.PartialJoin`, on the same
+    :class:`~repro.core.nway.driver.NWayDriver` (restart source).
+    Incremental F-structure refinement is a DHT-specific optimisation
+    with no measure-generic counterpart yet, so ``"pj-i"`` under a
+    measure runs this.
     """
 
     name = "Series-PJ"
 
-    # Planner operator names -> per-edge join classes (the series twin
-    # of ``partial_join._TWO_WAY_ALGORITHMS``).
-    _OPERATORS = None  # filled in after class definitions below
-
     def __init__(self, spec: NWayJoinSpec, m: int = 50, plan=None) -> None:
-        if spec.measure is None:
-            raise GraphValidationError(
-                "series n-way joins need a measure spec (NWayJoinSpec.measure)"
-            )
-        if m < 0:
-            raise GraphValidationError(f"m must be >= 0, got {m}")
-        self._spec = spec
-        self._m = m
-        self._plan = plan
-        self.stats = PartialJoinStats()
+        _require_measure(spec)
+        super().__init__(spec, "pj", "idj", m=m, plan=plan)
 
     def run(self) -> List[CandidateAnswer]:
         """Execute the partial join and return the top-``k`` answers."""
-        spec = self._spec
-        if spec.k == 0:
-            return []
-        plan = spec.resolve_plan(
-            "pj", plan=self._plan, default_operator="idj", m=self._m
-        )
-        self.plan = plan
-        num_edges = spec.query_graph.num_edges
-        inputs: List[Optional[LazyInput]] = [None] * num_edges
-        providers = []
-        for e in plan.build_order:
-            operator = plan.edges[e].operator
-            join_cls = self._OPERATORS[operator]
-            with spec.trace_edge_span(e, operator):
-                provider = _SeriesRestartProvider(
-                    spec.edge_context(e), self._m, join_cls=join_cls
-                )
-                providers.append(provider)
-                initial = provider.initial()
+        return super().run()
 
-            def refill(provider=provider, e=e, operator=operator):
-                # Each restart refill is traced as its own ``refill``
-                # span so explain-analyze can attribute its walks to
-                # the edge's plan row.
-                with spec.trace_edge_span(e, operator, kind="refill"):
-                    return provider.next_pair()
-
-            inputs[e] = LazyInput(
-                initial,
-                refill=refill,
-                name=spec.query_graph.edge_name(e),
-            )
-        with spec.engine.trace_span("rankjoin", self.name):
-            driver = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
-            answers = driver.run()
-        self.stats.next_pair_calls = sum(p.restarts for p in providers)
-        self.stats.rank_join_pulls = driver.stats.pulls
-        self.stats.pulls_per_edge = driver.stats.pulls_per_edge
-        return answers
-
-
-SeriesPartialJoin._OPERATORS = {
-    "idj": SeriesIDJ,
-    "basic": SeriesBackwardJoin,
-}
-
-
-_SERIES_NWAY = ("ap", "pj", "pj-i")
-
-
-def series_multi_way_join(
-    graph: Graph,
-    query_graph: QueryGraph,
-    node_sets: Sequence[Sequence[int]],
-    k: int,
-    measure: SeriesMeasure,
-    aggregate: Aggregate = MIN,
-    engine: Optional[WalkEngine] = None,
-    algorithm: str = "ap",
-    m: int = 50,
-    walk_cache: Optional[WalkCache] = None,
-    share_walks: bool = True,
-    bound_cache: Optional[BoundPlanCache] = None,
-    share_bounds: bool = True,
-    max_block_bytes: Optional[int] = None,
-    walk_cache_bytes: Optional[int] = None,
-    plan: object = "fixed",
-) -> List[CandidateAnswer]:
-    """Top-``k`` n-way join under an arbitrary series measure.
-
-    ``algorithm`` selects the strategy: ``"ap"`` (default) materialises
-    each edge's full 2-way join; ``"pj"`` runs top-``m`` prefixes with
-    restart refills.  ``"pj-i"`` is accepted as an alias of ``"pj"`` —
-    incremental F-structure refinement is a DHT-specific optimisation
-    with no measure-generic counterpart yet.  All edges share one walk
-    cache and one bound cache (disable with ``share_walks`` /
-    ``share_bounds``), both keyed by the measure; pass explicit
-    ``walk_cache`` / ``bound_cache`` instances to share them *across*
-    calls too (the service tier does).  ``max_block_bytes`` caps each
-    edge's resumable walk block (bounded-memory rounds with walk-cache
-    spill), forwarded uniformly through the spec; ``walk_cache_bytes``
-    byte-budgets an automatically created shared walk cache.  ``plan``
-    (``"fixed"``/``"auto"``/an ``ExplainedPlan``) hands edge order and
-    per-edge operator choice to the cost-based planner.
-    """
-    spec = NWayJoinSpec(
-        graph=graph,
-        query_graph=query_graph,
-        node_sets=[list(nodes) for nodes in node_sets],
-        k=k,
-        aggregate=aggregate,
-        engine=engine,
-        measure=measure,
-        walk_cache=walk_cache,
-        share_walks=share_walks,
-        bound_cache=bound_cache,
-        share_bounds=share_bounds,
-        max_block_bytes=max_block_bytes,
-        walk_cache_bytes=walk_cache_bytes,
-        plan=plan,
-    )
-    name = algorithm.lower()
-    if name == "ap":
-        return SeriesAllPairsJoin(spec).run()
-    if name in ("pj", "pj-i"):
-        return SeriesPartialJoin(spec, m=m).run()
-    raise GraphValidationError(
-        f"unknown series n-way algorithm {algorithm!r}; "
-        f"choose from {_SERIES_NWAY}"
-    )

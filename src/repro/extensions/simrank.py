@@ -31,14 +31,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.nway.aggregates import MIN, Aggregate
-from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.query_graph import QueryGraph
-from repro.core.two_way.base import ScoredPair, sort_pairs, top_k_pairs
+from repro.core.two_way.base import ScoredPair, top_k_pairs
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError, validate_node_set
-from repro.rankjoin.inputs import MaterializedInput
-from repro.rankjoin.pbrj import PBRJ
 from repro.walks.engine import WalkEngine
 
 
@@ -310,33 +305,3 @@ class SimRankJoin:
         if k == 0:
             return []
         return top_k_pairs(self.all_pairs(), k)
-
-
-def simrank_multi_way_join(
-    graph: Graph,
-    query_graph: QueryGraph,
-    node_sets: Sequence[Sequence[int]],
-    k: int,
-    decay: float = 0.8,
-    iterations: int = 10,
-    aggregate: Aggregate = MIN,
-) -> List[CandidateAnswer]:
-    """Top-``k`` n-way join under SimRank (AP strategy + PBRJ).
-
-    The similarity matrix is computed once and shared by every query
-    edge.
-    """
-    if len(node_sets) != query_graph.num_vertices:
-        raise GraphValidationError(
-            f"{len(node_sets)} node sets for {query_graph.num_vertices} vertices"
-        )
-    matrix = simrank_matrix(graph, decay=decay, iterations=iterations)
-    inputs = []
-    for e, (i, j) in enumerate(query_graph.edges):
-        join = SimRankJoin(graph, node_sets[i], node_sets[j], matrix=matrix)
-        inputs.append(
-            MaterializedInput(
-                sort_pairs(join.all_pairs()), name=query_graph.edge_name(e)
-            )
-        )
-    return PBRJ(query_graph, aggregate, inputs, k).run()

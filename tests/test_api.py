@@ -50,6 +50,29 @@ class TestTwoWayFacade:
         )
         assert len(result) == 2
 
+    @pytest.mark.parametrize(
+        "algorithm,measure", [("f-bj", None), ("b-bj", None), ("b-bj", "ppr")]
+    )
+    def test_negative_k_rejected_before_any_work(self, graph, algorithm, measure):
+        """The basic joins score everything and only then slice to
+        ``k``; a bad ``k`` must be refused before they walk or warm a
+        shared cache."""
+        from repro.extensions.measures import measure_by_name
+        from repro.walks.cache import WalkCache
+        from repro.walks.engine import WalkEngine
+
+        engine = WalkEngine(graph)
+        resolved = measure_by_name(measure) if measure else None
+        key = resolved.cache_key() if resolved else DHTParams.dht_lambda(0.2)
+        cache = WalkCache(engine, key)
+        with pytest.raises(GraphValidationError, match="k must be >= 0, got -1"):
+            two_way_join(
+                graph, [0, 1, 2], [20, 21, 22], -1, algorithm=algorithm,
+                measure=resolved, engine=engine, walk_cache=cache,
+            )
+        assert engine.stats.propagation_steps == 0
+        assert len(cache) == 0
+
     def test_shared_engine_reuse(self, graph):
         from repro.walks.engine import WalkEngine
 

@@ -147,6 +147,14 @@ def test_cli_quickstart_flow(tmp_path, capsys):
         json.loads(line)  # every --json output line is machine-readable
 
 
+def test_benchmarks_doc_states_current_schema_version():
+    """docs/BENCHMARKS.md names the schema version the harness emits
+    (it said 7 for a whole PR after the constant moved to 8)."""
+    text = (REPO_ROOT / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
+    assert f"## Report schema (version {WALK_BENCH_SCHEMA_VERSION})" in text
+    assert f'"schema_version": {WALK_BENCH_SCHEMA_VERSION},' in text
+
+
 def test_bench_report_not_stale():
     """BENCH_walks.json must be regenerated when the schema changes."""
     payload = json.loads(BENCH_REPORT.read_text(encoding="utf-8"))

@@ -7,6 +7,7 @@ every batched, resumable, or cached measure path must reproduce them.
 import numpy as np
 import pytest
 
+from repro.api import multi_way_join
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.query_graph import QueryGraph
@@ -25,7 +26,6 @@ from repro.extensions.series_join import (
     SeriesIDJ,
     SeriesPartialJoin,
     make_series_context,
-    series_multi_way_join,
     series_two_way_join,
 )
 from repro.extensions.simrank import (
@@ -34,7 +34,6 @@ from repro.extensions.simrank import (
     _in_weight_matrix,
     _in_weight_matrix_reference,
     simrank_matrix,
-    simrank_multi_way_join,
 )
 from repro.graph.builders import (
     complete_graph,
@@ -133,8 +132,9 @@ class TestSeriesJoins:
         measure = TruncatedPPR(damping=0.7)
         sets = [[0, 1, 2], [10, 11, 12], [20, 21, 22]]
         query = QueryGraph.chain(3)
-        got = series_multi_way_join(
-            random_graph, query, sets, k=5, measure=measure, aggregate=SUM
+        got = multi_way_join(
+            random_graph, query, sets, k=5, measure=measure, aggregate=SUM,
+            algorithm="ap",
         )
         # Brute force from full pair tables.
         engine = WalkEngine(random_graph)
@@ -156,9 +156,9 @@ class TestSeriesJoins:
 
     def test_multi_way_set_count_mismatch(self, random_graph):
         with pytest.raises(GraphValidationError):
-            series_multi_way_join(
+            multi_way_join(
                 random_graph, QueryGraph.chain(3), [[0], [1]], k=1,
-                measure=TruncatedPPR(),
+                measure=TruncatedPPR(), algorithm="ap",
             )
 
 
@@ -206,21 +206,49 @@ class TestSimRank:
         assert all(p.left != p.right for p in result)
 
     def test_multi_way_join_runs(self, random_graph):
-        answers = simrank_multi_way_join(
-            random_graph,
-            QueryGraph.chain(3),
-            [[0, 1], [10, 11], [20, 21]],
-            k=3,
-            iterations=4,
+        query = QueryGraph.chain(3)
+        sets = [[0, 1], [10, 11], [20, 21]]
+        answers = multi_way_join(
+            random_graph, query, sets, k=3,
+            measure=SimRankMeasure(iterations=4), algorithm="ap",
         )
         assert answers
         scores = [a.score for a in answers]
         assert scores == sorted(scores, reverse=True)
+        # The dense oracle: one SimRankJoin per query edge, enumerated.
+        import itertools
+
+        matrix = simrank_matrix(random_graph, iterations=4)
+        tables = [
+            {
+                (p.left, p.right): p.score
+                for p in SimRankJoin(
+                    random_graph, sets[i], sets[j], matrix=matrix
+                ).all_pairs()
+            }
+            for i, j in query.edges
+        ]
+        expected = sorted(
+            (
+                (
+                    min(
+                        tables[e][(nodes[i], nodes[j])]
+                        for e, (i, j) in enumerate(query.edges)
+                    ),
+                    nodes,
+                )
+                for nodes in itertools.product(*sets)
+            ),
+            key=lambda t: (-t[0], t[1]),
+        )[:3]
+        assert [a.nodes for a in answers] == [nodes for _, nodes in expected]
+        assert np.allclose([a.score for a in answers], [s for s, _ in expected])
 
     def test_multi_way_set_count_mismatch(self, random_graph):
         with pytest.raises(GraphValidationError):
-            simrank_multi_way_join(
-                random_graph, QueryGraph.chain(2), [[0]], k=1
+            multi_way_join(
+                random_graph, QueryGraph.chain(2), [[0]], k=1,
+                measure=SimRankMeasure(iterations=4), algorithm="ap",
             )
 
 
@@ -461,11 +489,11 @@ class TestMeasureNWay:
     def test_ap_and_pj_match_per_target_oracle(self, random_graph, measure_factory):
         sets = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
         query = QueryGraph.star(2, bidirectional=True)
-        ap = series_multi_way_join(
+        ap = multi_way_join(
             random_graph, query, sets, k=6, measure=measure_factory(),
             algorithm="ap",
         )
-        pj = series_multi_way_join(
+        pj = multi_way_join(
             random_graph, query, sets, k=6, measure=measure_factory(),
             algorithm="pj", m=4,
         )
@@ -501,8 +529,8 @@ class TestMeasureNWay:
             )
 
     def test_nway_rejects_unknown_algorithm(self, random_graph):
-        with pytest.raises(GraphValidationError, match="unknown series"):
-            series_multi_way_join(
+        with pytest.raises(GraphValidationError, match="DHT-only"):
+            multi_way_join(
                 random_graph, QueryGraph.chain(2), [[0], [1]], k=1,
                 measure=TruncatedPPR(), algorithm="nl",
             )

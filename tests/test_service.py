@@ -119,6 +119,22 @@ class TestExecution:
         follow_up = service.query(TwoWayRequest(LEFT, RIGHT, k=2))
         assert follow_up.ok  # the worker survived
 
+    @pytest.mark.parametrize(
+        "algorithm,measure", [("f-bj", None), ("b-bj", None), ("b-bj", "ppr")]
+    )
+    def test_negative_k_is_error_response_without_work(
+        self, service, algorithm, measure
+    ):
+        """A bad ``k`` is answered with an error before the request can
+        walk or fill the tier's shared walk cache."""
+        response = service.query(
+            TwoWayRequest(LEFT, RIGHT, k=-1, algorithm=algorithm, measure=measure)
+        )
+        assert response.status == STATUS_ERROR
+        assert "k must be >= 0, got -1" in response.error
+        assert service.engine.stats.propagation_steps == 0
+        assert len(service.cache_tier(measure)[0]) == 0
+
     def test_serve_factory(self, graph):
         with api.serve(graph, workers=1) as svc:
             assert isinstance(svc, QueryService)
