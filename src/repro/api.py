@@ -13,11 +13,10 @@ aggregate, and ``m = k = 50``.
 
 Both accept a ``measure`` — a name (``"ppr"``, ``"simrank"``, or the
 DHT family) or a :class:`repro.extensions.measures.SeriesMeasure`
-instance — and route non-DHT measures to the measure-generic joins of
-:mod:`repro.extensions.series_join`, which run the same batched /
-resumable / cached walk-and-bound stack (Section VIII's future-work
-plan).  DHT names keep the tuned core algorithms and the
-``params``/``d``/``epsilon`` configuration.
+instance — and route non-DHT measures to the measure bindings of
+:mod:`repro.extensions.series_join`: the same backward operators with
+the measure's scorer and bound plugged in (Section VIII's future-work
+plan).  DHT names keep the ``params``/``d``/``epsilon`` configuration.
 
 Both also accept a :class:`repro.exec.budget.QueryBudget`.  With a
 budget (or a fault injector) the query runs *governed*: an

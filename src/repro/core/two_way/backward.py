@@ -24,6 +24,12 @@ This module runs both algorithms on the batched, resumable walk layer:
   served from / donated to the cache, so repeated joins over overlapping
   node sets (``PJ`` restarts, star/clique edges) never re-walk a target.
 
+Both loops read the measure only through the context's ``kernel`` and
+``floor``, so they are the one backward stack for every proximity
+measure: the bindings in :mod:`repro.extensions.series_join` subclass
+them and override the scorer, the bound and — for matrix-backed
+measures — the rounds, nothing else.
+
 The seed per-target, restart-per-level implementations are kept as
 equivalence oracles: :func:`back_walk_series` and
 :meth:`BackwardIDJ.top_k_reference` (plus ``B-BJ`` with
@@ -32,7 +38,7 @@ equivalence oracles: :func:`back_walk_series` and
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, Iterable, List, Optional, Protocol
 
 import numpy as np
 
@@ -267,6 +273,10 @@ class BackwardBasicJoin:
     benchmark baseline.  A ``max_block_bytes`` ceiling on the context
     clamps the block width so each propagated block's buffers stay
     under it, same per-block semantics as ``B-IDJ``'s chunked rounds.
+
+    What a proximity measure needs to supply is the scorer pair
+    :meth:`_score_target` / :meth:`_score_block`; the defaults walk the
+    context's :attr:`~repro.core.two_way.base.TwoWayContext.kernel`.
     """
 
     name = "B-BJ"
@@ -298,18 +308,41 @@ class BackwardBasicJoin:
 
     def _all_pairs(self) -> List[ScoredPair]:
         ctx = self._ctx
+        pairs: List[ScoredPair] = []
+        self.partial_pairs = pairs
         if self._block_size == 1:
-            pairs: List[ScoredPair] = []
-            self.partial_pairs = pairs
             for q in ctx.right:
-                scores = back_walk(ctx, q, ctx.d)
-                pairs.extend(ctx.pairs_for_target(scores, q))
-            return pairs
-        if ctx.walk_cache is None:
-            return self._all_pairs_lean()
-        return self._all_pairs_cached()
+                pairs.extend(ctx.pairs_for_target(self._score_target(q), q))
+        elif ctx.walk_cache is None and ctx.measure is None:
+            # The restricted-tail plan is Eq. 5's first-hit algebra.
+            self._score_lean(pairs)
+        else:
+            self._score_blocks(pairs)
+        return pairs
 
-    def _all_pairs_lean(self) -> List[ScoredPair]:
+    def _score_target(self, q: int) -> np.ndarray:
+        """The per-target oracle scorer (``block_size=1``)."""
+        return back_walk(self._ctx, q, self._ctx.d)
+
+    def _score_block(self, targets: List[int]) -> Iterable[np.ndarray]:
+        """Full-depth score vectors of one target block, in order."""
+        ctx = self._ctx
+        state = WalkState(ctx.engine, ctx.kernel, targets).advance_to(ctx.d)
+        return map(state.score_column, range(len(targets)))
+
+    def _rewalking(self, score, *args):
+        """``score(*args)``, re-run a bounded number of times when the
+        walk-state validation detects a corrupted block."""
+        for attempt in range(REWALK_ATTEMPTS):
+            try:
+                return score(*args)
+            except CorruptedWalkError:
+                self._ctx.engine.stats.add("degradations", 1)
+                if attempt == REWALK_ATTEMPTS - 1:
+                    raise
+        raise AssertionError("unreachable")
+
+    def _score_lean(self, pairs: List[ScoredPair]) -> None:
         """Batched scoring with the accumulator restricted to ``P``.
 
         Without a cache to feed, only the left rows of each score vector
@@ -323,11 +356,11 @@ class BackwardBasicJoin:
         tail = ctx.bound_cache.tail_plan(
             ctx.left, ctx.d, lambda: _RestrictedTail(ctx, left)
         )
-        pairs: List[ScoredPair] = []
-        self.partial_pairs = pairs
         for start in range(0, len(ctx.right), self._block_size):
             chunk = ctx.right[start : start + self._block_size]
-            scores = self._chunk_scores_with_retry(chunk, left, tail)
+            scores = self._rewalking(
+                _block_scores_at_rows, ctx, chunk, left, tail
+            )
             for j, q in enumerate(chunk):
                 values = scores[:, j].tolist()
                 pairs.extend(
@@ -335,21 +368,10 @@ class BackwardBasicJoin:
                     for p, value in zip(ctx.left, values)
                     if p != q
                 )
-        return pairs
 
-    def _chunk_scores_with_retry(self, chunk, left, tail) -> np.ndarray:
-        """Score one target chunk, re-running it on detected corruption."""
-        for attempt in range(REWALK_ATTEMPTS):
-            try:
-                return _block_scores_at_rows(self._ctx, chunk, left, tail)
-            except CorruptedWalkError:
-                self._ctx.engine.stats.add("degradations", 1)
-                if attempt == REWALK_ATTEMPTS - 1:
-                    raise
-        raise AssertionError("unreachable")
-
-    def _all_pairs_cached(self) -> List[ScoredPair]:
-        """Batched scoring through the shared walk cache.
+    def _score_blocks(self, pairs: List[ScoredPair]) -> None:
+        """Batched scoring through the shared walk cache (when there is
+        one).
 
         Cache hits (targets walked by an earlier join or query edge)
         cost ``O(n)``; misses are walked one block at a time and donated
@@ -358,45 +380,35 @@ class BackwardBasicJoin:
         """
         ctx = self._ctx
         cache = ctx.walk_cache
-        pairs: List[ScoredPair] = []
-        self.partial_pairs = pairs
         pending: List[int] = []
 
-        def walk_pending() -> WalkState:
-            for attempt in range(REWALK_ATTEMPTS):
-                try:
-                    return WalkState(
-                        ctx.engine, ctx.params, pending
-                    ).advance_to(ctx.d)
-                except CorruptedWalkError:
-                    ctx.engine.stats.add("degradations", 1)
-                    if attempt == REWALK_ATTEMPTS - 1:
-                        raise
-            raise AssertionError("unreachable")
-
         def flush() -> None:
-            state = walk_pending()
-            for j, q in enumerate(pending):
-                vector = state.score_column(j)
-                cache.put_scores(q, ctx.d, vector)
+            vectors = self._rewalking(self._score_block, pending)
+            for q, vector in zip(pending, vectors):
+                if cache is not None:
+                    cache.put_scores(q, ctx.d, vector)
                 pairs.extend(ctx.pairs_for_target(vector, q))
             pending.clear()
 
         for q in ctx.right:  # validated node sets carry no duplicates
             ctx.engine.checkpoint("cache")
-            cached = cache.peek(q, ctx.d)
-            if cached is not None:
-                pairs.extend(ctx.pairs_for_target(cached, q))
-                continue
+            if cache is not None:
+                cached = cache.peek(q, ctx.d)
+                if cached is not None:
+                    pairs.extend(ctx.pairs_for_target(cached, q))
+                    continue
             pending.append(q)
             if len(pending) == self._block_size:
                 flush()
         if pending:
             flush()
-        return pairs
 
     def top_k(self, k: int) -> List[ScoredPair]:
         """Top-``k`` pairs by exhaustive backward scoring."""
+        if k < 0:
+            # Before any walk: a bad k must not burn steps or warm a
+            # shared cache first.
+            raise GraphValidationError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
         return top_k_pairs(self.all_pairs(), k)
@@ -448,7 +460,7 @@ class BackwardIDJ:
     targets are served from the cache and pruned targets donate their
     resumable column so later joins pick up where this one stopped.
 
-    With ``max_block_bytes`` set (here or on the context), the full-width
+    With ``max_block_bytes`` set on the context, the full-width
     block — ``O(n |Q|)`` floats for very large right sets — is replaced
     by bounded-memory chunked rounds: a resumable *window* of at most
     ``max_block_bytes`` (16 bytes per node per column: walker mass plus
@@ -469,9 +481,12 @@ class BackwardIDJ:
     output and the pruning trace do not change — only the
     memory/compute trade-off does, visible as extra
     ``propagation_steps`` and a capped ``peak_block_bytes`` in the
-    engine stats.  The round machinery itself is the shared
-    :class:`~repro.walks.rounds.DeepeningRounds` (the measure-generic
-    ``Series-IDJ`` runs the identical plan).
+    engine stats.  The round machinery itself is
+    :class:`~repro.walks.rounds.DeepeningRounds` over the context's
+    :attr:`~repro.core.two_way.base.TwoWayContext.kernel`, so the same
+    loop runs under DHT and under any kernel measure; a measure binding
+    only swaps the bound (and, for a kernel-less measure, the rounds —
+    see :meth:`_rounds`).
 
     Parameters
     ----------
@@ -484,9 +499,6 @@ class BackwardIDJ:
     observer:
         Optional :class:`WalkObserver` mirroring walk results (used by
         ``PJ-i``).
-    max_block_bytes:
-        Resumable-block byte ceiling; defaults to the context's value
-        (``None`` = unbounded full-width block).
 
     Attributes
     ----------
@@ -502,23 +514,23 @@ class BackwardIDJ:
         context: TwoWayContext,
         bound_factory: BoundFactory,
         observer: Optional[WalkObserver] = None,
-        max_block_bytes: Optional[int] = None,
     ) -> None:
-        if max_block_bytes is None:
-            max_block_bytes = context.max_block_bytes
-        elif max_block_bytes < 1:
-            raise GraphValidationError(
-                f"max_block_bytes must be >= 1, got {max_block_bytes}"
-            )
         self._ctx = context
         self._bound_factory = bound_factory
         self._observer = observer
-        self._max_block_bytes = max_block_bytes
         self.pruning_trace: List[dict] = []
         # Threshold-state snapshot of the last *completed* deepening
         # round; the governed entry points turn it into a partial result
         # with sound [h_l, h_l + tail_l] intervals after a budget stop.
         self.budget_snapshot: Optional[dict] = None
+
+    def _rounds(self):
+        """The walk plan of one run: ``walk_level`` / ``donate_pruned``
+        / ``repack`` over the context's kernel, cache and byte ceiling."""
+        ctx = self._ctx
+        return DeepeningRounds(
+            ctx.engine, ctx.kernel, ctx.walk_cache, ctx.max_block_bytes
+        )
 
     def top_k(self, k: int) -> List[ScoredPair]:
         """Top-``k`` pairs with iterative-deepening pruning on ``Q``."""
@@ -537,10 +549,8 @@ class BackwardIDJ:
         bound = self._bound_factory(ctx)
         self.pruning_trace = []
         left = ctx.left_array
-        zero = ctx.params.zero_score
-        rounds = DeepeningRounds(
-            ctx.engine, ctx.params, ctx.walk_cache, self._max_block_bytes
-        )
+        zero = ctx.floor
+        rounds = self._rounds()
         active: List[int] = list(ctx.right)
 
         level = 1
@@ -684,15 +694,9 @@ class BackwardIDJX(BackwardIDJ):
     name = "B-IDJ-X"
 
     def __init__(
-        self,
-        context: TwoWayContext,
-        observer: Optional[WalkObserver] = None,
-        max_block_bytes: Optional[int] = None,
+        self, context: TwoWayContext, observer: Optional[WalkObserver] = None
     ) -> None:
-        super().__init__(
-            context, x_bound_factory, observer=observer,
-            max_block_bytes=max_block_bytes,
-        )
+        super().__init__(context, x_bound_factory, observer=observer)
 
 
 class BackwardIDJY(BackwardIDJ):
@@ -705,12 +709,6 @@ class BackwardIDJY(BackwardIDJ):
     name = "B-IDJ-Y"
 
     def __init__(
-        self,
-        context: TwoWayContext,
-        observer: Optional[WalkObserver] = None,
-        max_block_bytes: Optional[int] = None,
+        self, context: TwoWayContext, observer: Optional[WalkObserver] = None
     ) -> None:
-        super().__init__(
-            context, y_bound_factory, observer=observer,
-            max_block_bytes=max_block_bytes,
-        )
+        super().__init__(context, y_bound_factory, observer=observer)

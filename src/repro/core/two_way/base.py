@@ -151,12 +151,11 @@ class TwoWayContext:
     max_block_bytes:
         Optional ceiling, in bytes, on any single resumable walk block
         (mass + score prefix, 16 bytes per node per column).  The
-        deepening joins (``B-IDJ`` and the measure-generic
-        ``Series-IDJ``) read it and switch to bounded-memory chunked
-        rounds — with a walk cache present, overflow survivors are
-        spilled into it and resumed instead of re-walked — and the
-        basic joins (``B-BJ`` / ``Series-B-BJ``) clamp their block
-        width under it; ``None`` (default) keeps the full-width /
+        deepening join (``B-IDJ``, under DHT or a measure) reads it and
+        switches to bounded-memory chunked rounds — with a walk cache
+        present, overflow survivors are spilled into it and resumed
+        instead of re-walked — and the basic join (``B-BJ``) clamps its
+        block width under it; ``None`` (default) keeps the full-width /
         default-width blocks.  A ceiling below the cost of one column
         (``16 * num_nodes``) is infeasible — a single column is the
         smallest block the propagation can run — and raises a
@@ -170,10 +169,12 @@ class TwoWayContext:
         ``None``, ``d`` should be the measure's truncation depth, and
         both caches are keyed by the measure's :meth:`cache_key` — so a
         DHT cache and a PPR cache on the same graph can never be mixed
-        (the validation below rejects the swap).  The DHT-specific
-        algorithms (``F-*``/``B-*``) require ``measure=None``; the
-        measure-generic joins in :mod:`repro.extensions.series_join`
-        consume measure contexts.
+        (the validation below rejects the swap).  The forward
+        algorithms (``F-*``) require ``measure=None``; the backward
+        ones read :attr:`kernel` and :attr:`floor` — the only place
+        ``params``-vs-``measure`` is spelled — and the bindings in
+        :mod:`repro.extensions.series_join` supply a measure's scorer
+        and bound on top.
     """
 
     graph: Graph
@@ -233,6 +234,21 @@ class TwoWayContext:
         otherwise — one cache universe per ``(graph, measure)``.
         """
         return self.measure.cache_key() if self.measure is not None else self.params
+
+    @property
+    def kernel(self):
+        """What a :class:`~repro.walks.state.WalkState` propagates this
+        context's blocks with: the DHT params, or the measure's block
+        kernel (``None`` for a matrix-backed measure)."""
+        return self.params if self.measure is None else self.measure.kernel()
+
+    @property
+    def floor(self) -> float:
+        """Score of a pair with no walk statistic at all — the bottom of
+        the range (``params.zero_score`` / ``measure.floor``)."""
+        if self.measure is None:
+            return self.params.zero_score
+        return self.measure.floor
 
     @property
     def left_array(self) -> np.ndarray:

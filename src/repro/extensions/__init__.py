@@ -22,7 +22,6 @@ from repro.extensions.series_join import (
     SeriesIDJ,
     SeriesPartialJoin,
     make_series_context,
-    series_two_way_join,
 )
 from repro.extensions.simrank import (
     SimRankJoin,
@@ -43,6 +42,5 @@ __all__ = [
     "exact_ppr_to_target",
     "make_series_context",
     "measure_by_name",
-    "series_two_way_join",
     "simrank_matrix",
 ]

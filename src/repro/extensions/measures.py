@@ -23,8 +23,8 @@ iterative deepening needs — and three families instantiate it:
   pairwise-recursive fixed point has no single-propagation kernel; it
   serves blocks from memoised (and resumable) matrix iterates instead.
 
-**Admissibility contract** (what the generic iterative-deepening join
-:class:`repro.extensions.series_join.SeriesIDJ` relies on — see
+**Admissibility contract** (what ``B-IDJ`` bound to a measure,
+:class:`repro.extensions.series_join.SeriesIDJ`, relies on — see
 ``docs/ALGORITHMS.md`` for the worked derivations):
 
 1. ``backward_scores(engine, q, l)`` returns the ``l``-step truncation
@@ -217,10 +217,10 @@ class DHTMeasure:
     """Adapter exposing the core DHT implementation as a
     :class:`SeriesMeasure`, so generic joins can mix measures.
 
-    The core 2-way algorithms (``B-BJ``/``B-IDJ``) remain the tuned DHT
-    path; this adapter exists so the measure-generic machinery has DHT
-    as a third instantiation (and an oracle-rich one: its batched block
-    rides the exact kernel the core algorithms use).
+    ``B-BJ`` / ``B-IDJ`` bound to this measure run the loops a
+    :class:`~repro.core.dht.DHTParams` context runs, on the same
+    first-hit kernel; the adapter exists so joins can mix measures and
+    so DHT is an oracle-rich third instantiation of the contract.
     """
 
     def __init__(self, params: DHTParams = None, epsilon: float = 1e-6) -> None:
@@ -339,8 +339,8 @@ def measure_by_name(name: str, **options) -> Optional[object]:
     """Resolve a measure name to a :class:`SeriesMeasure` instance.
 
     The DHT family (``"dht"``, ``"dht-lambda"``, ``"dht-e"``) resolves
-    to ``None`` — callers keep the tuned core DHT path and its
-    :class:`~repro.core.dht.DHTParams` configuration.  ``"ppr"`` builds
+    to ``None`` — callers keep the ``params``-configured DHT context
+    (:class:`~repro.core.dht.DHTParams`).  ``"ppr"`` builds
     a :class:`TruncatedPPR` (options: ``damping``, ``epsilon``) and
     ``"simrank"`` a :class:`repro.extensions.simrank.SimRankMeasure`
     (options: ``decay``, ``iterations``, ``weighted``).

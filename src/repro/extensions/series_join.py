@@ -2,35 +2,34 @@
 
 This realises the paper's future-work plan (Section VIII) on the full
 production stack: the backward basic join and the iterative-deepening
-join are measure-agnostic — they need batched backward scoring and a
-tail bound — and the n-way strategies (``AP``-style materialisation,
+join need only batched backward scoring and a tail bound from a
+measure, and the n-way strategies (``AP``-style materialisation,
 ``PJ``-style top-``m`` prefixes with restart refills) feed the same
 PBRJ rank join the DHT algorithms use.
 
-The machinery mirrors the DHT path layer by layer:
+There is one backward two-way stack, not two.  :class:`SeriesBackwardJoin`
+and :class:`SeriesIDJ` are ``B-BJ`` / ``B-IDJ``
+(:mod:`repro.core.two_way.backward`) *bound to a measure*: they build the
+measure context and supply the three things that genuinely differ —
 
-* **Batched blocks** — every walking round goes through
-  :meth:`SeriesMeasure.backward_scores_block` (one sparse-dense product
-  per step for kernel measures, memoised matrix gathers for SimRank);
-  ``block_size=1`` selects the per-target oracle path, kept as the
-  equivalence baseline exactly like ``B-BJ``'s.
-* **Resumable states** — :class:`SeriesIDJ` keeps one
-  :class:`~repro.walks.state.WalkState` block across doubling levels
-  (extend, don't restart), with the measure's
-  :class:`~repro.walks.kernels.BlockKernel` supplying the per-step
-  algebra; :meth:`SeriesIDJ.top_k_reference` keeps the seed
-  restart-per-level implementation as the oracle.  The rounds run on
-  the shared :class:`~repro.walks.rounds.DeepeningRounds` machinery,
-  so a ``max_block_bytes`` ceiling buys the same bounded-memory
-  chunked rounds (and walk-cache spill of overflow survivors) as the
-  DHT ``B-IDJ``.
-* **Shared caches** — contexts carry the same
-  :class:`~repro.walks.cache.WalkCache` /
-  :class:`~repro.bounds_cache.BoundPlanCache` pair as DHT joins, keyed
-  by the *measure* (``measure.cache_key()``), so an
-  :class:`~repro.core.nway.spec.NWayJoinSpec` built with a measure
-  shares walks and reach-mass tail bounds across all its query edges —
-  and a PPR spec can never touch a DHT spec's entries.
+* **the scorer** — :meth:`SeriesMeasure.backward_scores_block` (one
+  sparse-dense product per step for kernel measures, memoised matrix
+  gathers for SimRank) and, at ``block_size=1``, the per-target oracle
+  :meth:`SeriesMeasure.backward_scores`;
+* **the bound** — :func:`series_bound`: the reach-mass
+  :class:`~repro.extensions.measures.SeriesYBound` through the bound
+  cache, or the measure's closed form;
+* **the rounds**, for matrix-backed measures only — :class:`_MatrixRounds`
+  in place of :class:`~repro.walks.rounds.DeepeningRounds`, which every
+  kernel measure runs on unchanged (resumable blocks, walk-cache
+  donation and spill, ``max_block_bytes`` chunking).
+
+Contexts carry the same :class:`~repro.walks.cache.WalkCache` /
+:class:`~repro.bounds_cache.BoundPlanCache` pair as DHT joins, keyed by
+the *measure* (``measure.cache_key()``), so an
+:class:`~repro.core.nway.spec.NWayJoinSpec` built with a measure shares
+walks and reach-mass tail bounds across all its query edges — and a PPR
+spec can never touch a DHT spec's entries.
 """
 
 from __future__ import annotations
@@ -42,20 +41,19 @@ import numpy as np
 from repro.core.nway.candidates import CandidateAnswer
 from repro.core.nway.driver import NWayDriver
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.backward import DEFAULT_BLOCK_SIZE
-from repro.exec.budget import MemoryBudgetExceeded
-from repro.core.two_way.base import (
-    BoundedTopK,
-    ScoredPair,
-    TwoWayContext,
-    top_k_pairs,
+from repro.core.two_way.backward import (
+    DEFAULT_BLOCK_SIZE,
+    BackwardBasicJoin,
+    BackwardIDJ,
 )
+from repro.core.two_way.base import ScoredPair, TwoWayContext, top_k_pairs
+from repro.exec.budget import MemoryBudgetExceeded
 from repro.extensions.measures import SeriesMeasure, SeriesYBound
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
-from repro.walks.rounds import DeepeningRounds, columns_for_budget
+from repro.walks.rounds import columns_for_budget
 
 from repro.bounds_cache import BoundPlanCache
 
@@ -99,8 +97,120 @@ class _ClosedFormTail:
         return self._measure.tail_bound(l)
 
 
-class SeriesBackwardJoin:
-    """``B-BJ`` generalised: batched backward blocks, one pass per target.
+def series_bound(context: TwoWayContext):
+    """The measure's reach-mass :class:`SeriesYBound` when it defines
+    ``tail_weight`` (through the bound cache, keyed by ``(P, d)`` —
+    shared by every edge with the same left set), else its closed-form
+    ``tail_bound`` (SimRank)."""
+    measure = context.measure
+    if getattr(measure, "tail_weight", None) is not None:
+        return context.bound_cache.y_bound(
+            context.left,
+            measure.d,
+            lambda: SeriesYBound(context.engine, measure, context.left, measure.d),
+        )
+    return _ClosedFormTail(measure)
+
+
+class _MatrixRounds:
+    """The deepening rounds of a matrix-backed measure (``kernel() is
+    None``), with :class:`~repro.walks.rounds.DeepeningRounds`'
+    interface.
+
+    There is nothing to resume in walk space: a level is a batched
+    gather from the measure's memoised iterates, which the measure
+    itself resumes.  A byte ceiling only clamps the gather width — the
+    iterate's dense ``O(n^2)`` memory lives in the measure, outside the
+    walk layer's budget — and only score vectors reach the walk cache.
+    """
+
+    def __init__(self, context: TwoWayContext) -> None:
+        self._ctx = context
+        self._max_cols: Optional[int] = None
+        if context.max_block_bytes is not None:
+            self._max_cols = columns_for_budget(
+                context.max_block_bytes, context.engine.num_nodes
+            )
+
+    def walk_level(self, active: Sequence[int], level: int, consume) -> None:
+        """Feed every active target's ``level`` score vector to
+        ``consume(q, vector)``: cached vectors first, the rest gathered
+        in chunks under the byte ceiling."""
+        ctx = self._ctx
+        engine, cache, measure = ctx.engine, ctx.walk_cache, ctx.measure
+        pending: List[int] = []
+        for q in active:
+            engine.checkpoint("cache")
+            if cache is not None:
+                cached = cache.peek(q, level)
+                if cached is not None:
+                    consume(q, cached)
+                    continue
+            pending.append(q)
+        while pending:
+            width = len(pending) if self._max_cols is None else self._max_cols
+            group = pending[: max(width, 1)]
+            try:
+                engine.checkpoint("round")
+                block = measure.backward_scores_block(engine, group, level)
+            except (MemoryError, MemoryBudgetExceeded):
+                # Adaptive backoff, the matrix-measure twin of the
+                # rounds-layer split: halve the gather width and retry;
+                # a single-column failure is genuine exhaustion.
+                if len(group) == 1:
+                    raise
+                half = max(1, len(group) // 2)
+                engine.stats.add("alloc_retries", 1)
+                engine.stats.add("degradations", 1)
+                if self._max_cols is None or half < self._max_cols:
+                    self._max_cols = half
+                continue
+            for j, q in enumerate(group):
+                vector = block[:, j]
+                if cache is not None:
+                    cache.put_scores(q, level, vector)
+                consume(q, vector)
+            del pending[: len(group)]
+
+    def donate_pruned(self, pruned) -> None:
+        """Nothing to donate: the iterates are the resumable state."""
+
+    def repack(self, survivors: set, level: int) -> None:
+        """Nothing to repack: no walk block is retained across levels."""
+
+
+class _MeasureBinding:
+    """What both bindings add to their core operator's face."""
+
+    @classmethod
+    def from_context(
+        cls, context: TwoWayContext, block_size: int = DEFAULT_BLOCK_SIZE
+    ):
+        """Build over an existing measure context's inputs, engine and
+        caches (e.g. a spec's edge)."""
+        if context.measure is None:
+            raise GraphValidationError(
+                "series joins need a measure context (TwoWayContext.measure)"
+            )
+        return cls(
+            context.graph, context.measure, context.left, context.right,
+            engine=context.engine, walk_cache=context.walk_cache,
+            bound_cache=context.bound_cache, block_size=block_size,
+            max_block_bytes=context.max_block_bytes,
+        )
+
+    @property
+    def context(self) -> TwoWayContext:
+        """The validated join inputs."""
+        return self._ctx
+
+
+class SeriesBackwardJoin(_MeasureBinding, BackwardBasicJoin):
+    """``B-BJ`` bound to a :class:`SeriesMeasure`: the loop, the cache
+    traffic and the corrupted-block retry are
+    :class:`~repro.core.two_way.backward.BackwardBasicJoin`'s; the
+    measure supplies the scorers (which is what hides SimRank's matrix
+    iterates).
 
     Parameters
     ----------
@@ -118,7 +228,7 @@ class SeriesBackwardJoin:
         Optional resumable-block byte ceiling forwarded to the context
         (16 bytes per node per column).  Clamps this join's block width
         and switches :class:`SeriesIDJ` to bounded-memory chunked
-        rounds, exactly like the DHT ``B-IDJ``.
+        rounds.
     """
 
     name = "Series-B-BJ"
@@ -135,7 +245,7 @@ class SeriesBackwardJoin:
         block_size: int = DEFAULT_BLOCK_SIZE,
         max_block_bytes: Optional[int] = None,
     ) -> None:
-        self._bind(
+        super().__init__(
             make_series_context(
                 graph, measure, left, right,
                 engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
@@ -144,290 +254,64 @@ class SeriesBackwardJoin:
             block_size,
         )
 
-    @classmethod
-    def from_context(
-        cls, context: TwoWayContext, block_size: int = DEFAULT_BLOCK_SIZE
-    ) -> "SeriesBackwardJoin":
-        """Build from an existing measure context (e.g. a spec's edge)."""
-        join = cls.__new__(cls)
-        join._bind(context, block_size)
-        return join
+    def _score_target(self, q: int) -> np.ndarray:
+        ctx = self._ctx
+        return ctx.measure.backward_scores(ctx.engine, q, ctx.d)
 
-    def _bind(self, context: TwoWayContext, block_size: int) -> None:
-        if context.measure is None:
-            raise GraphValidationError(
-                "series joins need a measure context (TwoWayContext.measure)"
-            )
-        if block_size < 1:
-            raise GraphValidationError(
-                f"block_size must be >= 1, got {block_size}"
-            )
-        if context.max_block_bytes is not None:
-            # Same per-block semantics as B-BJ: clamp the propagated
-            # block's width so its buffers stay under the ceiling.
-            cap = columns_for_budget(
-                context.max_block_bytes, context.engine.num_nodes
-            )
-            block_size = min(block_size, cap)
-        self._ctx = context
-        self._measure: SeriesMeasure = context.measure
-        self._block_size = block_size
-        self.pruning_trace: List[dict] = []
-        # Best-effort progress for the execution governor: the pairs
-        # scored so far (basic join) and the last fully-gathered
-        # deepening round (IDJ) — see repro.exec.governed.
-        self.partial_pairs: Optional[List[ScoredPair]] = None
-        self.budget_snapshot: Optional[dict] = None
-
-    @property
-    def context(self) -> TwoWayContext:
-        """The validated join inputs."""
-        return self._ctx
-
-    def all_pairs(self) -> List[ScoredPair]:
-        """Score every candidate pair (unsorted)."""
-        with self._ctx.engine.trace_span(
-            "join", self.name, targets=len(self._ctx.right)
-        ):
-            return self._all_pairs()
-
-    def _all_pairs(self) -> List[ScoredPair]:
-        ctx, measure = self._ctx, self._measure
-        if self._block_size == 1:
-            pairs: List[ScoredPair] = []
-            self.partial_pairs = pairs
-            for q in ctx.right:
-                scores = measure.backward_scores(ctx.engine, q, measure.d)
-                pairs.extend(ctx.pairs_for_target(scores, q))
-            return pairs
-        cache = ctx.walk_cache
-        pairs = []
-        self.partial_pairs = pairs
-        pending: List[int] = []
-
-        def flush() -> None:
-            block = measure.backward_scores_block(ctx.engine, pending, measure.d)
-            for j, q in enumerate(pending):
-                vector = block[:, j]
-                if cache is not None:
-                    cache.put_scores(q, measure.d, vector)
-                pairs.extend(ctx.pairs_for_target(vector, q))
-            pending.clear()
-
-        for q in ctx.right:
-            ctx.engine.checkpoint("cache")
-            if cache is not None:
-                cached = cache.peek(q, measure.d)
-                if cached is not None:
-                    pairs.extend(ctx.pairs_for_target(cached, q))
-                    continue
-            pending.append(q)
-            if len(pending) == self._block_size:
-                flush()
-        if pending:
-            flush()
-        return pairs
+    def _score_block(self, targets: List[int]) -> np.ndarray:
+        ctx = self._ctx
+        return ctx.measure.backward_scores_block(ctx.engine, targets, ctx.d).T
 
     def top_k(self, k: int) -> List[ScoredPair]:
         """Top-``k`` pairs by exhaustive backward scoring."""
-        if k == 0:
-            return []
-        return top_k_pairs(self.all_pairs(), k)
+        return super().top_k(k)
 
 
-class SeriesIDJ(SeriesBackwardJoin):
-    """``B-IDJ`` generalised: resumable doubling walks + tail pruning.
+class SeriesIDJ(_MeasureBinding, BackwardIDJ):
+    """``B-IDJ`` bound to a :class:`SeriesMeasure`: Algorithm 2's
+    deepening loop is :class:`~repro.core.two_way.backward.BackwardIDJ`'s
+    — resumable doubling walks on the measure's
+    :class:`~repro.walks.kernels.BlockKernel`, walk-cache donation and
+    resume, the bounded-memory chunked rounds under ``max_block_bytes``
+    — and the measure supplies the bound (:func:`series_bound`) and, when
+    it has no kernel, the rounds (:class:`_MatrixRounds`).
 
-    Kernel measures run on the shared
-    :class:`~repro.walks.rounds.DeepeningRounds` machinery — the exact
-    plan the DHT ``B-IDJ`` runs: one resumable
-    :class:`~repro.walks.state.WalkState` block carries all active
-    targets across doubling levels (level ``2l`` extends level ``l``,
-    the same ``~2d -> d`` column-step saving), walked levels are donated
-    to the walk cache (``put_scores``) and pruned targets hand over
-    their resumable column (``adopt``), so restart refills and sibling
-    edges resume instead of re-walking.
-
-    With ``max_block_bytes`` on the context, the same bounded-memory
-    chunked rounds as ``B-IDJ`` apply: a byte-ceilinged resumable
-    window, throwaway overflow chunks, survivor re-packing via
-    :meth:`~repro.walks.state.WalkState.concat`, and the spill policy —
-    overflow survivors donate their single-column states to the walk
-    cache and are resumed from it at the next level (visible as
-    ``extensions`` / ``steps_saved``), instead of restarting.  Outputs
-    and pruning traces are bit-identical to the unbounded mode.
-
-    The upper bound is the measure's reach-mass
-    :class:`~repro.extensions.measures.SeriesYBound` when the measure
-    defines ``tail_weight`` (served through the context's bound cache,
-    keyed by ``(P, d)`` — shared by every edge with the same left set),
-    falling back to the closed-form ``tail_bound`` otherwise (SimRank).
-
-    Matrix-backed measures (``kernel() is None``) have nothing to
-    resume in walk space; their levels are batched gathers from the
-    measure's memoised iterates, which the measure itself resumes.  A
-    byte ceiling only clamps the gather width there — the iterate's
-    dense ``O(n^2)`` memory lives in the measure, outside the walk
-    layer's budget.
+    Constructor arguments as for :class:`SeriesBackwardJoin`
+    (``block_size`` is accepted for symmetry; deepening rounds are
+    full-width or byte-ceilinged, never block-sized).
     """
 
     name = "Series-IDJ"
 
+    def __init__(
+        self,
+        graph: Graph,
+        measure: SeriesMeasure,
+        left: Sequence[int],
+        right: Sequence[int],
+        engine: Optional[WalkEngine] = None,
+        walk_cache: Optional[WalkCache] = None,
+        bound_cache: Optional[BoundPlanCache] = None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        max_block_bytes: Optional[int] = None,
+    ) -> None:
+        super().__init__(
+            make_series_context(
+                graph, measure, left, right,
+                engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
+                max_block_bytes=max_block_bytes,
+            ),
+            series_bound,
+        )
+
+    def _rounds(self):
+        if self._ctx.kernel is None:
+            return _MatrixRounds(self._ctx)
+        return super()._rounds()
+
     def top_k(self, k: int) -> List[ScoredPair]:
-        if k < 0:
-            raise GraphValidationError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return []
-        with self._ctx.engine.trace_span(
-            "join", self.name, k=k, targets=len(self._ctx.right)
-        ):
-            return self._top_k(k)
-
-    def _top_k(self, k: int) -> List[ScoredPair]:
-        ctx, measure = self._ctx, self._measure
-        engine, cache = ctx.engine, ctx.walk_cache
-        kern = measure.kernel()
-        bound = self._make_bound()
-        left = ctx.left_array
-        floor_value = measure.floor
-        self.pruning_trace = []
-        self.budget_snapshot = None
-
-        active: List[int] = list(ctx.right)
-        rounds: Optional[DeepeningRounds] = None
-        max_cols: Optional[int] = None
-        if kern is not None:
-            rounds = DeepeningRounds(engine, kern, cache, ctx.max_block_bytes)
-        elif ctx.max_block_bytes is not None:
-            max_cols = columns_for_budget(ctx.max_block_bytes, engine.num_nodes)
-
-        def walk_level(level: int, consume) -> None:
-            """Feed every active target's ``level`` score vector to
-            ``consume(q, vector)``.
-
-            Kernel measures delegate to the shared deepening-rounds
-            machinery (cache peek, resumable window, spill resume,
-            bounded chunks).  Matrix-backed measures gather from the
-            memoised iterate, chunked under the byte ceiling.
-            """
-            nonlocal max_cols
-            if rounds is not None:
-                rounds.walk_level(active, level, consume)
-                return
-            pending: List[int] = []
-            for q in active:
-                engine.checkpoint("cache")
-                if cache is not None:
-                    cached = cache.peek(q, level)
-                    if cached is not None:
-                        consume(q, cached)
-                        continue
-                pending.append(q)
-            while pending:
-                width = len(pending) if max_cols is None else max_cols
-                group = pending[: max(width, 1)]
-                try:
-                    engine.checkpoint("round")
-                    block = measure.backward_scores_block(engine, group, level)
-                except (MemoryError, MemoryBudgetExceeded):
-                    # Adaptive backoff, the matrix-measure twin of the
-                    # rounds-layer split: halve the gather width and
-                    # retry; a single-column failure is genuine
-                    # exhaustion.
-                    if len(group) == 1:
-                        raise
-                    half = max(1, len(group) // 2)
-                    engine.stats.add("alloc_retries", 1)
-                    engine.stats.add("degradations", 1)
-                    if max_cols is None or half < max_cols:
-                        max_cols = half
-                    continue
-                for j, q in enumerate(group):
-                    vector = block[:, j]
-                    if cache is not None:
-                        cache.put_scores(q, level, vector)
-                    consume(q, vector)
-                del pending[: len(group)]
-
-        level = 1
-        while level < measure.d:
-            with engine.trace_span(
-                "level", level=level, active=len(active)
-            ) as level_span:
-                engine.checkpoint("round")
-                width = len(active)
-                targets_arr = np.asarray(active, dtype=np.int64)
-                tails = np.array([bound.tail(level, q) for q in active])
-                column_of = {q: j for j, q in enumerate(active)}
-                left_scores = np.empty((left.size, width), dtype=np.float64)
-
-                def gather(q, vector, column_of=column_of,
-                           left_scores=left_scores):
-                    left_scores[:, column_of[q]] = vector[left]
-
-                walk_level(level, gather)
-                # Every column of this round gathered: h_level is a
-                # monotone lower bound and tail(level) a sound upper
-                # increment, so a budget stop after this point can emit
-                # flagged-partial results with oracle-containing
-                # intervals.
-                self.budget_snapshot = {
-                    "level": level,
-                    "targets": list(active),
-                    "left": list(ctx.left),
-                    "left_scores": left_scores,
-                    "tails": tails,
-                }
-                valid = left[:, None] != targets_arr[None, :]
-                floor_acc = BoundedTopK(k)
-                # Only informative lower bounds (a nonzero statistic
-                # within `level` steps) enter the floor, mirroring
-                # Algorithm 2.
-                floor_acc.push(left_scores[valid & (left_scores > floor_value)])
-                best = np.where(valid, left_scores, -np.inf).max(axis=0)
-                best = np.maximum(best, floor_value)
-                t_k = floor_acc.kth_largest()
-                keep = best + tails >= t_k
-                surviving = [q for q, flag in zip(active, keep) if flag]
-                self.pruning_trace.append(
-                    {
-                        "level": level,
-                        "active_before": len(active),
-                        "pruned": len(active) - len(surviving),
-                        "threshold": t_k,
-                    }
-                )
-                level_span.set(pruned=len(active) - len(surviving))
-                if rounds is not None:
-                    rounds.donate_pruned(
-                        q for q, flag in zip(active, keep) if not flag
-                    )
-                    rounds.repack(set(surviving), level)
-                active = surviving
-                level *= 2
-
-        with engine.trace_span(
-            "level", level=measure.d, active=len(active), final=True
-        ):
-            engine.checkpoint("round")
-            pairs: List[ScoredPair] = []
-
-            def emit(q, vector):
-                pairs.extend(ctx.pairs_for_target(vector, q))
-
-            walk_level(measure.d, emit)
-        return top_k_pairs(pairs, k)
-
-    def _make_bound(self):
-        """Reach-mass tail through the bound cache, or the closed form."""
-        ctx, measure = self._ctx, self._measure
-        if getattr(measure, "tail_weight", None) is not None:
-            return ctx.bound_cache.y_bound(
-                ctx.left,
-                measure.d,
-                lambda: SeriesYBound(ctx.engine, measure, ctx.left, measure.d),
-            )
-        return _ClosedFormTail(measure)
+        """Top-``k`` pairs with iterative-deepening pruning on ``Q``."""
+        return super().top_k(k)
 
     def top_k_reference(self, k: int) -> List[ScoredPair]:
         """The seed implementation: per-target walks, restarted per level,
@@ -437,7 +321,7 @@ class SeriesIDJ(SeriesBackwardJoin):
             raise GraphValidationError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        ctx, measure = self._ctx, self._measure
+        ctx, measure = self._ctx, self._ctx.measure
         active = list(ctx.right)
         level = 1
         while level < measure.d:
@@ -465,42 +349,6 @@ class SeriesIDJ(SeriesBackwardJoin):
             scores = measure.backward_scores(ctx.engine, q, measure.d)
             pairs.extend(ctx.pairs_for_target(scores, q))
         return top_k_pairs(pairs, k)
-
-
-def series_two_way_join(
-    graph: Graph,
-    left: Sequence[int],
-    right: Sequence[int],
-    k: int,
-    measure: SeriesMeasure,
-    algorithm: str = "idj",
-    engine: Optional[WalkEngine] = None,
-    walk_cache: Optional[WalkCache] = None,
-    bound_cache: Optional[BoundPlanCache] = None,
-    max_block_bytes: Optional[int] = None,
-) -> List[ScoredPair]:
-    """Top-``k`` 2-way join under an arbitrary series measure.
-
-    ``algorithm`` is ``"idj"`` (pruned, default) or ``"basic"``.
-    ``max_block_bytes`` caps any single resumable walk block, switching
-    the deepening join to bounded-memory chunked rounds (with walk-cache
-    spill for overflow survivors) — identical output either way.
-    """
-    name = algorithm.lower()
-    if name == "basic":
-        cls = SeriesBackwardJoin
-    elif name == "idj":
-        cls = SeriesIDJ
-    else:
-        raise GraphValidationError(
-            f"unknown series algorithm {algorithm!r}; use 'basic' or 'idj'"
-        )
-    join = cls(
-        graph, measure, left, right,
-        engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
-        max_block_bytes=max_block_bytes,
-    )
-    return join.top_k(k)
 
 
 def _require_measure(spec: NWayJoinSpec) -> None:

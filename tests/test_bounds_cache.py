@@ -286,11 +286,6 @@ class TestChunkedBIDJ:
             )
             assert ctx.engine.stats.peak_block_bytes <= ceiling
 
-    def test_constructor_rejects_bad_ceiling(self, random_graph):
-        context = make_context(random_graph, [0, 1], [3, 4], d=4)
-        with pytest.raises(GraphValidationError):
-            BackwardIDJY(context, max_block_bytes=0)
-
     def test_spec_forwards_ceiling_to_edges(self):
         graph = erdos_renyi(200, 0.03, np.random.default_rng(3), weighted=True)
         spec = NWayJoinSpec(

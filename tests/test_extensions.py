@@ -7,7 +7,7 @@ every batched, resumable, or cached measure path must reproduce them.
 import numpy as np
 import pytest
 
-from repro.api import multi_way_join
+from repro.api import multi_way_join, two_way_join
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.query_graph import QueryGraph
@@ -26,7 +26,6 @@ from repro.extensions.series_join import (
     SeriesIDJ,
     SeriesPartialJoin,
     make_series_context,
-    series_two_way_join,
 )
 from repro.extensions.simrank import (
     SimRankJoin,
@@ -114,16 +113,17 @@ class TestSeriesJoins:
 
     def test_two_way_facade(self, random_graph):
         measure = TruncatedPPR()
-        result = series_two_way_join(
-            random_graph, [0, 1], [20, 21], k=3, measure=measure
+        result = two_way_join(
+            random_graph, [0, 1], [20, 21], k=3, measure=measure,
+            algorithm="idj",
         )
         assert len(result) == 3
         scores = [p.score for p in result]
         assert scores == sorted(scores, reverse=True)
 
     def test_two_way_facade_unknown_algorithm(self, random_graph):
-        with pytest.raises(GraphValidationError, match="unknown series"):
-            series_two_way_join(
+        with pytest.raises(GraphValidationError, match="'magic' is DHT-only"):
+            two_way_join(
                 random_graph, [0], [5], k=1,
                 measure=TruncatedPPR(), algorithm="magic",
             )

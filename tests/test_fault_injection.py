@@ -173,6 +173,72 @@ class TestTwoWayMatrix:
         assert result.results == expected
 
 
+class TestCorruptedBlockInBasicJoin:
+    """``B-BJ``'s bounded re-walk covers every block scorer: the loop is
+    shared, so a measure's corrupted block is re-walked like DHT's."""
+
+    @staticmethod
+    def _measure(name):
+        from repro.extensions.measures import DHTMeasure, TruncatedPPR
+
+        return {"dht": None, "dht-measure": DHTMeasure(), "ppr": TruncatedPPR()}[name]
+
+    def _faulted(self, workload, name, cached, max_fires):
+        """Engine, cache, injector and the ``two_way_join`` keywords of
+        one faulted ``b-bj`` call."""
+        graph, _, _ = workload
+        measure = self._measure(name)
+        engine = WalkEngine(graph)
+        cache = None
+        if cached:
+            from repro.core.dht import DHTParams
+
+            cache = WalkCache(
+                engine,
+                DHTParams.dht_lambda(0.2) if measure is None
+                else measure.cache_key(),
+            )
+        injector = FaultInjector(
+            5, faults=("nan",), rate=1.0, start_after=3, max_fires=max_fires
+        )
+        kwargs = dict(
+            algorithm="b-bj", engine=engine, walk_cache=cache,
+            measure=measure, fault_injector=injector,
+        )
+        return engine, cache, injector, kwargs
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("name", ["dht", "dht-measure", "ppr"])
+    def test_one_nan_is_rewalked(self, workload, name, cached):
+        graph, left, right = workload
+        expected = two_way_join(
+            graph, left, right, 8, algorithm="b-bj", measure=self._measure(name)
+        )
+        engine, cache, injector, kwargs = self._faulted(workload, name, cached, 1)
+        result = two_way_join(graph, left, right, 8, **kwargs)
+        assert len(injector.fired) == 1
+        assert result.exact and result.results == expected
+        assert engine.stats.degradations == 1
+        if cached:  # every target donated at full depth, none poisoned
+            depth = 8 if name == "dht" else self._measure(name).d
+            for q in right:
+                assert np.isfinite(cache.peek(q, depth)).all()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("name", ["dht", "dht-measure", "ppr"])
+    def test_a_broken_environment_still_surfaces(self, workload, name, cached):
+        from repro.exec.budget import CorruptedWalkError
+        from repro.walks.rounds import REWALK_ATTEMPTS
+
+        graph, left, right = workload
+        engine, cache, _, kwargs = self._faulted(workload, name, cached, None)
+        with pytest.raises(CorruptedWalkError):
+            two_way_join(graph, left, right, 8, **kwargs)
+        assert engine.stats.degradations == REWALK_ATTEMPTS
+        if cached:
+            assert len(cache) == 0  # nothing poisoned was donated
+
+
 class TestNWayMatrix:
     @pytest.fixture(scope="class")
     def nway(self):
