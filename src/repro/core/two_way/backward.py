@@ -17,9 +17,11 @@ This module runs both algorithms on the batched, resumable walk layer:
   sparse-dense product per step instead of ``B`` mat-vecs.
 * ``B-IDJ`` keeps one :class:`~repro.walks.state.WalkState` across
   deepening rounds, so level ``2l`` *extends* level ``l`` (``d``
-  column-steps per surviving target instead of ``~2d``), and its per-``p``
-  score/floor loop is a NumPy gather + masked max with a bounded top-k
-  floor accumulator.
+  column-steps per surviving target instead of ``~2d``).  The rounds
+  hand it each walked block already restricted to the left rows
+  (``(|P|, B)``, never a full-graph vector per target), and its per-``p``
+  score/floor loop is a masked max over those blocks with a bounded
+  top-k floor accumulator.
 * With a :class:`~repro.walks.cache.WalkCache` on the context, walks are
   served from / donated to the cache, so repeated joins over overlapping
   node sets (``PJ`` restarts, star/clique edges) never re-walk a target.
@@ -76,12 +78,14 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     """The paper's ``backWalk``: ``h_l(p, target)`` for all graph nodes.
 
     With a walk cache on the context, the request is served from the
-    cache — an exact repeat costs ``O(n)``, a deeper repeat only pays the
-    walk's uncached suffix.  Without a cache this is
+    cache — an exact repeat costs one ``O(n)`` copy, a deeper repeat only
+    pays the walk's uncached suffix.  Without a cache this is
     :func:`back_walk_series`.
 
-    Returns the full length-``|V_G|`` score vector; callers gather the
-    entries for ``p in P``.
+    Returns the full length-``|V_G|`` score vector, for callers that
+    want every node's score (link prediction, tests).  The joins do
+    not: they read ``h_l(p, target)`` for ``p in P`` only, through the
+    ``rows`` argument of the cache's lookups and the rounds' blocks.
     """
     if context.walk_cache is not None:
         return context.walk_cache.scores(target, steps)
@@ -258,7 +262,12 @@ class WalkObserver(Protocol):
 
     def observe(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
         """Record that an ``level``-step walk from ``q`` produced
-        ``scores`` (full graph vector) with tail bound ``tail``."""
+        ``scores`` with tail bound ``tail``.
+
+        ``scores`` is aligned with the context's ``left`` (``scores[i]``
+        is ``h_level(left[i], q)``, length ``|P|``) and is a view into
+        the round's block: copy it to keep it beyond the call.
+        """
         ...
 
 
@@ -312,7 +321,9 @@ class BackwardBasicJoin:
         self.partial_pairs = pairs
         if self._block_size == 1:
             for q in ctx.right:
-                pairs.extend(ctx.pairs_for_target(self._score_target(q), q))
+                pairs.extend(
+                    ctx.pairs_for_target(self._score_target(q)[ctx.left_array], q)
+                )
         elif ctx.walk_cache is None and ctx.measure is None:
             # The restricted-tail plan is Eq. 5's first-hit algebra.
             self._score_lean(pairs)
@@ -325,7 +336,9 @@ class BackwardBasicJoin:
         return back_walk(self._ctx, q, self._ctx.d)
 
     def _score_block(self, targets: List[int]) -> Iterable[np.ndarray]:
-        """Full-depth score vectors of one target block, in order."""
+        """Full-depth score vectors of one target block, in order —
+        full-width because :meth:`_score_blocks` donates them (a DHT
+        context only gets here with a walk cache)."""
         ctx = self._ctx
         state = WalkState(ctx.engine, ctx.kernel, targets).advance_to(ctx.d)
         return map(state.score_column, range(len(targets)))
@@ -374,12 +387,13 @@ class BackwardBasicJoin:
         one).
 
         Cache hits (targets walked by an earlier join or query edge)
-        cost ``O(n)``; misses are walked one block at a time and donated
-        back for the next join, so peak memory stays
-        ``O(n * block_size)`` regardless of ``|Q|``.
+        read the ``|P|`` left entries of the cached vector; misses are
+        walked one block at a time and donated back for the next join,
+        so peak memory stays ``O(n * block_size)`` regardless of ``|Q|``.
         """
         ctx = self._ctx
         cache = ctx.walk_cache
+        left = ctx.left_array
         pending: List[int] = []
 
         def flush() -> None:
@@ -387,13 +401,13 @@ class BackwardBasicJoin:
             for q, vector in zip(pending, vectors):
                 if cache is not None:
                     cache.put_scores(q, ctx.d, vector)
-                pairs.extend(ctx.pairs_for_target(vector, q))
+                pairs.extend(ctx.pairs_for_target(vector[left], q))
             pending.clear()
 
         for q in ctx.right:  # validated node sets carry no duplicates
             ctx.engine.checkpoint("cache")
             if cache is not None:
-                cached = cache.peek(q, ctx.d)
+                cached = cache.peek(q, ctx.d, left)
                 if cached is not None:
                     pairs.extend(ctx.pairs_for_target(cached, q))
                     continue
@@ -473,10 +487,11 @@ class BackwardIDJ:
     so with a cache on the context the restart steps of the old
     drop-and-re-walk policy become ``extensions`` / ``steps_saved``
     counters instead.  Cache-less contexts keep the restart behaviour.
-    Score vectors are consumed streaming (only their left-row slice is
-    kept), so a round's live walk memory is
-    ``O(max_block_bytes + |P| |Q|)`` rather than the unbounded mode's
-    ``O(n |Q|)``.  Scores are bit-identical
+    Scores reach the join as left-row blocks (the walk blocks are read
+    at ``P``'s rows, never expanded into per-target vectors — an
+    observer included, which is handed ``|P|`` floats per walk), so a
+    round's live walk memory is ``O(max_block_bytes + |P| |Q|)`` rather
+    than the unbounded mode's ``O(n |Q|)``.  Scores are bit-identical
     either way (Eq. 5 columns propagate independently), so the top-``k``
     output and the pruning trace do not change — only the
     memory/compute trade-off does, visible as extra
@@ -559,28 +574,28 @@ class BackwardIDJ:
                 "level", level=level, active=len(active)
             ) as level_span:
                 ctx.engine.checkpoint("round")
-                # The seed's per-p Python loop, vectorised: gather the
-                # left rows of every column as its vector streams past,
-                # mask reflexive pairs, take column maxima, and feed
-                # informative entries to the bounded floor.  Only the
-                # (|P|, width) left-row slice is retained — never the
-                # full vectors.
+                # The seed's per-p Python loop, vectorised: the rounds
+                # deliver each walked block at the left rows only; drop
+                # it into its columns, mask reflexive pairs, take column
+                # maxima, and feed informative entries to the bounded
+                # floor.  Nothing full-width is ever seen here.
                 width = len(active)
                 targets_arr = np.asarray(active, dtype=np.int64)
                 tails = np.array([bound.tail(level, q) for q in active])
                 column_of = {q: j for j, q in enumerate(active)}
                 left_scores = np.empty((left.size, width), dtype=np.float64)
 
-                def gather(q, vector, level=level, tails=tails,
+                def gather(targets, block, level=level, tails=tails,
                            column_of=column_of, left_scores=left_scores):
-                    j = column_of[q]
+                    columns = [column_of[q] for q in targets]
                     if self._observer is not None:
-                        self._observer.observe(
-                            q, level, vector, float(tails[j])
-                        )
-                    left_scores[:, j] = vector[left]
+                        for q, j, scores in zip(targets, columns, block.T):
+                            self._observer.observe(
+                                q, level, scores, float(tails[j])
+                            )
+                    left_scores[:, columns] = block
 
-                rounds.walk_level(active, level, gather)
+                rounds.walk_level(active, level, left, gather)
                 # Snapshot only after every column of this round has been
                 # gathered: h_level is a monotone lower bound and
                 # tail_level a sound upper increment for every
@@ -625,12 +640,13 @@ class BackwardIDJ:
             ctx.engine.checkpoint("round")
             pairs: List[ScoredPair] = []
 
-            def emit(q, vector):
-                if self._observer is not None:
-                    self._observer.observe(q, ctx.d, vector, 0.0)
-                pairs.extend(ctx.pairs_for_target(vector, q))
+            def emit(targets, block):
+                for q, scores in zip(targets, block.T):
+                    if self._observer is not None:
+                        self._observer.observe(q, ctx.d, scores, 0.0)
+                    pairs.extend(ctx.pairs_for_target(scores, q))
 
-            rounds.walk_level(active, ctx.d, emit)
+            rounds.walk_level(active, ctx.d, left, emit)
         return top_k_pairs(pairs, k)
 
     def top_k_reference(self, k: int) -> List[ScoredPair]:
@@ -647,21 +663,22 @@ class BackwardIDJ:
         ctx = self._ctx
         bound = self._bound_factory(ctx)
         self.pruning_trace = []
+        left = ctx.left_array
         active = list(ctx.right)
         level = 1
         while level < ctx.d:
             lower_bounds: List[float] = []
             q_upper = {}
             for q in active:
-                scores = back_walk_series(ctx, q, level)
+                scores = back_walk_series(ctx, q, level)[left]
                 tail = bound.tail(level, q)
                 if self._observer is not None:
                     self._observer.observe(q, level, scores, tail)
                 best = ctx.params.zero_score
-                for p in ctx.left:
+                for i, p in enumerate(ctx.left):
                     if p == q:
                         continue
-                    score = float(scores[p])
+                    score = float(scores[i])
                     if score > ctx.params.zero_score:
                         lower_bounds.append(score)
                     if score > best:
@@ -681,7 +698,7 @@ class BackwardIDJ:
             level *= 2
         pairs: List[ScoredPair] = []
         for q in active:
-            scores = back_walk_series(ctx, q, ctx.d)
+            scores = back_walk_series(ctx, q, ctx.d)[left]
             if self._observer is not None:
                 self._observer.observe(q, ctx.d, scores, 0.0)
             pairs.extend(ctx.pairs_for_target(scores, q))

@@ -261,16 +261,17 @@ class TwoWayContext:
         overlap = len(set(self.left) & set(self.right))
         return len(self.left) * len(self.right) - overlap
 
-    def pairs_for_target(self, scores: np.ndarray, q: int) -> List[ScoredPair]:
-        """Materialise ``(p, q, scores[p])`` for every valid ``p``.
+    def pairs_for_target(self, left_scores: np.ndarray, q: int) -> List[ScoredPair]:
+        """Materialise ``(left[i], q, left_scores[i])`` for every valid
+        ``left[i]`` — ``left_scores`` is aligned with :attr:`left`
+        (``|P|`` values, what the row-restricted score reads return).
 
-        One vectorised gather + ``tolist`` keeps the per-pair Python
-        work to a single tuple construction.
+        One ``tolist`` keeps the per-pair Python work to a single tuple
+        construction.
         """
-        values = scores[self._left_array].tolist()
         return [
             ScoredPair(p, q, value)
-            for p, value in zip(self.left, values)
+            for p, value in zip(self.left, left_scores.tolist())
             if p != q
         ]
 

@@ -41,7 +41,6 @@ from repro.core.bounds import ScoreUpperBound
 from repro.core.two_way.backward import (
     BackwardIDJ,
     BoundFactory,
-    back_walk,
     y_bound_factory,
 )
 from repro.core.two_way.base import ScoredPair, TwoWayContext
@@ -158,7 +157,9 @@ class _FRecorder:
     the *deepest* walk matters (``FStructure.update`` would discard the
     rest anyway), so the recorder buffers the latest walk per ``q`` and
     the join flushes the buffer into ``F`` once, after ``B-IDJ``
-    finishes — saving one heap push per superseded round.
+    finishes — saving one heap push per superseded round.  What it
+    buffers is its own copy of the ``|P|`` left-aligned scores, so the
+    whole recorder holds ``|Q| x |P|`` floats whatever the graph size.
     """
 
     def __init__(self) -> None:
@@ -167,7 +168,7 @@ class _FRecorder:
     def observe(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
         previous = self.latest.get(q)
         if previous is None or level > previous[0]:
-            self.latest[q] = (level, scores, tail)
+            self.latest[q] = (level, scores.copy(), tail)
 
 
 class IncrementalTwoWayJoin:
@@ -293,16 +294,17 @@ class IncrementalTwoWayJoin:
 
     def _refine(self, q: int, level: int) -> None:
         """Re-walk ``q`` at ``level`` steps and tighten all its entries."""
-        scores = back_walk(self._ctx, q, level)
-        tail = 0.0 if level >= self._ctx.d else self._bound.tail(level, q)
+        ctx = self._ctx
+        scores = ctx.walk_cache.scores(q, level, rows=ctx.left_array)
+        tail = 0.0 if level >= ctx.d else self._bound.tail(level, q)
         self._record_walk(q, level, scores, tail)
 
     def _record_walk(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
-        for p in self._ctx.left:
+        """Fold one walk's left-aligned ``scores`` into ``F``."""
+        for p, score in zip(self._ctx.left, scores.tolist()):
             if p == q:
                 continue
             key = (p, q)
             if key in self._emitted:
                 continue
-            score = float(scores[p])
             self._f.update(key, score, score + tail, level)

@@ -132,21 +132,28 @@ class _MatrixRounds:
                 context.max_block_bytes, context.engine.num_nodes
             )
 
-    def walk_level(self, active: Sequence[int], level: int, consume) -> None:
-        """Feed every active target's ``level`` score vector to
-        ``consume(q, vector)``: cached vectors first, the rest gathered
-        in chunks under the byte ceiling."""
+    def walk_level(
+        self, active: Sequence[int], level: int, rows: np.ndarray, consume
+    ) -> None:
+        """Feed every active target's ``level`` scores at node ids
+        ``rows`` to ``consume(targets, block)``: the cached targets as
+        one block, the rest gathered in chunks under the byte ceiling."""
         ctx = self._ctx
         engine, cache, measure = ctx.engine, ctx.walk_cache, ctx.measure
+        hits: List[int] = []
+        hit_scores: List[np.ndarray] = []
         pending: List[int] = []
         for q in active:
             engine.checkpoint("cache")
             if cache is not None:
-                cached = cache.peek(q, level)
+                cached = cache.peek(q, level, rows)
                 if cached is not None:
-                    consume(q, cached)
+                    hits.append(q)
+                    hit_scores.append(cached)
                     continue
             pending.append(q)
+        if hits:
+            consume(hits, np.stack(hit_scores, axis=1))
         while pending:
             width = len(pending) if self._max_cols is None else self._max_cols
             group = pending[: max(width, 1)]
@@ -165,11 +172,10 @@ class _MatrixRounds:
                 if self._max_cols is None or half < self._max_cols:
                     self._max_cols = half
                 continue
-            for j, q in enumerate(group):
-                vector = block[:, j]
-                if cache is not None:
-                    cache.put_scores(q, level, vector)
-                consume(q, vector)
+            if cache is not None:
+                for j, q in enumerate(group):
+                    cache.put_scores(q, level, block[:, j])
+            consume(group, block[rows])
             del pending[: len(group)]
 
     def donate_pruned(self, pruned) -> None:
@@ -347,7 +353,7 @@ class SeriesIDJ(_MeasureBinding, BackwardIDJ):
         pairs: List[ScoredPair] = []
         for q in active:
             scores = measure.backward_scores(ctx.engine, q, measure.d)
-            pairs.extend(ctx.pairs_for_target(scores, q))
+            pairs.extend(ctx.pairs_for_target(scores[ctx.left_array], q))
         return top_k_pairs(pairs, k)
 
 

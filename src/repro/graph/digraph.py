@@ -222,26 +222,34 @@ class Graph:
     # Matrix views (built lazily, cached)
     # ------------------------------------------------------------------
 
+    def memoized(self, key: str, build):
+        """``build()``, computed once per graph and kept under ``key``.
+
+        For immutable artifacts that are a function of the graph alone
+        (the CSR views below, the planner's degree statistics).  Safe to
+        call from concurrent queries: two racing first calls may both
+        build, but ``setdefault`` publishes one result and every caller
+        gets that same object.
+        """
+        cached = self._csr_cache.get(key)
+        if cached is None:
+            cached = self._csr_cache.setdefault(key, build())
+        return cached
+
     def transition_matrix(self):
         """Row-stochastic transition matrix ``T`` as ``scipy.sparse.csr_matrix``.
 
         ``T[u, v] = p_uv``.  Rows of dangling nodes are all zero.
         """
-        cached = self._csr_cache.get("T")
-        if cached is None:
-            from repro.graph.csr import build_transition_matrix
+        from repro.graph.csr import build_transition_matrix
 
-            cached = build_transition_matrix(self)
-            self._csr_cache["T"] = cached
-        return cached
+        return self.memoized("T", lambda: build_transition_matrix(self))
 
     def transition_matrix_transpose(self):
         """``T^T`` as CSR, used by forward propagation kernels."""
-        cached = self._csr_cache.get("T_t")
-        if cached is None:
-            cached = self.transition_matrix().transpose().tocsr()
-            self._csr_cache["T_t"] = cached
-        return cached
+        return self.memoized(
+            "T_t", lambda: self.transition_matrix().transpose().tocsr()
+        )
 
     # ------------------------------------------------------------------
     # Derived graphs

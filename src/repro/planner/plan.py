@@ -435,7 +435,7 @@ def _build_plan(
     feedback,
 ) -> ExplainedPlan:
     num_edges = spec.query_graph.num_edges
-    stats = GraphStats(spec.graph)
+    stats = GraphStats.of(spec.graph)
     if feedback is None:
         engine_stats = spec.engine.stats
         if getattr(engine_stats, "propagation_steps", 0) > 0:

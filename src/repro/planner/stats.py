@@ -1,14 +1,15 @@
 """Cheap planning signals: degree moments, skew, heavy hitters.
 
 Everything the cost model consumes from the data graph is computed
-here, once per :func:`~repro.planner.plan.choose_plan` call, from the
-degree arrays alone — ``O(|V_G|)`` numpy work, no walks.  The theory
-ground (Joglekar & Re "It's all a matter of degree", Ngo/Re/Rudra
-"Skew Strikes Back") says degree distributions and heavy/light splits
-are exactly the statistics a join planner should see; heavier signals
-(reach-mass tails, engine feedback) are layered on top by
-:mod:`repro.planner.cost` when they happen to be memoised already,
-never computed eagerly.
+here, once per graph (:meth:`GraphStats.of` memoises it on the
+:class:`~repro.graph.digraph.Graph`, so planning a query does not pay
+for it again), from the degree arrays alone — ``O(|V_G|)`` work, no
+walks.  The theory ground (Joglekar & Re "It's all a matter of
+degree", Ngo/Re/Rudra "Skew Strikes Back") says degree distributions
+and heavy/light splits are exactly the statistics a join planner should
+see; heavier signals (reach-mass tails, engine feedback) are layered on
+top by :mod:`repro.planner.cost` when they happen to be memoised
+already, never computed eagerly.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ class GraphStats:
         self.heavy_mask = self.out_degrees > self.heavy_threshold
         self.heavy_count = int(self.heavy_mask.sum())
         self.heavy_fraction = self.heavy_count / n if n else 0.0
+
+    @classmethod
+    def of(cls, graph: Graph) -> "GraphStats":
+        """The graph's statistics, built on first use and then shared by
+        every later plan over the same :class:`Graph` object (graphs are
+        immutable, and so are these once built)."""
+        return graph.memoized("planner.GraphStats", lambda: cls(graph))
 
     @property
     def graph(self) -> Graph:

@@ -22,8 +22,9 @@ Two layers per target, bounded by an LRU over targets (and, when
 ``max_bytes`` is set, by a strict byte-denominated LRU budget over the
 retained vectors and resumable buffers):
 
-* finished score vectors keyed by walk level — exact repeats are O(n)
-  copies;
+* finished score vectors keyed by walk level, stored immutable — an
+  exact repeat reads the caller's ``rows`` of one (``|P|`` floats for a
+  join over left set ``P``) or, for a full-vector request, copies it;
 * one resumable :class:`~repro.walks.state.WalkState` at the deepest
   level walked so far — a *deeper* request extends it (paying only the
   missing steps) instead of restarting from level 0.
@@ -87,6 +88,12 @@ class _TargetEntry:
         self.state: Optional[WalkState] = None
 
 
+def _read(vector: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
+    """What a lookup hands out of an immutable cached vector: always a
+    fresh array, restricted to ``rows`` when the caller names them."""
+    return vector.copy() if rows is None else vector[rows]
+
+
 class WalkCache:
     """Per-``(graph, measure)`` cache of backward-walk score vectors.
 
@@ -119,8 +126,10 @@ class WalkCache:
     :meth:`scores` may fire an ``"evict"`` fault that calls
     :meth:`clear` on this same cache from the same thread.  A cold miss
     walks while holding the lock — correctness over cold-path
-    parallelism; warm traffic (the service's steady state) only pays a
-    copy under the lock.
+    parallelism.  Stored vectors are read-only arrays, so a hit holds
+    the lock for the lookup and LRU touch only and reads the vector —
+    the ``rows`` gather or the full copy — after releasing it, and
+    :meth:`put_scores` validates and (if needed) copies before taking it.
     """
 
     def __init__(
@@ -193,22 +202,25 @@ class WalkCache:
     # Lookup / compute
     # ------------------------------------------------------------------
 
-    def peek(self, target: int, level: int) -> Optional[np.ndarray]:
+    def peek(
+        self, target: int, level: int, rows: Optional[np.ndarray] = None
+    ) -> Optional[np.ndarray]:
         """Cached ``h_level(., target)`` or ``None`` — never walks.
 
         A hit refreshes the target's LRU position and returns a fresh
-        copy (cached vectors are never handed out aliased).
+        array (cached vectors are never handed out aliased): the entries
+        at node ids ``rows`` when given — all a join reads — else a copy
+        of the whole vector.
         """
         with self._lock:
             entry = self._entries.get(target)
-            if entry is not None:
-                vector = entry.scores.get(level)
-                if vector is not None:
-                    self._entries.move_to_end(target)
-                    self.stats.hits += 1
-                    return vector.copy()
-            self.stats.misses += 1
-            return None
+            vector = entry.scores.get(level) if entry is not None else None
+            if vector is None:
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(target)
+            self.stats.hits += 1
+        return _read(vector, rows)
 
     def resumable_level(self, target: int) -> int:
         """Level of the retained resumable state for ``target`` (0 if none).
@@ -226,67 +238,79 @@ class WalkCache:
             return entry.state.level
 
     def scores(
-        self, target: int, level: int, count_stats: bool = True
+        self,
+        target: int,
+        level: int,
+        count_stats: bool = True,
+        rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``h_level(., target)``, walking only the uncached suffix.
 
-        Cache hit: O(n) copy.  Miss with a resumable state at a lower
-        level: extends it, paying ``level - state.level`` steps.  Cold
-        miss: a fresh ``level``-step walk.  The result is always recorded
-        for future hits.  Pass ``count_stats=False`` when the caller
-        already recorded this lookup via :meth:`peek`, so one logical
-        request is not double-counted.
+        Returns a fresh array: the entries at node ids ``rows`` when
+        given, else the whole vector.  Cache hit: that read.  Miss with
+        a resumable state at a lower level: extends it, paying
+        ``level - state.level`` steps.  Cold miss: a fresh ``level``-step
+        walk.  The result is always recorded for future hits.  Pass
+        ``count_stats=False`` when the caller already recorded this
+        lookup via :meth:`peek`, so one logical request is not
+        double-counted.
 
         Always visits the governor (site ``"cache"``), even on a pure
         hit — deadlines and fault injection must reach loops that the
         warm cache would otherwise serve without a single walk step.
         """
+        # Before any bookkeeping: a rejected request must not insert a
+        # phantom entry or evict a valid one.
+        self._engine._check_target(target)
         self._engine.checkpoint("cache")
+        if count_stats:
+            hit = self.peek(target, level, rows)
+            if hit is not None:
+                return hit
         with self._lock:
-            if count_stats:
-                vector = self.peek(target, level)
-                if vector is not None:
-                    return vector
-            else:
-                entry = self._entries.get(target)
-                vector = entry.scores.get(level) if entry is not None else None
-                if vector is not None:
-                    self._entries.move_to_end(target)
-                    return vector.copy()
             entry = self._ensure_entry(target)
-            state = entry.state
-            resumed_from = 0
-            if state is not None and state.level <= level:
-                resumed_from = state.level
-            else:
-                state = WalkState(self._engine, self._params, [target])
-            try:
-                state.advance_to(level)
-            except CorruptedWalkError:
-                # Poisoned buffers cannot be trusted at *any* level: drop
-                # the retained state and re-walk from scratch (a counted
-                # degradation).  A second corruption propagates to the
-                # rounds-layer retry.
-                self._engine.stats.add("degradations", 1)
-                entry.state = None
-                self._account(target)
-                resumed_from = 0
-                state = WalkState(self._engine, self._params, [target])
-                state.advance_to(level)
-            if resumed_from > 0:
-                self.stats.extensions += 1
-                self.stats.steps_saved += resumed_from
-                # Mirror the resume into the engine currency so spill
-                # resumes are visible next to propagation_steps.
-                self._engine.stats.add("extensions", 1)
-                self._engine.stats.add("steps_saved", resumed_from)
-            if entry.state is None or state.level >= entry.state.level:
-                entry.state = state
-            vector = state.score_column(0)
-            entry.scores[level] = vector
+            vector = entry.scores.get(level)
+            if vector is None:
+                vector = self._walk(target, entry, level)
+        return _read(vector, rows)
+
+    def _walk(self, target: int, entry: _TargetEntry, level: int) -> np.ndarray:
+        """Walk ``target`` to ``level`` (resuming the retained state when
+        it is not deeper) and record the vector; lock held by caller."""
+        state = entry.state
+        resumed_from = 0
+        if state is not None and state.level <= level:
+            resumed_from = state.level
+        else:
+            state = WalkState(self._engine, self._params, [target])
+        try:
+            state.advance_to(level)
+        except CorruptedWalkError:
+            # Poisoned buffers cannot be trusted at *any* level: drop
+            # the retained state and re-walk from scratch (a counted
+            # degradation).  A second corruption propagates to the
+            # rounds-layer retry.
+            self._engine.stats.add("degradations", 1)
+            entry.state = None
             self._account(target)
-            self._evict()
-            return vector.copy()
+            resumed_from = 0
+            state = WalkState(self._engine, self._params, [target])
+            state.advance_to(level)
+        if resumed_from > 0:
+            self.stats.extensions += 1
+            self.stats.steps_saved += resumed_from
+            # Mirror the resume into the engine currency so spill
+            # resumes are visible next to propagation_steps.
+            self._engine.stats.add("extensions", 1)
+            self._engine.stats.add("steps_saved", resumed_from)
+        if entry.state is None or state.level >= entry.state.level:
+            entry.state = state
+        vector = state.score_column(0)
+        vector.setflags(write=False)
+        entry.scores[level] = vector
+        self._account(target)
+        self._evict()
+        return vector
 
     # ------------------------------------------------------------------
     # Donation (batched algorithms feed their walks back)
@@ -297,11 +321,26 @@ class WalkCache:
 
         The vector must come from the step-accumulated score path (a
         :class:`WalkState` column) so cached and freshly walked scores
-        stay bit-identical.  A private copy is stored.
+        stay bit-identical.  The cache takes ownership: an array that
+        owns contiguous memory (a freshly finalised column) is frozen
+        and stored as is, so the donor's reference turns read-only; a
+        view or strided array is copied first.  Anything but a float64
+        ``(num_nodes,)`` vector for an in-range target is rejected with
+        nothing stored.
         """
+        self._engine._check_target(target)
+        scores = np.asarray(scores)
+        if scores.dtype != np.float64 or scores.shape != (self._engine.num_nodes,):
+            raise GraphValidationError(
+                f"put_scores needs a float64 vector of shape "
+                f"({self._engine.num_nodes},), got {scores.dtype} {scores.shape}"
+            )
+        if not (scores.flags.owndata and scores.flags.c_contiguous):
+            scores = scores.copy()
+        scores.setflags(write=False)
         with self._lock:
             entry = self._ensure_entry(target)
-            entry.scores[level] = np.array(scores, dtype=np.float64, copy=True)
+            entry.scores[level] = scores
             self._account(target)
             self._evict()
 
@@ -338,6 +377,7 @@ class WalkCache:
                 "than this cache"
             )
         target = int(state.targets[0])
+        self._engine._check_target(target)
         with self._lock:
             entry = self._ensure_entry(target)
             if entry.state is None or state.level > entry.state.level:

@@ -14,6 +14,10 @@ a *block kernel*:
 * ``finalize(acc, targets)`` — turns the accumulated prefix into scores
   (DHT's affine ``alpha * acc + beta``; PPR adds the ``i = 0``
   self-visit term to each column's target entry).
+  ``finalize_rows(acc_rows, rows, targets)`` is the same fold on a row
+  gather of the prefix — what the joins read, since they only ever look
+  at the left set's rows — and ``finalize_column`` the same fold on one
+  full column, which only walk-cache donation still needs.
 
 Kernels are small frozen dataclasses, so they double as the *cache
 identity* of a measure: a :class:`~repro.walks.cache.WalkCache` or
@@ -63,6 +67,14 @@ class BlockKernel(Protocol):
         """Scores of one column from its length-``n`` prefix (fresh array)."""
         ...
 
+    def finalize_rows(
+        self, acc_rows: np.ndarray, rows: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Scores at node ids ``rows`` from the ``(|rows|, B)`` gather
+        ``acc[rows]`` of the prefix (fresh array) — entry for entry the
+        arithmetic of :meth:`finalize`, so the two agree bit for bit."""
+        ...
+
     def empty_scores(self, num_nodes: int, targets: np.ndarray) -> np.ndarray:
         """Level-0 scores (the empty-sum floor) as an ``(n, B)`` array."""
         ...
@@ -97,6 +109,11 @@ class DHTBlockKernel:
 
     def finalize_column(self, acc_column: np.ndarray, target: int) -> np.ndarray:
         return self.alpha * acc_column + self.beta
+
+    def finalize_rows(
+        self, acc_rows: np.ndarray, rows: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        return self.alpha * acc_rows + self.beta
 
     def empty_scores(self, num_nodes: int, targets: np.ndarray) -> np.ndarray:
         return np.full((num_nodes, targets.shape[0]), self.beta, dtype=np.float64)
@@ -134,6 +151,13 @@ class PPRBlockKernel:
     def finalize_column(self, acc_column: np.ndarray, target: int) -> np.ndarray:
         scores = acc_column.copy()
         scores[target] += 1.0 - self.damping
+        return scores
+
+    def finalize_rows(
+        self, acc_rows: np.ndarray, rows: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        scores = acc_rows.copy()
+        scores[rows[:, None] == targets[None, :]] += 1.0 - self.damping
         return scores
 
     def empty_scores(self, num_nodes: int, targets: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 ``B-IDJ`` (the DHT path) and ``Series-IDJ`` (the measure-generic path)
 run the same walk plan: at each doubling level, feed every active
-target's score vector to a pruning step, keeping one resumable
-:class:`~repro.walks.state.WalkState` block so level ``2l`` extends
-level ``l`` instead of restarting.  :class:`DeepeningRounds` is that
-plan, factored out of both joins so the bounded-memory mode — and its
-spill policy — exist exactly once.
+target's scores *at the join's left rows* to a pruning step, one
+``(|rows|, B)`` block per resolved group of targets, keeping one
+resumable :class:`~repro.walks.state.WalkState` block so level ``2l``
+extends level ``l`` instead of restarting.  :class:`DeepeningRounds` is
+that plan, factored out of both joins so the bounded-memory mode — and
+its spill policy — exist exactly once.  Full length-``n`` score vectors
+are finalised only to be donated to a walk cache; a cache-less round
+never builds one.
 
 **Unbounded mode** (``max_block_bytes is None``): one full-width
 resumable block carries every walking target across levels; targets
@@ -69,7 +72,9 @@ REWALK_ATTEMPTS = 3
 # the accumulated score prefix.
 BYTES_PER_COLUMN_NODE = 16
 
-Consumer = Callable[[int, np.ndarray], None]
+# ``consume(targets, block)``: ``block[i, j]`` is the level's score of
+# node ``rows[i]`` to ``targets[j]``; the block is the consumer's to keep.
+Consumer = Callable[[Sequence[int], np.ndarray], None]
 
 
 def columns_for_budget(max_block_bytes: int, num_nodes: int) -> int:
@@ -108,9 +113,10 @@ class DeepeningRounds:
         :class:`~repro.walks.state.WalkState` accepts.
     cache:
         Optional :class:`~repro.walks.cache.WalkCache` bound to the same
-        engine and measure.  Walked levels are donated (``put_scores``),
-        and in bounded mode it doubles as the spill target for overflow
-        survivors.
+        engine and measure.  Hits are read at the caller's rows; walked
+        levels are donated (``put_scores`` — the one reason a column is
+        ever finalised full-width), and in bounded mode it doubles as
+        the spill target for overflow survivors.
     max_block_bytes:
         Byte ceiling on any single resumable walk block (``None`` =
         unbounded full-width blocks).  A ceiling below one column's cost
@@ -145,10 +151,16 @@ class DeepeningRounds:
         return self._max_cols
 
     def walk_level(
-        self, active: Sequence[int], level: int, consume: Consumer
+        self,
+        active: Sequence[int],
+        level: int,
+        rows: np.ndarray,
+        consume: Consumer,
     ) -> None:
-        """Feed every active target's ``level`` score vector to
-        ``consume(q, vector)`` — vectors are *not* retained here.
+        """Feed every active target's ``level`` scores at node ids
+        ``rows`` to ``consume(targets, block)``, one ``(|rows|,
+        len(targets))`` block per resolved group — nothing is retained
+        here.
 
         Resolution order per target: cached vector (no walk), the
         retained resumable window (extended in batch), then the cache's
@@ -159,21 +171,28 @@ class DeepeningRounds:
         most ``max_cols`` columns; only the first ``max_cols`` columns'
         worth of chunks stay alive as repack candidates, the rest donate
         their columns to the cache (the spill) and are dropped as soon
-        as their vectors are consumed, so the round's live walk blocks
+        as their block is consumed, so the round's live walk blocks
         stay ``O(max_block_bytes)`` no matter how large the active set
-        is.
+        is.  The groups are: all cache hits, each advanced part of the
+        window, all resumed targets, each throwaway chunk.
         """
         with self._engine.trace_span(
             "walk_level", level=level, targets=len(active)
         ):
-            self._walk_level(active, level, consume)
+            self._walk_level(active, level, rows, consume)
 
     def _walk_level(
-        self, active: Sequence[int], level: int, consume: Consumer
+        self,
+        active: Sequence[int],
+        level: int,
+        rows: np.ndarray,
+        consume: Consumer,
     ) -> None:
         cache = self._cache
         self._round_chunks = []
         self._walked = {}
+        hits: List[int] = []
+        hit_scores: List[np.ndarray] = []
         resident: List[int] = []
         resume: List[int] = []
         pending: List[int] = []
@@ -182,9 +201,10 @@ class DeepeningRounds:
             # stay interruptible by deadlines and fault injection.
             self._engine.checkpoint("cache")
             if cache is not None:
-                cached = cache.peek(q, level)
+                cached = cache.peek(q, level, rows)
                 if cached is not None:
-                    consume(q, cached)
+                    hits.append(q)
+                    hit_scores.append(cached)
                     continue
             if self._state is not None and q in self._state_cols:
                 resident.append(q)
@@ -195,6 +215,8 @@ class DeepeningRounds:
                 resume.append(q)
             else:
                 pending.append(q)
+        if hits:
+            consume(hits, np.stack(hit_scores, axis=1))
         if self._state is None and pending:
             # Cold start: the first walking round claims residency.
             claim = (
@@ -222,17 +244,23 @@ class DeepeningRounds:
                 # this round's chunks under the narrowed budget.
                 self._state, self._state_cols = None, {}
             for q in resident:
-                part, column = column_of[q]
-                self._walked[q] = (part, column)
-                vector = part.score_column(column)
-                if cache is not None:
-                    cache.put_scores(q, level, vector)
-                consume(q, vector)
-        for q in resume:
-            # The peek above already recorded this miss; scores() resumes
-            # the cache's single-column state (adopted spill or earlier
-            # donation), paying only the missing steps.
-            consume(q, cache.scores(q, level, count_stats=False))
+                self._walked[q] = column_of[q]
+            for part, part_targets in parts:
+                # In `resident` (= active) order, which the window's
+                # column order need not be: donation order is LRU order.
+                columns = [
+                    column_of[q][1] for q in resident if column_of[q][0] is part
+                ]
+                self._feed(part, part_targets, columns, level, rows, consume)
+        if resume:
+            # The peek above already recorded these misses; scores()
+            # resumes the cache's single-column state (adopted spill or
+            # earlier donation), paying only the missing steps.
+            consume(resume, np.stack(
+                [cache.scores(q, level, count_stats=False, rows=rows)
+                 for q in resume],
+                axis=1,
+            ))
         if pending:  # bounded-mode overflow (or cache-less cold targets)
             width = self._max_cols if self._max_cols is not None else len(pending)
             candidate_cols = 0
@@ -253,19 +281,39 @@ class DeepeningRounds:
                     if retain:
                         candidate_cols += len(chunk_targets)
                         self._round_chunks.append((chunk, chunk_targets))
-                    for j, q in enumerate(chunk_targets):
-                        if retain:
+                        for j, q in enumerate(chunk_targets):
                             self._walked[q] = (chunk, j)
-                        vector = chunk.score_column(j)
-                        if cache is not None:
-                            cache.put_scores(q, level, vector)
-                        consume(q, vector)
+                    every = range(len(chunk_targets))
+                    self._feed(chunk, chunk_targets, every, level, rows, consume)
                     if not retain:
                         # Survivors of this chunk are not known until the
                         # pruning step, by which time the chunk is gone —
                         # spill every column now; pruned ones simply age
                         # out of the cache's LRU.
-                        self._spill(chunk, range(len(chunk_targets)))
+                        self._spill(chunk, every)
+
+    def _feed(
+        self,
+        part: WalkState,
+        targets: List[int],
+        columns: Sequence[int],
+        level: int,
+        rows: np.ndarray,
+        consume: Consumer,
+    ) -> None:
+        """Hand the given columns of a walked block to the consumer as
+        one ``rows``-restricted block, donating each column's full
+        vector — the only place one is finalised — when there is a cache
+        to take it."""
+        if not columns:
+            return
+        if self._cache is not None:
+            for j in columns:
+                self._cache.put_scores(targets[j], level, part.score_column(j))
+        block = part.scores_at(rows)
+        if list(columns) != list(range(part.width)):
+            block = np.take(block, columns, axis=1)
+        consume([targets[j] for j in columns], block)
 
     def _advance_parts(
         self, state: WalkState, level: int

@@ -27,8 +27,12 @@ A state's buffers cost 16 bytes per node per column (two ``(n, B)``
 float64 blocks); :meth:`WalkState.advance_to` reports each
 materialisation to ``engine.stats.peak_block_bytes``, the counter a
 ``max_block_bytes`` ceiling (the deepening joins' chunked rounds) is
-audited against.  :meth:`WalkState.select` narrows a block to surviving
-columns, :meth:`WalkState.extract_column` copies one out (cache
+audited against.  :meth:`WalkState.scores_at` is what the joins read:
+the scores of a block at the left set's rows, one row gather of the
+prefix instead of a full-graph vector per column
+(:meth:`WalkState.score_column`, which only walk-cache donation still
+uses).  :meth:`WalkState.select` narrows a block to surviving columns,
+:meth:`WalkState.extract_column` copies one out (cache
 adoption — including the bounded rounds' spill of overflow survivors),
 and :meth:`WalkState.concat` re-packs same-level blocks — together they
 let :class:`~repro.walks.rounds.DeepeningRounds` keep the resumable
@@ -69,9 +73,10 @@ class WalkState:
     -----
     A fresh state sits at ``level = 0``; :meth:`advance_to` runs
     propagation steps for all columns at once (one CSR sparse-dense
-    product per step).  :meth:`scores_matrix` / :meth:`score_column`
-    convert the accumulated prefix into truncated scores
-    ``h_level(u, target)``.  Memory: two ``(n, B)`` float64 blocks.
+    product per step).  :meth:`scores_at` / :meth:`scores_matrix` /
+    :meth:`score_column` convert the accumulated prefix into truncated
+    scores ``h_level(u, target)`` — at chosen rows, everywhere, or for
+    one column.  Memory: two ``(n, B)`` float64 blocks.
     """
 
     __slots__ = ("_engine", "_params", "_kernel", "_targets", "_level", "_mass", "_acc")
@@ -234,6 +239,20 @@ class WalkState:
             )[:, 0]
         return self._kernel.finalize_column(self._acc[:, j], int(self._targets[j]))
 
+    def scores_at(self, rows: np.ndarray) -> np.ndarray:
+        """Scores at node ids ``rows`` as a fresh ``(|rows|, B)`` array,
+        bit-identical to ``scores_matrix()[rows]``.
+
+        One gather of contiguous prefix rows, then the kernel's fold on
+        ``|rows| * B`` entries — the joins' read, which never touches
+        the other ``n - |rows|`` rows of the block.
+        """
+        if self._acc is None:
+            return self._kernel.empty_scores(
+                self._engine.num_nodes, self._targets
+            )[rows]
+        return self._kernel.finalize_rows(self._acc[rows], rows, self._targets)
+
     # ------------------------------------------------------------------
     # Restructuring
     # ------------------------------------------------------------------
@@ -250,8 +269,8 @@ class WalkState:
             self._params,
             self._targets[indices].copy(),
             self._level,
-            None if self._mass is None else np.ascontiguousarray(self._mass[:, indices]),
-            None if self._acc is None else np.ascontiguousarray(self._acc[:, indices]),
+            None if self._mass is None else np.take(self._mass, indices, axis=1),
+            None if self._acc is None else np.take(self._acc, indices, axis=1),
         )
 
     def extract_column(self, j: int) -> "WalkState":

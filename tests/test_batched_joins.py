@@ -119,20 +119,27 @@ class TestResumableBIDJ:
     def test_observer_equivalent_to_reference(
         self, algorithm_cls, random_graph, params
     ):
+        left, right = list(range(8)), list(range(20, 30))
+
         class Recorder:
             def __init__(self):
                 self.calls = []
+                self.scores = []
 
             def observe(self, q, level, scores, tail):
+                # Left-aligned on the fast and the reference path alike.
+                assert len(scores) == len(left)
                 self.calls.append((q, level, round(float(tail), 12)))
+                self.scores.append(scores.copy())
 
-        left, right = list(range(8)), list(range(20, 30))
         fast, slow = Recorder(), Recorder()
         ctx = make_context(random_graph, left, right, params=params, d=8)
         algorithm_cls(ctx, observer=fast).top_k(4)
         ctx2 = make_context(random_graph, left, right, params=params, d=8)
         algorithm_cls(ctx2, observer=slow).top_k_reference(4)
         assert fast.calls == slow.calls
+        for got, expected in zip(fast.scores, slow.scores):
+            assert np.allclose(got, expected, atol=1e-12)
 
     def test_d_one_walks_everything_once(self, algorithm_cls, path4, params):
         ctx = make_context(path4, [0, 1], [2, 3], params=params, d=1)

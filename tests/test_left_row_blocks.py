@@ -1,0 +1,256 @@
+"""The row-restricted, block-shaped score path.
+
+The backward joins only ever read ``h_l(p, q)`` for ``p`` in the left
+set, so every layer between the walk kernel and the join hands over
+``|P|`` rows per walked block: ``WalkState.scores_at``, the ``rows``
+argument of the walk-cache lookups, and ``DeepeningRounds``'
+``consume(targets, block)`` protocol.  These tests pin that each of
+those reads is *bit-identical* to the full-width read indexed by the
+same rows, with the same cache bookkeeping, and that a cache-less
+``B-IDJ`` never finalises a full-graph vector at all.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.dht import DHTParams
+from repro.core.two_way.backward import BackwardIDJX, BackwardIDJY
+from repro.core.two_way.base import make_context
+from repro.graph.builders import erdos_renyi
+from repro.walks.cache import WalkCache
+from repro.walks.engine import WalkEngine
+from repro.walks.kernels import DHTBlockKernel, PPRBlockKernel
+from repro.walks.rounds import DeepeningRounds
+from repro.walks.state import WalkState
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+NUM_NODES = 40
+GRAPH = erdos_renyi(NUM_NODES, 0.12, np.random.default_rng(11), weighted=True)
+KERNELS = [DHTBlockKernel(alpha=0.7, beta=-0.3, decay=0.4), PPRBlockKernel(0.6)]
+
+node_lists = st.lists(
+    st.integers(0, NUM_NODES - 1), min_size=1, max_size=8, unique=True
+)
+
+
+@st.composite
+def walked_blocks(draw):
+    """A walked state, the rows to read it at, and its targets.
+
+    ``rows`` always contains some of the targets — the entries where
+    PPR's self-visit term lands and DHT carries its return-walk
+    artefact — plus arbitrary other nodes, in arbitrary order.
+    """
+    kernel = draw(st.sampled_from(KERNELS))
+    targets = draw(node_lists)
+    level = draw(st.integers(0, 5))
+    others = draw(node_lists)
+    shared = draw(st.lists(st.sampled_from(targets), max_size=3, unique=True))
+    rows = draw(st.permutations(list(dict.fromkeys(shared + others))))
+    state = WalkState(WalkEngine(GRAPH), kernel, targets).advance_to(level)
+    return state, np.asarray(rows, dtype=np.int64)
+
+
+class TestScoresAt:
+    @SETTINGS
+    @given(block=walked_blocks())
+    def test_equals_full_matrix_rows(self, block):
+        state, rows = block
+        got = state.scores_at(rows)
+        assert got.shape == (rows.size, state.width)
+        assert np.array_equal(got, state.scores_matrix()[rows])
+        # Column by column it is what cache donation finalises.
+        for j in range(state.width):
+            assert np.array_equal(got[:, j], state.score_column(j)[rows])
+
+    @SETTINGS
+    @given(block=walked_blocks(), data=st.data())
+    def test_after_select(self, block, data):
+        state, rows = block
+        keep = data.draw(
+            st.lists(st.integers(0, state.width - 1), min_size=1, max_size=6)
+        )
+        narrowed = state.select(keep)
+        assert np.array_equal(
+            narrowed.scores_at(rows), state.scores_matrix()[rows][:, keep]
+        )
+
+    @SETTINGS
+    @given(block=walked_blocks(), extra=node_lists)
+    def test_after_concat(self, block, extra):
+        state, rows = block
+        other = WalkState(state.engine, state.kernel, extra).advance_to(state.level)
+        merged = WalkState.concat([state, other])
+        assert np.array_equal(
+            merged.scores_at(rows),
+            np.hstack([state.scores_matrix(), other.scores_matrix()])[rows],
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fresh_array_each_call(self, kernel):
+        rows = np.array([3, 1, 2])
+        for level in (0, 3):
+            state = WalkState(WalkEngine(GRAPH), kernel, [1, 5]).advance_to(level)
+            first = state.scores_at(rows)
+            first[:] = -1.0
+            assert np.array_equal(
+                state.scores_at(rows), state.scores_matrix()[rows]
+            )
+
+
+class TestSelectTake:
+    @SETTINGS
+    @given(block=walked_blocks(), data=st.data())
+    def test_matches_fancy_index_and_owns_buffers(self, block, data):
+        state, _ = block
+        keep = data.draw(
+            st.lists(st.integers(0, state.width - 1), min_size=1, max_size=6)
+        )
+        narrowed = state.select(keep)
+        assert narrowed.targets.tolist() == [int(state.targets[j]) for j in keep]
+        if state.level == 0:
+            assert narrowed.nbytes == 0
+            return
+        for name in ("_mass", "_acc"):
+            old, new = getattr(state, name), getattr(narrowed, name)
+            assert np.array_equal(new, np.ascontiguousarray(old[:, keep]))
+            assert new.flags.c_contiguous and new.flags.owndata
+            assert not np.shares_memory(new, old)
+        # Advancing the copy leaves the original where it was.
+        before = state.scores_matrix()
+        narrowed.advance_to(state.level + 2)
+        assert np.array_equal(state.scores_matrix(), before)
+
+
+def _cache_effects(cache):
+    return (
+        cache.stats.hits, cache.stats.misses, cache.stats.extensions,
+        cache.stats.steps_saved, cache.stats.evictions,
+        list(cache._entries), cache.current_bytes,
+    )
+
+
+@st.composite
+def cache_scripts(draw):
+    """A request script over a few targets and levels, mixing ``peek``
+    and ``scores`` — repeats make it warm, ``max_targets`` makes it
+    evict."""
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["peek", "scores", "scores_uncounted"]),
+            st.integers(0, 5),   # target
+            st.integers(1, 4),   # level
+        ),
+        min_size=1, max_size=14,
+    ))
+    return steps, draw(st.integers(1, 4)), draw(st.sampled_from(KERNELS))
+
+
+class TestCacheRowsReads:
+    @SETTINGS
+    @given(script=cache_scripts(), rows=node_lists)
+    def test_rows_read_equals_indexed_full_read(self, script, rows):
+        """Cold, warm and evicting: the same script through the full
+        form and through ``rows=`` returns ``full[rows]`` at every step
+        and leaves hits / misses / extensions / LRU order / bytes
+        identical."""
+        steps, max_targets, kernel = script
+        rows = np.asarray(rows, dtype=np.int64)
+        full = WalkCache(WalkEngine(GRAPH), kernel, max_targets=max_targets)
+        narrow = WalkCache(WalkEngine(GRAPH), kernel, max_targets=max_targets)
+        for op, target, level in steps:
+            if op == "peek":
+                a = full.peek(target, level)
+                b = narrow.peek(target, level, rows)
+            else:
+                counted = op == "scores"
+                a = full.scores(target, level, count_stats=counted)
+                b = narrow.scores(target, level, count_stats=counted, rows=rows)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert b.shape == (rows.size,) and b.flags.writeable
+                assert np.array_equal(b, a[rows])
+            assert _cache_effects(full) == _cache_effects(narrow)
+
+    def test_rows_read_is_fresh(self):
+        cache = WalkCache(WalkEngine(GRAPH), KERNELS[0])
+        rows = np.array([2, 9])
+        first = cache.scores(4, 3, rows=rows)
+        first[:] = -1.0
+        assert np.array_equal(cache.peek(4, 3, rows), cache.peek(4, 3)[rows])
+
+
+class TestBlockConsumer:
+    """``walk_level`` hands over ``(|rows|, len(targets))`` blocks that
+    tile the active set exactly once, whatever resolved each target."""
+
+    @pytest.mark.parametrize("max_block_bytes", [None, 16 * NUM_NODES * 3])
+    @pytest.mark.parametrize("with_cache", [False, True])
+    def test_blocks_tile_active_and_match_oracle(self, with_cache, max_block_bytes):
+        engine = WalkEngine(GRAPH)
+        params = DHTParams.dht_lambda(0.3)
+        cache = WalkCache(engine, params) if with_cache else None
+        if cache is not None:
+            cache.scores(7, 2)  # a hit at level 2, a resume beyond it
+        rounds = DeepeningRounds(engine, params, cache, max_block_bytes)
+        rows = np.array([0, 7, 3, 21])
+        active = list(range(5, 15))
+        for level in (1, 2, 4):
+            seen = {}
+
+            def consume(targets, block):
+                assert block.shape == (rows.size, len(targets))
+                for q, column in zip(targets, block.T):
+                    assert q not in seen
+                    seen[q] = column.copy()
+
+            rounds.walk_level(active, level, rows, consume)
+            assert sorted(seen) == active
+            oracle = WalkState(engine, params, active).advance_to(level)
+            for j, q in enumerate(active):
+                assert np.array_equal(seen[q], oracle.score_column(j)[rows])
+            rounds.repack(set(active), level)
+
+
+class TestNoFullVectorOnColdPath:
+    """The deterministic perf guard: what ``twoway_cold`` measures — a
+    cache-less ``B-IDJ`` — never finalises a full-graph score vector."""
+
+    @pytest.mark.parametrize("algorithm_cls", [BackwardIDJY, BackwardIDJX])
+    @pytest.mark.parametrize("max_block_bytes", [None, 16 * 600 * 8])
+    def test_cacheless_bidj_reads_rows_only(
+        self, algorithm_cls, max_block_bytes, monkeypatch
+    ):
+        graph = erdos_renyi(600, 6.0 / 600, np.random.default_rng(4), weighted=True)
+        nodes = np.random.default_rng(8).permutation(600)
+        left, right = nodes[:30].tolist(), nodes[30:90].tolist()
+        params = DHTParams.dht_lambda(0.2)
+
+        def join():
+            ctx = make_context(
+                graph, left, right, params=params, d=8,
+                max_block_bytes=max_block_bytes,
+            )
+            return algorithm_cls(ctx)
+
+        expected = join().top_k_reference(10)
+
+        def forbidden(self, *args):
+            raise AssertionError("full-width score finalise on the cold path")
+
+        monkeypatch.setattr(WalkState, "score_column", forbidden)
+        monkeypatch.setattr(WalkState, "scores_matrix", forbidden)
+        got = join().top_k(10)
+        assert [(p.left, p.right) for p in got] == [
+            (p.left, p.right) for p in expected
+        ]
+        assert np.allclose(
+            [p.score for p in got], [p.score for p in expected], atol=1e-12
+        )

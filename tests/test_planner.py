@@ -93,6 +93,29 @@ class TestGraphStats:
         assert summary["heavy_count"] > 0  # power law has hubs
 
 
+class TestGraphStatsMemo:
+    def test_built_once_per_graph(self, monkeypatch):
+        """Planning pays for the degree scan once per graph, not once
+        per query."""
+        builds = []
+        original = GraphStats.__init__
+
+        def counting(self, graph):
+            builds.append(graph)
+            original(self, graph)
+
+        monkeypatch.setattr(GraphStats, "__init__", counting)
+        graph = FIXTURE.power_law_graph(400)
+        first = choose_plan(small_star_spec(graph=graph), "pj")
+        second = choose_plan(small_star_spec(graph=graph), "pj")
+        assert builds == [graph]
+        assert first.to_json() == second.to_json()
+        assert GraphStats.of(graph) is GraphStats.of(graph)
+        # Another graph object gets its own.
+        choose_plan(small_star_spec(), "pj")
+        assert len(builds) == 2
+
+
 class TestCostModel:
     def setup_method(self):
         self.stats = GraphStats(FIXTURE.power_law_graph(400))

@@ -194,12 +194,16 @@ class TestPruningBehaviour:
     def test_observer_sees_every_walk(self, random_graph, params):
         calls = []
 
+        left = list(range(5))
+
         class Recorder:
             def observe(self, q, level, scores, tail):
+                # Aligned with the left set, not a full-graph vector.
+                assert len(scores) == len(left)
                 calls.append((q, level, tail))
 
         ctx = make_context(
-            random_graph, list(range(5)), list(range(20, 26)), params=params, d=8
+            random_graph, left, list(range(20, 26)), params=params, d=8
         )
         BackwardIDJY(ctx, observer=Recorder()).top_k(3)
         assert calls

@@ -129,6 +129,42 @@ class TestIncrementalJoin:
         for pair in self.drain(join, join.top(6)):
             assert pair.score == pytest.approx(reference[(pair.left, pair.right)])
 
+    def test_recorder_retains_left_rows_only(self, random_graph, params, monkeypatch):
+        """``B-IDJ``'s bounded-memory promise (live walk memory
+        ``O(max_block_bytes + |P||Q|)``) holds with ``PJ-i``'s observer
+        attached: what the recorder keeps per target is ``|P|`` floats
+        of its own, never a full-graph vector or a view pinning one."""
+        from repro.core.two_way import incremental
+
+        recorders = []
+
+        class Spy(incremental._FRecorder):
+            def __init__(self):
+                super().__init__()
+                recorders.append(self)
+
+        monkeypatch.setattr(incremental, "_FRecorder", Spy)
+        left, right = list(range(6)), list(range(15, 35))
+        n = random_graph.num_nodes
+        ctx = make_context(
+            random_graph, left, right, params=params, d=8,
+            max_block_bytes=16 * n * 4,
+        )
+        join = IncrementalTwoWayJoin(ctx)
+        prefix = join.top(5)
+        assert len(prefix) == 5
+        (recorder,) = recorders
+        assert sorted(recorder.latest) == right
+        for _, scores, _ in recorder.latest.values():
+            assert scores.shape == (len(left),)
+            assert scores.base is None  # owns its |P| floats
+        # And the stream built from them is still the sorted join.
+        full = sort_pairs(BackwardBasicJoin(ctx).all_pairs())
+        rest = [join.next_pair() for _ in range(4)]
+        assert [(p.left, p.right) for p in prefix + rest] == [
+            (p.left, p.right) for p in full[:9]
+        ]
+
     def test_top_twice_rejected(self, path4, params):
         join = IncrementalTwoWayJoin(make_context(path4, [0], [3], params=params, d=4))
         join.top(1)

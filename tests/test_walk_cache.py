@@ -119,6 +119,103 @@ class TestLRU:
             WalkCache(engine, params, max_targets=0)
 
 
+class TestRejectedAtTheDoor:
+    """A request the cache rejects must leave it exactly as it was: no
+    phantom entry, no eviction of a valid one, nothing stored."""
+
+    @staticmethod
+    def snapshot(cache):
+        return (
+            len(cache), cache.current_bytes, list(cache._entries),
+            cache.stats.evictions,
+        )
+
+    @pytest.fixture
+    def full_cache(self, engine, params):
+        cache = WalkCache(engine, params, max_targets=2)
+        cache.scores(1, 2)
+        cache.scores(2, 2)
+        return cache
+
+    @pytest.mark.parametrize("target", [10**6, -7])
+    def test_scores_out_of_range_target(self, full_cache, target):
+        before = self.snapshot(full_cache)
+        for counted in (True, False):
+            with pytest.raises(GraphValidationError, match="out of range"):
+                full_cache.scores(target, 2, count_stats=counted)
+        assert target not in full_cache
+        assert self.snapshot(full_cache) == before
+
+    @pytest.mark.parametrize("target", [10**6, -7])
+    def test_put_scores_out_of_range_target(self, full_cache, engine, target):
+        before = self.snapshot(full_cache)
+        with pytest.raises(GraphValidationError, match="out of range"):
+            full_cache.put_scores(target, 2, np.zeros(engine.num_nodes))
+        assert target not in full_cache
+        assert self.snapshot(full_cache) == before
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.zeros(3),                     # wrong length
+            lambda n: np.zeros((n, 1)),                # wrong rank
+            lambda n: np.zeros(n, dtype=np.float32),   # wrong dtype
+            lambda n: np.zeros(n, dtype=np.int64),
+        ],
+    )
+    def test_put_scores_rejects_non_vectors(self, full_cache, engine, make):
+        before = self.snapshot(full_cache)
+        with pytest.raises(GraphValidationError, match="float64 vector"):
+            full_cache.put_scores(4, 2, make(engine.num_nodes))
+        assert full_cache.peek(4, 2) is None
+        assert self.snapshot(full_cache) == before
+
+    def test_adopt_out_of_range_target(self, full_cache, params):
+        # A state walked on a bigger graph names a node this cache's
+        # graph does not have.
+        from repro.graph.builders import path_graph
+
+        foreign = WalkState(WalkEngine(path_graph(100)), params, [99])
+        before = self.snapshot(full_cache)
+        with pytest.raises(GraphValidationError, match="out of range"):
+            full_cache.adopt(foreign.advance_to(2))
+        assert self.snapshot(full_cache) == before
+
+
+class TestOwnership:
+    """``put_scores`` takes the array it is handed; nothing cached is
+    reachable writeable afterwards."""
+
+    def test_donor_reference_turns_read_only(self, cache, engine, params):
+        vector = WalkState(engine, params, [4]).advance_to(3).score_column(0)
+        expected = vector.copy()
+        cache.put_scores(4, 3, vector)
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 99.0
+        assert np.array_equal(cache.peek(4, 3), expected)
+
+    def test_view_is_copied_not_aliased(self, cache, engine, params):
+        block = WalkState(engine, params, [4, 5]).advance_to(3).scores_matrix()
+        expected = block[:, 1].copy()
+        cache.put_scores(5, 3, block[:, 1])        # strided view
+        row_major = np.ascontiguousarray(block.T)
+        cache.put_scores(4, 3, row_major[0])       # contiguous view
+        block[:] = -1.0
+        row_major[:] = -1.0
+        assert np.array_equal(cache.peek(5, 3), expected)
+        assert not np.array_equal(cache.peek(4, 3), row_major[0])
+
+    def test_reads_are_fresh_and_writeable(self, cache):
+        expected = cache.scores(5, 4)
+        rows = np.array([1, 2, 3])
+        for read in (cache.peek(5, 4), cache.peek(5, 4, rows),
+                     cache.scores(5, 4), cache.scores(5, 4, rows=rows)):
+            read[:] = np.nan  # the caller's to scribble on
+        assert np.array_equal(cache.peek(5, 4), expected)
+        for entry in cache._entries.values():
+            assert all(not v.flags.writeable for v in entry.scores.values())
+
+
 class TestContextBinding:
     def test_context_rejects_foreign_engine(self, random_graph, params):
         other = WalkEngine(random_graph)
