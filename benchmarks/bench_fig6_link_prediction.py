@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import print_kv_table
-from repro.bench.reporting import register_reporter
-from repro.bench.workloads import dblp, yeast, youtube_small
+from _harness import (
+    dblp,
+    print_kv_table,
+    register_reporter,
+    yeast,
+    youtube_small,
+)
 from repro.core.dht import DHTParams
 from repro.datasets.splits import remove_random_cross_edges
 from repro.eval.link_prediction import evaluate_link_prediction

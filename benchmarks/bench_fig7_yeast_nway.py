@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import SeriesResult, print_sweep_table
-from repro.bench.reporting import register_reporter
-from repro.bench.workloads import query_graph_with_edges, yeast_node_sets
+from _harness import (
+    SeriesResult,
+    print_sweep_table,
+    query_graph_with_edges,
+    register_reporter,
+    yeast_node_sets,
+)
 from repro.core.nway.aggregates import MIN
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.nested_loop import NestedLoopJoin

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import SeriesResult, print_sweep_table
-from repro.bench.reporting import register_reporter
-from repro.bench.workloads import dblp_node_sets, query_graph_with_edges
+from _harness import (
+    SeriesResult,
+    dblp_node_sets,
+    print_sweep_table,
+    query_graph_with_edges,
+    register_reporter,
+)
 from repro.core.nway.aggregates import MIN
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import SeriesResult, print_sweep_table
-from repro.bench.reporting import register_reporter
+from _harness import SeriesResult, print_sweep_table, register_reporter
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import (
     BackwardBasicJoin,

@@ -13,7 +13,7 @@ verified the same qualitatively).
 
 from __future__ import annotations
 
-from repro.bench.reporting import register_reporter
+from _harness import register_reporter
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.nway.partial_join_inc import PartialJoinIncremental

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.reporting import register_reporter
-from repro.bench.workloads import dblp, yeast, youtube_small
+from _harness import dblp, register_reporter, yeast, youtube_small
 from repro.datasets.splits import (
     enumerate_cross_cliques,
     remove_edge_per_clique,

@@ -1,33 +1,35 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
-Each benchmark module registers a *reporter* (via
-``repro.bench.reporting``) that prints the paper-style sweep tables its
-tests produced; they run at session end.  Datasets and walk engines are
-session-cached so generation cost is paid once.
+Each benchmark module registers a *reporter* (via ``_harness``) that
+prints the paper-style sweep tables its tests produced; they run at
+session end.  Datasets and walk engines are session-cached so generation
+cost is paid once.
 
-Run with::
+Run with (178 tests, ~85 s; ``-s`` shows the tables)::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py
+
+A bare ``pytest benchmarks/`` collects nothing: the figure scripts are
+``bench_*.py``, not ``test_*.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import workloads
-from repro.bench.reporting import print_all_reports
+import _harness
 from repro.walks.engine import WalkEngine
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _print_reports_at_end():
     yield
-    print_all_reports()
+    _harness.print_all_reports()
 
 
 @pytest.fixture(scope="session")
 def yeast_data():
-    return workloads.yeast()
+    return _harness.yeast()
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +39,7 @@ def yeast_engine(yeast_data):
 
 @pytest.fixture(scope="session")
 def dblp_data():
-    return workloads.dblp()
+    return _harness.dblp()
 
 
 @pytest.fixture(scope="session")
@@ -47,4 +49,4 @@ def dblp_engine(dblp_data):
 
 @pytest.fixture(scope="session")
 def youtube_data():
-    return workloads.youtube_small()
+    return _harness.youtube_small()

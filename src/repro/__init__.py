@@ -13,7 +13,8 @@ Quick start::
                              [[0], [2], [4]], k=1)
 
 See ``README.md`` for the architecture map and paper-name glossary, and
-``docs/BENCHMARKS.md`` for how the performance trajectory is measured.
+``docs/BENCHMARKS.md`` for how performance is measured (``bench/run.py``
+against ``BENCHMARK.json``).
 """
 
 from repro.api import explain_multi_way_plan, multi_way_join, two_way_join

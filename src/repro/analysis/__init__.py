@@ -7,8 +7,7 @@ re-entrant lock, engine counters go through the sharded
 visits a governor checkpoint, cache identities are frozen hashable
 dataclasses, and budget exceptions are converted — never swallowed.
 This package turns those conventions into machine-checked contracts,
-the same way the planner's cost model is pinned by decision goldens and
-the bench schema by ``WALK_BENCH_SCHEMA_VERSION``:
+the same way the planner's cost model is pinned by decision goldens:
 
 * :mod:`repro.analysis.lint` — an AST linter with one rule per
   contract (RL001–RL005, registry in :mod:`repro.analysis.rules`),

@@ -20,7 +20,8 @@ calling into engine propagation outside the documented cold-path set is
 a latency/deadlock hazard.  ``assert_clean()`` checks both.  The
 ``lock_sanitizer`` pytest fixture (``tests/conftest.py``) hands tests a
 fresh instance; ``tests/test_service_concurrency.py`` asserts the
-8-worker battery clean, and CI runs it with ``REPRO_LOCK_SANITIZER=1``.
+8-worker battery clean.  The fixture is unconditional — no environment
+switch turns the sanitizer on or off, so tier-1 and CI always run it.
 
 This is intentionally *instance* instrumentation — globally patching
 ``threading.Lock`` would also trace the interpreter's own machinery

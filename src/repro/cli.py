@@ -454,7 +454,20 @@ def _resolve_members(node_sets: dict, value, path: str) -> List[int]:
                 f"(available: {sorted(node_sets)})"
             )
         return node_sets[value]
+    if not isinstance(value, list):
+        raise GraphValidationError(f"{value!r} is not a set name or id list")
     return [int(u) for u in value]
+
+
+def _typed(entry: dict, key: str, types, default=None):
+    """``entry[key]``, which must be of ``types``; ``default`` when absent
+    (or given as the default itself, e.g. ``null`` for an unset budget)."""
+    value = entry.get(key, default)
+    if value is not default and (
+        isinstance(value, bool) or not isinstance(value, types)
+    ):
+        raise GraphValidationError(f"{key!r} has the wrong type: {value!r}")
+    return value
 
 
 def _parse_requests(path: str, sets_path: str) -> List[object]:
@@ -465,9 +478,9 @@ def _parse_requests(path: str, sets_path: str) -> List[object]:
     lists, and multi-way entries give either a ``shape`` or explicit
     ``query_edges``.  Per-entry ``deadline_ms`` / ``step_budget`` keys
     become that request's own :class:`~repro.exec.budget.QueryBudget`.
+    A malformed entry — missing key, unknown type or set name, a field
+    of the wrong type — is a usage error naming the entry's index.
     """
-    from repro.service import ExplainRequest, MultiWayRequest, TwoWayRequest
-
     node_sets = read_node_sets(sets_path)
     with open(path, "r", encoding="utf-8") as handle:
         entries = json.load(handle)
@@ -477,75 +490,72 @@ def _parse_requests(path: str, sets_path: str) -> List[object]:
         )
     requests: List[object] = []
     for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "type" not in entry:
+        try:
+            requests.append(_parse_request(entry, node_sets, sets_path))
+        except (TypeError, ValueError) as exc:
             raise GraphValidationError(
-                f"request #{index} in {path} needs a 'type' key"
-            )
-        kind = entry["type"]
-        required = (
-            ("left", "right") if kind == "two-way"
-            else ("node_sets",) if kind in ("multi-way", "explain")
-            else ()
-        )
-        for key in required:
-            if key not in entry:
-                raise GraphValidationError(
-                    f"request #{index} ({kind}) in {path} needs a "
-                    f"{key!r} key"
-                )
-        budget = None
-        if entry.get("deadline_ms") is not None or entry.get("step_budget") is not None:
-            budget = QueryBudget(
-                deadline_ms=entry.get("deadline_ms"),
-                step_budget=entry.get("step_budget"),
-            )
-        k = int(entry.get("k", 10))
-        measure = entry.get("measure")
-        if kind == "two-way":
-            requests.append(TwoWayRequest(
-                left=_resolve_members(node_sets, entry["left"], sets_path),
-                right=_resolve_members(node_sets, entry["right"], sets_path),
-                k=k,
-                algorithm=entry.get("algorithm", "b-idj-y"),
-                measure=measure,
-                budget=budget,
-            ))
-            continue
-        if kind not in ("multi-way", "explain"):
-            raise GraphValidationError(
-                f"request #{index}: unknown type {kind!r} (expected "
-                "'two-way', 'multi-way', or 'explain')"
-            )
-        sets = [
-            _resolve_members(node_sets, value, sets_path)
-            for value in entry["node_sets"]
-        ]
-        if "query_edges" in entry:
-            edges = [(int(i), int(j)) for i, j in entry["query_edges"]]
-        else:
-            names = [str(value) for value in entry["node_sets"]]
-            query = _query_graph(
-                entry.get("shape", "chain"), len(sets),
-                bool(entry.get("bidirectional", False)), names,
-            )
-            edges = [(edge[0], edge[1]) for edge in query.edges]
-        common = dict(
-            query_edges=edges,
-            node_sets=sets,
-            k=k,
-            algorithm=entry.get("algorithm", "pj-i"),
-            m=int(entry.get("m", 50)),
-            measure=measure,
-        )
-        if kind == "explain":
-            requests.append(ExplainRequest(
-                plan=entry.get("plan", "auto"), **common
-            ))
-        else:
-            requests.append(MultiWayRequest(
-                plan=entry.get("plan", "fixed"), budget=budget, **common
-            ))
+                f"request #{index} in {path}: {exc}"
+            ) from exc
     return requests
+
+
+def _parse_request(entry, node_sets: dict, sets_path: str) -> object:
+    """One entry of the ``--requests`` file as a service request."""
+    from repro.service import ExplainRequest, MultiWayRequest, TwoWayRequest
+
+    if not isinstance(entry, dict) or "type" not in entry:
+        raise GraphValidationError("needs a 'type' key")
+    kind = entry["type"]
+    if kind not in ("two-way", "multi-way", "explain"):
+        raise GraphValidationError(
+            f"unknown type {kind!r} (expected 'two-way', 'multi-way', "
+            "or 'explain')"
+        )
+    for key in ("left", "right") if kind == "two-way" else ("node_sets",):
+        if key not in entry:
+            raise GraphValidationError(f"({kind}) needs a {key!r} key")
+    deadline_ms = _typed(entry, "deadline_ms", (int, float))
+    step_budget = _typed(entry, "step_budget", int)
+    budget = None
+    if deadline_ms is not None or step_budget is not None:
+        budget = QueryBudget(deadline_ms=deadline_ms, step_budget=step_budget)
+    k = _typed(entry, "k", int, 10)
+    measure = entry.get("measure")
+    if kind == "two-way":
+        return TwoWayRequest(
+            left=_resolve_members(node_sets, entry["left"], sets_path),
+            right=_resolve_members(node_sets, entry["right"], sets_path),
+            k=k,
+            algorithm=entry.get("algorithm", "b-idj-y"),
+            measure=measure,
+            budget=budget,
+        )
+    sets = [
+        _resolve_members(node_sets, value, sets_path)
+        for value in _typed(entry, "node_sets", list)
+    ]
+    if "query_edges" in entry:
+        edges = _typed(entry, "query_edges", list)  # the request checks pairs
+    else:
+        names = [str(value) for value in entry["node_sets"]]
+        query = _query_graph(
+            entry.get("shape", "chain"), len(sets),
+            bool(entry.get("bidirectional", False)), names,
+        )
+        edges = [(edge[0], edge[1]) for edge in query.edges]
+    common = dict(
+        query_edges=edges,
+        node_sets=sets,
+        k=k,
+        algorithm=entry.get("algorithm", "pj-i"),
+        m=_typed(entry, "m", int, 50),
+        measure=measure,
+    )
+    if kind == "explain":
+        return ExplainRequest(plan=entry.get("plan", "auto"), **common)
+    return MultiWayRequest(
+        plan=entry.get("plan", "fixed"), budget=budget, **common
+    )
 
 
 def _response_payload(response) -> dict:

@@ -26,8 +26,9 @@ standalone gets a private cache (so repeated joins on one context, e.g.
 query edges, so a star spec whose edges repeat the centre set as ``P``
 pays for one reach-mass propagation total instead of one per edge.
 Every build increments ``engine.stats.bound_builds`` and every cache hit
-``engine.stats.bound_cache_hits`` — the counters behind the
-``bound_cache`` section of ``BENCH_walks.json``.
+``engine.stats.bound_cache_hits`` — the counters behind
+``bounds_cache.builds_per_op`` / ``bounds_cache.hit_ratio`` of
+``bench/run.py --trace 1``.
 """
 
 from __future__ import annotations

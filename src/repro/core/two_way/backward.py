@@ -58,8 +58,8 @@ from repro.walks.rounds import REWALK_ATTEMPTS, DeepeningRounds, columns_for_bud
 from repro.walks.state import WalkState
 
 # 16 columns keeps the dense mass block cache-resident on large graphs
-# (n x B x 8 bytes) while amortising the CSR index traffic; measured the
-# fastest block width from 2k to 20k nodes (see BENCH_walks.json).
+# (n x B x 8 bytes) while amortising the CSR index traffic.  Re-tune
+# against ``api.two_way.b-bj.p50_ms`` on ``twoway_cold`` (bench/run.py).
 DEFAULT_BLOCK_SIZE = 16
 
 

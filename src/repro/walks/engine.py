@@ -30,13 +30,14 @@ Two batched refinements on top of the per-target Eq. 5 kernel:
   produces the same probabilities as a fresh deeper walk.
 
 Every kernel reports its work through :attr:`WalkEngine.stats`
-(column-steps and sparse products), which the benchmarks use to prove
+(column-steps and sparse products), which the tests use to prove
 the resumable paths do strictly less propagation.  The same stats object
 carries the bound-layer counters (``bound_builds`` / ``bound_cache_hits``
 for ``Y_l^+`` reach-mass tables, ``plan_builds`` / ``plan_cache_hits``
 for restricted-tail plans, ``peak_block_bytes`` for the resumable-block
 memory high-water mark) so one counter source is the perf currency for
-the whole walk-and-bound stack — ``BENCH_walks.json`` is built from it.
+the whole walk-and-bound stack — ``bench/run.py --trace 1`` reports it
+per op.
 """
 
 from __future__ import annotations

@@ -1,34 +1,27 @@
-"""Unit tests for the benchmark harness and shared workloads."""
+"""Unit tests for ``benchmarks/_harness.py``, the tables and workloads
+the paper-figure scripts share."""
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import (
+from repro.graph.validation import GraphValidationError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from _harness import (  # noqa: E402
     SeriesResult,
     format_seconds,
     print_kv_table,
     print_sweep_table,
-    speedup,
-    time_call,
-)
-from repro.bench.workloads import (
-    link_prediction_sets,
     query_graph_with_edges,
     sample_node_sets,
 )
-from repro.graph.validation import GraphValidationError
 
 
 class TestHarness:
-    def test_time_call_positive(self):
-        elapsed = time_call(lambda: sum(range(1000)), repeats=3)
-        assert elapsed > 0
-
-    def test_time_call_validation(self):
-        with pytest.raises(ValueError):
-            time_call(lambda: None, repeats=0)
-
     def test_series_result(self):
         series = SeriesResult("PJ")
         series.add(2, 0.5, k=50)
@@ -36,11 +29,6 @@ class TestHarness:
         assert series.seconds_at(2) == 0.5
         assert series.seconds_at(99) is None
         assert series.runs[0].extra == {"k": 50}
-
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert speedup(None, 2.0) is None
-        assert speedup(1.0, 0.0) is None
 
     def test_format_seconds(self):
         assert format_seconds(None).strip() == "--"
@@ -90,13 +78,3 @@ class TestWorkloads:
     def test_query_graph_with_edges_range(self):
         with pytest.raises(GraphValidationError):
             query_graph_with_edges(7)
-
-    def test_link_prediction_sets_yeast(self):
-        graph, left, right = link_prediction_sets("yeast")
-        assert graph.num_nodes == 2400
-        assert left and right
-        assert not (set(left) & set(right))
-
-    def test_link_prediction_sets_unknown(self):
-        with pytest.raises(GraphValidationError):
-            link_prediction_sets("imdb")

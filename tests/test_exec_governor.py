@@ -10,6 +10,7 @@ nonzero exactly when the corresponding degradation occurred.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,40 @@ class TestGovernedTwoWay:
         assert_sound(result, oracle)
         assert engine.stats.budget_stops == 1
         assert engine.stats.checkpoints > 0
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.75, None])
+    def test_recall_vs_step_budget(self, workload, fraction):
+        """Top-k quality against the step budget, as a fraction of the
+        ungoverned run's propagation steps (``None``: one step more than
+        the full run — checkpoints trip on ``steps >= budget``).  The
+        intervals are sound at every fraction, a starved run comes back
+        flagged ``"steps"``, the full budget returns the reference."""
+        graph, left, right = workload
+        oracle = _oracle_scores(graph, left, right)
+        engine = WalkEngine(graph)
+        reference = two_way_join(
+            graph, left, right, 8, algorithm="b-idj-y", engine=engine
+        )
+        full_steps = engine.stats.propagation_steps
+        step_budget = (
+            full_steps + 1 if fraction is None
+            else max(1, math.ceil(fraction * full_steps))
+        )
+        result = two_way_join(
+            graph, left, right, 8, algorithm="b-idj-y",
+            budget=QueryBudget(step_budget=step_budget),
+        )
+        assert_sound(result, oracle)
+        assert result.exact == (result.reason is None)
+        wanted = {(p.left, p.right) for p in reference}
+        found = {(p.left, p.right) for p in result.results}
+        assert 0.0 <= len(wanted & found) / len(wanted) <= 1.0
+        if fraction is None:
+            assert result.exact and result.results == reference
+        elif not result.exact:
+            assert result.reason == "steps"
+        if fraction == 0.1:
+            assert not result.exact  # a tenth of the steps cannot finish
 
     def test_deadline_budget_stops(self, workload):
         graph, left, right = workload

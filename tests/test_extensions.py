@@ -508,17 +508,26 @@ class TestMeasureNWay:
 
     def test_nway_shares_walks_and_bounds_across_edges(self, random_graph):
         sets = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
-        spec = NWayJoinSpec(
-            graph=random_graph,
-            query_graph=QueryGraph.star(2, bidirectional=True),
-            node_sets=[list(s) for s in sets],
-            k=6,
-            measure=TruncatedPPR(damping=0.7, epsilon=1e-4),
-        )
-        SeriesPartialJoin(spec, m=4).run()
-        assert spec.walk_cache.stats.hits > 0
-        assert spec.bound_cache.stats.y_hits > 0
-        assert spec.engine.stats.bound_cache_hits == spec.bound_cache.stats.y_hits
+        # SimRank has no reach-mass bound to share; its edges still
+        # share walks.
+        for measure, has_reach_bound in (
+            (TruncatedPPR(damping=0.7, epsilon=1e-4), True),
+            (SimRankMeasure(iterations=6), False),
+        ):
+            spec = NWayJoinSpec(
+                graph=random_graph,
+                query_graph=QueryGraph.star(2, bidirectional=True),
+                node_sets=[list(s) for s in sets],
+                k=6,
+                measure=measure,
+            )
+            SeriesPartialJoin(spec, m=4).run()
+            assert spec.walk_cache.stats.hits > 0
+            assert (spec.bound_cache.stats.y_hits > 0) == has_reach_bound
+            assert (
+                spec.engine.stats.bound_cache_hits
+                == spec.bound_cache.stats.y_hits
+            )
 
     def test_measure_spec_rejects_dht_configuration(self, random_graph):
         with pytest.raises(GraphValidationError, match="fixes its own"):

@@ -362,6 +362,30 @@ class TestPlanEquivalence:
         assert auto_answers == worst_answers
         assert worst_steps / auto_steps >= 1.2
 
+    @pytest.mark.parametrize(
+        "build", [FIXTURE.skewed_star_spec, FIXTURE.chain_spec],
+        ids=["skewed-star", "chain"],
+    )
+    def test_auto_never_walks_more_than_fixed_or_worst(self, build):
+        """Measured, not estimated: on both pressured fixtures ``auto``
+        spends at most the propagation steps of the natural and of the
+        worst interleaved order, with identical answers."""
+        def run(plan_value):
+            spec = build()
+            spec.engine.stats.reset()
+            answers = PartialJoin(spec, m=200, plan=plan_value).run()
+            return spec.engine.stats.propagation_steps, _answer_key(answers)
+
+        worst_plan = plan_with_order(
+            build(), "pj", FIXTURE.worst_interleaved_order(build()),
+            default_operator="b-idj-y",
+        )
+        auto_steps, auto_answers = run("auto")
+        for arm in ("fixed", worst_plan):
+            steps, answers = run(arm)
+            assert answers == auto_answers
+            assert auto_steps <= steps
+
 
 class TestCachePeek:
     def test_peek_is_pure(self):

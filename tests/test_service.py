@@ -466,6 +466,24 @@ class TestServeCLI:
             "serve", str(graph_path), "--sets", str(sets_path),
             "--requests", str(bad),
         ]) == 2
+        # A field of the wrong type is a usage error naming the entry,
+        # not a TypeError traceback out of ``main``.
+        good = {"type": "two-way", "left": "A", "right": "B", "k": 3}
+        for entry in (
+            {"type": "two-way", "left": "A", "right": "B", "k": None},
+            {"type": "two-way", "left": 5, "right": "B"},
+            {"type": "multi-way", "node_sets": 7},
+        ):
+            bad.write_text(json.dumps([good, entry]))
+            capsys.readouterr()
+            for command in ("serve", "bench-service"):
+                assert main([
+                    command, str(graph_path), "--sets", str(sets_path),
+                    "--requests", str(bad),
+                ]) == 2
+                err = capsys.readouterr().err
+                assert "request #1" in err and str(bad) in err
+                assert "Traceback" not in err
 
     def test_serve_unknown_set_name(self, cli_workspace, tmp_path):
         from repro.cli import main
