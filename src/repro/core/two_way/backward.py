@@ -13,8 +13,10 @@ The bound ``U_l^+`` is pluggable: ``X_l^+`` (Lemma 2) gives ``B-IDJ-X``,
 
 This module runs both algorithms on the batched, resumable walk layer:
 
-* ``B-BJ`` propagates its targets in ``(n, B)`` blocks — one CSR
-  sparse-dense product per step instead of ``B`` mat-vecs.
+* ``B-BJ`` propagates its targets in blocks — one sparse product per
+  step instead of ``B`` mat-vecs.  Its cache-less lean scorer is three
+  phases (frontier head, dense middle, restricted tail); the head and
+  its gate are the walk engine's, shared with ``WalkState``.
 * ``B-IDJ`` keeps one :class:`~repro.walks.state.WalkState` across
   deepening rounds, so level ``2l`` *extends* level ``l`` (``d``
   column-steps per surviving target instead of ``~2d``).  The rounds
@@ -43,6 +45,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Protocol
 
 import numpy as np
+from scipy.sparse import issparse
 
 from repro.core.bounds import ScoreUpperBound, XBound, YBound
 from repro.core.two_way.base import (
@@ -54,6 +57,7 @@ from repro.core.two_way.base import (
 )
 from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
+from repro.walks.engine import block_rows, dense_block
 from repro.walks.rounds import REWALK_ATTEMPTS, DeepeningRounds, columns_for_budget
 from repro.walks.state import WalkState
 
@@ -90,13 +94,6 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     if context.walk_cache is not None:
         return context.walk_cache.scores(target, steps)
     return back_walk_series(context, target, steps)
-
-
-# A sparse product costs a small constant times its FLOP bound but with
-# branchy per-entry work; the dense SpMM costs ``nnz(T) * B`` FLOPs with
-# streaming access.  Empirically the sparse step stops winning once its
-# product bound passes ~1/8 of the dense step's FLOPs.
-_SPARSE_STEP_FRACTION = 8
 
 
 class _RestrictedTail:
@@ -140,17 +137,6 @@ class _RestrictedTail:
         return len(self.operators)
 
 
-def _zero_targets_sparse(mass, targets) -> None:
-    """Zero each column's target entry of a CSR block in place (Eq. 5)."""
-    mass.sort_indices()
-    for j, target in enumerate(targets):
-        start, end = mass.indptr[target], mass.indptr[target + 1]
-        row = mass.indices[start:end]
-        pos = int(np.searchsorted(row, j))
-        if pos < row.size and row[pos] == j:
-            mass.data[start + pos] = 0.0
-
-
 def _block_scores_at_rows(
     context: TwoWayContext,
     targets,
@@ -161,14 +147,16 @@ def _block_scores_at_rows(
 
     Degree-aware propagation in three phases, chosen adaptively:
 
-    * **sparse head** — the forward frontier of step ``i`` covers
-      ``O(deg^i)`` nodes, so early steps run as sparse-sparse products
-      (cost proportional to the frontier, not ``|E_G| B``).  Before
-      each sparse step the next frontier's exact nnz bound is computed
-      in O(n) from the in-degree profile; the step is only taken while
-      it beats the dense SpMM.
-    * **dense middle** — full-width CSR SpMM via
-      :meth:`~repro.walks.engine.WalkEngine.backward_block_step`.
+    * **frontier head** — the forward frontier of step ``i`` covers
+      ``O(deg^i)`` nodes, so the walk starts as the engine's frontier
+      block and steps with its sparse x sparse product (cost
+      proportional to the frontier, not ``|E_G| B``) for as long as
+      :meth:`~repro.walks.engine.WalkEngine.frontier_pays` says so —
+      the head, and the gate, that
+      :class:`~repro.walks.state.WalkState` walks its early levels on.
+    * **dense middle** — full-width CSR SpMM; the same
+      :meth:`~repro.walks.engine.WalkEngine.backward_block_step`, handed
+      the densified block.
     * **restricted tail** — the last steps only need mass on the
       *reverse* frontier of ``rows`` (see :class:`_RestrictedTail`), so
       they run on row-sliced submatrix operators.
@@ -188,29 +176,18 @@ def _block_scores_at_rows(
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     width = targets.shape[0]
-    transition = context.graph.transition_matrix()
-    in_degrees = engine.in_degree_array()
-    dense_step_flops = transition.nnz * width
     base = tail.node_sets[0]  # sorted rows
 
-    # Step 1 is a column slice of T (the one-hot product), kept sparse.
-    sparse_mass = engine.transition_columns()[:, targets].tocsr()
-    engine.stats.add("propagation_steps", int(width))
-    engine.stats.add("sparse_products", 1)
-    acc = params.decay * np.asarray(sparse_mass[base].todense())
-    mass = None
+    mass = engine.backward_onehot_step(targets)
+    acc = params.decay * block_rows(mass, base)
     restricted = None
     for i in range(2, context.d + 1):
         consume_level = context.d - i + 1  # tail level holding m_{i-1}
         if consume_level <= tail.depth:
             node_set = tail.node_sets[consume_level]
             if restricted is None:
-                if sparse_mass is not None:
-                    restricted = np.asarray(sparse_mass[node_set].todense())
-                    sparse_mass = None
-                else:
-                    restricted = mass[node_set, :]
-                    mass = None
+                restricted = block_rows(mass, node_set)
+                mass = None
             positions = np.searchsorted(node_set, targets)
             for column in range(width):
                 pos = positions[column]
@@ -223,23 +200,10 @@ def _block_scores_at_rows(
                 tail.row_positions[consume_level - 1], :
             ]
             continue
-        if sparse_mass is not None:
-            counts = np.diff(sparse_mass.indptr)
-            bound = int(counts.dot(in_degrees))
-            if bound * _SPARSE_STEP_FRACTION > dense_step_flops:
-                mass = sparse_mass.toarray()
-                sparse_mass = None
-            else:
-                _zero_targets_sparse(sparse_mass, targets)
-                sparse_mass = transition.dot(sparse_mass)
-                engine.stats.add("propagation_steps", int(width))
-                engine.stats.add("sparse_products", 1)
-                acc += params.decay ** i * np.asarray(
-                    sparse_mass[base].todense()
-                )
-                continue
+        if issparse(mass) and not engine.frontier_pays(mass):
+            mass = dense_block(mass)
         mass = engine.backward_block_step(mass, targets, first=False)
-        acc += params.decay ** i * mass[base, :]
+        acc += params.decay ** i * block_rows(mass, base)
     scores = params.alpha * acc + params.beta
     governor = engine.governor
     if governor is not None and governor.validate_walks:

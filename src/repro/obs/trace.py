@@ -49,6 +49,7 @@ TRACE_SCHEMA = "repro-trace-v1"
 #: Engine-stat fields captured as per-span thread-local deltas.
 TRACE_COUNTERS = (
     "propagation_steps",
+    "frontier_steps",
     "sparse_products",
     "bound_cache_hits",
     "plan_cache_hits",

@@ -29,6 +29,22 @@ Two batched refinements on top of the per-target Eq. 5 kernel:
   instead of restarted — Eq. 5 is a Markov recurrence, so the extension
   produces the same probabilities as a fresh deeper walk.
 
+A block has two forms.  Early steps touch the 1-, 2-, 4-hop
+in-neighbourhood of the targets, so a walk starts as a **frontier
+block**: a ``(B, n)`` CSR matrix, one sparse row per target
+(:meth:`WalkEngine.backward_onehot_step`), stepped by a sparse x sparse
+product whose cost follows the frontier instead of ``nnz(T) * B``.
+:meth:`WalkEngine.frontier_pays` is the gate both walkers ask before
+each step (``WalkState`` and ``B-BJ``'s lean scorer): the exact product
+bound of the next step, from the in-degree profile, against the dense
+step's work.  When it says no, :func:`dense_block` commits the
+C-contiguous ``(n, B)`` array once and
+:meth:`WalkEngine.backward_block_step` — which takes either form and
+returns the same one — runs the CSR x dense product from there on.  The
+two steps add the same products in the same ascending-``k`` order and
+differ only in the exact zeros one of them skips, so every entry is
+bit-identical whichever form computed it.
+
 Every kernel reports its work through :attr:`WalkEngine.stats`
 (column-steps and sparse products), which the tests use to prove
 the resumable paths do strictly less propagation.  The same stats object
@@ -46,6 +62,7 @@ import threading
 from typing import Dict, Sequence
 
 import numpy as np
+from scipy.sparse import issparse
 
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
@@ -54,6 +71,7 @@ from repro.graph.validation import GraphValidationError
 #: per-thread shards).
 STAT_COUNTERS = (
     "propagation_steps",
+    "frontier_steps",
     "sparse_products",
     "bound_builds",
     "bound_cache_hits",
@@ -71,6 +89,60 @@ STAT_COUNTERS = (
 STAT_PEAKS = ("peak_block_bytes",)
 
 _STAT_FIELDS = STAT_COUNTERS + STAT_PEAKS
+
+# The frontier phase's gate: a step runs sparse x sparse while its exact
+# product bound, times this factor, is at most the dense step's
+# ``nnz(T) * B`` multiply-adds (a sparse product pays branchy per-entry
+# work, a sort and a merge into the prefix; the SpMM streams).  Set from
+# isolated timings of whole steps (product + prefix update) on the three
+# bench graphs, same data through both forms, ms as sparse / dense with
+# the ``nnz(T) * B / bound`` ratio the gate sees:
+#
+#   nway_cold, ER n=8000 deg 4, B=32    twoway_cold, PA n=20000, B=64
+#   step 2  0.36 /  2.73  (1622)        step 2   1.0 / 20.4  (884)
+#   step 3  0.42 /  2.02   (386)        step 3   6.8 / 16.6   (46)
+#   step 4  0.66 /  1.42    (96)        step 4  62   / 13.8    (4.4)
+#   step 5  1.77 /  1.37    (25)        service graph, PA n=8000, B=32
+#   step 6  5.87 /  1.34     (7)        step 2  0.70 /  2.37  (380)
+#                                       step 3  2.34 /  1.93   (23)
+#                                       step 4  13.0 /  1.91    (2.8)
+#
+# Sparse wins down to a ratio of 46 and loses from 25 on; 32 picks the
+# cheaper side at every step above.  (8, the lean scorer's former
+# private factor, takes the ratio-25 and ratio-23 steps sparse at a
+# loss.)  One constant for every caller; re-measure before moving it.
+FRONTIER_GATE = 32
+
+
+def _entry_rows(block, of_row: np.ndarray) -> np.ndarray:
+    """``of_row[j]`` repeated once per stored entry of row ``j`` of a
+    frontier block — aligned with ``block.indices`` / ``block.data``."""
+    return np.repeat(of_row, np.diff(block.indptr))
+
+
+def dense_block(block) -> np.ndarray:
+    """A frontier block as the C-contiguous ``(n, B)`` array it stands
+    for (a block that already is one comes back as it is).
+
+    One scatter into zeros, straight into the layout the CSR x dense
+    product and the row reads want (``toarray()`` would convert to CSC
+    first, or leave a Fortran-ordered view every later step has to copy).
+    """
+    if not issparse(block):
+        return block
+    width, num_nodes = block.shape
+    out = np.zeros((num_nodes, width), dtype=np.float64)
+    out[block.indices, _entry_rows(block, np.arange(width))] = block.data
+    return out
+
+
+def block_rows(block, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a walk block of either form as a fresh
+    ``(|rows|, B)`` array — the joins' read, equal entry for entry to
+    ``dense_block(block)[rows]``."""
+    if issparse(block):
+        return dense_block(block[:, rows])
+    return block[rows]
 
 
 class _NullSpan:
@@ -105,8 +177,13 @@ class WalkEngineStats:
     under batching — batched and per-target runs of the same walk plan
     report the same count — which makes it the right currency for
     checking that *resumable* walks (which skip re-walked prefixes) do
-    strictly less work.  ``sparse_products`` counts CSR mat-vec /
-    mat-mat calls and therefore *does* drop under batching.
+    strictly less work.  ``frontier_steps`` is the subset of those
+    column-steps, from step 2 on, that ran as a sparse x sparse product
+    on a frontier block (the step-1 column gather is not counted): how
+    much of the walking cost followed the frontier instead of
+    ``nnz(T) * B``.  ``sparse_products`` counts CSR mat-vec / mat-mat
+    calls — one per step of a block in either form — and therefore
+    *does* drop under batching.
 
     The bound-layer counters mirror the same philosophy for the pruning
     machinery: ``bound_builds`` counts ``Y_l^+`` reach-mass constructions
@@ -117,9 +194,10 @@ class WalkEngineStats:
     building, and ``plan_builds`` / ``plan_cache_hits`` do the same for
     restricted-tail propagation plans.  ``peak_block_bytes`` is the
     high-water mark of any single resumable walk block's buffers
-    (walker mass + score prefix, 16 bytes per node per column) — the
-    number a ``max_block_bytes`` ceiling on the iterative-deepening
-    joins is checked against.
+    (walker mass + score prefix: 16 bytes per node per column once
+    dense, what the sparse arrays hold — never more — while a block is
+    still a frontier block) — the number a ``max_block_bytes`` ceiling
+    on the iterative-deepening joins is checked against.
 
     ``extensions`` / ``steps_saved`` mirror the walk cache's resume
     counters into the engine currency: one extension per request served
@@ -247,7 +325,9 @@ class WalkEngine:
         self._transition_t = graph.transition_matrix_transpose()
         self._n = graph.num_nodes
         self._transition_csc = None
-        self._in_degrees = None
+        # nnz of each ``T`` column is the length of the matching ``T^T``
+        # row.  Eager (O(n)) so the frontier gate reads it lock-free.
+        self._in_degrees = np.diff(self._transition_t.indptr)
         self._derived_lock = threading.Lock()
         self.stats = WalkEngineStats()
         # Governor slot, installed by repro.exec.ExecutionGovernor for
@@ -389,39 +469,60 @@ class WalkEngine:
         self._check_steps(steps)
         width = targets.shape[0]
         series = np.empty((steps, self._n, width), dtype=np.float64)
-        mass = self.backward_onehot_step(targets)
+        mass = dense_block(self.backward_onehot_step(targets))
         series[0] = mass
         for i in range(1, steps):
             mass = self.backward_block_step(mass, targets, first=False)
             series[i] = mass
         return series
 
-    def backward_onehot_step(self, targets: np.ndarray) -> np.ndarray:
+    def backward_onehot_step(self, targets: np.ndarray):
         """The first Eq. 5 step for a block of one-hot columns.
 
         ``T @ e_t`` is column ``t`` of ``T``, so step 1 is a per-target
-        column gather — ``O(sum indeg(t))`` instead of a full
-        ``O(|E_G| B)`` product, and bit-identical to it (the skipped
-        products are exact zeros).  Returns the dense ``(n, B)`` block
-        ``P_1``.
+        gather — ``O(sum indeg(t))`` instead of a full ``O(|E_G| B)``
+        product, and bit-identical to it (the skipped products are exact
+        zeros).  Returns ``P_1`` as a frontier block: a ``(B, n)`` CSR
+        matrix whose row ``j`` is column ``targets[j]`` of ``T`` (a row
+        of the cached ``T^T``), indices ascending.
         """
         targets = self._check_target_block(targets)
         self.checkpoint("block")
-        mass = self._gather_columns(self.transition_columns(), targets)
+        mass = self._transition_t[targets]
         self.stats.add("propagation_steps", int(targets.shape[0]))
         self.stats.add("sparse_products", 1)
         return mass
 
-    def backward_block_step(
-        self, mass: np.ndarray, targets: np.ndarray, first: bool
-    ) -> np.ndarray:
-        """One Eq. 5 step for an ``(n, B)`` backward block.
+    def frontier_pays(self, mass) -> bool:
+        """Whether the next Eq. 5 step of frontier block ``mass`` is
+        cheaper as a sparse x sparse product than as the dense SpMM.
+
+        An entry at node ``v`` spreads to ``in_degree[v]`` rows, so the
+        sum of in-degrees over the block's entries is the step's exact
+        multiply-add count (and bounds the next block's nnz), read in
+        ``O(nnz(mass))``; the dense step costs ``nnz(T) * B`` whatever
+        the block holds.  See :data:`FRONTIER_GATE`.
+        """
+        bound = int(self._in_degrees[mass.indices].sum())
+        return bound * FRONTIER_GATE <= self._transition.nnz * mass.shape[0]
+
+    def backward_block_step(self, mass, targets: np.ndarray, first: bool):
+        """One Eq. 5 step for a backward block, in the form it came in.
 
         Zeroes each column's target entry **in place** (unless ``first``)
-        and returns the freshly allocated propagated block.  This is the
-        shared primitive behind :meth:`backward_first_hit_block` and
-        :class:`repro.walks.state.WalkState`.
+        and returns the freshly allocated propagated block: ``T @ mass``
+        for a dense ``(n, B)`` array, ``mass @ T^T`` for a ``(B, n)``
+        frontier block (whose row indices come back unsorted; the next
+        frontier step sorts them on entry, so the last and largest one
+        — about to be densified — is never sorted).  Entry ``(i, j)`` is
+        ``sum_k T[i, k] * mass[k, j]`` added in ascending ``k`` in both
+        forms, exact zeros skipped in the sparse one: the results are
+        bit-identical.  This is the shared primitive behind
+        :meth:`backward_first_hit_block`,
+        :class:`repro.walks.state.WalkState` and ``B-BJ``'s lean scorer.
         """
+        if issparse(mass):
+            return self._frontier_step(mass, targets, first)
         width = mass.shape[1]
         # Checkpoint before any mutation: a budget stop or injected
         # allocation failure here leaves the caller's state consistent
@@ -431,6 +532,23 @@ class WalkEngine:
             mass[targets, np.arange(width)] = 0.0
         out = self._transition.dot(mass)
         self.stats.add("propagation_steps", int(width))
+        self.stats.add("sparse_products", 1)
+        return out
+
+    def _frontier_step(self, mass, targets: np.ndarray, first: bool):
+        """:meth:`backward_block_step` for a ``(B, n)`` frontier block."""
+        width = mass.shape[0]
+        # The fault injector pokes a 2-d block: offer the entries as a
+        # column (a block whose targets have no in-edges has none).
+        self.checkpoint("block", block=mass.data[:, None] if mass.nnz else None)
+        # Row j is added up in the order of its indices; ascending is
+        # the order of T's rows, which the dense product follows.
+        mass.sort_indices()
+        if not first:
+            mass.data[mass.indices == _entry_rows(mass, targets)] = 0.0
+        out = mass @ self._transition_t
+        self.stats.add("propagation_steps", int(width))
+        self.stats.add("frontier_steps", int(width))
         self.stats.add("sparse_products", 1)
         return out
 
@@ -530,29 +648,13 @@ class WalkEngine:
             return self._transition_csc
 
     def in_degree_array(self) -> np.ndarray:
-        """Per-node in-degree (nnz of each ``T`` column), cached.
+        """Per-node in-degree (nnz of each ``T`` column).
 
         An entry ``(v, j)`` of a propagating block spreads to
-        ``in_degree[v]`` rows in the next step, so
-        ``sum_v counts[v] * in_degree[v]`` bounds the next block's nnz —
-        the sparse-phase gate computes this in O(n) per step.
+        ``in_degree[v]`` rows in the next step, which is what
+        :meth:`frontier_pays` sums.
         """
-        # Resolved before taking the lock: _derived_lock is not
-        # re-entrant and transition_columns() acquires it too.
-        columns = self.transition_columns()
-        with self._derived_lock:
-            if self._in_degrees is None:
-                self._in_degrees = np.diff(columns.indptr)
-            return self._in_degrees
-
-    @staticmethod
-    def _gather_columns(csc, targets: np.ndarray) -> np.ndarray:
-        """Densify the requested CSC columns into an ``(n, B)`` block."""
-        mass = np.zeros((csc.shape[0], targets.shape[0]), dtype=np.float64)
-        for j, target in enumerate(targets):
-            start, end = csc.indptr[target], csc.indptr[target + 1]
-            mass[csc.indices[start:end], j] = csc.data[start:end]
-        return mass
+        return self._in_degrees
 
     def _check_target_block(self, targets: Sequence[int]) -> np.ndarray:
         """Validate and normalise a block of target ids to int64."""

@@ -18,8 +18,9 @@ level, then missing) are resumed through the cache's single-column
 path.
 
 **Bounded mode**: the resumable *window* is capped at
-``max_block_bytes`` (16 bytes per node per column: walker mass plus
-score prefix).  Overflow targets are walked in throwaway chunks of the
+``max_block_bytes`` under the ceiling model of 16 bytes per node per
+column (walker mass plus score prefix, both dense; a block still in
+its frontier phase holds less, never more).  Overflow targets are walked in throwaway chunks of the
 same width, and the window is re-packed from this round's survivors
 (:meth:`~repro.walks.state.WalkState.concat`) after each pruning step.
 Survivors that do not fit the window are **spilled**: their
@@ -68,8 +69,10 @@ from repro.walks.state import WalkState
 # a transient fault.
 REWALK_ATTEMPTS = 3
 
-# A resumable block costs two (n, B) float64 buffers: walker mass plus
-# the accumulated score prefix.
+# The ceiling model: a resumable block costs at most two (n, B) float64
+# buffers, walker mass plus the accumulated score prefix.  A block on
+# the sparse frontier holds less, but may densify at any step, so every
+# width is planned — and every allocation vetoed — against the ceiling.
 BYTES_PER_COLUMN_NODE = 16
 
 # ``consume(targets, block)``: ``block[i, j]`` is the level's score of

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,53 @@ def lock_sanitizer():
     from repro.analysis.lockorder import LockOrderSanitizer
 
     return LockOrderSanitizer()
+
+
+_ABSENT = object()
+
+
+def _moved(old, new) -> str:
+    """How one golden value moved: scalars have a direction."""
+    if old is _ABSENT or new is _ABSENT:
+        return "added" if old is _ABSENT else "removed"
+    number = (int, float)
+    if isinstance(old, number) and isinstance(new, number):
+        return "down" if new < old else "up"
+    return "changed"
+
+
+@pytest.fixture
+def golden_audit(capsys):
+    """Report what a deliberate golden regeneration moved.
+
+    ``golden_audit(name, old_cells, new_cells)`` takes the cells of the
+    file being replaced (empty when there was none) and of its
+    replacement, both as ``{cell key: {field: value}}``, and prints — past
+    pytest's capture, so a ``REPRO_UPDATE_GOLDENS=1`` run shows it — per
+    field how many cells moved and in which direction.  The lines are
+    what a PR that regenerates a golden quotes; they are also returned.
+    """
+
+    def audit(name, old_cells, new_cells):
+        moved = Counter()
+        for key in set(old_cells) | set(new_cells):
+            old, new = old_cells.get(key, {}), new_cells.get(key, {})
+            for field in set(old) | set(new):
+                before, after = old.get(field, _ABSENT), new.get(field, _ABSENT)
+                if before is _ABSENT or after is _ABSENT or before != after:
+                    moved[field, _moved(before, after)] += 1
+        lines = [f"golden {name}: {len(new_cells)} cells"]
+        for field in sorted({field for field, _ in moved}):
+            ways = {way: n for (f, way), n in sorted(moved.items()) if f == field}
+            lines.append(
+                f"  {field}: moved in {sum(ways.values())} cells ("
+                + ", ".join(f"{n} {way}" for way, n in ways.items())
+                + ")"
+            )
+        if not moved:
+            lines.append("  nothing moved")
+        with capsys.disabled():
+            print("\n" + "\n".join(lines))
+        return lines
+
+    return audit

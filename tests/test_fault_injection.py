@@ -21,16 +21,22 @@ exists):
   flagged partial (``budget_stops``).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.api import multi_way_join, two_way_join
+from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.exec.faults import FaultInjector
 from repro.graph.builders import erdos_renyi
+from repro.graph.digraph import Graph
+from repro.walks import engine as engine_module
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
+from repro.walks.state import WalkState
 
 MEASURES = [None, "ppr", "simrank"]  # None = the DHT core path
 
@@ -237,6 +243,135 @@ class TestCorruptedBlockInBasicJoin:
         assert engine.stats.degradations == REWALK_ATTEMPTS
         if cached:
             assert len(cache) == 0  # nothing poisoned was donated
+
+
+class TestFrontierPhaseFaults:
+    """The fault matrix reaches the frontier phase.
+
+    On a ring with chords (every node has in-degree 4, ``nnz(T) = 4n =
+    2 400``) the walker mass of one column sits on exactly ``(l + 1)^2``
+    nodes after ``l`` steps, so the gate — sum of in-degrees ``* 32 <=
+    nnz(T)`` per column — is open before steps 2, 3 and 4 (4, 9, 16
+    entries: 512, 1 152, 2 048) and shut before step 5 (25 entries:
+    3 200).  Levels 1 and 2 walk on frontier blocks, the deepest level
+    ends dense, and a fault at the first ``"block"`` checkpoint that
+    carries a block — step 2 of the full-width block — lands on a
+    sparse one.
+    """
+
+    N = 600
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        rng = np.random.default_rng(19)
+        edges = [
+            (u, (u + hop) % self.N, float(rng.integers(1, 5)))
+            for u in range(self.N)
+            for hop in (1, 9)
+        ]
+        graph = Graph.from_undirected_edges(self.N, edges)
+        left = list(range(0, 48, 4))
+        right = list(range(1, 80, 2))
+        return graph, left, right
+
+    def _run(self, ring, injector=None, budget=None):
+        graph, left, right = ring
+        engine = WalkEngine(graph)
+        result = two_way_join(
+            graph, left, right, 8, engine=engine, budget=budget,
+            fault_injector=injector,
+        )
+        return result, engine
+
+    @staticmethod
+    def _nan_at_first_block():
+        # The step-1 checkpoint carries no block (nothing to poison, not
+        # logged), so at rate 1 this fires at step 2.
+        return FaultInjector(
+            3, faults=("nan",), rate=1.0, max_fires=1, sites=("block",)
+        )
+
+    def test_levels_one_and_two_walk_on_the_frontier(self, ring):
+        graph, _, right = ring
+        engine = WalkEngine(graph)
+        state = WalkState(engine, DHTParams.dht_lambda(0.2), right)
+        state.advance_to(2)
+        assert engine.stats.frontier_steps == len(right)
+        assert state.nbytes < 16 * self.N * 2  # 40 columns, under two dense ones
+        state.advance_to(8)
+        assert state.nbytes == 16 * self.N * len(right)
+        assert engine.stats.frontier_steps == 3 * len(right)  # steps 2, 3, 4
+
+    def test_nan_in_a_sparse_block_is_rewalked(self, ring):
+        expected, clean = self._run(ring, budget=QueryBudget())
+        injector = self._nan_at_first_block()
+        result, engine = self._run(ring, injector)
+        assert [(site, fault) for _, site, fault in injector.fired] == [
+            ("block", "nan")
+        ]
+        assert result.exact and result.results == expected.results
+        assert engine.stats.degradations == 1
+        # The poisoned level-2 walk was thrown away and walked again.
+        assert engine.stats.propagation_steps > clean.stats.propagation_steps
+        assert engine.stats.frontier_steps > clean.stats.frontier_steps
+
+    def test_alloc_failure_halves_a_sparse_block(self, ring):
+        expected, _ = self._run(ring, budget=QueryBudget())
+        probe = self._nan_at_first_block()
+        self._run(ring, probe)
+        at = probe.fired[0][0]  # index of the step-2 checkpoint
+        injector = FaultInjector(
+            3, faults=("alloc",), rate=1.0, max_fires=1, sites=("block",),
+            start_after=at - 1,
+        )
+        result, engine = self._run(ring, injector)
+        assert injector.fired == [(at, "block", "alloc")]
+        assert result.exact and result.results == expected.results
+        # The level-1 frontier block was split and both halves went on.
+        assert engine.stats.alloc_retries == 1
+        assert engine.stats.degradations == 1
+
+    def test_byte_veto_backs_off_before_anything_is_dense(self, ring):
+        expected, _ = self._run(ring, budget=QueryBudget())
+        # The veto is on the dense ceiling (16 bytes x n x B), whatever
+        # the frontier would have held: the window halves to 5 columns.
+        result, engine = self._run(
+            ring, budget=QueryBudget(max_bytes=16 * self.N * 5)
+        )
+        assert result.exact and result.results == expected.results
+        assert engine.stats.alloc_retries > 0
+        assert engine.stats.peak_block_bytes <= 16 * self.N * 5
+        assert engine.stats.frontier_steps > 0
+
+    @pytest.mark.parametrize("fault", ["nan", "alloc"])
+    def test_seeded_runs_fire_the_same_faults(self, ring, fault):
+        def run():
+            injector = FaultInjector(
+                11, faults=(fault,), rate=0.2, start_after=40, max_fires=3,
+                sites=("block",),
+            )
+            result, engine = self._run(ring, injector)
+            return result, engine, injector
+
+        first, engine_a, injector_a = run()
+        second, engine_b, injector_b = run()
+        assert injector_a.fired and injector_a.fired == injector_b.fired
+        assert first.results == second.results and first.exact == second.exact
+        assert engine_a.stats.snapshot() == engine_b.stats.snapshot()
+
+    def test_frontier_walk_visits_the_dense_walks_checkpoints(self, ring):
+        """Sites and order are the walk plan's, not the block form's: a
+        governed query counts the same checkpoints with the gate shut
+        (the dense walk) as with the gate the code ships."""
+        result, engine = self._run(ring, budget=QueryBudget())
+        with mock.patch.object(engine_module, "FRONTIER_GATE", 2**40):
+            dense_result, dense_engine = self._run(ring, budget=QueryBudget())
+        assert dense_engine.stats.frontier_steps == 0 < engine.stats.frontier_steps
+        assert result.results == dense_result.results
+        shipped, shut = engine.stats.snapshot(), dense_engine.stats.snapshot()
+        for name in ("checkpoints", "propagation_steps", "sparse_products",
+                     "bound_builds", "degradations"):
+            assert shipped[name] == shut[name], name
 
 
 class TestNWayMatrix:

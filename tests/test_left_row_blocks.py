@@ -10,6 +10,8 @@ same rows, with the same cache bookkeeping, and that a cache-less
 ``B-IDJ`` never finalises a full-graph vector at all.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +20,13 @@ from hypothesis import strategies as st
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import BackwardIDJX, BackwardIDJY
 from repro.core.two_way.base import make_context
-from repro.graph.builders import erdos_renyi
+from repro.graph.builders import (
+    directed_cycle,
+    erdos_renyi,
+    preferential_attachment,
+    random_directed,
+)
+from repro.walks import engine as engine_module
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 from repro.walks.kernels import DHTBlockKernel, PPRBlockKernel
@@ -115,18 +123,155 @@ class TestSelectTake:
         )
         narrowed = state.select(keep)
         assert narrowed.targets.tolist() == [int(state.targets[j]) for j in keep]
+        assert narrowed.level == state.level
         if state.level == 0:
             assert narrowed.nbytes == 0
             return
-        for name in ("_mass", "_acc"):
-            old, new = getattr(state, name), getattr(narrowed, name)
-            assert np.array_equal(new, np.ascontiguousarray(old[:, keep]))
-            assert new.flags.c_contiguous and new.flags.owndata
-            assert not np.shares_memory(new, old)
-        # Advancing the copy leaves the original where it was.
+        # The selected prefix columns are the fancy index of the block's.
         before = state.scores_matrix()
-        narrowed.advance_to(state.level + 2)
+        assert np.array_equal(narrowed.scores_matrix(), before[:, keep])
+        # Advancing the copy leaves the original where it was ...
+        deeper = state.level + 2
+        narrowed.advance_to(deeper)
+        assert state.level == deeper - 2
         assert np.array_equal(state.scores_matrix(), before)
+        # ... and the original, advanced afterwards, lands on the same
+        # columns: the copy took the walker mass too, and shares no
+        # buffer its own steps could have disturbed.
+        state.advance_to(deeper)
+        assert np.array_equal(narrowed.scores_matrix(), state.scores_matrix()[:, keep])
+
+
+def _sparse_graph(kind, n, seed):
+    """A bounded-mean-degree graph, so frontier blocks stay smaller than
+    dense ones for a few levels (``Graph`` rejects self-loops at the
+    door, so no walk ever sees one)."""
+    rng = np.random.default_rng(seed)
+    if kind == "er":
+        return erdos_renyi(n, 2.5 / n, rng, weighted=True)
+    if kind == "pa":
+        return preferential_attachment(n, 2, rng)
+    return random_directed(n, 2.0 / n, rng)
+
+
+@st.composite
+def frontier_scripts(draw):
+    """A graph, a target block and a walk script for the sparse-vs-dense
+    property.  The block may repeat a target, holds a target's in- or
+    out-neighbour when it has one (mutually adjacent columns: each is on
+    the other's frontier) and, on directed graphs, a target nothing
+    points at (an empty frontier row)."""
+    kind = draw(st.sampled_from(["er", "pa", "directed"]))
+    n = draw(st.integers(60, 140))
+    graph = _sparse_graph(kind, n, draw(st.integers(0, 2**16)))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    neighbours = sorted(
+        set(graph.out_neighbors(targets[0])) | set(graph.in_neighbors(targets[0]))
+    )
+    if neighbours and draw(st.booleans()):
+        targets.append(draw(st.sampled_from(neighbours)))
+    sources = [u for u in range(n) if not graph.in_neighbors(u)]
+    if sources and draw(st.booleans()):
+        targets.append(draw(st.sampled_from(sources)))
+    if draw(st.booleans()):
+        targets.append(draw(st.sampled_from(targets)))
+    levels = sorted(draw(
+        st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True)
+    ))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8, unique=True))
+    rows = draw(st.permutations(list(dict.fromkeys(targets[:2] + rows))))
+    keep = draw(st.lists(st.integers(0, len(targets) - 1), min_size=1, max_size=4))
+    return (
+        graph, draw(st.sampled_from(KERNELS)), targets, levels,
+        np.asarray(rows, dtype=np.int64), keep,
+        draw(st.integers(0, len(targets) - 1)),
+    )
+
+
+#: ``frontier_pays`` is ``bound * FRONTIER_GATE <= nnz(T) * B``: factor 0
+#: keeps every step on the frontier, a huge one closes the gate before
+#: step 2 (the only step it cannot close is one with nothing to multiply).
+GATE_OPEN, GATE_SHUT = 0, 2**40
+
+
+def _observe(script, gate):
+    """Run ``script`` with the frontier gate pinned and return every
+    array the public surface hands out, plus each state's ``nbytes``."""
+    graph, kernel, targets, levels, rows, keep, column = script
+    n = graph.num_nodes
+    seen, sizes = [], []
+
+    def look(state):
+        seen.append(state.scores_at(rows))
+        seen.append(state.scores_matrix())
+        seen.extend(state.score_column(j) for j in range(state.width))
+        assert state.nbytes <= 16 * n * state.width
+        sizes.append((state.level, state.width, state.nbytes))
+
+    engine = WalkEngine(graph)
+    with mock.patch.object(engine_module, "FRONTIER_GATE", GATE_SHUT):
+        # A dense partner whatever ``gate`` says (from level 2 on).
+        partner = WalkState(engine, kernel, targets[::-1]).advance_to(levels[0])
+    with mock.patch.object(engine_module, "FRONTIER_GATE", gate):
+        state = WalkState(engine, kernel, targets)
+        for level in levels[:-1]:
+            look(state.advance_to(level))
+        # select -> advance_to: pruning between deepening rounds.
+        narrowed = state.select(keep)
+        look(narrowed)
+        look(narrowed.advance_to(levels[-1]))
+        # extract_column -> adopt -> scores(): the spill / resume path.
+        cache = WalkCache(engine, kernel)
+        cache.adopt(state.extract_column(column))
+        seen.append(cache.scores(targets[column], levels[-1] + 1))
+        assert cache.stats.extensions == 1
+        # concat of a frontier state with a dense one (mixed forms when
+        # the gate is open), then more steps on the merged block.
+        merged = WalkState.concat(
+            [WalkState(engine, kernel, targets).advance_to(levels[0]), partner]
+        )
+        look(merged)
+        look(merged.advance_to(levels[-1]))
+        look(state.advance_to(levels[-1]))
+    return seen, sizes
+
+
+class TestFrontierPhase:
+    """Sparse ≡ dense, bit for bit, through the public surface only.
+
+    The same script runs with the gate forced open (every step a
+    sparse x sparse product, as long as the frontier blocks stay smaller
+    than dense ones) and forced shut (dense from step 2): everything a
+    caller can read must be ``array_equal``.  The constant is patched
+    here, in the test — there is no runtime switch.
+    """
+
+    @SETTINGS
+    @given(script=frontier_scripts())
+    def test_open_and_shut_gate_agree_everywhere(self, script):
+        frontier, frontier_sizes = _observe(script, GATE_OPEN)
+        dense, dense_sizes = _observe(script, GATE_SHUT)
+        assert len(frontier) == len(dense)
+        for a, b in zip(frontier, dense):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        # What the frontier holds never exceeds what the dense walk of
+        # the same script holds (each already checked <= 16 * n * B).
+        for (_, _, held), (_, _, dense_held) in zip(frontier_sizes, dense_sizes):
+            assert held <= dense_held
+
+    def test_frontier_nbytes_is_what_the_sparse_arrays_hold(self):
+        """On a directed cycle a column's walker mass is one entry and
+        its prefix one entry per step: a frontier state holds those
+        values plus their indices, a fraction of one dense column."""
+        n = 500
+        engine = WalkEngine(directed_cycle(n))
+        for level in (1, 2, 5):
+            state = WalkState(engine, KERNELS[0], [7]).advance_to(level)
+            entries = 1 + level
+            assert entries * 8 <= state.nbytes <= entries * 16 + 64
+            assert state.nbytes < 16 * n // 10
+        assert engine.stats.frontier_steps == (2 - 1) + (5 - 1)
+        assert engine.stats.peak_block_bytes == state.nbytes
 
 
 def _cache_effects(cache):

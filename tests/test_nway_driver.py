@@ -175,8 +175,17 @@ def _load_golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _audited(payload):
+    """Every record of a golden payload under one key space."""
+    cells = dict(payload["cells"])
+    for name, record in payload["executor_stats"].items():
+        cells[f"executor_stats/{name}"] = record
+    return cells
+
+
 @pytest.mark.skipif(not UPDATE, reason="golden regeneration only")
-def test_regenerate_golden(rank_joins):
+def test_regenerate_golden(rank_joins, golden_audit):
+    replaced = _audited(_load_golden()) if GOLDEN_PATH.exists() else {}
     payload = {"cells": {}, "executor_stats": {}}
     for cell in CELLS:
         del rank_joins[:]
@@ -185,6 +194,7 @@ def test_regenerate_golden(rank_joins):
         payload["executor_stats"][name] = _executor_stats(name)
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    golden_audit(GOLDEN_PATH.name, replaced, _audited(_load_golden()))
 
 
 @pytest.mark.skipif(UPDATE, reason="goldens being regenerated")

@@ -156,8 +156,17 @@ def _load_golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _resolved(golden):
+    """Golden cells with their answer lists looked up."""
+    return {
+        key: {**cell, "answers": golden["answers"][cell["answers"]]}
+        for key, cell in golden["cells"].items()
+    }
+
+
 @pytest.mark.skipif(not UPDATE, reason="golden regeneration only")
-def test_regenerate_golden():
+def test_regenerate_golden(golden_audit):
+    replaced = _resolved(_load_golden()) if GOLDEN_PATH.exists() else {}
     answers, index, lines = [], {}, []
     for cell in CELLS:
         record = _run_cell(*cell)
@@ -172,6 +181,7 @@ def test_regenerate_golden():
         '{\n "answers": [\n  ' + ",\n  ".join(answers) + "\n ],\n"
         ' "cells": {\n' + ",\n".join(lines) + "\n }\n}\n"
     )
+    golden_audit(GOLDEN_PATH.name, replaced, _resolved(_load_golden()))
 
 
 @pytest.mark.skipif(UPDATE, reason="goldens being regenerated")

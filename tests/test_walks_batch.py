@@ -5,13 +5,17 @@ equivalence oracle: every batched, resumable, or row-restricted path
 must reproduce it to 1e-12.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.api import two_way_join
 from repro.core.dht import DHTParams
-from repro.graph.builders import erdos_renyi, path_graph
+from repro.graph.builders import complete_graph, erdos_renyi, path_graph
 from repro.graph.validation import GraphValidationError
-from repro.walks.engine import WalkEngine
+from repro.walks import engine as engine_module
+from repro.walks.engine import WalkEngine, dense_block
 from repro.walks.state import WalkState
 
 
@@ -43,7 +47,9 @@ class TestBackwardBlock:
 
     def test_onehot_step_is_first_series_row(self, engine):
         targets = np.asarray([2, 9, 14])
-        mass = engine.backward_onehot_step(targets)
+        # Step 1 comes back as a (B, n) frontier block.
+        mass = dense_block(engine.backward_onehot_step(targets))
+        assert mass.shape == (engine.num_nodes, 3) and mass.flags.c_contiguous
         for j, target in enumerate(targets):
             series = engine.backward_first_hit_series(int(target), 1)
             assert np.array_equal(mass[:, j], series[0])
@@ -71,6 +77,56 @@ class TestWalkStats:
         engine.stats.reset()
         assert engine.stats.propagation_steps == 0
         assert engine.stats.sparse_products == 0
+
+
+class TestFrontierSteps:
+    """``frontier_steps``: how much of the walking ran on the sparse
+    frontier — observable, a subset of ``propagation_steps``, and never
+    an answer."""
+
+    @staticmethod
+    def _join(graph, left, right):
+        engine = WalkEngine(graph)
+        pairs = two_way_join(
+            graph, left, right, 10, algorithm="b-idj-y", engine=engine
+        )
+        return pairs, engine.stats.snapshot()
+
+    def test_bounded_degree_join_walks_partly_on_the_frontier(self):
+        graph = erdos_renyi(600, 4.0 / 600, np.random.default_rng(4), weighted=True)
+        nodes = np.random.default_rng(8).permutation(600)
+        left, right = nodes[:20].tolist(), nodes[20:60].tolist()
+        pairs, stats = self._join(graph, left, right)
+        assert 0 < stats["frontier_steps"] < stats["propagation_steps"]
+        # Same join, gate shut: the dense walk's answers and counters.
+        with mock.patch.object(engine_module, "FRONTIER_GATE", 2**40):
+            dense_pairs, dense_stats = self._join(graph, left, right)
+        assert dense_stats["frontier_steps"] == 0
+        assert pairs == dense_pairs
+        assert dense_stats["peak_block_bytes"] >= stats["peak_block_bytes"]
+        for moved in ("frontier_steps", "peak_block_bytes"):
+            del stats[moved], dense_stats[moved]
+        assert stats == dense_stats
+
+    def test_complete_graph_never_steps_sparse(self):
+        # Step 1 already reaches every node: the first gate is shut.
+        pairs, stats = self._join(
+            complete_graph(30), list(range(8)), list(range(10, 26))
+        )
+        assert len(pairs) == 10
+        assert stats["frontier_steps"] == 0 < stats["propagation_steps"]
+
+    def test_reaches_the_metrics_registry(self, params):
+        from repro.obs import MetricsRegistry
+
+        engine = WalkEngine(path_graph(200))
+        registry = MetricsRegistry()
+        registry.register_engine(engine.stats)
+        # Two entries of in-degree 2 against nnz(T) = 398: step 2 pays.
+        WalkState(engine, params, [100]).advance_to(2)
+        samples = {s.name: s.value for s in registry.collect()}
+        assert samples["repro_engine_frontier_steps_total"] == 1
+        assert samples["repro_engine_propagation_steps_total"] == 2
 
 
 class TestWalkState:
