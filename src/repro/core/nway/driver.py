@@ -93,23 +93,20 @@ def snapshot_partial(join, k: Optional[int], reason: str) -> PartialResult:
     exactly-scored ``partial_pairs`` — see :mod:`repro.exec.governed`
     for why both are sound."""
     snapshot = getattr(join, "budget_snapshot", None)
+    tail_of: Dict[int, float] = {}
     if snapshot is not None:
-        left_scores, tails = snapshot["left_scores"], snapshot["tails"]
-        entries = [
-            (ScoredPair(p, q, float(left_scores[i, j])), float(tails[j]))
-            for j, q in enumerate(snapshot["targets"])
-            for i, p in enumerate(snapshot["left"])
-            if p != q
-        ]
+        blocks = [(snapshot["targets"], snapshot["left_scores"])]
+        tail_of = dict(zip(snapshot["targets"], snapshot["tails"].tolist()))
     else:
-        entries = [
-            (pair, 0.0) for pair in getattr(join, "partial_pairs", None) or []
-        ]
-    entries.sort(key=lambda e: (-e[0].score, e[0].left, e[0].right))
-    entries = entries[:k]
+        blocks = getattr(join, "partial_blocks", None) or []
+    # A join that keeps neither (F-*, PJ-i) has nothing sound to report.
+    results = join.context.top_pairs(blocks, k) if blocks else []
     return PartialResult(
-        results=[pair for pair, _ in entries],
-        bounds=[(pair.score, pair.score + tail) for pair, tail in entries],
+        results=results,
+        bounds=[
+            (pair.score, pair.score + tail_of.get(pair.right, 0.0))
+            for pair in results
+        ],
         exact=False,
         reason=reason,
     )

@@ -24,9 +24,15 @@ This module runs both algorithms on the batched, resumable walk layer:
   (``(|P|, B)``, never a full-graph vector per target), and its per-``p``
   score/floor loop is a masked max over those blocks with a bounded
   top-k floor accumulator.
+* Both keep the tail in blocks: the ``k`` winners are picked straight
+  from the left-row blocks
+  (:meth:`~repro.core.two_way.base.TwoWayContext.top_pairs`), so only
+  ``all_pairs()`` ever builds ``|P||Q|`` pairs, and an observer is fed
+  once per consumed block.
 * With a :class:`~repro.walks.cache.WalkCache` on the context, walks are
-  served from / donated to the cache, so repeated joins over overlapping
-  node sets (``PJ`` restarts, star/clique edges) never re-walk a target.
+  served from / donated to the cache a group of targets at a time, so
+  repeated joins over overlapping node sets (``PJ`` restarts,
+  star/clique edges) never re-walk a target.
 
 Both loops read the measure only through the context's ``kernel`` and
 ``floor``, so they are the one backward stack for every proximity
@@ -42,7 +48,7 @@ equivalence oracles: :func:`back_walk_series` and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Protocol
+from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import issparse
@@ -58,13 +64,21 @@ from repro.core.two_way.base import (
 from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
 from repro.walks.engine import block_rows, dense_block
-from repro.walks.rounds import REWALK_ATTEMPTS, DeepeningRounds, columns_for_budget
+from repro.walks.rounds import (
+    REWALK_ATTEMPTS,
+    DeepeningRounds,
+    columns_for_budget,
+    triage,
+)
 from repro.walks.state import WalkState
 
 # 16 columns keeps the dense mass block cache-resident on large graphs
 # (n x B x 8 bytes) while amortising the CSR index traffic.  Re-tune
 # against ``api.two_way.b-bj.p50_ms`` on ``twoway_cold`` (bench/run.py).
 DEFAULT_BLOCK_SIZE = 16
+
+# ``(targets, block)``: ``block[i, j]`` scores ``(left[i], targets[j])``.
+LeftBlock = Tuple[Sequence[int], np.ndarray]
 
 
 def back_walk_series(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
@@ -224,13 +238,16 @@ class WalkObserver(Protocol):
     top-``m`` join is reused by ``getNextNodePair``.
     """
 
-    def observe(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
-        """Record that an ``level``-step walk from ``q`` produced
-        ``scores`` with tail bound ``tail``.
+    def observe(
+        self, targets: Sequence[int], level: int, block: np.ndarray, tails: np.ndarray
+    ) -> None:
+        """Record that ``level``-step walks from ``targets`` produced
+        ``block`` with per-target tail bounds ``tails`` — one call per
+        block the join consumes.
 
-        ``scores`` is aligned with the context's ``left`` (``scores[i]``
-        is ``h_level(left[i], q)``, length ``|P|``) and is a view into
-        the round's block: copy it to keep it beyond the call.
+        ``block`` is left-aligned (``block[i, j]`` is
+        ``h_level(left[i], targets[j])``, shape ``(|P|, len(targets))``)
+        and may be reused by the join: copy what must outlive the call.
         """
         ...
 
@@ -268,32 +285,44 @@ class BackwardBasicJoin:
             block_size = min(block_size, cap)
         self._ctx = context
         self._block_size = block_size
-        # Exact-score pairs accumulated so far; the governed entry points
-        # read this after a budget stop to report the completed prefix.
-        self.partial_pairs: Optional[List[ScoredPair]] = None
+        # Exactly scored ``(targets, left-row block)`` groups so far; the
+        # governed entry points read this after a budget stop to report
+        # the completed prefix.
+        self.partial_blocks: Optional[List[LeftBlock]] = None
+
+    @property
+    def context(self) -> TwoWayContext:
+        """The validated join inputs."""
+        return self._ctx
 
     def all_pairs(self) -> List[ScoredPair]:
         """Score every candidate pair (unsorted)."""
-        with self._ctx.engine.trace_span(
-            "join", self.name, targets=len(self._ctx.right)
-        ):
-            return self._all_pairs()
-
-    def _all_pairs(self) -> List[ScoredPair]:
         ctx = self._ctx
-        pairs: List[ScoredPair] = []
-        self.partial_pairs = pairs
-        if self._block_size == 1:
-            for q in ctx.right:
-                pairs.extend(
-                    ctx.pairs_for_target(self._score_target(q)[ctx.left_array], q)
-                )
-        elif ctx.walk_cache is None and ctx.measure is None:
-            # The restricted-tail plan is Eq. 5's first-hit algebra.
-            self._score_lean(pairs)
-        else:
-            self._score_blocks(pairs)
-        return pairs
+        return [
+            pair
+            for targets, block in self._left_blocks()
+            for q, scores in zip(targets, block.T)
+            for pair in ctx.pairs_for_target(scores, q)
+        ]
+
+    def _left_blocks(self) -> List[LeftBlock]:
+        """Full-depth scores of every target as ``(targets, (|P|, B)
+        block)`` groups — what :meth:`all_pairs` expands and
+        :meth:`top_k` selects from."""
+        ctx = self._ctx
+        with ctx.engine.trace_span("join", self.name, targets=len(ctx.right)):
+            blocks: List[LeftBlock] = []
+            self.partial_blocks = blocks
+            if self._block_size == 1:
+                for q in ctx.right:
+                    scores = self._score_target(q)[ctx.left_array]
+                    blocks.append(([q], scores[:, None]))
+            elif ctx.walk_cache is None and ctx.measure is None:
+                # The restricted-tail plan is Eq. 5's first-hit algebra.
+                self._score_lean(blocks)
+            else:
+                self._score_blocks(blocks)
+            return blocks
 
     def _score_target(self, q: int) -> np.ndarray:
         """The per-target oracle scorer (``block_size=1``)."""
@@ -319,7 +348,7 @@ class BackwardBasicJoin:
                     raise
         raise AssertionError("unreachable")
 
-    def _score_lean(self, pairs: List[ScoredPair]) -> None:
+    def _score_lean(self, blocks: List[LeftBlock]) -> None:
         """Batched scoring with the accumulator restricted to ``P``.
 
         Without a cache to feed, only the left rows of each score vector
@@ -335,25 +364,20 @@ class BackwardBasicJoin:
         )
         for start in range(0, len(ctx.right), self._block_size):
             chunk = ctx.right[start : start + self._block_size]
-            scores = self._rewalking(
+            blocks.append((chunk, self._rewalking(
                 _block_scores_at_rows, ctx, chunk, left, tail
-            )
-            for j, q in enumerate(chunk):
-                values = scores[:, j].tolist()
-                pairs.extend(
-                    ScoredPair(p, q, value)
-                    for p, value in zip(ctx.left, values)
-                    if p != q
-                )
+            )))
 
-    def _score_blocks(self, pairs: List[ScoredPair]) -> None:
+    def _score_blocks(self, blocks: List[LeftBlock]) -> None:
         """Batched scoring through the shared walk cache (when there is
         one).
 
         Cache hits (targets walked by an earlier join or query edge)
-        read the ``|P|`` left entries of the cached vector; misses are
+        read the ``|P|`` left entries of the cached vectors; misses are
         walked one block at a time and donated back for the next join,
         so peak memory stays ``O(n * block_size)`` regardless of ``|Q|``.
+        Each triage window is as wide as the pending block has room, so
+        no lookup ever runs after a donation it could have preceded.
         """
         ctx = self._ctx
         cache = ctx.walk_cache
@@ -361,21 +385,24 @@ class BackwardBasicJoin:
         pending: List[int] = []
 
         def flush() -> None:
-            vectors = self._rewalking(self._score_block, pending)
-            for q, vector in zip(pending, vectors):
-                if cache is not None:
-                    cache.put_scores(q, ctx.d, vector)
-                pairs.extend(ctx.pairs_for_target(vector[left], q))
+            vectors = list(self._rewalking(self._score_block, pending))
+            if cache is not None:
+                cache.put_block(pending, ctx.d, vectors)
+            blocks.append(
+                (list(pending), np.array([v[left] for v in vectors]).T)
+            )
             pending.clear()
 
-        for q in ctx.right:  # validated node sets carry no duplicates
-            ctx.engine.checkpoint("cache")
-            if cache is not None:
-                cached = cache.peek(q, ctx.d, left)
-                if cached is not None:
-                    pairs.extend(ctx.pairs_for_target(cached, q))
-                    continue
-            pending.append(q)
+        start = 0
+        while start < len(ctx.right):  # validated sets carry no duplicates
+            window = ctx.right[start : start + self._block_size - len(pending)]
+            start += len(window)
+            hits, hit_block, missed = triage(
+                ctx.engine, cache, window, ctx.d, left
+            )
+            if hits:
+                blocks.append((hits, hit_block))
+            pending.extend(missed)
             if len(pending) == self._block_size:
                 flush()
         if pending:
@@ -389,7 +416,7 @@ class BackwardBasicJoin:
             raise GraphValidationError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        return top_k_pairs(self.all_pairs(), k)
+        return self._ctx.top_pairs(self._left_blocks(), k)
 
 
 BoundFactory = Callable[[TwoWayContext], ScoreUpperBound]
@@ -503,6 +530,11 @@ class BackwardIDJ:
         # with sound [h_l, h_l + tail_l] intervals after a budget stop.
         self.budget_snapshot: Optional[dict] = None
 
+    @property
+    def context(self) -> TwoWayContext:
+        """The validated join inputs."""
+        return self._ctx
+
     def _rounds(self):
         """The walk plan of one run: ``walk_level`` / ``donate_pruned``
         / ``repack`` over the context's kernel, cache and byte ceiling."""
@@ -553,10 +585,9 @@ class BackwardIDJ:
                            column_of=column_of, left_scores=left_scores):
                     columns = [column_of[q] for q in targets]
                     if self._observer is not None:
-                        for q, j, scores in zip(targets, columns, block.T):
-                            self._observer.observe(
-                                q, level, scores, float(tails[j])
-                            )
+                        self._observer.observe(
+                            targets, level, block, tails[columns]
+                        )
                     left_scores[:, columns] = block
 
                 rounds.walk_level(active, level, left, gather)
@@ -567,7 +598,6 @@ class BackwardIDJ:
                 self.budget_snapshot = {
                     "level": level,
                     "targets": list(active),
-                    "left": list(ctx.left),
                     "left_scores": left_scores,
                     "tails": tails,
                 }
@@ -602,16 +632,17 @@ class BackwardIDJ:
             "level", level=ctx.d, active=len(active), final=True
         ):
             ctx.engine.checkpoint("round")
-            pairs: List[ScoredPair] = []
+            blocks: List[LeftBlock] = []
 
             def emit(targets, block):
-                for q, scores in zip(targets, block.T):
-                    if self._observer is not None:
-                        self._observer.observe(q, ctx.d, scores, 0.0)
-                    pairs.extend(ctx.pairs_for_target(scores, q))
+                if self._observer is not None:
+                    self._observer.observe(
+                        targets, ctx.d, block, np.zeros(len(targets))
+                    )
+                blocks.append((targets, block))
 
             rounds.walk_level(active, ctx.d, left, emit)
-        return top_k_pairs(pairs, k)
+        return ctx.top_pairs(blocks, k)
 
     def top_k_reference(self, k: int) -> List[ScoredPair]:
         """The seed implementation: per-target walks, restarted per level.
@@ -637,7 +668,9 @@ class BackwardIDJ:
                 scores = back_walk_series(ctx, q, level)[left]
                 tail = bound.tail(level, q)
                 if self._observer is not None:
-                    self._observer.observe(q, level, scores, tail)
+                    self._observer.observe(
+                        [q], level, scores[:, None], np.array([tail])
+                    )
                 best = ctx.params.zero_score
                 for i, p in enumerate(ctx.left):
                     if p == q:
@@ -664,7 +697,7 @@ class BackwardIDJ:
         for q in active:
             scores = back_walk_series(ctx, q, ctx.d)[left]
             if self._observer is not None:
-                self._observer.observe(q, ctx.d, scores, 0.0)
+                self._observer.observe([q], ctx.d, scores[:, None], np.zeros(1))
             pairs.extend(ctx.pairs_for_target(scores, q))
         return top_k_pairs(pairs, k)
 

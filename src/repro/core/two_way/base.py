@@ -11,7 +11,8 @@ differ only in how much work they avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from itertools import starmap
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,6 +226,9 @@ class TwoWayContext:
                 f"max_block_bytes must be >= 1, got {self.max_block_bytes}"
             )
         self._left_array = np.asarray(self.left, dtype=np.int64)
+        self._num_pairs = len(self.left) * len(self.right) - len(
+            set(self.left) & set(self.right)
+        )
 
     @property
     def cache_params(self):
@@ -258,8 +262,7 @@ class TwoWayContext:
     @property
     def num_pairs(self) -> int:
         """Number of candidate pairs, excluding reflexive ones."""
-        overlap = len(set(self.left) & set(self.right))
-        return len(self.left) * len(self.right) - overlap
+        return self._num_pairs
 
     def pairs_for_target(self, left_scores: np.ndarray, q: int) -> List[ScoredPair]:
         """Materialise ``(left[i], q, left_scores[i])`` for every valid
@@ -274,6 +277,37 @@ class TwoWayContext:
             for p, value in zip(self.left, left_scores.tolist())
             if p != q
         ]
+
+    def top_pairs(
+        self,
+        blocks: Sequence[Tuple[Sequence[int], np.ndarray]],
+        k: Optional[int] = None,
+    ) -> List[ScoredPair]:
+        """``sort_pairs(every valid pair)[:k]`` (``None``: all of them)
+        picked straight from left-row blocks, building only the winners.
+
+        ``blocks`` holds ``(targets, block)`` with ``block[i, j]`` the
+        score of ``(left[i], targets[j])`` — what the rounds hand a
+        consumer.  Reflexive pairs are masked, an ``np.partition``
+        threshold keeps the candidates that can still make the cut, and
+        one lexsort on ``(-score, left, right)`` orders them exactly as
+        :func:`sort_pairs` would, ties included.
+        """
+        if not blocks or k == 0:
+            return []
+        right = np.concatenate([np.asarray(t, dtype=np.int64) for t, _ in blocks])
+        scores = np.concatenate([block for _, block in blocks], axis=1)
+        rows, cols = np.nonzero(self._left_array[:, None] != right[None, :])
+        values = scores[rows, cols]
+        if k is not None and k < values.size:
+            cut = values.size - k
+            keep = np.flatnonzero(values >= np.partition(values, cut)[cut])
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        lefts, rights = self._left_array[rows], right[cols]
+        order = np.lexsort((rights, lefts, -values))[:k]
+        return list(starmap(ScoredPair, zip(
+            lefts[order].tolist(), rights[order].tolist(), values[order].tolist()
+        )))
 
 
 def make_context(

@@ -8,8 +8,8 @@ paper's ``F`` structure:
 
 * ``F`` is a mutable max-priority queue of entries
   ``<(p, q), h^-(p, q), h^+(p, q), l>`` ordered by **upper** bound,
-  with a hash index ``H`` from pair to entry (here: a dict + lazy-deleted
-  binary heap).
+  with a hash index ``H`` from pair to entry (here: one sorted column
+  per ``q`` and a lazy-deleted binary heap over the column heads).
 * ``next_pair`` repeatedly looks at the two best entries ``e1, e2``.  If
   ``e1``'s lower bound already beats ``e2``'s upper bound, ``e1`` is the
   answer — finalise it with a full ``d``-step walk if needed.  Otherwise
@@ -31,9 +31,9 @@ that agree on the left set reuse one reach-mass build.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,125 +50,176 @@ from repro.walks.cache import WalkCache
 Pair = Tuple[int, int]
 
 
-class FEntry:
+class FEntry(NamedTuple):
     """One ``F`` entry: pair key, score bounds, and walk depth ``l``."""
 
-    __slots__ = ("pair", "lower", "upper", "level")
+    pair: Pair
+    lower: float
+    upper: float
+    level: int
 
-    def __init__(self, pair: Pair, lower: float, upper: float, level: int) -> None:
-        self.pair = pair
-        self.lower = lower
-        self.upper = upper
-        self.level = level
 
-    def __repr__(self) -> str:  # pragma: no cover - debug cosmetic
-        return (
-            f"FEntry(pair={self.pair}, lower={self.lower:.6f}, "
-            f"upper={self.upper:.6f}, l={self.level})"
-        )
+class _Column:
+    """The ``( . , q)`` entries of ``F``: one walk's worth of bounds."""
+
+    __slots__ = ("level", "tail", "scores", "live", "stack", "version")
+
+    def __init__(self, live: np.ndarray) -> None:
+        self.level = 0  # no walk recorded yet
+        self.tail = 0.0
+        self.scores: Optional[np.ndarray] = None  # left-aligned lower bounds
+        self.live = live  # left positions neither reflexive nor removed
+        self.stack: List[int] = []  # positions, best (-upper, p) on top
+        self.version = 0  # of the one heap record that speaks for the column
 
 
 class FStructure:
-    """Max-priority queue over :class:`FEntry` keyed by upper bound.
+    """Max-priority queue over ``F`` entries keyed by upper bound, stored
+    a column at a time — the unit Section VI-D refines.
 
-    Uses a binary heap with *lazy deletion*: updating an entry pushes a
-    fresh heap record and bumps a per-pair version; stale records are
-    skipped on pop.  This keeps ``update`` at ``O(log n)`` without a
-    decrease-key primitive (the paper's "mutable priority queue" + hash
-    table ``H``).
+    Per right node ``q`` one walk level, one tail and the ``|P|``
+    left-aligned scores, with the live positions ordered once per walk
+    by ``(-upper, p)`` (``upper = fl(score + tail)``, the rounded value
+    the entries compare by).  The heap holds one record per *column* —
+    its head — with lazy deletion by version: ``|Q|`` records, not
+    ``|P||Q|``, and a refinement costs one sort of ``|P|`` floats and
+    one push (the paper's "mutable priority queue" + hash table ``H``).
     """
 
-    def __init__(self) -> None:
-        self._entries: Dict[Pair, FEntry] = {}
-        self._versions: Dict[Pair, int] = {}
-        self._heap: List[Tuple[float, int, int, int, Pair]] = []
-        self._counter = itertools.count()
+    def __init__(self, left: Sequence[int]) -> None:
+        self._left = np.asarray(left, dtype=np.int64)
+        self._position = {p: i for i, p in enumerate(self._left.tolist())}
+        self._columns: Dict[int, _Column] = {}
+        self._heap: List[Tuple[float, int, int, int]] = []  # (-upper, p, q, version)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(
+            int(column.live.sum()) for column in self._columns.values() if column.level
+        )
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self._entries
+        return self.get(pair) is not None
 
     def get(self, pair: Pair) -> Optional[FEntry]:
         """Current entry for ``pair``, if tracked."""
-        return self._entries.get(pair)
+        column = self._columns.get(pair[1])
+        i = self._position.get(pair[0])
+        if column is None or i is None or not (column.level and column.live[i]):
+            return None
+        return self._entry(pair[1], column, i)
 
-    def update(self, pair: Pair, lower: float, upper: float, level: int) -> None:
-        """Insert ``pair`` or supersede its entry with deeper-walk bounds.
+    def update_column(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
+        """Insert column ``q`` or supersede it with a deeper walk's bounds:
+        ``scores`` (aligned with ``left``, kept by reference) are the
+        lower bounds, ``scores + tail`` the upper ones.
 
-        Following Section VI-D, an existing entry is only replaced when
-        the new walk is *longer* (``level > entry.level``) — longer walks
-        give tighter bounds.
+        Following Section VI-D, an existing column is only replaced when
+        the new walk is *longer* (``level > column.level``) — longer walks
+        give tighter bounds.  Removed pairs stay removed.
         """
-        entry = self._entries.get(pair)
-        if entry is not None and entry.level >= level:
+        column = self._column(q)
+        if column.level >= level:
             return
-        if entry is None:
-            entry = FEntry(pair, lower, upper, level)
-            self._entries[pair] = entry
-        else:
-            entry.lower = lower
-            entry.upper = upper
-            entry.level = level
-        version = self._versions.get(pair, 0) + 1
-        self._versions[pair] = version
-        heapq.heappush(
-            self._heap, (-upper, pair[0], pair[1], version, pair)
-        )
+        column.level, column.tail, column.scores = level, float(tail), scores
+        live = np.flatnonzero(column.live)
+        upper = scores[live] + column.tail
+        column.stack = live[np.lexsort((-self._left[live], upper))].tolist()
+        self._push(q, column)
 
     def remove(self, pair: Pair) -> None:
-        """Drop ``pair`` (lazy: its heap records become stale)."""
-        self._entries.pop(pair, None)
-        self._versions.pop(pair, None)
+        """Drop ``pair`` for good — before or after its column is walked."""
+        column = self._column(pair[1])
+        i = self._position.get(pair[0])
+        if i is None or not column.live[i]:
+            return
+        column.live[i] = False
+        if column.stack and column.stack[-1] == i:
+            self._push(pair[1], column)  # the head went: the runner-up speaks
 
     def peek_top_two(self) -> Tuple[Optional[FEntry], Optional[FEntry]]:
         """The two entries with the highest upper bounds.
 
         Ties are broken by pair id, matching
-        :func:`repro.core.two_way.base.sort_pairs`.
+        :func:`repro.core.two_way.base.sort_pairs`.  The runner-up is the
+        better of the best column's own second entry and the next
+        column's head.
         """
         self._prune_stale()
         if not self._heap:
             return None, None
-        first_record = self._heap[0]
-        first = self._entries[first_record[4]]
-        # Temporarily pop the head to look at the runner-up.
         head = heapq.heappop(self._heap)
         self._prune_stale()
-        second = self._entries[self._heap[0][4]] if self._heap else None
+        rival = self._heap[0] if self._heap else None
         heapq.heappush(self._heap, head)
+        q = head[2]
+        column = self._columns[q]
+        first = self._entry(q, column, column.stack[-1])
+        second = None
+        for i in islice(reversed(column.stack), 1, None):
+            if column.live[i]:
+                second = self._entry(q, column, i)
+                break
+        if rival is not None and (
+            second is None or rival[:3] < (-second.upper, *second.pair)
+        ):
+            other = self._columns[rival[2]]
+            second = self._entry(rival[2], other, other.stack[-1])
         return first, second
 
+    def _column(self, q: int) -> _Column:
+        column = self._columns.get(q)
+        if column is None:
+            column = self._columns[q] = _Column(self._left != q)
+        return column
+
+    def _entry(self, q: int, column: _Column, i: int) -> FEntry:
+        lower = float(column.scores[i])
+        return FEntry(
+            (int(self._left[i]), q), lower, lower + column.tail, column.level
+        )
+
+    def _push(self, q: int, column: _Column) -> None:
+        """Let the column's first live entry (if any) speak for it."""
+        stack = column.stack
+        while stack and not column.live[stack[-1]]:
+            stack.pop()
+        column.version += 1
+        if stack:
+            head = self._entry(q, column, stack[-1])
+            heapq.heappush(
+                self._heap, (-head.upper, head.pair[0], q, column.version)
+            )
+
     def _prune_stale(self) -> None:
-        while self._heap:
-            neg_upper, _, _, version, pair = self._heap[0]
-            entry = self._entries.get(pair)
-            if entry is None or self._versions.get(pair) != version:
-                heapq.heappop(self._heap)
-                continue
-            break
+        heap = self._heap
+        while heap and self._columns[heap[0][2]].version != heap[0][3]:
+            heapq.heappop(heap)
 
 
 class _FRecorder:
     """Walk observer that mirrors ``B-IDJ`` walk results into ``F``.
 
     ``B-IDJ`` walks each surviving ``q`` once per deepening round; only
-    the *deepest* walk matters (``FStructure.update`` would discard the
-    rest anyway), so the recorder buffers the latest walk per ``q`` and
-    the join flushes the buffer into ``F`` once, after ``B-IDJ``
-    finishes — saving one heap push per superseded round.  What it
-    buffers is its own copy of the ``|P|`` left-aligned scores, so the
-    whole recorder holds ``|Q| x |P|`` floats whatever the graph size.
+    the *deepest* walk matters (``FStructure.update_column`` would
+    discard the rest anyway) and the rounds only deepen, so the recorder
+    overwrites one ``|P|``-float row per ``q`` and the join flushes the
+    rows into ``F`` once, after ``B-IDJ`` finishes — saving one sort and
+    heap push per superseded round.  The rows are its own copies: the
+    whole recorder holds ``|Q| x |P|`` floats whatever the graph size,
+    and pins no walk block.
     """
 
-    def __init__(self) -> None:
-        self.latest: Dict[int, Tuple[int, np.ndarray, float]] = {}
+    def __init__(self, context: TwoWayContext) -> None:
+        self._slot = {q: j for j, q in enumerate(context.right)}
+        self.scores = np.empty((len(context.right), len(context.left)))
+        self.levels = np.zeros(len(context.right), dtype=np.int64)
+        self.tails = np.zeros(len(context.right))
 
-    def observe(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
-        previous = self.latest.get(q)
-        if previous is None or level > previous[0]:
-            self.latest[q] = (level, scores.copy(), tail)
+    def observe(self, targets, level, block, tails) -> None:
+        slots = [self._slot[q] for q in targets]
+        self.scores[slots] = block.T
+        self.levels[slots] = level
+        self.tails[slots] = tails
 
 
 class IncrementalTwoWayJoin:
@@ -209,8 +260,8 @@ class IncrementalTwoWayJoin:
             )
         self._ctx = context
         self._bound: ScoreUpperBound = bound_factory(context)
-        self._f = FStructure()
-        self._emitted: set = set()
+        self._f = FStructure(context.left)
+        self._emitted = 0
         self._started = False
 
     @property
@@ -221,7 +272,7 @@ class IncrementalTwoWayJoin:
     @property
     def pairs_remaining(self) -> int:
         """Candidate pairs not yet emitted."""
-        return self._ctx.num_pairs - len(self._emitted)
+        return self._ctx.num_pairs - self._emitted
 
     def top(self, m: int) -> List[ScoredPair]:
         """The top-``m`` pairs, via ``B-IDJ`` instrumented to fill ``F``.
@@ -241,17 +292,21 @@ class IncrementalTwoWayJoin:
             for q in self._ctx.right:
                 self._refine(q, level)
             return []
-        recorder = _FRecorder()
+        recorder = _FRecorder(self._ctx)
         algorithm = BackwardIDJ(
             self._ctx,
             bound_factory=lambda _ctx: self._bound,
             observer=recorder,
         )
         result = algorithm.top_k(m)
+        self._emitted = len(result)
         for pair in result:
-            self._emitted.add((pair.left, pair.right))
-        for q, (level, scores, tail) in recorder.latest.items():
-            self._record_walk(q, level, scores, tail)
+            self._f.remove(pair[:2])
+        for q, level, scores, tail in zip(
+            self._ctx.right, recorder.levels.tolist(), recorder.scores,
+            recorder.tails.tolist(),
+        ):
+            self._f.update_column(q, level, scores, tail)
         return result
 
     def next_pair(self) -> Optional[ScoredPair]:
@@ -268,15 +323,12 @@ class IncrementalTwoWayJoin:
             first, second = self._f.peek_top_two()
             if first is None:
                 return None
-            head_certain = second is None or first.lower >= second.upper
             if first.level >= d:
-                if head_certain:
-                    return self._emit(first)
-                # first has max upper and exact bounds, so
-                # first.lower == first.upper >= second.upper: unreachable,
-                # but guard against float asymmetries by emitting anyway.
+                # Exact bounds and the maximal upper one, so
+                # first.lower == first.upper >= second.upper: the head is
+                # certain whatever float asymmetries say.
                 return self._emit(first)
-            if head_certain:
+            if second is None or first.lower >= second.upper:
                 # The head is the answer; finalise its exact score.
                 self._refine(first.pair[1], d)
             else:
@@ -287,24 +339,13 @@ class IncrementalTwoWayJoin:
     # ------------------------------------------------------------------
 
     def _emit(self, entry: FEntry) -> ScoredPair:
-        pair = entry.pair
-        self._emitted.add(pair)
-        self._f.remove(pair)
-        return ScoredPair(pair[0], pair[1], entry.lower)
+        self._emitted += 1
+        self._f.remove(entry.pair)
+        return ScoredPair(*entry.pair, entry.lower)
 
     def _refine(self, q: int, level: int) -> None:
         """Re-walk ``q`` at ``level`` steps and tighten all its entries."""
         ctx = self._ctx
         scores = ctx.walk_cache.scores(q, level, rows=ctx.left_array)
         tail = 0.0 if level >= ctx.d else self._bound.tail(level, q)
-        self._record_walk(q, level, scores, tail)
-
-    def _record_walk(self, q: int, level: int, scores: np.ndarray, tail: float) -> None:
-        """Fold one walk's left-aligned ``scores`` into ``F``."""
-        for p, score in zip(self._ctx.left, scores.tolist()):
-            if p == q:
-                continue
-            key = (p, q)
-            if key in self._emitted:
-                continue
-            self._f.update(key, score, score + tail, level)
+        self._f.update_column(q, level, scores, tail)

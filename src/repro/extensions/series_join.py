@@ -22,7 +22,8 @@ measure context and supply the three things that genuinely differ —
 * **the rounds**, for matrix-backed measures only — :class:`_MatrixRounds`
   in place of :class:`~repro.walks.rounds.DeepeningRounds`, which every
   kernel measure runs on unchanged (resumable blocks, walk-cache
-  donation and spill, ``max_block_bytes`` chunking).
+  donation and spill, ``max_block_bytes`` chunking); both triage and
+  donate per group of targets through the same two cache calls.
 
 Contexts carry the same :class:`~repro.walks.cache.WalkCache` /
 :class:`~repro.bounds_cache.BoundPlanCache` pair as DHT joins, keyed by
@@ -53,7 +54,7 @@ from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
-from repro.walks.rounds import columns_for_budget
+from repro.walks.rounds import columns_for_budget, triage
 
 from repro.bounds_cache import BoundPlanCache
 
@@ -140,20 +141,9 @@ class _MatrixRounds:
         one block, the rest gathered in chunks under the byte ceiling."""
         ctx = self._ctx
         engine, cache, measure = ctx.engine, ctx.walk_cache, ctx.measure
-        hits: List[int] = []
-        hit_scores: List[np.ndarray] = []
-        pending: List[int] = []
-        for q in active:
-            engine.checkpoint("cache")
-            if cache is not None:
-                cached = cache.peek(q, level, rows)
-                if cached is not None:
-                    hits.append(q)
-                    hit_scores.append(cached)
-                    continue
-            pending.append(q)
+        hits, hit_block, pending = triage(engine, cache, active, level, rows)
         if hits:
-            consume(hits, np.stack(hit_scores, axis=1))
+            consume(hits, hit_block)
         while pending:
             width = len(pending) if self._max_cols is None else self._max_cols
             group = pending[: max(width, 1)]
@@ -173,8 +163,7 @@ class _MatrixRounds:
                     self._max_cols = half
                 continue
             if cache is not None:
-                for j, q in enumerate(group):
-                    cache.put_scores(q, level, block[:, j])
+                cache.put_block(group, level, block.T)
             consume(group, block[rows])
             del pending[: len(group)]
 
@@ -204,11 +193,6 @@ class _MeasureBinding:
             bound_cache=context.bound_cache, block_size=block_size,
             max_block_bytes=context.max_block_bytes,
         )
-
-    @property
-    def context(self) -> TwoWayContext:
-        """The validated join inputs."""
-        return self._ctx
 
 
 class SeriesBackwardJoin(_MeasureBinding, BackwardBasicJoin):

@@ -29,9 +29,11 @@ retained vectors and resumable buffers):
   level walked so far — a *deeper* request extends it (paying only the
   missing steps) instead of restarting from level 0.
 
-Algorithms that batch their own walks (``B-BJ``, ``B-IDJ``) donate their
-results via :meth:`WalkCache.put_scores` / :meth:`WalkCache.adopt` so
-later joins and refinements resume where they left off.
+Algorithms that batch their own walks (``B-BJ``, ``B-IDJ``) look a whole
+group of targets up with :meth:`WalkCache.peek_block` and donate their
+results via :meth:`WalkCache.put_block` / :meth:`WalkCache.adopt` — one
+lock hold per group — so later joins and refinements resume where they
+left off.
 
 This cache covers the *walk* half of the sharing story; the bound half —
 ``Y_l^+`` reach-mass tables and restricted-tail plans, which likewise
@@ -45,7 +47,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,7 +131,7 @@ class WalkCache:
     parallelism.  Stored vectors are read-only arrays, so a hit holds
     the lock for the lookup and LRU touch only and reads the vector —
     the ``rows`` gather or the full copy — after releasing it, and
-    :meth:`put_scores` validates and (if needed) copies before taking it.
+    :meth:`put_block` validates and (if needed) copies before taking it.
     """
 
     def __init__(
@@ -212,15 +214,40 @@ class WalkCache:
         at node ids ``rows`` when given — all a join reads — else a copy
         of the whole vector.
         """
+        everything = slice(None) if rows is None else rows
+        _, block, _ = self.peek_block((target,), level, everything)
+        return None if block is None else block[:, 0]
+
+    def peek_block(
+        self, targets: Sequence[int], level: int, rows: np.ndarray
+    ) -> Tuple[List[int], Optional[np.ndarray], List[int]]:
+        """:meth:`peek` for a whole group of targets under one lock
+        hold: ``(hits, block, misses)`` with ``block[i, j]`` the cached
+        ``h_level(rows[i], hits[j])`` (``None`` without a hit).
+
+        Counted and LRU-touched exactly as ``peek(q, level, rows)`` for
+        each ``q`` in order would be; the ``(|rows|, H)`` block is
+        gathered after the lock is released.
+        """
+        hits: List[int] = []
+        vectors: List[np.ndarray] = []
+        misses: List[int] = []
         with self._lock:
-            entry = self._entries.get(target)
-            vector = entry.scores.get(level) if entry is not None else None
-            if vector is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(target)
-            self.stats.hits += 1
-        return _read(vector, rows)
+            entries = self._entries
+            for target in targets:
+                entry = entries.get(target)
+                vector = entry.scores.get(level) if entry is not None else None
+                if vector is None:
+                    misses.append(target)
+                else:
+                    entries.move_to_end(target)
+                    hits.append(target)
+                    vectors.append(vector)
+            self.stats.hits += len(hits)
+            self.stats.misses += len(misses)
+        if not hits:
+            return hits, None, misses
+        return hits, np.array([vector[rows] for vector in vectors]).T, misses
 
     def resumable_level(self, target: int) -> int:
         """Level of the retained resumable state for ``target`` (0 if none).
@@ -317,32 +344,47 @@ class WalkCache:
     # ------------------------------------------------------------------
 
     def put_scores(self, target: int, level: int, scores: np.ndarray) -> None:
-        """Record an externally computed ``h_level(., target)`` vector.
+        """Record an externally computed ``h_level(., target)`` vector
+        (:meth:`put_block` for a single target)."""
+        self.put_block((target,), level, (scores,))
 
-        The vector must come from the step-accumulated score path (a
-        :class:`WalkState` column) so cached and freshly walked scores
+    def put_block(
+        self, targets: Sequence[int], level: int, vectors: Iterable[np.ndarray]
+    ) -> None:
+        """Record externally computed ``h_level(., q)`` vectors, one per
+        target, under one lock hold.
+
+        The vectors must come from the step-accumulated score path
+        (:class:`WalkState` columns) so cached and freshly walked scores
         stay bit-identical.  The cache takes ownership: an array that
         owns contiguous memory (a freshly finalised column) is frozen
         and stored as is, so the donor's reference turns read-only; a
-        view or strided array is copied first.  Anything but a float64
-        ``(num_nodes,)`` vector for an in-range target is rejected with
-        nothing stored.
+        view or strided array is copied first.  Anything but float64
+        ``(num_nodes,)`` vectors for in-range targets is rejected with
+        nothing stored.  Entries are inserted, accounted and evicted
+        target by target, in order — the LRU sequence of that many
+        single donations.
         """
-        self._engine._check_target(target)
-        scores = np.asarray(scores)
-        if scores.dtype != np.float64 or scores.shape != (self._engine.num_nodes,):
-            raise GraphValidationError(
-                f"put_scores needs a float64 vector of shape "
-                f"({self._engine.num_nodes},), got {scores.dtype} {scores.shape}"
-            )
-        if not (scores.flags.owndata and scores.flags.c_contiguous):
-            scores = scores.copy()
-        scores.setflags(write=False)
+        n = self._engine.num_nodes
+        frozen = []
+        for target, scores in zip(targets, vectors):
+            self._engine._check_target(target)
+            scores = np.asarray(scores)
+            if scores.dtype != np.float64 or scores.shape != (n,):
+                raise GraphValidationError(
+                    f"put_block needs float64 vectors of shape "
+                    f"({n},), got {scores.dtype} {scores.shape}"
+                )
+            if not (scores.flags.owndata and scores.flags.c_contiguous):
+                scores = scores.copy()
+            scores.setflags(write=False)
+            frozen.append(scores)
         with self._lock:
-            entry = self._ensure_entry(target)
-            entry.scores[level] = scores
-            self._account(target)
-            self._evict()
+            for target, scores in zip(targets, frozen):
+                entry = self._ensure_entry(target)
+                entry.scores[level] = scores
+                self._account(target)
+                self._evict()
 
     def adopt(self, state: WalkState) -> None:
         """Adopt a single-column resumable state (deepest wins).

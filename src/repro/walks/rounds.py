@@ -9,7 +9,9 @@ extends level ``l`` instead of restarting.  :class:`DeepeningRounds` is
 that plan, factored out of both joins so the bounded-memory mode — and
 its spill policy — exist exactly once.  Full length-``n`` score vectors
 are finalised only to be donated to a walk cache; a cache-less round
-never builds one.
+never builds one.  The cache is read and fed per group of targets:
+:func:`triage` (shared with ``B-BJ`` and the matrix rounds) is one
+``peek_block``, a walked part is donated with one ``put_block``.
 
 **Unbounded mode** (``max_block_bytes is None``): one full-width
 resumable block carries every walking target across levels; targets
@@ -80,6 +82,28 @@ BYTES_PER_COLUMN_NODE = 16
 Consumer = Callable[[Sequence[int], np.ndarray], None]
 
 
+def triage(
+    engine: WalkEngine,
+    cache: Optional[WalkCache],
+    targets: Sequence[int],
+    level: int,
+    rows: np.ndarray,
+) -> Tuple[List[int], Optional[np.ndarray], List[int]]:
+    """Split ``targets`` into cache hits — with their ``(|rows|, H)``
+    score block, one :meth:`~repro.walks.cache.WalkCache.peek_block` —
+    and the misses somebody has to walk (everything, without a cache).
+
+    One governor visit (site ``"cache"``) per target first: even a
+    fully cache-served pass must stay interruptible by deadlines and
+    fault injection.
+    """
+    for _ in targets:
+        engine.checkpoint("cache")
+    if cache is None:
+        return [], None, list(targets)
+    return cache.peek_block(targets, level, rows)
+
+
 def columns_for_budget(max_block_bytes: int, num_nodes: int) -> int:
     """Widest block whose buffers fit ``max_block_bytes``.
 
@@ -117,7 +141,7 @@ class DeepeningRounds:
     cache:
         Optional :class:`~repro.walks.cache.WalkCache` bound to the same
         engine and measure.  Hits are read at the caller's rows; walked
-        levels are donated (``put_scores`` — the one reason a column is
+        levels are donated (``put_block`` — the one reason a column is
         ever finalised full-width), and in bounded mode it doubles as
         the spill target for overflow survivors.
     max_block_bytes:
@@ -194,21 +218,11 @@ class DeepeningRounds:
         cache = self._cache
         self._round_chunks = []
         self._walked = {}
-        hits: List[int] = []
-        hit_scores: List[np.ndarray] = []
+        hits, hit_block, missed = triage(self._engine, cache, active, level, rows)
         resident: List[int] = []
         resume: List[int] = []
         pending: List[int] = []
-        for q in active:
-            # Site "cache": even a fully cache-served triage pass must
-            # stay interruptible by deadlines and fault injection.
-            self._engine.checkpoint("cache")
-            if cache is not None:
-                cached = cache.peek(q, level, rows)
-                if cached is not None:
-                    hits.append(q)
-                    hit_scores.append(cached)
-                    continue
+        for q in missed:
             if self._state is not None and q in self._state_cols:
                 resident.append(q)
             elif cache is not None and (
@@ -219,7 +233,7 @@ class DeepeningRounds:
             else:
                 pending.append(q)
         if hits:
-            consume(hits, np.stack(hit_scores, axis=1))
+            consume(hits, hit_block)
         if self._state is None and pending:
             # Cold start: the first walking round claims residency.
             claim = (
@@ -310,13 +324,13 @@ class DeepeningRounds:
         to take it."""
         if not columns:
             return
+        fed = [targets[j] for j in columns]
         if self._cache is not None:
-            for j in columns:
-                self._cache.put_scores(targets[j], level, part.score_column(j))
+            self._cache.put_block(fed, level, map(part.score_column, columns))
         block = part.scores_at(rows)
         if list(columns) != list(range(part.width)):
             block = np.take(block, columns, axis=1)
-        consume([targets[j] for j in columns], block)
+        consume(fed, block)
 
     def _advance_parts(
         self, state: WalkState, level: int

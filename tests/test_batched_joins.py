@@ -125,12 +125,16 @@ class TestResumableBIDJ:
             def __init__(self):
                 self.calls = []
                 self.scores = []
+                self.blocks = 0
 
-            def observe(self, q, level, scores, tail):
-                # Left-aligned on the fast and the reference path alike.
-                assert len(scores) == len(left)
-                self.calls.append((q, level, round(float(tail), 12)))
-                self.scores.append(scores.copy())
+            def observe(self, targets, level, block, tails):
+                # Left-aligned blocks on the fast and the reference path
+                # alike; flattened here to one record per walk.
+                assert block.shape == (len(left), len(targets))
+                self.blocks += 1
+                for q, scores, tail in zip(targets, block.T, tails.tolist()):
+                    self.calls.append((q, level, round(tail, 12)))
+                    self.scores.append(scores.copy())
 
         fast, slow = Recorder(), Recorder()
         ctx = make_context(random_graph, left, right, params=params, d=8)
@@ -140,6 +144,10 @@ class TestResumableBIDJ:
         assert fast.calls == slow.calls
         for got, expected in zip(fast.scores, slow.scores):
             assert np.allclose(got, expected, atol=1e-12)
+        # The reference feeds one-column blocks, the join one block per
+        # consumed group: far fewer observer calls for the same walks.
+        assert slow.blocks == len(slow.calls)
+        assert fast.blocks < slow.blocks
 
     def test_d_one_walks_everything_once(self, algorithm_cls, path4, params):
         ctx = make_context(path4, [0, 1], [2, 3], params=params, d=1)

@@ -120,6 +120,53 @@ class TestWalkCacheStress:
                 rng_totals += 1
         assert cache.stats.hits + cache.stats.misses == rng_totals
 
+    def test_block_triage_and_donation_under_the_sanitizer(
+        self, graph, params, lock_sanitizer
+    ):
+        """``peek_block`` / ``put_block`` — the joins' group lookups and
+        donations — from 8 workers against an evicting cache: every block
+        bit-identical to the reference, no lookup lost, and the traced
+        locks show no walk under the cache lock (the workers walk their
+        misses themselves, outside it) and no lock taken inside it."""
+        targets, levels = list(range(12)), [2, 3, 5]
+        rows = np.array([0, 7, 13, 21, 39])
+        ref_cache = WalkCache(WalkEngine(graph), params)
+        reference = {
+            (t, d): ref_cache.scores(t, d) for t in targets for d in levels
+        }
+        engine = WalkEngine(graph)
+        cache = WalkCache(engine, params, max_targets=8)  # forces evictions
+        lock_sanitizer.instrument_engine(engine)
+        assert "WalkCache._lock" in lock_sanitizer.instrument(cache)
+        rounds, width = 40, 4
+        mismatches = []
+
+        def body(index):
+            rng = np.random.default_rng(3000 + index)
+            for _ in range(rounds):
+                group = rng.choice(targets, size=width, replace=False).tolist()
+                d = levels[int(rng.integers(len(levels)))]
+                hits, block, misses = cache.peek_block(group, d, rows)
+                if sorted(hits + misses) != sorted(group):
+                    mismatches.append(("split", group))
+                for j, q in enumerate(hits):
+                    if not np.array_equal(block[:, j], reference[(q, d)][rows]):
+                        mismatches.append((q, d))
+                if misses:
+                    state = WalkState(engine, params, misses).advance_to(d)
+                    cache.put_block(
+                        misses, d, map(state.score_column, range(len(misses)))
+                    )
+
+        run_threads(THREADS, body)
+        assert mismatches == []
+        assert cache.stats.hits + cache.stats.misses == THREADS * rounds * width
+        assert cache.stats.hits > 0 and cache.stats.evictions > 0
+        assert len(cache) <= 8
+        report = lock_sanitizer.assert_clean()
+        assert report["propagation_holds"] == {}
+        assert not [edge for edge in report["edges"] if edge[0] == "WalkCache._lock"]
+
     def test_concurrent_same_key_returns_private_copies(self, graph, params):
         engine = WalkEngine(graph)
         cache = WalkCache(engine, params)

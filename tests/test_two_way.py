@@ -197,10 +197,14 @@ class TestPruningBehaviour:
         left = list(range(5))
 
         class Recorder:
-            def observe(self, q, level, scores, tail):
-                # Aligned with the left set, not a full-graph vector.
-                assert len(scores) == len(left)
-                calls.append((q, level, tail))
+            def observe(self, targets, level, block, tails):
+                # One left-aligned block per consumed group of targets,
+                # never full-graph vectors.
+                assert block.shape == (len(left), len(targets))
+                assert len(tails) == len(targets)
+                calls.extend(
+                    (q, level, tail) for q, tail in zip(targets, tails.tolist())
+                )
 
         ctx = make_context(
             random_graph, left, list(range(20, 26)), params=params, d=8

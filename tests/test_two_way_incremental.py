@@ -10,28 +10,42 @@ from repro.graph.validation import GraphValidationError
 
 
 class TestFStructure:
+    """The column store: ``update_column(q, level, scores, tail)`` with
+    ``scores`` aligned with the structure's left set."""
+
+    LEFT = [5, 2, 0]  # not sorted: ties break on the node id, not the slot
+
+    def column(self, f, q, level, lowers, tail=0.0):
+        f.update_column(q, level, np.array(lowers, dtype=np.float64), tail)
+
     def test_insert_and_peek_order(self):
-        f = FStructure()
-        f.update((0, 1), lower=0.1, upper=0.5, level=1)
-        f.update((0, 2), lower=0.2, upper=0.9, level=1)
-        f.update((0, 3), lower=0.1, upper=0.7, level=1)
+        f = FStructure(self.LEFT)
+        self.column(f, 11, 1, [0.1, 0.0, 0.3], tail=0.4)  # uppers .5 .4 .7
+        self.column(f, 12, 1, [0.2, 0.1, 0.0], tail=0.7)  # uppers .9 .8 .7
         first, second = f.peek_top_two()
-        assert first.pair == (0, 2)
-        assert second.pair == (0, 3)
+        # Runner-up from the best column itself ...
+        assert (first.pair, second.pair) == ((5, 12), (2, 12))
+        assert first.lower == 0.2 and first.upper == pytest.approx(0.9)
+        self.column(f, 13, 1, [0.85, 0.0, 0.0])           # exact: tail 0
+        first, second = f.peek_top_two()
+        # ... or the next column's head, whichever bounds higher.
+        assert (first.pair, second.pair) == ((5, 12), (5, 13))
 
     def test_update_requires_deeper_level(self):
-        f = FStructure()
-        f.update((0, 1), lower=0.1, upper=0.5, level=2)
-        f.update((0, 1), lower=0.4, upper=0.45, level=1)  # shallower: ignored
-        assert f.get((0, 1)).upper == 0.5
-        f.update((0, 1), lower=0.42, upper=0.44, level=4)  # deeper: applied
-        assert f.get((0, 1)).upper == 0.44
-        assert f.get((0, 1)).level == 4
+        f = FStructure(self.LEFT)
+        self.column(f, 1, 2, [0.1, 0.1, 0.1], tail=0.4)
+        self.column(f, 1, 1, [0.4, 0.4, 0.4], tail=0.05)  # shallower: ignored
+        assert f.get((5, 1)).upper == 0.5
+        self.column(f, 1, 4, [0.42, 0.3, 0.2], tail=0.02)  # deeper: applied
+        entry = f.get((5, 1))
+        assert entry.upper == 0.42 + 0.02
+        assert (entry.lower, entry.level) == (0.42, 4)
+        assert f.peek_top_two()[0].pair == (5, 1)
 
     def test_lazy_deletion(self):
-        f = FStructure()
-        f.update((0, 1), 0.1, 0.9, 1)
-        f.update((0, 2), 0.1, 0.8, 1)
+        f = FStructure([0])
+        self.column(f, 1, 1, [0.1], tail=0.8)
+        self.column(f, 2, 1, [0.1], tail=0.7)
         f.remove((0, 1))
         assert (0, 1) not in f
         first, second = f.peek_top_two()
@@ -39,29 +53,38 @@ class TestFStructure:
         assert second is None
 
     def test_update_after_remove_reinserts(self):
-        f = FStructure()
-        f.update((0, 1), 0.1, 0.9, 2)
-        f.remove((0, 1))
-        f.update((0, 1), 0.2, 0.7, 1)  # level restriction resets after remove
-        assert f.get((0, 1)).upper == 0.7
+        # A removed (emitted) pair stays out of a later, deeper walk of
+        # its column; the column's other entries are re-ranked.
+        f = FStructure(self.LEFT)
+        self.column(f, 1, 1, [0.3, 0.2, 0.1], tail=0.5)
+        f.remove((5, 1))
+        f.remove((0, 9))  # before column 9 exists
+        self.column(f, 1, 2, [0.35, 0.2, 0.25], tail=0.1)
+        self.column(f, 9, 1, [0.1, 0.1, 0.9])
+        assert (5, 1) not in f and (0, 9) not in f
+        first, second = f.peek_top_two()
+        assert (first.pair, second.pair) == ((0, 1), (2, 1))
+        assert len(f) == 4
 
     def test_tie_break_on_upper(self):
-        f = FStructure()
-        f.update((5, 1), 0.1, 0.5, 1)
-        f.update((2, 9), 0.1, 0.5, 1)
+        f = FStructure(self.LEFT)
+        # Distinct scores that round to equal uppers tie on (p, q).
+        self.column(f, 9, 1, [0.5, 0.0, 0.0])
+        self.column(f, 1, 1, [0.1, 0.25, 0.0], tail=0.25)
         first, second = f.peek_top_two()
-        assert first.pair == (2, 9)
-        assert second.pair == (5, 1)
+        assert first.upper == second.upper == 0.5
+        assert (first.pair, second.pair) == ((2, 1), (5, 9))
 
     def test_len_and_contains(self):
-        f = FStructure()
+        f = FStructure([1, 2])
         assert len(f) == 0
-        f.update((1, 2), 0.0, 1.0, 1)
-        assert len(f) == 1
+        self.column(f, 2, 1, [0.0, 1.0])
+        assert len(f) == 1  # the reflexive (2, 2) is never an entry
         assert (1, 2) in f
+        assert (2, 2) not in f and (7, 2) not in f and (1, 3) not in f
 
     def test_empty_peek(self):
-        assert FStructure().peek_top_two() == (None, None)
+        assert FStructure([0]).peek_top_two() == (None, None)
 
 
 class TestIncrementalJoin:
@@ -132,16 +155,23 @@ class TestIncrementalJoin:
     def test_recorder_retains_left_rows_only(self, random_graph, params, monkeypatch):
         """``B-IDJ``'s bounded-memory promise (live walk memory
         ``O(max_block_bytes + |P||Q|)``) holds with ``PJ-i``'s observer
-        attached: what the recorder keeps per target is ``|P|`` floats
-        of its own, never a full-graph vector or a view pinning one."""
+        attached: the recorder owns one ``|Q| x |P|`` array of its own
+        and copies each observed block into it — it keeps no walk block,
+        no full-graph vector and no view pinning one — and ``F``'s
+        columns are rows of that array."""
         from repro.core.two_way import incremental
 
         recorders = []
 
         class Spy(incremental._FRecorder):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, context):
+                super().__init__(context)
+                self.seen = []
                 recorders.append(self)
+
+            def observe(self, targets, level, block, tails):
+                self.seen.append(block)
+                super().observe(targets, level, block, tails)
 
         monkeypatch.setattr(incremental, "_FRecorder", Spy)
         left, right = list(range(6)), list(range(15, 35))
@@ -154,10 +184,20 @@ class TestIncrementalJoin:
         prefix = join.top(5)
         assert len(prefix) == 5
         (recorder,) = recorders
-        assert sorted(recorder.latest) == right
-        for _, scores, _ in recorder.latest.values():
-            assert scores.shape == (len(left),)
-            assert scores.base is None  # owns its |P| floats
+        assert recorder.scores.shape == (len(right), len(left))
+        assert recorder.scores.base is None  # owns its |Q| x |P| floats
+        assert (recorder.levels > 0).all()   # every target was observed
+        held = [
+            value for value in vars(recorder).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert sum(a.size for a in held) <= len(right) * (len(left) + 2)
+        for block in recorder.seen:
+            assert block.shape[0] == len(left)  # left rows, never n
+            assert not any(np.shares_memory(block, a) for a in held)
+        for column in join._f._columns.values():
+            assert column.scores.shape == (len(left),)
+            assert column.scores.base is recorder.scores
         # And the stream built from them is still the sorted join.
         full = sort_pairs(BackwardBasicJoin(ctx).all_pairs())
         rest = [join.next_pair() for _ in range(4)]
