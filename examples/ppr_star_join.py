@@ -53,7 +53,7 @@ def main() -> None:
     )
     oracle_spec = NWayJoinSpec(
         graph=graph, query_graph=query, node_sets=[list(s) for s in sets],
-        k=3, measure=TruncatedPPR(), share_walks=False, share_bounds=False,
+        k=3, measure=TruncatedPPR(),
     )
     oracle = SeriesAllPairsJoin(oracle_spec, block_size=1).run()
     assert [(a.nodes, round(a.score, 10)) for a in pj_answers] == [

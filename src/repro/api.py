@@ -259,11 +259,8 @@ def multi_way_join(
     epsilon: Optional[float] = None,
     engine: Optional[WalkEngine] = None,
     walk_cache: Optional[WalkCache] = None,
-    share_walks: bool = True,
     bound_cache: Optional[BoundPlanCache] = None,
-    share_bounds: bool = True,
     max_block_bytes: Optional[int] = None,
-    walk_cache_bytes: Optional[int] = None,
     measure: Optional[Union[str, object]] = None,
     plan: object = "fixed",
     budget: Optional[QueryBudget] = None,
@@ -292,28 +289,23 @@ def multi_way_join(
         Monotone ``f`` over per-edge DHT scores (default ``MIN``).
     m:
         Prefix length for ``PJ``/``PJ-i`` (ignored by ``NL``/``AP``).
-    walk_cache / share_walks:
-        ``share_walks`` (default) shares one walk cache across all query
-        edges, so overlapping node sets never walk the same target
-        twice; disable to reproduce the seed's per-edge walk costs.
-        Pass an explicit ``walk_cache`` (bound to the same engine and
-        measure identity) to share it across *calls* as well — hot
-        targets from one query warm the next, which is how the
+    walk_cache:
+        One walk cache is always shared across all query edges, so
+        overlapping node sets never walk the same target twice.  Pass an
+        explicit ``walk_cache`` (bound to the same engine and measure
+        identity) to share it across *calls* as well — hot targets from
+        one query warm the next, which is how the
         :class:`repro.service.QueryService` tier amortises walks across
-        users.
-    bound_cache / share_bounds:
-        ``share_bounds`` (default) shares one bound/plan cache across
-        all query edges, so edges that agree on the left node set build
-        each ``Y`` bound and restricted-tail plan once; disable to
-        reproduce the per-edge build costs.  An explicit ``bound_cache``
-        is shared across calls like ``walk_cache``.
+        users — or to bound its footprint (``WalkCache(...,
+        max_bytes=...)``).
+    bound_cache:
+        One bound/plan cache is always shared across all query edges, so
+        edges that agree on the left node set build each ``Y`` bound and
+        restricted-tail plan once.  An explicit ``bound_cache`` is shared
+        across calls like ``walk_cache``.
     max_block_bytes:
         Optional byte ceiling on each edge's resumable walk block; see
         :class:`~repro.core.two_way.base.TwoWayContext`.
-    walk_cache_bytes:
-        Optional byte budget for the shared walk cache (strict
-        least-recently-used eviction over retained vectors and
-        resumable buffers); see :class:`~repro.walks.cache.WalkCache`.
     plan:
         ``"fixed"`` (default — index edge order, the executor's default
         operator, the pre-planner behaviour), ``"auto"`` (the
@@ -352,9 +344,8 @@ def multi_way_join(
             algorithm, measure, graph=graph, query_graph=query_graph,
             node_sets=node_sets, k=k, aggregate=aggregate, params=params, d=d,
             epsilon=epsilon, engine=engine, walk_cache=walk_cache,
-            share_walks=share_walks, bound_cache=bound_cache,
-            share_bounds=share_bounds, max_block_bytes=max_block_bytes,
-            walk_cache_bytes=walk_cache_bytes, plan=plan,
+            bound_cache=bound_cache, max_block_bytes=max_block_bytes,
+            plan=plan,
         )
         if name == "nl" and plan != "fixed":
             raise GraphValidationError(
@@ -417,32 +408,6 @@ def _run_strategy(spec: NWayJoinSpec, name: str, m: int, plan=None):
     return executor(spec, m=m, plan=plan).run()
 
 
-def serve(graph: Graph, **config) -> "object":
-    """A running :class:`~repro.service.QueryService` over ``graph``.
-
-    The service loads the graph once (one engine, one transition
-    matrix), keeps one shared walk/bound cache pair per measure
-    identity so hot targets from one user's query warm the next
-    user's, and executes :class:`~repro.service.TwoWayRequest` /
-    :class:`~repro.service.MultiWayRequest` /
-    :class:`~repro.service.ExplainRequest` values on a pool of worker
-    threads with admission control (``workers``, ``queue_depth``,
-    ``max_in_flight``, ``default_budget`` — see
-    :class:`~repro.service.QueryService` for every knob).
-
-    Use as a context manager (or call ``close()``)::
-
-        with serve(graph, workers=4) as service:
-            response = service.query(TwoWayRequest(left, right, k=10))
-
-    The service package is imported lazily so the one-shot API keeps
-    zero serving-layer overhead.
-    """
-    from repro.service import QueryService
-
-    return QueryService(graph, **config)
-
-
 def explain_multi_way_plan(
     graph: Graph,
     query_graph: QueryGraph,
@@ -456,11 +421,8 @@ def explain_multi_way_plan(
     epsilon: Optional[float] = None,
     engine: Optional[WalkEngine] = None,
     walk_cache: Optional[WalkCache] = None,
-    share_walks: bool = True,
     bound_cache: Optional[BoundPlanCache] = None,
-    share_bounds: bool = True,
     max_block_bytes: Optional[int] = None,
-    walk_cache_bytes: Optional[int] = None,
     measure: Optional[Union[str, object]] = None,
     plan: object = "auto",
     analyze: bool = False,
@@ -486,9 +448,8 @@ def explain_multi_way_plan(
         algorithm, measure, graph=graph, query_graph=query_graph,
         node_sets=node_sets, k=k, aggregate=aggregate, params=params, d=d,
         epsilon=epsilon, engine=engine, walk_cache=walk_cache,
-        share_walks=share_walks, bound_cache=bound_cache,
-        share_bounds=share_bounds, max_block_bytes=max_block_bytes,
-        walk_cache_bytes=walk_cache_bytes, plan=plan,
+        bound_cache=bound_cache, max_block_bytes=max_block_bytes,
+        plan=plan,
     )
     # The planner rejects "nl" (nothing to plan); the measure path has
     # no incremental PJ-i and plans the PJ it runs.

@@ -15,10 +15,10 @@ the walk depth ``d``:
 * **Restricted-tail plans** (:class:`repro.core.two_way.backward._RestrictedTail`):
   the row-sliced submatrix operators for the final walk steps depend
   only on ``(graph, rows, d)``.  ``B-BJ``'s *lean* scorer — the path
-  taken when no walk cache is attached (``share_walks=False`` specs,
-  standalone contexts) — reuses the plan across repeated ``all_pairs``
-  calls and across edges with the same left set instead of re-slicing
-  the transition matrix.  With a walk cache attached ``B-BJ`` scores
+  taken when no walk cache is attached (standalone two-way contexts) —
+  reuses the plan across repeated ``all_pairs`` calls and across
+  contexts that share a bound cache and a left set instead of
+  re-slicing the transition matrix.  With a walk cache attached ``B-BJ`` scores
   through full resumable blocks it donates to the cache, which needs no
   tail plan, so those runs never touch this entry kind.
 * **X bounds** (Lemma 2): the closed-form geometric tail depends only

@@ -21,10 +21,6 @@ Usage (after ``pip install -e .``)::
     python -m repro serve graph.tsv --sets sets.json \\
         --requests requests.json --workers 4
 
-    # throughput/latency sweep: replay the mix, cold vs warm caches
-    python -m repro bench-service graph.tsv --sets sets.json \\
-        --requests requests.json --workers 4 --runs 3
-
 Graphs are TSV edge lists with a ``# nodes: N`` header
 (:mod:`repro.graph.io`); node sets are JSON ``{"name": [ids...]}``.
 The ``--requests`` file is a JSON list of request objects, e.g.
@@ -39,7 +35,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from typing import List, Optional, Sequence
 
 from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
@@ -154,15 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     multi.add_argument("--aggregate", default="MIN")
     multi.add_argument("-m", type=int, default=50, help="PJ/PJ-i prefix length")
     multi.add_argument(
-        "--no-walk-cache", action="store_false", dest="share_walks",
-        help="disable the cross-edge walk cache (seed per-edge walk costs)",
-    )
-    multi.add_argument(
-        "--no-bound-cache", action="store_false", dest="share_bounds",
-        help="disable the cross-edge bound/plan cache "
-             "(per-edge Y-bound and tail-plan builds)",
-    )
-    multi.add_argument(
         "--plan", choices=("fixed", "auto"), default="fixed",
         help="edge order / per-edge operator selection: 'fixed' "
              "(default) keeps index order with the strategy default, "
@@ -184,52 +170,39 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("graph")
     stats.add_argument("--json", action="store_true", dest="as_json")
 
-    def add_service_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
-        p.add_argument("--sets", required=True, help="JSON node-set file")
-        p.add_argument("--requests", required=True,
-                       help="JSON list of request objects (see module docs)")
-        p.add_argument("--workers", type=int, default=4,
-                       help="worker threads in the service pool")
-        p.add_argument("--queue-depth", type=int, default=32,
-                       help="max requests waiting for a worker before "
-                            "admission control rejects")
-        p.add_argument("--max-in-flight", type=int, default=None,
-                       help="ceiling on admitted-but-unfinished requests "
-                            "(default workers + queue depth)")
-        p.add_argument("--decay", type=float, default=0.2, help="lambda")
-        p.add_argument("--epsilon", type=float, default=1e-6,
-                       help="truncation error target (Lemma 1)")
-        p.add_argument("--deadline-ms", type=float, default=None,
-                       help="default per-query wall budget (requests "
-                            "without their own budget run under this; "
-                            "queue wait counts against it)")
-        p.add_argument("--step-budget", type=int, default=None,
-                       help="default per-query propagation-step budget")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit machine-readable JSON")
-        add_obs_common(p)
-
     serve = sub.add_parser(
         "serve",
         help="run a JSON request mix through the concurrent query service",
     )
-    add_service_common(serve)
+    serve.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
+    serve.add_argument("--sets", required=True, help="JSON node-set file")
+    serve.add_argument("--requests", required=True,
+                       help="JSON list of request objects (see module docs)")
+    serve.add_argument("--workers", type=int, default=4,
+                       help="worker threads in the service pool")
+    serve.add_argument("--queue-depth", type=int, default=32,
+                       help="max requests waiting for a worker before "
+                            "admission control rejects")
+    serve.add_argument("--max-in-flight", type=int, default=None,
+                       help="ceiling on admitted-but-unfinished requests "
+                            "(default workers + queue depth)")
+    serve.add_argument("--decay", type=float, default=0.2, help="lambda")
+    serve.add_argument("--epsilon", type=float, default=1e-6,
+                       help="truncation error target (Lemma 1)")
+    serve.add_argument("--deadline-ms", type=float, default=None,
+                       help="default per-query wall budget (requests "
+                            "without their own budget run under this; "
+                            "queue wait counts against it)")
+    serve.add_argument("--step-budget", type=int, default=None,
+                       help="default per-query propagation-step budget")
+    serve.add_argument("--json", action="store_true", dest="as_json",
+                       help="emit machine-readable JSON")
+    add_obs_common(serve)
     serve.add_argument(
         "--metrics-interval", type=float, default=None, metavar="SECONDS",
         help="with --metrics-out: flush a registry snapshot every "
              "SECONDS while the service runs (plus one final snapshot)",
     )
-
-    bench = sub.add_parser(
-        "bench-service",
-        help="replay the request mix repeatedly: QPS/p50/p99 and "
-             "cold-vs-warm cache-hit rates",
-    )
-    add_service_common(bench)
-    bench.add_argument("--runs", type=int, default=3,
-                       help="replay passes over the mix (pass 1 is the "
-                            "cold arm, the last pass the warm arm)")
     return parser
 
 
@@ -372,8 +345,8 @@ def _run_multi_way(args) -> int:
     # executes precisely the spec that was explained.
     query_kwargs = dict(
         algorithm=args.algorithm, aggregate=aggregate_by_name(args.aggregate),
-        m=args.m, share_walks=args.share_walks, share_bounds=args.share_bounds,
-        max_block_bytes=args.max_block_bytes, plan=args.plan, engine=engine,
+        m=args.m, max_block_bytes=args.max_block_bytes, plan=args.plan,
+        engine=engine,
         **_measure_kwargs(args),
     )
     plan_obj = None
@@ -461,10 +434,12 @@ def _resolve_members(node_sets: dict, value, path: str) -> List[int]:
 
 def _typed(entry: dict, key: str, types, default=None):
     """``entry[key]``, which must be of ``types``; ``default`` when absent
-    (or given as the default itself, e.g. ``null`` for an unset budget)."""
+    (or given as the default itself, e.g. ``null`` for an unset budget).
+    A JSON bool passes only where ``types`` is ``bool``."""
     value = entry.get(key, default)
     if value is not default and (
-        isinstance(value, bool) or not isinstance(value, types)
+        isinstance(value, bool) != (types is bool)
+        or not isinstance(value, types)
     ):
         raise GraphValidationError(f"{key!r} has the wrong type: {value!r}")
     return value
@@ -520,13 +495,13 @@ def _parse_request(entry, node_sets: dict, sets_path: str) -> object:
     if deadline_ms is not None or step_budget is not None:
         budget = QueryBudget(deadline_ms=deadline_ms, step_budget=step_budget)
     k = _typed(entry, "k", int, 10)
-    measure = entry.get("measure")
+    measure = _typed(entry, "measure", str)
     if kind == "two-way":
         return TwoWayRequest(
             left=_resolve_members(node_sets, entry["left"], sets_path),
             right=_resolve_members(node_sets, entry["right"], sets_path),
             k=k,
-            algorithm=entry.get("algorithm", "b-idj-y"),
+            algorithm=_typed(entry, "algorithm", str, "b-idj-y"),
             measure=measure,
             budget=budget,
         )
@@ -539,22 +514,22 @@ def _parse_request(entry, node_sets: dict, sets_path: str) -> object:
     else:
         names = [str(value) for value in entry["node_sets"]]
         query = _query_graph(
-            entry.get("shape", "chain"), len(sets),
-            bool(entry.get("bidirectional", False)), names,
+            _typed(entry, "shape", str, "chain"), len(sets),
+            _typed(entry, "bidirectional", bool, False), names,
         )
         edges = [(edge[0], edge[1]) for edge in query.edges]
     common = dict(
         query_edges=edges,
         node_sets=sets,
         k=k,
-        algorithm=entry.get("algorithm", "pj-i"),
+        algorithm=_typed(entry, "algorithm", str, "pj-i"),
         m=_typed(entry, "m", int, 50),
         measure=measure,
     )
     if kind == "explain":
-        return ExplainRequest(plan=entry.get("plan", "auto"), **common)
+        return ExplainRequest(plan=_typed(entry, "plan", str, "auto"), **common)
     return MultiWayRequest(
-        plan=entry.get("plan", "fixed"), budget=budget, **common
+        plan=_typed(entry, "plan", str, "fixed"), budget=budget, **common
     )
 
 
@@ -589,22 +564,9 @@ def _response_payload(response) -> dict:
     return row
 
 
-def _service_from_args(args, graph, tracer=None):
+def _run_serve(args) -> int:
     from repro.service import QueryService
 
-    return QueryService(
-        graph,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        max_in_flight=args.max_in_flight,
-        default_budget=_budget(args),
-        params=DHTParams.dht_lambda(args.decay),
-        epsilon=args.epsilon,
-        tracer=tracer,
-    )
-
-
-def _run_serve(args) -> int:
     graph = read_edge_list(args.graph)
     requests = _parse_requests(args.requests, args.sets)
     tracer = None
@@ -613,8 +575,17 @@ def _run_serve(args) -> int:
 
         tracer = QueryTracer()
     flush_stop = None
-    with _service_from_args(args, graph, tracer=tracer) as service:
-        interval = getattr(args, "metrics_interval", None)
+    with QueryService(
+        graph,
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+        max_in_flight=args.max_in_flight,
+        default_budget=_budget(args),
+        params=DHTParams.dht_lambda(args.decay),
+        epsilon=args.epsilon,
+        tracer=tracer,
+    ) as service:
+        interval = args.metrics_interval
         if args.metrics_out is not None and interval is not None:
             import threading
 
@@ -671,71 +642,6 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_bench_service(args) -> int:
-    if args.runs < 2:
-        raise GraphValidationError(
-            f"bench-service needs --runs >= 2 for a cold/warm pair, "
-            f"got {args.runs}"
-        )
-    graph = read_edge_list(args.graph)
-    requests = _parse_requests(args.requests, args.sets)
-    from repro.service.stats import percentile
-
-    tracer = None
-    if args.trace_out is not None:
-        from repro.obs import QueryTracer
-
-        tracer = QueryTracer()
-    passes = []
-    with _service_from_args(args, graph, tracer=tracer) as service:
-        for run in range(1, args.runs + 1):
-            before = service.stats()
-            started = time.perf_counter()
-            tickets = [service.submit(request) for request in requests]
-            responses = [ticket.result() for ticket in tickets]
-            elapsed = time.perf_counter() - started
-            after = service.stats()
-            hits = after.walk_cache_hits - before.walk_cache_hits
-            misses = after.walk_cache_misses - before.walk_cache_misses
-            lookups = hits + misses
-            latencies = sorted(r.latency_ms for r in responses if r.ok)
-            completed = len(latencies)
-            passes.append({
-                "run": run,
-                "requests": len(responses),
-                "completed": completed,
-                "rejected": sum(1 for r in responses if r.rejected),
-                "qps": (completed / elapsed) if elapsed > 0 else 0.0,
-                "p50_ms": percentile(latencies, 0.50),
-                "p99_ms": percentile(latencies, 0.99),
-                "walk_cache_hit_rate": (hits / lookups) if lookups else 0.0,
-            })
-        if args.metrics_out is not None:
-            service.metrics_registry().write_snapshot(args.metrics_out)
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
-    summary = {
-        "workers": args.workers,
-        "runs": args.runs,
-        "cold_hit_rate": passes[0]["walk_cache_hit_rate"],
-        "warm_hit_rate": passes[-1]["walk_cache_hit_rate"],
-        "passes": passes,
-    }
-    if args.as_json:
-        print(json.dumps(summary))
-        return 0
-    print(f"# bench-service: {len(requests)} requests x {args.runs} passes, "
-          f"{args.workers} workers")
-    for row in passes:
-        print(f"pass {row['run']:>2}  qps {row['qps']:8.1f}  "
-              f"p50 {row['p50_ms']:8.2f} ms  p99 {row['p99_ms']:8.2f} ms  "
-              f"walk-hit {row['walk_cache_hit_rate']:6.1%}  "
-              f"rejected {row['rejected']}")
-    print(f"# cold walk-hit {summary['cold_hit_rate']:.1%} -> "
-          f"warm {summary['warm_hit_rate']:.1%}")
-    return 0
-
-
 def _run_stats(args) -> int:
     graph = read_edge_list(args.graph)
     stats = graph.degree_statistics()
@@ -758,8 +664,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_multi_way(args)
         if args.command == "serve":
             return _run_serve(args)
-        if args.command == "bench-service":
-            return _run_bench_service(args)
         return _run_stats(args)
     except BudgetExhaustedError as exc:
         # --on-budget error: exhaustion is an explicit failure mode,

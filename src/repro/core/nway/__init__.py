@@ -1,14 +1,11 @@
 """n-way joins over DHT: NL, AP, PJ, and PJ-i."""
 
 from repro.core.nway.aggregates import AVG, MAX, MIN, SUM, aggregate_by_name
-from repro.core.nway.all_pairs import AllPairsJoin, all_pairs_join
+from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.nested_loop import NestedLoopJoin, nested_loop_join
-from repro.core.nway.partial_join import PartialJoin, partial_join
-from repro.core.nway.partial_join_inc import (
-    PartialJoinIncremental,
-    partial_join_incremental,
-)
+from repro.core.nway.nested_loop import NestedLoopJoin
+from repro.core.nway.partial_join import PartialJoin
+from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 
@@ -25,8 +22,4 @@ __all__ = [
     "PartialJoinIncremental",
     "QueryGraph",
     "aggregate_by_name",
-    "all_pairs_join",
-    "nested_loop_join",
-    "partial_join",
-    "partial_join_incremental",
 ]

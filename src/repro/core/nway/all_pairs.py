@@ -54,8 +54,3 @@ class AllPairsJoin(NWayDriver):
         answers = super().run()
         self.stats = self.rank_join
         return answers
-
-
-def all_pairs_join(spec: NWayJoinSpec, two_way: str = "f-bj", plan=None):
-    """Convenience: run ``AP`` on a spec and return its answers."""
-    return AllPairsJoin(spec, two_way=two_way, plan=plan).run()

@@ -71,8 +71,3 @@ class NestedLoopJoin:
         if self._memoize:
             self._cache[(source, target)] = score
         return score
-
-
-def nested_loop_join(spec: NWayJoinSpec, memoize_pairs: bool = False):
-    """Convenience: run ``NL`` on a spec and return its answers."""
-    return NestedLoopJoin(spec, memoize_pairs=memoize_pairs).run()

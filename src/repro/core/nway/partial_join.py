@@ -64,10 +64,3 @@ class PartialJoin(NWayDriver):
     def run(self) -> List[CandidateAnswer]:
         """Execute ``PJ`` and return the top-``k`` answers."""
         return super().run()
-
-
-def partial_join(
-    spec: NWayJoinSpec, m: int = 50, two_way: str = "b-idj-y", plan=None
-):
-    """Convenience: run ``PJ`` on a spec and return its answers."""
-    return PartialJoin(spec, m=m, two_way=two_way, plan=plan).run()

@@ -67,10 +67,3 @@ class PartialJoinIncremental(NWayDriver):
     def run(self) -> List[CandidateAnswer]:
         """Execute ``PJ-i`` and return the top-``k`` answers."""
         return super().run()
-
-
-def partial_join_incremental(
-    spec: NWayJoinSpec, m: int = 50, bound: str = "y", plan=None
-):
-    """Convenience: run ``PJ-i`` on a spec and return its answers."""
-    return PartialJoinIncremental(spec, m=m, bound=bound, plan=plan).run()

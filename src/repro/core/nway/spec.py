@@ -37,22 +37,20 @@ class NWayJoinSpec:
     params / d / epsilon:
         DHT configuration; defaults to ``DHT_lambda(0.2)`` with
         ``epsilon = 1e-6`` (``d = 8``), matching Section VII-A.
-    walk_cache / share_walks:
+    walk_cache:
         One :class:`~repro.walks.cache.WalkCache` is shared by every
-        query edge of the join (created automatically unless
-        ``share_walks`` is false), so edges whose node sets overlap —
-        star and clique specs especially — never walk the same target
-        twice.
-    bound_cache / share_bounds:
+        query edge of the join (created unbounded when omitted), so
+        edges whose node sets overlap — star and clique specs
+        especially — never walk the same target twice.  Pass a cache
+        built with ``max_bytes`` to bound a long join's footprint.
+    bound_cache:
         One :class:`~repro.bounds_cache.BoundPlanCache` shared by every
-        query edge (created automatically unless ``share_bounds`` is
-        false), the bound-layer twin of the walk cache: edges that
-        agree on the left node set — every edge of a star spec, the
-        repeated sets of a clique — build the ``Y_l^+`` reach-mass
-        table and the ``B-BJ`` restricted-tail plan once instead of
-        once per edge, and ``PJ`` restarts / ``PJ-i`` refinements reuse
-        them too.  With ``share_bounds`` false each edge context falls
-        back to a private cache (the pre-sharing, per-edge build cost).
+        query edge (created when omitted), the bound-layer twin of the
+        walk cache: edges that agree on the left node set — every edge
+        of a star spec, the repeated sets of a clique — build the
+        ``Y_l^+`` reach-mass table and the ``B-BJ`` restricted-tail plan
+        once instead of once per edge, and ``PJ`` restarts / ``PJ-i``
+        refinements reuse them too.
     max_block_bytes:
         Optional resumable-block byte ceiling forwarded to every edge
         context; caps the per-edge walk-block memory of the deepening
@@ -60,12 +58,6 @@ class NWayJoinSpec:
         specs — which switch to bounded-memory chunked rounds with
         walk-cache spill under it (see
         :class:`~repro.core.two_way.base.TwoWayContext`).
-    walk_cache_bytes:
-        Optional byte budget for the automatically created shared walk
-        cache (ignored when an explicit ``walk_cache`` is passed): the
-        cache evicts least-recent targets until its retained vectors and
-        resumable buffers fit, so a long n-way join's cache footprint is
-        bounded no matter how many targets its edges touch.
     plan:
         How executors order and implement the per-edge joins:
         ``"fixed"`` (default) keeps index order with each executor's
@@ -100,11 +92,8 @@ class NWayJoinSpec:
     epsilon: Optional[float] = None
     engine: WalkEngine = field(default=None)  # type: ignore[assignment]
     walk_cache: Optional[WalkCache] = None
-    share_walks: bool = True
     bound_cache: Optional[BoundPlanCache] = None
-    share_bounds: bool = True
     max_block_bytes: Optional[int] = None
-    walk_cache_bytes: Optional[int] = None
     plan: object = "fixed"
     measure: Optional[object] = None
 
@@ -155,11 +144,9 @@ class NWayJoinSpec:
         key_params = (
             self.measure.cache_key() if self.measure is not None else self.params
         )
-        if self.walk_cache is None and self.share_walks:
-            self.walk_cache = WalkCache(
-                self.engine, key_params, max_bytes=self.walk_cache_bytes
-            )
-        if self.bound_cache is None and self.share_bounds:
+        if self.walk_cache is None:
+            self.walk_cache = WalkCache(self.engine, key_params)
+        if self.bound_cache is None:
             self.bound_cache = BoundPlanCache(self.engine, key_params)
         if self.max_block_bytes is not None and self.max_block_bytes < 1:
             raise GraphValidationError(
@@ -212,13 +199,11 @@ class NWayJoinSpec:
         tracer = self.engine.tracer
         if tracer is None:
             return NULL_SPAN
-        extra = None
-        if self.walk_cache is not None:
-            cache_stats = self.walk_cache.stats
-            extra = lambda: {  # noqa: E731 - tiny capture closure
-                "walk_cache_hits": cache_stats.hits,
-                "walk_cache_misses": cache_stats.misses,
-            }
+        cache_stats = self.walk_cache.stats
+        extra = lambda: {  # noqa: E731 - tiny capture closure
+            "walk_cache_hits": cache_stats.hits,
+            "walk_cache_misses": cache_stats.misses,
+        }
         return tracer.span(
             kind,
             name=self.query_graph.edge_name(edge_index),

@@ -48,7 +48,6 @@ from typing import List
 
 from repro.core.nway.driver import Interval, NWayDriver, snapshot_partial
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.base import sort_pairs
 from repro.exec.budget import (
     ON_BUDGET_POLICIES,
     BudgetExhaustedError,
@@ -105,30 +104,12 @@ def run_governed_top_k(
     return _run_governed(lambda: join.top_k(k), join, k, governor, on_budget)
 
 
-def run_governed_all_pairs(
-    join,
-    governor: ExecutionGovernor,
-    on_budget: str = "partial",
-) -> PartialResult:
-    """``join.all_pairs()`` under the budget, sorted best-first.
-
-    The prefix scored before a stop carries exact scores, so the
-    partial result's intervals are degenerate — partial in coverage
-    only.
-    """
-    return _run_governed(
-        lambda: sort_pairs(join.all_pairs()), join, None, governor, on_budget
-    )
-
-
 def run_governed_multi_way(
     spec: NWayJoinSpec,
     governor: ExecutionGovernor,
     algorithm: str = "pj",
     m: int = 50,
-    two_way: str = "b-idj-y",
     on_budget: str = "partial",
-    plan=None,
 ) -> PartialResult:
     """A budgeted n-way join: ``PJ``-style prefixes or ``AP``.
 
@@ -147,7 +128,7 @@ def run_governed_multi_way(
     reasons and per-pair intervals assembled here.  Governed ``"pj-i"``
     runs the restart source: the incremental join keeps no snapshot.
 
-    ``plan`` (or ``spec.plan``) chooses edge build order — and, for the
+    ``spec.plan`` chooses edge build order — and, for the
     ``PJ`` strategies, per-edge operators.  Plans only reorder which
     walks the budget is spent on: soundness of the flagged intervals is
     per-edge, so it holds under every build order (the planner
@@ -171,13 +152,12 @@ def run_governed_multi_way(
     elif spec.measure is not None:
         default_operator = "idj"
     else:
-        default_operator = two_way.lower()
+        default_operator = "b-idj-y"
     driver = NWayDriver(
         spec,
         "ap" if name == "ap" else "pj",
         default_operator,
         m=m,
-        plan=plan,
         label=name,
     )
     answers = driver.run()

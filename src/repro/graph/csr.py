@@ -45,15 +45,3 @@ def build_transition_matrix(graph: "Graph") -> sparse.csr_matrix:
     )
     matrix.sum_duplicates()
     return matrix
-
-
-def row_sums(matrix: sparse.csr_matrix) -> np.ndarray:
-    """Row sums of a CSR matrix as a flat float64 vector."""
-    return np.asarray(matrix.sum(axis=1), dtype=np.float64).ravel()
-
-
-def indicator_vector(n: int, nodes, value: float = 1.0) -> np.ndarray:
-    """Dense float64 vector with ``value`` at each id in ``nodes``."""
-    vec = np.zeros(n, dtype=np.float64)
-    vec[np.asarray(list(nodes), dtype=np.int64)] = value
-    return vec

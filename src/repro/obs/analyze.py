@@ -58,13 +58,6 @@ class AnalyzedPlan:
         """Propagation steps observed across every edge."""
         return sum(a.propagation_steps for a in self.actuals)
 
-    def actuals_for(self, edge_index: int) -> EdgeActuals:
-        """The actuals row for query edge ``edge_index``."""
-        for row in self.actuals:
-            if row.edge_index == edge_index:
-                return row
-        raise KeyError(f"no actuals for edge {edge_index}")
-
     def format(self) -> str:
         """The plan rendering interleaved with per-edge actuals."""
         plan = self.plan

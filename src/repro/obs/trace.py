@@ -149,14 +149,6 @@ class TraceSpan:
         for child in self.children:
             yield from child.walk()
 
-    def subtree_events(self) -> Dict[str, int]:
-        """Event counts summed over this span and its descendants."""
-        totals: Dict[str, int] = {}
-        for span in self.walk():
-            for site, count in span.events.items():
-                totals[site] = totals.get(site, 0) + count
-        return totals
-
     def subtree_peak_bytes(self) -> int:
         """Max per-span allocation high-water mark in the subtree."""
         return max(span.peak_block_bytes for span in self.walk())

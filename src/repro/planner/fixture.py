@@ -6,9 +6,10 @@ here, so the *mechanism under test* is stated once: edge order changes
 budget on the shared :class:`~repro.walks.cache.WalkCache`), and the
 win comes from grouping edges that share right sets and building
 cheap (low-fanout) edges first.  Without a byte budget the resumable
-cache makes every order cost the same — the fixtures therefore set
-``walk_cache_bytes`` tight enough that the star's interleaved natural
-order thrashes while the grouped order stays resident.
+cache makes every order cost the same — the star and chain fixtures
+therefore give their spec a walk cache whose ``max_bytes`` is tight
+enough that the star's interleaved natural order thrashes while the
+grouped order stays resident.
 
 ``m`` is large relative to ``k`` so PJ's rank join never refills:
 build-phase walk costs, the thing the planner orders, dominate the
@@ -26,6 +27,7 @@ from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.graph.builders import erdos_renyi, preferential_attachment
 from repro.graph.digraph import Graph
+from repro.walks.cache import WalkCache
 
 DEFAULT_SEED = 2014
 
@@ -103,6 +105,18 @@ class PlannerFixture:
         per_target = 8 * graph.num_nodes * (levels + 2)
         return per_target * max(1, resident_targets)
 
+    def _under_pressure(
+        self, spec: NWayJoinSpec, resident_targets: int, d: int
+    ) -> NWayJoinSpec:
+        """``spec`` with its shared walk cache swapped for one of the
+        same engine and key that holds about ``resident_targets``."""
+        spec.walk_cache = WalkCache(
+            spec.engine,
+            spec.walk_cache.params,
+            max_bytes=self.pressure_bytes(spec.graph, resident_targets, d),
+        )
+        return spec
+
     # -- specs ---------------------------------------------------------
 
     @staticmethod
@@ -120,7 +134,6 @@ class PlannerFixture:
         leaf_size: int = 96,
         k: int = 20,
         d: int = 5,
-        walk_cache_bytes: Optional[int] = "auto",
         graph: Optional[Graph] = None,
         **spec_kwargs,
     ) -> NWayJoinSpec:
@@ -133,22 +146,18 @@ class PlannerFixture:
         """
         graph = graph if graph is not None else self.power_law_graph(n)
         hubs, leaves = self.hub_and_leaf_sets(graph, hub_size, leaf_size, spokes)
-        if walk_cache_bytes == "auto":
-            # Holds the hub right set with headroom; a hub+leaf union
-            # (what an interleaved order keeps alternating between)
-            # does not fit, so grouping is what avoids re-walks.
-            walk_cache_bytes = self.pressure_bytes(
-                graph, hub_size + leaf_size // 6, d
-            )
-        return NWayJoinSpec(
+        spec = NWayJoinSpec(
             graph=graph,
             query_graph=QueryGraph.star(spokes, bidirectional=True),
             node_sets=[hubs] + leaves,
             k=k,
             d=self._spec_depth(d, spec_kwargs),
-            walk_cache_bytes=walk_cache_bytes,
             **spec_kwargs,
         )
+        # Holds the hub right set with headroom; a hub+leaf union (what
+        # an interleaved order keeps alternating between) does not fit,
+        # so grouping is what avoids re-walks.
+        return self._under_pressure(spec, hub_size + leaf_size // 6, d)
 
     def chain_spec(
         self,
@@ -158,7 +167,6 @@ class PlannerFixture:
         leaf_size: int = 96,
         k: int = 20,
         d: int = 5,
-        walk_cache_bytes: Optional[int] = "auto",
         graph: Optional[Graph] = None,
         **spec_kwargs,
     ) -> NWayJoinSpec:
@@ -167,19 +175,15 @@ class PlannerFixture:
         hubs, leaves = self.hub_and_leaf_sets(graph, hub_size, leaf_size, length - 1)
         middle = length // 2
         node_sets = leaves[:middle] + [hubs] + leaves[middle:]
-        if walk_cache_bytes == "auto":
-            walk_cache_bytes = self.pressure_bytes(
-                graph, hub_size + leaf_size // 6, d
-            )
-        return NWayJoinSpec(
+        spec = NWayJoinSpec(
             graph=graph,
             query_graph=QueryGraph.chain(length, bidirectional=True),
             node_sets=node_sets,
             k=k,
             d=self._spec_depth(d, spec_kwargs),
-            walk_cache_bytes=walk_cache_bytes,
             **spec_kwargs,
         )
+        return self._under_pressure(spec, hub_size + leaf_size // 6, d)
 
     def uniform_er_spec(
         self,

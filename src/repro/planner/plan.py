@@ -160,9 +160,6 @@ class ExplainedPlan:
         """Per-edge operator names, indexed by edge index."""
         return tuple(ep.operator for ep in self.edges)
 
-    def edge_plan(self, edge_index: int) -> EdgePlan:
-        return self.edges[edge_index]
-
     def decisions(self) -> dict:
         """The golden-file fingerprint: everything that changes
         execution, nothing that merely explains it."""
@@ -244,25 +241,16 @@ class _ResidentSetModel:
     """
 
     def __init__(self, num_nodes: int, d: int, walk_cache) -> None:
-        self._enabled = walk_cache is not None
-        if not self._enabled:
-            self.max_targets = 0
-            self.bytes_per_target = 0
-            self.max_bytes = None
-            self._resident: "OrderedDict[int, None]" = OrderedDict()
-            return
         levels = 1 + max(0, int(math.floor(math.log2(max(1, d)))))
         # Retained level vectors + resumable current/accumulator pair.
         self.bytes_per_target = 8 * num_nodes * (levels + 2)
         self.max_targets = walk_cache.max_targets
         self.max_bytes = walk_cache.max_bytes
-        self._resident = OrderedDict()
+        self._resident: "OrderedDict[int, None]" = OrderedDict()
 
     @property
     def capacity_targets(self) -> int:
         """How many targets fit, under both budgets."""
-        if not self._enabled:
-            return 0
         cap = self.max_targets
         if self.max_bytes is not None and self.bytes_per_target > 0:
             cap = min(cap, max(1, self.max_bytes // self.bytes_per_target))
@@ -270,14 +258,10 @@ class _ResidentSetModel:
 
     def overlap(self, targets: Sequence[int]) -> int:
         """How many of ``targets`` are predicted resident right now."""
-        if not self._enabled:
-            return 0
         return sum(1 for q in targets if q in self._resident)
 
     def admit(self, targets: Sequence[int]) -> None:
         """Touch ``targets`` (most-recent last) and evict LRU overflow."""
-        if not self._enabled:
-            return
         for q in targets:
             if q in self._resident:
                 self._resident.move_to_end(q)

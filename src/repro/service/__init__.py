@@ -3,7 +3,7 @@
 See :class:`QueryService` for the worker-pool front,
 :mod:`repro.service.requests` for the request/response value objects,
 and :class:`~repro.service.stats.ServiceStats` for the observability
-snapshot.  :func:`repro.api.serve` is the one-call constructor.
+snapshot.
 """
 
 from repro.service.requests import (

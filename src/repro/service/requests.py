@@ -48,7 +48,6 @@ class TwoWayRequest:
     algorithm: str = "b-idj-y"
     measure: Optional[object] = None
     budget: Optional[QueryBudget] = None
-    max_block_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "left", tuple(int(u) for u in self.left))
@@ -72,7 +71,6 @@ class MultiWayRequest:
     measure: Optional[object] = None
     plan: str = "fixed"
     budget: Optional[QueryBudget] = None
-    max_block_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(

@@ -46,10 +46,8 @@ from typing import Dict, Optional, Tuple
 from repro import api
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
-from repro.core.nway.aggregates import MIN, Aggregate
 from repro.core.nway.query_graph import QueryGraph
 from repro.exec.budget import PartialResult, QueryBudget, exact_result
-from repro.extensions.measures import measure_by_name
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
 from repro.service.requests import (
@@ -66,6 +64,11 @@ from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 
 _SHUTDOWN = object()
+
+#: Capacity of each measure tier's shared caches.  The walk cache has no
+#: byte budget, and n-way requests aggregate with the API's ``MIN``.
+WALK_CACHE_TARGETS = 256
+BOUND_CACHE_ENTRIES = 64
 
 
 class Ticket:
@@ -124,8 +127,6 @@ class QueryService:
     params / d / epsilon:
         Service-wide DHT configuration (requests cannot override it —
         cache identity must stay fixed for sharing to be sound).
-    walk_cache_targets / walk_cache_bytes / bound_cache_entries:
-        Capacity knobs for each measure tier's shared caches.
     clock:
         Injectable monotonic clock (seconds) for deterministic tests.
     tracer:
@@ -150,10 +151,6 @@ class QueryService:
         params: Optional[DHTParams] = None,
         d: Optional[int] = None,
         epsilon: Optional[float] = None,
-        aggregate: Aggregate = MIN,
-        walk_cache_targets: int = 256,
-        walk_cache_bytes: Optional[int] = None,
-        bound_cache_entries: int = 64,
         clock=time.monotonic,
         tracer=None,
     ) -> None:
@@ -173,11 +170,7 @@ class QueryService:
                 epsilon if epsilon is not None else 1e-6
             )
         self._d = d
-        self._aggregate = aggregate
         self._default_budget = default_budget
-        self._walk_cache_targets = walk_cache_targets
-        self._walk_cache_bytes = walk_cache_bytes
-        self._bound_cache_entries = bound_cache_entries
         self._clock = clock
         self._tracer = tracer
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
@@ -235,8 +228,7 @@ class QueryService:
         DHT tier; the tier is created on first use.  Tests and the bench
         read cache stats through this.
         """
-        resolved = self._resolve_measure(measure)
-        return self._tier_for(resolved)
+        return self._tier_for(api._resolve_measure(measure))
 
     @property
     def tracer(self):
@@ -492,27 +484,32 @@ class QueryService:
 
     def _dispatch(self, request: object, budget: Optional[QueryBudget]):
         if isinstance(request, TwoWayRequest):
-            return self._run_two_way(request, budget)
-        if isinstance(request, MultiWayRequest):
-            return self._run_multi_way(request, budget)
-        if isinstance(request, ExplainRequest):
-            return self._run_explain(request)
-        raise GraphValidationError(
-            f"unknown request type {type(request).__name__}; expected "
-            "TwoWayRequest, MultiWayRequest, or ExplainRequest"
-        )
+            result = self._run(
+                api.two_way_join, request, list(request.left),
+                list(request.right), budget=budget,
+            )
+        elif isinstance(request, MultiWayRequest):
+            result = self._run(
+                api.multi_way_join, request, *_query_inputs(request),
+                m=request.m, plan=request.plan, budget=budget,
+            )
+        elif isinstance(request, ExplainRequest):
+            return self._run(
+                api.explain_multi_way_plan, request, *_query_inputs(request),
+                m=request.m, plan=request.plan,
+            )
+        else:
+            raise GraphValidationError(
+                f"unknown request type {type(request).__name__}; expected "
+                "TwoWayRequest, MultiWayRequest, or ExplainRequest"
+            )
+        if isinstance(result, PartialResult):
+            return result
+        return exact_result(result)
 
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
-
-    def _resolve_measure(self, measure: Optional[object]):
-        """``None`` for the DHT tier; a fresh measure instance otherwise."""
-        if measure is None:
-            return None
-        if isinstance(measure, str):
-            return measure_by_name(measure)
-        return measure
 
     def _tier_for(self, resolved) -> Tuple[WalkCache, BoundPlanCache]:
         key = resolved.cache_key() if resolved is not None else self._params
@@ -520,91 +517,36 @@ class QueryService:
             tier = self._tiers.get(key)
             if tier is None:
                 tier = (
-                    WalkCache(
-                        self._engine,
-                        key,
-                        max_targets=self._walk_cache_targets,
-                        max_bytes=self._walk_cache_bytes,
-                    ),
+                    WalkCache(self._engine, key, max_targets=WALK_CACHE_TARGETS),
                     BoundPlanCache(
-                        self._engine, key, max_entries=self._bound_cache_entries
+                        self._engine, key, max_entries=BOUND_CACHE_ENTRIES
                     ),
                 )
                 self._tiers[key] = tier
             return tier
 
-    def _run_two_way(
-        self, request: TwoWayRequest, budget: Optional[QueryBudget]
-    ) -> PartialResult:
-        resolved = self._resolve_measure(request.measure)
+    def _run(self, entry_point, request, *inputs, **options):
+        """``entry_point`` of :mod:`repro.api` on ``request``'s measure
+        tier: the shared engine and caches, plus the service's DHT
+        configuration on the DHT tier only."""
+        resolved = api._resolve_measure(request.measure)
         walk_cache, bound_cache = self._tier_for(resolved)
-        dht = resolved is None
-        result = api.two_way_join(
-            self._graph,
-            list(request.left),
-            list(request.right),
-            request.k,
+        if resolved is None:
+            options.update(params=self._params, d=self._d)
+        return entry_point(
+            self._graph, *inputs, request.k,
             algorithm=request.algorithm,
-            params=self._params if dht else None,
-            d=self._d if dht else None,
             engine=self._engine,
             walk_cache=walk_cache,
             bound_cache=bound_cache,
-            max_block_bytes=request.max_block_bytes,
             measure=resolved,
-            budget=budget,
+            **options,
         )
-        if isinstance(result, PartialResult):
-            return result
-        return exact_result(result)
 
-    def _run_multi_way(
-        self, request: MultiWayRequest, budget: Optional[QueryBudget]
-    ) -> PartialResult:
-        resolved = self._resolve_measure(request.measure)
-        walk_cache, bound_cache = self._tier_for(resolved)
-        dht = resolved is None
-        query_graph = QueryGraph(len(request.node_sets), request.query_edges)
-        result = api.multi_way_join(
-            self._graph,
-            query_graph,
-            [list(nodes) for nodes in request.node_sets],
-            request.k,
-            algorithm=request.algorithm,
-            aggregate=self._aggregate,
-            m=request.m,
-            params=self._params if dht else None,
-            d=self._d if dht else None,
-            engine=self._engine,
-            walk_cache=walk_cache,
-            bound_cache=bound_cache,
-            max_block_bytes=request.max_block_bytes,
-            measure=resolved,
-            plan=request.plan,
-            budget=budget,
-        )
-        if isinstance(result, PartialResult):
-            return result
-        return exact_result(result)
 
-    def _run_explain(self, request: ExplainRequest):
-        resolved = self._resolve_measure(request.measure)
-        walk_cache, bound_cache = self._tier_for(resolved)
-        dht = resolved is None
-        query_graph = QueryGraph(len(request.node_sets), request.query_edges)
-        return api.explain_multi_way_plan(
-            self._graph,
-            query_graph,
-            [list(nodes) for nodes in request.node_sets],
-            request.k,
-            algorithm=request.algorithm,
-            aggregate=self._aggregate,
-            m=request.m,
-            params=self._params if dht else None,
-            d=self._d if dht else None,
-            engine=self._engine,
-            walk_cache=walk_cache,
-            bound_cache=bound_cache,
-            measure=resolved,
-            plan=request.plan,
-        )
+def _query_inputs(request) -> tuple:
+    """The ``(query_graph, node_sets)`` an n-way request names."""
+    return (
+        QueryGraph(len(request.node_sets), request.query_edges),
+        [list(nodes) for nodes in request.node_sets],
+    )

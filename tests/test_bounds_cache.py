@@ -154,7 +154,7 @@ class TestContextIntegration:
 
 
 class TestNWaySharing:
-    def _star_spec(self, share_bounds: bool):
+    def _star_spec(self):
         graph = preferential_attachment(400, 3, np.random.default_rng(6))
         rng = np.random.default_rng(2)
         nodes = rng.permutation(400)
@@ -165,29 +165,43 @@ class TestNWaySharing:
             node_sets=[list(s) for s in sets],
             k=8,
             d=6,
-            share_bounds=share_bounds,
         )
 
     def test_star_pj_builds_once_with_identical_answers(self):
-        shared = self._star_spec(True)
+        """Every star edge shares the centre's left set: the spec's one
+        bound cache builds its ``Y`` bound once, where the per-edge
+        baseline — each edge its own context with a private bound
+        cache — builds it once per edge, and both rank every edge's
+        pairs identically."""
+        shared = self._star_spec()
         shared.engine.stats.reset()
-        shared_answers = PartialJoin(shared, m=10).run()
-        shared_builds = shared.engine.stats.bound_builds
+        PartialJoin(shared, m=10).run()
+        edges = range(shared.query_graph.num_edges)
+        shared_prefixes = [
+            BackwardIDJY(shared.edge_context(e)).top_k(10) for e in edges
+        ]
+        assert shared.engine.stats.bound_builds == 1
 
-        unshared = self._star_spec(False)
-        unshared.engine.stats.reset()
-        unshared_answers = PartialJoin(unshared, m=10).run()
-        unshared_builds = unshared.engine.stats.bound_builds
-
-        assert shared_builds == 1
-        assert unshared_builds == shared.query_graph.num_edges
-        assert [(a.nodes, a.score) for a in shared_answers] == [
-            (a.nodes, a.score) for a in unshared_answers
+        baseline = WalkEngine(shared.graph)
+        private_prefixes = [
+            BackwardIDJY(make_context(
+                shared.graph, *shared.edge_node_sets(e), d=shared.d,
+                engine=baseline,
+            )).top_k(10)
+            for e in edges
+        ]
+        assert baseline.stats.bound_builds == shared.query_graph.num_edges
+        assert [
+            [(p.left, p.right, p.score) for p in prefix]
+            for prefix in shared_prefixes
+        ] == [
+            [(p.left, p.right, p.score) for p in prefix]
+            for prefix in private_prefixes
         ]
 
     def test_star_pji_matches_pj(self):
-        spec = self._star_spec(True)
-        pj_answers = PartialJoin(self._star_spec(True), m=10).run()
+        spec = self._star_spec()
+        pj_answers = PartialJoin(self._star_spec(), m=10).run()
         pji_answers = PartialJoinIncremental(spec, m=10).run()
         assert [a.nodes for a in pji_answers] == [a.nodes for a in pj_answers]
         assert np.allclose(

@@ -1,7 +1,7 @@
 """Docs/consistency guard: the README quickstart and the
 ``docs/ALGORITHMS.md`` handbook snippets must run, the names the docs
-catalogue (metrics, span kinds, lint rules, CLI subcommands) must be the
-ones the code defines, and every relative link must resolve.
+catalogue (metrics, span kinds, lint rules, CLI subcommands and flags)
+must be the ones the code defines, and every relative link must resolve.
 
 Run by the tier-1 suite and by the CI ``docs`` job, so a PR cannot land
 a front-door snippet that no longer executes or a link to a file it
@@ -109,9 +109,40 @@ def test_readme_cli_commands_exist():
     text = README.read_text(encoding="utf-8")
     documented = set(re.findall(r"python -m repro (\S+)", text))
     assert documented, "README must document CLI usage"
-    assert documented <= {
-        "two-way", "multi-way", "stats", "serve", "bench-service"
+    assert documented <= {"two-way", "multi-way", "stats", "serve"}
+
+
+def _cli_flags():
+    """Every ``--flag`` any subcommand of ``build_parser()`` accepts."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
     }
+
+
+def test_readme_documents_every_cli_flag():
+    """The README's CLI section names every ``--flag`` the parser
+    accepts, and no flag the parser does not: adding, renaming or
+    deleting a flag moves the README in the same diff."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### CLI"):text.index("## Architecture")]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    flags = _cli_flags()
+    assert documented == flags, (
+        f"README CLI section has drifted: undocumented "
+        f"{sorted(flags - documented)}, stale {sorted(documented - flags)}"
+    )
 
 
 def test_cli_quickstart_flow(tmp_path, capsys):

@@ -497,11 +497,11 @@ class TestMeasureNWay:
             random_graph, query, sets, k=6, measure=measure_factory(),
             algorithm="pj", m=4,
         )
-        # Oracle: AP with per-target scoring and no shared caches.
+        # Oracle: AP with per-target scoring.
         spec = NWayJoinSpec(
             graph=random_graph, query_graph=query,
             node_sets=[list(s) for s in sets], k=6,
-            measure=measure_factory(), share_walks=False, share_bounds=False,
+            measure=measure_factory(),
         )
         oracle = SeriesAllPairsJoin(spec, block_size=1).run()
         assert _answers_key(ap) == _answers_key(pj) == _answers_key(oracle)
@@ -672,7 +672,7 @@ class TestMeasureRegistryAndApi:
         spec = NWayJoinSpec(
             graph=random_graph, query_graph=query,
             node_sets=[list(s) for s in sets], k=3,
-            measure=TruncatedPPR(), share_walks=False, share_bounds=False,
+            measure=TruncatedPPR(),
         )
         oracle = SeriesAllPairsJoin(spec, block_size=1).run()
         assert _answers_key(got) == _answers_key(oracle)

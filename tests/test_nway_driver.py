@@ -72,11 +72,12 @@ def _triangle_spec(**spec_kwargs):
     )
 
 
-# name -> (spec builder, m).  The fixture's walk-cache byte budget is
-# kept ("auto"), so build order moves ``propagation_steps`` and the
-# pin covers the plan's order, not only its answers.  ``m`` is small
-# against ``k`` where refills should happen and 50 where they should
-# not; the triangle runs the ``m = 0`` corner of Algorithm 1.
+# name -> (spec builder, m).  The star and chain cells keep the
+# fixture's byte-bounded walk cache, so build order moves
+# ``propagation_steps`` and the pin covers the plan's order, not only
+# its answers.  ``m`` is small against ``k`` where refills should
+# happen and 50 where they should not; the triangle runs the ``m = 0``
+# corner of Algorithm 1.
 SPECS = {
     "star": (
         lambda **kw: FIXTURE.skewed_star_spec(
@@ -131,12 +132,12 @@ def _run_cell(spec_name, strategy, measure_name, plan, arm, rank_joins):
     """One ``api.multi_way_join`` call on fresh caches; its record."""
     builder, m = SPECS[spec_name]
     template = builder(measure=_measure(measure_name))
-    engine = WalkEngine(template.graph)
+    engine = template.engine
     kwargs = dict(
         algorithm=strategy,
         m=m,
         engine=engine,
-        walk_cache_bytes=template.walk_cache_bytes,
+        walk_cache=template.walk_cache,
         measure=template.measure,
         plan=plan,
     )
@@ -303,8 +304,8 @@ def test_ungoverned_equals_reference(spec_name, strategy, measure_name):
     kwargs = {} if measure is not None else {"d": spec.d}
     got = api.multi_way_join(
         spec.graph, spec.query_graph, spec.node_sets, spec.k,
-        algorithm=strategy, m=m, measure=measure,
-        walk_cache_bytes=spec.walk_cache_bytes, **kwargs,
+        algorithm=strategy, m=m, measure=measure, engine=spec.engine,
+        walk_cache=spec.walk_cache, **kwargs,
     )
     assert len(got) == spec.k
     _assert_same_answers(got, reference)

@@ -442,7 +442,7 @@ class TestGovernedInteraction:
         partial = multi_way_join(
             spec.graph, spec.query_graph, spec.node_sets, spec.k,
             algorithm="pj", m=100, d=spec.d, plan=plan_value,
-            walk_cache_bytes=spec.walk_cache.max_bytes,
+            engine=spec.engine, walk_cache=spec.walk_cache,
             budget=QueryBudget(step_budget=260),
         )
         assert isinstance(partial, PartialResult)

@@ -1,7 +1,7 @@
 """Tests for the concurrent query service: request execution against the
 direct-API oracle, admission control, queued-deadline semantics (the
-governor/service interaction), stats snapshots, and the ``serve`` /
-``bench-service`` CLI subcommands."""
+governor/service interaction), stats snapshots, and the ``serve`` CLI
+subcommand."""
 
 import json
 import threading
@@ -134,12 +134,6 @@ class TestExecution:
         assert "k must be >= 0, got -1" in response.error
         assert service.engine.stats.propagation_steps == 0
         assert len(service.cache_tier(measure)[0]) == 0
-
-    def test_serve_factory(self, graph):
-        with api.serve(graph, workers=1) as svc:
-            assert isinstance(svc, QueryService)
-            assert svc.workers == 1
-            assert svc.query(TwoWayRequest(LEFT, RIGHT, k=1)).ok
 
 
 class TestCacheSharing:
@@ -467,23 +461,33 @@ class TestServeCLI:
             "--requests", str(bad),
         ]) == 2
         # A field of the wrong type is a usage error naming the entry,
-        # not a TypeError traceback out of ``main``.
+        # not a TypeError traceback out of ``main`` nor a worker-side
+        # error response, and a non-bool ``bidirectional`` is not
+        # silently read as true.
         good = {"type": "two-way", "left": "A", "right": "B", "k": 3}
+        chain = {"type": "multi-way", "node_sets": ["A", "B", "C"]}
         for entry in (
             {"type": "two-way", "left": "A", "right": "B", "k": None},
             {"type": "two-way", "left": 5, "right": "B"},
             {"type": "multi-way", "node_sets": 7},
+            {"type": "two-way", "left": "A", "right": "B", "algorithm": 5},
+            {"type": "two-way", "left": "A", "right": "B", "measure": 5},
+            {**chain, "algorithm": ["pj"]},
+            {**chain, "shape": 3},
+            {**chain, "plan": True},
+            {**chain, "type": "explain", "plan": 1},
+            {**chain, "bidirectional": "no"},
+            {**chain, "bidirectional": 1},
         ):
             bad.write_text(json.dumps([good, entry]))
             capsys.readouterr()
-            for command in ("serve", "bench-service"):
-                assert main([
-                    command, str(graph_path), "--sets", str(sets_path),
-                    "--requests", str(bad),
-                ]) == 2
-                err = capsys.readouterr().err
-                assert "request #1" in err and str(bad) in err
-                assert "Traceback" not in err
+            assert main([
+                "serve", str(graph_path), "--sets", str(sets_path),
+                "--requests", str(bad),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert "request #1" in err and str(bad) in err
+            assert "Traceback" not in err
 
     def test_serve_unknown_set_name(self, cli_workspace, tmp_path):
         from repro.cli import main
@@ -497,44 +501,3 @@ class TestServeCLI:
             "serve", str(graph_path), "--sets", str(sets_path),
             "--requests", str(bad),
         ]) == 2
-
-
-class TestBenchServiceCLI:
-    def test_warm_beats_cold(self, cli_workspace, capsys):
-        from repro.cli import main
-
-        graph_path, sets_path, requests_path = cli_workspace
-        code = main([
-            "bench-service", str(graph_path), "--sets", str(sets_path),
-            "--requests", str(requests_path), "--workers", "2",
-            "--runs", "2", "--json",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["passes"]) == 2
-        assert payload["warm_hit_rate"] > payload["cold_hit_rate"]
-        for row in payload["passes"]:
-            assert row["completed"] == row["requests"]
-            assert row["qps"] > 0.0
-            assert row["p99_ms"] >= row["p50_ms"]
-
-    def test_runs_validation(self, cli_workspace):
-        from repro.cli import main
-
-        graph_path, sets_path, requests_path = cli_workspace
-        assert main([
-            "bench-service", str(graph_path), "--sets", str(sets_path),
-            "--requests", str(requests_path), "--runs", "1",
-        ]) == 2
-
-    def test_text_output(self, cli_workspace, capsys):
-        from repro.cli import main
-
-        graph_path, sets_path, requests_path = cli_workspace
-        code = main([
-            "bench-service", str(graph_path), "--sets", str(sets_path),
-            "--requests", str(requests_path), "--runs", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cold walk-hit" in out

@@ -275,18 +275,6 @@ class TestCrossEdgeSharing:
         assert again.shape[0] > 0
         assert cache.stats.hits == 0
 
-    def test_share_walks_can_be_disabled(self, random_graph, params):
-        query = QueryGraph(2, [(0, 1)], names=["A", "B"])
-        spec = NWayJoinSpec(
-            graph=random_graph,
-            query_graph=query,
-            node_sets=[[0, 1], [2, 3]],
-            k=2,
-            params=params,
-            share_walks=False,
-        )
-        assert spec.walk_cache is None
-
 
 class TestByteBudget:
     """Strict byte-denominated LRU: ``current_bytes <= max_bytes`` always."""
@@ -345,18 +333,6 @@ class TestByteBudget:
             level = int(rng.integers(1, 7))
             cache.scores(target, level)
             assert cache.current_bytes <= cache.max_bytes
-
-    def test_spec_forwards_walk_cache_bytes(self, random_graph, params):
-        query = QueryGraph(2, [(0, 1)], names=["A", "B"])
-        spec = NWayJoinSpec(
-            graph=random_graph,
-            query_graph=query,
-            node_sets=[[0, 1], [2, 3]],
-            k=2,
-            params=params,
-            walk_cache_bytes=1 << 20,
-        )
-        assert spec.walk_cache.max_bytes == 1 << 20
 
 
 class TestErrorPathLockRelease:
