@@ -13,10 +13,11 @@ aggregate, and ``m = k = 50``.
 
 Both accept a ``measure`` — a name (``"ppr"``, ``"simrank"``, or the
 DHT family) or a :class:`repro.extensions.measures.SeriesMeasure`
-instance — and route non-DHT measures to the measure bindings of
-:mod:`repro.extensions.series_join`: the same backward operators with
-the measure's scorer and bound plugged in (Section VIII's future-work
-plan).  DHT names keep the ``params``/``d``/``epsilon`` configuration.
+instance — which becomes a field of the one context / spec every join
+reads (Section VIII's future-work plan): the same operators run, with
+the measure's scorer and bound read off the context.  DHT names keep
+the ``params``/``d``/``epsilon`` configuration
+(:func:`~repro.core.two_way.base.resolve_config`).
 
 Both also accept a :class:`repro.exec.budget.QueryBudget`.  With a
 budget (or a fault injector) the query runs *governed*: an
@@ -39,21 +40,16 @@ from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, Aggregate
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.driver import OPERATORS
+from repro.core.nway.driver import OPERATORS, STRATEGIES, two_way_operator
 from repro.core.nway.nested_loop import NestedLoopJoin
-from repro.core.nway.partial_join import PartialJoin, two_way_algorithm_by_name
+from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.base import ScoredPair, make_context
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.exec.governor import ExecutionGovernor
-from repro.extensions.measures import measure_by_name
-from repro.extensions.series_join import (
-    SeriesAllPairsJoin,
-    SeriesPartialJoin,
-    make_series_context,
-)
+from repro.extensions.measures import MEASURE_NAMES, measure_by_name
 from repro.exec.governed import (
     run_governed_multi_way,
     run_governed_top_k,
@@ -64,30 +60,21 @@ from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 
 
+#: What an object needs to be a measure (the ``SeriesMeasure`` contract
+#: the contexts and caches read).
+_MEASURE_CONTRACT = ("d", "floor", "cache_key", "kernel")
+
+
 def _resolve_measure(measure):
     """``None`` for the DHT family, a ``SeriesMeasure`` otherwise."""
-    if measure is None or isinstance(measure, str):
-        return measure_by_name(measure) if isinstance(measure, str) else None
-    return measure
-
-
-def _reject_dht_options_under_measure(resolved, **options) -> None:
-    """Fail loudly when DHT-only options accompany a non-DHT measure.
-
-    A measure fixes its own coefficients and truncation depth (configure
-    it on the measure instance) — silently dropping these options would
-    change results without warning.  ``max_block_bytes`` is *not* among
-    them: the measure-generic deepening join runs the same
-    bounded-memory chunked rounds as ``B-IDJ``, so the ceiling passes
-    through to every measure path.
-    """
-    passed = [name for name, value in options.items() if value is not None]
-    if passed:
-        raise GraphValidationError(
-            f"{', '.join(sorted(passed))} are DHT-only options; measure "
-            f"{resolved.name} fixes its own configuration (construct the "
-            "measure instance with the desired parameters instead)"
-        )
+    if isinstance(measure, str):
+        return measure_by_name(measure)
+    if measure is None or all(hasattr(measure, a) for a in _MEASURE_CONTRACT):
+        return measure
+    raise GraphValidationError(
+        f"measure must be None, a name ({', '.join(MEASURE_NAMES)}) or an "
+        f"object with {', '.join(_MEASURE_CONTRACT)}; got {measure!r}"
+    )
 
 
 @contextmanager
@@ -119,18 +106,6 @@ def _traced(engine, tracer, name: str, algorithm: str, k: int):
         engine.tracer = None
 
 
-# The core 2-way names have measure-generic counterparts where the
-# algorithmic idea carries over; forward processing does not (it relies
-# on per-pair absorbing walks, a DHT-specific kernel).
-_SERIES_TWO_WAY = {
-    "b-bj": "basic",
-    "b-idj-x": "idj",
-    "b-idj-y": "idj",
-    "basic": "basic",
-    "idj": "idj",
-}
-
-
 def two_way_join(
     graph: Graph,
     left: Sequence[int],
@@ -157,9 +132,10 @@ def two_way_join(
     algorithm:
         One of ``"f-bj"``, ``"f-idj"``, ``"b-bj"``, ``"b-idj-x"``,
         ``"b-idj-y"`` (default — the paper's fastest).  Under a non-DHT
-        measure the backward names map to their measure-generic
-        counterparts (``b-bj`` -> basic, ``b-idj-*`` -> iterative
-        deepening); the forward algorithms are DHT-only.
+        measure the backward names run as
+        :data:`~repro.core.nway.driver.MEASURE_OPERATORS` says (``b-bj``
+        -> ``basic``, ``b-idj-*`` -> ``idj``, both with the measure's
+        reach-mass bound); the forward algorithms are DHT-only.
     params / d / epsilon:
         DHT configuration; see :class:`repro.core.dht.DHTParams`.
         Rejected under a non-DHT measure — the measure instance fixes
@@ -180,7 +156,7 @@ def two_way_join(
         private per-join cache is created.
     max_block_bytes:
         Optional byte ceiling on the deepening join's resumable walk
-        block (``B-IDJ`` and ``Series-IDJ`` alike); see
+        block (``B-IDJ`` under any measure); see
         :class:`~repro.core.two_way.base.TwoWayContext`.
     budget / on_budget / fault_injector:
         A :class:`~repro.exec.budget.QueryBudget` (deadline, step
@@ -212,29 +188,13 @@ def two_way_join(
         engine = WalkEngine(graph)
     with _traced(engine, tracer, "two-way", algorithm, k):
         resolved = _resolve_measure(measure)
-        if resolved is not None:
-            name = algorithm.lower()
-            if name not in _SERIES_TWO_WAY:
-                raise GraphValidationError(
-                    f"algorithm {algorithm!r} is DHT-only; under measure "
-                    f"{resolved.name} choose from {sorted(_SERIES_TWO_WAY)}"
-                )
-            _reject_dht_options_under_measure(
-                resolved, params=params, d=d, epsilon=epsilon,
-            )
-            context = make_series_context(
-                graph, resolved, left, right, engine=engine,
-                walk_cache=walk_cache, bound_cache=bound_cache,
-                max_block_bytes=max_block_bytes,
-            )
-            join = OPERATORS[_SERIES_TWO_WAY[name]](context)
-        else:
-            context = make_context(
-                graph, left, right, params=params, d=d, epsilon=epsilon,
-                engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
-                max_block_bytes=max_block_bytes,
-            )
-            join = two_way_algorithm_by_name(algorithm)(context)
+        operator = OPERATORS[two_way_operator(algorithm, resolved)]
+        context = make_context(
+            graph, left, right, params=params, d=d, epsilon=epsilon,
+            engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
+            max_block_bytes=max_block_bytes, measure=resolved,
+        )
+        join = operator(context)
         if budget is None and fault_injector is None:
             return join.top_k(k)
         with _governed(
@@ -274,10 +234,10 @@ def multi_way_join(
     ----------
     algorithm:
         ``"nl"``, ``"ap"``, ``"pj"``, or ``"pj-i"`` (default — the
-        paper's best).  Under a non-DHT measure, ``"ap"`` and ``"pj"``
-        map to the measure-generic strategies and ``"pj-i"`` falls back
-        to ``"pj"`` (incremental refinement is DHT-specific); ``"nl"``
-        is DHT-only.
+        paper's best).  Under a non-DHT measure ``"pj-i"`` runs ``PJ``'s
+        restart source (incremental refinement is DHT-specific) and
+        ``"nl"`` is DHT-only — the driver's
+        :data:`~repro.core.nway.driver.STRATEGIES` table.
     measure:
         ``None`` / a DHT name for the core DHT path, or ``"ppr"`` /
         ``"simrank"`` / a :class:`~repro.extensions.measures.SeriesMeasure`
@@ -347,7 +307,7 @@ def multi_way_join(
             bound_cache=bound_cache, max_block_bytes=max_block_bytes,
             plan=plan,
         )
-        if name == "nl" and plan != "fixed":
+        if name == "nl" and spec.plan != "fixed":
             raise GraphValidationError(
                 "the NL strategy scores answers one tuple at a time; it has "
                 "no per-edge build order or operator choice to plan — use "
@@ -370,16 +330,12 @@ def _nway_spec(
     both n-way entry points run (DHT or measure, governed or not)."""
     resolved = _resolve_measure(measure)
     name = algorithm.lower()
-    if resolved is not None:
-        if name not in ("ap", "pj", "pj-i"):
-            raise GraphValidationError(
-                f"algorithm {algorithm!r} is DHT-only; under measure "
-                f"{resolved.name} choose from ['ap', 'pj', 'pj-i']"
-            )
-        _reject_dht_options_under_measure(
-            resolved, params=params, d=d, epsilon=epsilon,
+    if resolved is not None and (name, True) not in STRATEGIES:
+        raise GraphValidationError(
+            f"algorithm {algorithm!r} is DHT-only; under a measure choose "
+            "from ['ap', 'pj', 'pj-i']"
         )
-    elif name not in _NWAY_ALGORITHMS:
+    if name not in _NWAY_ALGORITHMS:
         raise GraphValidationError(
             f"unknown n-way algorithm {algorithm!r}; "
             f"choose from {_NWAY_ALGORITHMS}"
@@ -398,13 +354,8 @@ def _run_strategy(spec: NWayJoinSpec, name: str, m: int, plan=None):
     if name == "nl":
         return NestedLoopJoin(spec).run()
     if name == "ap":
-        executor = AllPairsJoin if spec.measure is None else SeriesAllPairsJoin
-        return executor(spec, plan=plan).run()
-    if spec.measure is not None:
-        # The measure path has no incremental PJ-i; it runs PJ.
-        executor = SeriesPartialJoin
-    else:
-        executor = PartialJoin if name == "pj" else PartialJoinIncremental
+        return AllPairsJoin(spec, plan=plan).run()
+    executor = PartialJoin if name == "pj" else PartialJoinIncremental
     return executor(spec, m=m, plan=plan).run()
 
 
@@ -451,9 +402,11 @@ def explain_multi_way_plan(
         bound_cache=bound_cache, max_block_bytes=max_block_bytes,
         plan=plan,
     )
-    # The planner rejects "nl" (nothing to plan); the measure path has
-    # no incremental PJ-i and plans the PJ it runs.
-    strategy = "pj" if name == "pj-i" and spec.measure is not None else name
+    # The planner rejects "nl" (nothing to plan); the rest plan the edge
+    # source they run.
+    strategy = name
+    if name != "nl":
+        strategy = STRATEGIES[(name, spec.measure is not None)][1]
     resolved_plan = spec.resolve_plan(strategy, m=m)
     if not analyze:
         return resolved_plan

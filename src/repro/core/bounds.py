@@ -16,8 +16,13 @@ Lemma 5 guarantees ``Y_l^+(P, q) <= X_l^+`` — the Y bound always prunes at
 least as well; the property tests verify this, and Fig. 10(b)'s benchmark
 measures how much it matters.
 
+The same two shapes serve every series measure (Section VIII):
+:class:`YBound` takes the per-step weights, so a measure with
+``tail_weight(i)`` gets the reach-mass tail, and :class:`ClosedFormTail`
+is a measure's own ``tail_bound(l)``.
+
 Memoisation semantics: a :class:`YBound` depends only on
-``(graph, params, P, d)`` — not on the right set, not on ``k`` — so it is
+``(graph, measure, P, d)`` — not on the right set, not on ``k`` — so it is
 shared through the :class:`repro.bounds_cache.BoundPlanCache` attached to
 every :class:`~repro.core.two_way.base.TwoWayContext`.  A context created
 standalone gets a private cache (so repeated joins on one context, e.g.
@@ -92,8 +97,9 @@ class YBound:
     ----------
     engine:
         Walk engine for the join's graph.
-    params:
-        DHT coefficients.
+    weights:
+        Per-step weights ``w_i``, ``i = 1 .. d``: ``alpha * lambda^i``
+        (:func:`dht_tail_weights`) or a measure's ``tail_weight(i)``.
     sources:
         The left node set ``P`` of the 2-way join.
     d:
@@ -103,10 +109,10 @@ class YBound:
     -----
     The constructor runs one ``d``-step unrestricted propagation from all
     of ``P`` (cost ``O(d |E_G|)``), caches
-    ``c_i(q) = alpha * lambda^i * min(sum_p S_i(p, q), 1)`` for the whole
-    graph, and serves ``Y_l^+(P, q) = sum_{i > l} c_i(q)`` from suffix
-    sums — ``O(1)`` per ``(l, q)`` query, ``O(d |V_G|)`` memory, matching
-    the complexity stated in Section VI-C.
+    ``c_i(q) = w_i * min(sum_p S_i(p, q), 1)`` for the whole graph, and
+    serves ``Y_l^+(P, q) = sum_{i > l} c_i(q)`` from suffix sums —
+    ``O(1)`` per ``(l, q)`` query, ``O(d |V_G|)`` memory, matching the
+    complexity stated in Section VI-C.
     """
 
     name = "Y"
@@ -114,7 +120,7 @@ class YBound:
     def __init__(
         self,
         engine: WalkEngine,
-        params: DHTParams,
+        weights: Sequence[float],
         sources: Sequence[int],
         d: int,
     ) -> None:
@@ -124,8 +130,7 @@ class YBound:
         engine.stats.add("bound_builds", 1)
         reach = engine.reach_mass_series(sources, d)  # (d, n)
         capped = np.minimum(reach, 1.0)
-        weights = (params.alpha * params.decay ** np.arange(1, d + 1))[:, None]
-        contributions = capped * weights  # c_i(q), shape (d, n)
+        contributions = capped * np.asarray(weights)[:, None]  # c_i(q), (d, n)
         # suffix[l, q] = sum_{i = l+1 .. d} c_i(q), for l = 0..d
         n = reach.shape[1]
         suffix = np.zeros((d + 1, n), dtype=np.float64)
@@ -142,3 +147,22 @@ class YBound:
         if not (0 <= l <= self._d):
             raise ValueError(f"l must be in [0, {self._d}], got {l}")
         return float(self._suffix[l, q])
+
+
+def dht_tail_weights(params: DHTParams, d: int) -> np.ndarray:
+    """Theorem 1's per-step weights ``alpha * lambda^i``, ``i = 1 .. d``."""
+    return params.alpha * params.decay ** np.arange(1, d + 1)
+
+
+class ClosedFormTail:
+    """A measure's data-independent tail ``tail_bound(l)`` — its ``X``
+    analogue, for measures without per-step tail weights (SimRank)."""
+
+    name = "closed-form"
+
+    def __init__(self, measure) -> None:
+        self._measure = measure
+
+    def tail(self, l: int, q: int = -1) -> float:
+        """``measure.tail_bound(l)``; valid for any ``q``."""
+        return self._measure.tail_bound(l)

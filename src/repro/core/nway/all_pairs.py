@@ -14,15 +14,16 @@ propagates its targets in batched blocks and, through the spec's shared
 walk cache, reuses full-depth walks across edges whose right sets
 overlap (star / clique query graphs).  The loop itself is the shared
 :class:`~repro.core.nway.driver.NWayDriver` with the *materialised*
-edge source.
+edge source.  On a measure spec the materialiser is ``B-BJ`` (under its
+measure name ``basic``): forward processing is DHT-only.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.driver import NWayDriver
+from repro.core.nway.driver import NWayDriver, two_way_operator
 from repro.core.nway.spec import NWayJoinSpec
 from repro.graph.validation import GraphValidationError
 
@@ -32,21 +33,28 @@ _MATERIALISERS = ("b-bj", "f-bj")
 class AllPairsJoin(NWayDriver):
     """``AP``: full per-edge materialisation + PBRJ rank join.
 
-    ``plan`` (or ``spec.plan``) chooses per-edge materialiser
-    (``f-bj``/``b-bj``), build order, and ``b-bj``'s block width; the
-    materialised lists are complete either way, so plans only move
-    cost, never answers.  ``stats`` is the rank join's own record.
+    ``two_way`` is the default materialiser (``f-bj``/``b-bj``; omitted,
+    the strategy table's: ``f-bj``, ``basic`` under a measure); ``plan``
+    (or ``spec.plan``) chooses per-edge materialiser, build order, and
+    ``b-bj``'s block width.  The materialised lists are complete either
+    way, so plans only move cost, never answers.  ``stats`` is the rank
+    join's own record.
     """
 
     name = "AP"
 
-    def __init__(self, spec: NWayJoinSpec, two_way: str = "f-bj", plan=None) -> None:
-        if two_way.lower() not in _MATERIALISERS:
-            raise GraphValidationError(
-                f"unknown AP materializer {two_way!r}; "
-                f"choose from {list(_MATERIALISERS)}"
-            )
-        super().__init__(spec, "ap", two_way.lower(), plan=plan)
+    def __init__(
+        self, spec: NWayJoinSpec, two_way: Optional[str] = None, plan=None
+    ) -> None:
+        operator = None
+        if two_way is not None:
+            if two_way.lower() not in _MATERIALISERS:
+                raise GraphValidationError(
+                    f"unknown AP materializer {two_way!r}; "
+                    f"choose from {list(_MATERIALISERS)}"
+                )
+            operator = two_way_operator(two_way, spec.measure)
+        super().__init__(spec, "ap", operator, plan=plan)
         self.stats = None
 
     def run(self) -> List[CandidateAnswer]:

@@ -7,8 +7,10 @@ rest, written once: resolve the plan, walk its build order, open one
 *edge source* per edge, hand the streams to one
 :class:`~repro.rankjoin.pbrj.PBRJ`, fill one stats record.  The
 sources (``ap``: materialised, ``pj``: restart, ``pj-i``: incremental)
-and the per-edge 2-way operators each come from one table below;
-``docs/ALGORITHMS.md`` has both tables with the paper's cost models.
+and the per-edge 2-way operators each come from one table below, and
+one more, :data:`STRATEGIES`, says which default operator and source a
+strategy runs on a DHT or a measure spec; ``docs/ALGORITHMS.md`` has
+the tables with the paper's cost models.
 
 Governance is a guard at the same seam, read from the thread-local
 ``spec.engine.governor``: without a governor it is the identity; with
@@ -32,7 +34,7 @@ from repro.core.two_way.backward import (
     BoundFactory,
     y_bound_factory,
 )
-from repro.core.two_way.base import ScoredPair, TwoWayContext, sort_pairs
+from repro.core.two_way.base import ScoredPair, sort_pairs
 from repro.core.two_way.forward import ForwardBasicJoin, ForwardIDJ
 from repro.core.two_way.incremental import IncrementalTwoWayJoin
 from repro.exec.budget import BudgetExhaustedError, PartialResult
@@ -43,18 +45,6 @@ from repro.rankjoin.pbrj import PBRJ, RankJoinStats
 Interval = Tuple[float, float]
 
 
-def _series_operator(class_name: str) -> Callable:
-    """A measure-generic operator, resolved at call time so ``core``
-    never imports ``extensions`` at module load."""
-
-    def build(context: TwoWayContext, **knobs):
-        from repro.extensions import series_join
-
-        return getattr(series_join, class_name).from_context(context, **knobs)
-
-    return build
-
-
 _DHT_OPERATORS = {
     "f-bj": ForwardBasicJoin,
     "f-idj": ForwardIDJ,
@@ -63,12 +53,37 @@ _DHT_OPERATORS = {
     "b-idj-y": BackwardIDJY,
 }
 
+#: The 2-way names a measure context runs, and the operator each one
+#: runs as there.  Forward processing relies on per-pair absorbing
+#: walks, a DHT-specific kernel, so it has no entry; both deepening
+#: names keep the reach-mass bound under a measure.
+MEASURE_OPERATORS = {
+    "b-bj": "basic",
+    "basic": "basic",
+    "b-idj-x": "idj",
+    "b-idj-y": "idj",
+    "idj": "idj",
+}
+
 #: Plan operator name -> ``context -> join`` factory (the block
 #: operators ``b-bj`` / ``basic`` also accept a ``block_size`` knob).
+#: ``basic`` / ``idj`` are the names plans record under a measure.
 OPERATORS = {
     **_DHT_OPERATORS,
-    "idj": _series_operator("SeriesIDJ"),
-    "basic": _series_operator("SeriesBackwardJoin"),
+    "idj": BackwardIDJY,
+    "basic": BackwardBasicJoin,
+}
+
+#: ``(strategy, under a measure) -> (default operator, edge source)``.
+#: A measure has no incremental ``F`` structure, so its ``pj-i`` runs
+#: ``PJ``'s restart source.
+STRATEGIES = {
+    ("ap", False): ("f-bj", "ap"),
+    ("ap", True): ("basic", "ap"),
+    ("pj", False): ("b-idj-y", "pj"),
+    ("pj", True): ("idj", "pj"),
+    ("pj-i", False): ("b-idj-y", "pj-i"),
+    ("pj-i", True): ("idj", "pj"),
 }
 
 
@@ -81,9 +96,20 @@ def _by_name(table: dict, name: str, what: str) -> Callable:
         ) from None
 
 
-def two_way_algorithm_by_name(name: str) -> Callable:
-    """Factory for a 2-way join algorithm class by its paper name."""
-    return _by_name(_DHT_OPERATORS, name, "2-way algorithm")
+def two_way_operator(name: str, measure: Optional[object]) -> str:
+    """The :data:`OPERATORS` key a 2-way algorithm ``name`` runs as: the
+    name itself on a DHT context, its :data:`MEASURE_OPERATORS` entry
+    under a measure."""
+    if measure is None:
+        _by_name(_DHT_OPERATORS, name, "2-way algorithm")
+        return name.lower()
+    try:
+        return MEASURE_OPERATORS[name.lower()]
+    except KeyError:
+        raise GraphValidationError(
+            f"algorithm {name!r} is DHT-only; under a measure choose from "
+            f"{sorted(MEASURE_OPERATORS)}"
+        ) from None
 
 
 def snapshot_partial(join, k: Optional[int], reason: str) -> PartialResult:
@@ -120,7 +146,11 @@ def snapshot_partial(join, k: Optional[int], reason: str) -> PartialResult:
 
 
 class _Materialised:
-    """``AP``: the edge's whole 2-way join, sorted; nothing to refill."""
+    """``AP``: the edge's whole 2-way join, sorted; nothing to refill.
+
+    The one place a governed run swaps ``F-BJ`` for ``B-BJ``, whatever
+    the plan (a fixed plan's default or an ``auto`` pick) says.
+    """
 
     next_pair = None
     limit = None
@@ -287,10 +317,12 @@ class PartialJoinStats:
 class NWayDriver:
     """One n-way join: ``strategy``'s edge sources under one PBRJ.
 
-    ``strategy`` (``"ap"``/``"pj"``/``"pj-i"``) picks the edge source
-    and the planner's candidates; ``default_operator`` is what a
-    ``"fixed"`` plan gives every edge; ``m`` is the lazy sources' prefix
-    length (``AP`` ignores it); ``plan`` overrides ``spec.plan``;
+    ``strategy`` (``"ap"``/``"pj"``/``"pj-i"``) picks — through
+    :data:`STRATEGIES` and the spec's measure — the edge source and the
+    planner's candidates; ``default_operator`` is what a ``"fixed"``
+    plan gives every edge (default: the strategy's row); ``m`` is the
+    lazy sources' prefix length (``AP`` ignores it); ``plan`` overrides
+    ``spec.plan``;
     ``block_size`` is a caller's explicit width for the materialised
     source (it beats the plan's knob); ``bound_factory`` is the
     incremental source's bound flavour; ``label`` names the
@@ -308,7 +340,7 @@ class NWayDriver:
         self,
         spec: NWayJoinSpec,
         strategy: str,
-        default_operator: str,
+        default_operator: Optional[str] = None,
         m: int = 50,
         plan=None,
         block_size: Optional[int] = None,
@@ -317,9 +349,10 @@ class NWayDriver:
     ) -> None:
         if strategy != "ap" and m < 0:
             raise GraphValidationError(f"m must be >= 0, got {m}")
+        operator, source = STRATEGIES[(strategy, spec.measure is not None)]
         self._spec = spec
-        self._strategy = strategy
-        self._default_operator = default_operator
+        self._strategy = source
+        self._default_operator = default_operator or operator
         self._m = m
         self._plan = plan
         self._block_size = block_size

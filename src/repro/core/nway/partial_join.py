@@ -12,21 +12,18 @@ waste (re-ranking from scratch) remains, keeping the PJ/PJ-i comparison
 honest.
 
 The per-edge 2-way joins default to ``B-IDJ-Y``, the paper's best
-algorithm for this role (Section VII-A).  The loop itself is the shared
+algorithm for this role (Section VII-A) — under a measure, the same
+operator with the measure's bound.  The loop itself is the shared
 :class:`~repro.core.nway.driver.NWayDriver` with the *restart* edge
 source.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.driver import (  # noqa: F401 - re-exported names
-    NWayDriver,
-    PartialJoinStats,
-    two_way_algorithm_by_name,
-)
+from repro.core.nway.driver import NWayDriver, two_way_operator
 from repro.core.nway.spec import NWayJoinSpec
 
 
@@ -41,9 +38,10 @@ class PartialJoin(NWayDriver):
         Per-edge prefix length; ``0 <= m``.  The paper's default is 50.
     two_way:
         Name of the default 2-way join algorithm used for both the
-        initial prefixes and the restart refills (``"b-idj-y"``).
-        Under ``plan="auto"`` the planner may pick a different operator
-        per edge; the default seeds its candidate preference.
+        initial prefixes and the restart refills; omitted, the strategy
+        table's (``"b-idj-y"``, ``"idj"`` under a measure).  Under
+        ``plan="auto"`` the planner may pick a different operator per
+        edge; the default seeds its candidate preference.
     plan:
         Optional override of ``spec.plan`` — ``"fixed"``, ``"auto"``,
         or a replayed :class:`~repro.planner.plan.ExplainedPlan`.
@@ -55,11 +53,13 @@ class PartialJoin(NWayDriver):
         self,
         spec: NWayJoinSpec,
         m: int = 50,
-        two_way: str = "b-idj-y",
+        two_way: Optional[str] = None,
         plan=None,
     ) -> None:
-        two_way_algorithm_by_name(two_way)  # validate the default eagerly
-        super().__init__(spec, "pj", two_way.lower(), m=m, plan=plan)
+        operator = None
+        if two_way is not None:  # validated eagerly, before any walk
+            operator = two_way_operator(two_way, spec.measure)
+        super().__init__(spec, "pj", operator, m=m, plan=plan)
 
     def run(self) -> List[CandidateAnswer]:
         """Execute ``PJ`` and return the top-``k`` answers."""

@@ -8,7 +8,9 @@ bound information in the ``F`` structure, and every later
 join from scratch.  This is the paper's best n-way algorithm (up to 50x
 faster than ``PJ``; two orders of magnitude at ``k = 200``).  The loop
 itself is the shared :class:`~repro.core.nway.driver.NWayDriver` with
-the *incremental* edge source.
+the *incremental* edge source — on a DHT spec; a measure has no ``F``
+structure, so on a measure spec the driver's strategy table runs
+``PJ``'s restart source instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.driver import NWayDriver, PartialJoinStats
+from repro.core.nway.driver import NWayDriver, two_way_operator
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.backward import x_bound_factory, y_bound_factory
 from repro.graph.validation import GraphValidationError
@@ -25,9 +27,6 @@ _BOUND_FACTORIES = {
     "x": x_bound_factory,
     "y": y_bound_factory,
 }
-
-#: ``PJ-i`` fills the same record as ``PJ``.
-PartialJoinIncStats = PartialJoinStats
 
 
 class PartialJoinIncremental(NWayDriver):
@@ -41,7 +40,8 @@ class PartialJoinIncremental(NWayDriver):
         Per-edge prefix length (default 50, the paper's setting).
     bound:
         Upper-bound flavour for the underlying ``B-IDJ``; ``"y"``
-        (default, the paper's choice) or ``"x"``.
+        (default, the paper's choice) or ``"x"``.  On a measure spec
+        both run ``idj`` (see :data:`~repro.core.nway.driver.MEASURE_OPERATORS`).
     plan:
         Optional override of ``spec.plan``.  ``PJ-i``'s incremental
         ``F``-structure is its own operator, so the planner only
@@ -60,8 +60,8 @@ class PartialJoinIncremental(NWayDriver):
                 f"unknown bound {bound!r}; choose from {sorted(_BOUND_FACTORIES)}"
             )
         super().__init__(
-            spec, "pj-i", f"b-idj-{bound}", m=m, plan=plan,
-            bound_factory=_BOUND_FACTORIES[bound],
+            spec, "pj-i", two_way_operator(f"b-idj-{bound}", spec.measure),
+            m=m, plan=plan, bound_factory=_BOUND_FACTORIES[bound],
         )
 
     def run(self) -> List[CandidateAnswer]:

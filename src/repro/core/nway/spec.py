@@ -7,7 +7,11 @@ from typing import List, Optional, Sequence
 
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
-from repro.core.two_way.base import TwoWayContext
+from repro.core.two_way.base import (
+    TwoWayContext,
+    cache_identity,
+    resolve_config,
+)
 from repro.core.nway.aggregates import MIN, Aggregate
 from repro.core.nway.query_graph import QueryGraph
 from repro.graph.digraph import Graph
@@ -35,8 +39,10 @@ class NWayJoinSpec:
     k:
         Number of answers (Definition 4).
     params / d / epsilon:
-        DHT configuration; defaults to ``DHT_lambda(0.2)`` with
-        ``epsilon = 1e-6`` (``d = 8``), matching Section VII-A.
+        DHT configuration under
+        :func:`~repro.core.two_way.base.resolve_config`: defaults to
+        ``DHT_lambda(0.2)`` with ``epsilon = 1e-6`` (``d = 8``), matching
+        Section VII-A.
     walk_cache:
         One :class:`~repro.walks.cache.WalkCache` is shared by every
         query edge of the join (created unbounded when omitted), so
@@ -54,8 +60,8 @@ class NWayJoinSpec:
     max_block_bytes:
         Optional resumable-block byte ceiling forwarded to every edge
         context; caps the per-edge walk-block memory of the deepening
-        joins — ``B-IDJ`` for DHT specs, ``Series-IDJ`` for measure
-        specs — which switch to bounded-memory chunked rounds with
+        joins — ``B-IDJ`` under DHT or any measure — which switch to
+        bounded-memory chunked rounds with
         walk-cache spill under it (see
         :class:`~repro.core.two_way.base.TwoWayContext`).
     plan:
@@ -76,10 +82,9 @@ class NWayJoinSpec:
         (``d = measure.d``; passing ``params``/``d``/``epsilon`` is an
         error) and both shared caches are keyed by the measure's
         :meth:`cache_key`, so a PPR spec and a DHT spec on the same
-        graph keep fully isolated cache universes.  Measure specs are
-        consumed by the n-way joins in
-        :mod:`repro.extensions.series_join`; the DHT algorithms
-        (``NL``/``AP``/``PJ``/``PJ-i``) require ``measure=None``.
+        graph keep fully isolated cache universes.  ``AP`` / ``PJ`` /
+        ``PJ-i`` run measure specs (the driver's strategy table picks
+        their operators and source); ``NL`` is DHT-only.
     """
 
     graph: Graph
@@ -111,21 +116,9 @@ class NWayJoinSpec:
                 f"plan must be 'fixed', 'auto', or an ExplainedPlan; "
                 f"got {self.plan!r}"
             )
-        if self.measure is not None:
-            if self.params is not None or self.d is not None or self.epsilon is not None:
-                raise GraphValidationError(
-                    "a measure spec fixes its own depth and coefficients; "
-                    "do not pass params, d, or epsilon alongside measure"
-                )
-            self.d = self.measure.d
-        else:
-            if self.params is None:
-                self.params = DHTParams.dht_lambda(0.2)
-            if self.d is not None and self.epsilon is not None:
-                raise GraphValidationError("pass either d or epsilon, not both")
-            if self.d is None:
-                eps = self.epsilon if self.epsilon is not None else 1e-6
-                self.d = self.params.steps_for_epsilon(eps)
+        self.params, self.d = resolve_config(
+            self.params, self.d, self.epsilon, self.measure
+        )
         if self.d < 1:
             raise GraphValidationError(f"d must be >= 1, got {self.d}")
         if self.k < 0:
@@ -141,9 +134,7 @@ class NWayJoinSpec:
         ]
         if self.engine is None:
             self.engine = WalkEngine(self.graph)
-        key_params = (
-            self.measure.cache_key() if self.measure is not None else self.params
-        )
+        key_params = cache_identity(self.params, self.measure)
         if self.walk_cache is None:
             self.walk_cache = WalkCache(self.engine, key_params)
         if self.bound_cache is None:

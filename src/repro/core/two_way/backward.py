@@ -34,11 +34,11 @@ This module runs both algorithms on the batched, resumable walk layer:
   repeated joins over overlapping node sets (``PJ`` restarts,
   star/clique edges) never re-walk a target.
 
-Both loops read the measure only through the context's ``kernel`` and
-``floor``, so they are the one backward stack for every proximity
-measure: the bindings in :mod:`repro.extensions.series_join` subclass
-them and override the scorer, the bound and — for matrix-backed
-measures — the rounds, nothing else.
+Both loops are the one backward stack for every proximity measure:
+they read the scorer, the tail bound (:func:`y_bound_factory`) and the
+deepening rounds off the context (see ``docs/ALGORITHMS.md``, "The
+measure layer"); a measure is duck-typed, so ``core`` never imports
+``extensions``.
 
 The seed per-target, restart-per-level implementations are kept as
 equivalence oracles: :func:`back_walk_series` and
@@ -53,7 +53,13 @@ from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 from scipy.sparse import issparse
 
-from repro.core.bounds import ScoreUpperBound, XBound, YBound
+from repro.core.bounds import (
+    ClosedFormTail,
+    ScoreUpperBound,
+    XBound,
+    YBound,
+    dht_tail_weights,
+)
 from repro.core.two_way.base import (
     BoundedTopK,
     ScoredPair,
@@ -67,6 +73,7 @@ from repro.walks.engine import block_rows, dense_block
 from repro.walks.rounds import (
     REWALK_ATTEMPTS,
     DeepeningRounds,
+    MatrixRounds,
     columns_for_budget,
     triage,
 )
@@ -86,8 +93,12 @@ def back_walk_series(context: TwoWayContext, target: int, steps: int) -> np.ndar
 
     Runs the ``steps``-step backward first-hit propagation from ``target``
     (Eq. 5) and converts the hit series into truncated DHT scores
-    (Eq. 4).  Cost: ``O(steps * |E_G|)``; never touches the walk cache.
+    (Eq. 4) — or, on a measure context, the measure's own per-target
+    ``backward_scores``.  Cost: ``O(steps * |E_G|)``; never touches the
+    walk cache.
     """
+    if context.measure is not None:
+        return context.measure.backward_scores(context.engine, target, steps)
     series = context.engine.backward_first_hit_series(target, steps)
     return context.params.scores_from_matrix(series)
 
@@ -264,9 +275,8 @@ class BackwardBasicJoin:
     clamps the block width so each propagated block's buffers stay
     under it, same per-block semantics as ``B-IDJ``'s chunked rounds.
 
-    What a proximity measure needs to supply is the scorer pair
-    :meth:`_score_target` / :meth:`_score_block`; the defaults walk the
-    context's :attr:`~repro.core.two_way.base.TwoWayContext.kernel`.
+    The scorer pair :meth:`_score_target` / :meth:`_score_block` is
+    the only place a measure differs: both read it off the context.
     """
 
     name = "B-BJ"
@@ -325,14 +335,22 @@ class BackwardBasicJoin:
             return blocks
 
     def _score_target(self, q: int) -> np.ndarray:
-        """The per-target oracle scorer (``block_size=1``)."""
-        return back_walk(self._ctx, q, self._ctx.d)
+        """The per-target oracle scorer (``block_size=1``): DHT through
+        the walk cache when there is one, a measure's own
+        ``backward_scores`` otherwise."""
+        ctx = self._ctx
+        if ctx.measure is None:
+            return back_walk(ctx, q, ctx.d)
+        return back_walk_series(ctx, q, ctx.d)
 
     def _score_block(self, targets: List[int]) -> Iterable[np.ndarray]:
         """Full-depth score vectors of one target block, in order —
         full-width because :meth:`_score_blocks` donates them (a DHT
-        context only gets here with a walk cache)."""
+        context only gets here with a walk cache).  A matrix-backed
+        measure (no kernel) gathers them from its iterates."""
         ctx = self._ctx
+        if ctx.kernel is None:
+            return ctx.measure.backward_scores_block(ctx.engine, targets, ctx.d).T
         state = WalkState(ctx.engine, ctx.kernel, targets).advance_to(ctx.d)
         return map(state.score_column, range(len(targets)))
 
@@ -422,20 +440,23 @@ class BackwardBasicJoin:
 BoundFactory = Callable[[TwoWayContext], ScoreUpperBound]
 
 
-def x_bound_factory(context: TwoWayContext) -> XBound:
+def x_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     """``U_l^+ = X_l^+`` (Lemma 2) — the ``B-IDJ-X`` configuration.
 
     Served through the context's
     :class:`~repro.bounds_cache.BoundPlanCache` (keyed by depth only —
     ``X`` is data-independent), so repeated joins on one context and
-    ``F-IDJ`` runs at the same depth share one table.
+    ``F-IDJ`` runs at the same depth share one table.  A measure's ``X``
+    is its closed-form ``tail_bound``, uncached.
     """
+    if context.measure is not None:
+        return ClosedFormTail(context.measure)
     return context.bound_cache.x_bound(
         context.d, lambda: XBound(context.params, context.d)
     )
 
 
-def y_bound_factory(context: TwoWayContext) -> YBound:
+def y_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     """``U_l^+ = Y_l^+(P, q)`` (Theorem 1) — the ``B-IDJ-Y`` configuration.
 
     Construction runs a one-off ``O(d |E_G|)`` reach-mass propagation
@@ -445,13 +466,21 @@ def y_bound_factory(context: TwoWayContext) -> YBound:
     agree on the left set (every edge of a star spec, repeated sets of a
     clique spec — they share one cache via their
     :class:`~repro.core.nway.spec.NWayJoinSpec`) reuse the bound instead
-    of re-propagating.
+    of re-propagating.  A measure without ``tail_weight`` (SimRank)
+    gets its closed-form ``tail_bound``, uncached.
     """
-    return context.bound_cache.y_bound(
-        context.left,
-        context.d,
-        lambda: YBound(context.engine, context.params, context.left, context.d),
-    )
+    measure = context.measure
+    if measure is not None and getattr(measure, "tail_weight", None) is None:
+        return ClosedFormTail(measure)
+
+    def build() -> YBound:
+        if measure is None:
+            weights = dht_tail_weights(context.params, context.d)
+        else:
+            weights = [measure.tail_weight(i) for i in range(1, context.d + 1)]
+        return YBound(context.engine, weights, context.left, context.d)
+
+    return context.bound_cache.y_bound(context.left, context.d, build)
 
 
 class BackwardIDJ:
@@ -490,9 +519,9 @@ class BackwardIDJ:
     engine stats.  The round machinery itself is
     :class:`~repro.walks.rounds.DeepeningRounds` over the context's
     :attr:`~repro.core.two_way.base.TwoWayContext.kernel`, so the same
-    loop runs under DHT and under any kernel measure; a measure binding
-    only swaps the bound (and, for a kernel-less measure, the rounds —
-    see :meth:`_rounds`).
+    loop runs under DHT and under any kernel measure; a kernel-less
+    measure runs :class:`~repro.walks.rounds.MatrixRounds` instead (see
+    :meth:`_rounds`).
 
     Parameters
     ----------
@@ -537,8 +566,13 @@ class BackwardIDJ:
 
     def _rounds(self):
         """The walk plan of one run: ``walk_level`` / ``donate_pruned``
-        / ``repack`` over the context's kernel, cache and byte ceiling."""
+        / ``repack`` over the context's kernel (or, without one, the
+        measure's iterates), cache and byte ceiling."""
         ctx = self._ctx
+        if ctx.kernel is None:
+            return MatrixRounds(
+                ctx.engine, ctx.measure, ctx.walk_cache, ctx.max_block_bytes
+            )
         return DeepeningRounds(
             ctx.engine, ctx.kernel, ctx.walk_cache, ctx.max_block_bytes
         )
@@ -671,12 +705,12 @@ class BackwardIDJ:
                     self._observer.observe(
                         [q], level, scores[:, None], np.array([tail])
                     )
-                best = ctx.params.zero_score
+                best = ctx.floor
                 for i, p in enumerate(ctx.left):
                     if p == q:
                         continue
                     score = float(scores[i])
-                    if score > ctx.params.zero_score:
+                    if score > ctx.floor:
                         lower_bounds.append(score)
                     if score > best:
                         best = score

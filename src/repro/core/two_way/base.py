@@ -172,10 +172,9 @@ class TwoWayContext:
         DHT cache and a PPR cache on the same graph can never be mixed
         (the validation below rejects the swap).  The forward
         algorithms (``F-*``) require ``measure=None``; the backward
-        ones read :attr:`kernel` and :attr:`floor` — the only place
-        ``params``-vs-``measure`` is spelled — and the bindings in
-        :mod:`repro.extensions.series_join` supply a measure's scorer
-        and bound on top.
+        ones read everything measure-specific off this context —
+        :attr:`kernel`, :attr:`floor`, and through them the scorer, the
+        tail bound and the deepening rounds.
     """
 
     graph: Graph
@@ -201,26 +200,18 @@ class TwoWayContext:
         if self.engine is None:
             self.engine = WalkEngine(self.graph)
         key_params = self.cache_params
-        if self.walk_cache is not None:
-            if self.walk_cache.engine is not self.engine:
+        for name in ("walk_cache", "bound_cache"):
+            cache = getattr(self, name)
+            if cache is not None and cache.engine is not self.engine:
                 raise GraphValidationError(
-                    "walk_cache is bound to a different engine than this context"
+                    f"{name} is bound to a different engine than this context"
                 )
-            if self.walk_cache.params != key_params:
+            if cache is not None and cache.params != key_params:
                 raise GraphValidationError(
-                    "walk_cache was built for a different measure configuration"
+                    f"{name} was built for a different measure configuration"
                 )
         if self.bound_cache is None:
             self.bound_cache = BoundPlanCache(self.engine, key_params)
-        else:
-            if self.bound_cache.engine is not self.engine:
-                raise GraphValidationError(
-                    "bound_cache is bound to a different engine than this context"
-                )
-            if self.bound_cache.params != key_params:
-                raise GraphValidationError(
-                    "bound_cache was built for a different measure configuration"
-                )
         if self.max_block_bytes is not None and self.max_block_bytes < 1:
             raise GraphValidationError(
                 f"max_block_bytes must be >= 1, got {self.max_block_bytes}"
@@ -232,12 +223,9 @@ class TwoWayContext:
 
     @property
     def cache_params(self):
-        """The identity walk/bound caches for this context are keyed by.
-
-        The measure's cache key when a measure is set, the DHT params
-        otherwise — one cache universe per ``(graph, measure)``.
-        """
-        return self.measure.cache_key() if self.measure is not None else self.params
+        """The identity walk/bound caches for this context are keyed by
+        (:func:`cache_identity`)."""
+        return cache_identity(self.params, self.measure)
 
     @property
     def kernel(self):
@@ -310,6 +298,50 @@ class TwoWayContext:
         )))
 
 
+def resolve_config(
+    params: Optional[DHTParams] = None,
+    d: Optional[int] = None,
+    epsilon: Optional[float] = None,
+    measure: Optional[object] = None,
+) -> Tuple[Optional[DHTParams], int]:
+    """The one configuration rule: ``(params, d)`` of a join.
+
+    DHT (``measure=None``) defaults follow Section VII-A: ``DHT_lambda``
+    with ``lambda = 0.2`` and ``epsilon = 1e-6`` (which yields
+    ``d = 8``); pass either ``d`` directly or an ``epsilon`` to derive
+    it via Lemma 1 — not both.  A measure fixes its own coefficients and
+    depth, ``(None, measure.d)``; ``params`` / ``d`` / ``epsilon``
+    alongside one are an error (configure the measure instance instead —
+    silently dropping them would change results without warning).
+    """
+    if measure is not None:
+        passed = [
+            name for name, value in
+            (("params", params), ("d", d), ("epsilon", epsilon))
+            if value is not None
+        ]
+        if passed:
+            raise GraphValidationError(
+                "a measure fixes its own depth and coefficients, so params, "
+                "d and epsilon are DHT-only options; configure the measure "
+                f"instance instead (got {', '.join(passed)})"
+            )
+        return None, measure.d
+    params = params if params is not None else DHTParams.dht_lambda(0.2)
+    if d is not None and epsilon is not None:
+        raise GraphValidationError("pass either d or epsilon, not both")
+    if d is None:
+        d = params.steps_for_epsilon(epsilon if epsilon is not None else 1e-6)
+    return params, d
+
+
+def cache_identity(params: Optional[DHTParams], measure: Optional[object]):
+    """What walk and bound caches are keyed by: the measure's
+    ``cache_key()``, else the DHT params — one cache universe per
+    ``(graph, measure)``."""
+    return params if measure is None else measure.cache_key()
+
+
 def make_context(
     graph: Graph,
     left: Sequence[int],
@@ -321,20 +353,13 @@ def make_context(
     walk_cache: Optional[WalkCache] = None,
     bound_cache: Optional[BoundPlanCache] = None,
     max_block_bytes: Optional[int] = None,
+    measure: Optional[object] = None,
 ) -> TwoWayContext:
-    """Build a :class:`TwoWayContext` with the paper's defaults.
-
-    Defaults follow Section VII-A: ``DHT_lambda`` with ``lambda = 0.2``
-    and ``epsilon = 1e-6`` (which yields ``d = 8``).  Pass either ``d``
-    directly or an ``epsilon`` to derive it via Lemma 1 — not both.
-    """
-    params = params if params is not None else DHTParams.dht_lambda(0.2)
-    if d is not None and epsilon is not None:
-        raise GraphValidationError("pass either d or epsilon, not both")
-    if d is None:
-        d = params.steps_for_epsilon(epsilon if epsilon is not None else 1e-6)
+    """Build a :class:`TwoWayContext` under :func:`resolve_config`: the
+    paper's DHT defaults, or a ``measure`` that fixes its own depth."""
+    params, d = resolve_config(params, d, epsilon, measure)
     return TwoWayContext(
         graph=graph, params=params, left=list(left), right=list(right), d=d,
         engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
-        max_block_bytes=max_block_bytes,
+        max_block_bytes=max_block_bytes, measure=measure,
     )

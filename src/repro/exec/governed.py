@@ -18,7 +18,7 @@ The partial-result intervals come from two sources, in preference
 order:
 
 ``budget_snapshot``
-    The iterative-deepening joins (``B-IDJ`` and ``Series-IDJ``) record
+    The iterative-deepening join (``B-IDJ``, under any measure) records
     the last *completed* round — every then-active target's gathered
     left-row scores ``h_l(p, q)`` plus that round's tail bound.  By
     monotonicity ``h_l`` is a lower bound on ``h_d`` and
@@ -127,6 +127,9 @@ def run_governed_multi_way(
     installed ``governor`` off ``spec.engine`` and collects the stop
     reasons and per-pair intervals assembled here.  Governed ``"pj-i"``
     runs the restart source: the incremental join keeps no snapshot.
+    Governed ``"ap"`` materialises with ``B-BJ``: the driver's
+    materialised source swaps ``F-BJ``, which keeps no prefix to
+    snapshot, for it under any governor.
 
     ``spec.plan`` chooses edge build order — and, for the
     ``PJ`` strategies, per-edge operators.  Plans only reorder which
@@ -147,19 +150,9 @@ def run_governed_multi_way(
             f"unknown n-way algorithm {algorithm!r}; "
             f"choose from ('pj', 'pj-i', 'ap', 'nl')"
         )
-    if name == "ap":
-        default_operator = "basic" if spec.measure is not None else "b-bj"
-    elif spec.measure is not None:
-        default_operator = "idj"
-    else:
-        default_operator = "b-idj-y"
-    driver = NWayDriver(
-        spec,
-        "ap" if name == "ap" else "pj",
-        default_operator,
-        m=m,
-        label=name,
-    )
+    # The operators are the strategy table's; only the source differs.
+    source = "pj" if name == "pj-i" else name
+    driver = NWayDriver(spec, source, m=m, label=name)
     answers = driver.run()
     reasons, intervals = driver.reasons, driver.intervals
     exact = not reasons

@@ -4,14 +4,14 @@
 contract (per-target + batched-block backward kernels, tail bounds,
 cache identity) with PPR and DHT instantiations;
 :mod:`repro.extensions.simrank` adds SimRank (solver, measure, oracle
-joins); :mod:`repro.extensions.series_join` runs the measure-generic
-2-way (``Series-B-BJ`` / ``Series-IDJ``) and n-way (``Series-AP`` /
-``Series-PJ``) joins on the shared walk/bound-cache stack.
+joins); :mod:`repro.extensions.series_join` names the core operators and
+executors under their measure names (``Series-B-BJ`` / ``Series-IDJ`` /
+``Series-AP`` / ``Series-PJ``): a measure is a context field, so the
+same joins run it.
 """
 
 from repro.extensions.measures import (
     DHTMeasure,
-    SeriesYBound,
     TruncatedPPR,
     exact_ppr_to_target,
     measure_by_name,
@@ -21,7 +21,6 @@ from repro.extensions.series_join import (
     SeriesBackwardJoin,
     SeriesIDJ,
     SeriesPartialJoin,
-    make_series_context,
 )
 from repro.extensions.simrank import (
     SimRankJoin,
@@ -35,12 +34,10 @@ __all__ = [
     "SeriesBackwardJoin",
     "SeriesIDJ",
     "SeriesPartialJoin",
-    "SeriesYBound",
     "SimRankJoin",
     "SimRankMeasure",
     "TruncatedPPR",
     "exact_ppr_to_target",
-    "make_series_context",
     "measure_by_name",
     "simrank_matrix",
 ]

@@ -23,9 +23,8 @@ iterative deepening needs — and three families instantiate it:
   pairwise-recursive fixed point has no single-propagation kernel; it
   serves blocks from memoised (and resumable) matrix iterates instead.
 
-**Admissibility contract** (what ``B-IDJ`` bound to a measure,
-:class:`repro.extensions.series_join.SeriesIDJ`, relies on — see
-``docs/ALGORITHMS.md`` for the worked derivations):
+**Admissibility contract** (what ``B-IDJ`` on a measure context relies
+on — see ``docs/ALGORITHMS.md`` for the worked derivations):
 
 1. ``backward_scores(engine, q, l)`` returns the ``l``-step truncation
    ``h_l(., q)``, and ``h_l(p, q) <= h_d(p, q)`` for ``l <= d``
@@ -37,9 +36,11 @@ iterative deepening needs — and three families instantiate it:
    bottom of the range, used to seed per-target maxima and to filter
    uninformative lower bounds.
 4. Optionally, ``tail_weight(i) = w_i * sup M_i`` per step enables the
-   data-dependent reach-mass tail :class:`SeriesYBound` (the Theorem 1
-   analogue), which is tighter than the closed form whenever the left
-   set's ``i``-step reach mass at ``q`` is below 1.
+   data-dependent reach-mass tail :class:`~repro.core.bounds.YBound`
+   (Theorem 1, measure-generically: for DHT because first hits are a
+   sub-event of visits, for PPR because ``S_i(p, q)`` is one summand of
+   the left set's reach mass), which is tighter than the closed form
+   whenever the left set's ``i``-step reach mass at ``q`` is below 1.
 
 Batched-block equivalence: ``backward_scores_block`` must agree with
 per-target ``backward_scores`` at every node ``u != target`` (reflexive
@@ -207,7 +208,8 @@ class TruncatedPPR:
         return self.damping ** (level + 1)
 
     def tail_weight(self, i: int) -> float:
-        """``w_i * sup S_i = (1-c) c^i`` — enables :class:`SeriesYBound`."""
+        """``w_i * sup S_i = (1-c) c^i`` — enables the reach-mass
+        :class:`~repro.core.bounds.YBound`."""
         if i < 1:
             raise ValueError(f"i must be >= 1, got {i}")
         return (1.0 - self.damping) * self.damping ** i
@@ -217,7 +219,7 @@ class DHTMeasure:
     """Adapter exposing the core DHT implementation as a
     :class:`SeriesMeasure`, so generic joins can mix measures.
 
-    ``B-BJ`` / ``B-IDJ`` bound to this measure run the loops a
+    ``B-BJ`` / ``B-IDJ`` on this measure run the loops a
     :class:`~repro.core.dht.DHTParams` context runs, on the same
     first-hit kernel; the adapter exists so joins can mix measures and
     so DHT is an oracle-rich third instantiation of the contract.
@@ -277,62 +279,10 @@ class DHTMeasure:
         return self.params.alpha * self.params.decay ** i
 
 
-class SeriesYBound:
-    """Reach-mass tail bound for any series measure (Theorem 1 analogue).
-
-    For steps ``i > l`` the pair statistic is bounded by the left set's
-    aggregated reach mass: ``M_i(p, q) <= min(sum_{p' in P} S_i(p', q), 1)``
-    (for DHT because first hits are a sub-event of visits, Lemma 3; for
-    PPR because ``S_i(p, q)`` is one summand).  One unrestricted
-    ``d``-step propagation from all of ``P`` therefore yields
-
-    ``Y_l^+(P, q) = sum_{i=l+1}^{d} tail_weight(i) * min(reach_i(q), 1)``
-
-    for every ``q`` and every ``l`` via suffix sums — ``O(1)`` per
-    query, always at most the closed-form :meth:`SeriesMeasure.tail_bound`
-    restricted to steps ``<= d``.  Built through a
-    :class:`~repro.bounds_cache.BoundPlanCache` keyed by ``(P, d)``, so
-    query edges sharing a left set build it once; every build increments
-    ``engine.stats.bound_builds`` like the core :class:`~repro.core.bounds.YBound`.
-    """
-
-    name = "Series-Y"
-
-    def __init__(
-        self,
-        engine: WalkEngine,
-        measure: SeriesMeasure,
-        sources: Sequence[int],
-        d: int,
-    ) -> None:
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        self._d = d
-        engine.stats.add("bound_builds", 1)
-        reach = engine.reach_mass_series(sources, d)  # (d, n)
-        capped = np.minimum(reach, 1.0)
-        weights = np.array(
-            [measure.tail_weight(i) for i in range(1, d + 1)], dtype=np.float64
-        )[:, None]
-        contributions = capped * weights
-        n = reach.shape[1]
-        suffix = np.zeros((d + 1, n), dtype=np.float64)
-        suffix[:d] = np.cumsum(contributions[::-1], axis=0)[::-1]
-        self._suffix = suffix
-
-    @property
-    def d(self) -> int:
-        """Walk length the bound was built for."""
-        return self._d
-
-    def tail(self, l: int, q: int) -> float:
-        """``Y_l^+(P, q)`` for graph node ``q``."""
-        if not (0 <= l <= self._d):
-            raise ValueError(f"l must be in [0, {self._d}], got {l}")
-        return float(self._suffix[l, q])
-
-
 _DHT_NAMES = frozenset({"dht", "dht-lambda", "dht-e"})
+
+#: Every name :func:`measure_by_name` resolves.
+MEASURE_NAMES = tuple(sorted(_DHT_NAMES | {"ppr", "simrank"}))
 
 
 def measure_by_name(name: str, **options) -> Optional[object]:
@@ -355,8 +305,7 @@ def measure_by_name(name: str, **options) -> Optional[object]:
 
         return SimRankMeasure(**options)
     raise GraphValidationError(
-        f"unknown measure {name!r}; choose from "
-        f"{sorted(_DHT_NAMES | {'ppr', 'simrank'})}"
+        f"unknown measure {name!r}; choose from {list(MEASURE_NAMES)}"
     )
 
 

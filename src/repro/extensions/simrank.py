@@ -12,8 +12,8 @@ graphs; the scale is quadratic by nature), a join wrapper with the same
 result shape as the DHT joins (the scoring oracle), and
 :class:`SimRankMeasure` — the
 :class:`repro.extensions.measures.SeriesMeasure` instantiation that
-plugs SimRank into the measure-generic 2-way and n-way joins of
-:mod:`repro.extensions.series_join`.
+plugs SimRank into the 2-way and n-way joins
+(``make_context(..., measure=SimRankMeasure())``).
 
 The measure's "resumable walk state" is the matrix iterate itself: the
 fixed-point sweep is a recurrence in the iteration count, so the

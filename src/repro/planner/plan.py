@@ -14,7 +14,8 @@ Two modes:
 
 ``"fixed"``
     The pre-planner behaviour, kept as the bit-identity oracle: edges
-    build in index order with the executor's default operator.  The
+    build in index order with the executor's default operator (the
+    strategy table's, :data:`repro.core.nway.driver.STRATEGIES`).  The
     plan still carries cost estimates, so ``--explain`` works either
     way.
 ``"auto"``
@@ -44,6 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.nway.driver import STRATEGIES
 from repro.core.two_way.backward import DEFAULT_BLOCK_SIZE
 from repro.graph.validation import GraphValidationError
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
@@ -64,8 +66,6 @@ _SERIES_CANDIDATES = {
     "pj": ("idj", "basic"),
     "ap": ("basic",),
 }
-_DHT_DEFAULTS = {"pj": "b-idj-y", "pj-i": "b-idj-y", "ap": "f-bj"}
-_SERIES_DEFAULTS = {"pj": "idj", "pj-i": "idj", "ap": "basic"}
 
 # Operator name -> cost-model kind.  "idj" resolves per measure (a
 # tail_weight measure gets the reach-mass Y cost, SimRank the X form).
@@ -77,7 +77,6 @@ _OPERATOR_KINDS = {
     "f-bj": "f-bj",
     "f-idj": "f-idj",
 }
-_Y_BOUND_OPERATORS = ("b-idj-y",)  # plus "idj" under a tail_weight measure
 _BLOCK_OPERATORS = ("b-bj", "basic")  # operators with a block-width knob
 
 
@@ -272,11 +271,6 @@ class _ResidentSetModel:
             self._resident.popitem(last=False)
 
 
-def _strategy_defaults(strategy: str, measure) -> str:
-    table = _SERIES_DEFAULTS if measure is not None else _DHT_DEFAULTS
-    return table[strategy]
-
-
 def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, ...]:
     if mode == "fixed" or strategy == "pj-i":
         # Fixed mode keeps the executor's default; PJ-i's incremental
@@ -303,9 +297,7 @@ def _operator_kind(operator: str, measure) -> str:
 
 
 def _uses_y_bound(operator: str, measure) -> bool:
-    if operator in _Y_BOUND_OPERATORS:
-        return True
-    return operator == "idj" and getattr(measure, "tail_weight", None) is not None
+    return _operator_kind(operator, measure) == "idj-y"
 
 
 def _block_knob(spec, operator: str) -> Optional[int]:
@@ -426,7 +418,8 @@ def _build_plan(
             # A reused engine's counters are prior-run feedback.
             feedback = engine_stats
     model = CostModel(stats, spec.d, feedback=feedback)
-    default = (default_operator or _strategy_defaults(strategy, spec.measure)).lower()
+    row = STRATEGIES[(strategy, spec.measure is not None)]
+    default = (default_operator or row[0]).lower()
     candidates = _candidates(strategy, spec.measure, default, mode)
 
     edge_sets = [spec.edge_node_sets(e) for e in range(num_edges)]

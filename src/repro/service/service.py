@@ -47,6 +47,7 @@ from repro import api
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
+from repro.core.two_way.base import cache_identity, resolve_config
 from repro.exec.budget import PartialResult, QueryBudget, exact_result
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
@@ -162,14 +163,7 @@ class QueryService:
             )
         self._graph = graph
         self._engine = WalkEngine(graph)
-        self._params = params if params is not None else DHTParams.dht_lambda(0.2)
-        if d is not None and epsilon is not None:
-            raise GraphValidationError("pass either d or epsilon, not both")
-        if d is None:
-            d = self._params.steps_for_epsilon(
-                epsilon if epsilon is not None else 1e-6
-            )
-        self._d = d
+        self._params, self._d = resolve_config(params, d, epsilon)
         self._default_budget = default_budget
         self._clock = clock
         self._tracer = tracer
@@ -512,7 +506,7 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _tier_for(self, resolved) -> Tuple[WalkCache, BoundPlanCache]:
-        key = resolved.cache_key() if resolved is not None else self._params
+        key = cache_identity(self._params, resolved)
         with self._tiers_lock:
             tier = self._tiers.get(key)
             if tier is None:

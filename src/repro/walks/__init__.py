@@ -5,7 +5,8 @@ equivalence oracle), batched block propagation
 (:meth:`WalkEngine.backward_first_hit_block`), resumable walk state
 (:class:`WalkState`), the cross-join :class:`WalkCache`, and the
 deepening-round machinery (:class:`DeepeningRounds`: bounded-memory
-windows + walk-cache spill, shared by ``B-IDJ`` and ``Series-IDJ``).
+windows + walk-cache spill, for ``B-IDJ`` under DHT or any kernel
+measure; :class:`MatrixRounds` for a matrix-backed measure).
 """
 
 from repro.walks.cache import WalkCache, WalkCacheStats
@@ -16,13 +17,14 @@ from repro.walks.kernels import (
     PPRBlockKernel,
     as_block_kernel,
 )
-from repro.walks.rounds import DeepeningRounds
+from repro.walks.rounds import DeepeningRounds, MatrixRounds
 from repro.walks.state import WalkState
 
 __all__ = [
     "BlockKernel",
     "DHTBlockKernel",
     "DeepeningRounds",
+    "MatrixRounds",
     "PPRBlockKernel",
     "WalkCache",
     "WalkCacheStats",

@@ -1,16 +1,18 @@
 """Shared deepening-round walk machinery for the iterative-deepening joins.
 
-``B-IDJ`` (the DHT path) and ``Series-IDJ`` (the measure-generic path)
-run the same walk plan: at each doubling level, feed every active
-target's scores *at the join's left rows* to a pruning step, one
-``(|rows|, B)`` block per resolved group of targets, keeping one
-resumable :class:`~repro.walks.state.WalkState` block so level ``2l``
-extends level ``l`` instead of restarting.  :class:`DeepeningRounds` is
-that plan, factored out of both joins so the bounded-memory mode — and
-its spill policy — exist exactly once.  Full length-``n`` score vectors
+``B-IDJ`` runs one walk plan under DHT and under every kernel measure:
+at each doubling level, feed every active target's scores *at the
+join's left rows* to a pruning step, one ``(|rows|, B)`` block per
+resolved group of targets, keeping one resumable
+:class:`~repro.walks.state.WalkState` block so level ``2l`` extends
+level ``l`` instead of restarting.  :class:`DeepeningRounds` is that
+plan, so the bounded-memory mode — and its spill policy — exist exactly
+once; :class:`MatrixRounds` is its twin for a matrix-backed measure
+(``kernel() is None``), whose levels are gathers from the measure's own
+iterates.  Full length-``n`` score vectors
 are finalised only to be donated to a walk cache; a cache-less round
 never builds one.  The cache is read and fed per group of targets:
-:func:`triage` (shared with ``B-BJ`` and the matrix rounds) is one
+:func:`triage` (shared with ``B-BJ`` and :class:`MatrixRounds`) is one
 ``peek_block``, a walked part is donated with one ``put_block``.
 
 **Unbounded mode** (``max_block_bytes is None``): one full-width
@@ -455,3 +457,69 @@ class DeepeningRounds:
             return
         for j in columns:
             self._cache.adopt(state.extract_column(j))
+
+
+class MatrixRounds:
+    """The deepening rounds of a matrix-backed measure (``kernel() is
+    None``), with :class:`DeepeningRounds`' interface.
+
+    There is nothing to resume in walk space: a level is a batched
+    gather from the measure's memoised iterates
+    (``measure.backward_scores_block``), which the measure itself
+    resumes.  A byte ceiling only clamps the gather width — the
+    iterate's dense ``O(n^2)`` memory lives in the measure, outside the
+    walk layer's budget — and only score vectors reach the walk cache.
+    """
+
+    def __init__(
+        self,
+        engine: WalkEngine,
+        measure: object,
+        cache: Optional[WalkCache],
+        max_block_bytes: Optional[int],
+    ) -> None:
+        self._engine = engine
+        self._measure = measure
+        self._cache = cache
+        self._max_cols: Optional[int] = None
+        if max_block_bytes is not None:
+            self._max_cols = columns_for_budget(max_block_bytes, engine.num_nodes)
+
+    def walk_level(
+        self, active: Sequence[int], level: int, rows: np.ndarray, consume: Consumer
+    ) -> None:
+        """Feed every active target's ``level`` scores at node ids
+        ``rows`` to ``consume(targets, block)``: the cached targets as
+        one block, the rest gathered in chunks under the byte ceiling."""
+        engine, cache = self._engine, self._cache
+        hits, hit_block, pending = triage(engine, cache, active, level, rows)
+        if hits:
+            consume(hits, hit_block)
+        while pending:
+            width = len(pending) if self._max_cols is None else self._max_cols
+            group = pending[: max(width, 1)]
+            try:
+                engine.checkpoint("round")
+                block = self._measure.backward_scores_block(engine, group, level)
+            except (MemoryError, MemoryBudgetExceeded):
+                # Adaptive backoff, the matrix-measure twin of the block
+                # split above: halve the gather width and retry; a
+                # single-column failure is genuine exhaustion.
+                if len(group) == 1:
+                    raise
+                half = max(1, len(group) // 2)
+                engine.stats.add("alloc_retries", 1)
+                engine.stats.add("degradations", 1)
+                if self._max_cols is None or half < self._max_cols:
+                    self._max_cols = half
+                continue
+            if cache is not None:
+                cache.put_block(group, level, block.T)
+            consume(group, block[rows])
+            del pending[: len(group)]
+
+    def donate_pruned(self, pruned) -> None:
+        """Nothing to donate: the iterates are the resumable state."""
+
+    def repack(self, survivors: set, level: int) -> None:
+        """Nothing to repack: no walk block is retained across levels."""

@@ -54,7 +54,7 @@ uses).  :meth:`WalkState.select` narrows a block to surviving columns,
 adoption — including the bounded rounds' spill of overflow survivors),
 and :meth:`WalkState.concat` re-packs same-level blocks — together they
 let :class:`~repro.walks.rounds.DeepeningRounds` keep the resumable
-window of ``B-IDJ`` *and* ``Series-IDJ`` under a byte budget.
+window of ``B-IDJ``, under DHT or any kernel measure, under a byte budget.
 """
 
 from __future__ import annotations

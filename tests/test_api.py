@@ -73,6 +73,19 @@ class TestTwoWayFacade:
         assert engine.stats.propagation_steps == 0
         assert len(cache) == 0
 
+    @pytest.mark.parametrize("measure", [5, "ppr-ish", object()])
+    def test_a_measure_that_is_not_one_is_refused_up_front(self, graph, measure):
+        """Anything but ``None``, a known name or an object with the
+        measure contract is a validation error naming both — not an
+        ``AttributeError`` from deep inside the join."""
+        with pytest.raises(GraphValidationError) as info:
+            two_way_join(graph, [1, 2], [10, 11], 3, measure=measure)
+        message = str(info.value)
+        assert "ppr" in message and "simrank" in message
+        if not isinstance(measure, str):
+            for attribute in ("d", "floor", "cache_key", "kernel"):
+                assert attribute in message
+
     def test_shared_engine_reuse(self, graph):
         from repro.walks.engine import WalkEngine
 
@@ -114,6 +127,24 @@ class TestMultiWayFacade:
         with pytest.raises(GraphValidationError, match="unknown n-way"):
             multi_way_join(
                 graph, QueryGraph.chain(2), [[0], [1]], k=1, algorithm="magic"
+            )
+
+    @pytest.mark.parametrize("plan", ["FIXED", "Fixed"])
+    def test_nl_accepts_fixed_in_any_case(self, graph, plan):
+        """The spec lower-cases ``plan``; NL's no-planning check reads
+        the spec, not the raw argument."""
+        sets = [[0, 1], [10, 11], [20, 21]]
+        expected = multi_way_join(
+            graph, QueryGraph.chain(3), sets, k=3, algorithm="nl"
+        )
+        got = multi_way_join(
+            graph, QueryGraph.chain(3), sets, k=3, algorithm="nl", plan=plan
+        )
+        assert got == expected
+        with pytest.raises(GraphValidationError, match="NL strategy"):
+            multi_way_join(
+                graph, QueryGraph.chain(3), sets, k=3, algorithm="nl",
+                plan="AUTO",
             )
 
     def test_example_from_module_docstring(self):

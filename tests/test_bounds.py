@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import XBound, YBound
+from repro.core.bounds import XBound, YBound, dht_tail_weights
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import back_walk
 from repro.core.two_way.base import make_context
@@ -51,7 +51,8 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         sources = [0, 1, 2, 3, 4]
         d = 8
-        return engine, sources, d, YBound(engine, params, sources, d)
+        bound = YBound(engine, dht_tail_weights(params, d), sources, d)
+        return engine, sources, d, bound
 
     def test_tail_zero_at_l_equals_d(self, setup):
         engine, sources, d, bound = setup
@@ -68,7 +69,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         d = 8
         sources = list(range(6))
-        y_bound = YBound(engine, params, sources, d)
+        y_bound = YBound(engine, dht_tail_weights(params, d), sources, d)
         x_bound = XBound(params, d)
         for q in range(random_graph.num_nodes):
             for l in range(d + 1):
@@ -79,7 +80,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         d = 8
         sources = [0, 1, 2, 3, 4, 5]
-        bound = YBound(engine, params, sources, d)
+        bound = YBound(engine, dht_tail_weights(params, d), sources, d)
         for q in (11, 22, 33):
             series = engine.backward_first_hit_series(q, d)
             for p in sources:
@@ -95,7 +96,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         d = 6
         sources = [2, 3]
-        bound = YBound(engine, params, sources, d)
+        bound = YBound(engine, dht_tail_weights(params, d), sources, d)
         reach = engine.reach_mass_series(sources, d)
         for q in (8, 15):
             for l in range(d):
@@ -120,7 +121,7 @@ class TestBoundsTightenPruning:
         engine = WalkEngine(random_graph)
         d = 12
         sources = [0, 1]
-        y_bound = YBound(engine, params, sources, d)
+        y_bound = YBound(engine, dht_tail_weights(params, d), sources, d)
         x_bound = XBound(params, d)
         q = 35
         ratios = [

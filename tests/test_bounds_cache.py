@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bounds_cache import BoundPlanCache
-from repro.core.bounds import YBound
+from repro.core.bounds import YBound, dht_tail_weights
 from repro.core.dht import DHTParams
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -31,6 +31,10 @@ from repro.walks.engine import WalkEngine
 from repro.walks.state import WalkState
 
 
+def _y_bound(engine, params, sources, d):
+    return YBound(engine, dht_tail_weights(params, d), sources, d)
+
+
 @pytest.fixture
 def engine(random_graph):
     return WalkEngine(random_graph)
@@ -44,10 +48,10 @@ def cache(engine, params):
 class TestBoundPlanCache:
     def test_y_bound_built_once(self, cache, engine, params):
         first = cache.y_bound(
-            [1, 2, 3], 4, lambda: YBound(engine, params, [1, 2, 3], 4)
+            [1, 2, 3], 4, lambda: _y_bound(engine, params, [1, 2, 3], 4)
         )
         second = cache.y_bound(
-            [1, 2, 3], 4, lambda: YBound(engine, params, [1, 2, 3], 4)
+            [1, 2, 3], 4, lambda: _y_bound(engine, params, [1, 2, 3], 4)
         )
         assert first is second
         assert cache.stats.y_builds == 1 and cache.stats.y_hits == 1
@@ -56,26 +60,26 @@ class TestBoundPlanCache:
 
     def test_key_is_order_and_duplicate_insensitive(self, cache, engine, params):
         first = cache.y_bound(
-            [3, 1, 2], 4, lambda: YBound(engine, params, [3, 1, 2], 4)
+            [3, 1, 2], 4, lambda: _y_bound(engine, params, [3, 1, 2], 4)
         )
         second = cache.y_bound(
-            [2, 3, 1, 1], 4, lambda: YBound(engine, params, [2, 3, 1], 4)
+            [2, 3, 1, 1], 4, lambda: _y_bound(engine, params, [2, 3, 1], 4)
         )
         assert first is second
 
     def test_distinct_sources_or_depth_build_separately(self, cache, engine, params):
-        a = cache.y_bound([1, 2], 4, lambda: YBound(engine, params, [1, 2], 4))
-        b = cache.y_bound([1, 3], 4, lambda: YBound(engine, params, [1, 3], 4))
-        c = cache.y_bound([1, 2], 6, lambda: YBound(engine, params, [1, 2], 6))
+        a = cache.y_bound([1, 2], 4, lambda: _y_bound(engine, params, [1, 2], 4))
+        b = cache.y_bound([1, 3], 4, lambda: _y_bound(engine, params, [1, 3], 4))
+        c = cache.y_bound([1, 2], 6, lambda: _y_bound(engine, params, [1, 2], 6))
         assert a is not b and a is not c
         assert cache.stats.y_builds == 3
 
     def test_cached_tails_match_fresh_bound(self, cache, engine, params):
         sources = [0, 4, 7]
         cached = cache.y_bound(
-            sources, 5, lambda: YBound(engine, params, sources, 5)
+            sources, 5, lambda: _y_bound(engine, params, sources, 5)
         )
-        fresh = YBound(engine, params, sources, 5)
+        fresh = _y_bound(engine, params, sources, 5)
         for l in range(6):
             for q in range(engine.num_nodes):
                 assert cached.tail(l, q) == fresh.tail(l, q)
@@ -84,12 +88,12 @@ class TestBoundPlanCache:
         cache = BoundPlanCache(engine, params, max_entries=2)
         for source in (1, 2, 3):
             cache.y_bound(
-                [source], 3, lambda s=source: YBound(engine, params, [s], 3)
+                [source], 3, lambda s=source: _y_bound(engine, params, [s], 3)
             )
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # The evicted entry rebuilds.
-        cache.y_bound([1], 3, lambda: YBound(engine, params, [1], 3))
+        cache.y_bound([1], 3, lambda: _y_bound(engine, params, [1], 3))
         assert cache.stats.y_builds == 4
 
     def test_max_entries_validated(self, engine, params):

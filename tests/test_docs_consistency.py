@@ -62,6 +62,29 @@ def test_algorithms_handbook_covers_every_paper_name():
         assert name in text, f"docs/ALGORITHMS.md must document {name}"
 
 
+def test_algorithms_handbook_strategy_table_matches_driver():
+    """The handbook's (strategy x DHT / measure) table is the driver's
+    ``STRATEGIES``, row for row."""
+    from repro.core.nway.driver import STRATEGIES
+
+    text = ALGORITHMS.read_text(encoding="utf-8")
+    header = (
+        "| Strategy | DHT operator | DHT source | Measure operator "
+        "| Measure source |"
+    )
+    assert header in text, "docs/ALGORITHMS.md lost the strategy table"
+    documented = {}
+    for line in text.split(header, 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        strategy, *cells = [
+            cell.strip().strip("`") for cell in line.strip("|").split("|")
+        ]
+        documented[(strategy, False)] = tuple(cells[:2])
+        documented[(strategy, True)] = tuple(cells[2:])
+    assert documented == STRATEGIES
+
+
 OBSERVABILITY = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 
 

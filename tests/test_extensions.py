@@ -7,15 +7,15 @@ every batched, resumable, or cached measure path must reproduce them.
 import numpy as np
 import pytest
 
-from repro.api import multi_way_join, two_way_join
+from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.base import TwoWayContext, sort_pairs
+from repro.core.bounds import YBound
+from repro.core.two_way.base import TwoWayContext, make_context, sort_pairs
 from repro.extensions.measures import (
     DHTMeasure,
-    SeriesYBound,
     TruncatedPPR,
     exact_ppr_to_target,
     measure_by_name,
@@ -25,7 +25,6 @@ from repro.extensions.series_join import (
     SeriesBackwardJoin,
     SeriesIDJ,
     SeriesPartialJoin,
-    make_series_context,
 )
 from repro.extensions.simrank import (
     SimRankJoin,
@@ -92,20 +91,23 @@ class TestSeriesJoins:
     def test_idj_equals_basic(self, random_graph, measure_factory):
         left, right = list(range(8)), list(range(20, 30))
         basic = SeriesBackwardJoin(
-            random_graph, measure_factory(), left, right
+            make_context(random_graph, left, right, measure=measure_factory())
         ).top_k(10)
-        pruned = SeriesIDJ(random_graph, measure_factory(), left, right).top_k(10)
+        pruned = SeriesIDJ(
+            make_context(random_graph, left, right, measure=measure_factory())
+        ).top_k(10)
         assert np.allclose(
             [p.score for p in basic], [p.score for p in pruned]
         )
 
     def test_dht_measure_matches_core(self, random_graph, params):
         from repro.core.two_way.backward import BackwardBasicJoin
-        from repro.core.two_way.base import make_context
 
         left, right = list(range(6)), list(range(25, 33))
         measure = DHTMeasure(params)
-        ext = SeriesBackwardJoin(random_graph, measure, left, right).top_k(5)
+        ext = SeriesBackwardJoin(
+            make_context(random_graph, left, right, measure=measure)
+        ).top_k(5)
         core = BackwardBasicJoin(
             make_context(random_graph, left, right, params=params, d=measure.d)
         ).top_k(5)
@@ -417,9 +419,11 @@ class TestSeriesIDJResumable:
     @pytest.mark.parametrize("measure_factory", MEASURE_FACTORIES)
     def test_idj_matches_reference(self, random_graph, measure_factory):
         left, right = list(range(8)), list(range(20, 32))
-        got = SeriesIDJ(random_graph, measure_factory(), left, right).top_k(10)
+        got = SeriesIDJ(
+            make_context(random_graph, left, right, measure=measure_factory())
+        ).top_k(10)
         ref = SeriesIDJ(
-            random_graph, measure_factory(), left, right
+            make_context(random_graph, left, right, measure=measure_factory())
         ).top_k_reference(10)
         assert _pairs_key(got) == _pairs_key(ref)
         assert np.allclose(
@@ -432,14 +436,17 @@ class TestSeriesIDJResumable:
         engine = WalkEngine(random_graph)
         cache = WalkCache(engine, measure.cache_key())
         left, right = list(range(6)), list(range(18, 30))
-        first = SeriesIDJ(
-            random_graph, measure, left, right, engine=engine, walk_cache=cache
-        ).top_k(6)
-        rerun = SeriesIDJ(
-            random_graph, measure, left, right, engine=engine, walk_cache=cache
-        ).top_k(6)
+        def cached():
+            return make_context(
+                random_graph, left, right, engine=engine, walk_cache=cache,
+                measure=measure,
+            )
+
+        first = SeriesIDJ(cached()).top_k(6)
+        rerun = SeriesIDJ(cached()).top_k(6)
         oracle = SeriesBackwardJoin(
-            random_graph, measure, left, right, block_size=1
+            make_context(random_graph, left, right, measure=measure),
+            block_size=1,
         ).top_k(6)
         assert _pairs_key(first) == _pairs_key(rerun) == _pairs_key(oracle)
         assert cache.stats.hits > 0  # the rerun was served from memory
@@ -448,12 +455,17 @@ class TestSeriesIDJResumable:
         measure = TruncatedPPR(damping=0.7, epsilon=1e-6)
         left, right = list(range(8)), list(range(20, 36))
         engine = WalkEngine(random_graph)
-        resumable = SeriesIDJ(random_graph, measure, left, right, engine=engine)
+        def context():
+            return make_context(
+                random_graph, left, right, engine=engine, measure=measure
+            )
+
+        resumable = SeriesIDJ(context())
         engine.stats.reset()
         resumable.top_k(5)
         resumed_steps = engine.stats.propagation_steps
         engine.stats.reset()
-        SeriesIDJ(random_graph, measure, left, right, engine=engine).top_k_reference(5)
+        SeriesIDJ(context()).top_k_reference(5)
         restart_steps = engine.stats.propagation_steps
         assert resumed_steps < restart_steps
 
@@ -461,7 +473,8 @@ class TestSeriesIDJResumable:
         measure = TruncatedPPR(damping=0.7, epsilon=1e-6)
         engine = WalkEngine(random_graph)
         sources = list(range(8))
-        bound = SeriesYBound(engine, measure, sources, measure.d)
+        weights = [measure.tail_weight(i) for i in range(1, measure.d + 1)]
+        bound = YBound(engine, weights, sources, measure.d)
         full = {
             q: measure.backward_scores(engine, q, measure.d)
             for q in range(20, 28)
@@ -561,9 +574,9 @@ class TestMeasureCacheIsolation:
         engine = WalkEngine(random_graph)
         dht_cache = WalkCache(engine, params)
         with pytest.raises(GraphValidationError, match="measure configuration"):
-            make_series_context(
-                random_graph, TruncatedPPR(), [0], [5],
-                engine=engine, walk_cache=dht_cache,
+            make_context(
+                random_graph, [0], [5], engine=engine, walk_cache=dht_cache,
+                measure=TruncatedPPR(),
             )
 
     def test_context_rejects_cross_measure_bound_cache(self, random_graph, params):
@@ -655,7 +668,10 @@ class TestMeasureRegistryAndApi:
             random_graph, [0, 1, 2], [10, 11, 12], k=3, measure="ppr"
         )
         oracle = SeriesBackwardJoin(
-            random_graph, TruncatedPPR(), [0, 1, 2], [10, 11, 12], block_size=1
+            make_context(
+                random_graph, [0, 1, 2], [10, 11, 12], measure=TruncatedPPR()
+            ),
+            block_size=1,
         ).top_k(3)
         assert _pairs_key(got) == _pairs_key(oracle)
         with pytest.raises(GraphValidationError, match="DHT-only"):
@@ -714,3 +730,119 @@ class TestMeasureRegistryAndApi:
             max_block_bytes=16 * random_graph.num_nodes,
         )
         assert _answers_key(capped_answers) == _answers_key(free_answers)
+
+
+class TestOneConfigurationRule:
+    """Every entry point asks :func:`resolve_config` and nothing else."""
+
+    ENTRY_POINTS = {
+        "make_context": lambda g, m, **kw: make_context(
+            g, [0, 1], [5, 6], measure=m, **kw
+        ),
+        "NWayJoinSpec": lambda g, m, **kw: NWayJoinSpec(
+            graph=g, query_graph=QueryGraph.chain(2), node_sets=[[0, 1], [5]],
+            k=1, measure=m, **kw,
+        ),
+        "two_way_join": lambda g, m, **kw: two_way_join(
+            g, [0, 1], [5, 6], k=1, measure=m, **kw
+        ),
+        "multi_way_join": lambda g, m, **kw: multi_way_join(
+            g, QueryGraph.chain(2), [[0, 1], [5]], k=1, measure=m, **kw
+        ),
+        "explain_multi_way_plan": lambda g, m, **kw: explain_multi_way_plan(
+            g, QueryGraph.chain(2), [[0, 1], [5]], k=1, measure=m, **kw
+        ),
+    }
+    OPTIONS = {"params": DHTParams.dht_lambda(0.2), "d": 4, "epsilon": 1e-8}
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_a_measure_rejects_dht_options_with_one_message(
+        self, random_graph, entry_point, option
+    ):
+        from repro.core.two_way.base import resolve_config
+
+        value = self.OPTIONS[option]
+        with pytest.raises(GraphValidationError) as expected:
+            resolve_config(measure=TruncatedPPR(), **{option: value})
+        with pytest.raises(GraphValidationError) as got:
+            self.ENTRY_POINTS[entry_point](
+                random_graph, TruncatedPPR(), **{option: value}
+            )
+        assert str(got.value) == str(expected.value)
+        assert "fixes its own" in str(got.value)
+        assert "DHT-only options" in str(got.value)
+
+    def test_dht_default_is_d_8_everywhere(self, random_graph):
+        from repro.service import ExplainRequest, QueryService
+
+        assert self.ENTRY_POINTS["make_context"](random_graph, None).d == 8
+        assert self.ENTRY_POINTS["NWayJoinSpec"](random_graph, None).d == 8
+        with QueryService(random_graph, workers=1) as service:
+            plan = service.query(
+                ExplainRequest(((0, 1),), ((0, 1), (5,)), k=1)
+            ).result
+        assert plan.signals["d"] == 8
+
+
+class TestMeasureContextsRunTheCoreOperators:
+    """The classes named after the paper run a measure context or spec
+    and agree with the per-target oracles."""
+
+    @pytest.mark.parametrize(
+        "measure_factory",
+        [lambda: TruncatedPPR(damping=0.7), lambda: SimRankMeasure(iterations=6)],
+    )
+    @pytest.mark.parametrize("operator", ["B-BJ", "B-IDJ-X", "B-IDJ-Y"])
+    def test_two_way_operators_match_block_size_1(
+        self, random_graph, measure_factory, operator
+    ):
+        from repro.core.two_way.backward import (
+            BackwardBasicJoin,
+            BackwardIDJX,
+            BackwardIDJY,
+        )
+
+        join = {
+            "B-BJ": BackwardBasicJoin, "B-IDJ-X": BackwardIDJX,
+            "B-IDJ-Y": BackwardIDJY,
+        }[operator]
+        left, right = list(range(8)), list(range(20, 32))
+
+        def context():
+            return make_context(
+                random_graph, left, right, measure=measure_factory()
+            )
+
+        oracle = BackwardBasicJoin(context(), block_size=1).top_k(10)
+        got = join(context()).top_k(10)
+        assert _pairs_key(got) == _pairs_key(oracle)
+        assert np.allclose(
+            [p.score for p in got], [p.score for p in oracle], atol=1e-12
+        )
+
+    @pytest.mark.parametrize("executor", ["AP", "PJ", "PJ-i"])
+    def test_nway_executors_match_the_per_target_oracle(
+        self, random_graph, executor
+    ):
+        from repro.core.nway.all_pairs import AllPairsJoin
+        from repro.core.nway.partial_join import PartialJoin
+        from repro.core.nway.partial_join_inc import PartialJoinIncremental
+
+        sets = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
+
+        def spec():
+            return NWayJoinSpec(
+                graph=random_graph,
+                query_graph=QueryGraph.star(2, bidirectional=True),
+                node_sets=[list(s) for s in sets], k=6,
+                measure=TruncatedPPR(damping=0.7, epsilon=1e-4),
+            )
+
+        run = {
+            "AP": lambda s: AllPairsJoin(s),
+            "PJ": lambda s: PartialJoin(s, m=2),
+            "PJ-i": lambda s: PartialJoinIncremental(s, m=2),
+        }[executor]
+        oracle = SeriesAllPairsJoin(spec(), block_size=1).run()
+        assert _answers_key(run(spec()).run()) == _answers_key(oracle)

@@ -21,11 +21,6 @@ from repro.core.two_way.backward import BackwardBasicJoin, BackwardIDJY
 from repro.core.two_way.base import ScoredPair, make_context, sort_pairs
 from repro.core.two_way.incremental import FStructure, IncrementalTwoWayJoin
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.series_join import (
-    SeriesBackwardJoin,
-    make_series_context,
-    series_bound,
-)
 from repro.graph.builders import erdos_renyi
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
@@ -201,9 +196,9 @@ def _dht_join(left, right, engine):
 
 def _ppr_join(left, right, engine):
     measure = TruncatedPPR(damping=0.7)
-    return make_series_context(
-        GRAPH, measure, left, right, engine=engine,
-        walk_cache=WalkCache(engine, measure.cache_key()),
+    return make_context(
+        GRAPH, left, right, engine=engine,
+        walk_cache=WalkCache(engine, measure.cache_key()), measure=measure,
     )
 
 
@@ -215,16 +210,10 @@ class TestIncrementalStream:
     @pytest.mark.parametrize("measure", ["dht", "ppr"])
     def test_top_then_drain_is_the_sorted_join(self, measure, m):
         engine = WalkEngine(GRAPH)
-        if measure == "dht":
-            ctx = _dht_join(self.LEFT, self.RIGHT, engine)
-            full = BackwardBasicJoin(ctx).all_pairs()
-            join = IncrementalTwoWayJoin(_dht_join(self.LEFT, self.RIGHT, engine))
-        else:
-            ctx = _ppr_join(self.LEFT, self.RIGHT, engine)
-            full = SeriesBackwardJoin.from_context(ctx).all_pairs()
-            join = IncrementalTwoWayJoin(
-                _ppr_join(self.LEFT, self.RIGHT, engine), bound_factory=series_bound
-            )
+        context = _dht_join if measure == "dht" else _ppr_join
+        ctx = context(self.LEFT, self.RIGHT, engine)
+        full = BackwardBasicJoin(ctx).all_pairs()
+        join = IncrementalTwoWayJoin(context(self.LEFT, self.RIGHT, engine))
         reference = sort_pairs(full)
         assert len(reference) == ctx.num_pairs == 6 * 7 - 3
         stream = join.top({"none": 0, "one": 1, "all": len(reference)}[m])

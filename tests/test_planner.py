@@ -23,7 +23,7 @@ import pytest
 
 from repro.api import explain_multi_way_plan, multi_way_join
 from repro.bounds_cache import BoundPlanCache
-from repro.core.bounds import YBound
+from repro.core.bounds import YBound, dht_tail_weights
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -396,7 +396,9 @@ class TestCachePeek:
         assert cache.stats.y_hits == 0 and cache.stats.y_builds == 0
         built = cache.y_bound(
             left, spec.d,
-            lambda: YBound(spec.engine, spec.params, left, spec.d),
+            lambda: YBound(
+                spec.engine, dht_tail_weights(spec.params, spec.d), left, spec.d
+            ),
         )
         hits_after_build = cache.stats.y_hits
         peeked = cache.peek_y_bound(left, spec.d)
@@ -407,7 +409,10 @@ class TestCachePeek:
         spec = FIXTURE.skewed_star_spec()
         spec.bound_cache.y_bound(
             spec.node_sets[0], spec.d,
-            lambda: YBound(spec.engine, spec.params, spec.node_sets[0], spec.d),
+            lambda: YBound(
+                spec.engine, dht_tail_weights(spec.params, spec.d),
+                spec.node_sets[0], spec.d,
+            ),
         )
         plan = choose_plan(spec, "pj")
         reasons = " ".join(

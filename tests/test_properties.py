@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import XBound, YBound
+from repro.core.bounds import XBound, YBound, dht_tail_weights
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.nested_loop import NestedLoopJoin
@@ -143,7 +143,7 @@ class TestBoundProperties:
         d = 6
         engine = WalkEngine(graph)
         x_bound = XBound(params, d)
-        y_bound = YBound(engine, params, left, d)
+        y_bound = YBound(engine, dht_tail_weights(params, d), left, d)
         for q in right:
             series = engine.backward_first_hit_series(q, d)
             for p in left:

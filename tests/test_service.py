@@ -135,6 +135,36 @@ class TestExecution:
         assert service.engine.stats.propagation_steps == 0
         assert len(service.cache_tier(measure)[0]) == 0
 
+    @pytest.mark.parametrize("request_type", ["two-way", "multi-way"])
+    def test_a_measure_that_is_not_one_is_a_validation_error(
+        self, service, request_type
+    ):
+        """Answered with the resolver's message, not an
+        ``AttributeError`` raised while picking the cache tier."""
+        if request_type == "two-way":
+            request = TwoWayRequest(LEFT, RIGHT, 3, measure=5)
+        else:
+            request = MultiWayRequest(((0, 1),), (LEFT, RIGHT), 3, measure=5)
+        response = service.query(request)
+        assert response.status == STATUS_ERROR
+        assert "AttributeError" not in response.error
+        for attribute in ("d", "floor", "cache_key", "kernel"):
+            assert attribute in response.error
+        assert service.query(TwoWayRequest(LEFT, RIGHT, k=2)).ok
+
+    def test_nl_accepts_fixed_in_any_case(self, graph, service):
+        request = MultiWayRequest(
+            ((0, 1), (1, 2)), (LEFT, RIGHT, THIRD), 3, algorithm="nl",
+            plan="FIXED",
+        )
+        response = service.query(request)
+        assert response.ok, response.error
+        oracle = api.multi_way_join(
+            graph, QueryGraph.chain(3), [LEFT, RIGHT, THIRD], 3,
+            algorithm="nl",
+        )
+        assert rows(response.result.results) == rows(oracle)
+
 
 class TestCacheSharing:
     def test_cross_query_hits_accumulate(self, service):

@@ -32,12 +32,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import api
 from repro.core.dht import DHTParams
-from repro.core.nway.driver import OPERATORS
+from repro.core.nway.driver import OPERATORS, two_way_operator
 from repro.core.two_way.base import make_context
 from repro.extensions.measures import DHTMeasure, TruncatedPPR
-from repro.extensions.series_join import make_series_context
 from repro.extensions.simrank import SimRankMeasure
 from repro.graph.builders import erdos_renyi, preferential_attachment
 from repro.graph.validation import GraphValidationError
@@ -92,22 +90,18 @@ def _cell_key(graph, algorithm, measure, cache, ceiling, k):
 
 def _context(graph, measure, engine, cache, ceiling):
     max_block_bytes = None if ceiling == "free" else 16 * graph.num_nodes * 4
-    if measure is None:
-        return make_context(
-            graph, LEFT, RIGHT, params=PARAMS, engine=engine,
-            walk_cache=cache, max_block_bytes=max_block_bytes,
-        )
-    return make_series_context(
-        graph, measure, LEFT, RIGHT, engine=engine, walk_cache=cache,
-        max_block_bytes=max_block_bytes,
+    return make_context(
+        graph, LEFT, RIGHT, params=PARAMS if measure is None else None,
+        engine=engine, walk_cache=cache, max_block_bytes=max_block_bytes,
+        measure=measure,
     )
 
 
 def _join(context, algorithm, **knobs):
     """The operator ``api.two_way_join`` would run on ``context``."""
-    if context.measure is not None:
-        algorithm = api._SERIES_TWO_WAY[algorithm]
-    return OPERATORS[algorithm](context, **knobs)
+    return OPERATORS[two_way_operator(algorithm, context.measure)](
+        context, **knobs
+    )
 
 
 def _run_cell(graph_name, algorithm, measure_name, cache_mode, ceiling, k):

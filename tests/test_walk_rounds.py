@@ -220,15 +220,18 @@ class TestBoundedSeriesIDJ:
     @pytest.mark.parametrize("window_cols", [1, 3])
     def test_bounded_matches_unbounded(self, measure_factory, window_cols):
         graph, left, right = _mid_workload()
-        free_alg = SeriesIDJ(graph, measure_factory(), left, right)
+        free_alg = SeriesIDJ(
+            make_context(graph, left, right, measure=measure_factory())
+        )
         expected = free_alg.top_k(10)
         expected_trace = list(free_alg.pruning_trace)
         free_peak = free_alg.context.engine.stats.peak_block_bytes
 
         ceiling = 16 * graph.num_nodes * window_cols
-        capped_alg = SeriesIDJ(
-            graph, measure_factory(), left, right, max_block_bytes=ceiling
-        )
+        capped_alg = SeriesIDJ(make_context(
+            graph, left, right, measure=measure_factory(),
+            max_block_bytes=ceiling,
+        ))
         result = capped_alg.top_k(10)
         capped_peak = capped_alg.context.engine.stats.peak_block_bytes
 
@@ -243,21 +246,24 @@ class TestBoundedSeriesIDJ:
     def test_bounded_with_cache_spills_and_resumes(self, measure_factory):
         graph, left, right = _mid_workload()
         measure = measure_factory()
-        expected = SeriesIDJ(graph, measure_factory(), left, right).top_k(10)
+        expected = SeriesIDJ(
+            make_context(graph, left, right, measure=measure_factory())
+        ).top_k(10)
 
         ceiling = 16 * graph.num_nodes * 2
-        restart_alg = SeriesIDJ(
-            graph, measure_factory(), left, right, max_block_bytes=ceiling
-        )
+        restart_alg = SeriesIDJ(make_context(
+            graph, left, right, measure=measure_factory(),
+            max_block_bytes=ceiling,
+        ))
         restart_alg.top_k(10)
         restart_steps = restart_alg.context.engine.stats.propagation_steps
 
         engine = WalkEngine(graph)
         cache = WalkCache(engine, measure.cache_key())
-        spill_alg = SeriesIDJ(
-            graph, measure, left, right, engine=engine, walk_cache=cache,
-            max_block_bytes=ceiling,
-        )
+        spill_alg = SeriesIDJ(make_context(
+            graph, left, right, engine=engine, walk_cache=cache,
+            max_block_bytes=ceiling, measure=measure,
+        ))
         result = spill_alg.top_k(10)
         assert _pairs_key(result) == _pairs_key(expected)
         assert engine.stats.peak_block_bytes <= ceiling
@@ -270,11 +276,13 @@ class TestBoundedSeriesIDJ:
         chunks the iterate gathers, output unchanged."""
         measure = SimRankMeasure(iterations=6)
         left, right = list(range(8)), list(range(20, 36))
-        expected = SeriesIDJ(random_graph, measure, left, right).top_k(6)
-        capped = SeriesIDJ(
-            random_graph, SimRankMeasure(iterations=6), left, right,
-            max_block_bytes=16 * random_graph.num_nodes,
+        expected = SeriesIDJ(
+            make_context(random_graph, left, right, measure=measure)
         ).top_k(6)
+        capped = SeriesIDJ(make_context(
+            random_graph, left, right, measure=SimRankMeasure(iterations=6),
+            max_block_bytes=16 * random_graph.num_nodes,
+        )).top_k(6)
         assert _pairs_key(capped) == _pairs_key(expected)
         assert np.allclose(
             [p.score for p in capped], [p.score for p in expected], atol=1e-12
