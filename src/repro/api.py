@@ -407,7 +407,7 @@ def explain_multi_way_plan(
     strategy = name
     if name != "nl":
         strategy = STRATEGIES[(name, spec.measure is not None)][1]
-    resolved_plan = spec.resolve_plan(strategy, m=m)
+    resolved_plan = spec.resolve_plan(strategy)
     if not analyze:
         return resolved_plan
     return _analyze_plan(spec, strategy, resolved_plan, m)

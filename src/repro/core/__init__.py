@@ -1,12 +1,10 @@
 """The paper's core contribution: DHT scoring and join algorithms."""
 
 from repro.core.bounds import XBound, YBound
-from repro.core.dht import DHTParams, exact_dht_score, exact_dht_to_target
+from repro.core.dht import DHTParams
 
 __all__ = [
     "DHTParams",
     "XBound",
     "YBound",
-    "exact_dht_score",
-    "exact_dht_to_target",
 ]

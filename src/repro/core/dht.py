@@ -21,12 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from repro.graph.digraph import Graph
-from repro.walks.hitting import dense_transition_matrix
 
 
 @dataclass(frozen=True)
@@ -148,59 +144,3 @@ class DHTParams:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"DHT(alpha={self.alpha:.4g}, beta={self.beta:.4g}, lambda={self.decay:.4g})"
-
-
-# ----------------------------------------------------------------------
-# Exact reference solver (test oracle)
-# ----------------------------------------------------------------------
-
-
-def exact_dht_score(
-    graph: Graph,
-    params: DHTParams,
-    source: int,
-    target: int,
-    dense_cache: Optional[np.ndarray] = None,
-) -> float:
-    """Exact (untruncated) ``h(source, target)`` by solving a linear system.
-
-    Writing ``g(u) = sum_i lambda^i P_i(u, v)`` for a fixed target ``v``,
-    first-step analysis gives
-
-    ``g(u) = lambda * ( p_uv + sum_{w != v} p_uw g(w) )``
-
-    i.e. ``(I - lambda T_{-v}) g = lambda T e_v`` where ``T_{-v}`` is the
-    transition matrix with column ``v`` zeroed.  Since
-    ``lambda < 1`` and ``T_{-v}`` is sub-stochastic the system is
-    strictly diagonally dominant and has a unique solution.  Dense solve:
-    small graphs only (test oracle).
-    """
-    if source == target:
-        return 0.0
-    dense = dense_cache if dense_cache is not None else dense_transition_matrix(graph)
-    n = graph.num_nodes
-    masked = dense.copy()
-    masked[:, target] = 0.0
-    system = np.eye(n) - params.decay * masked
-    rhs = params.decay * dense[:, target]
-    g = np.linalg.solve(system, rhs)
-    return float(params.alpha * g[source] + params.beta)
-
-
-def exact_dht_to_target(
-    graph: Graph,
-    params: DHTParams,
-    target: int,
-    dense_cache: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Exact ``h(u, target)`` for all ``u`` (same system, full vector)."""
-    dense = dense_cache if dense_cache is not None else dense_transition_matrix(graph)
-    n = graph.num_nodes
-    masked = dense.copy()
-    masked[:, target] = 0.0
-    system = np.eye(n) - params.decay * masked
-    rhs = params.decay * dense[:, target]
-    g = np.linalg.solve(system, rhs)
-    scores = params.alpha * g + params.beta
-    scores[target] = 0.0
-    return scores

@@ -322,12 +322,11 @@ class NWayDriver:
     planner's candidates; ``default_operator`` is what a ``"fixed"``
     plan gives every edge (default: the strategy's row); ``m`` is the
     lazy sources' prefix length (``AP`` ignores it); ``plan`` overrides
-    ``spec.plan``;
-    ``block_size`` is a caller's explicit width for the materialised
-    source (it beats the plan's knob); ``bound_factory`` is the
-    incremental source's bound flavour; ``label`` names the
-    ``rankjoin`` trace span (default ``self.name``).  The public
-    per-strategy classes (``PartialJoin`` ...) document them in full.
+    ``spec.plan`` (its rows carry the materialised source's block
+    width); ``bound_factory`` is the incremental source's bound flavour;
+    ``label`` names the ``rankjoin`` trace span (default
+    ``self.name``).  The public per-strategy classes (``PartialJoin``
+    ...) document them in full.
 
     After :meth:`run`: ``plan`` is the resolved plan, ``stats`` the
     lazy-strategy record, ``rank_join`` the PBRJ's own stats, and — under
@@ -343,7 +342,6 @@ class NWayDriver:
         default_operator: Optional[str] = None,
         m: int = 50,
         plan=None,
-        block_size: Optional[int] = None,
         bound_factory: BoundFactory = y_bound_factory,
         label: Optional[str] = None,
     ) -> None:
@@ -355,7 +353,6 @@ class NWayDriver:
         self._default_operator = default_operator or operator
         self._m = m
         self._plan = plan
-        self._block_size = block_size
         self._bound_factory = bound_factory
         self._label = label if label is not None else self.name
         self.plan = None
@@ -370,7 +367,7 @@ class NWayDriver:
             self._spec.edge_context(e),
             _by_name(OPERATORS, ep.operator, "plan operator"),
             self._m,
-            ep.block_size if self._block_size is None else self._block_size,
+            ep.block_size,
             self._bound_factory,
         )
 
@@ -383,7 +380,6 @@ class NWayDriver:
             self._strategy,
             plan=self._plan,
             default_operator=self._default_operator,
-            m=self._m,
         )
         governor = spec.engine.governor
         guard = (

@@ -149,8 +149,6 @@ class NWayJoinSpec:
         strategy: str,
         plan: object = None,
         default_operator: Optional[str] = None,
-        m: int = 50,
-        feedback: Optional[object] = None,
     ):
         """The :class:`~repro.planner.plan.ExplainedPlan` an executor
         should follow for ``strategy`` (``"pj"``/``"pj-i"``/``"ap"``).
@@ -165,12 +163,7 @@ class NWayJoinSpec:
 
         with self.engine.trace_span("plan", strategy):
             return resolve_spec_plan(
-                self,
-                strategy,
-                plan=plan,
-                default_operator=default_operator,
-                m=m,
-                feedback=feedback,
+                self, strategy, plan=plan, default_operator=default_operator
             )
 
     def trace_edge_span(

@@ -39,11 +39,6 @@ they read the scorer, the tail bound (:func:`y_bound_factory`) and the
 deepening rounds off the context (see ``docs/ALGORITHMS.md``, "The
 measure layer"); a measure is duck-typed, so ``core`` never imports
 ``extensions``.
-
-The seed per-target, restart-per-level implementations are kept as
-equivalence oracles: :func:`back_walk_series` and
-:meth:`BackwardIDJ.top_k_reference` (plus ``B-BJ`` with
-``block_size=1``).
 """
 
 from __future__ import annotations
@@ -64,8 +59,6 @@ from repro.core.two_way.base import (
     BoundedTopK,
     ScoredPair,
     TwoWayContext,
-    kth_largest,
-    top_k_pairs,
 )
 from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
@@ -88,28 +81,16 @@ DEFAULT_BLOCK_SIZE = 16
 LeftBlock = Tuple[Sequence[int], np.ndarray]
 
 
-def back_walk_series(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
-    """The seed per-target ``backWalk`` kernel (equivalence oracle).
-
-    Runs the ``steps``-step backward first-hit propagation from ``target``
-    (Eq. 5) and converts the hit series into truncated DHT scores
-    (Eq. 4) — or, on a measure context, the measure's own per-target
-    ``backward_scores``.  Cost: ``O(steps * |E_G|)``; never touches the
-    walk cache.
-    """
-    if context.measure is not None:
-        return context.measure.backward_scores(context.engine, target, steps)
-    series = context.engine.backward_first_hit_series(target, steps)
-    return context.params.scores_from_matrix(series)
-
-
 def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     """The paper's ``backWalk``: ``h_l(p, target)`` for all graph nodes.
 
     With a walk cache on the context, the request is served from the
     cache — an exact repeat costs one ``O(n)`` copy, a deeper repeat only
-    pays the walk's uncached suffix.  Without a cache this is
-    :func:`back_walk_series`.
+    pays the walk's uncached suffix.  Without one it runs the
+    ``steps``-step backward first-hit propagation from ``target``
+    (Eq. 5) and converts the hit series into truncated DHT scores
+    (Eq. 4) — or, on a measure context, the measure's own per-target
+    ``backward_scores``.
 
     Returns the full length-``|V_G|`` score vector, for callers that
     want every node's score (link prediction, tests).  The joins do
@@ -118,7 +99,10 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     """
     if context.walk_cache is not None:
         return context.walk_cache.scores(target, steps)
-    return back_walk_series(context, target, steps)
+    if context.measure is not None:
+        return context.measure.backward_scores(context.engine, target, steps)
+    series = context.engine.backward_first_hit_series(target, steps)
+    return context.params.scores_from_matrix(series)
 
 
 class _RestrictedTail:
@@ -269,14 +253,13 @@ class BackwardBasicJoin:
     ``O(|Q| d |E_G|)`` total — already ``|P|`` times faster than ``F-BJ``
     — but walks every ``q`` to full depth regardless of ``k``.  Targets
     are propagated in blocks of ``block_size`` columns (one sparse-dense
-    product per step per block); ``block_size=1`` selects the seed
-    per-target kernel, kept as the equivalence oracle and as the
-    benchmark baseline.  A ``max_block_bytes`` ceiling on the context
-    clamps the block width so each propagated block's buffers stay
-    under it, same per-block semantics as ``B-IDJ``'s chunked rounds.
+    product per step per block; a width of 1 is a block like any
+    other).  A ``max_block_bytes`` ceiling on the context clamps the
+    block width so each propagated block's buffers stay under it, same
+    per-block semantics as ``B-IDJ``'s chunked rounds.
 
-    The scorer pair :meth:`_score_target` / :meth:`_score_block` is
-    the only place a measure differs: both read it off the context.
+    A measure changes only the scorer, :meth:`_score_block`, which
+    reads it off the context.
     """
 
     name = "B-BJ"
@@ -323,25 +306,12 @@ class BackwardBasicJoin:
         with ctx.engine.trace_span("join", self.name, targets=len(ctx.right)):
             blocks: List[LeftBlock] = []
             self.partial_blocks = blocks
-            if self._block_size == 1:
-                for q in ctx.right:
-                    scores = self._score_target(q)[ctx.left_array]
-                    blocks.append(([q], scores[:, None]))
-            elif ctx.walk_cache is None and ctx.measure is None:
+            if ctx.walk_cache is None and ctx.measure is None:
                 # The restricted-tail plan is Eq. 5's first-hit algebra.
                 self._score_lean(blocks)
             else:
                 self._score_blocks(blocks)
             return blocks
-
-    def _score_target(self, q: int) -> np.ndarray:
-        """The per-target oracle scorer (``block_size=1``): DHT through
-        the walk cache when there is one, a measure's own
-        ``backward_scores`` otherwise."""
-        ctx = self._ctx
-        if ctx.measure is None:
-            return back_walk(ctx, q, ctx.d)
-        return back_walk_series(ctx, q, ctx.d)
 
     def _score_block(self, targets: List[int]) -> Iterable[np.ndarray]:
         """Full-depth score vectors of one target block, in order —
@@ -677,63 +647,6 @@ class BackwardIDJ:
 
             rounds.walk_level(active, ctx.d, left, emit)
         return ctx.top_pairs(blocks, k)
-
-    def top_k_reference(self, k: int) -> List[ScoredPair]:
-        """The seed implementation: per-target walks, restarted per level.
-
-        Kept verbatim as the equivalence oracle and as the benchmark
-        baseline for the resumable engine; bypasses the walk cache so
-        its propagation-step count reflects the restart-per-level cost.
-        """
-        if k < 0:
-            raise GraphValidationError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return []
-        ctx = self._ctx
-        bound = self._bound_factory(ctx)
-        self.pruning_trace = []
-        left = ctx.left_array
-        active = list(ctx.right)
-        level = 1
-        while level < ctx.d:
-            lower_bounds: List[float] = []
-            q_upper = {}
-            for q in active:
-                scores = back_walk_series(ctx, q, level)[left]
-                tail = bound.tail(level, q)
-                if self._observer is not None:
-                    self._observer.observe(
-                        [q], level, scores[:, None], np.array([tail])
-                    )
-                best = ctx.floor
-                for i, p in enumerate(ctx.left):
-                    if p == q:
-                        continue
-                    score = float(scores[i])
-                    if score > ctx.floor:
-                        lower_bounds.append(score)
-                    if score > best:
-                        best = score
-                q_upper[q] = best + tail
-            t_k = kth_largest(lower_bounds, k)
-            surviving = [q for q in active if q_upper[q] >= t_k]
-            self.pruning_trace.append(
-                {
-                    "level": level,
-                    "active_before": len(active),
-                    "pruned": len(active) - len(surviving),
-                    "threshold": t_k,
-                }
-            )
-            active = surviving
-            level *= 2
-        pairs: List[ScoredPair] = []
-        for q in active:
-            scores = back_walk_series(ctx, q, ctx.d)[left]
-            if self._observer is not None:
-                self._observer.observe([q], ctx.d, scores[:, None], np.zeros(1))
-            pairs.extend(ctx.pairs_for_target(scores, q))
-        return top_k_pairs(pairs, k)
 
 
 class BackwardIDJX(BackwardIDJ):

@@ -74,8 +74,8 @@ class SeriesMeasure(Protocol):
     """A truncated decayed-series proximity measure.
 
     Implementations provide a *backward* kernel — one propagation from a
-    target yields the measure to all sources — in both per-target
-    (oracle) and batched-block (production) forms, plus the algebra
+    target yields the measure to all sources — in both per-target and
+    batched-block (the joins') forms, plus the algebra
     needed for iterative-deepening bounds.  See the module docstring for
     the admissibility conditions each piece must satisfy.
     """
@@ -84,11 +84,9 @@ class SeriesMeasure(Protocol):
     d: int
 
     def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
-        """``steps``-truncated scores from every node to ``target``.
-
-        The per-target reference path — the equivalence oracle every
-        batched/cached path is tested against.
-        """
+        """``steps``-truncated scores from every node to ``target`` —
+        what :func:`~repro.core.two_way.backward.back_walk` returns on a
+        cache-less measure context."""
         ...
 
     def backward_scores_block(
@@ -172,9 +170,9 @@ class TruncatedPPR:
         """Truncated PPR of every node to ``target`` in one propagation.
 
         ``(1-c) * sum_{i=1..steps} c^i S_i(u, target)`` plus the ``i=0``
-        self-visit term for ``u == target`` itself.  Per-target oracle;
-        reports its steps to ``engine.stats`` in the same column-step
-        currency as the batched paths.
+        self-visit term for ``u == target`` itself.  Reports its steps
+        to ``engine.stats`` in the same column-step currency as the
+        batched paths.
         """
         back = np.zeros(engine.num_nodes, dtype=np.float64)
         back[target] = 1.0
@@ -183,8 +181,8 @@ class TruncatedPPR:
         scores[target] = 1.0 - self.damping  # i = 0 term
         factor = 1.0 - self.damping
         for i in range(1, steps + 1):
-            # Same governor visibility as the DHT oracle, whose steps
-            # run through engine.backward_first_hit_series.
+            # Same governor visibility as the DHT per-target path,
+            # whose steps run through engine.backward_first_hit_series.
             engine.checkpoint("step")
             back = transition.dot(back)
             scores += factor * self.damping ** i * back
@@ -196,9 +194,9 @@ class TruncatedPPR:
         self, engine: WalkEngine, targets: Sequence[int], steps: int
     ) -> np.ndarray:
         """Batched truncated PPR: one sparse-dense product per step for
-        the whole target block, equal to the per-target oracle at every
-        node (PPR has no reflexive artefact — the self-visit term is
-        part of the score)."""
+        the whole target block, equal to :meth:`backward_scores` at
+        every node (PPR has no reflexive artefact — the self-visit term
+        is part of the score)."""
         return WalkState(engine, self.kernel(), targets).advance_to(steps).scores_matrix()
 
     def tail_bound(self, level: int) -> float:
@@ -244,7 +242,7 @@ class DHTMeasure:
         return self.kernel()
 
     def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
-        """Truncated DHT via the first-hit backward kernel (oracle)."""
+        """Truncated DHT via the per-target first-hit kernel."""
         series = engine.backward_first_hit_series(target, steps)
         scores = self.params.scores_from_matrix(series)
         scores[target] = 0.0
@@ -253,9 +251,9 @@ class DHTMeasure:
     def backward_scores_block(
         self, engine: WalkEngine, targets: Sequence[int], steps: int
     ) -> np.ndarray:
-        """Batched truncated DHT with the reflexive convention of the
-        per-target oracle (``h(v, v) = 0``, replacing the block kernel's
-        return-walk artefact)."""
+        """Batched truncated DHT with the reflexive convention of
+        :meth:`backward_scores` (``h(v, v) = 0``, replacing the block
+        kernel's return-walk artefact)."""
         state = WalkState(engine, self.kernel(), targets).advance_to(steps)
         scores = state.scores_matrix()
         idx = np.asarray(targets, dtype=np.int64)
@@ -307,18 +305,3 @@ def measure_by_name(name: str, **options) -> Optional[object]:
     raise GraphValidationError(
         f"unknown measure {name!r}; choose from {list(MEASURE_NAMES)}"
     )
-
-
-def exact_ppr_to_target(graph, damping: float, target: int) -> np.ndarray:
-    """Exact (untruncated) PPR column via a dense linear solve.
-
-    ``pi = (1-c) (I - c T)^{-1} e_target`` — test oracle for
-    :class:`TruncatedPPR`; small graphs only.
-    """
-    from repro.walks.hitting import dense_transition_matrix
-
-    n = graph.num_nodes
-    dense = dense_transition_matrix(graph)
-    rhs = np.zeros(n)
-    rhs[target] = 1.0 - damping
-    return np.linalg.solve(np.eye(n) - damping * dense, rhs)

@@ -1,4 +1,4 @@
-"""SimRank (Jeh & Widom [21]): solver, measure, and joins.
+"""SimRank (Jeh & Widom [21]) as a measure of the joins.
 
 The second measure named in the paper's future-work list.  SimRank is
 pairwise-recursive —
@@ -7,10 +7,8 @@ pairwise-recursive —
 
 with ``s(a, a) = 1`` — so unlike DHT/PPR there is no single-propagation
 backward kernel; the standard computation iterates the full similarity
-matrix to a fixed point.  We provide the dense iterative solver (small
-graphs; the scale is quadratic by nature), a join wrapper with the same
-result shape as the DHT joins (the scoring oracle), and
-:class:`SimRankMeasure` — the
+matrix to a fixed point (dense, small graphs; the scale is quadratic by
+nature).  :class:`SimRankMeasure` is the
 :class:`repro.extensions.measures.SeriesMeasure` instantiation that
 plugs SimRank into the 2-way and n-way joins
 (``make_context(..., measure=SimRankMeasure())``).
@@ -27,33 +25,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.two_way.base import ScoredPair, top_k_pairs
 from repro.graph.digraph import Graph
-from repro.graph.validation import GraphValidationError, validate_node_set
+from repro.graph.validation import GraphValidationError
 from repro.walks.engine import WalkEngine
-
-
-def _in_weight_matrix_reference(graph: Graph, weighted: bool) -> np.ndarray:
-    """The seed per-entry dict loop building ``W[x, a] = w_xa / sum_in(a)``.
-
-    Kept verbatim as the bit-identity oracle for the vectorised
-    :func:`_in_weight_matrix` (see the regression test in
-    ``tests/test_extensions.py``); production code never calls it.
-    """
-    n = graph.num_nodes
-    w = np.zeros((n, n), dtype=np.float64)
-    for a in graph.nodes():
-        incoming = graph.in_neighbors(a)
-        if not incoming:
-            continue
-        total = sum(incoming.values()) if weighted else float(len(incoming))
-        for x, weight in incoming.items():
-            w[x, a] = (weight if weighted else 1.0) / total
-    return w
 
 
 def _in_weight_matrix(graph: Graph, weighted: bool) -> np.ndarray:
@@ -61,15 +39,10 @@ def _in_weight_matrix(graph: Graph, weighted: bool) -> np.ndarray:
 
     Vectorised: one pass extracts the in-edge arrays **in each column's
     adjacency insertion order** — ``np.bincount`` then accumulates every
-    column total in exactly the order the seed loop's running Python
-    ``sum`` visited it, so the result is bit-identical on any graph, not
-    just where summation order is benign — and NumPy does the
-    normalising division and the dense scatter, replacing the seed's
-    per-entry pure-Python dict loop
-    (:func:`_in_weight_matrix_reference`, kept as the bit-identity
-    oracle).  Shared by :func:`simrank_matrix` and
-    :class:`SimRankMeasure` so the measure's iterates are bit-identical
-    to the oracle solver's.
+    column total in exactly the order a per-entry loop's running Python
+    ``sum`` visits it, so the result is bit-identical to that loop on
+    any graph, not just where summation order is benign — and NumPy
+    does the normalising division and the dense scatter.
     """
     n = graph.num_nodes
     w = np.zeros((n, n), dtype=np.float64)
@@ -97,37 +70,6 @@ def _simrank_sweep(similarity: np.ndarray, w: np.ndarray, decay: float) -> np.nd
     """One fixed-point sweep ``S <- decay * W^T S W`` with diagonal reset."""
     similarity = decay * (w.T @ similarity @ w)
     np.fill_diagonal(similarity, 1.0)
-    return similarity
-
-
-def simrank_matrix(
-    graph: Graph,
-    decay: float = 0.8,
-    iterations: int = 10,
-    weighted: bool = True,
-) -> np.ndarray:
-    """All-pairs SimRank by fixed-point iteration (dense; small graphs).
-
-    Uses the *evidence-weighted* in-neighbour formulation: with ``W``
-    the column-normalised (in-edge) weight matrix,
-    ``S <- decay * W^T S W`` with the diagonal reset to 1 each sweep.
-    ``iterations`` sweeps give an additive error of at most
-    ``decay^(iterations+1)`` (the standard geometric argument), and the
-    iterates converge to the fixed point *from below* (monotone
-    non-decreasing in the sweep count), which is what makes truncated
-    iterates admissible lower bounds for iterative deepening.
-    """
-    if not (0.0 < decay < 1.0):
-        raise GraphValidationError(f"decay must be in (0, 1), got {decay}")
-    if iterations < 1:
-        raise GraphValidationError(f"iterations must be >= 1, got {iterations}")
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros((0, 0))
-    w = _in_weight_matrix(graph, weighted)
-    similarity = np.eye(n)
-    for _ in range(iterations):
-        similarity = _simrank_sweep(similarity, w, decay)
     return similarity
 
 
@@ -265,43 +207,3 @@ class SimRankMeasure:
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
         return self.decay ** (level + 1)
-
-
-class SimRankJoin:
-    """Top-``k`` 2-way join under SimRank scores."""
-
-    name = "SimRank-join"
-
-    def __init__(
-        self,
-        graph: Graph,
-        left: Sequence[int],
-        right: Sequence[int],
-        decay: float = 0.8,
-        iterations: int = 10,
-        matrix: Optional[np.ndarray] = None,
-    ) -> None:
-        self._left = validate_node_set(graph.num_nodes, left, "left node set")
-        self._right = validate_node_set(graph.num_nodes, right, "right node set")
-        self._matrix = (
-            matrix
-            if matrix is not None
-            else simrank_matrix(graph, decay=decay, iterations=iterations)
-        )
-        if self._matrix.shape != (graph.num_nodes, graph.num_nodes):
-            raise GraphValidationError("similarity matrix shape mismatch")
-
-    def all_pairs(self) -> List[ScoredPair]:
-        """Score every candidate pair (unsorted)."""
-        return [
-            ScoredPair(p, q, float(self._matrix[p, q]))
-            for p in self._left
-            for q in self._right
-            if p != q
-        ]
-
-    def top_k(self, k: int) -> List[ScoredPair]:
-        """Top-``k`` pairs by SimRank."""
-        if k == 0:
-            return []
-        return top_k_pairs(self.all_pairs(), k)

@@ -39,6 +39,9 @@ WALK_CACHE_FIELDS = ("hits", "misses", "extensions", "steps_saved",
 BOUND_CACHE_FIELDS = ("y_hits", "y_builds", "plan_hits", "plan_builds",
                       "x_hits", "x_builds", "evictions")
 
+_CACHE_FIELDS = {"walk_cache": WALK_CACHE_FIELDS,
+                 "bound_cache": BOUND_CACHE_FIELDS}
+
 #: ServiceStats fields that are point-in-time gauges (everything else
 #: numeric is a monotone counter).
 SERVICE_GAUGES = ("in_flight", "qps", "p50_ms", "p99_ms",
@@ -60,8 +63,10 @@ def _engine_metric(field: str) -> str:
 #: Every metric name the registry can emit — the docs-drift contract.
 METRIC_NAMES = frozenset(
     [_engine_metric(f) for f in STAT_COUNTERS + STAT_PEAKS]
-    + [f"repro_walk_cache_{f}_total" for f in WALK_CACHE_FIELDS]
-    + [f"repro_bound_cache_{f}_total" for f in BOUND_CACHE_FIELDS]
+    + [
+        f"repro_{tier}_{f}_total"
+        for tier, fields in _CACHE_FIELDS.items() for f in fields
+    ]
     + [
         f"repro_service_{f}" + ("" if f in SERVICE_GAUGES else "_total")
         for f in _SERVICE_FIELDS
@@ -85,6 +90,21 @@ class MetricSample:
 
 def _label_tuple(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def cache_samples(
+    tier: str, cache, labels: Tuple[Tuple[str, str], ...] = ()
+) -> List[MetricSample]:
+    """``repro_<tier>_<field>_total`` for every counter of a
+    ``"walk_cache"`` / ``"bound_cache"`` tier, read off ``cache.stats``
+    now."""
+    stats = cache.stats
+    return [
+        MetricSample(
+            f"repro_{tier}_{field}_total", float(getattr(stats, field)), labels
+        )
+        for field in _CACHE_FIELDS[tier]
+    ]
 
 
 class MetricsRegistry:
@@ -128,36 +148,12 @@ class MetricsRegistry:
     def register_walk_cache(self, cache, **labels) -> None:
         """Surface a :class:`WalkCache`'s hit/miss/spill counters."""
         label_t = _label_tuple(labels)
-
-        def source() -> List[MetricSample]:
-            stats = cache.stats
-            return [
-                MetricSample(
-                    f"repro_walk_cache_{field}_total",
-                    float(getattr(stats, field)),
-                    label_t,
-                )
-                for field in WALK_CACHE_FIELDS
-            ]
-
-        self._sources.append(source)
+        self._sources.append(lambda: cache_samples("walk_cache", cache, label_t))
 
     def register_bound_cache(self, cache, **labels) -> None:
         """Surface a :class:`BoundPlanCache`'s build/hit counters."""
         label_t = _label_tuple(labels)
-
-        def source() -> List[MetricSample]:
-            stats = cache.stats
-            return [
-                MetricSample(
-                    f"repro_bound_cache_{field}_total",
-                    float(getattr(stats, field)),
-                    label_t,
-                )
-                for field in BOUND_CACHE_FIELDS
-            ]
-
-        self._sources.append(source)
+        self._sources.append(lambda: cache_samples("bound_cache", cache, label_t))
 
     def register_service(self, service, **labels) -> None:
         """Surface a :class:`QueryService` via its ``stats()`` snapshot."""

@@ -408,15 +408,15 @@ def _build_plan(
     mode: str,
     order: Optional[Sequence[int]],
     default_operator: Optional[str],
-    feedback,
 ) -> ExplainedPlan:
     num_edges = spec.query_graph.num_edges
     stats = GraphStats.of(spec.graph)
-    if feedback is None:
-        engine_stats = spec.engine.stats
-        if getattr(engine_stats, "propagation_steps", 0) > 0:
-            # A reused engine's counters are prior-run feedback.
-            feedback = engine_stats
+    engine_stats = spec.engine.stats
+    # A reused engine's counters are prior-run feedback.
+    feedback = (
+        engine_stats
+        if getattr(engine_stats, "propagation_steps", 0) > 0 else None
+    )
     model = CostModel(stats, spec.d, feedback=feedback)
     row = STRATEGIES[(strategy, spec.measure is not None)]
     default = (default_operator or row[0]).lower()
@@ -512,19 +512,13 @@ def choose_plan(
     strategy: str,
     mode: str = "auto",
     default_operator: Optional[str] = None,
-    m: int = 50,
-    feedback=None,
 ) -> ExplainedPlan:
     """Plan ``spec`` for ``strategy`` (``"pj"``/``"pj-i"``/``"ap"``).
 
     ``mode="fixed"`` reproduces the pre-planner behaviour (index order,
     default operator) with cost annotations; ``mode="auto"`` runs the
-    greedy cost-based search.  ``feedback`` is optional
-    :class:`~repro.walks.engine.WalkEngineStats`; omitted, a reused
-    engine's own counters serve as prior-run feedback.  ``m`` is
-    accepted for signature stability (prefix length does not currently
-    move any decision: it scales every edge's rank-join pull cost
-    equally).
+    greedy cost-based search.  A reused engine's own counters serve as
+    prior-run feedback.
     """
     strategy = _check_strategy(strategy)
     mode = mode.lower()
@@ -532,7 +526,7 @@ def choose_plan(
         raise GraphValidationError(
             f"unknown plan mode {mode!r}; choose from {PLAN_MODES}"
         )
-    return _build_plan(spec, strategy, mode, None, default_operator, feedback)
+    return _build_plan(spec, strategy, mode, None, default_operator)
 
 
 def plan_with_order(
@@ -540,7 +534,6 @@ def plan_with_order(
     strategy: str,
     order: Sequence[int],
     default_operator: Optional[str] = None,
-    m: int = 50,
 ) -> ExplainedPlan:
     """A fixed plan with an *explicit* build order (bench worst-order
     arms, the equivalence harness's exhaustive permutations)."""
@@ -551,7 +544,7 @@ def plan_with_order(
             f"order {list(order)!r} is not a permutation of the "
             f"{num_edges} query edges"
         )
-    return _build_plan(spec, strategy, "fixed", list(order), default_operator, None)
+    return _build_plan(spec, strategy, "fixed", list(order), default_operator)
 
 
 def validate_plan_for(plan: ExplainedPlan, spec, strategy: str) -> ExplainedPlan:
@@ -584,8 +577,6 @@ def resolve_spec_plan(
     strategy: str,
     plan=None,
     default_operator: Optional[str] = None,
-    m: int = 50,
-    feedback=None,
 ) -> ExplainedPlan:
     """The executor entry point behind ``NWayJoinSpec.resolve_plan``.
 
@@ -599,8 +590,7 @@ def resolve_spec_plan(
         return validate_plan_for(plan, spec, strategy)
     if isinstance(plan, str):
         return choose_plan(
-            spec, strategy, mode=plan,
-            default_operator=default_operator, m=m, feedback=feedback,
+            spec, strategy, mode=plan, default_operator=default_operator
         )
     raise GraphValidationError(
         f"plan must be 'fixed', 'auto', or an ExplainedPlan; got {plan!r}"

@@ -285,11 +285,7 @@ class QueryService:
         ``tier=<index>`` in creation order.
         """
         from repro.obs import MetricsRegistry
-        from repro.obs.metrics import (
-            BOUND_CACHE_FIELDS,
-            WALK_CACHE_FIELDS,
-            MetricSample,
-        )
+        from repro.obs.metrics import cache_samples
 
         registry = MetricsRegistry()
         registry.register_engine(self._engine.stats)
@@ -301,24 +297,8 @@ class QueryService:
             samples = []
             for index, (walk_cache, bound_cache) in enumerate(tiers):
                 labels = (("tier", str(index)),)
-                walk = walk_cache.stats
-                samples.extend(
-                    MetricSample(
-                        f"repro_walk_cache_{field}_total",
-                        float(getattr(walk, field)),
-                        labels,
-                    )
-                    for field in WALK_CACHE_FIELDS
-                )
-                bound = bound_cache.stats
-                samples.extend(
-                    MetricSample(
-                        f"repro_bound_cache_{field}_total",
-                        float(getattr(bound, field)),
-                        labels,
-                    )
-                    for field in BOUND_CACHE_FIELDS
-                )
+                samples += cache_samples("walk_cache", walk_cache, labels)
+                samples += cache_samples("bound_cache", bound_cache, labels)
             return samples
 
         registry.register_source(tier_source)

@@ -1,7 +1,7 @@
-"""Random-walk kernels: sparse production engine and test oracles.
+"""Random-walk kernels: the sparse walk engine and the layers above it.
 
-Layered as: per-target Eq. 5 kernels (:class:`WalkEngine`, the
-equivalence oracle), batched block propagation
+Layered as: per-target Eq. 5 kernels (:class:`WalkEngine`), batched
+block propagation
 (:meth:`WalkEngine.backward_first_hit_block`), resumable walk state
 (:class:`WalkState`), the cross-join :class:`WalkCache`, and the
 deepening-round machinery (:class:`DeepeningRounds`: bounded-memory

@@ -1,31 +1,56 @@
-"""Batched/resumable join paths vs. the seed per-target implementations.
+"""Batched/resumable join paths against the brute-force oracle.
 
-``BackwardIDJ.top_k_reference`` and ``B-BJ`` with ``block_size=1`` are
-the seed algorithms kept verbatim; the rewritten batched paths must
-return identical top-k sequences (and strictly fewer propagation steps
-for the resumable deepening).
+``B-BJ``'s target blocks (any width, 1 included) and ``B-IDJ``'s
+resumable deepening must return the oracle's top-k; the deepening
+walks at most ``d`` column-steps per right node — strictly fewer than
+restarting every walk at every level, the seed's cost, read off the
+join's own ``pruning_trace``.
 """
 
 import numpy as np
 import pytest
 
+from oracles import as_ranked, assert_top_k, dht_scores, rank_answers, rank_pairs
+from repro.core.nway.all_pairs import AllPairsJoin
+from repro.core.nway.query_graph import QueryGraph
+from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.backward import (
     BackwardBasicJoin,
     BackwardIDJX,
     BackwardIDJY,
 )
-from repro.core.two_way.base import BoundedTopK, kth_largest, make_context
+from repro.core.two_way.base import (
+    BoundedTopK,
+    kth_largest,
+    make_context,
+    sort_pairs,
+)
+from repro.graph.builders import preferential_attachment
 from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
+from repro.walks.engine import WalkEngine
 
 
-def assert_same_pairs(got, expected, atol=1e-12):
-    assert [(p.left, p.right) for p in got] == [
-        (p.left, p.right) for p in expected
-    ]
-    assert np.allclose(
-        [p.score for p in got], [p.score for p in expected], atol=atol
+def ranking(ctx):
+    """The oracle's full ranking of ``ctx``'s pairs."""
+    return rank_pairs(
+        dht_scores(ctx.graph, ctx.params, ctx.d), ctx.left, ctx.right
     )
+
+
+def assert_all_pairs(pairs, ctx):
+    everything = ranking(ctx)
+    assert_top_k(as_ranked(sort_pairs(pairs)), everything, len(everything))
+
+
+def restart_cost(trace, d, num_targets):
+    """Column-steps of the seed's restart-per-level deepening: every
+    round walks its active targets ``level`` steps from scratch, then
+    the survivors walk ``d``."""
+    survivors = num_targets
+    if trace:
+        survivors = trace[-1]["active_before"] - trace[-1]["pruned"]
+    return sum(r["level"] * r["active_before"] for r in trace) + d * survivors
 
 
 class TestBatchedBBJ:
@@ -34,17 +59,15 @@ class TestBatchedBBJ:
         ctx = make_context(
             random_graph, list(range(10)), list(range(20, 33)), params=params, d=8
         )
-        batched = sorted(BackwardBasicJoin(ctx, block_size=block_size).all_pairs())
-        single = sorted(BackwardBasicJoin(ctx, block_size=1).all_pairs())
-        assert_same_pairs(batched, single)
+        assert_all_pairs(BackwardBasicJoin(ctx, block_size=block_size).all_pairs(), ctx)
+        # A width of 1 is the same block path, not a per-target fork.
+        assert_all_pairs(BackwardBasicJoin(ctx, block_size=1).all_pairs(), ctx)
 
     def test_all_pairs_matches_on_directed(self, random_digraph, params):
         ctx = make_context(
             random_digraph, list(range(8)), list(range(10, 22)), params=params, d=6
         )
-        batched = sorted(BackwardBasicJoin(ctx).all_pairs())
-        single = sorted(BackwardBasicJoin(ctx, block_size=1).all_pairs())
-        assert_same_pairs(batched, single)
+        assert_all_pairs(BackwardBasicJoin(ctx).all_pairs(), ctx)
 
     def test_cached_context_same_results(self, random_graph, params):
         plain = make_context(
@@ -54,9 +77,8 @@ class TestBatchedBBJ:
             random_graph, list(range(6)), list(range(25, 34)), params=params, d=8,
             walk_cache=WalkCache(plain.engine, params), engine=plain.engine,
         )
-        assert_same_pairs(
-            BackwardBasicJoin(cached).top_k(7), BackwardBasicJoin(plain).top_k(7)
-        )
+        assert_top_k(as_ranked(BackwardBasicJoin(cached).top_k(7)), ranking(plain), 7)
+        assert_top_k(as_ranked(BackwardBasicJoin(plain).top_k(7)), ranking(plain), 7)
         # A second run over the cached context is pure cache hits.
         cached.engine.stats.reset()
         BackwardBasicJoin(cached).all_pairs()
@@ -68,49 +90,96 @@ class TestBatchedBBJ:
             BackwardBasicJoin(ctx, block_size=0)
 
 
+class TestOneColumnCeiling:
+    """A ``max_block_bytes`` of one column (``16 n``) narrows ``B-BJ`` to
+    width-1 blocks on the same block path.  It used to switch to a
+    per-target fork instead, whose ``(d, n)`` hit series — 19 200 B per
+    target here — overshot the 4 800 B ceiling with no ``"alloc"``
+    checkpoint to stop it."""
+
+    GRAPH = preferential_attachment(300, 3, np.random.default_rng(14))
+    LEFT, RIGHT = list(range(200, 215)), list(range(30))
+
+    @pytest.fixture
+    def no_per_target_walks(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-target walk under a one-column ceiling")
+
+        monkeypatch.setattr(WalkEngine, "backward_first_hit_series", forbidden)
+        monkeypatch.setattr(WalkCache, "scores", forbidden)
+
+    def test_cacheless_bbj_stays_on_the_block_path(self, params, no_per_target_walks):
+        graph = self.GRAPH
+        ctx = make_context(
+            graph, self.LEFT, self.RIGHT, params=params, d=8,
+            max_block_bytes=16 * graph.num_nodes,
+        )
+        got = BackwardBasicJoin(ctx).top_k(10)
+        assert_top_k(as_ranked(got), ranking(ctx), 10)
+        assert ctx.engine.stats.propagation_steps == ctx.d * len(self.RIGHT)
+
+    def test_ap_with_a_width_one_plan_stays_on_the_block_path(
+        self, params, no_per_target_walks
+    ):
+        graph = self.GRAPH
+        spec = NWayJoinSpec(
+            graph=graph, query_graph=QueryGraph.chain(2),
+            node_sets=[self.LEFT, self.RIGHT], k=10, params=params, d=8,
+            max_block_bytes=16 * graph.num_nodes,
+        )
+        join = AllPairsJoin(spec, two_way="b-bj")
+        got = join.run()
+        assert [ep.block_size for ep in join.plan.edges] == [1]
+        oracle = rank_answers(
+            [dht_scores(graph, params, 8)], spec.node_sets, spec.query_graph.edges
+        )
+        assert_top_k(as_ranked(got), [(nodes, s) for nodes, s, _ in oracle], 10)
+        assert spec.engine.stats.peak_block_bytes <= 16 * graph.num_nodes
+
+
 @pytest.mark.parametrize("algorithm_cls", [BackwardIDJX, BackwardIDJY])
 class TestResumableBIDJ:
     def test_top_k_matches_reference(self, algorithm_cls, random_graph, params):
         left, right = list(range(12)), list(range(25, 40))
         ctx = make_context(random_graph, left, right, params=params, d=8)
         resumable = algorithm_cls(ctx)
-        result = resumable.top_k(6)
-        reference_algo = algorithm_cls(
-            make_context(random_graph, left, right, params=params, d=8)
-        )
-        reference = reference_algo.top_k_reference(6)
-        assert_same_pairs(result, reference)
-        assert resumable.pruning_trace == reference_algo.pruning_trace
+        assert_top_k(as_ranked(resumable.top_k(6)), ranking(ctx), 6)
+        # Each round starts with the previous round's survivors.
+        trace = resumable.pruning_trace
+        assert [r["level"] for r in trace] == [1, 2, 4]
+        assert trace[0]["active_before"] == len(right)
+        for before, after in zip(trace, trace[1:]):
+            assert after["active_before"] == before["active_before"] - before["pruned"]
 
     def test_strictly_fewer_propagation_steps(
         self, algorithm_cls, random_graph, params
     ):
         left, right = list(range(12)), list(range(25, 40))
         ctx = make_context(random_graph, left, right, params=params, d=8)
+        join = algorithm_cls(ctx)
+        join._bound_factory(ctx)  # the bound's own walk is not a join step
         ctx.engine.stats.reset()
-        algorithm_cls(ctx).top_k(6)
-        resumable_steps = ctx.engine.stats.propagation_steps
-        ctx2 = make_context(random_graph, left, right, params=params, d=8)
-        ctx2.engine.stats.reset()
-        algorithm_cls(ctx2).top_k_reference(6)
-        assert resumable_steps < ctx2.engine.stats.propagation_steps
+        join.top_k(6)
+        walked = ctx.engine.stats.propagation_steps
+        assert walked <= ctx.d * len(right)
+        assert walked < restart_cost(join.pruning_trace, ctx.d, len(right))
 
     def test_matches_reference_with_cache(self, algorithm_cls, random_graph, params):
         left, right = list(range(10)), list(range(22, 36))
         plain = make_context(random_graph, left, right, params=params, d=8)
-        reference = algorithm_cls(plain).top_k_reference(5)
+        reference = ranking(plain)
         cached_ctx = make_context(
             random_graph, left, right, params=params, d=8,
             engine=plain.engine, walk_cache=WalkCache(plain.engine, params),
         )
-        assert_same_pairs(algorithm_cls(cached_ctx).top_k(5), reference)
+        assert_top_k(as_ranked(algorithm_cls(cached_ctx).top_k(5)), reference, 5)
         # Re-running against the warm cache stays correct and cheap.
         cached_ctx.engine.stats.reset()
         rerun_ctx = make_context(
             random_graph, left, right, params=params, d=8,
             engine=plain.engine, walk_cache=cached_ctx.walk_cache,
         )
-        assert_same_pairs(algorithm_cls(rerun_ctx).top_k(5), reference)
+        assert_top_k(as_ranked(algorithm_cls(rerun_ctx).top_k(5)), reference, 5)
         assert (
             cached_ctx.engine.stats.propagation_steps
             < len(right) * plain.d
@@ -120,42 +189,44 @@ class TestResumableBIDJ:
         self, algorithm_cls, random_graph, params
     ):
         left, right = list(range(8)), list(range(20, 30))
+        seen = []
 
         class Recorder:
-            def __init__(self):
-                self.calls = []
-                self.scores = []
-                self.blocks = 0
-
             def observe(self, targets, level, block, tails):
-                # Left-aligned blocks on the fast and the reference path
-                # alike; flattened here to one record per walk.
                 assert block.shape == (len(left), len(targets))
-                self.blocks += 1
-                for q, scores, tail in zip(targets, block.T, tails.tolist()):
-                    self.calls.append((q, level, round(tail, 12)))
-                    self.scores.append(scores.copy())
+                seen.append((list(targets), level, block.copy(), tails.copy()))
 
-        fast, slow = Recorder(), Recorder()
         ctx = make_context(random_graph, left, right, params=params, d=8)
-        algorithm_cls(ctx, observer=fast).top_k(4)
-        ctx2 = make_context(random_graph, left, right, params=params, d=8)
-        algorithm_cls(ctx2, observer=slow).top_k_reference(4)
-        assert fast.calls == slow.calls
-        for got, expected in zip(fast.scores, slow.scores):
-            assert np.allclose(got, expected, atol=1e-12)
-        # The reference feeds one-column blocks, the join one block per
-        # consumed group: far fewer observer calls for the same walks.
-        assert slow.blocks == len(slow.calls)
-        assert fast.blocks < slow.blocks
+        join = algorithm_cls(ctx, observer=Recorder())
+        join.top_k(4)
+        bound = join._bound_factory(ctx)
+        for targets, level, block, tails in seen:
+            h_level = dht_scores(random_graph, params, level)
+            assert np.allclose(
+                block, h_level[np.ix_(left, targets)], rtol=0, atol=1e-12
+            )
+            expected_tails = (
+                np.zeros(len(targets)) if level == ctx.d
+                else [bound.tail(level, q) for q in targets]
+            )
+            assert np.allclose(tails, expected_tails, rtol=0, atol=1e-12)
+        # Every round observes exactly its active targets, once each,
+        # in far fewer calls than one per walk.
+        walked = {}
+        for targets, level, _, _ in seen:
+            walked.setdefault(level, []).extend(targets)
+        active = {r["level"]: r["active_before"] for r in join.pruning_trace}
+        last = join.pruning_trace[-1]
+        active[ctx.d] = last["active_before"] - last["pruned"]
+        assert {level: len(set(qs)) for level, qs in walked.items()} == active
+        assert all(len(qs) == len(set(qs)) for qs in walked.values())
+        assert len(seen) < sum(active.values())
 
     def test_d_one_walks_everything_once(self, algorithm_cls, path4, params):
         ctx = make_context(path4, [0, 1], [2, 3], params=params, d=1)
-        result = algorithm_cls(ctx).top_k(10)
-        reference = algorithm_cls(
-            make_context(path4, [0, 1], [2, 3], params=params, d=1)
-        ).top_k_reference(10)
-        assert_same_pairs(result, reference)
+        join = algorithm_cls(ctx)
+        assert_top_k(as_ranked(join.top_k(10)), ranking(ctx), 10)
+        assert join.pruning_trace == []  # no deepening round below d = 1
 
 
 class TestThresholdHelpers:

@@ -4,11 +4,15 @@ Covers the ISSUE-2 equivalence requirements: cached vs. fresh
 ``YBound.tail`` values identical across shared query edges, restricted
 tail plans reused across ``B-BJ`` re-materialisations, and ``B-IDJ``'s
 chunked rounds producing identical top-k output and pruning traces vs.
-the unchunked path and the seed ``top_k_reference`` oracle.
+the unchunked path and the brute-force oracle.
 """
+
+import functools
 
 import numpy as np
 import pytest
+
+from oracles import as_ranked, assert_top_k, dht_scores, rank_pairs
 
 from repro.bounds_cache import BoundPlanCache
 from repro.core.bounds import YBound, dht_tail_weights
@@ -215,14 +219,20 @@ class TestNWaySharing:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _chunked_workload():
+    graph = erdos_renyi(600, 6.0 / 600, np.random.default_rng(4), weighted=True)
+    rng = np.random.default_rng(8)
+    nodes = rng.permutation(600)
+    left = sorted(int(u) for u in nodes[:40])
+    right = sorted(int(u) for u in nodes[40:120])
+    ranking = rank_pairs(dht_scores(graph, DHTParams.dht_lambda(0.2), 8), left, right)
+    return graph, left, right, ranking
+
+
 class TestChunkedBIDJ:
     def _workload(self):
-        graph = erdos_renyi(600, 6.0 / 600, np.random.default_rng(4), weighted=True)
-        rng = np.random.default_rng(8)
-        nodes = rng.permutation(600)
-        left = sorted(int(u) for u in nodes[:40])
-        right = sorted(int(u) for u in nodes[40:120])
-        return graph, left, right
+        return _chunked_workload()[:3]
 
     @pytest.mark.parametrize("algorithm_cls", [BackwardIDJY, BackwardIDJX])
     @pytest.mark.parametrize("window_cols", [1, 3, 11])
@@ -232,10 +242,7 @@ class TestChunkedBIDJ:
         base = algorithm_cls(base_ctx)
         expected = base.top_k(12)
         expected_trace = list(base.pruning_trace)
-        oracle = algorithm_cls(base_ctx).top_k_reference(12)
-        assert [(p.left, p.right) for p in expected] == [
-            (p.left, p.right) for p in oracle
-        ]
+        assert_top_k(as_ranked(expected), _chunked_workload()[3], 12)
 
         ceiling = 16 * graph.num_nodes * window_cols
         ctx = make_context(graph, left, right, d=8, max_block_bytes=ceiling)

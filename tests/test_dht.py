@@ -1,17 +1,15 @@
 """Unit tests for the DHT framework: general form, variants, Lemma 1,
-and the exact linear-system oracle."""
+and the oracle's exact linear-system DHT (checked against hand-solved
+path, star and cycle cases)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.dht import (
-    DHTParams,
-    exact_dht_score,
-    exact_dht_to_target,
-)
-from repro.graph.builders import path_graph
+from oracles import dht_scores, exact_dht_to_target, first_hit_series
+from repro.core.dht import DHTParams
+from repro.graph.builders import directed_cycle, path_graph, star_graph
 from repro.walks.engine import WalkEngine
 
 
@@ -174,16 +172,52 @@ class TestExactOracle:
             assert scores[u] == pytest.approx(rhs, abs=1e-9)
 
     def test_exact_score_scalar_matches_vector(self, params, path4):
+        # Path 0-1-2-3, target 3: with g(u) = sum_i lambda^i P_i(u, 3),
+        # first-step analysis gives g0 = l g1, g1 = l (g0 + g2) / 2 and
+        # g2 = l (1 + g1) / 2 — solved by hand below.
+        lam = params.decay
+        g2 = (lam / 2) / (1 - (lam / 2) ** 2 / (1 - lam ** 2 / 2))
+        g1 = (lam / 2) * g2 / (1 - lam ** 2 / 2)
+        g0 = lam * g1
         vector = exact_dht_to_target(path4, params, 3)
-        for u in range(3):
-            assert exact_dht_score(path4, params, u, 3) == pytest.approx(vector[u])
+        assert vector[:3] == pytest.approx(
+            [params.alpha * g + params.beta for g in (g0, g1, g2)], abs=1e-14
+        )
+        # The truncated dense series converges to the same vector.
+        truncated = dht_scores(path4, params, 60)[:, 3]
+        assert truncated[:3] == pytest.approx(vector[:3], abs=1e-14)
 
     def test_self_score_zero(self, params, path4):
-        assert exact_dht_score(path4, params, 2, 2) == 0.0
+        assert exact_dht_to_target(path4, params, 2)[2] == 0.0
+        # Star, centre 0 with 4 leaves: leaf 1 reaches leaf 2 only at
+        # even steps, P_2j = (3/4)^(j-1) / 4 (each return to the centre
+        # picks leaf 2 with probability 1/4).
+        series = first_hit_series(star_graph(4), 8)[:, 1, 2]
+        assert series[1::2] == pytest.approx([0.75 ** j / 4 for j in range(4)])
+        assert np.all(series[0::2] == 0.0)
+        lam = params.decay
+        exact = exact_dht_to_target(star_graph(4), params, 2)[1]
+        # sum_j lam^(2j) (3/4)^(j-1) / 4 = (lam^2 / 4) / (1 - 3 lam^2 / 4)
+        assert exact == pytest.approx(
+            params.alpha * (lam ** 2 / 4) / (1 - 0.75 * lam ** 2) + params.beta,
+            abs=1e-14,
+        )
 
     def test_asymmetry_on_directed_graph(self, params, tiny_directed):
         # h(1, 0) goes 1->2->3->0 (3 hops); h(0, 1) is one hop w.p. 2/3.
-        forward = exact_dht_score(tiny_directed, params, 0, 1)
-        backward = exact_dht_score(tiny_directed, params, 1, 0)
+        forward = exact_dht_to_target(tiny_directed, params, 1)[0]
+        backward = exact_dht_to_target(tiny_directed, params, 0)[1]
         assert forward != pytest.approx(backward)
         assert forward > backward
+        # Directed 5-cycle: the walk from u hits v once, at step
+        # (v - u) mod 5, so h(u, v) = alpha lambda^((v - u) mod 5) + beta.
+        cycle = directed_cycle(5)
+        lam = params.decay
+        for v in range(5):
+            exact = exact_dht_to_target(cycle, params, v)
+            for u in range(5):
+                if u != v:
+                    hops = (v - u) % 5
+                    assert exact[u] == pytest.approx(
+                        params.alpha * lam ** hops + params.beta, abs=1e-14
+                    )

@@ -1,12 +1,24 @@
 """Unit tests for the measure layer: PPR and SimRank joins.
 
-The per-target ``backward_scores`` paths are the equivalence oracles:
-every batched, resumable, or cached measure path must reproduce them.
+Every batched, resumable, or cached measure path must reproduce the
+brute-force oracle (``tests/oracles``), which ``TestSimRank`` and
+``test_matches_exact_linear_solve`` check against hand-solved cases.
 """
 
 import numpy as np
 import pytest
 
+from oracles import (
+    as_ranked,
+    assert_top_k,
+    exact_ppr,
+    in_weight_matrix,
+    ppr_scores,
+    rank_answers,
+    rank_pairs,
+    scores_for,
+    simrank_scores,
+)
 from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, SUM
@@ -17,22 +29,14 @@ from repro.core.two_way.base import TwoWayContext, make_context, sort_pairs
 from repro.extensions.measures import (
     DHTMeasure,
     TruncatedPPR,
-    exact_ppr_to_target,
     measure_by_name,
 )
 from repro.extensions.series_join import (
-    SeriesAllPairsJoin,
     SeriesBackwardJoin,
     SeriesIDJ,
     SeriesPartialJoin,
 )
-from repro.extensions.simrank import (
-    SimRankJoin,
-    SimRankMeasure,
-    _in_weight_matrix,
-    _in_weight_matrix_reference,
-    simrank_matrix,
-)
+from repro.extensions.simrank import SimRankMeasure, _in_weight_matrix
 from repro.graph.builders import (
     complete_graph,
     erdos_renyi,
@@ -47,6 +51,28 @@ from repro.walks.kernels import DHTBlockKernel, PPRBlockKernel, as_block_kernel
 from repro.walks.state import WalkState
 
 
+def oracle_pairs(graph, left, right, measure):
+    """The oracle's full ranking of ``left x right`` under ``measure``."""
+    return rank_pairs(scores_for(graph, measure.d, measure=measure), left, right)
+
+
+def oracle_answers(graph, query, sets, measure, aggregate=MIN):
+    """The oracle's full ranking of the n-way answers under ``measure``."""
+    scores = scores_for(graph, measure.d, measure=measure)
+    return [
+        (nodes, score) for nodes, score, _ in rank_answers(
+            [scores] * query.num_edges, sets, query.edges, aggregate
+        )
+    ]
+
+
+def measure_iterate(graph, decay=0.8, iterations=10):
+    """The measure's ``iterations``-sweep iterate, every column of it."""
+    return SimRankMeasure(decay=decay, iterations=iterations).backward_scores_block(
+        WalkEngine(graph), range(graph.num_nodes), iterations
+    )
+
+
 class TestTruncatedPPR:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -59,12 +85,23 @@ class TestTruncatedPPR:
         assert measure.damping ** (measure.d + 1) <= 1e-4 * (1 + 1e-12)
 
     def test_matches_exact_linear_solve(self, random_graph):
+        # Path 0 - 1 by hand: T swaps the two nodes, so
+        # (1 - c)(I - cT)^-1 = [[1, c], [c, 1]] / (1 + c), and the
+        # i-step visit term sits on the diagonal for even i only.
+        c = 0.6
+        two = path_graph(2)
+        assert exact_ppr(two, c) == pytest.approx(
+            np.array([[1.0, c], [c, 1.0]]) / (1 + c), abs=1e-15
+        )
+        truncated = ppr_scores(two, c, 3)
+        assert truncated[0, 0] == pytest.approx((1 - c) * (1 + c ** 2))
+        assert truncated[0, 1] == pytest.approx((1 - c) * (c + c ** 3))
         measure = TruncatedPPR(damping=0.7, epsilon=1e-10)
         engine = WalkEngine(random_graph)
+        exact = exact_ppr(random_graph, 0.7)
         for target in (0, 13):
             truncated = measure.backward_scores(engine, target, measure.d)
-            exact = exact_ppr_to_target(random_graph, 0.7, target)
-            assert np.allclose(truncated, exact, atol=1e-8)
+            assert np.allclose(truncated, exact[:, target], atol=1e-8)
 
     def test_self_score_highest(self, random_graph):
         # A PPR walker restarts at itself, so pi_v(v) dominates.
@@ -138,23 +175,9 @@ class TestSeriesJoins:
             random_graph, query, sets, k=5, measure=measure, aggregate=SUM,
             algorithm="ap",
         )
-        # Brute force from full pair tables.
-        engine = WalkEngine(random_graph)
-        table = {}
-        for q in sets[1] + sets[2]:
-            scores = measure.backward_scores(engine, q, measure.d)
-            for p in sets[0] + sets[1]:
-                table[(p, q)] = float(scores[p])
-        import itertools
-
-        expected = sorted(
-            (
-                (table[(a, b)] + table[(b, c)], (a, b, c))
-                for a, b, c in itertools.product(*sets)
-            ),
-            key=lambda t: (-t[0], t[1]),
-        )[:5]
-        assert np.allclose([a.score for a in got], [e[0] for e in expected])
+        assert_top_k(
+            as_ranked(got), oracle_answers(random_graph, query, sets, measure, sum), 5
+        )
 
     def test_multi_way_set_count_mismatch(self, random_graph):
         with pytest.raises(GraphValidationError):
@@ -166,46 +189,56 @@ class TestSeriesJoins:
 
 class TestSimRank:
     def test_identity_diagonal(self, random_graph):
-        sim = simrank_matrix(random_graph, iterations=4)
+        sim = measure_iterate(random_graph, iterations=4)
         assert np.allclose(np.diag(sim), 1.0)
 
     def test_symmetric_on_undirected(self, random_graph):
-        sim = simrank_matrix(random_graph, iterations=5)
+        sim = measure_iterate(random_graph, iterations=5)
         assert np.allclose(sim, sim.T, atol=1e-12)
 
     def test_range(self, random_graph):
-        sim = simrank_matrix(random_graph, iterations=5)
+        sim = measure_iterate(random_graph, iterations=5)
         assert np.all(sim >= -1e-12) and np.all(sim <= 1.0 + 1e-12)
 
     def test_hand_case_two_leaves(self):
         # Star 0-1, 0-2: leaves 1 and 2 share the single in-neighbour 0,
         # so s(1,2) converges to C * s(0,0) = C.
         g = Graph.from_undirected_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
-        sim = simrank_matrix(g, decay=0.8, iterations=30)
-        assert sim[1, 2] == pytest.approx(0.8, abs=1e-6)
+        for sim in (
+            simrank_scores(g, decay=0.8, iterations=30),
+            measure_iterate(g, decay=0.8, iterations=30),
+        ):
+            assert sim[1, 2] == pytest.approx(0.8, abs=1e-6)
 
     def test_fixed_point_residual_shrinks(self, random_graph):
-        early = simrank_matrix(random_graph, iterations=3)
-        late = simrank_matrix(random_graph, iterations=12)
-        later = simrank_matrix(random_graph, iterations=13)
+        early = measure_iterate(random_graph, iterations=3)
+        late = measure_iterate(random_graph, iterations=12)
+        later = measure_iterate(random_graph, iterations=13)
         assert np.max(np.abs(later - late)) < np.max(np.abs(late - early))
 
     def test_validation(self, random_graph):
-        with pytest.raises(GraphValidationError):
-            simrank_matrix(random_graph, decay=1.5)
-        with pytest.raises(GraphValidationError):
-            simrank_matrix(random_graph, iterations=0)
+        for bad in ({"decay": 1.5}, {"iterations": 0}):
+            with pytest.raises(GraphValidationError):
+                simrank_scores(random_graph, **bad)
+            with pytest.raises(GraphValidationError):
+                SimRankMeasure(**bad)
 
     def test_join_ranks_structurally_similar_nodes(self):
         # Two hubs with identical leaf sets should be most SimRank-alike.
         edges = [(0, i, 1.0) for i in range(2, 6)] + [(1, i, 1.0) for i in range(2, 6)]
         g = Graph.from_undirected_edges(6, edges)
-        result = SimRankJoin(g, [0], [1, 2, 3], iterations=8).top_k(1)
+        measure = SimRankMeasure(iterations=8)
+        result = two_way_join(g, [0], [1, 2, 3], k=1, measure=measure)
         assert result[0].right == 1
+        assert oracle_pairs(g, [0], [1, 2, 3], measure)[0][0] == (0, 1)
 
     def test_join_excludes_reflexive(self, random_graph):
-        result = SimRankJoin(random_graph, [0, 1], [1, 2], iterations=3).top_k(10)
+        measure = SimRankMeasure(iterations=3)
+        result = two_way_join(random_graph, [0, 1], [1, 2], k=10, measure=measure)
         assert all(p.left != p.right for p in result)
+        assert_top_k(
+            as_ranked(result), oracle_pairs(random_graph, [0, 1], [1, 2], measure), 10
+        )
 
     def test_multi_way_join_runs(self, random_graph):
         query = QueryGraph.chain(3)
@@ -217,34 +250,11 @@ class TestSimRank:
         assert answers
         scores = [a.score for a in answers]
         assert scores == sorted(scores, reverse=True)
-        # The dense oracle: one SimRankJoin per query edge, enumerated.
-        import itertools
-
-        matrix = simrank_matrix(random_graph, iterations=4)
-        tables = [
-            {
-                (p.left, p.right): p.score
-                for p in SimRankJoin(
-                    random_graph, sets[i], sets[j], matrix=matrix
-                ).all_pairs()
-            }
-            for i, j in query.edges
-        ]
-        expected = sorted(
-            (
-                (
-                    min(
-                        tables[e][(nodes[i], nodes[j])]
-                        for e, (i, j) in enumerate(query.edges)
-                    ),
-                    nodes,
-                )
-                for nodes in itertools.product(*sets)
-            ),
-            key=lambda t: (-t[0], t[1]),
-        )[:3]
-        assert [a.nodes for a in answers] == [nodes for _, nodes in expected]
-        assert np.allclose([a.score for a in answers], [s for s, _ in expected])
+        assert_top_k(
+            as_ranked(answers),
+            oracle_answers(random_graph, query, sets, SimRankMeasure(iterations=4)),
+            3,
+        )
 
     def test_multi_way_set_count_mismatch(self, random_graph):
         with pytest.raises(GraphValidationError):
@@ -255,12 +265,12 @@ class TestSimRank:
 
 
 class TestInWeightMatrix:
-    """The vectorised in-weight builder against the seed dict loop."""
+    """The vectorised in-weight builder against the oracle's dict loop."""
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_bit_identical_to_reference(self, random_graph, weighted):
         got = _in_weight_matrix(random_graph, weighted)
-        ref = _in_weight_matrix_reference(random_graph, weighted)
+        ref = in_weight_matrix(random_graph, weighted)
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("weighted", [True, False])
@@ -268,14 +278,14 @@ class TestInWeightMatrix:
         graph = preferential_attachment(200, 3, np.random.default_rng(7))
         assert np.array_equal(
             _in_weight_matrix(graph, weighted),
-            _in_weight_matrix_reference(graph, weighted),
+            in_weight_matrix(graph, weighted),
         )
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_bit_identical_on_directed_weighted(self, tiny_directed, weighted):
         assert np.array_equal(
             _in_weight_matrix(tiny_directed, weighted),
-            _in_weight_matrix_reference(tiny_directed, weighted),
+            in_weight_matrix(tiny_directed, weighted),
         )
 
     @pytest.mark.parametrize("weighted", [True, False])
@@ -290,7 +300,7 @@ class TestInWeightMatrix:
         graph = Graph(base.num_nodes, edges)
         assert np.array_equal(
             _in_weight_matrix(graph, weighted),
-            _in_weight_matrix_reference(graph, weighted),
+            in_weight_matrix(graph, weighted),
         )
 
     def test_empty_and_edgeless_graphs(self):
@@ -363,7 +373,7 @@ MEASURE_FACTORIES = [
 
 
 class TestMeasureBlocks:
-    """Batched block kernels against the per-target oracles."""
+    """Batched block kernels against the per-target paths and the oracle."""
 
     @pytest.mark.parametrize("measure_factory", MEASURE_FACTORIES)
     def test_block_matches_per_target(self, random_graph, measure_factory):
@@ -372,10 +382,12 @@ class TestMeasureBlocks:
         targets = [3, 11, 25, 30]
         for level in (1, 3, measure.d):
             block = measure.backward_scores_block(engine, targets, level)
+            oracle = scores_for(random_graph, level, measure=measure)
             for j, q in enumerate(targets):
-                oracle = measure.backward_scores(engine, q, level)
+                single = measure.backward_scores(engine, q, level)
                 mask = np.arange(random_graph.num_nodes) != q
-                assert np.allclose(block[mask, j], oracle[mask], atol=1e-12)
+                assert np.allclose(block[mask, j], single[mask], atol=1e-12)
+                assert np.allclose(block[mask, j], oracle[mask, q], atol=1e-12)
 
     def test_ppr_state_extension_matches_fresh(self, random_graph):
         measure = TruncatedPPR(damping=0.6)
@@ -393,14 +405,14 @@ class TestMeasureBlocks:
         g = path_graph(2)
         measure = TruncatedPPR(damping=0.5, epsilon=1e-8)
         scores = measure.backward_scores_block(WalkEngine(g), [0], measure.d)[:, 0]
-        exact = exact_ppr_to_target(g, 0.5, 0)
+        exact = exact_ppr(g, 0.5)[:, 0]
         assert np.allclose(scores, exact, atol=1e-2)
         assert scores[0] > 0.5  # revisits keep most mass at home
 
     def test_simrank_measure_matches_matrix_solver(self, random_graph):
         measure = SimRankMeasure(decay=0.7, iterations=6)
         engine = WalkEngine(random_graph)
-        expected = simrank_matrix(random_graph, decay=0.7, iterations=6)
+        expected = simrank_scores(random_graph, decay=0.7, iterations=6)
         block = measure.backward_scores_block(engine, [1, 5, 9], 6)
         assert np.allclose(block, expected[:, [1, 5, 9]], atol=1e-15)
 
@@ -409,25 +421,22 @@ class TestMeasureBlocks:
         engine = WalkEngine(random_graph)
         resumed.backward_scores(engine, 0, 2)  # caches the level-2 iterate
         column = resumed.backward_scores(engine, 0, 7)
-        fresh = simrank_matrix(random_graph, decay=0.8, iterations=7)[:, 0]
+        fresh = simrank_scores(random_graph, decay=0.8, iterations=7)[:, 0]
         assert np.array_equal(column, fresh)
 
 
 class TestSeriesIDJResumable:
-    """The resumable, cached SeriesIDJ against the restart oracle."""
+    """The resumable, cached SeriesIDJ against the oracle."""
 
     @pytest.mark.parametrize("measure_factory", MEASURE_FACTORIES)
     def test_idj_matches_reference(self, random_graph, measure_factory):
         left, right = list(range(8)), list(range(20, 32))
+        measure = measure_factory()
         got = SeriesIDJ(
-            make_context(random_graph, left, right, measure=measure_factory())
+            make_context(random_graph, left, right, measure=measure)
         ).top_k(10)
-        ref = SeriesIDJ(
-            make_context(random_graph, left, right, measure=measure_factory())
-        ).top_k_reference(10)
-        assert _pairs_key(got) == _pairs_key(ref)
-        assert np.allclose(
-            [p.score for p in got], [p.score for p in ref], atol=1e-10
+        assert_top_k(
+            as_ranked(got), oracle_pairs(random_graph, left, right, measure), 10
         )
 
     @pytest.mark.parametrize("measure_factory", MEASURE_FACTORIES)
@@ -444,11 +453,10 @@ class TestSeriesIDJResumable:
 
         first = SeriesIDJ(cached()).top_k(6)
         rerun = SeriesIDJ(cached()).top_k(6)
-        oracle = SeriesBackwardJoin(
-            make_context(random_graph, left, right, measure=measure),
-            block_size=1,
-        ).top_k(6)
-        assert _pairs_key(first) == _pairs_key(rerun) == _pairs_key(oracle)
+        assert_top_k(
+            as_ranked(first), oracle_pairs(random_graph, left, right, measure), 6
+        )
+        assert _pairs_key(rerun) == _pairs_key(first)
         assert cache.stats.hits > 0  # the rerun was served from memory
 
     def test_resumable_idj_walks_fewer_steps(self, random_graph):
@@ -460,14 +468,19 @@ class TestSeriesIDJResumable:
                 random_graph, left, right, engine=engine, measure=measure
             )
 
-        resumable = SeriesIDJ(context())
+        ctx = context()
+        resumable = SeriesIDJ(ctx)
+        resumable._bound_factory(ctx)  # the bound's own walk is not a join step
         engine.stats.reset()
         resumable.top_k(5)
-        resumed_steps = engine.stats.propagation_steps
-        engine.stats.reset()
-        SeriesIDJ(context()).top_k_reference(5)
-        restart_steps = engine.stats.propagation_steps
-        assert resumed_steps < restart_steps
+        walked = engine.stats.propagation_steps
+        # At most d column-steps per right node, and strictly fewer than
+        # restarting every walk at every level (the seed's cost).
+        trace = resumable.pruning_trace
+        survivors = trace[-1]["active_before"] - trace[-1]["pruned"]
+        restart = sum(r["level"] * r["active_before"] for r in trace)
+        assert walked <= measure.d * len(right)
+        assert walked < restart + measure.d * survivors
 
     def test_series_y_bound_admissible_and_tighter(self, random_graph):
         measure = TruncatedPPR(damping=0.7, epsilon=1e-6)
@@ -475,13 +488,11 @@ class TestSeriesIDJResumable:
         sources = list(range(8))
         weights = [measure.tail_weight(i) for i in range(1, measure.d + 1)]
         bound = YBound(engine, weights, sources, measure.d)
-        full = {
-            q: measure.backward_scores(engine, q, measure.d)
-            for q in range(20, 28)
-        }
+        full = ppr_scores(random_graph, measure.damping, measure.d).T
         for level in (1, 2, 4):
+            truncated = ppr_scores(random_graph, measure.damping, level).T
             for q in range(20, 28):
-                partial = measure.backward_scores(engine, q, level)
+                partial = truncated[q]
                 tail = bound.tail(level, q)
                 assert tail <= measure.tail_bound(level) + 1e-12
                 for p in sources:
@@ -510,14 +521,9 @@ class TestMeasureNWay:
             random_graph, query, sets, k=6, measure=measure_factory(),
             algorithm="pj", m=4,
         )
-        # Oracle: AP with per-target scoring.
-        spec = NWayJoinSpec(
-            graph=random_graph, query_graph=query,
-            node_sets=[list(s) for s in sets], k=6,
-            measure=measure_factory(),
-        )
-        oracle = SeriesAllPairsJoin(spec, block_size=1).run()
-        assert _answers_key(ap) == _answers_key(pj) == _answers_key(oracle)
+        oracle = oracle_answers(random_graph, query, sets, measure_factory())
+        assert_top_k(as_ranked(ap), oracle, 6)
+        assert_top_k(as_ranked(pj), oracle, 6)
 
     def test_nway_shares_walks_and_bounds_across_edges(self, random_graph):
         sets = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
@@ -667,13 +673,8 @@ class TestMeasureRegistryAndApi:
         got = two_way_join(
             random_graph, [0, 1, 2], [10, 11, 12], k=3, measure="ppr"
         )
-        oracle = SeriesBackwardJoin(
-            make_context(
-                random_graph, [0, 1, 2], [10, 11, 12], measure=TruncatedPPR()
-            ),
-            block_size=1,
-        ).top_k(3)
-        assert _pairs_key(got) == _pairs_key(oracle)
+        oracle = oracle_pairs(random_graph, [0, 1, 2], [10, 11, 12], TruncatedPPR())
+        assert_top_k(as_ranked(got), oracle, 3)
         with pytest.raises(GraphValidationError, match="DHT-only"):
             two_way_join(
                 random_graph, [0], [5], k=1, measure="ppr", algorithm="f-bj"
@@ -685,13 +686,8 @@ class TestMeasureRegistryAndApi:
         sets = [[0, 1, 2], [10, 11, 12], [20, 21, 22]]
         query = QueryGraph.chain(3)
         got = multi_way_join(random_graph, query, sets, k=3, measure="ppr")
-        spec = NWayJoinSpec(
-            graph=random_graph, query_graph=query,
-            node_sets=[list(s) for s in sets], k=3,
-            measure=TruncatedPPR(),
-        )
-        oracle = SeriesAllPairsJoin(spec, block_size=1).run()
-        assert _answers_key(got) == _answers_key(oracle)
+        oracle = oracle_answers(random_graph, query, sets, TruncatedPPR())
+        assert_top_k(as_ranked(got), oracle, 3)
         with pytest.raises(GraphValidationError, match="DHT-only"):
             multi_way_join(
                 random_graph, query, sets, k=1, measure="ppr", algorithm="nl"
@@ -787,7 +783,7 @@ class TestOneConfigurationRule:
 
 class TestMeasureContextsRunTheCoreOperators:
     """The classes named after the paper run a measure context or spec
-    and agree with the per-target oracles."""
+    and agree with the oracle."""
 
     @pytest.mark.parametrize(
         "measure_factory",
@@ -814,11 +810,11 @@ class TestMeasureContextsRunTheCoreOperators:
                 random_graph, left, right, measure=measure_factory()
             )
 
-        oracle = BackwardBasicJoin(context(), block_size=1).top_k(10)
         got = join(context()).top_k(10)
-        assert _pairs_key(got) == _pairs_key(oracle)
-        assert np.allclose(
-            [p.score for p in got], [p.score for p in oracle], atol=1e-12
+        assert_top_k(
+            as_ranked(got),
+            oracle_pairs(random_graph, left, right, measure_factory()),
+            10,
         )
 
     @pytest.mark.parametrize("executor", ["AP", "PJ", "PJ-i"])
@@ -844,5 +840,8 @@ class TestMeasureContextsRunTheCoreOperators:
             "PJ": lambda s: PartialJoin(s, m=2),
             "PJ-i": lambda s: PartialJoinIncremental(s, m=2),
         }[executor]
-        oracle = SeriesAllPairsJoin(spec(), block_size=1).run()
-        assert _answers_key(run(spec()).run()) == _answers_key(oracle)
+        oracle = oracle_answers(
+            random_graph, QueryGraph.star(2, bidirectional=True), sets,
+            TruncatedPPR(damping=0.7, epsilon=1e-4),
+        )
+        assert_top_k(as_ranked(run(spec()).run()), oracle, 6)

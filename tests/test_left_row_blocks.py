@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import as_ranked, assert_top_k, dht_scores, rank_pairs
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import BackwardIDJX, BackwardIDJY
 from repro.core.two_way.base import make_context
@@ -385,17 +386,11 @@ class TestNoFullVectorOnColdPath:
             )
             return algorithm_cls(ctx)
 
-        expected = join().top_k_reference(10)
+        ranking = rank_pairs(dht_scores(graph, params, 8), left, right)
 
         def forbidden(self, *args):
             raise AssertionError("full-width score finalise on the cold path")
 
         monkeypatch.setattr(WalkState, "score_column", forbidden)
         monkeypatch.setattr(WalkState, "scores_matrix", forbidden)
-        got = join().top_k(10)
-        assert [(p.left, p.right) for p in got] == [
-            (p.left, p.right) for p in expected
-        ]
-        assert np.allclose(
-            [p.score for p in got], [p.score for p in expected], atol=1e-12
-        )
+        assert_top_k(as_ranked(join().top_k(10)), ranking, 10)

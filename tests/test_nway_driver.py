@@ -21,6 +21,7 @@ deadline no cell comes near}.  Regenerate deliberately with
         tests/test_nway_driver.py
 """
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -28,16 +29,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import ATOL, assert_top_k, rank_answers, scores_for
 from repro import api
 from repro.core.nway.all_pairs import AllPairsJoin
-from repro.core.nway.nested_loop import NestedLoopJoin
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.series_join import SeriesAllPairsJoin, SeriesPartialJoin
+from repro.extensions.series_join import SeriesPartialJoin
 from repro.graph.validation import GraphValidationError
 from repro.planner import PlannerFixture
 from repro.rankjoin.pbrj import PBRJ
@@ -236,8 +237,7 @@ EXECUTORS = {
     "AP": lambda spec: AllPairsJoin(spec),
     "AP-b": lambda spec: AllPairsJoin(spec, two_way="b-bj"),
     "Series-PJ": lambda spec: SeriesPartialJoin(spec, m=2),
-    "Series-AP": lambda spec: SeriesAllPairsJoin(spec),
-    "Series-AP-1": lambda spec: SeriesAllPairsJoin(spec, block_size=1),
+    "Series-AP": lambda spec: AllPairsJoin(spec, two_way="b-bj"),
 }
 
 
@@ -273,42 +273,84 @@ def test_executor_stats_match_golden(name):
 # -- the independent reference -------------------------------------------
 
 
-def _assert_same_answers(got, reference):
-    """Scores agree to float noise; every returned tuple carries the
-    reference's score for that tuple (ties may order differently across
-    forward and backward scorers, so tuples are checked by lookup)."""
-    assert len(got) == len(reference[: len(got)])
-    assert np.allclose(
-        [a.score for a in got], [a.score for a in reference[: len(got)]]
+@functools.lru_cache(maxsize=None)
+def _oracle_ranking(spec_name, measure_name):
+    """Every answer of the spec, ranked by the brute-force oracle."""
+    spec = SPECS[spec_name][0](measure=_measure(measure_name))
+    scores = scores_for(spec.graph, spec.d, params=spec.params, measure=spec.measure)
+    return rank_answers(
+        [scores] * spec.query_graph.num_edges, spec.node_sets,
+        spec.query_graph.edges, spec.aggregate,
     )
-    by_nodes = {a.nodes: a.score for a in reference}
-    for answer in got:
-        assert answer.score == pytest.approx(by_nodes[answer.nodes])
+
+
+def _assert_oracle_answers(answers, spec_name, measure_name, k):
+    """``answers`` — ``(nodes, score[, edge scores])`` rows — are the
+    oracle's top-``k``, edge scores included."""
+    ranking = _oracle_ranking(spec_name, measure_name)
+    assert_top_k([(tuple(a[0]), a[1]) for a in answers],
+                 [(nodes, score) for nodes, score, _ in ranking], k)
+    per_edge = {nodes: edges for nodes, _, edges in ranking}
+    for answer in answers:
+        if len(answer) > 2:
+            assert np.allclose(
+                answer[2], per_edge[tuple(answer[0])], rtol=0, atol=ATOL
+            )
 
 
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("measure_name", MEASURES)
 def test_ungoverned_equals_reference(spec_name, strategy, measure_name):
-    """DHT against ``NestedLoopJoin``, PPR against the per-target
-    ``SeriesAllPairsJoin(block_size=1)`` oracle path."""
+    """A fresh run of every strategy is the oracle's top-``k``."""
     builder, m = SPECS[spec_name]
-    measure = _measure(measure_name)
-    full = builder(measure=measure)
-    full.k = 10 ** 9  # the whole ranking, for the by-tuple lookup
-    if measure is None:
-        reference = NestedLoopJoin(full, memoize_pairs=True).run()
-    else:
-        reference = SeriesAllPairsJoin(full, block_size=1).run()
-    spec = builder(measure=measure)
-    kwargs = {} if measure is not None else {"d": spec.d}
+    spec = builder(measure=_measure(measure_name))
+    kwargs = {} if spec.measure is not None else {"d": spec.d}
     got = api.multi_way_join(
         spec.graph, spec.query_graph, spec.node_sets, spec.k,
-        algorithm=strategy, m=m, measure=measure, engine=spec.engine,
+        algorithm=strategy, m=m, measure=spec.measure, engine=spec.engine,
         walk_cache=spec.walk_cache, **kwargs,
     )
     assert len(got) == spec.k
-    _assert_same_answers(got, reference)
+    _assert_oracle_answers(
+        [(a.nodes, a.score, a.edge_scores) for a in got],
+        spec_name, measure_name, spec.k,
+    )
+
+
+@pytest.mark.skipif(UPDATE, reason="goldens being regenerated")
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+@pytest.mark.parametrize("measure_name", MEASURES)
+def test_golden_cells_equal_the_oracle(spec_name, measure_name):
+    """Every golden cell of the spec (strategy x plan x arm) is the
+    oracle's complete top-``k`` — ``k`` answers, aggregate and per-edge
+    scores alike; a governed cell was recorded only if its result came
+    back exact (``_run_cell``)."""
+    cells = _load_golden()["cells"]
+    k = SPECS[spec_name][0](measure=_measure(measure_name)).k
+    checked = 0
+    for strategy in STRATEGIES:
+        for plan in PLANS:
+            for arm in ARMS:
+                key = _cell_key(spec_name, strategy, measure_name, plan, arm)
+                try:
+                    _assert_oracle_answers(
+                        cells[key]["answers"], spec_name, measure_name, k
+                    )
+                except AssertionError as exc:
+                    raise AssertionError(f"{key}: {exc}") from exc
+                checked += 1
+    assert checked == len(STRATEGIES) * len(PLANS) * len(ARMS)
+
+
+@pytest.mark.skipif(UPDATE, reason="goldens being regenerated")
+def test_golden_executor_records_equal_the_oracle():
+    records = _load_golden()["executor_stats"]
+    assert sorted(records) == sorted(EXECUTORS)
+    for name, record in records.items():
+        measure_name = "ppr" if name.startswith("Series") else "dht"
+        k = SPECS["chain"][0](measure=_measure(measure_name)).k
+        _assert_oracle_answers(record["answers"], "chain", measure_name, k)
 
 
 # -- one m check, with the right message ---------------------------------

@@ -41,6 +41,12 @@ from repro.obs import (
     render_prometheus,
     validate_trace_dict,
 )
+from repro.obs.metrics import (
+    _SERVICE_FIELDS,
+    BOUND_CACHE_FIELDS,
+    SERVICE_GAUGES,
+    WALK_CACHE_FIELDS,
+)
 from repro.planner import PlannerFixture
 from repro.service import MultiWayRequest, QueryService, TwoWayRequest
 from repro.service.stats import (
@@ -49,7 +55,7 @@ from repro.service.stats import (
     StatsAccumulator,
 )
 from repro.walks.cache import WalkCache
-from repro.walks.engine import NULL_SPAN, WalkEngine
+from repro.walks.engine import NULL_SPAN, STAT_COUNTERS, STAT_PEAKS, WalkEngine
 
 
 @pytest.fixture
@@ -200,7 +206,43 @@ class TestMetricsRegistry:
         with QueryService(mid_graph, workers=1) as service:
             registry.register_service(service)
             names = {s.name for s in registry.collect()}
+            # The service's own registry renders its lazily created
+            # tiers through the same cache-sample rule: one walk-cache
+            # and one bound-cache row per counter, labeled by tier.
+            service.query(TwoWayRequest((0, 1, 2), (8, 9, 10), k=2))
+            service.query(TwoWayRequest((0, 1), (8, 9), k=2, measure="ppr"))
+            tier_rows = [
+                (s.name, s.labels, s.value, s.kind)
+                for s in service.metrics_registry().collect()
+                if s.labels
+            ]
+            expected = []
+            for index, (walk, bound) in enumerate(service._tiers.values()):
+                for tier, cache, fields in (
+                    ("walk_cache", walk, WALK_CACHE_FIELDS),
+                    ("bound_cache", bound, BOUND_CACHE_FIELDS),
+                ):
+                    expected += [
+                        (f"repro_{tier}_{field}_total",
+                         (("tier", str(index)),),
+                         float(getattr(cache.stats, field)), "counter")
+                        for field in fields
+                    ]
         assert names == METRIC_NAMES
+        assert len(expected) == 2 * (len(WALK_CACHE_FIELDS) + len(BOUND_CACHE_FIELDS))
+        assert tier_rows == expected
+        assert METRIC_NAMES == frozenset(
+            [
+                f"repro_engine_{f}" + ("" if f in STAT_PEAKS else "_total")
+                for f in STAT_COUNTERS + STAT_PEAKS
+            ]
+            + [f"repro_walk_cache_{f}_total" for f in WALK_CACHE_FIELDS]
+            + [f"repro_bound_cache_{f}_total" for f in BOUND_CACHE_FIELDS]
+            + [
+                f"repro_service_{f}" + ("" if f in SERVICE_GAUGES else "_total")
+                for f in _SERVICE_FIELDS
+            ]
+        )
 
     def test_counters_monotone_and_consistent(self, mid_graph):
         engine, registry = self._full_registry(mid_graph)

@@ -9,7 +9,8 @@ kernels, bounds, 2-way joins, incremental joins, and n-way joins.
 import numpy as np
 import pytest
 
-from repro.core.dht import DHTParams, exact_dht_score
+from oracles import exact_dht_to_target
+from repro.core.dht import DHTParams
 from repro.core.nway.nested_loop import NestedLoopJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
@@ -47,11 +48,11 @@ class TestDanglingNodes:
         assert scores[(1, 3)] == pytest.approx(params.zero_score)
 
     def test_exact_oracle_agrees_on_dangling(self, dangling_graph, params):
-        assert exact_dht_score(dangling_graph, params, 0, 3) == pytest.approx(
+        assert exact_dht_to_target(dangling_graph, params, 3)[0] == pytest.approx(
             params.zero_score
         )
         # From the dangling node itself nothing is reachable.
-        assert exact_dht_score(dangling_graph, params, 2, 0) == pytest.approx(
+        assert exact_dht_to_target(dangling_graph, params, 0)[2] == pytest.approx(
             params.zero_score
         )
 

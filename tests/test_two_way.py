@@ -1,12 +1,14 @@
 """Unit tests for the five 2-way join algorithms.
 
-Every algorithm must return the same top-k as brute force against the
-*exact* DHT oracle (up to truncation at d, with deterministic
-tie-breaking).
+Every algorithm must return the same top-k as brute force over the
+dense truncated-DHT oracle (``tests/oracles``), with deterministic
+tie-breaking.
 """
 
 import numpy as np
 import pytest
+
+from oracles import dht_scores, rank_pairs
 
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import (
@@ -34,17 +36,11 @@ ALL_ALGORITHMS = [
 
 
 def reference_pairs(graph, left, right, params, d):
-    """Brute-force scores via the dense walk reference."""
-    from repro.walks.hitting import exact_first_hit_series
-
-    pairs = []
-    for q in right:
-        series = exact_first_hit_series(graph, q, d)
-        for p in left:
-            if p == q:
-                continue
-            pairs.append(ScoredPair(p, q, params.score_from_series(series[:, p])))
-    return sort_pairs(pairs)
+    """Brute-force ranking of every pair by the dense oracle."""
+    return [
+        ScoredPair(p, q, score)
+        for (p, q), score in rank_pairs(dht_scores(graph, params, d), left, right)
+    ]
 
 
 class TestBaseHelpers:

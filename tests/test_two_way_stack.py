@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import assert_top_k, rank_pairs, scores_for
 from repro.core.dht import DHTParams
 from repro.core.nway.driver import OPERATORS, two_way_operator
 from repro.core.two_way.base import make_context
@@ -227,43 +228,29 @@ def test_golden_exercises_the_interesting_paths():
 # -- the independent reference -------------------------------------------
 
 
-def _oracle(context, algorithm, k):
-    """``block_size=1`` for the basic joins, the seed restart-per-level
-    ``top_k_reference`` for the deepening ones — neither touches the
-    loops under test."""
-    if algorithm == "b-bj":
-        return _join(context, algorithm, block_size=1).top_k(k)
-    return _join(context, algorithm).top_k_reference(k)
-
-
 @pytest.mark.skipif(UPDATE, reason="goldens being regenerated")
 @pytest.mark.parametrize("graph,algorithm,measure", [
     (g, a, m) for g in GRAPHS for a in ALGORITHMS for m in MEASURES
 ])
 def test_cells_equal_their_oracle(graph, algorithm, measure):
-    plain = _context(
-        GRAPHS[graph], MEASURES[measure](GRAPHS[graph]),
-        WalkEngine(GRAPHS[graph]), None, "free",
-    )
-    ranking = {(p, q): s for p, q, s in _oracle(plain, algorithm, ALL_PAIRS)}
+    """Every golden cell is the brute-force oracle's top-``k``: scores
+    position by position, and each pair's score by lookup (ties may
+    order differently across scorers) — both within 1e-12."""
+    golden = _resolved(_load_golden())
+    g = GRAPHS[graph]
+    ctx = _context(g, MEASURES[measure](g), WalkEngine(g), None, "free")
+    scores = scores_for(g, ctx.d, params=ctx.params, measure=ctx.measure)
+    ranking = rank_pairs(scores, LEFT, RIGHT)
     assert len(ranking) == ALL_PAIRS
-    for k in KS:
-        reference = _oracle(plain, algorithm, k)
-        for cache in CACHES:
-            for ceiling in CEILINGS:
-                cell = (graph, algorithm, measure, cache, ceiling, k)
-                got = _run_cell(*cell)["answers"]
-                assert len(got) == len(reference) == k, _cell_key(*cell)
-                assert np.allclose(
-                    [s for _, _, s in got], [s for _, _, s in reference],
-                    rtol=0, atol=1e-12,
-                ), _cell_key(*cell)
-                # Ties may order differently across scorers, so tuples
-                # are checked by lookup in the oracle's full ranking.
-                for p, q, score in got:
-                    assert score == pytest.approx(
-                        ranking[(p, q)], rel=0, abs=1e-12
-                    ), _cell_key(*cell)
+    for cache in CACHES:
+        for ceiling in CEILINGS:
+            for k in KS:
+                key = _cell_key(graph, algorithm, measure, cache, ceiling, k)
+                answers = [((p, q), s) for p, q, s in golden[key]["answers"]]
+                try:
+                    assert_top_k(answers, ranking, k)
+                except AssertionError as exc:
+                    raise AssertionError(f"{key}: {exc}") from exc
 
 
 # -- one k check, before the work ----------------------------------------

@@ -1,20 +1,22 @@
 """Unit tests for the random-walk kernels.
 
 Three independent implementations must agree: the sparse engine, the
-dense reference, and (statistically) Monte-Carlo simulation.
+dense oracle (``tests/oracles``), and (statistically) Monte-Carlo
+simulation.  ``TestDenseReference`` checks the oracle itself against
+hand-computed values.
 """
 
 import numpy as np
 import pytest
 
+from oracles import (
+    first_hit_series,
+    simulate_first_hit_series,
+    transition_matrix,
+)
 from repro.graph.builders import path_graph
 from repro.graph.validation import GraphValidationError
 from repro.walks.engine import WalkEngine
-from repro.walks.hitting import (
-    dense_transition_matrix,
-    exact_first_hit_series,
-    simulate_first_hit_series,
-)
 
 
 class TestBackwardSeries:
@@ -33,7 +35,7 @@ class TestBackwardSeries:
         engine = WalkEngine(random_graph)
         for target in (0, 7, 23):
             sparse = engine.backward_first_hit_series(target, 10)
-            dense = exact_first_hit_series(random_graph, target, 10)
+            dense = first_hit_series(random_graph, 10)[:, :, target]
             mask = np.ones(random_graph.num_nodes, dtype=bool)
             mask[target] = False  # reflexive column is implementation-defined
             assert np.allclose(sparse[:, mask], dense[:, mask], atol=1e-12)
@@ -41,7 +43,7 @@ class TestBackwardSeries:
     def test_matches_dense_on_directed(self, random_digraph):
         engine = WalkEngine(random_digraph)
         sparse = engine.backward_first_hit_series(3, 8)
-        dense = exact_first_hit_series(random_digraph, 3, 8)
+        dense = first_hit_series(random_digraph, 8)[:, :, 3]
         mask = np.ones(random_digraph.num_nodes, dtype=bool)
         mask[3] = False
         assert np.allclose(sparse[:, mask], dense[:, mask], atol=1e-12)
@@ -118,22 +120,40 @@ class TestReachMass:
 
 class TestDenseReference:
     def test_dense_matrix_rows(self, tiny_directed):
-        dense = dense_transition_matrix(tiny_directed)
+        dense = transition_matrix(tiny_directed)
         assert dense[0, 1] == pytest.approx(2 / 3)
         assert dense[0, 2] == pytest.approx(1 / 3)
         assert dense[1, 2] == 1.0
         assert dense[1].sum() == pytest.approx(1.0)
+        # Path 0-1-2: P_1(1, 2) = 1/2; P_2(0, 2) = 1/2 (0->1->2);
+        # P_3(1, 2) = 1/2 * 1 * 1/2 = 1/4 (1->0->1->2); no step-1 hit
+        # from 0, and no walk revisits 2 after its first hit.
+        series = first_hit_series(path_graph(3), 3)
+        assert series[0, 1, 2] == pytest.approx(0.5)
+        assert series[1, 0, 2] == pytest.approx(0.5)
+        assert series[2, 1, 2] == pytest.approx(0.25)
+        assert series[0, 0, 2] == 0.0
+        assert series[:, 1, 2].sum() == pytest.approx(0.75)
 
     def test_dense_dangling_row_zero(self):
         from repro.graph.digraph import Graph
 
         g = Graph(2, [(0, 1, 1.0)])
-        dense = dense_transition_matrix(g)
+        dense = transition_matrix(g)
         assert dense[1].sum() == 0.0
+        # Walk mass dies at the dangling node: it never hits node 0.
+        series = first_hit_series(g, 4)
+        assert np.all(series[:, 1, 0] == 0.0)
+        assert series[:, 0, 1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_exact_series_target_validation(self, path4):
+        from oracles import exact_dht_to_target
+        from repro.core.dht import DHTParams
+
         with pytest.raises(GraphValidationError):
-            exact_first_hit_series(path4, 44, 3)
+            exact_dht_to_target(path4, DHTParams.dht_lambda(0.2), 44)
+        with pytest.raises(GraphValidationError):
+            first_hit_series(path4, 0)
 
 
 class TestDerivedArtifactsUnderThreads:
