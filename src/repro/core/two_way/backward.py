@@ -63,6 +63,7 @@ from repro.core.two_way.base import (
 from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
 from repro.walks.engine import block_rows, dense_block
+from repro.walks.kernels import dense_step
 from repro.walks.rounds import (
     REWALK_ATTEMPTS,
     DeepeningRounds,
@@ -190,6 +191,7 @@ def _block_scores_at_rows(
     mass = engine.backward_onehot_step(targets)
     acc = params.decay * block_rows(mass, base)
     restricted = None
+    spare = None  # the dense middle's second buffer (see WalkState)
     for i in range(2, context.d + 1):
         consume_level = context.d - i + 1  # tail level holding m_{i-1}
         if consume_level <= tail.depth:
@@ -202,7 +204,7 @@ def _block_scores_at_rows(
                 pos = positions[column]
                 if pos < node_set.size and node_set[pos] == targets[column]:
                     restricted[pos, column] = 0.0
-            restricted = tail.operators[consume_level - 1].dot(restricted)
+            restricted = dense_step(tail.operators[consume_level - 1], restricted)
             engine.stats.add("propagation_steps", int(width))
             engine.stats.add("sparse_products", 1)
             acc += params.decay ** i * restricted[
@@ -211,7 +213,10 @@ def _block_scores_at_rows(
             continue
         if issparse(mass) and not engine.frontier_pays(mass):
             mass = dense_block(mass)
-        mass = engine.backward_block_step(mass, targets, first=False)
+        spent = mass
+        mass = engine.backward_block_step(spent, targets, first=False, out=spare)
+        if not issparse(spent):
+            spare = spent
         acc += params.decay ** i * block_rows(mass, base)
     scores = params.alpha * acc + params.beta
     governor = engine.governor

@@ -63,6 +63,7 @@ from repro.service.requests import (
 from repro.service.stats import ServiceStats, StatsAccumulator, percentile
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
+from repro.walks.kernels import register_service_workers
 
 _SHUTDOWN = object()
 
@@ -195,6 +196,9 @@ class QueryService:
         ]
         for thread in self._workers:
             thread.start()
+        # Each worker owns a core: the dense walk step borrows only the
+        # cores the live workers leave (deregistered in close()).
+        register_service_workers(workers)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -318,6 +322,7 @@ class QueryService:
             self._queue.put(_SHUTDOWN)
         for thread in self._workers:
             thread.join()
+        register_service_workers(-len(self._workers))
 
     def __enter__(self) -> "QueryService":
         return self

@@ -40,7 +40,9 @@ bound of the next step, from the in-degree profile, against the dense
 step's work.  When it says no, :func:`dense_block` commits the
 C-contiguous ``(n, B)`` array once and
 :meth:`WalkEngine.backward_block_step` — which takes either form and
-returns the same one — runs the CSR x dense product from there on.  The
+returns the same one — runs the CSR x dense product from there on
+(:func:`~repro.walks.kernels.dense_step`, into a buffer the walk owns,
+its rows split across idle cores when the product is large).  The
 two steps add the same products in the same ascending-``k`` order and
 differ only in the exact zeros one of them skips, so every entry is
 bit-identical whichever form computed it.
@@ -66,6 +68,7 @@ from scipy.sparse import issparse
 
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
+from repro.walks.kernels import dense_step
 
 #: Additive counter fields of :class:`WalkEngineStats` (reads sum the
 #: per-thread shards).
@@ -124,16 +127,16 @@ def dense_block(block) -> np.ndarray:
     """A frontier block as the C-contiguous ``(n, B)`` array it stands
     for (a block that already is one comes back as it is).
 
-    One scatter into zeros, straight into the layout the CSR x dense
-    product and the row reads want (``toarray()`` would convert to CSC
-    first, or leave a Fortran-ordered view every later step has to copy).
+    A ``(B, n)`` array in Fortran order is the ``(n, B)`` array in C
+    order, so ``toarray(order="F").T`` lands in the layout the dense
+    step and the row reads want with scipy's C loops only — no Python
+    scatter, no copy of a transposed view later.  A frontier block
+    holds each entry once, so the sums ``toarray`` forms are the
+    entries themselves.
     """
     if not issparse(block):
         return block
-    width, num_nodes = block.shape
-    out = np.zeros((num_nodes, width), dtype=np.float64)
-    out[block.indices, _entry_rows(block, np.arange(width))] = block.data
-    return out
+    return block.toarray(order="F").T
 
 
 def block_rows(block, rows: np.ndarray) -> np.ndarray:
@@ -506,31 +509,40 @@ class WalkEngine:
         bound = int(self._in_degrees[mass.indices].sum())
         return bound * FRONTIER_GATE <= self._transition.nnz * mass.shape[0]
 
-    def backward_block_step(self, mass, targets: np.ndarray, first: bool):
+    def backward_block_step(
+        self, mass, targets: np.ndarray, first: bool, out=None, fold=None
+    ):
         """One Eq. 5 step for a backward block, in the form it came in.
 
         Zeroes each column's target entry **in place** (unless ``first``)
-        and returns the freshly allocated propagated block: ``T @ mass``
-        for a dense ``(n, B)`` array, ``mass @ T^T`` for a ``(B, n)``
-        frontier block (whose row indices come back unsorted; the next
-        frontier step sorts them on entry, so the last and largest one
-        — about to be densified — is never sorted).  Entry ``(i, j)`` is
-        ``sum_k T[i, k] * mass[k, j]`` added in ascending ``k`` in both
-        forms, exact zeros skipped in the sparse one: the results are
-        bit-identical.  This is the shared primitive behind
-        :meth:`backward_first_hit_block`,
+        and returns the propagated block: ``mass @ T^T``, freshly
+        allocated, for a ``(B, n)`` frontier block (whose row indices
+        come back unsorted; the next frontier step sorts them on entry,
+        so the last and largest one — about to be densified — is never
+        sorted); ``T @ mass`` for a dense ``(n, B)`` array, written by
+        :func:`~repro.walks.kernels.dense_step` into ``out`` — a buffer
+        the caller owns, typically the block it propagated from one step
+        earlier (``None`` claims a fresh one).  ``fold = (weight, acc)``
+        runs the prefix update ``acc += weight * result`` inside the same
+        step, over the same row ranges; the dense form only.
+        Entry ``(i, j)`` is ``sum_k T[i, k] * mass[k, j]`` added in
+        ascending ``k`` in both forms, exact zeros skipped in the sparse
+        one: the results are bit-identical.  This is the shared
+        primitive behind :meth:`backward_first_hit_block`,
         :class:`repro.walks.state.WalkState` and ``B-BJ``'s lean scorer.
         """
         if issparse(mass):
             return self._frontier_step(mass, targets, first)
         width = mass.shape[1]
-        # Checkpoint before any mutation: a budget stop or injected
-        # allocation failure here leaves the caller's state consistent
-        # (the step has neither zeroed targets nor been counted).
+        # Checkpoint, and claim the output, before any mutation: a budget
+        # stop or an allocation failure (injected or real) leaves the
+        # caller's state as it was (targets not zeroed, step not counted).
         self.checkpoint("block", block=mass)
+        if out is None:
+            out = np.empty((self._n, width), dtype=np.float64)
         if not first:
             mass[targets, np.arange(width)] = 0.0
-        out = self._transition.dot(mass)
+        dense_step(self._transition, mass, out, fold)
         self.stats.add("propagation_steps", int(width))
         self.stats.add("sparse_products", 1)
         return out

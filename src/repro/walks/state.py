@@ -42,7 +42,12 @@ A dense state's buffers cost 16 bytes per node per column (two
 ``(n, B)`` float64 blocks) — the ceiling the ``"alloc"`` checkpoint
 commits to before step 1, since a state may densify at any step; a
 frontier state holds what its sparse arrays hold and densifies rather
-than exceed that.  :meth:`WalkState.advance_to` reports each
+than exceed that.  While :meth:`WalkState.advance_to` runs dense steps
+it also keeps the block the last step propagated from: that dead block
+is the next step's output buffer (:func:`~repro.walks.kernels.dense_step`
+writes into it), so only the first dense step of a call allocates, and
+it is dropped when the call returns — between calls a state holds its
+two blocks and nothing else.  :meth:`WalkState.advance_to` reports each
 materialisation to ``engine.stats.peak_block_bytes``, the counter a
 ``max_block_bytes`` ceiling (the deepening joins' chunked rounds) is
 audited against.  :meth:`WalkState.scores_at` is what the joins read:
@@ -109,7 +114,8 @@ class WalkState:
     :meth:`score_column` convert the accumulated prefix into truncated
     scores ``h_level(u, target)`` — at chosen rows, everywhere, or for
     one column.  Memory: two ``(B, n)`` sparse frontier blocks, then two
-    ``(n, B)`` float64 arrays.
+    ``(n, B)`` float64 arrays, plus a third — the dead block the next
+    dense step writes into — only while :meth:`advance_to` runs.
     """
 
     __slots__ = ("_engine", "_params", "_kernel", "_targets", "_level", "_mass", "_acc")
@@ -228,6 +234,10 @@ class WalkState:
             # at any step — so let the governor veto that ceiling
             # *before* any memory exists (16 bytes per node per column).
             engine.checkpoint("alloc", nbytes=self._dense_nbytes)
+        # The dense steps ping-pong two mass buffers: each writes into
+        # the block the step before it propagated from, so only the
+        # first dense step of a call allocates.
+        spare = None
         while self._level < level:
             i = self._level + 1
             weight = self._kernel.weight(i)
@@ -244,17 +254,18 @@ class WalkState:
                 # target entry before propagating; plain kernels (PPR)
                 # skip the zeroing, which `first=True` selects.
                 spent = self._mass
-                self._mass = engine.backward_block_step(
-                    spent, targets, first=not self._kernel.absorbing
-                )
+                first = not self._kernel.absorbing
                 if sparse.issparse(spent):
+                    self._mass = engine.backward_block_step(spent, targets, first)
                     self._acc = self._acc + self._mass * weight
                 else:
-                    # The propagated-from block is dead: scale into it
-                    # instead of faulting in a fresh (n, B) temporary
-                    # (entry for entry the same two roundings).
-                    np.multiply(self._mass, weight, out=spent)
-                    self._acc += spent
+                    # The prefix update rides in the step; the dead
+                    # block takes the next step's product.
+                    self._mass = engine.backward_block_step(
+                        spent, targets, first, out=spare,
+                        fold=(weight, self._acc),
+                    )
+                    spare = spent
             self._level = i
         if self._mass is not None:
             self._fit()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.dht import DHTParams
 from repro.graph.builders import erdos_renyi, path_graph, random_directed
 from repro.graph.digraph import Graph
+from repro.walks import kernels
 
 
 @pytest.fixture
@@ -77,6 +79,25 @@ def lock_sanitizer():
     from repro.analysis.lockorder import LockOrderSanitizer
 
     return LockOrderSanitizer()
+
+
+def _dense_paths():
+    """Yield ``"split"`` then ``"serial"``, each with the dense walk step
+    pinned to that path: work gate 0 cuts every product into row ranges
+    for the helper threads (the ledger cleared of any service another
+    test left open; one usable core still allows no helper), ``2**62``
+    never does."""
+    for name, gate in (("split", 0), ("serial", 2**62)):
+        with mock.patch.multiple(kernels, SPLIT_GATE=gate, _service_workers=0):
+            yield name
+
+
+@pytest.fixture
+def dense_paths():
+    """``for path in dense_paths(): ...`` runs a check once on each path
+    of the dense walk step, which must give bit-identical answers and
+    counters (see ``_dense_paths``)."""
+    return _dense_paths
 
 
 _ABSENT = object()

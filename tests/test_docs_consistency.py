@@ -85,6 +85,22 @@ def test_algorithms_handbook_strategy_table_matches_driver():
     assert documented == STRATEGIES
 
 
+@pytest.mark.parametrize("module,name", [
+    ("repro.walks.engine", "FRONTIER_GATE"),
+    ("repro.walks.kernels", "SPLIT_GATE"),
+])
+def test_algorithms_handbook_states_the_walk_gates(module, name):
+    """The handbook quotes each walk-layer gate constant as
+    ``NAME`` (value, ...); the value must be the code's."""
+    import importlib
+
+    text = ALGORITHMS.read_text(encoding="utf-8")
+    stated = re.findall(rf"`{name}` \((\d[\d_]*)", text)
+    assert stated, f"docs/ALGORITHMS.md must state {name}'s value"
+    value = getattr(importlib.import_module(module), name)
+    assert {int(v.replace("_", "")) for v in stated} == {value}
+
+
 OBSERVABILITY = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 
 

@@ -201,11 +201,15 @@ def test_regenerate_golden(rank_joins, golden_audit):
 
 @pytest.mark.skipif(UPDATE, reason="goldens being regenerated")
 @pytest.mark.parametrize("spec,strategy,measure,plan,arm", CELLS)
-def test_cell_matches_golden(spec, strategy, measure, plan, arm, rank_joins):
+def test_cell_matches_golden(
+    spec, strategy, measure, plan, arm, rank_joins, dense_paths
+):
     golden = _load_golden()["cells"][_cell_key(spec, strategy, measure, plan, arm)]
-    got = _run_cell(spec, strategy, measure, plan, arm, rank_joins)
-    # json round trip so tuples/lists and ints compare like the file's.
-    assert json.loads(json.dumps(got)) == golden
+    for path in dense_paths():
+        del rank_joins[:]
+        got = _run_cell(spec, strategy, measure, plan, arm, rank_joins)
+        # json round trip so tuples/lists and ints compare like the file's.
+        assert json.loads(json.dumps(got)) == golden, path
 
 
 def test_golden_exercises_refills_and_plans():
@@ -265,9 +269,10 @@ def _executor_stats(name):
 
 @pytest.mark.skipif(UPDATE, reason="goldens being regenerated")
 @pytest.mark.parametrize("name", sorted(EXECUTORS))
-def test_executor_stats_match_golden(name):
+def test_executor_stats_match_golden(name, dense_paths):
     golden = _load_golden()["executor_stats"][name]
-    assert json.loads(json.dumps(_executor_stats(name))) == golden
+    for path in dense_paths():
+        assert json.loads(json.dumps(_executor_stats(name))) == golden, path
 
 
 # -- the independent reference -------------------------------------------
