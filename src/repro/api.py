@@ -51,6 +51,7 @@ from repro.exec.budget import PartialResult, QueryBudget
 from repro.exec.governor import ExecutionGovernor
 from repro.extensions.measures import MEASURE_NAMES, measure_by_name
 from repro.exec.governed import (
+    check_on_budget,
     run_governed_multi_way,
     run_governed_top_k,
 )
@@ -118,7 +119,6 @@ def two_way_join(
     engine: Optional[WalkEngine] = None,
     walk_cache: Optional[WalkCache] = None,
     bound_cache: Optional[BoundPlanCache] = None,
-    max_block_bytes: Optional[int] = None,
     measure: Optional[Union[str, object]] = None,
     budget: Optional[QueryBudget] = None,
     on_budget: str = "partial",
@@ -154,14 +154,15 @@ def two_way_join(
         binding rule).  Pass one cache to a sequence of joins to reuse
         ``Y`` bounds and restricted-tail plans across them; omitted, a
         private per-join cache is created.
-    max_block_bytes:
-        Optional byte ceiling on the deepening join's resumable walk
-        block (``B-IDJ`` under any measure); see
-        :class:`~repro.core.two_way.base.TwoWayContext`.
     budget / on_budget / fault_injector:
         A :class:`~repro.exec.budget.QueryBudget` (deadline, step
         budget, byte ceiling) switches the call to governed execution
         and a :class:`~repro.exec.budget.PartialResult` return type.
+        ``budget.max_bytes`` is the one walk-block ceiling: every block
+        operator (``B-BJ``'s blocks, ``B-IDJ``'s window and chunks)
+        plans its width under it before walking, and a ceiling below
+        one column (``16 * num_nodes`` bytes) stops with
+        ``reason="bytes"``.
         ``on_budget`` chooses what exhaustion does: ``"partial"``
         (default) returns best-effort results with score intervals,
         ``"error"`` raises :class:`~repro.exec.budget.BudgetExhaustedError`.
@@ -184,6 +185,7 @@ def two_way_join(
         # Before any context exists: a bad k must not walk (or warm a
         # shared cache) first.
         raise GraphValidationError(f"k must be >= 0, got {k}")
+    check_on_budget(on_budget)
     if tracer is not None and engine is None:
         engine = WalkEngine(graph)
     with _traced(engine, tracer, "two-way", algorithm, k):
@@ -192,7 +194,7 @@ def two_way_join(
         context = make_context(
             graph, left, right, params=params, d=d, epsilon=epsilon,
             engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
-            max_block_bytes=max_block_bytes, measure=resolved,
+            measure=resolved,
         )
         join = operator(context)
         if budget is None and fault_injector is None:
@@ -220,7 +222,6 @@ def multi_way_join(
     engine: Optional[WalkEngine] = None,
     walk_cache: Optional[WalkCache] = None,
     bound_cache: Optional[BoundPlanCache] = None,
-    max_block_bytes: Optional[int] = None,
     measure: Optional[Union[str, object]] = None,
     plan: object = "fixed",
     budget: Optional[QueryBudget] = None,
@@ -244,7 +245,7 @@ def multi_way_join(
         instance for the measure-generic path (shared walks and bounds
         across all query edges, exactly as for DHT).  The DHT-only
         options ``params``/``d``/``epsilon`` are rejected alongside a
-        non-DHT measure; ``max_block_bytes`` applies to every measure.
+        non-DHT measure; ``budget.max_bytes`` applies to every measure.
     aggregate:
         Monotone ``f`` over per-edge DHT scores (default ``MIN``).
     m:
@@ -263,9 +264,6 @@ def multi_way_join(
         edges that agree on the left node set build each ``Y`` bound and
         restricted-tail plan once.  An explicit ``bound_cache`` is shared
         across calls like ``walk_cache``.
-    max_block_bytes:
-        Optional byte ceiling on each edge's resumable walk block; see
-        :class:`~repro.core.two_way.base.TwoWayContext`.
     plan:
         ``"fixed"`` (default — index edge order, the executor's default
         operator, the pre-planner behaviour), ``"auto"`` (the
@@ -297,6 +295,7 @@ def multi_way_join(
         carries its node tuple and per-edge scores — or, governed, a
         :class:`~repro.exec.budget.PartialResult` wrapping them.
     """
+    check_on_budget(on_budget)
     if tracer is not None and engine is None:
         engine = WalkEngine(graph)
     with _traced(engine, tracer, "multi-way", algorithm, k):
@@ -304,8 +303,7 @@ def multi_way_join(
             algorithm, measure, graph=graph, query_graph=query_graph,
             node_sets=node_sets, k=k, aggregate=aggregate, params=params, d=d,
             epsilon=epsilon, engine=engine, walk_cache=walk_cache,
-            bound_cache=bound_cache, max_block_bytes=max_block_bytes,
-            plan=plan,
+            bound_cache=bound_cache, plan=plan,
         )
         if name == "nl" and spec.plan != "fixed":
             raise GraphValidationError(
@@ -373,7 +371,6 @@ def explain_multi_way_plan(
     engine: Optional[WalkEngine] = None,
     walk_cache: Optional[WalkCache] = None,
     bound_cache: Optional[BoundPlanCache] = None,
-    max_block_bytes: Optional[int] = None,
     measure: Optional[Union[str, object]] = None,
     plan: object = "auto",
     analyze: bool = False,
@@ -399,8 +396,7 @@ def explain_multi_way_plan(
         algorithm, measure, graph=graph, query_graph=query_graph,
         node_sets=node_sets, k=k, aggregate=aggregate, params=params, d=d,
         epsilon=epsilon, engine=engine, walk_cache=walk_cache,
-        bound_cache=bound_cache, max_block_bytes=max_block_bytes,
-        plan=plan,
+        bound_cache=bound_cache, plan=plan,
     )
     # The planner rejects "nl" (nothing to plan); the rest plan the edge
     # source they run.

@@ -85,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sr-iterations", type=int, default=10,
                        help="SimRank fixed-point sweeps (--measure simrank)")
         p.add_argument(
-            "--max-block-bytes", type=int, default=None,
-            help="ceiling on the deepening join's resumable walk block, "
-                 "for DHT and series measures alike (bounded-memory "
-                 "chunked rounds with walk-cache spill; default "
-                 "unbounded)",
-        )
-        p.add_argument(
             "--deadline-ms", type=float, default=None,
             help="wall-clock budget in milliseconds; on exhaustion the "
                  "join returns flagged best-effort results with score "
@@ -102,6 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="propagation-step budget (batching-invariant "
                  "column-steps); same exhaustion semantics as "
                  "--deadline-ms",
+        )
+        p.add_argument(
+            "--max-bytes", type=int, default=None,
+            help="walk-block byte ceiling (16 bytes per node per "
+                 "column): every block operator plans its width under "
+                 "it; below one column the join stops with reason "
+                 "'bytes' (same exhaustion semantics as --deadline-ms)",
         )
         p.add_argument(
             "--on-budget", choices=ON_BUDGET_POLICIES, default="partial",
@@ -207,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args) -> Optional[QueryBudget]:
-    """The ``QueryBudget`` selected by the flags, or ``None`` (ungoverned)."""
-    if args.deadline_ms is None and args.step_budget is None:
-        return None
-    return QueryBudget(
-        deadline_ms=args.deadline_ms, step_budget=args.step_budget
+    """The ``QueryBudget`` selected by the flags, or ``None`` (ungoverned;
+    ``serve`` has no ``--max-bytes``)."""
+    budget = QueryBudget(
+        deadline_ms=args.deadline_ms, step_budget=args.step_budget,
+        max_bytes=getattr(args, "max_bytes", None),
     )
+    return None if budget.unlimited else budget
 
 
 def _unwrap(result):
@@ -303,7 +304,6 @@ def _run_two_way(args) -> int:
     result = two_way_join(
         graph, left, right, k=args.k,
         algorithm=args.algorithm,
-        max_block_bytes=args.max_block_bytes,
         budget=_budget(args), on_budget=args.on_budget,
         engine=engine, tracer=tracer,
         **_measure_kwargs(args),
@@ -345,7 +345,7 @@ def _run_multi_way(args) -> int:
     # executes precisely the spec that was explained.
     query_kwargs = dict(
         algorithm=args.algorithm, aggregate=aggregate_by_name(args.aggregate),
-        m=args.m, max_block_bytes=args.max_block_bytes, plan=args.plan,
+        m=args.m, plan=args.plan,
         engine=engine,
         **_measure_kwargs(args),
     )
@@ -356,7 +356,7 @@ def _run_multi_way(args) -> int:
         if analyze and budget is not None:
             raise GraphValidationError(
                 "--explain analyze runs the query ungoverned; drop "
-                "--deadline-ms/--step-budget or use --explain plan"
+                "--deadline-ms/--step-budget/--max-bytes or use --explain plan"
             )
         # Plan once, print it, then replay that exact plan — the join
         # executes precisely what was explained (no double planning).

@@ -14,7 +14,8 @@ the tables with the paper's cost models.
 
 Governance is a guard at the same seam, read from the thread-local
 ``spec.engine.governor``: without a governor it is the identity; with
-one, a budget stop in an edge's build leaves that edge its snapshot
+one, the plan resolves under it (so block knobs fit its byte budget), a
+budget stop in an edge's build leaves that edge its snapshot
 prefix (with score intervals) and no refills, a stop in a refill ends
 that stream, and the reasons are collected for
 :func:`repro.exec.governed.run_governed_multi_way` to flag the result.
@@ -234,8 +235,8 @@ class _Unguarded:
     def refill(self, pull):
         return pull
 
-    def drain(self, rank_join):
-        return rank_join()
+    def attempt(self, call, empty):
+        return call()
 
 
 class _Governed:
@@ -295,14 +296,15 @@ class _Governed:
 
         return guarded
 
-    def drain(self, rank_join):
+    def attempt(self, call, empty):
         try:
-            return rank_join()
+            return call()
         except BudgetExhaustedError as exc:
-            # Checkpoints inside cached-walk lookups can still fire
-            # during candidate expansion; no answer is fabricated.
+            # Planning stops on a byte budget below one column; during
+            # candidate expansion, checkpoints inside cached-walk
+            # lookups can still fire.  No answer is fabricated.
             self._flag_partial(exc.reason)
-            return []
+            return empty
 
 
 @dataclass
@@ -376,16 +378,19 @@ class NWayDriver:
         spec = self._spec
         if spec.k == 0:
             return []
-        plan = self.plan = spec.resolve_plan(
-            self._strategy,
-            plan=self._plan,
-            default_operator=self._default_operator,
-        )
         governor = spec.engine.governor
         guard = (
             _Unguarded() if governor is None
             else _Governed(governor, self.reasons, self.intervals)
         )
+        # Resolved under the governor: block knobs fit its byte budget.
+        plan = self.plan = guard.attempt(lambda: spec.resolve_plan(
+            self._strategy,
+            plan=self._plan,
+            default_operator=self._default_operator,
+        ), None)
+        if plan is None:
+            return []
         inputs: List[Optional[RankJoinInput]] = [None] * spec.query_graph.num_edges
         lazy = []  # the sources that can refill
         # The plan orders the *builds*; PBRJ still consumes ``inputs``
@@ -417,7 +422,7 @@ class NWayDriver:
             with spec.engine.trace_span("rankjoin", self._label):
                 return pbrj.run()
 
-        answers = guard.drain(rank_join)
+        answers = guard.attempt(rank_join, [])
         self.rank_join = pbrj.stats
         self.stats = PartialJoinStats(
             next_pair_calls=sum(source.refills for source in lazy),

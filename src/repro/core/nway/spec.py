@@ -57,13 +57,6 @@ class NWayJoinSpec:
         ``Y_l^+`` reach-mass table and the ``B-BJ`` restricted-tail plan
         once instead of once per edge, and ``PJ`` restarts / ``PJ-i``
         refinements reuse them too.
-    max_block_bytes:
-        Optional resumable-block byte ceiling forwarded to every edge
-        context; caps the per-edge walk-block memory of the deepening
-        joins — ``B-IDJ`` under DHT or any measure — which switch to
-        bounded-memory chunked rounds with
-        walk-cache spill under it (see
-        :class:`~repro.core.two_way.base.TwoWayContext`).
     plan:
         How executors order and implement the per-edge joins:
         ``"fixed"`` (default) keeps index order with each executor's
@@ -98,7 +91,6 @@ class NWayJoinSpec:
     engine: WalkEngine = field(default=None)  # type: ignore[assignment]
     walk_cache: Optional[WalkCache] = None
     bound_cache: Optional[BoundPlanCache] = None
-    max_block_bytes: Optional[int] = None
     plan: object = "fixed"
     measure: Optional[object] = None
 
@@ -139,10 +131,6 @@ class NWayJoinSpec:
             self.walk_cache = WalkCache(self.engine, key_params)
         if self.bound_cache is None:
             self.bound_cache = BoundPlanCache(self.engine, key_params)
-        if self.max_block_bytes is not None and self.max_block_bytes < 1:
-            raise GraphValidationError(
-                f"max_block_bytes must be >= 1, got {self.max_block_bytes}"
-            )
 
     def resolve_plan(
         self,
@@ -206,8 +194,8 @@ class NWayJoinSpec:
         """A validated 2-way context for query edge ``edge_index``.
 
         Every n-way algorithm builds its per-edge joins through this
-        method, so the spec's shared engine, walk cache, bound cache,
-        and ``max_block_bytes`` ceiling reach each edge uniformly.
+        method, so the spec's shared engine, walk cache and bound cache
+        reach each edge uniformly.
         """
         left, right = self.edge_node_sets(edge_index)
         self.engine.checkpoint("edge")
@@ -220,6 +208,5 @@ class NWayJoinSpec:
             engine=self.engine,
             walk_cache=self.walk_cache,
             bound_cache=self.bound_cache,
-            max_block_bytes=self.max_block_bytes,
             measure=self.measure,
         )

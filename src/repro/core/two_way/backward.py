@@ -259,8 +259,9 @@ class BackwardBasicJoin:
     — but walks every ``q`` to full depth regardless of ``k``.  Targets
     are propagated in blocks of ``block_size`` columns (one sparse-dense
     product per step per block; a width of 1 is a block like any
-    other).  A ``max_block_bytes`` ceiling on the context clamps the
-    block width so each propagated block's buffers stay under it, same
+    other).  A byte budget (``QueryBudget.max_bytes``) on the calling
+    thread clamps the block width when the join runs, so each
+    propagated block's buffers stay under it on both scorers, same
     per-block semantics as ``B-IDJ``'s chunked rounds.
 
     A measure changes only the scorer, :meth:`_score_block`, which
@@ -276,11 +277,6 @@ class BackwardBasicJoin:
             raise GraphValidationError(
                 f"block_size must be >= 1, got {block_size}"
             )
-        if context.max_block_bytes is not None:
-            cap = columns_for_budget(
-                context.max_block_bytes, context.engine.num_nodes
-            )
-            block_size = min(block_size, cap)
         self._ctx = context
         self._block_size = block_size
         # Exactly scored ``(targets, left-row block)`` groups so far; the
@@ -311,11 +307,15 @@ class BackwardBasicJoin:
         with ctx.engine.trace_span("join", self.name, targets=len(ctx.right)):
             blocks: List[LeftBlock] = []
             self.partial_blocks = blocks
+            # Planned now, under this thread's byte budget (the api
+            # installs the governor after building the join).
+            cap = columns_for_budget(ctx.engine)
+            width = self._block_size if cap is None else min(self._block_size, cap)
             if ctx.walk_cache is None and ctx.measure is None:
                 # The restricted-tail plan is Eq. 5's first-hit algebra.
-                self._score_lean(blocks)
+                self._score_lean(blocks, width)
             else:
-                self._score_blocks(blocks)
+                self._score_blocks(blocks, width)
             return blocks
 
     def _score_block(self, targets: List[int]) -> Iterable[np.ndarray]:
@@ -341,7 +341,7 @@ class BackwardBasicJoin:
                     raise
         raise AssertionError("unreachable")
 
-    def _score_lean(self, blocks: List[LeftBlock]) -> None:
+    def _score_lean(self, blocks: List[LeftBlock], width: int) -> None:
         """Batched scoring with the accumulator restricted to ``P``.
 
         Without a cache to feed, only the left rows of each score vector
@@ -355,20 +355,20 @@ class BackwardBasicJoin:
         tail = ctx.bound_cache.tail_plan(
             ctx.left, ctx.d, lambda: _RestrictedTail(ctx, left)
         )
-        for start in range(0, len(ctx.right), self._block_size):
-            chunk = ctx.right[start : start + self._block_size]
+        for start in range(0, len(ctx.right), width):
+            chunk = ctx.right[start : start + width]
             blocks.append((chunk, self._rewalking(
                 _block_scores_at_rows, ctx, chunk, left, tail
             )))
 
-    def _score_blocks(self, blocks: List[LeftBlock]) -> None:
+    def _score_blocks(self, blocks: List[LeftBlock], width: int) -> None:
         """Batched scoring through the shared walk cache (when there is
         one).
 
         Cache hits (targets walked by an earlier join or query edge)
         read the ``|P|`` left entries of the cached vectors; misses are
         walked one block at a time and donated back for the next join,
-        so peak memory stays ``O(n * block_size)`` regardless of ``|Q|``.
+        so peak memory stays ``O(n * width)`` regardless of ``|Q|``.
         Each triage window is as wide as the pending block has room, so
         no lookup ever runs after a donation it could have preceded.
         """
@@ -388,7 +388,7 @@ class BackwardBasicJoin:
 
         start = 0
         while start < len(ctx.right):  # validated sets carry no duplicates
-            window = ctx.right[start : start + self._block_size - len(pending)]
+            window = ctx.right[start : start + width - len(pending)]
             start += len(window)
             hits, hit_block, missed = triage(
                 ctx.engine, cache, window, ctx.d, left
@@ -396,7 +396,7 @@ class BackwardBasicJoin:
             if hits:
                 blocks.append((hits, hit_block))
             pending.extend(missed)
-            if len(pending) == self._block_size:
+            if len(pending) == width:
                 flush()
         if pending:
             flush()
@@ -469,11 +469,12 @@ class BackwardIDJ:
     targets are served from the cache and pruned targets donate their
     resumable column so later joins pick up where this one stopped.
 
-    With ``max_block_bytes`` set on the context, the full-width
-    block — ``O(n |Q|)`` floats for very large right sets — is replaced
-    by bounded-memory chunked rounds: a resumable *window* of at most
-    ``max_block_bytes`` (16 bytes per node per column: walker mass plus
-    score prefix) is retained between deepening levels, and overflow
+    Under a byte budget (``QueryBudget.max_bytes`` on the calling
+    thread) the full-width block — ``O(n |Q|)`` floats for very large
+    right sets — is replaced by bounded-memory chunked rounds: a
+    resumable *window* of at most ``max_bytes`` (16 bytes per node per
+    column: walker mass plus score prefix) is retained between
+    deepening levels, its width planned before the first walk, and overflow
     targets are walked in throwaway chunks of the same size.  Survivors
     of the throwaway chunks are folded into the window as pruning frees
     columns; overflow survivors beyond the window's capacity are
@@ -485,7 +486,7 @@ class BackwardIDJ:
     Scores reach the join as left-row blocks (the walk blocks are read
     at ``P``'s rows, never expanded into per-target vectors — an
     observer included, which is handed ``|P|`` floats per walk), so a
-    round's live walk memory is ``O(max_block_bytes + |P| |Q|)`` rather
+    round's live walk memory is ``O(max_bytes + |P| |Q|)`` rather
     than the unbounded mode's ``O(n |Q|)``.  Scores are bit-identical
     either way (Eq. 5 columns propagate independently), so the top-``k``
     output and the pruning trace do not change — only the
@@ -542,15 +543,11 @@ class BackwardIDJ:
     def _rounds(self):
         """The walk plan of one run: ``walk_level`` / ``donate_pruned``
         / ``repack`` over the context's kernel (or, without one, the
-        measure's iterates), cache and byte ceiling."""
+        measure's iterates) and cache, under this thread's byte budget."""
         ctx = self._ctx
         if ctx.kernel is None:
-            return MatrixRounds(
-                ctx.engine, ctx.measure, ctx.walk_cache, ctx.max_block_bytes
-            )
-        return DeepeningRounds(
-            ctx.engine, ctx.kernel, ctx.walk_cache, ctx.max_block_bytes
-        )
+            return MatrixRounds(ctx.engine, ctx.measure, ctx.walk_cache)
+        return DeepeningRounds(ctx.engine, ctx.kernel, ctx.walk_cache)
 
     def top_k(self, k: int) -> List[ScoredPair]:
         """Top-``k`` pairs with iterative-deepening pruning on ``Q``."""
@@ -566,11 +563,11 @@ class BackwardIDJ:
     def _top_k(self, k: int) -> List[ScoredPair]:
         ctx = self._ctx
         self.budget_snapshot = None
-        bound = self._bound_factory(ctx)
         self.pruning_trace = []
+        rounds = self._rounds()  # widths planned before any walk
+        bound = self._bound_factory(ctx)
         left = ctx.left_array
         zero = ctx.floor
-        rounds = self._rounds()
         active: List[int] = list(ctx.right)
 
         level = 1

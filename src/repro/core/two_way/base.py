@@ -149,19 +149,6 @@ class TwoWayContext:
         one shared cache to every edge context so edges that agree on
         the left set share the build too.  Must be bound to the same
         engine and params as this context.
-    max_block_bytes:
-        Optional ceiling, in bytes, on any single resumable walk block
-        (mass + score prefix, 16 bytes per node per column).  The
-        deepening join (``B-IDJ``, under DHT or a measure) reads it and
-        switches to bounded-memory chunked rounds — with a walk cache
-        present, overflow survivors are spilled into it and resumed
-        instead of re-walked — and the basic join (``B-BJ``) clamps its
-        block width under it; ``None`` (default) keeps the full-width /
-        default-width blocks.  A ceiling below the cost of one column
-        (``16 * num_nodes``) is infeasible — a single column is the
-        smallest block the propagation can run — and raises a
-        ``ValueError`` naming the minimum budget when a join derives
-        its block layout from it.
     measure:
         Optional :class:`repro.extensions.measures.SeriesMeasure`
         (duck-typed — the core layer never imports ``extensions``).
@@ -185,7 +172,6 @@ class TwoWayContext:
     engine: WalkEngine = field(default=None)  # type: ignore[assignment]
     walk_cache: Optional[WalkCache] = None
     bound_cache: Optional[BoundPlanCache] = None
-    max_block_bytes: Optional[int] = None
     measure: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -212,10 +198,6 @@ class TwoWayContext:
                 )
         if self.bound_cache is None:
             self.bound_cache = BoundPlanCache(self.engine, key_params)
-        if self.max_block_bytes is not None and self.max_block_bytes < 1:
-            raise GraphValidationError(
-                f"max_block_bytes must be >= 1, got {self.max_block_bytes}"
-            )
         self._left_array = np.asarray(self.left, dtype=np.int64)
         self._num_pairs = len(self.left) * len(self.right) - len(
             set(self.left) & set(self.right)
@@ -352,7 +334,6 @@ def make_context(
     engine: Optional[WalkEngine] = None,
     walk_cache: Optional[WalkCache] = None,
     bound_cache: Optional[BoundPlanCache] = None,
-    max_block_bytes: Optional[int] = None,
     measure: Optional[object] = None,
 ) -> TwoWayContext:
     """Build a :class:`TwoWayContext` under :func:`resolve_config`: the
@@ -361,5 +342,5 @@ def make_context(
     return TwoWayContext(
         graph=graph, params=params, left=list(left), right=list(right), d=d,
         engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
-        max_block_bytes=max_block_bytes, measure=measure,
+        measure=measure,
     )

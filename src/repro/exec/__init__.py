@@ -20,7 +20,6 @@ from repro.exec.budget import (
     ON_BUDGET_POLICIES,
     BudgetExhaustedError,
     CorruptedWalkError,
-    MemoryBudgetExceeded,
     PartialResult,
     QueryBudget,
     exact_result,
@@ -33,7 +32,6 @@ __all__ = [
     "ON_BUDGET_POLICIES",
     "BudgetExhaustedError",
     "CorruptedWalkError",
-    "MemoryBudgetExceeded",
     "PartialResult",
     "QueryBudget",
     "exact_result",

@@ -44,25 +44,6 @@ class BudgetExhaustedError(Exception):
         super().__init__(message or f"query budget exhausted ({reason})")
 
 
-class MemoryBudgetExceeded(BudgetExhaustedError):
-    """A block would overshoot ``QueryBudget.max_bytes``.
-
-    Recoverable: :class:`~repro.walks.rounds.DeepeningRounds` catches it
-    and halves the column window (a counted backoff).  If even a single
-    column cannot fit, it propagates and becomes a ``reason="bytes"``
-    partial result.
-    """
-
-    def __init__(self, nbytes: int, ceiling: int) -> None:
-        self.nbytes = int(nbytes)
-        self.ceiling = int(ceiling)
-        super().__init__(
-            "bytes",
-            f"block of {nbytes} bytes exceeds the query byte budget of "
-            f"{ceiling} bytes",
-        )
-
-
 class CorruptedWalkError(Exception):
     """Non-finite walk mass detected at a validation checkpoint.
 
@@ -83,9 +64,11 @@ class QueryBudget:
         Maximum propagation column-steps (the engine's
         ``stats.propagation_steps`` delta) the query may spend.
     ``max_bytes``
-        Ceiling on any single transient walk block.  Unlike the static
-        per-context ``max_block_bytes`` knob this is enforced at run
-        time and triggers the adaptive window backoff.
+        Ceiling on any single walk block (walker mass plus score prefix,
+        16 bytes per node per column) — the one walk-block ceiling.
+        Every block operator plans its width under it before walking
+        (:func:`~repro.walks.rounds.columns_for_budget`); a budget below
+        one column stops the query with ``reason="bytes"``.
     """
 
     deadline_ms: Optional[float] = None

@@ -58,7 +58,8 @@ from repro.exec.governor import ExecutionGovernor
 from repro.graph.validation import GraphValidationError
 
 
-def _check_policy(on_budget: str) -> None:
+def check_on_budget(on_budget: str) -> None:
+    """Reject an unknown ``on_budget`` policy before any work."""
     if on_budget not in ON_BUDGET_POLICIES:
         raise GraphValidationError(
             f"unknown on_budget policy {on_budget!r}; "
@@ -72,7 +73,7 @@ def _run_governed(call, join, limit, governor, on_budget: str) -> PartialResult:
     :class:`BudgetExhaustedError` (``"error"``), the stop counted either
     way.  A genuine :class:`MemoryError` that survived the adaptive
     backoff is treated as ``reason="bytes"`` exhaustion."""
-    _check_policy(on_budget)
+    check_on_budget(on_budget)
     try:
         return exact_result(call())
     except BudgetExhaustedError as exc:
@@ -137,7 +138,7 @@ def run_governed_multi_way(
     per-edge, so it holds under every build order (the planner
     interaction tests pin this).
     """
-    _check_policy(on_budget)
+    check_on_budget(on_budget)
     name = algorithm.lower()
     if name == "nl":
         raise GraphValidationError(

@@ -13,7 +13,9 @@ query.  The engine (and the join loops above it) call
 ``"alloc"``
     Just before a :class:`~repro.walks.state.WalkState` materialises its
     buffers, with the predicted allocation size — the byte ceiling is
-    enforced *before* the memory is committed.
+    enforced *before* the memory is committed.  Block widths are
+    planned under the ceiling up front, so this veto is the backstop
+    for a block nobody planned.
 ``"round"``
     Top of an iterative-deepening round (and each matrix-measure gather
     group, which performs no engine steps).
@@ -30,9 +32,7 @@ query.  The engine (and the join loops above it) call
 Each checkpoint increments ``stats.checkpoints``, gives the optional
 :class:`~repro.exec.faults.FaultInjector` a chance to fire, and checks
 the three budget axes, raising
-:class:`~repro.exec.budget.BudgetExhaustedError` (or its recoverable
-subclass :class:`~repro.exec.budget.MemoryBudgetExceeded` for
-over-ceiling blocks) on exhaustion.
+:class:`~repro.exec.budget.BudgetExhaustedError` on exhaustion.
 """
 
 from __future__ import annotations
@@ -40,11 +40,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.exec.budget import (
-    BudgetExhaustedError,
-    MemoryBudgetExceeded,
-    QueryBudget,
-)
+from repro.exec.budget import BudgetExhaustedError, QueryBudget
 
 
 class ExecutionGovernor:
@@ -153,7 +149,11 @@ class ExecutionGovernor:
             and budget.max_bytes is not None
             and nbytes > budget.max_bytes
         ):
-            raise MemoryBudgetExceeded(nbytes, budget.max_bytes)
+            raise BudgetExhaustedError(
+                "bytes",
+                f"block of {nbytes} bytes exceeds the query byte budget of "
+                f"{budget.max_bytes} bytes",
+            )
         if (
             budget.step_budget is not None
             and self.steps_used() >= budget.step_budget

@@ -50,7 +50,7 @@ excludes ``p == q``).
 A measure whose ``kernel()`` is non-``None`` gets the full resumable
 walk layer for free: :class:`~repro.walks.state.WalkState` blocks,
 walk-cache adoption, and the bounded-memory chunked rounds of
-:class:`~repro.walks.rounds.DeepeningRounds` (a ``max_block_bytes``
+:class:`~repro.walks.rounds.DeepeningRounds` (a ``QueryBudget.max_bytes``
 ceiling with walk-cache spill of overflow survivors).  Matrix-backed
 measures (``kernel() is None``) use only the score-vector half of the
 walk cache and resume through their own memoised iterates.

@@ -301,15 +301,14 @@ def _uses_y_bound(operator: str, measure) -> bool:
 
 
 def _block_knob(spec, operator: str) -> Optional[int]:
-    """The block-width knob for block-propagating operators."""
+    """The block-width knob for block-propagating operators, clamped
+    under the calling thread's byte budget (a governed plan resolves
+    under the governor; an ungoverned explain shows the unclamped width,
+    which the join clamps when it runs)."""
     if operator not in _BLOCK_OPERATORS:
         return None
-    width = DEFAULT_BLOCK_SIZE
-    if spec.max_block_bytes is not None:
-        width = min(
-            width, columns_for_budget(spec.max_block_bytes, spec.graph.num_nodes)
-        )
-    return width
+    cap = columns_for_budget(spec.engine)
+    return DEFAULT_BLOCK_SIZE if cap is None else min(DEFAULT_BLOCK_SIZE, cap)
 
 
 def _tail_ratio(spec, left: Sequence[int], right: Sequence[int]) -> Optional[float]:

@@ -199,8 +199,8 @@ class WalkEngineStats:
     high-water mark of any single resumable walk block's buffers
     (walker mass + score prefix: 16 bytes per node per column once
     dense, what the sparse arrays hold — never more — while a block is
-    still a frontier block) — the number a ``max_block_bytes`` ceiling
-    on the iterative-deepening joins is checked against.
+    still a frontier block) — the number a ``QueryBudget.max_bytes``
+    ceiling on the block operators is checked against.
 
     ``extensions`` / ``steps_saved`` mirror the walk cache's resume
     counters into the engine currency: one extension per request served

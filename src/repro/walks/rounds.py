@@ -15,16 +15,22 @@ never builds one.  The cache is read and fed per group of targets:
 :func:`triage` (shared with ``B-BJ`` and :class:`MatrixRounds`) is one
 ``peek_block``, a walked part is donated with one ``put_block``.
 
-**Unbounded mode** (``max_block_bytes is None``): one full-width
-resumable block carries every walking target across levels; targets
-that fall out of the block (served by the walk cache at an earlier
-level, then missing) are resumed through the cache's single-column
-path.
+**The ceiling** is the calling thread's ``QueryBudget.max_bytes`` —
+the one walk-block ceiling, read once per join by
+:func:`columns_for_budget` under the model of 16 bytes per node per
+column (walker mass plus score prefix, both dense; a block still in its
+frontier phase holds less, never more).  Every block operator plans its
+width under it *before* walking — these rounds, ``B-BJ`` and the
+planner's block knob alike — so the governor's ``"alloc"`` veto never
+has to discover it.
 
-**Bounded mode**: the resumable *window* is capped at
-``max_block_bytes`` under the ceiling model of 16 bytes per node per
-column (walker mass plus score prefix, both dense; a block still in
-its frontier phase holds less, never more).  Overflow targets are walked in throwaway chunks of the
+**Unbounded mode** (no byte budget): one full-width resumable block
+carries every walking target across levels; targets that fall out of
+the block (served by the walk cache at an earlier level, then missing)
+are resumed through the cache's single-column path.
+
+**Bounded mode**: the resumable *window* is capped at the ceiling's
+column count.  Overflow targets are walked in throwaway chunks of the
 same width, and the window is re-packed from this round's survivors
 (:meth:`~repro.walks.state.WalkState.concat`) after each pruning step.
 Survivors that do not fit the window are **spilled**: their
@@ -38,9 +44,7 @@ there is nowhere to spill, and overflow survivors restart per level as
 before.
 
 **Adaptive backoff** (the governed robustness layer): an allocation
-failure (a real ``MemoryError`` or an injected one) or an over-ceiling
-block flagged by the execution governor
-(:class:`~repro.exec.budget.MemoryBudgetExceeded`) does not abort the
+failure (a real ``MemoryError`` or an injected one) does not abort the
 round.  The failing block is split in half, the window capacity is
 halved for the rest of the query, and the halves retry — a bounded,
 counted backoff (``alloc_retries`` / ``degradations`` in
@@ -63,7 +67,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.budget import CorruptedWalkError, MemoryBudgetExceeded
+from repro.exec.budget import BudgetExhaustedError, CorruptedWalkError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 from repro.walks.state import WalkState
@@ -106,31 +110,41 @@ def triage(
     return cache.peek_block(targets, level, rows)
 
 
-def columns_for_budget(max_block_bytes: int, num_nodes: int) -> int:
-    """Widest block whose buffers fit ``max_block_bytes``.
+def columns_for_budget(engine: WalkEngine) -> Optional[int]:
+    """Widest block the calling thread's byte budget allows (``None``:
+    no byte budget, so no ceiling).
 
     The single source of the block-layout cost model — every clamp in
-    the join stack (window width, chunk width, ``B-BJ`` block width)
-    derives from it, so a layout change cannot desynchronise them.
+    the join stack (window width, chunk width, ``B-BJ`` block width, the
+    planner's block knob) derives from it, so a layout change cannot
+    desynchronise them.  It reads ``engine.governor``, which is
+    thread-local, so call it when the join runs, not when it is built.
     A budget below one column's cost is infeasible: a single column is
-    the smallest block the propagation can run, so pretending to honour
-    a smaller ceiling would silently overshoot it.  The error names the
-    minimum feasible budget so callers can fix their configuration.
+    the smallest block the propagation can run, so the query stops with
+    ``reason="bytes"`` and a message naming the minimum feasible budget.
     """
-    minimum = BYTES_PER_COLUMN_NODE * num_nodes
-    columns = max_block_bytes // minimum
+    governor = engine.governor
+    max_bytes = None if governor is None else governor.budget.max_bytes
+    if max_bytes is None:
+        return None
+    minimum = BYTES_PER_COLUMN_NODE * engine.num_nodes
+    columns = max_bytes // minimum
     if columns < 1:
-        raise ValueError(
-            f"max_block_bytes={max_block_bytes} cannot fit a single walk "
-            f"column: one column costs {BYTES_PER_COLUMN_NODE} bytes per "
-            f"node x {num_nodes} nodes = {minimum} bytes, the minimum "
-            f"feasible budget for this graph"
+        raise BudgetExhaustedError(
+            "bytes",
+            f"max_bytes={max_bytes} cannot fit a single walk column: one "
+            f"column costs {BYTES_PER_COLUMN_NODE} bytes per node x "
+            f"{engine.num_nodes} nodes = {minimum} bytes, the minimum "
+            f"feasible budget for this graph",
         )
     return columns
 
 
 class DeepeningRounds:
     """Resumable walk rounds with an optional byte-ceilinged window.
+
+    Built when the join runs: the window width is planned from the
+    calling thread's byte budget (:func:`columns_for_budget`).
 
     Parameters
     ----------
@@ -146,11 +160,6 @@ class DeepeningRounds:
         levels are donated (``put_block`` — the one reason a column is
         ever finalised full-width), and in bounded mode it doubles as
         the spill target for overflow survivors.
-    max_block_bytes:
-        Byte ceiling on any single resumable walk block (``None`` =
-        unbounded full-width blocks).  A ceiling below one column's cost
-        (16 bytes per node) is infeasible and raises ``ValueError``
-        naming the minimum budget.
     """
 
     def __init__(
@@ -158,14 +167,11 @@ class DeepeningRounds:
         engine: WalkEngine,
         params: object,
         cache: Optional[WalkCache],
-        max_block_bytes: Optional[int],
     ) -> None:
         self._engine = engine
         self._params = params
         self._cache = cache
-        self._max_cols: Optional[int] = None
-        if max_block_bytes is not None:
-            self._max_cols = columns_for_budget(max_block_bytes, engine.num_nodes)
+        self._max_cols = columns_for_budget(engine)
         self._state: Optional[WalkState] = None  # retained resumable window
         self._state_cols: Dict[int, int] = {}
         # This round's repack candidates (window + a budgeted prefix of
@@ -201,7 +207,7 @@ class DeepeningRounds:
         worth of chunks stay alive as repack candidates, the rest donate
         their columns to the cache (the spill) and are dropped as soon
         as their block is consumed, so the round's live walk blocks
-        stay ``O(max_block_bytes)`` no matter how large the active set
+        stay ``O(max_bytes)`` no matter how large the active set
         is.  The groups are: all cache hits, each advanced part of the
         window, all resumed targets, each throwaway chunk.
         """
@@ -339,9 +345,9 @@ class DeepeningRounds:
     ) -> List[Tuple[WalkState, List[int]]]:
         """Advance ``state`` to ``level``, degrading instead of aborting.
 
-        An allocation failure or governor byte veto splits the block in
-        half, narrows the window budget, and retries the halves (the
-        adaptive backoff); a corrupted block is re-walked fresh.  Returns
+        An allocation failure splits the block in half, narrows the
+        window budget, and retries the halves (the adaptive backoff); a
+        corrupted block is re-walked fresh.  Returns
         the advanced parts with their target lists — one part when
         nothing degraded, several after a split.
         """
@@ -351,7 +357,7 @@ class DeepeningRounds:
             part = todo.pop()
             try:
                 part.advance_to(level)
-            except (MemoryError, MemoryBudgetExceeded):
+            except MemoryError:
                 if part.width == 1:
                     raise  # a single column is the floor; genuine exhaustion
                 half = part.width // 2
@@ -476,14 +482,11 @@ class MatrixRounds:
         engine: WalkEngine,
         measure: object,
         cache: Optional[WalkCache],
-        max_block_bytes: Optional[int],
     ) -> None:
         self._engine = engine
         self._measure = measure
         self._cache = cache
-        self._max_cols: Optional[int] = None
-        if max_block_bytes is not None:
-            self._max_cols = columns_for_budget(max_block_bytes, engine.num_nodes)
+        self._max_cols = columns_for_budget(engine)
 
     def walk_level(
         self, active: Sequence[int], level: int, rows: np.ndarray, consume: Consumer
@@ -501,7 +504,7 @@ class MatrixRounds:
             try:
                 engine.checkpoint("round")
                 block = self._measure.backward_scores_block(engine, group, level)
-            except (MemoryError, MemoryBudgetExceeded):
+            except MemoryError:
                 # Adaptive backoff, the matrix-measure twin of the block
                 # split above: halve the gather width and retry; a
                 # single-column failure is genuine exhaustion.

@@ -49,8 +49,8 @@ writes into it), so only the first dense step of a call allocates, and
 it is dropped when the call returns — between calls a state holds its
 two blocks and nothing else.  :meth:`WalkState.advance_to` reports each
 materialisation to ``engine.stats.peak_block_bytes``, the counter a
-``max_block_bytes`` ceiling (the deepening joins' chunked rounds) is
-audited against.  :meth:`WalkState.scores_at` is what the joins read:
+``QueryBudget.max_bytes`` ceiling (the widths every block operator
+plans under it) is audited against.  :meth:`WalkState.scores_at` is what the joins read:
 the scores of a block at the left set's rows, one row gather of the
 prefix instead of a full-graph vector per column
 (:meth:`WalkState.score_column`, which only walk-cache donation still

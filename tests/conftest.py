@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.dht import DHTParams
+from repro.exec import ExecutionGovernor, QueryBudget
 from repro.graph.builders import erdos_renyi, path_graph, random_directed
 from repro.graph.digraph import Graph
 from repro.walks import kernels
@@ -98,6 +100,29 @@ def dense_paths():
     of the dense walk step, which must give bit-identical answers and
     counters (see ``_dense_paths``)."""
     return _dense_paths
+
+
+@contextmanager
+def _byte_ceiling(engine, max_bytes):
+    """``engine`` under an installed governor whose only budget is the
+    walk-block ceiling ``max_bytes`` (``None``: no governor at all)."""
+    if max_bytes is None:
+        yield None
+        return
+    governor = ExecutionGovernor(QueryBudget(max_bytes=max_bytes)).install(engine)
+    try:
+        yield governor
+    finally:
+        governor.uninstall()
+
+
+@pytest.fixture
+def byte_ceiling():
+    """``with byte_ceiling(engine, max_bytes): ...`` runs joins on
+    ``engine`` under the one walk-block ceiling,
+    ``QueryBudget(max_bytes=max_bytes)``, which every block operator
+    plans its width under when it runs."""
+    return _byte_ceiling
 
 
 _ABSENT = object()

@@ -91,8 +91,8 @@ class TestBatchedBBJ:
 
 
 class TestOneColumnCeiling:
-    """A ``max_block_bytes`` of one column (``16 n``) narrows ``B-BJ`` to
-    width-1 blocks on the same block path.  It used to switch to a
+    """A byte budget of one column (``QueryBudget(max_bytes=16 n)``)
+    narrows ``B-BJ`` to width-1 blocks on the same block path.  It used to switch to a
     per-target fork instead, whose ``(d, n)`` hit series — 19 200 B per
     target here — overshot the 4 800 B ceiling with no ``"alloc"``
     checkpoint to stop it."""
@@ -108,27 +108,28 @@ class TestOneColumnCeiling:
         monkeypatch.setattr(WalkEngine, "backward_first_hit_series", forbidden)
         monkeypatch.setattr(WalkCache, "scores", forbidden)
 
-    def test_cacheless_bbj_stays_on_the_block_path(self, params, no_per_target_walks):
+    def test_cacheless_bbj_stays_on_the_block_path(
+        self, params, no_per_target_walks, byte_ceiling
+    ):
         graph = self.GRAPH
-        ctx = make_context(
-            graph, self.LEFT, self.RIGHT, params=params, d=8,
-            max_block_bytes=16 * graph.num_nodes,
-        )
-        got = BackwardBasicJoin(ctx).top_k(10)
+        ctx = make_context(graph, self.LEFT, self.RIGHT, params=params, d=8)
+        with byte_ceiling(ctx.engine, 16 * graph.num_nodes):
+            got = BackwardBasicJoin(ctx).top_k(10)
         assert_top_k(as_ranked(got), ranking(ctx), 10)
         assert ctx.engine.stats.propagation_steps == ctx.d * len(self.RIGHT)
 
     def test_ap_with_a_width_one_plan_stays_on_the_block_path(
-        self, params, no_per_target_walks
+        self, params, no_per_target_walks, byte_ceiling
     ):
         graph = self.GRAPH
         spec = NWayJoinSpec(
             graph=graph, query_graph=QueryGraph.chain(2),
             node_sets=[self.LEFT, self.RIGHT], k=10, params=params, d=8,
-            max_block_bytes=16 * graph.num_nodes,
         )
         join = AllPairsJoin(spec, two_way="b-bj")
-        got = join.run()
+        # A governed plan resolves under the governor's byte budget.
+        with byte_ceiling(spec.engine, 16 * graph.num_nodes):
+            got = join.run()
         assert [ep.block_size for ep in join.plan.edges] == [1]
         oracle = rank_answers(
             [dht_scores(graph, params, 8)], spec.node_sets, spec.query_graph.edges

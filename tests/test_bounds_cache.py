@@ -17,6 +17,7 @@ from oracles import as_ranked, assert_top_k, dht_scores, rank_pairs
 from repro.bounds_cache import BoundPlanCache
 from repro.core.bounds import YBound, dht_tail_weights
 from repro.core.dht import DHTParams
+from repro.exec import BudgetExhaustedError
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
@@ -122,10 +123,6 @@ class TestContextIntegration:
             make_context(
                 random_graph, [0], [1], d=4, engine=engine, bound_cache=bad_params
             )
-
-    def test_max_block_bytes_validated(self, random_graph):
-        with pytest.raises(GraphValidationError):
-            make_context(random_graph, [0], [1], d=4, max_block_bytes=0)
 
     def test_y_bound_shared_across_edges(self, random_graph, params):
         """Two contexts with the same left set share one YBound build."""
@@ -236,7 +233,9 @@ class TestChunkedBIDJ:
 
     @pytest.mark.parametrize("algorithm_cls", [BackwardIDJY, BackwardIDJX])
     @pytest.mark.parametrize("window_cols", [1, 3, 11])
-    def test_chunked_matches_unchunked_and_oracle(self, algorithm_cls, window_cols):
+    def test_chunked_matches_unchunked_and_oracle(
+        self, algorithm_cls, window_cols, byte_ceiling
+    ):
         graph, left, right = self._workload()
         base_ctx = make_context(graph, left, right, d=8)
         base = algorithm_cls(base_ctx)
@@ -245,9 +244,10 @@ class TestChunkedBIDJ:
         assert_top_k(as_ranked(expected), _chunked_workload()[3], 12)
 
         ceiling = 16 * graph.num_nodes * window_cols
-        ctx = make_context(graph, left, right, d=8, max_block_bytes=ceiling)
+        ctx = make_context(graph, left, right, d=8)
         algorithm = algorithm_cls(ctx)
-        result = algorithm.top_k(12)
+        with byte_ceiling(ctx.engine, ceiling):
+            result = algorithm.top_k(12)
         assert [(p.left, p.right) for p in result] == [
             (p.left, p.right) for p in expected
         ]
@@ -257,23 +257,28 @@ class TestChunkedBIDJ:
         assert algorithm.pruning_trace == expected_trace
         assert ctx.engine.stats.peak_block_bytes <= ceiling
 
-    def test_single_column_ceiling_runs_and_smaller_rejected(self):
+    def test_single_column_ceiling_runs_and_smaller_rejected(self, byte_ceiling):
         """One column's cost is the minimum feasible ceiling; anything
-        below it raises a ValueError naming that minimum."""
+        below it stops the join on ``"bytes"``, naming that minimum,
+        before any walk."""
         graph, left, right = self._workload()
         minimum = 16 * graph.num_nodes
-        ctx = make_context(graph, left, right, d=8, max_block_bytes=minimum)
-        result = BackwardIDJY(ctx).top_k(5)
+        ctx = make_context(graph, left, right, d=8)
+        with byte_ceiling(ctx.engine, minimum):
+            result = BackwardIDJY(ctx).top_k(5)
         base = BackwardIDJY(make_context(graph, left, right, d=8)).top_k(5)
         assert [(p.left, p.right) for p in result] == [
             (p.left, p.right) for p in base
         ]
         assert ctx.engine.stats.peak_block_bytes <= minimum
-        tiny = make_context(graph, left, right, d=8, max_block_bytes=1)
-        with pytest.raises(ValueError, match=str(minimum)):
-            BackwardIDJY(tiny).top_k(5)
+        tiny = make_context(graph, left, right, d=8)
+        with byte_ceiling(tiny.engine, 1):
+            with pytest.raises(BudgetExhaustedError, match=str(minimum)) as stop:
+                BackwardIDJY(tiny).top_k(5)
+        assert stop.value.reason == "bytes"
+        assert tiny.engine.stats.propagation_steps == 0
 
-    def test_chunked_with_walk_cache_and_rerun(self):
+    def test_chunked_with_walk_cache_and_rerun(self, byte_ceiling):
         graph, left, right = self._workload()
         base = BackwardIDJY(make_context(graph, left, right, d=8)).top_k(10)
         engine = WalkEngine(graph)
@@ -281,16 +286,16 @@ class TestChunkedBIDJ:
         ceiling = 16 * graph.num_nodes * 4
         for _ in range(2):  # second run is served mostly from the cache
             ctx = make_context(
-                graph, left, right, d=8, engine=engine,
-                walk_cache=walk_cache, max_block_bytes=ceiling,
+                graph, left, right, d=8, engine=engine, walk_cache=walk_cache,
             )
-            result = BackwardIDJY(ctx).top_k(10)
+            with byte_ceiling(engine, ceiling):
+                result = BackwardIDJY(ctx).top_k(10)
             assert [(p.left, p.right) for p in result] == [
                 (p.left, p.right) for p in base
             ]
         assert engine.stats.peak_block_bytes <= ceiling
 
-    def test_bbj_clamps_block_width_under_ceiling(self):
+    def test_bbj_clamps_block_width_under_ceiling(self, byte_ceiling):
         graph, left, right = self._workload()
         base = sorted(
             BackwardBasicJoin(make_context(graph, left, right, d=8)).all_pairs()
@@ -299,10 +304,10 @@ class TestChunkedBIDJ:
         for walk_cache in (None, WalkCache(WalkEngine(graph), DHTParams.dht_lambda(0.2))):
             engine = walk_cache.engine if walk_cache is not None else None
             ctx = make_context(
-                graph, left, right, d=8, engine=engine,
-                walk_cache=walk_cache, max_block_bytes=ceiling,
+                graph, left, right, d=8, engine=engine, walk_cache=walk_cache,
             )
-            capped = sorted(BackwardBasicJoin(ctx).all_pairs())
+            with byte_ceiling(ctx.engine, ceiling):
+                capped = sorted(BackwardBasicJoin(ctx).all_pairs())
             assert [(p.left, p.right) for p in capped] == [
                 (p.left, p.right) for p in base
             ]
@@ -311,29 +316,30 @@ class TestChunkedBIDJ:
             )
             assert ctx.engine.stats.peak_block_bytes <= ceiling
 
-    def test_spec_forwards_ceiling_to_edges(self):
+    def test_budget_ceiling_reaches_every_edge(self, byte_ceiling):
+        """The ceiling lives on the spec's engine (the thread's
+        governor), so every edge context shares it."""
         graph = erdos_renyi(200, 0.03, np.random.default_rng(3), weighted=True)
-        spec = NWayJoinSpec(
-            graph=graph,
-            query_graph=QueryGraph.chain(3),
-            node_sets=[list(range(10)), list(range(20, 30)), list(range(40, 50))],
-            k=5,
-            d=6,
-            max_block_bytes=16 * 200 * 2,
-        )
-        context = spec.edge_context(0)
-        assert context.max_block_bytes == spec.max_block_bytes
-        baseline = NWayJoinSpec(
-            graph=graph,
-            query_graph=QueryGraph.chain(3),
-            node_sets=[list(range(10)), list(range(20, 30)), list(range(40, 50))],
-            k=5,
-            d=6,
-        )
-        capped = PartialJoinIncremental(spec).run()
-        free = PartialJoinIncremental(baseline).run()
+
+        def spec():
+            return NWayJoinSpec(
+                graph=graph,
+                query_graph=QueryGraph.chain(3),
+                node_sets=[
+                    list(range(10)), list(range(20, 30)), list(range(40, 50))
+                ],
+                k=5,
+                d=6,
+            )
+
+        capped_spec, ceiling = spec(), 16 * 200 * 2
+        join = PartialJoinIncremental(capped_spec)
+        with byte_ceiling(capped_spec.engine, ceiling):
+            capped = join.run()
+        free = PartialJoinIncremental(spec()).run()
+        assert join.reasons == []
         assert [a.nodes for a in capped] == [a.nodes for a in free]
-        assert spec.engine.stats.peak_block_bytes <= spec.max_block_bytes
+        assert 0 < capped_spec.engine.stats.peak_block_bytes <= ceiling
 
 
 class TestWalkStateConcat:

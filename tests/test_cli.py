@@ -57,9 +57,10 @@ class TestTwoWayCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)
 
-    def test_measure_with_max_block_bytes(self, workspace, capsys):
-        """The bounded-memory flag applies to series measures too, and
-        a capped run returns the same pairs as an unbounded one."""
+    def test_measure_with_max_bytes(self, workspace, capsys):
+        """The walk-block ceiling applies to series measures too, and a
+        capped run returns the same pairs as an unbounded one — in the
+        budgeted JSON envelope, flagged exact."""
         graph_path, sets_path = workspace
         base = [
             "two-way", str(graph_path), "--sets", str(sets_path),
@@ -68,9 +69,10 @@ class TestTwoWayCommand:
         ]
         assert main(base) == 0
         free = json.loads(capsys.readouterr().out)
-        assert main(base + ["--max-block-bytes", "400"]) == 0
+        assert main(base + ["--max-bytes", "400"]) == 0  # one column of 25 nodes
         capped = json.loads(capsys.readouterr().out)
-        assert [(p["left"], p["right"]) for p in capped] == [
+        assert capped["exact"] and capped["reason"] is None
+        assert [(p["left"], p["right"]) for p in capped["results"]] == [
             (p["left"], p["right"]) for p in free
         ]
 

@@ -233,7 +233,7 @@ class TestOwnedOutput:
                 for j, q in enumerate(fed):
                     got[q] = block[:, j].copy()
 
-            rounds = DeepeningRounds(engine, PARAMS, None, None)
+            rounds = DeepeningRounds(engine, PARAMS, None)
             for level in (1, 2, 4, 8):
                 rounds.walk_level(targets, level, rows, consume)
             return got

@@ -184,6 +184,45 @@ def test_readme_documents_every_cli_flag():
     )
 
 
+def test_cli_budget_flags_are_the_query_budget_fields():
+    """One flag per ``QueryBudget`` field on ``two-way`` and
+    ``multi-way``, each landing on its field, and README's governor
+    table lists exactly those rows: a new budget axis (or a renamed
+    flag) moves the CLI and the README in the same diff."""
+    import argparse
+    import dataclasses
+
+    from repro.cli import _budget, build_parser
+    from repro.exec import QueryBudget
+
+    fields = {
+        f"--{field.name.replace('_', '-')}": field.name
+        for field in dataclasses.fields(QueryBudget)
+    }
+    assert set(fields) == {"--deadline-ms", "--step-budget", "--max-bytes"}
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for command in ("two-way", "multi-way"):
+        parser = subparsers.choices[command]
+        required = ["graph.tsv", "--sets", "sets.json"] + (
+            ["--left", "A", "--right", "B"] if command == "two-way"
+            else ["--node-sets", "A", "B"]
+        )
+        assert _budget(parser.parse_args(required)) is None
+        for flag, name in fields.items():
+            budget = _budget(parser.parse_args(required + [flag, "7"]))
+            assert getattr(budget, name) == 7, (command, flag)
+            assert dataclasses.replace(budget, **{name: None}).unlimited
+
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("Every join also accepts the execution-governor"):]
+    table = table[:table.index("\n\n", table.index("| Flag"))]
+    rows = re.findall(r"^\| `(--[a-z-]+)", table, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(fields)
+
+
 def test_cli_quickstart_flow(tmp_path, capsys):
     """The README's on-disk workflow (TSV graph + JSON sets) round-trips
     through every documented subcommand."""
@@ -206,7 +245,7 @@ def test_cli_quickstart_flow(tmp_path, capsys):
             [
                 "multi-way", str(graph_path), "--sets", str(sets_path),
                 "--shape", "star", "--node-sets", "CENTER", "DB", "AI",
-                "-k", "2", "--max-block-bytes", "4096", "--json",
+                "-k", "2", "--max-bytes", "4096", "--json",
             ]
         )
         == 0

@@ -704,17 +704,19 @@ class TestMeasureRegistryAndApi:
                 measure="ppr", d=4,
             )
 
-    def test_api_accepts_max_block_bytes_under_measure(self, random_graph):
-        """``max_block_bytes`` stopped being DHT-only: the bounded-memory
+    def test_api_byte_ceiling_under_measure(self, random_graph):
+        """The walk-block ceiling is not DHT-only: the bounded-memory
         chunked rounds run under any measure, with identical output."""
         from repro.api import multi_way_join, two_way_join
+        from repro.exec import QueryBudget
 
+        one_column = QueryBudget(max_bytes=16 * random_graph.num_nodes)
         left, right = [0, 1, 2], [10, 11, 12, 13, 14]
         free = two_way_join(random_graph, left, right, k=4, measure="ppr")
         capped = two_way_join(
-            random_graph, left, right, k=4, measure="ppr",
-            max_block_bytes=16 * random_graph.num_nodes,
+            random_graph, left, right, k=4, measure="ppr", budget=one_column,
         )
+        assert capped.exact
         assert _pairs_key(capped) == _pairs_key(free)
         sets = [[0, 1, 2], [10, 11, 12]]
         query = QueryGraph.chain(2)
@@ -722,9 +724,9 @@ class TestMeasureRegistryAndApi:
             random_graph, query, sets, k=3, measure="ppr"
         )
         capped_answers = multi_way_join(
-            random_graph, query, sets, k=3, measure="ppr",
-            max_block_bytes=16 * random_graph.num_nodes,
+            random_graph, query, sets, k=3, measure="ppr", budget=one_column,
         )
+        assert capped_answers.exact
         assert _answers_key(capped_answers) == _answers_key(free_answers)
 
 

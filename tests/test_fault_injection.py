@@ -172,7 +172,7 @@ class TestTwoWayMatrix:
         result = two_way_join(
             graph, left, right, 8, engine=engine, walk_cache=cache,
             fault_injector=injector,
-            max_block_bytes=16 * graph.num_nodes * 3,  # spill mode
+            budget=QueryBudget(max_bytes=16 * graph.num_nodes * 3),  # spill mode
         )
         assert injector.fired
         assert result.exact
@@ -333,13 +333,14 @@ class TestFrontierPhaseFaults:
 
     def test_byte_veto_backs_off_before_anything_is_dense(self, ring):
         expected, _ = self._run(ring, budget=QueryBudget())
-        # The veto is on the dense ceiling (16 bytes x n x B), whatever
-        # the frontier would have held: the window halves to 5 columns.
+        # The ceiling is on the dense cost (16 bytes x n x B), whatever
+        # the frontier would have held: the window is planned at 5
+        # columns before the first walk, so nothing is vetoed.
         result, engine = self._run(
             ring, budget=QueryBudget(max_bytes=16 * self.N * 5)
         )
         assert result.exact and result.results == expected.results
-        assert engine.stats.alloc_retries > 0
+        assert engine.stats.alloc_retries == 0
         assert engine.stats.peak_block_bytes <= 16 * self.N * 5
         assert engine.stats.frontier_steps > 0
 

@@ -337,32 +337,38 @@ class TestBlockConsumer:
     """``walk_level`` hands over ``(|rows|, len(targets))`` blocks that
     tile the active set exactly once, whatever resolved each target."""
 
-    @pytest.mark.parametrize("max_block_bytes", [None, 16 * NUM_NODES * 3])
+    @pytest.mark.parametrize("max_bytes", [None, 16 * NUM_NODES * 3])
     @pytest.mark.parametrize("with_cache", [False, True])
-    def test_blocks_tile_active_and_match_oracle(self, with_cache, max_block_bytes):
+    def test_blocks_tile_active_and_match_oracle(
+        self, with_cache, max_bytes, byte_ceiling
+    ):
         engine = WalkEngine(GRAPH)
         params = DHTParams.dht_lambda(0.3)
         cache = WalkCache(engine, params) if with_cache else None
         if cache is not None:
             cache.scores(7, 2)  # a hit at level 2, a resume beyond it
-        rounds = DeepeningRounds(engine, params, cache, max_block_bytes)
         rows = np.array([0, 7, 3, 21])
         active = list(range(5, 15))
-        for level in (1, 2, 4):
-            seen = {}
+        # The full-width oracle walks on its own, ungoverned engine.
+        oracle_engine = WalkEngine(GRAPH)
+        with byte_ceiling(engine, max_bytes):
+            rounds = DeepeningRounds(engine, params, cache)
+            assert rounds.max_cols == (None if max_bytes is None else 3)
+            for level in (1, 2, 4):
+                seen = {}
 
-            def consume(targets, block):
-                assert block.shape == (rows.size, len(targets))
-                for q, column in zip(targets, block.T):
-                    assert q not in seen
-                    seen[q] = column.copy()
+                def consume(targets, block):
+                    assert block.shape == (rows.size, len(targets))
+                    for q, column in zip(targets, block.T):
+                        assert q not in seen
+                        seen[q] = column.copy()
 
-            rounds.walk_level(active, level, rows, consume)
-            assert sorted(seen) == active
-            oracle = WalkState(engine, params, active).advance_to(level)
-            for j, q in enumerate(active):
-                assert np.array_equal(seen[q], oracle.score_column(j)[rows])
-            rounds.repack(set(active), level)
+                rounds.walk_level(active, level, rows, consume)
+                assert sorted(seen) == active
+                oracle = WalkState(oracle_engine, params, active).advance_to(level)
+                for j, q in enumerate(active):
+                    assert np.array_equal(seen[q], oracle.score_column(j)[rows])
+                rounds.repack(set(active), level)
 
 
 class TestNoFullVectorOnColdPath:
@@ -370,22 +376,16 @@ class TestNoFullVectorOnColdPath:
     cache-less ``B-IDJ`` — never finalises a full-graph score vector."""
 
     @pytest.mark.parametrize("algorithm_cls", [BackwardIDJY, BackwardIDJX])
-    @pytest.mark.parametrize("max_block_bytes", [None, 16 * 600 * 8])
+    @pytest.mark.parametrize("max_bytes", [None, 16 * 600 * 8])
     def test_cacheless_bidj_reads_rows_only(
-        self, algorithm_cls, max_block_bytes, monkeypatch
+        self, algorithm_cls, max_bytes, monkeypatch, byte_ceiling
     ):
         graph = erdos_renyi(600, 6.0 / 600, np.random.default_rng(4), weighted=True)
         nodes = np.random.default_rng(8).permutation(600)
         left, right = nodes[:30].tolist(), nodes[30:90].tolist()
         params = DHTParams.dht_lambda(0.2)
 
-        def join():
-            ctx = make_context(
-                graph, left, right, params=params, d=8,
-                max_block_bytes=max_block_bytes,
-            )
-            return algorithm_cls(ctx)
-
+        ctx = make_context(graph, left, right, params=params, d=8)
         ranking = rank_pairs(dht_scores(graph, params, 8), left, right)
 
         def forbidden(self, *args):
@@ -393,4 +393,6 @@ class TestNoFullVectorOnColdPath:
 
         monkeypatch.setattr(WalkState, "score_column", forbidden)
         monkeypatch.setattr(WalkState, "scores_matrix", forbidden)
-        assert_top_k(as_ranked(join().top_k(10)), ranking, 10)
+        with byte_ceiling(ctx.engine, max_bytes):
+            got = algorithm_cls(ctx).top_k(10)
+        assert_top_k(as_ranked(got), ranking, 10)

@@ -152,9 +152,11 @@ class TestIncrementalJoin:
         for pair in self.drain(join, join.top(6)):
             assert pair.score == pytest.approx(reference[(pair.left, pair.right)])
 
-    def test_recorder_retains_left_rows_only(self, random_graph, params, monkeypatch):
+    def test_recorder_retains_left_rows_only(
+        self, random_graph, params, monkeypatch, byte_ceiling
+    ):
         """``B-IDJ``'s bounded-memory promise (live walk memory
-        ``O(max_block_bytes + |P||Q|)``) holds with ``PJ-i``'s observer
+        ``O(max_bytes + |P||Q|)``) holds with ``PJ-i``'s observer
         attached: the recorder owns one ``|Q| x |P|`` array of its own
         and copies each observed block into it — it keeps no walk block,
         no full-graph vector and no view pinning one — and ``F``'s
@@ -176,12 +178,10 @@ class TestIncrementalJoin:
         monkeypatch.setattr(incremental, "_FRecorder", Spy)
         left, right = list(range(6)), list(range(15, 35))
         n = random_graph.num_nodes
-        ctx = make_context(
-            random_graph, left, right, params=params, d=8,
-            max_block_bytes=16 * n * 4,
-        )
+        ctx = make_context(random_graph, left, right, params=params, d=8)
         join = IncrementalTwoWayJoin(ctx)
-        prefix = join.top(5)
+        with byte_ceiling(ctx.engine, 16 * n * 4):
+            prefix = join.top(5)
         assert len(prefix) == 5
         (recorder,) = recorders
         assert recorder.scores.shape == (len(right), len(left))

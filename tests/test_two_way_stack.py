@@ -17,7 +17,7 @@ way :func:`repro.api.two_way_join` does and records
 
 over {``b-bj``, ``b-idj-x``, ``b-idj-y``} x {DHT params, ``DHTMeasure``,
 PPR, SimRank} x {no walk cache, cold cache, a cache warmed by a ``k = 2``
-run of the same algorithm} x {no block ceiling, a 4-column ceiling} x
+run of the same algorithm} x {no byte budget, a 4-column byte budget} x
 ``k`` in {1, 10, all pairs} on a preferential-attachment and a weighted
 Erdos-Renyi graph.  Regenerate deliberately with
 
@@ -89,12 +89,10 @@ def _cell_key(graph, algorithm, measure, cache, ceiling, k):
     return f"{graph}/{algorithm}/{measure}/{cache}/{ceiling}/k{k}"
 
 
-def _context(graph, measure, engine, cache, ceiling):
-    max_block_bytes = None if ceiling == "free" else 16 * graph.num_nodes * 4
+def _context(graph, measure, engine, cache):
     return make_context(
         graph, LEFT, RIGHT, params=PARAMS if measure is None else None,
-        engine=engine, walk_cache=cache, max_block_bytes=max_block_bytes,
-        measure=measure,
+        engine=engine, walk_cache=cache, measure=measure,
     )
 
 
@@ -105,7 +103,8 @@ def _join(context, algorithm, **knobs):
     )
 
 
-def _run_cell(graph_name, algorithm, measure_name, cache_mode, ceiling, k):
+def _run_cell(byte_ceiling, graph_name, algorithm, measure_name, cache_mode,
+              ceiling, k):
     graph = GRAPHS[graph_name]
     measure = MEASURES[measure_name](graph)
     engine = WalkEngine(graph)
@@ -114,15 +113,19 @@ def _run_cell(graph_name, algorithm, measure_name, cache_mode, ceiling, k):
         cache = WalkCache(
             engine, PARAMS if measure is None else measure.cache_key()
         )
-    context = _context(graph, measure, engine, cache, ceiling)
-    if cache_mode == "warm":
-        # A tighter first run: its pruned targets leave resumable
-        # columns behind for the recorded run to extend.
-        _join(context, algorithm).top_k(2)
-        engine.stats.reset()
-        cache.stats.reset()
-    join = _join(context, algorithm)
-    answers = join.top_k(k)
+    context = _context(graph, measure, engine, cache)
+    # The 4-column ceiling is the query's byte budget on an installed
+    # governor, which every block operator plans its width under.
+    max_bytes = None if ceiling == "free" else 16 * graph.num_nodes * 4
+    with byte_ceiling(engine, max_bytes):
+        if cache_mode == "warm":
+            # A tighter first run: its pruned targets leave resumable
+            # columns behind for the recorded run to extend.
+            _join(context, algorithm).top_k(2)
+            engine.stats.reset()
+            cache.stats.reset()
+        join = _join(context, algorithm)
+        answers = join.top_k(k)
     stats = engine.stats
     record = {
         "answers": [[p, q, score] for p, q, score in answers],
@@ -160,11 +163,11 @@ def _resolved(golden):
 
 
 @pytest.mark.skipif(not UPDATE, reason="golden regeneration only")
-def test_regenerate_golden(golden_audit):
+def test_regenerate_golden(golden_audit, byte_ceiling):
     replaced = _resolved(_load_golden()) if GOLDEN_PATH.exists() else {}
     answers, index, lines = [], {}, []
     for cell in CELLS:
-        record = _run_cell(*cell)
+        record = _run_cell(byte_ceiling, *cell)
         text = json.dumps(record.pop("answers"))
         if text not in index:
             index[text] = len(answers)
@@ -183,7 +186,7 @@ def test_regenerate_golden(golden_audit):
 @pytest.mark.parametrize("graph,algorithm,measure", [
     (g, a, m) for g in GRAPHS for a in ALGORITHMS for m in MEASURES
 ])
-def test_cells_match_golden(graph, algorithm, measure, dense_paths):
+def test_cells_match_golden(graph, algorithm, measure, dense_paths, byte_ceiling):
     golden = _load_golden()
     for path in dense_paths():
         for cache in CACHES:
@@ -193,7 +196,7 @@ def test_cells_match_golden(graph, algorithm, measure, dense_paths):
                     key = _cell_key(*cell)
                     expected = dict(golden["cells"][key])
                     expected["answers"] = golden["answers"][expected["answers"]]
-                    got = _run_cell(*cell)
+                    got = _run_cell(byte_ceiling, *cell)
                     # json round trip so tuples/lists compare like the file's.
                     assert json.loads(json.dumps(got)) == expected, (key, path)
 
@@ -239,7 +242,7 @@ def test_cells_equal_their_oracle(graph, algorithm, measure):
     order differently across scorers) — both within 1e-12."""
     golden = _resolved(_load_golden())
     g = GRAPHS[graph]
-    ctx = _context(g, MEASURES[measure](g), WalkEngine(g), None, "free")
+    ctx = _context(g, MEASURES[measure](g), WalkEngine(g), None)
     scores = scores_for(g, ctx.d, params=ctx.params, measure=ctx.measure)
     ranking = rank_pairs(scores, LEFT, RIGHT)
     assert len(ranking) == ALL_PAIRS
@@ -267,7 +270,7 @@ def test_negative_k_rejected_before_any_walk(measure):
     cache = WalkCache(
         engine, PARAMS if resolved is None else resolved.cache_key()
     )
-    join = _join(_context(graph, resolved, engine, cache, "free"), "b-bj")
+    join = _join(_context(graph, resolved, engine, cache), "b-bj")
     with pytest.raises(GraphValidationError, match=r"k must be >= 0, got -1"):
         join.top_k(-1)
     assert engine.stats.propagation_steps == 0

@@ -135,7 +135,7 @@ class TestBIDJSpill:
     """Bounded ``B-IDJ`` with a walk cache: overflow survivors spill and
     resume instead of restarting — identical output, fewer steps."""
 
-    def test_spill_resumes_and_matches(self):
+    def test_spill_resumes_and_matches(self, byte_ceiling):
         graph, left, right = _mid_workload()
         base_alg = BackwardIDJY(make_context(graph, left, right, d=8))
         expected = base_alg.top_k(12)
@@ -144,9 +144,10 @@ class TestBIDJSpill:
         ceiling = 16 * graph.num_nodes * 3
 
         # Restart mode: bounded, no cache to spill into.
-        restart_ctx = make_context(graph, left, right, d=8, max_block_bytes=ceiling)
+        restart_ctx = make_context(graph, left, right, d=8)
         restart_alg = BackwardIDJY(restart_ctx)
-        restart_result = restart_alg.top_k(12)
+        with byte_ceiling(restart_ctx.engine, ceiling):
+            restart_result = restart_alg.top_k(12)
         restart_steps = restart_ctx.engine.stats.propagation_steps
         assert restart_ctx.engine.stats.extensions == 0
 
@@ -155,10 +156,10 @@ class TestBIDJSpill:
         cache = WalkCache(engine, DHTParams.dht_lambda(0.2))
         spill_ctx = make_context(
             graph, left, right, d=8, engine=engine, walk_cache=cache,
-            max_block_bytes=ceiling,
         )
         spill_alg = BackwardIDJY(spill_ctx)
-        spill_result = spill_alg.top_k(12)
+        with byte_ceiling(engine, ceiling):
+            spill_result = spill_alg.top_k(12)
         spill_steps = engine.stats.propagation_steps
 
         for result, alg in ((restart_result, restart_alg), (spill_result, spill_alg)):
@@ -176,34 +177,42 @@ class TestBIDJSpill:
         assert spill_steps < restart_steps
         assert cache.stats.extensions == engine.stats.extensions
 
-    def test_single_column_window_spills(self):
+    def test_single_column_window_spills(self, byte_ceiling):
         graph, left, right = _mid_workload()
         expected = BackwardIDJY(make_context(graph, left, right, d=8)).top_k(8)
         engine = WalkEngine(graph)
         cache = WalkCache(engine, DHTParams.dht_lambda(0.2))
         ctx = make_context(
             graph, left, right, d=8, engine=engine, walk_cache=cache,
-            max_block_bytes=16 * graph.num_nodes,  # exactly one column
         )
-        result = BackwardIDJY(ctx).top_k(8)
+        with byte_ceiling(engine, 16 * graph.num_nodes):  # exactly one column
+            result = BackwardIDJY(ctx).top_k(8)
         assert _pairs_key(result) == _pairs_key(expected)
         assert engine.stats.peak_block_bytes <= 16 * graph.num_nodes
         assert engine.stats.extensions > 0
 
-    def test_sub_column_ceiling_rejected(self):
-        """A budget below one column's cost names the minimum feasible
-        budget instead of silently degrading."""
-        graph, left, right = _mid_workload()
-        minimum = 16 * graph.num_nodes
-        with pytest.raises(ValueError, match=str(minimum)):
-            BackwardIDJY(
-                make_context(graph, left, right, d=8, max_block_bytes=minimum - 1)
-            ).top_k(4)
+    def test_sub_column_ceiling_rejected(self, byte_ceiling):
+        """A budget below one column's cost stops on ``"bytes"`` and
+        names the minimum feasible budget instead of silently
+        degrading."""
+        from repro.exec import BudgetExhaustedError
         from repro.walks.rounds import columns_for_budget
 
-        with pytest.raises(ValueError, match="minimum"):
-            columns_for_budget(15, graph.num_nodes)
-        assert columns_for_budget(minimum, graph.num_nodes) == 1
+        graph, left, right = _mid_workload()
+        minimum = 16 * graph.num_nodes
+        ctx = make_context(graph, left, right, d=8)
+        with byte_ceiling(ctx.engine, minimum - 1):
+            with pytest.raises(BudgetExhaustedError, match=str(minimum)) as stop:
+                BackwardIDJY(ctx).top_k(4)
+            assert stop.value.reason == "bytes"
+            with pytest.raises(BudgetExhaustedError, match="minimum"):
+                columns_for_budget(ctx.engine)
+        assert ctx.engine.stats.propagation_steps == 0
+        assert columns_for_budget(ctx.engine) is None  # no governor
+        with byte_ceiling(ctx.engine, minimum):
+            assert columns_for_budget(ctx.engine) == 1
+        with byte_ceiling(ctx.engine, 3 * minimum + 15):
+            assert columns_for_budget(ctx.engine) == 3
 
 
 SERIES_MEASURES = [
@@ -213,12 +222,14 @@ SERIES_MEASURES = [
 
 
 class TestBoundedSeriesIDJ:
-    """``Series-IDJ`` under ``max_block_bytes``: the B-IDJ bounded
+    """``Series-IDJ`` under a byte budget: the B-IDJ bounded
     rounds, ported to the measure-generic path."""
 
     @pytest.mark.parametrize("measure_factory", SERIES_MEASURES)
     @pytest.mark.parametrize("window_cols", [1, 3])
-    def test_bounded_matches_unbounded(self, measure_factory, window_cols):
+    def test_bounded_matches_unbounded(
+        self, measure_factory, window_cols, byte_ceiling
+    ):
         graph, left, right = _mid_workload()
         free_alg = SeriesIDJ(
             make_context(graph, left, right, measure=measure_factory())
@@ -230,9 +241,9 @@ class TestBoundedSeriesIDJ:
         ceiling = 16 * graph.num_nodes * window_cols
         capped_alg = SeriesIDJ(make_context(
             graph, left, right, measure=measure_factory(),
-            max_block_bytes=ceiling,
         ))
-        result = capped_alg.top_k(10)
+        with byte_ceiling(capped_alg.context.engine, ceiling):
+            result = capped_alg.top_k(10)
         capped_peak = capped_alg.context.engine.stats.peak_block_bytes
 
         assert _pairs_key(result) == _pairs_key(expected)
@@ -243,7 +254,9 @@ class TestBoundedSeriesIDJ:
         assert capped_peak <= ceiling < free_peak
 
     @pytest.mark.parametrize("measure_factory", SERIES_MEASURES)
-    def test_bounded_with_cache_spills_and_resumes(self, measure_factory):
+    def test_bounded_with_cache_spills_and_resumes(
+        self, measure_factory, byte_ceiling
+    ):
         graph, left, right = _mid_workload()
         measure = measure_factory()
         expected = SeriesIDJ(
@@ -253,25 +266,26 @@ class TestBoundedSeriesIDJ:
         ceiling = 16 * graph.num_nodes * 2
         restart_alg = SeriesIDJ(make_context(
             graph, left, right, measure=measure_factory(),
-            max_block_bytes=ceiling,
         ))
-        restart_alg.top_k(10)
+        with byte_ceiling(restart_alg.context.engine, ceiling):
+            restart_alg.top_k(10)
         restart_steps = restart_alg.context.engine.stats.propagation_steps
 
         engine = WalkEngine(graph)
         cache = WalkCache(engine, measure.cache_key())
         spill_alg = SeriesIDJ(make_context(
             graph, left, right, engine=engine, walk_cache=cache,
-            max_block_bytes=ceiling, measure=measure,
+            measure=measure,
         ))
-        result = spill_alg.top_k(10)
+        with byte_ceiling(engine, ceiling):
+            result = spill_alg.top_k(10)
         assert _pairs_key(result) == _pairs_key(expected)
         assert engine.stats.peak_block_bytes <= ceiling
         assert engine.stats.extensions > 0
         assert engine.stats.steps_saved > 0
         assert engine.stats.propagation_steps < restart_steps
 
-    def test_bounded_simrank_chunks_gathers(self, random_graph):
+    def test_bounded_simrank_chunks_gathers(self, random_graph, byte_ceiling):
         """Matrix-backed measures have no walk window; the ceiling just
         chunks the iterate gathers, output unchanged."""
         measure = SimRankMeasure(iterations=6)
@@ -279,10 +293,13 @@ class TestBoundedSeriesIDJ:
         expected = SeriesIDJ(
             make_context(random_graph, left, right, measure=measure)
         ).top_k(6)
-        capped = SeriesIDJ(make_context(
+        capped_alg = SeriesIDJ(make_context(
             random_graph, left, right, measure=SimRankMeasure(iterations=6),
-            max_block_bytes=16 * random_graph.num_nodes,
-        )).top_k(6)
+        ))
+        with byte_ceiling(
+            capped_alg.context.engine, 16 * random_graph.num_nodes
+        ):
+            capped = capped_alg.top_k(6)
         assert _pairs_key(capped) == _pairs_key(expected)
         assert np.allclose(
             [p.score for p in capped], [p.score for p in expected], atol=1e-12
