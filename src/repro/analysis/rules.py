@@ -313,12 +313,13 @@ _RL002_REQUIRING = {
     "advance_by", "advance_to", "backward_block_step",
     "backward_first_hit_block", "backward_first_hit_series",
     "backward_onehot_step", "backward_scores", "backward_scores_block",
-    "forward_first_hit_series", "peek", "reach_mass_series", "scores",
-    "walk_level",
+    "forward_first_hit_series", "peek", "peek_block", "reach_mass_series",
+    "scores", "walk_level",
 }
-# Primitives whose own body visits the governor; `peek` is the one pure
-# probe that never checkpoints, so it cannot discharge the obligation.
-_RL002_SATISFYING = (_RL002_REQUIRING - {"peek"}) | {
+# Primitives whose own body visits the governor; `peek` / `peek_block`
+# are the pure probes that never checkpoint, so they cannot discharge
+# the obligation.
+_RL002_SATISFYING = (_RL002_REQUIRING - {"peek", "peek_block"}) | {
     "checkpoint", "edge_context",
 }
 _RL002_DIRS = {"walks", "core", "extensions", "lint_fixtures"}

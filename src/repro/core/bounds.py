@@ -52,6 +52,10 @@ class ScoreUpperBound(Protocol):
     ``tail(l, q)`` returns ``U_l^+`` such that
     ``h_d(p, q) <= h_l(p, q) + U_l^+`` for every ``p`` in the join's left
     set.  ``q`` is a *graph* node id (only the Y bound actually uses it).
+    ``tails(l, qs)`` is the same bound for a whole group of targets, one
+    float64 array equal to ``[tail(l, q) for q in qs]`` bit for bit — a
+    deepening level pays one call per block, not one per target.  Both
+    reject an ``l`` outside ``[0, d]`` with :class:`ValueError`.
     """
 
     name: str
@@ -59,6 +63,15 @@ class ScoreUpperBound(Protocol):
     def tail(self, l: int, q: int) -> float:
         """Upper bound on the score contribution of steps ``l+1 .. d``."""
         ...
+
+    def tails(self, l: int, qs: Sequence[int]) -> np.ndarray:
+        """:meth:`tail` for every target in ``qs``, as one array."""
+        ...
+
+
+def _check_level(l: int, d: int) -> None:
+    if not (0 <= l <= d):
+        raise ValueError(f"l must be in [0, {d}], got {l}")
 
 
 class XBound:
@@ -85,9 +98,13 @@ class XBound:
 
     def tail(self, l: int, q: int = -1) -> float:
         """``X_l^+``; valid for any ``q`` (argument ignored)."""
-        if not (0 <= l <= self._d):
-            raise ValueError(f"l must be in [0, {self._d}], got {l}")
+        _check_level(l, self._d)
         return float(self._tails[l])
+
+    def tails(self, l: int, qs: Sequence[int]) -> np.ndarray:
+        """``X_l^+`` once per target in ``qs``."""
+        _check_level(l, self._d)
+        return np.full(len(qs), self._tails[l])
 
 
 class YBound:
@@ -144,9 +161,13 @@ class YBound:
 
     def tail(self, l: int, q: int) -> float:
         """``Y_l^+(P, q)`` for graph node ``q``."""
-        if not (0 <= l <= self._d):
-            raise ValueError(f"l must be in [0, {self._d}], got {l}")
+        _check_level(l, self._d)
         return float(self._suffix[l, q])
+
+    def tails(self, l: int, qs: Sequence[int]) -> np.ndarray:
+        """``Y_l^+(P, q)`` for every graph node in ``qs``: one gather."""
+        _check_level(l, self._d)
+        return self._suffix[l, np.asarray(qs, dtype=np.intp)]
 
 
 def dht_tail_weights(params: DHTParams, d: int) -> np.ndarray:
@@ -156,13 +177,23 @@ def dht_tail_weights(params: DHTParams, d: int) -> np.ndarray:
 
 class ClosedFormTail:
     """A measure's data-independent tail ``tail_bound(l)`` — its ``X``
-    analogue, for measures without per-step tail weights (SimRank)."""
+    analogue, for measures without per-step tail weights (SimRank) —
+    for walks of length ``d``."""
 
     name = "closed-form"
 
-    def __init__(self, measure) -> None:
+    def __init__(self, measure, d: int) -> None:
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
         self._measure = measure
+        self._d = d
 
     def tail(self, l: int, q: int = -1) -> float:
         """``measure.tail_bound(l)``; valid for any ``q``."""
+        _check_level(l, self._d)
         return self._measure.tail_bound(l)
+
+    def tails(self, l: int, qs: Sequence[int]) -> np.ndarray:
+        """``measure.tail_bound(l)`` once per target in ``qs``."""
+        _check_level(l, self._d)
+        return np.full(len(qs), self._measure.tail_bound(l), dtype=np.float64)

@@ -425,7 +425,7 @@ def x_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     is its closed-form ``tail_bound``, uncached.
     """
     if context.measure is not None:
-        return ClosedFormTail(context.measure)
+        return ClosedFormTail(context.measure, context.d)
     return context.bound_cache.x_bound(
         context.d, lambda: XBound(context.params, context.d)
     )
@@ -446,7 +446,7 @@ def y_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     """
     measure = context.measure
     if measure is not None and getattr(measure, "tail_weight", None) is None:
-        return ClosedFormTail(measure)
+        return ClosedFormTail(measure, context.d)
 
     def build() -> YBound:
         if measure is None:
@@ -583,7 +583,7 @@ class BackwardIDJ:
                 # floor.  Nothing full-width is ever seen here.
                 width = len(active)
                 targets_arr = np.asarray(active, dtype=np.int64)
-                tails = np.array([bound.tail(level, q) for q in active])
+                tails = bound.tails(level, active)
                 column_of = {q: j for j, q in enumerate(active)}
                 left_scores = np.empty((left.size, width), dtype=np.float64)
 

@@ -67,8 +67,11 @@ class BoundedTopK:
     Replaces the unbounded per-round ``lower_bounds`` list in the
     deepening joins: memory stays ``O(k)`` regardless of how many
     candidate scores a round produces.  Values are appended into a
-    ``2k``-slot buffer that is compacted with ``np.partition`` whenever
-    it fills, so the amortised cost per pushed value is ``O(1)``.
+    ``max(2k, 64)``-slot buffer; a push that does not fit the free slots
+    keeps only the ``k`` largest of buffer plus push, with one
+    ``np.partition``, so the amortised cost per pushed value is
+    ``O(1)`` and a large push costs one partition, not one per buffer
+    fill.
     """
 
     def __init__(self, k: int) -> None:
@@ -91,30 +94,23 @@ class BoundedTopK:
         if values.size == 0:
             return
         self._count += values.size
-        position = 0
-        while position < values.size:
-            take = min(values.size - position, self._capacity - self._size)
-            self._buffer[self._size : self._size + take] = values[
-                position : position + take
-            ]
-            self._size += take
-            position += take
-            if self._size == self._capacity:
-                self._compact()
+        size = self._size
+        end = size + values.size
+        if end <= self._capacity:
+            self._buffer[size:end] = values
+            self._size = end
+            return
+        # Only the k largest of everything seen can be the k-th largest.
+        merged = np.concatenate((self._buffer[:size], values))
+        top = np.partition(merged, end - self._k)[end - self._k :]
+        self._buffer[: self._k] = top
+        self._size = self._k
 
     def kth_largest(self) -> float:
         """``k``-th largest value seen, or ``-inf`` if fewer than ``k``."""
         if self._count < self._k:
             return float("-inf")
         return kth_largest(self._buffer[: self._size], self._k)
-
-    def _compact(self) -> None:
-        # Keep only the k largest: they are the only candidates for the
-        # k-th largest of everything seen.
-        partitioned = np.partition(self._buffer[: self._size], self._size - self._k)
-        top = partitioned[self._size - self._k :]
-        self._buffer[: top.size] = top
-        self._size = top.size
 
 
 @dataclass

@@ -23,16 +23,22 @@ query.  The engine (and the join loops above it) call
     Entry of :meth:`~repro.core.nway.spec.NWayJoinSpec.edge_context` —
     the funnel every n-way strategy passes through per query edge.
 ``"cache"``
-    Each :meth:`~repro.walks.cache.WalkCache.scores` call and each
-    iteration of a cache-triage loop (``peek`` probes), so a query whose
-    targets are all warm in the cache still honours deadlines and fault
-    schedules — the linter's RL002 *ungoverned-loop* rule
-    (``docs/INVARIANTS.md``) mechanically enforces this one.
+    Each :meth:`~repro.walks.cache.WalkCache.scores` call, and each
+    cache-triage pass (:func:`~repro.walks.rounds.triage`, one
+    ``peek_block`` over a group of targets) — one governor call counted
+    as ``len(targets)`` visits — so a query whose targets are all warm
+    in the cache still honours deadlines and fault schedules, at a cost
+    per block rather than per target.  The linter's RL002
+    *ungoverned-loop* rule (``docs/INVARIANTS.md``) mechanically
+    enforces that loops over ``peek`` / ``peek_block`` reach one.
 
 Each checkpoint increments ``stats.checkpoints``, gives the optional
 :class:`~repro.exec.faults.FaultInjector` a chance to fire, and checks
 the three budget axes, raising
-:class:`~repro.exec.budget.BudgetExhaustedError` on exhaustion.
+:class:`~repro.exec.budget.BudgetExhaustedError` on exhaustion.  A
+counted checkpoint (``count`` visits of one site in a row) increments
+the counter by ``count`` and checks the budget once; with an injector
+installed it falls back to ``count`` single visits.
 """
 
 from __future__ import annotations
@@ -132,17 +138,36 @@ class ExecutionGovernor:
     # ------------------------------------------------------------------
     # The checkpoint
 
-    def checkpoint(self, site: str, block=None, nbytes: Optional[int] = None) -> None:
-        """One cooperative checkpoint; raises on exhaustion.
+    def checkpoint(
+        self,
+        site: str,
+        block=None,
+        nbytes: Optional[int] = None,
+        count: int = 1,
+    ) -> None:
+        """``count`` back-to-back cooperative checkpoints of one site;
+        raises on exhaustion.
 
         ``block`` is the in-flight walk block (poisoning target) when
         the site has one; ``nbytes`` is the predicted size of an
         allocation about to happen, checked against ``max_bytes``
         *before* the buffers are committed.
+
+        ``count`` visits add ``count`` to ``stats.checkpoints`` but
+        check the budget once: no step is taken between back-to-back
+        visits, so the first visit raises or none does (and a raise
+        still counts one visit).  A fault injector sees ``count``
+        single visits, so its schedule replays exactly.
         """
-        self._engine.stats.add("checkpoints", 1)
-        if self.fault_injector is not None:
-            self.fault_injector.fire(site, self, block=block)
+        injector = self.fault_injector
+        if count > 1 and injector is not None:
+            for _ in range(count):
+                self.checkpoint(site, block=block, nbytes=nbytes)
+            return
+        stats = self._engine.stats
+        stats.add("checkpoints", 1)
+        if injector is not None:
+            injector.fire(site, self, block=block)
         budget = self.budget
         if (
             nbytes is not None
@@ -167,3 +192,5 @@ class ExecutionGovernor:
                 "deadline",
                 f"deadline of {budget.deadline_ms} ms exceeded",
             )
+        if count > 1:
+            stats.add("checkpoints", count - 1)

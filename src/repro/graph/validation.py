@@ -59,19 +59,16 @@ def validate_edges(
 def validate_node_set(graph_num_nodes: int, nodes: Iterable[int], name: str = "node set"):
     """Validate a query node set: in range, non-empty, duplicates removed.
 
-    Returns the node ids as a list preserving first-seen order.
+    Returns the node ids as a list preserving first-seen order.  The
+    range is checked once over the deduplicated ids; only a failing set
+    is walked again, to name its first out-of-range node in input order.
     """
-    seen = []
-    seen_set = set()
-    for u in nodes:
-        u = int(u)
-        if not (0 <= u < graph_num_nodes):
-            raise GraphValidationError(
-                f"{name} contains node {u} outside [0, {graph_num_nodes})"
-            )
-        if u not in seen_set:
-            seen_set.add(u)
-            seen.append(u)
+    seen = list(dict.fromkeys(map(int, nodes)))
     if not seen:
         raise GraphValidationError(f"{name} is empty")
+    if min(seen) < 0 or max(seen) >= graph_num_nodes:
+        bad = next(u for u in seen if not 0 <= u < graph_num_nodes)
+        raise GraphValidationError(
+            f"{name} contains node {bad} outside [0, {graph_num_nodes})"
+        )
     return seen

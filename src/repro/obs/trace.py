@@ -240,13 +240,15 @@ class QueryTracer:
 
     # -- hot-path hooks -------------------------------------------------
 
-    def event(self, site: str, nbytes: Optional[int] = None) -> None:
-        """One checkpoint-site event on the innermost open span."""
+    def event(
+        self, site: str, nbytes: Optional[int] = None, count: int = 1
+    ) -> None:
+        """``count`` checkpoint-site events on the innermost open span."""
         stack = getattr(self._local, "stack", None)
         if not stack:
             return
         span = stack[-1]
-        span.events[site] = span.events.get(site, 0) + 1
+        span.events[site] = span.events.get(site, 0) + count
         if nbytes is not None and nbytes > span.peak_block_bytes:
             span.peak_block_bytes = nbytes
 

@@ -327,13 +327,14 @@ def _tail_ratio(spec, left: Sequence[int], right: Sequence[int]) -> Optional[flo
     if bound is None:
         return None
     mid = max(1, spec.d // 2)
-    heads, mids = [], []
-    for q in list(right)[:8]:
-        try:
-            heads.append(float(bound.tail(1, q)))
-            mids.append(float(bound.tail(mid, q)))
-        except (ValueError, IndexError):  # pragma: no cover - defensive
-            return None
+    sample = list(right)[:8]
+    try:
+        heads = bound.tails(1, sample).tolist()
+        mids = bound.tails(mid, sample).tolist()
+    except (ValueError, IndexError):  # pragma: no cover - defensive
+        return None
+    # Summed left to right (Python's sum, not numpy's pairwise one): the
+    # same bits as a per-target loop, so no plan moves on an ulp.
     total_head = sum(heads)
     if total_head <= 0:
         return None

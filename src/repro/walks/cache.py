@@ -233,14 +233,15 @@ class WalkCache:
         vectors: List[np.ndarray] = []
         misses: List[int] = []
         with self._lock:
-            entries = self._entries
+            lookup = self._entries.get
+            touch = self._entries.move_to_end
             for target in targets:
-                entry = entries.get(target)
+                entry = lookup(target)
                 vector = entry.scores.get(level) if entry is not None else None
                 if vector is None:
                     misses.append(target)
                 else:
-                    entries.move_to_end(target)
+                    touch(target)
                     hits.append(target)
                     vectors.append(vector)
             self.stats.hits += len(hits)

@@ -385,24 +385,30 @@ class WalkEngine:
         """Number of nodes in the bound graph."""
         return self._n
 
-    def checkpoint(self, site: str, block=None, nbytes=None) -> None:
+    def checkpoint(self, site: str, block=None, nbytes=None, count: int = 1) -> None:
         """Cooperative budget/fault checkpoint (no-op without a governor).
 
         ``site`` names the unit-of-work boundary (see
         :mod:`repro.exec.governor`); ``block`` is an in-flight walk
         block the fault injector may poison; ``nbytes`` is a predicted
         allocation size checked against the byte budget before the
-        buffers are committed.
+        buffers are committed.  ``count`` back-to-back visits of one
+        site (a triage pass over ``count`` cached targets) cost one
+        governor call and are charged as ``count`` visits (see
+        :meth:`~repro.exec.governor.ExecutionGovernor.checkpoint`).
 
-        A traced query records the same sites as span events (the event
-        lands before the governor runs, so a budget stop at this
-        checkpoint is still visible in the trace).
+        A traced query records the same sites as span events, ``count``
+        of them (the events land before the governor runs, so a budget
+        stop at this checkpoint is still visible in the trace).
         """
-        tracer = self.tracer
+        if count < 1:
+            return
+        tracer = getattr(self._tracer_local, "tracer", None)
         if tracer is not None:
-            tracer.event(site, nbytes=nbytes)
-        if self.governor is not None:
-            self.governor.checkpoint(site, block=block, nbytes=nbytes)
+            tracer.event(site, nbytes=nbytes, count=count)
+        governor = getattr(self._governor_local, "governor", None)
+        if governor is not None:
+            governor.checkpoint(site, block=block, nbytes=nbytes, count=count)
 
     # ------------------------------------------------------------------
     # Backward propagation (Eq. 5)

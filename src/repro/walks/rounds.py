@@ -99,12 +99,12 @@ def triage(
     score block, one :meth:`~repro.walks.cache.WalkCache.peek_block` —
     and the misses somebody has to walk (everything, without a cache).
 
-    One governor visit (site ``"cache"``) per target first: even a
-    fully cache-served pass must stay interruptible by deadlines and
-    fault injection.
+    One governor call first, counted as ``len(targets)`` visits (site
+    ``"cache"``): even a fully cache-served pass must stay interruptible
+    by deadlines and fault injection, but it pays per block, not per
+    target.
     """
-    for _ in targets:
-        engine.checkpoint("cache")
+    engine.checkpoint("cache", count=len(targets))
     if cache is None:
         return [], None, list(targets)
     return cache.peek_block(targets, level, rows)

@@ -64,6 +64,13 @@ class TestFixtureCorpus:
         symbols = {finding.symbol for finding in findings}
         assert symbols == {"WobblyBlockKernel", "weights"}
 
+    def test_rl002_block_peek_loop_needs_a_checkpoint(self):
+        """``peek_block`` is a pure probe like ``peek``: a loop over
+        block peeks must reach a (counted) checkpoint itself."""
+        findings = lint_paths(FIXTURES / "rl002_block_bad.py")
+        assert [(f.rule, f.symbol) for f in findings] == [("RL002", "peek_block")]
+        assert lint_paths(FIXTURES / "rl002_block_good.py") == []
+
     def test_rl006_internally_hooked_primitives_discharge(self, tmp_path):
         """``top_k``/``all_pairs``/``walk_level`` open their own spans,
         so a bare loop over them is already observable; only the pure

@@ -9,6 +9,8 @@ join's own ``pruning_trace``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import as_ranked, assert_top_k, dht_scores, rank_answers, rank_pairs
 from repro.core.nway.all_pairs import AllPairsJoin
@@ -258,6 +260,39 @@ class TestThresholdHelpers:
         topk.push(3.0)
         topk.push(np.array([1.0, 2.0]))
         assert topk.kth_largest() == 2.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 80),
+        pushes=st.lists(
+            st.tuples(
+                st.integers(0, 5000),  # push size
+                st.integers(0, 4),  # distinct values: few means many ties
+                st.floats(0.0, 0.5),  # share of -inf
+            ),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounded_topk_property(self, k, pushes, seed):
+        """Pushes straddling the buffer (tiny, exactly free, far larger),
+        ties and ``-inf``: the floor is the sorted array's ``[-k]`` bit
+        for bit, and the buffer never outgrows ``max(2k, 64)``."""
+        rng = np.random.default_rng(seed)
+        topk = BoundedTopK(k)
+        seen = []
+        for size, distinct, neg_inf in pushes:
+            values = rng.normal(size=size)
+            if distinct:
+                values = rng.integers(0, distinct, size=size).astype(np.float64)
+            values[rng.random(size) < neg_inf] = -np.inf
+            topk.push(values)
+            seen.append(values)
+            assert topk._size <= max(2 * k, 64)
+        everything = np.concatenate(seen) if seen else np.empty(0)
+        assert topk.count == everything.size
+        want = np.sort(everything)[-k] if everything.size >= k else -np.inf
+        assert np.float64(topk.kth_largest()).tobytes() == np.float64(want).tobytes()
 
     def test_bounded_topk_rejects_bad_k(self):
         with pytest.raises(GraphValidationError):

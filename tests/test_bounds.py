@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import XBound, YBound, dht_tail_weights
+from repro.core.bounds import ClosedFormTail, XBound, YBound, dht_tail_weights
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import back_walk
 from repro.core.two_way.base import make_context
+from repro.extensions.simrank import SimRankMeasure
 from repro.walks.engine import WalkEngine
 
 
@@ -128,3 +129,38 @@ class TestBoundsTightenPruning:
             y_bound.tail(l, q) / x_bound.tail(l) for l in range(1, 5)
         ]
         assert min(ratios) < 0.9
+
+
+class TestVectorTails:
+    """``tails(l, qs)`` is ``[tail(l, q) for q in qs]`` as one array, bit
+    for bit, on every bound shape, with the same ``l`` range check."""
+
+    D = 6
+
+    @pytest.fixture
+    def bounds(self, random_graph, params):
+        engine = WalkEngine(random_graph)
+        d = self.D
+        return [
+            XBound(params, d),
+            YBound(engine, dht_tail_weights(params, d), [2, 3, 5], d),
+            ClosedFormTail(SimRankMeasure(), d),
+        ]
+
+    def test_tails_equal_scalar_tails_bitwise(self, bounds, random_graph):
+        qs = [0, 7, 3, 3, random_graph.num_nodes - 1]
+        for bound in bounds:
+            for l in range(self.D + 1):
+                got = bound.tails(l, qs)
+                assert got.dtype == np.float64 and got.shape == (len(qs),)
+                want = np.array([bound.tail(l, q) for q in qs])
+                assert got.tobytes() == want.tobytes(), (bound.name, l)
+            assert bound.tails(1, []).shape == (0,)
+
+    def test_out_of_range_level_raises(self, bounds):
+        for bound in bounds:
+            for l in (-1, self.D + 1):
+                with pytest.raises(ValueError):
+                    bound.tails(l, [0, 1])
+                with pytest.raises(ValueError):
+                    bound.tail(l, 0)

@@ -327,6 +327,65 @@ class TestGovernorObject:
         engine.checkpoint("step")  # ungoverned: free
         assert engine.stats.checkpoints == 2
 
+    def test_counted_checkpoint_is_count_visits_in_one_call(self, random_graph):
+        from repro.obs.trace import QueryTracer
+
+        engine = WalkEngine(random_graph)
+        governor = ExecutionGovernor().install(engine)
+        tracer = QueryTracer()
+        engine.tracer = tracer
+        try:
+            with tracer.span("query", stats=engine.stats):
+                engine.checkpoint("cache", count=5)
+                engine.checkpoint("cache", count=0)  # an empty pass: no visit
+        finally:
+            engine.tracer = None
+            governor.uninstall()
+        assert engine.stats.checkpoints == 5
+        assert tracer.traces[-1].events == {"cache": 5}
+
+    @pytest.mark.parametrize("now, visits", [(0.1, 7), (1.0, 1)])
+    def test_counted_checkpoint_checks_the_budget_once(
+        self, random_graph, now, visits
+    ):
+        engine = WalkEngine(random_graph)
+        clock = iter([0.0, now])  # install, then exactly one deadline check
+        governor = ExecutionGovernor(
+            QueryBudget(deadline_ms=500.0), clock=lambda: next(clock)
+        ).install(engine)
+        try:
+            if now < 0.5:
+                engine.checkpoint("cache", count=7)
+            else:
+                with pytest.raises(BudgetExhaustedError):
+                    engine.checkpoint("cache", count=7)
+        finally:
+            governor.uninstall()
+        assert engine.stats.checkpoints == visits  # a raise counts one
+
+    def test_counted_checkpoint_replays_faults_one_visit_at_a_time(
+        self, random_graph
+    ):
+        from repro.exec.faults import FaultInjector
+
+        def schedule(counts):
+            engine = WalkEngine(random_graph)
+            injector = FaultInjector(
+                3, faults=("clock",), rate=0.3, max_fires=None,
+                sites=("cache",),
+            )
+            governor = ExecutionGovernor(fault_injector=injector).install(engine)
+            try:
+                for count in counts:
+                    engine.checkpoint("cache", count=count)
+            finally:
+                governor.uninstall()
+            return injector.fired, injector.checkpoints_seen, engine.stats.checkpoints
+
+        counted = schedule([4, 9, 3])
+        assert counted == schedule([1] * 16)
+        assert counted[0] and counted[1] == counted[2] == 16
+
     def test_exact_result_helper(self):
         wrapped = exact_result([])
         assert wrapped.exact and len(wrapped) == 0
