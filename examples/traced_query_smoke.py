@@ -55,8 +55,8 @@ def main() -> None:
             import contextlib
             with contextlib.redirect_stdout(fh):
                 assert cli_main(list(base_args)) == 0
-        # Bare ``--json`` emits the answer rows as a list.
-        untraced_rows = json.loads(out_path.read_text(encoding="utf-8"))
+        # ``--json`` emits the {"exact", "reason", "results"} envelope.
+        untraced = json.loads(out_path.read_text(encoding="utf-8"))
 
         # Traced explain-analyze arm.
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -69,10 +69,9 @@ def main() -> None:
                 ]) == 0
         analyzed = json.loads(out_path.read_text(encoding="utf-8"))
 
-        assert analyzed["results"] == untraced_rows, (
-            "explain analyze changed the answers"
-        )
-        report = analyzed["plan"]  # AnalyzedPlan.to_json(): plan + actuals
+        # The same envelope, plus the analyzed plan.
+        report = analyzed.pop("plan")  # AnalyzedPlan.to_json(): plan + actuals
+        assert analyzed == untraced, "explain analyze changed the answers"
         actuals = report["actuals"]
         assert len(actuals) == len(report["plan"]["build_order"])
         assert all(

@@ -580,9 +580,9 @@ def _check_rl004(module):
 # RL005 swallowed-budget
 # --------------------------------------------------------------------------
 
-_BUDGET_EXC_NAMES = {
-    "BudgetExceeded", "BudgetExhaustedError", "MemoryBudgetExceeded",
-}
+# The governor's stop exceptions: the classes ``repro.exec.budget``
+# defines (a drift test keeps this set and docs/INVARIANTS.md in step).
+_BUDGET_EXC_NAMES = {"BudgetExhaustedError"}
 
 
 def _handler_exc_names(handler):

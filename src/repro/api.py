@@ -19,34 +19,29 @@ the measure's scorer and bound read off the context.  DHT names keep
 the ``params``/``d``/``epsilon`` configuration
 (:func:`~repro.core.two_way.base.resolve_config`).
 
-Both also accept a :class:`repro.exec.budget.QueryBudget`.  With a
-budget (or a fault injector) the query runs *governed*: an
-:class:`~repro.exec.governor.ExecutionGovernor` enforces the budget at
-cooperative checkpoints and the return type becomes a
-:class:`~repro.exec.budget.PartialResult` — exact with degenerate
-bounds when the join completed, flagged (``exact=False`` plus a
-reason and per-result score intervals) when the budget ran out under
-the default ``on_budget="partial"`` policy.  Without a budget the
-plain list return types below are unchanged.
+Both run every query the same way: under an installed
+:class:`~repro.exec.governor.ExecutionGovernor` that enforces the
+query's :class:`repro.exec.budget.QueryBudget` at cooperative
+checkpoints (``budget=None`` is ``QueryBudget()``, which never stops a
+query), and both return a :class:`~repro.exec.budget.PartialResult` —
+exact with degenerate bounds when the join completed, flagged
+(``exact=False`` plus a reason and per-result score intervals) when a
+budget ran out, or an allocation failed at the one-column floor, under
+the default ``on_budget="partial"`` policy.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, Aggregate
-from repro.core.nway.all_pairs import AllPairsJoin
-from repro.core.nway.candidates import CandidateAnswer
 from repro.core.nway.driver import OPERATORS, STRATEGIES, two_way_operator
-from repro.core.nway.nested_loop import NestedLoopJoin
-from repro.core.nway.partial_join import PartialJoin
-from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.base import ScoredPair, make_context
+from repro.core.two_way.base import make_context
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.exec.governor import ExecutionGovernor
 from repro.extensions.measures import MEASURE_NAMES, measure_by_name
@@ -80,7 +75,8 @@ def _resolve_measure(measure):
 
 @contextmanager
 def _governed(engine, walk_cache, budget: Optional[QueryBudget], fault_injector):
-    """An :class:`ExecutionGovernor` installed on ``engine`` for the block."""
+    """An :class:`ExecutionGovernor` installed on ``engine`` for the block
+    (``budget=None`` and no injector: one that can never stop)."""
     governor = ExecutionGovernor(
         budget, fault_injector=fault_injector
     ).install(engine, walk_cache)
@@ -124,7 +120,7 @@ def two_way_join(
     on_budget: str = "partial",
     fault_injector=None,
     tracer=None,
-) -> Union[List[ScoredPair], PartialResult]:
+) -> PartialResult:
     """Top-``k`` 2-way join between node sets ``left`` and ``right``.
 
     Parameters
@@ -156,19 +152,17 @@ def two_way_join(
         private per-join cache is created.
     budget / on_budget / fault_injector:
         A :class:`~repro.exec.budget.QueryBudget` (deadline, step
-        budget, byte ceiling) switches the call to governed execution
-        and a :class:`~repro.exec.budget.PartialResult` return type.
-        ``budget.max_bytes`` is the one walk-block ceiling: every block
-        operator (``B-BJ``'s blocks, ``B-IDJ``'s window and chunks)
-        plans its width under it before walking, and a ceiling below
-        one column (``16 * num_nodes`` bytes) stops with
+        budget, byte ceiling) for the query's governor; ``None`` sets
+        no axis.  ``budget.max_bytes`` is the one walk-block ceiling:
+        every block operator (``B-BJ``'s blocks, ``B-IDJ``'s window and
+        chunks) plans its width under it before walking, and a ceiling
+        below one column (``16 * num_nodes`` bytes) stops with
         ``reason="bytes"``.
         ``on_budget`` chooses what exhaustion does: ``"partial"``
         (default) returns best-effort results with score intervals,
         ``"error"`` raises :class:`~repro.exec.budget.BudgetExhaustedError`.
         ``fault_injector`` installs a seeded
-        :class:`~repro.exec.faults.FaultInjector` (also governed, even
-        without a budget).
+        :class:`~repro.exec.faults.FaultInjector` on the governor.
     tracer:
         Optional :class:`~repro.obs.QueryTracer`.  The query runs under
         a root ``query`` span (installed on the engine for the call,
@@ -177,9 +171,11 @@ def two_way_join(
 
     Returns
     -------
-    list of ScoredPair
-        At most ``k`` pairs in descending score order — or, governed, a
-        :class:`~repro.exec.budget.PartialResult` wrapping them.
+    PartialResult
+        At most ``k`` :class:`~repro.core.two_way.base.ScoredPair` rows
+        in descending score order, with their score intervals: exact unless
+        the budget ran out (or an allocation failed at the one-column
+        floor, ``reason="bytes"``).
     """
     if k < 0:
         # Before any context exists: a bad k must not walk (or warm a
@@ -197,8 +193,6 @@ def two_way_join(
             measure=resolved,
         )
         join = operator(context)
-        if budget is None and fault_injector is None:
-            return join.top_k(k)
         with _governed(
             context.engine, context.walk_cache, budget, fault_injector
         ) as governor:
@@ -228,7 +222,7 @@ def multi_way_join(
     on_budget: str = "partial",
     fault_injector=None,
     tracer=None,
-) -> Union[List[CandidateAnswer], PartialResult]:
+) -> PartialResult:
     """Top-``k`` n-way join over ``query_graph`` (Definition 4).
 
     Parameters
@@ -275,13 +269,11 @@ def multi_way_join(
         cost; ``"nl"`` has no per-edge structure and rejects
         ``"auto"``.
     budget / on_budget / fault_injector:
-        Same semantics as :func:`two_way_join`: a budget (or injector)
-        switches to governed execution and a
-        :class:`~repro.exec.budget.PartialResult` return type whose
-        per-answer bounds aggregate the per-edge score intervals.
-        Governed ``"pj-i"`` runs the governed ``PJ`` restart path
-        (incremental refinement keeps no snapshot state); ``"nl"`` is
-        rejected under a budget.
+        Same semantics as :func:`two_way_join`; a flagged result's
+        per-answer bounds aggregate the per-edge score intervals.  Under
+        a budget or an injector ``"pj-i"`` runs ``PJ``'s restart source
+        (incremental refinement keeps no snapshot state), ``"ap"``
+        materialises with ``B-BJ``, and ``"nl"`` is rejected.
     tracer:
         Optional :class:`~repro.obs.QueryTracer`.  The query runs under
         a root ``query`` span with nested ``plan``/``edge``/``refill``/
@@ -290,10 +282,10 @@ def multi_way_join(
 
     Returns
     -------
-    list of CandidateAnswer
-        At most ``k`` answers in descending aggregate-score order; each
-        carries its node tuple and per-edge scores — or, governed, a
-        :class:`~repro.exec.budget.PartialResult` wrapping them.
+    PartialResult
+        At most ``k`` :class:`~repro.core.nway.candidates.CandidateAnswer`
+        rows in descending aggregate-score order, each carrying its node
+        tuple and per-edge scores, with their score intervals.
     """
     check_on_budget(on_budget)
     if tracer is not None and engine is None:
@@ -311,8 +303,6 @@ def multi_way_join(
                 "no per-edge build order or operator choice to plan — use "
                 "'ap', 'pj', or 'pj-i' with plan='auto'"
             )
-        if budget is None and fault_injector is None:
-            return _run_strategy(spec, name, m)
         with _governed(
             spec.engine, spec.walk_cache, budget, fault_injector
         ) as governor:
@@ -325,7 +315,7 @@ def _nway_spec(
     algorithm: str, measure, node_sets, params, d, epsilon, **fields
 ) -> Tuple[str, NWayJoinSpec]:
     """The normalised algorithm name and the one :class:`NWayJoinSpec`
-    both n-way entry points run (DHT or measure, governed or not)."""
+    both n-way entry points run (DHT or measure, budgeted or not)."""
     resolved = _resolve_measure(measure)
     name = algorithm.lower()
     if resolved is not None and (name, True) not in STRATEGIES:
@@ -343,18 +333,6 @@ def _nway_spec(
         params=params, d=d, epsilon=epsilon, measure=resolved, **fields,
     )
     return name, spec
-
-
-def _run_strategy(spec: NWayJoinSpec, name: str, m: int, plan=None):
-    """Run ``name`` on ``spec`` through its executor class — the named,
-    per-strategy faces of the one :class:`~repro.core.nway.driver.NWayDriver`
-    (``plan`` overrides ``spec.plan``, e.g. to replay an explained plan)."""
-    if name == "nl":
-        return NestedLoopJoin(spec).run()
-    if name == "ap":
-        return AllPairsJoin(spec, plan=plan).run()
-    executor = PartialJoin if name == "pj" else PartialJoinIncremental
-    return executor(spec, m=m, plan=plan).run()
 
 
 def explain_multi_way_plan(
@@ -388,9 +366,10 @@ def explain_multi_way_plan(
     private :class:`~repro.obs.QueryTracer`, and the return type becomes
     an :class:`~repro.obs.AnalyzedPlan`: the plan annotated with
     per-edge actuals (propagation steps, cache hits, peak block bytes,
-    refill counts) sourced from the trace, plus the answers the traced
-    run produced — bit-identical to an untraced :func:`multi_way_join`
-    with the same plan (the CLI's ``--explain analyze`` prints it).
+    refill counts) sourced from the trace, plus the traced run's
+    :class:`~repro.exec.budget.PartialResult` — bit-identical to an
+    untraced :func:`multi_way_join` with the same plan and no budget
+    (the CLI's ``--explain analyze`` prints it).
     """
     name, spec = _nway_spec(
         algorithm, measure, graph=graph, query_graph=query_graph,
@@ -410,7 +389,8 @@ def explain_multi_way_plan(
 
 
 def _analyze_plan(spec: NWayJoinSpec, strategy: str, resolved_plan, m: int):
-    """Run the plan under a private tracer; annotate it with actuals."""
+    """Run the plan unbudgeted, through the one n-way runner, under a
+    private tracer; annotate it with actuals."""
     import time
 
     from repro.obs import AnalyzedPlan, QueryTracer, edge_actuals_from_trace
@@ -418,13 +398,16 @@ def _analyze_plan(spec: NWayJoinSpec, strategy: str, resolved_plan, m: int):
     tracer = QueryTracer()
     t_start = time.perf_counter()
     with _traced(spec.engine, tracer, "explain-analyze", strategy, spec.k):
-        answers = _run_strategy(spec, strategy, m, plan=resolved_plan)
+        with _governed(spec.engine, spec.walk_cache, None, None) as governor:
+            answers = run_governed_multi_way(
+                spec, governor, algorithm=strategy, m=m, plan=resolved_plan
+            )
     elapsed = time.perf_counter() - t_start
     root = tracer.traces[-1]
     return AnalyzedPlan(
         plan=resolved_plan,
         actuals=edge_actuals_from_trace(root, resolved_plan),
-        answers=tuple(answers),
+        answers=answers,
         elapsed_s=elapsed,
         trace=root,
     )

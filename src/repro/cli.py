@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain", nargs="?", const="plan", choices=("plan", "analyze"),
         default=None,
         help="print the chosen plan (order, operators, cost estimates) "
-             "before the answers; with --json the output becomes "
-             "{'plan': ..., 'results': ...}.  '--explain analyze' also "
+             "before the answers; with --json the envelope gains a "
+             "'plan' key.  '--explain analyze' also "
              "runs the query under the tracer and annotates each edge "
              "with predicted vs. actual propagation steps, cache hits, "
              "and peak block bytes",
@@ -206,21 +206,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args) -> Optional[QueryBudget]:
-    """The ``QueryBudget`` selected by the flags, or ``None`` (ungoverned;
-    ``serve`` has no ``--max-bytes``)."""
-    budget = QueryBudget(
+def _budget(args) -> QueryBudget:
+    """The ``QueryBudget`` selected by the flags (``serve`` has no
+    ``--max-bytes``); no flag is ``QueryBudget()``, which never stops."""
+    return QueryBudget(
         deadline_ms=args.deadline_ms, step_budget=args.step_budget,
         max_bytes=getattr(args, "max_bytes", None),
     )
-    return None if budget.unlimited else budget
 
 
-def _unwrap(result):
-    """Split an API return into (items, partial-or-None)."""
-    if isinstance(result, PartialResult):
-        return result.results, result
-    return result, None
+def _envelope(result: PartialResult, rows: List[dict]) -> dict:
+    """The one ``--json`` shape, ``{"exact", "reason", "results"}``,
+    each row carrying its ``lower`` / ``upper`` score interval."""
+    for row, (lower, upper) in zip(rows, result.bounds):
+        row["lower"] = lower
+        row["upper"] = upper
+    return {"exact": result.exact, "reason": result.reason, "results": rows}
+
+
+def _print_partial_note(result: PartialResult) -> None:
+    if not result.exact:
+        print(f"# partial result (budget exhausted: {result.reason}); "
+              f"scores are lower bounds")
 
 
 def _obs_setup(args, graph):
@@ -309,26 +316,14 @@ def _run_two_way(args) -> int:
         **_measure_kwargs(args),
     )
     _obs_export(args, engine, tracer)
-    pairs, partial = _unwrap(result)
     if args.as_json:
         rows = [
-            {"left": p.left, "right": p.right, "score": p.score} for p in pairs
+            {"left": p.left, "right": p.right, "score": p.score} for p in result
         ]
-        if partial is not None:
-            for row, (lower, upper) in zip(rows, partial.bounds):
-                row["lower"] = lower
-                row["upper"] = upper
-            print(json.dumps(
-                {"exact": partial.exact, "reason": partial.reason,
-                 "results": rows}
-            ))
-        else:
-            print(json.dumps(rows))
+        print(json.dumps(_envelope(result, rows)))
     else:
-        if partial is not None and not partial.exact:
-            print(f"# partial result (budget exhausted: {partial.reason}); "
-                  f"scores are lower bounds")
-        for rank, pair in enumerate(pairs, start=1):
+        _print_partial_note(result)
+        for rank, pair in enumerate(result, start=1):
             print(f"{rank:>4}  ({pair.left}, {pair.right})  h_d = {pair.score:+.6f}")
     return 0
 
@@ -353,9 +348,9 @@ def _run_multi_way(args) -> int:
     analyzed = None
     if args.explain:
         analyze = args.explain == "analyze"
-        if analyze and budget is not None:
+        if analyze and not budget.unlimited:
             raise GraphValidationError(
-                "--explain analyze runs the query ungoverned; drop "
+                "--explain analyze runs the query unbudgeted; drop "
                 "--deadline-ms/--step-budget/--max-bytes or use --explain plan"
             )
         # Plan once, print it, then replay that exact plan — the join
@@ -372,7 +367,7 @@ def _run_multi_way(args) -> int:
 
                 write_trace_jsonl(args.trace_out, [analyzed.trace])
             _obs_export(args, engine, None)
-            result = list(analyzed.answers)
+            result = analyzed.answers
         else:
             query_kwargs["plan"] = plan_obj
     if analyzed is None:
@@ -382,7 +377,6 @@ def _run_multi_way(args) -> int:
             **query_kwargs,
         )
         _obs_export(args, engine, tracer)
-    answers, partial = _unwrap(result)
     if args.as_json:
         rows = [
             {
@@ -390,29 +384,18 @@ def _run_multi_way(args) -> int:
                 "score": a.score,
                 "edge_scores": list(a.edge_scores),
             }
-            for a in answers
+            for a in result
         ]
-        if partial is not None:
-            for row, (lower, upper) in zip(rows, partial.bounds):
-                row["lower"] = lower
-                row["upper"] = upper
-            payload = {"exact": partial.exact, "reason": partial.reason,
-                       "results": rows}
-        else:
-            payload = rows
+        payload = _envelope(result, rows)
         if plan_obj is not None:
-            if not isinstance(payload, dict):
-                payload = {"results": rows}
             payload["plan"] = plan_obj.to_json()
         print(json.dumps(payload))
     else:
         if plan_obj is not None:
             for line in plan_obj.format().splitlines():
                 print(f"# {line}")
-        if partial is not None and not partial.exact:
-            print(f"# partial result (budget exhausted: {partial.reason}); "
-                  f"scores are lower bounds")
-        for rank, answer in enumerate(answers, start=1):
+        _print_partial_note(result)
+        for rank, answer in enumerate(result, start=1):
             nodes = ", ".join(str(u) for u in answer.nodes)
             print(f"{rank:>4}  ({nodes})  f = {answer.score:+.6f}")
     return 0

@@ -13,9 +13,10 @@ strategy runs on a DHT or a measure spec; ``docs/ALGORITHMS.md`` has
 the tables with the paper's cost models.
 
 Governance is a guard at the same seam, read from the thread-local
-``spec.engine.governor``: without a governor it is the identity; with
-one, the plan resolves under it (so block knobs fit its byte budget), a
-budget stop in an edge's build leaves that edge its snapshot
+``spec.engine.governor`` (every api query installs one): without a
+governor it is the identity; with one, the plan resolves under it (so
+block knobs fit its byte budget), a budget stop — or a genuine
+``MemoryError`` — in an edge's build leaves that edge its snapshot
 prefix (with score intervals) and no refills, a stop in a refill ends
 that stream, and the reasons are collected for
 :func:`repro.exec.governed.run_governed_multi_way` to flag the result.
@@ -149,17 +150,23 @@ def snapshot_partial(join, k: Optional[int], reason: str) -> PartialResult:
 class _Materialised:
     """``AP``: the edge's whole 2-way join, sorted; nothing to refill.
 
-    The one place a governed run swaps ``F-BJ`` for ``B-BJ``, whatever
-    the plan (a fixed plan's default or an ``auto`` pick) says.
+    The one place a run whose governor can stop it swaps ``F-BJ`` for
+    ``B-BJ``, whatever the plan (a fixed plan's default or an ``auto``
+    pick) says.
     """
 
     next_pair = None
     limit = None
 
     def __init__(self, context, factory, m, block_size, bound_factory) -> None:
-        if factory is ForwardBasicJoin and context.engine.governor is not None:
+        governor = context.engine.governor
+        if (
+            factory is ForwardBasicJoin
+            and governor is not None
+            and governor.can_stop
+        ):
             # F-BJ keeps no ``partial_pairs`` for a budget stop to
-            # report; a governed materialisation scores backward.
+            # report; a stoppable materialisation scores backward.
             factory = BackwardBasicJoin
         knobs = {} if block_size is None else {"block_size": block_size}
         self.join = factory(context, **knobs)
@@ -325,10 +332,9 @@ class NWayDriver:
     plan gives every edge (default: the strategy's row); ``m`` is the
     lazy sources' prefix length (``AP`` ignores it); ``plan`` overrides
     ``spec.plan`` (its rows carry the materialised source's block
-    width); ``bound_factory`` is the incremental source's bound flavour;
-    ``label`` names the ``rankjoin`` trace span (default
-    ``self.name``).  The public per-strategy classes (``PartialJoin``
-    ...) document them in full.
+    width); ``bound_factory`` is the incremental source's bound flavour.
+    The public per-strategy classes (``PartialJoin`` ...) document them
+    in full.
 
     After :meth:`run`: ``plan`` is the resolved plan, ``stats`` the
     lazy-strategy record, ``rank_join`` the PBRJ's own stats, and — under
@@ -345,7 +351,6 @@ class NWayDriver:
         m: int = 50,
         plan=None,
         bound_factory: BoundFactory = y_bound_factory,
-        label: Optional[str] = None,
     ) -> None:
         if strategy != "ap" and m < 0:
             raise GraphValidationError(f"m must be >= 0, got {m}")
@@ -356,7 +361,6 @@ class NWayDriver:
         self._m = m
         self._plan = plan
         self._bound_factory = bound_factory
-        self._label = label if label is not None else self.name
         self.plan = None
         self.stats = PartialJoinStats()
         self.rank_join: Optional[RankJoinStats] = None
@@ -419,7 +423,7 @@ class NWayDriver:
         pbrj = PBRJ(spec.query_graph, spec.aggregate, inputs, spec.k)
 
         def rank_join() -> List[CandidateAnswer]:
-            with spec.engine.trace_span("rankjoin", self._label):
+            with spec.engine.trace_span("rankjoin", self.name):
                 return pbrj.run()
 
         answers = guard.attempt(rank_join, [])

@@ -10,9 +10,10 @@ Layer map (see ``docs/ALGORITHMS.md`` for the handbook section):
   engine and join loops.
 - :mod:`repro.exec.faults` — the deterministic seeded
   :class:`FaultInjector` used by the robustness test matrix.
-- :mod:`repro.exec.governed` — governed join entry points that convert
-  exhaustion into flagged partial results.  Imported lazily (it depends
-  on the join layers, which depend on this package).
+- :mod:`repro.exec.governed` — the runners every api query goes
+  through, which convert exhaustion into flagged partial results.
+  Imported lazily (it depends on the join layers, which depend on this
+  package).
 """
 
 from repro.exec.budget import (

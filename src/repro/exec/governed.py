@@ -1,8 +1,10 @@
 """Governed entry points: budgets in, exact-or-flagged-partial out.
 
-This module wraps the join layers under an installed
-:class:`~repro.exec.governor.ExecutionGovernor`.  The contract every
-wrapper upholds — and the fault-injection matrix asserts — is:
+This module runs the join layers under an installed
+:class:`~repro.exec.governor.ExecutionGovernor` — every api query, with
+a budget or without one (``QueryBudget()``, a governor that can never
+stop).  The contract every wrapper upholds — and the fault-injection
+matrix asserts — is:
 
 * a join that runs to completion returns an ``exact`` result with
   degenerate ``(score, score)`` bounds;
@@ -46,7 +48,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.nway.driver import Interval, NWayDriver, snapshot_partial
+from repro.core.nway.all_pairs import AllPairsJoin
+from repro.core.nway.driver import Interval, snapshot_partial
+from repro.core.nway.nested_loop import NestedLoopJoin
+from repro.core.nway.partial_join import PartialJoin
+from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.spec import NWayJoinSpec
 from repro.exec.budget import (
     ON_BUDGET_POLICIES,
@@ -59,7 +65,8 @@ from repro.graph.validation import GraphValidationError
 
 
 def check_on_budget(on_budget: str) -> None:
-    """Reject an unknown ``on_budget`` policy before any work."""
+    """Reject an unknown ``on_budget`` policy before any work (the api
+    entry points call it once per query, before any walk)."""
     if on_budget not in ON_BUDGET_POLICIES:
         raise GraphValidationError(
             f"unknown on_budget policy {on_budget!r}; "
@@ -73,7 +80,6 @@ def _run_governed(call, join, limit, governor, on_budget: str) -> PartialResult:
     :class:`BudgetExhaustedError` (``"error"``), the stop counted either
     way.  A genuine :class:`MemoryError` that survived the adaptive
     backoff is treated as ``reason="bytes"`` exhaustion."""
-    check_on_budget(on_budget)
     try:
         return exact_result(call())
     except BudgetExhaustedError as exc:
@@ -105,19 +111,24 @@ def run_governed_top_k(
     return _run_governed(lambda: join.top_k(k), join, k, governor, on_budget)
 
 
+_LAZY_EXECUTORS = {"pj": PartialJoin, "pj-i": PartialJoinIncremental}
+
+
 def run_governed_multi_way(
     spec: NWayJoinSpec,
     governor: ExecutionGovernor,
     algorithm: str = "pj",
     m: int = 50,
     on_budget: str = "partial",
+    plan=None,
 ) -> PartialResult:
-    """A budgeted n-way join: ``PJ``-style prefixes or ``AP``.
+    """The one n-way runner: ``algorithm``'s executor under ``governor``.
 
-    ``algorithm`` is ``"pj"``/``"pj-i"`` (top-``m`` prefixes with
-    governed restart refills) or ``"ap"`` (governed full
-    materialisation); ``"nl"`` has no incremental state to snapshot and
-    is rejected under a budget.  Per-edge exhaustion never aborts the
+    ``algorithm`` is ``"nl"``, ``"ap"``, ``"pj"`` or ``"pj-i"``; the
+    runner constructs its executor class (:class:`AllPairsJoin`,
+    :class:`PartialJoin`, :class:`PartialJoinIncremental`,
+    :class:`NestedLoopJoin`), and ``plan`` overrides ``spec.plan`` (e.g.
+    to replay an explained plan).  Per-edge exhaustion never aborts the
     join under ``on_budget="partial"``: the stopped edge contributes its
     snapshot prefix (with intervals), its refills are disabled, and the
     final answers are flagged partial with componentwise-aggregated
@@ -126,11 +137,13 @@ def run_governed_multi_way(
     The join itself is the shared
     :class:`~repro.core.nway.driver.NWayDriver`, whose guard reads the
     installed ``governor`` off ``spec.engine`` and collects the stop
-    reasons and per-pair intervals assembled here.  Governed ``"pj-i"``
-    runs the restart source: the incremental join keeps no snapshot.
-    Governed ``"ap"`` materialises with ``B-BJ``: the driver's
-    materialised source swaps ``F-BJ``, which keeps no prefix to
-    snapshot, for it under any governor.
+    reasons and per-pair intervals assembled here.  What a stop needs
+    is needed only when the governor :attr:`~ExecutionGovernor.can_stop`:
+    then ``"pj-i"`` runs ``PJ``'s restart source (the incremental join
+    keeps no snapshot), ``"ap"`` materialises with ``B-BJ`` (the
+    driver's materialised source swaps out ``F-BJ``, which keeps no
+    prefix), and ``"nl"``, which has no threshold state at all, is
+    rejected.  An unbudgeted query runs the strategy as written.
 
     ``spec.plan`` chooses edge build order — and, for the
     ``PJ`` strategies, per-edge operators.  Plans only reorder which
@@ -138,24 +151,28 @@ def run_governed_multi_way(
     per-edge, so it holds under every build order (the planner
     interaction tests pin this).
     """
-    check_on_budget(on_budget)
     name = algorithm.lower()
     if name == "nl":
-        raise GraphValidationError(
-            "the NL strategy scores answers one tuple at a time and has no "
-            "resumable threshold state; use 'pj', 'pj-i', or 'ap' under a "
-            "query budget"
-        )
-    if name not in ("pj", "pj-i", "ap"):
+        if governor.can_stop:
+            raise GraphValidationError(
+                "the NL strategy scores answers one tuple at a time and has "
+                "no resumable threshold state; use 'pj', 'pj-i', or 'ap' "
+                "under a query budget"
+            )
+        return exact_result(NestedLoopJoin(spec).run())
+    if name == "pj-i" and governor.can_stop:
+        name = "pj"
+    if name == "ap":
+        executor = AllPairsJoin(spec, plan=plan)
+    elif name in _LAZY_EXECUTORS:
+        executor = _LAZY_EXECUTORS[name](spec, m=m, plan=plan)
+    else:
         raise GraphValidationError(
             f"unknown n-way algorithm {algorithm!r}; "
             f"choose from ('pj', 'pj-i', 'ap', 'nl')"
         )
-    # The operators are the strategy table's; only the source differs.
-    source = "pj" if name == "pj-i" else name
-    driver = NWayDriver(spec, source, m=m, label=name)
-    answers = driver.run()
-    reasons, intervals = driver.reasons, driver.intervals
+    answers = executor.run()
+    reasons, intervals = executor.reasons, executor.intervals
     exact = not reasons
     if not exact and on_budget == "error":
         raise BudgetExhaustedError(reasons[0])

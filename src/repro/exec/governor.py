@@ -1,8 +1,9 @@
 """The execution governor: budget enforcement at cooperative checkpoints.
 
 An :class:`ExecutionGovernor` is installed on a
-:class:`~repro.walks.engine.WalkEngine` for the duration of one governed
-query.  The engine (and the join loops above it) call
+:class:`~repro.walks.engine.WalkEngine` for the duration of every api
+query (an unbudgeted one gets ``QueryBudget()``, which never stops it).
+The engine (and the join loops above it) call
 ``engine.checkpoint(site, ...)`` at the natural unit-of-work boundaries:
 
 ``"step"``
@@ -52,12 +53,13 @@ from repro.exec.budget import BudgetExhaustedError, QueryBudget
 class ExecutionGovernor:
     """Enforces a :class:`QueryBudget` and hosts the fault injector.
 
-    ``clock`` is injectable for deterministic deadline tests; the
+    Every api query runs under one; ``QueryBudget()`` with no injector
+    (an unbudgeted query) can never stop it, which :attr:`can_stop`
+    says.  ``clock`` is injectable for deterministic deadline tests; the
     ``"clock"`` fault advances :meth:`jump_clock` rather than sleeping.
-    ``validate_walks`` turns on the NaN walk-mass validation in
-    :class:`~repro.walks.state.WalkState`; it defaults to on whenever a
-    fault injector is present (validation is one ``isfinite`` reduction
-    per advanced block).
+    ``validate_walks`` (the NaN walk-mass validation in
+    :class:`~repro.walks.state.WalkState`, one ``isfinite`` reduction
+    per advanced block) is on exactly when a fault injector is present.
     """
 
     def __init__(
@@ -65,15 +67,12 @@ class ExecutionGovernor:
         budget: Optional[QueryBudget] = None,
         clock: Callable[[], float] = time.monotonic,
         fault_injector=None,
-        validate_walks: Optional[bool] = None,
     ) -> None:
         self.budget = budget if budget is not None else QueryBudget()
         self._clock = clock
         self._offset = 0.0
         self.fault_injector = fault_injector
-        self.validate_walks = (
-            validate_walks if validate_walks is not None else fault_injector is not None
-        )
+        self.validate_walks = fault_injector is not None
         self._engine = None
         self.walk_cache = None
         self._deadline: Optional[float] = None
@@ -104,14 +103,12 @@ class ExecutionGovernor:
             self._engine.governor = None
 
     @property
-    def engine(self):
-        """The engine this governor is installed on (``None`` before install)."""
-        return self._engine
-
-    @property
-    def stats(self):
-        """The installed engine's stats block."""
-        return self._engine.stats
+    def can_stop(self) -> bool:
+        """Whether this governor can ever stop its query: some budget
+        axis is set or a fault injector may fire.  What a stop needs —
+        a join that keeps a snapshot, ``B-BJ`` for ``AP``'s
+        materialisation, no ``NL`` — is needed only then."""
+        return not self.budget.unlimited or self.fault_injector is not None
 
     # ------------------------------------------------------------------
     # Clock

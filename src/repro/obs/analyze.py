@@ -42,14 +42,15 @@ class EdgeActuals:
 class AnalyzedPlan:
     """An :class:`ExplainedPlan` annotated with traced actuals.
 
-    ``actuals`` is ordered like ``plan.build_order``; ``answers`` are
-    the traced run's results (the trace layer must never change them —
-    the overhead bench asserts bit-identity against untraced runs).
+    ``actuals`` is ordered like ``plan.build_order``; ``answers`` is
+    the traced run's :class:`~repro.exec.budget.PartialResult` (the
+    trace layer must never change it — the overhead bench asserts
+    bit-identity against untraced runs).
     """
 
     plan: object  # repro.planner.plan.ExplainedPlan
     actuals: Tuple[EdgeActuals, ...]
-    answers: tuple
+    answers: object  # repro.exec.budget.PartialResult
     elapsed_s: float
     trace: Optional[TraceSpan] = None
 

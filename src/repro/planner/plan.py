@@ -302,9 +302,9 @@ def _uses_y_bound(operator: str, measure) -> bool:
 
 def _block_knob(spec, operator: str) -> Optional[int]:
     """The block-width knob for block-propagating operators, clamped
-    under the calling thread's byte budget (a governed plan resolves
-    under the governor; an ungoverned explain shows the unclamped width,
-    which the join clamps when it runs)."""
+    under the calling thread's byte budget (a query's plan resolves
+    under its governor; a plain explain, with no budget, shows the
+    unclamped width, which the join clamps when it runs)."""
     if operator not in _BLOCK_OPERATORS:
         return None
     cap = columns_for_budget(spec.engine)

@@ -48,7 +48,7 @@ from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.two_way.base import cache_identity, resolve_config
-from repro.exec.budget import PartialResult, QueryBudget, exact_result
+from repro.exec.budget import PartialResult, QueryBudget
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
 from repro.service.requests import (
@@ -122,10 +122,9 @@ class QueryService:
         earlier.
     default_budget:
         :class:`~repro.exec.budget.QueryBudget` applied to every join
-        request that does not carry its own (``None`` = ungoverned by
-        default).  Requests run governed whenever an effective budget
-        exists, so their results are always
-        :class:`~repro.exec.budget.PartialResult`-wrapped either way.
+        request that does not carry its own (``None``: no budget).
+        Every join runs under its worker's governor either way and
+        answers a :class:`~repro.exec.budget.PartialResult`.
     params / d / epsilon:
         Service-wide DHT configuration (requests cannot override it —
         cache identity must stay fixed for sharing to be sound).
@@ -463,28 +462,24 @@ class QueryService:
 
     def _dispatch(self, request: object, budget: Optional[QueryBudget]):
         if isinstance(request, TwoWayRequest):
-            result = self._run(
+            return self._run(
                 api.two_way_join, request, list(request.left),
                 list(request.right), budget=budget,
             )
-        elif isinstance(request, MultiWayRequest):
-            result = self._run(
+        if isinstance(request, MultiWayRequest):
+            return self._run(
                 api.multi_way_join, request, *_query_inputs(request),
                 m=request.m, plan=request.plan, budget=budget,
             )
-        elif isinstance(request, ExplainRequest):
+        if isinstance(request, ExplainRequest):
             return self._run(
                 api.explain_multi_way_plan, request, *_query_inputs(request),
                 m=request.m, plan=request.plan,
             )
-        else:
-            raise GraphValidationError(
-                f"unknown request type {type(request).__name__}; expected "
-                "TwoWayRequest, MultiWayRequest, or ExplainRequest"
-            )
-        if isinstance(result, PartialResult):
-            return result
-        return exact_result(result)
+        raise GraphValidationError(
+            f"unknown request type {type(request).__name__}; expected "
+            "TwoWayRequest, MultiWayRequest, or ExplainRequest"
+        )
 
     # ------------------------------------------------------------------
     # Request execution

@@ -386,7 +386,10 @@ class WalkEngine:
         return self._n
 
     def checkpoint(self, site: str, block=None, nbytes=None, count: int = 1) -> None:
-        """Cooperative budget/fault checkpoint (no-op without a governor).
+        """Cooperative budget/fault checkpoint.
+
+        Every api query installs a governor; a join driven directly,
+        with none installed, makes this a no-op (tracer events aside).
 
         ``site`` names the unit-of-work boundary (see
         :mod:`repro.exec.governor`); ``block`` is an in-flight walk

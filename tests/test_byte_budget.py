@@ -80,7 +80,7 @@ def test_two_way_four_column_ceiling_is_planned_and_exact(case):
     expected, _ = _two_way(*case)
     result, engine = _two_way(*case, budget=QueryBudget(max_bytes=FOUR_COLUMNS))
     assert result.exact and result.reason is None
-    assert result.results == expected
+    assert result.results == expected.results
     assert engine.stats.alloc_retries == 0
     assert engine.stats.budget_stops == 0
     assert engine.stats.peak_block_bytes <= FOUR_COLUMNS
@@ -121,7 +121,7 @@ def test_multi_way_four_column_ceiling_is_planned_and_exact(algorithm):
         algorithm, budget=QueryBudget(max_bytes=FOUR_COLUMNS)
     )
     assert result.exact and result.reason is None
-    assert result.results == expected
+    assert result.results == expected.results
     assert engine.stats.alloc_retries == 0
     assert engine.stats.budget_stops == 0
     assert engine.stats.peak_block_bytes <= FOUR_COLUMNS

@@ -42,7 +42,7 @@ class TestTwoWayCommand:
             "--left", "A", "--right", "B", "-k", "2", "--json",
         ])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = json.loads(capsys.readouterr().out)["results"]
         assert len(data) == 2
         assert {"left", "right", "score"} <= set(data[0])
         assert data[0]["score"] >= data[1]["score"]
@@ -55,7 +55,7 @@ class TestTwoWayCommand:
             "--measure", "dht-e", "--json",
         ])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)
+        assert json.loads(capsys.readouterr().out)["results"]
 
     def test_measure_with_max_bytes(self, workspace, capsys):
         """The walk-block ceiling applies to series measures too, and a
@@ -68,7 +68,7 @@ class TestTwoWayCommand:
             "--measure", "ppr", "--json",
         ]
         assert main(base) == 0
-        free = json.loads(capsys.readouterr().out)
+        free = json.loads(capsys.readouterr().out)["results"]
         assert main(base + ["--max-bytes", "400"]) == 0  # one column of 25 nodes
         capped = json.loads(capsys.readouterr().out)
         assert capped["exact"] and capped["reason"] is None
@@ -103,7 +103,7 @@ class TestMultiWayCommand:
             "-k", "3", "--json",
         ])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = json.loads(capsys.readouterr().out)["results"]
         assert data and len(data[0]["nodes"]) == 3
         assert len(data[0]["edge_scores"]) == 2
 
@@ -115,7 +115,7 @@ class TestMultiWayCommand:
             "-k", "2", "--json",
         ])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = json.loads(capsys.readouterr().out)["results"]
         assert len(data[0]["edge_scores"]) == 6  # bidirectional triangle
 
     def test_triangle_wrong_arity(self, workspace, capsys):
@@ -135,7 +135,7 @@ class TestMultiWayCommand:
                 "--node-sets", "A", "B", "--shape", "chain",
                 "-k", "3", "--algorithm", algorithm, "--json",
             ])
-            data = json.loads(capsys.readouterr().out)
+            data = json.loads(capsys.readouterr().out)["results"]
             scores[algorithm] = [round(a["score"], 9) for a in data]
         assert scores["nl"] == scores["pj-i"]
 
@@ -147,7 +147,7 @@ class TestMultiWayCommand:
             "-k", "1", "--json",
         ])
         assert code == 0
-        answer = json.loads(capsys.readouterr().out)[0]
+        answer = json.loads(capsys.readouterr().out)["results"][0]
         assert answer["score"] == pytest.approx(sum(answer["edge_scores"]))
 
 

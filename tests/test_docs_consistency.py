@@ -210,7 +210,7 @@ def test_cli_budget_flags_are_the_query_budget_fields():
             ["--left", "A", "--right", "B"] if command == "two-way"
             else ["--node-sets", "A", "B"]
         )
-        assert _budget(parser.parse_args(required)) is None
+        assert _budget(parser.parse_args(required)) == QueryBudget()
         for flag, name in fields.items():
             budget = _budget(parser.parse_args(required + [flag, "7"]))
             assert getattr(budget, name) == 7, (command, flag)
@@ -299,6 +299,24 @@ def test_invariants_doc_rules_match_linter_registry():
     assert documented == {
         (rule.rule_id, rule.name) for rule in RULES.values()
     }, "docs/INVARIANTS.md sections must mirror repro.analysis.rules.RULES"
+
+
+def test_rl005_budget_exceptions_exist_and_match_invariants():
+    """RL005 watches only exception classes ``repro.exec.budget``
+    defines, and docs/INVARIANTS.md's RL005 contract names exactly
+    those (``PartialResult`` is what a handler converts to)."""
+    from repro.analysis.rules import _BUDGET_EXC_NAMES
+    from repro.exec import budget
+
+    for name in _BUDGET_EXC_NAMES:
+        cls = getattr(budget, name, None)
+        assert isinstance(cls, type) and issubclass(cls, Exception), name
+        assert cls.__module__ == budget.__name__, name
+    text = INVARIANTS.read_text(encoding="utf-8")
+    section = text[text.index("## RL005"):]
+    contract = section[section.index("**Contract.**"):section.index("**Why.**")]
+    named = set(re.findall(r"`([A-Z][A-Za-z]+)`", contract)) - {"PartialResult"}
+    assert named == _BUDGET_EXC_NAMES
 
 
 def test_invariants_doc_documents_suppression_and_run_commands():

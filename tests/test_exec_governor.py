@@ -99,7 +99,7 @@ class TestGovernedTwoWay:
             graph, left, right, 8, budget=QueryBudget(step_budget=10**9)
         )
         assert governed.exact and governed.reason is None
-        assert governed.results == plain
+        assert governed.results == plain.results
         assert all(lo == hi for lo, hi in governed.bounds)
 
     @pytest.mark.parametrize("algorithm", ["b-idj-y", "b-idj-x", "b-bj"])
@@ -144,7 +144,7 @@ class TestGovernedTwoWay:
         found = {(p.left, p.right) for p in result.results}
         assert 0.0 <= len(wanted & found) / len(wanted) <= 1.0
         if fraction is None:
-            assert result.exact and result.results == reference
+            assert result.exact and result.results == reference.results
         elif not result.exact:
             assert result.reason == "steps"
         if fraction == 0.1:
@@ -215,7 +215,7 @@ class TestByteBudgetBackoff:
             budget=QueryBudget(max_bytes=16 * graph.num_nodes * 2),
         )
         assert result.exact
-        assert result.results == expected
+        assert result.results == expected.results
         assert engine.stats.alloc_retries == 0
         assert engine.stats.degradations == 0
         assert engine.stats.budget_stops == 0
@@ -264,7 +264,7 @@ class TestGovernedMultiWay:
             graph, query, sets, 5, budget=QueryBudget(step_budget=10**9)
         )
         assert governed.exact
-        assert governed.results == plain
+        assert governed.results == plain.results
 
     @pytest.mark.parametrize("algorithm", ["pj", "ap"])
     def test_step_budget_yields_sound_partial(self, nway, algorithm):

@@ -92,7 +92,7 @@ def pair_oracles(workload):
 def assert_two_way_sound(result, oracle, expected, atol=1e-9):
     assert isinstance(result, PartialResult)
     if result.exact:
-        assert result.results == expected
+        assert result.results == expected.results
         assert all(lo == hi for lo, hi in result.bounds)
         return
     assert result.reason in ("deadline", "steps", "bytes")
@@ -176,7 +176,7 @@ class TestTwoWayMatrix:
         )
         assert injector.fired
         assert result.exact
-        assert result.results == expected
+        assert result.results == expected.results
 
 
 class TestCorruptedBlockInBasicJoin:
@@ -223,7 +223,7 @@ class TestCorruptedBlockInBasicJoin:
         engine, cache, injector, kwargs = self._faulted(workload, name, cached, 1)
         result = two_way_join(graph, left, right, 8, **kwargs)
         assert len(injector.fired) == 1
-        assert result.exact and result.results == expected
+        assert result.exact and result.results == expected.results
         assert engine.stats.degradations == 1
         if cached:  # every target donated at full depth, none poisoned
             depth = 8 if name == "dht" else self._measure(name).d
@@ -411,7 +411,7 @@ class TestNWayMatrix:
         )
         assert isinstance(result, PartialResult)
         if result.exact:
-            assert result.results == expected
+            assert result.results == expected.results
         else:
             assert result.reason in ("deadline", "steps", "bytes")
             atol = 1e-9

@@ -549,5 +549,5 @@ class TestCLIExplain:
         assert sorted(payload["plan"]["build_order"]) == [0, 1, 2, 3]
         code = cli.main(self._common(*cli_files) + ["--json"])
         assert code == 0
-        fixed_rows = json.loads(capsys.readouterr().out)
+        fixed_rows = json.loads(capsys.readouterr().out)["results"]
         assert payload["results"] == fixed_rows

@@ -122,7 +122,7 @@ class TestAutoEqualsFixedOracle:
             graph, query, node_sets, k, algorithm="pj", m=30, d=5,
             plan="auto",
         )
-        assert not isinstance(ungoverned, PartialResult)
+        assert ungoverned.exact and ungoverned.reason is None
         governed = multi_way_join(
             graph, query, node_sets, k, algorithm="pj", m=30, d=5,
             plan="auto", budget=QueryBudget(step_budget=step_budget),
