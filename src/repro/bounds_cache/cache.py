@@ -12,15 +12,16 @@ the walk depth ``d``:
   restart / ``PJ-i`` refinement over those edges can share one build.
   Each build costs a ``d``-step propagation over the whole edge set
   (``O(d |E_G|)``); sharing turns per-edge builds into one.
-* **Restricted-tail plans** (:class:`repro.core.two_way.backward._RestrictedTail`):
+* **Restricted-tail plans** (:class:`repro.walks.state.RestrictedTail`):
   the row-sliced submatrix operators for the final walk steps depend
-  only on ``(graph, rows, d)``.  ``B-BJ``'s *lean* scorer — the path
-  taken when no walk cache is attached (standalone two-way contexts) —
-  reuses the plan across repeated ``all_pairs`` calls and across
-  contexts that share a bound cache and a left set instead of
-  re-slicing the transition matrix.  With a walk cache attached ``B-BJ`` scores
-  through full resumable blocks it donates to the cache, which needs no
-  tail plan, so those runs never touch this entry kind.
+  only on ``(graph, rows, d)``.  A walk with no walk cache attached
+  keeps its score prefix at the left rows and finishes on the plan —
+  ``B-BJ``'s *lean* scorer and ``B-IDJ``'s final level — so repeated
+  ``all_pairs`` calls and contexts that share a bound cache and a left
+  set reuse it instead of re-slicing the transition matrix.  With a
+  walk cache attached the joins walk full resumable blocks they donate
+  to the cache, which needs no tail plan, so those runs never touch
+  this entry kind.
 * **X bounds** (Lemma 2): the closed-form geometric tail depends only
   on ``(params, d)``, so it is keyed by the empty node set.  Cheap to
   build, but ``F-IDJ`` and ``B-IDJ-X`` used to rebuild it per join

@@ -14,14 +14,15 @@ The bound ``U_l^+`` is pluggable: ``X_l^+`` (Lemma 2) gives ``B-IDJ-X``,
 This module runs both algorithms on the batched, resumable walk layer:
 
 * ``B-BJ`` propagates its targets in blocks — one sparse product per
-  step instead of ``B`` mat-vecs.  Its cache-less lean scorer is three
-  phases (frontier head, dense middle, restricted tail); the head and
-  its gate are the walk engine's, shared with ``WalkState``.
+  step instead of ``B`` mat-vecs.  Its cache-less lean scorer is a
+  row-restricted :class:`~repro.walks.state.WalkState` that finishes on
+  the left set's restricted tail.
 * ``B-IDJ`` keeps one :class:`~repro.walks.state.WalkState` across
   deepening rounds, so level ``2l`` *extends* level ``l`` (``d``
   column-steps per surviving target instead of ``~2d``).  The rounds
   hand it each walked block already restricted to the left rows
-  (``(|P|, B)``, never a full-graph vector per target), and its per-``p``
+  (``(|P|, B)``; with no walk cache the prefix is kept only there, and
+  the final level ends on the restricted tail).  Its per-``p``
   score/floor loop is a masked max over those blocks with a bounded
   top-k floor accumulator.
 * Both keep the tail in blocks: the ``k`` winners are picked straight
@@ -46,7 +47,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import issparse
 
 from repro.core.bounds import (
     ClosedFormTail,
@@ -62,8 +62,6 @@ from repro.core.two_way.base import (
 )
 from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
-from repro.walks.engine import block_rows, dense_block
-from repro.walks.kernels import dense_step
 from repro.walks.rounds import (
     REWALK_ATTEMPTS,
     DeepeningRounds,
@@ -71,7 +69,7 @@ from repro.walks.rounds import (
     columns_for_budget,
     triage,
 )
-from repro.walks.state import WalkState
+from repro.walks.state import RestrictedTail, WalkState
 
 # 16 columns keeps the dense mass block cache-resident on large graphs
 # (n x B x 8 bytes) while amortising the CSR index traffic.  Re-tune
@@ -106,128 +104,12 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     return context.params.scores_from_matrix(series)
 
 
-class _RestrictedTail:
-    """Row-sliced transition operators for the last walk steps.
-
-    Step ``d`` of the scorer only needs mass at the left rows; step
-    ``d - 1`` only at their out-neighbours, and so on — the *reverse*
-    frontier.  This plan materialises the nested node sets
-    ``R_0 = rows``, ``R_{j+1} = out_nbrs(R_j) | R_0`` and the submatrix
-    operators ``A_j = T[R_j][:, R_{j+1}]``, for as many levels as the
-    row slice stays under half of ``nnz(T)``.  The plan depends only on
-    ``(graph, rows, d)``, so it is served through the context's
-    :class:`~repro.bounds_cache.BoundPlanCache`: shared by every target
-    chunk of one ``all_pairs`` call *and* by later calls over the same
-    left set — ``PJ`` restarts that re-materialise an edge reuse the
-    plan instead of re-slicing the transition matrix.
-    """
-
-    def __init__(self, context: TwoWayContext, rows: np.ndarray) -> None:
-        context.engine.stats.add("plan_builds", 1)
-        transition = context.graph.transition_matrix()
-        out_degrees = np.diff(transition.indptr)
-        budget = transition.nnz // 2
-        base = np.sort(np.asarray(rows, dtype=np.int64))
-        self.node_sets: List[np.ndarray] = [base]
-        self.operators: List = []
-        self.row_positions: List[np.ndarray] = [np.arange(base.size)]
-        while len(self.operators) < context.d - 1:
-            current = self.node_sets[-1]
-            if int(out_degrees[current].sum()) > budget:
-                break
-            sliced = transition[current]
-            bigger = np.union1d(sliced.indices, base)
-            self.operators.append(sliced[:, bigger])
-            self.node_sets.append(bigger)
-            self.row_positions.append(np.searchsorted(bigger, base))
-
-    @property
-    def depth(self) -> int:
-        """Number of final steps the plan can serve."""
-        return len(self.operators)
-
-
-def _block_scores_at_rows(
-    context: TwoWayContext,
-    targets,
-    rows: np.ndarray,
-    tail: _RestrictedTail,
-) -> np.ndarray:
-    """Full-depth scores for a target block, evaluated at ``rows`` only.
-
-    Degree-aware propagation in three phases, chosen adaptively:
-
-    * **frontier head** — the forward frontier of step ``i`` covers
-      ``O(deg^i)`` nodes, so the walk starts as the engine's frontier
-      block and steps with its sparse x sparse product (cost
-      proportional to the frontier, not ``|E_G| B``) for as long as
-      :meth:`~repro.walks.engine.WalkEngine.frontier_pays` says so —
-      the head, and the gate, that
-      :class:`~repro.walks.state.WalkState` walks its early levels on.
-    * **dense middle** — full-width CSR SpMM; the same
-      :meth:`~repro.walks.engine.WalkEngine.backward_block_step`, handed
-      the densified block.
-    * **restricted tail** — the last steps only need mass on the
-      *reverse* frontier of ``rows`` (see :class:`_RestrictedTail`), so
-      they run on row-sliced submatrix operators.
-
-    Hub-heavy graphs collapse to mostly-dense middles; bounded-degree
-    graphs may never need a dense step at all.  The score prefix is
-    accumulated only on the requested rows — no caller needs the
-    intermediate full vectors.
-
-    Agrees with the corresponding rows of
-    :meth:`repro.walks.state.WalkState.scores_matrix` at full depth to
-    within summation-order rounding (far below the 1e-12 test
-    tolerance; the phases add the same products in different orders).
-    Returns an ``(len(rows), B)`` array in the order of ``rows``.
-    """
-    engine, params = context.engine, context.params
-    targets = np.asarray(targets, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    width = targets.shape[0]
-    base = tail.node_sets[0]  # sorted rows
-
-    mass = engine.backward_onehot_step(targets)
-    acc = params.decay * block_rows(mass, base)
-    restricted = None
-    spare = None  # the dense middle's second buffer (see WalkState)
-    for i in range(2, context.d + 1):
-        consume_level = context.d - i + 1  # tail level holding m_{i-1}
-        if consume_level <= tail.depth:
-            node_set = tail.node_sets[consume_level]
-            if restricted is None:
-                restricted = block_rows(mass, node_set)
-                mass = None
-            positions = np.searchsorted(node_set, targets)
-            for column in range(width):
-                pos = positions[column]
-                if pos < node_set.size and node_set[pos] == targets[column]:
-                    restricted[pos, column] = 0.0
-            restricted = dense_step(tail.operators[consume_level - 1], restricted)
-            engine.stats.add("propagation_steps", int(width))
-            engine.stats.add("sparse_products", 1)
-            acc += params.decay ** i * restricted[
-                tail.row_positions[consume_level - 1], :
-            ]
-            continue
-        if issparse(mass) and not engine.frontier_pays(mass):
-            mass = dense_block(mass)
-        spent = mass
-        mass = engine.backward_block_step(spent, targets, first=False, out=spare)
-        if not issparse(spent):
-            spare = spent
-        acc += params.decay ** i * block_rows(mass, base)
-    scores = params.alpha * acc + params.beta
-    governor = engine.governor
-    if governor is not None and governor.validate_walks:
-        # This path has no WalkState (whose advance validates for us), so
-        # guard the accumulated scores before they reach any result list.
-        if not np.isfinite(scores).all():
-            raise CorruptedWalkError(
-                "non-finite block scores detected in restricted-row scoring"
-            )
-    return scores[np.searchsorted(base, rows), :]
+def _tail_plan(context: TwoWayContext) -> RestrictedTail:
+    """The left set's restricted-tail plan, through the bound cache."""
+    return context.bound_cache.tail_plan(
+        context.left, context.d,
+        lambda: RestrictedTail(context.engine, context.left_array, context.d),
+    )
 
 
 class WalkObserver(Protocol):
@@ -312,7 +194,7 @@ class BackwardBasicJoin:
             cap = columns_for_budget(ctx.engine)
             width = self._block_size if cap is None else min(self._block_size, cap)
             if ctx.walk_cache is None and ctx.measure is None:
-                # The restricted-tail plan is Eq. 5's first-hit algebra.
+                # A cache-less DHT join reads its blocks at P only.
                 self._score_lean(blocks, width)
             else:
                 self._score_blocks(blocks, width)
@@ -342,24 +224,22 @@ class BackwardBasicJoin:
         raise AssertionError("unreachable")
 
     def _score_lean(self, blocks: List[LeftBlock], width: int) -> None:
-        """Batched scoring with the accumulator restricted to ``P``.
+        """Batched scoring with the prefix kept at ``P`` only.
 
         Without a cache to feed, only the left rows of each score vector
-        are ever read, so the ``lambda^i P_i`` prefix is accumulated on
-        an ``(|P|, B)`` slice instead of the full ``(n, B)`` block — the
-        propagation itself still needs full vectors, but the accumulator
-        traffic drops by ``n / |P|``.
+        are ever read, so each block is a row-restricted
+        :class:`~repro.walks.state.WalkState` (an ``(|P|, B)`` prefix)
+        that walks its last steps on the left set's restricted tail.
         """
         ctx = self._ctx
         left = ctx.left_array
-        tail = ctx.bound_cache.tail_plan(
-            ctx.left, ctx.d, lambda: _RestrictedTail(ctx, left)
-        )
+        tail = _tail_plan(ctx)
+        def score(chunk):
+            state = WalkState(ctx.engine, ctx.kernel, chunk, rows=left)
+            return state.advance_to(ctx.d, tail).scores_at(left)
         for start in range(0, len(ctx.right), width):
             chunk = ctx.right[start : start + width]
-            blocks.append((chunk, self._rewalking(
-                _block_scores_at_rows, ctx, chunk, left, tail
-            )))
+            blocks.append((chunk, self._rewalking(score, chunk)))
 
     def _score_blocks(self, blocks: List[LeftBlock], width: int) -> None:
         """Batched scoring through the shared walk cache (when there is
@@ -647,7 +527,9 @@ class BackwardIDJ:
                     )
                 blocks.append((targets, block))
 
-            rounds.walk_level(active, ctx.d, left, emit)
+            lean = active and ctx.walk_cache is None and ctx.kernel is not None
+            tail = _tail_plan(ctx) if lean else None
+            rounds.walk_level(active, ctx.d, left, emit, tail)
         return ctx.top_pairs(blocks, k)
 
 

@@ -34,11 +34,10 @@ in-neighbourhood of the targets, so a walk starts as a **frontier
 block**: a ``(B, n)`` CSR matrix, one sparse row per target
 (:meth:`WalkEngine.backward_onehot_step`), stepped by a sparse x sparse
 product whose cost follows the frontier instead of ``nnz(T) * B``.
-:meth:`WalkEngine.frontier_pays` is the gate both walkers ask before
-each step (``WalkState`` and ``B-BJ``'s lean scorer): the exact product
-bound of the next step, from the in-degree profile, against the dense
-step's work.  When it says no, :func:`dense_block` commits the
-C-contiguous ``(n, B)`` array once and
+:meth:`WalkEngine.frontier_pays` is the gate a ``WalkState`` asks
+before each step: the exact product bound of the next step, from the
+in-degree profile, against the dense step's work.  When it says no,
+:func:`dense_block` commits the C-contiguous ``(n, B)`` array once and
 :meth:`WalkEngine.backward_block_step` — which takes either form and
 returns the same one — runs the CSR x dense product from there on
 (:func:`~repro.walks.kernels.dense_step`, into a buffer the walk owns,
@@ -111,9 +110,9 @@ _STAT_FIELDS = STAT_COUNTERS + STAT_PEAKS
 #                                       step 4  13.0 /  1.91    (2.8)
 #
 # Sparse wins down to a ratio of 46 and loses from 25 on; 32 picks the
-# cheaper side at every step above.  (8, the lean scorer's former
-# private factor, takes the ratio-25 and ratio-23 steps sparse at a
-# loss.)  One constant for every caller; re-measure before moving it.
+# cheaper side at every step above.  (8 takes the ratio-25 and
+# ratio-23 steps sparse at a loss.)  One constant for every caller;
+# re-measure before moving it.
 FRONTIER_GATE = 32
 
 
@@ -519,7 +518,8 @@ class WalkEngine:
         return bound * FRONTIER_GATE <= self._transition.nnz * mass.shape[0]
 
     def backward_block_step(
-        self, mass, targets: np.ndarray, first: bool, out=None, fold=None
+        self, mass, targets: np.ndarray, first: bool, out=None, fold=None,
+        restricted=None,
     ):
         """One Eq. 5 step for a backward block, in the form it came in.
 
@@ -537,21 +537,31 @@ class WalkEngine:
         Entry ``(i, j)`` is ``sum_k T[i, k] * mass[k, j]`` added in
         ascending ``k`` in both forms, exact zeros skipped in the sparse
         one: the results are bit-identical.  This is the shared
-        primitive behind :meth:`backward_first_hit_block`,
-        :class:`repro.walks.state.WalkState` and ``B-BJ``'s lean scorer.
+        primitive behind :meth:`backward_first_hit_block` and
+        :class:`repro.walks.state.WalkState`.
+
+        ``restricted = (operator, node_set)`` runs a ``RestrictedTail``
+        step on the rows ``node_set`` (sorted) of a dense block: the
+        operator's rows of the full-width step, entry for entry.
         """
         if issparse(mass):
             return self._frontier_step(mass, targets, first)
         width = mass.shape[1]
+        matrix, node_set = (self._transition, None) if restricted is None else restricted
         # Checkpoint, and claim the output, before any mutation: a budget
         # stop or an allocation failure (injected or real) leaves the
         # caller's state as it was (targets not zeroed, step not counted).
         self.checkpoint("block", block=mass)
         if out is None:
-            out = np.empty((self._n, width), dtype=np.float64)
+            out = np.empty((matrix.shape[0], width), dtype=np.float64)
         if not first:
-            mass[targets, np.arange(width)] = 0.0
-        dense_step(self._transition, mass, out, fold)
+            if restricted is None:
+                mass[targets, np.arange(width)] = 0.0
+            else:  # where the target lies in the slice at all
+                at = np.minimum(np.searchsorted(node_set, targets), node_set.size - 1)
+                hit = node_set[at] == targets
+                mass[at[hit], np.flatnonzero(hit)] = 0.0
+        dense_step(matrix, mass, out, fold)
         self.stats.add("propagation_steps", int(width))
         self.stats.add("sparse_products", 1)
         return out

@@ -9,11 +9,12 @@ level ``l`` instead of restarting.  :class:`DeepeningRounds` is that
 plan, so the bounded-memory mode — and its spill policy — exist exactly
 once; :class:`MatrixRounds` is its twin for a matrix-backed measure
 (``kernel() is None``), whose levels are gathers from the measure's own
-iterates.  Full length-``n`` score vectors
-are finalised only to be donated to a walk cache; a cache-less round
-never builds one.  The cache is read and fed per group of targets:
-:func:`triage` (shared with ``B-BJ`` and :class:`MatrixRounds`) is one
-``peek_block``, a walked part is donated with one ``put_block``.
+iterates.  Full length-``n`` score vectors are finalised only to be
+donated to a walk cache; a cache-less round never builds one (its
+states keep their prefix at the rows only).  The cache is read and fed
+per group of targets: :func:`triage` (shared with ``B-BJ`` and
+:class:`MatrixRounds`) is one ``peek_block``, a walked part is donated
+with one ``put_block``.
 
 **The ceiling** is the calling thread's ``QueryBudget.max_bytes`` —
 the one walk-block ceiling, read once per join by
@@ -70,7 +71,7 @@ import numpy as np
 from repro.exec.budget import BudgetExhaustedError, CorruptedWalkError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
-from repro.walks.state import WalkState
+from repro.walks.state import RestrictedTail, WalkState
 
 # Bounded attempts at re-walking a corrupted block before giving up; a
 # walk that keeps producing non-finite mass is a broken environment, not
@@ -78,9 +79,12 @@ from repro.walks.state import WalkState
 REWALK_ATTEMPTS = 3
 
 # The ceiling model: a resumable block costs at most two (n, B) float64
-# buffers, walker mass plus the accumulated score prefix.  A block on
-# the sparse frontier holds less, but may densify at any step, so every
-# width is planned — and every allocation vetoed — against the ceiling.
+# buffers: walker mass plus the score prefix for a cached walk (which
+# holds a transient third, the dense step's spare, while it steps), or
+# mass plus the spare for a cache-less one, whose prefix covers only the
+# join's rows.  A block on the sparse frontier holds less, but may
+# densify at any step, so every width is planned — and every allocation
+# vetoed — against the ceiling.
 BYTES_PER_COLUMN_NODE = 16
 
 # ``consume(targets, block)``: ``block[i, j]`` is the level's score of
@@ -159,7 +163,8 @@ class DeepeningRounds:
         engine and measure.  Hits are read at the caller's rows; walked
         levels are donated (``put_block`` — the one reason a column is
         ever finalised full-width), and in bounded mode it doubles as
-        the spill target for overflow survivors.
+        the spill target for overflow survivors.  Without one, states
+        keep their score prefix at the caller's rows only.
     """
 
     def __init__(
@@ -172,6 +177,9 @@ class DeepeningRounds:
         self._params = params
         self._cache = cache
         self._max_cols = columns_for_budget(engine)
+        # A cache-less round's prefix rows and final-level tail plan.
+        self._rows: Optional[np.ndarray] = None
+        self._tail: Optional[RestrictedTail] = None
         self._state: Optional[WalkState] = None  # retained resumable window
         self._state_cols: Dict[int, int] = {}
         # This round's repack candidates (window + a budgeted prefix of
@@ -191,11 +199,14 @@ class DeepeningRounds:
         level: int,
         rows: np.ndarray,
         consume: Consumer,
+        tail: Optional[RestrictedTail] = None,
     ) -> None:
         """Feed every active target's ``level`` scores at node ids
         ``rows`` to ``consume(targets, block)``, one ``(|rows|,
         len(targets))`` block per resolved group — nothing is retained
-        here.
+        here.  ``rows`` is the same array at every level of a join; a
+        cache-less round finishes its states on ``tail`` (a plan over
+        ``rows``, for the last level), which a cached round ignores.
 
         Resolution order per target: cached vector (no walk), the
         retained resumable window (extended in batch), then the cache's
@@ -214,6 +225,8 @@ class DeepeningRounds:
         with self._engine.trace_span(
             "walk_level", level=level, targets=len(active)
         ):
+            if self._cache is None:
+                self._rows, self._tail = rows, tail
             self._walk_level(active, level, rows, consume)
 
     def _walk_level(
@@ -248,7 +261,7 @@ class DeepeningRounds:
                 pending if self._max_cols is None else pending[: self._max_cols]
             )
             pending = pending[len(claim):]
-            self._state = WalkState(self._engine, self._params, claim)
+            self._state = self._new_state(claim)
             self._state_cols = {q: j for j, q in enumerate(claim)}
             resident = claim
         if self._state is not None:
@@ -293,9 +306,7 @@ class DeepeningRounds:
             while queue:
                 group = queue[: max(width, 1)]
                 queue = queue[len(group):]
-                parts = self._advance_parts(
-                    WalkState(self._engine, self._params, group), level
-                )
+                parts = self._advance_parts(self._new_state(group), level)
                 # A backoff may have narrowed the budget mid-loop.
                 if self._max_cols is not None:
                     width = self._max_cols
@@ -340,6 +351,9 @@ class DeepeningRounds:
             block = np.take(block, columns, axis=1)
         consume(fed, block)
 
+    def _new_state(self, targets: Sequence[int]) -> WalkState:
+        return WalkState(self._engine, self._params, targets, rows=self._rows)
+
     def _advance_parts(
         self, state: WalkState, level: int
     ) -> List[Tuple[WalkState, List[int]]]:
@@ -356,7 +370,7 @@ class DeepeningRounds:
         while todo:
             part = todo.pop()
             try:
-                part.advance_to(level)
+                part.advance_to(level, self._tail)
             except MemoryError:
                 if part.width == 1:
                     raise  # a single column is the floor; genuine exhaustion
@@ -385,9 +399,7 @@ class DeepeningRounds:
         for _ in range(REWALK_ATTEMPTS):
             self._engine.stats.add("degradations", 1)
             try:
-                return WalkState(self._engine, self._params, targets).advance_to(
-                    level
-                )
+                return self._new_state(targets).advance_to(level, self._tail)
             except CorruptedWalkError:
                 continue
         raise CorruptedWalkError(
@@ -489,11 +501,13 @@ class MatrixRounds:
         self._max_cols = columns_for_budget(engine)
 
     def walk_level(
-        self, active: Sequence[int], level: int, rows: np.ndarray, consume: Consumer
+        self, active: Sequence[int], level: int, rows: np.ndarray,
+        consume: Consumer, tail: Optional[RestrictedTail] = None,
     ) -> None:
         """Feed every active target's ``level`` scores at node ids
         ``rows`` to ``consume(targets, block)``: the cached targets as
-        one block, the rest gathered in chunks under the byte ceiling."""
+        one block, the rest gathered in chunks under the byte ceiling
+        (``tail`` is unused: nothing here walks)."""
         engine, cache = self._engine, self._cache
         hits, hit_block, pending = triage(engine, cache, active, level, rows)
         if hits:

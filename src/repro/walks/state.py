@@ -38,16 +38,23 @@ that reads a state — scores, restructuring, bounds, pruning order, the
 step counters — can tell which form it is in; only ``nbytes`` and the
 wall clock can.
 
+A walk with no cache to feed is read at the join's rows ``P`` only:
+``WalkState(..., rows=P)`` keeps a ``(|P|, B)`` prefix and may finish
+its last steps on a :class:`RestrictedTail` (dropping its mass), with
+the same products in the same order — bit-identical scores at ``P``.
+
 A dense state's buffers cost 16 bytes per node per column (two
 ``(n, B)`` float64 blocks) — the ceiling the ``"alloc"`` checkpoint
 commits to before step 1, since a state may densify at any step; a
 frontier state holds what its sparse arrays hold and densifies rather
-than exceed that.  While :meth:`WalkState.advance_to` runs dense steps
-it also keeps the block the last step propagated from: that dead block
-is the next step's output buffer (:func:`~repro.walks.kernels.dense_step`
-writes into it), so only the first dense step of a call allocates, and
-it is dropped when the call returns — between calls a state holds its
-two blocks and nothing else.  :meth:`WalkState.advance_to` reports each
+than exceed what the dense one would.  While :meth:`WalkState.advance_to`
+runs dense steps it also keeps the block the last step propagated from:
+that dead block is the next step's output buffer
+(:func:`~repro.walks.kernels.dense_step` writes into it), so only the
+first dense step of a call allocates.  A cached (full-width) walk holds
+mass and prefix, plus that transient third block while it steps; a
+cache-less (row-restricted) one holds its mass plus the step's spare,
+and a ``(|P|, B)`` prefix.  :meth:`WalkState.advance_to` reports each
 materialisation to ``engine.stats.peak_block_bytes``, the counter a
 ``QueryBudget.max_bytes`` ceiling (the widths every block operator
 plans under it) is audited against.  :meth:`WalkState.scores_at` is what the joins read:
@@ -64,7 +71,7 @@ window of ``B-IDJ``, under DHT or any kernel measure, under a byte budget.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -90,6 +97,39 @@ def _values(block) -> np.ndarray:
     return block.data if sparse.issparse(block) else block
 
 
+class RestrictedTail:
+    """Row-sliced operators for the last walk steps: step ``d`` needs
+    mass at ``R_0 = rows`` only, step ``d - 1`` at ``R_1 =
+    out_nbrs(R_0) | R_0``, and so on, with ``A_j = T[R_j][:, R_{j+1}]``
+    for as many levels (at most ``d - 1``) as the slice stays under half
+    of ``nnz(T)``.  Shared through ``BoundPlanCache.tail_plan``.
+    """
+
+    def __init__(self, engine: WalkEngine, rows: Sequence[int], d: int) -> None:
+        engine.stats.add("plan_builds", 1)
+        transition = engine.graph.transition_matrix()
+        out_degrees = np.diff(transition.indptr)
+        budget = transition.nnz // 2
+        base = np.sort(np.asarray(rows, dtype=np.int64))
+        self.node_sets: List[np.ndarray] = [base]
+        self.operators: List = []
+        while len(self.operators) < d - 1:
+            current = self.node_sets[-1]
+            if int(out_degrees[current].sum()) > budget:
+                break
+            sliced = transition[current]
+            keep = np.zeros(transition.shape[1], dtype=bool)  # O(n), no sort
+            keep[sliced.indices] = keep[base] = True
+            bigger = np.flatnonzero(keep)
+            self.operators.append(sliced[:, bigger])
+            self.node_sets.append(bigger)
+
+    @property
+    def depth(self) -> int:
+        """Number of final steps the plan can serve."""
+        return len(self.operators)
+
+
 class WalkState:
     """Resumable backward walk over a block of targets.
 
@@ -104,6 +144,10 @@ class WalkState:
     targets:
         Target node ids, one per block column.  Duplicates are allowed
         (columns propagate independently).
+    rows:
+        Distinct node ids to keep the score prefix at (``None``: every
+        node); such a state is read only through ``scores_at(rows)``,
+        never as full columns.
 
     Notes
     -----
@@ -115,22 +159,28 @@ class WalkState:
     scores ``h_level(u, target)`` — at chosen rows, everywhere, or for
     one column.  Memory: two ``(B, n)`` sparse frontier blocks, then two
     ``(n, B)`` float64 arrays, plus a third — the dead block the next
-    dense step writes into — only while :meth:`advance_to` runs.
+    dense step writes into — only while :meth:`advance_to` runs (a
+    row-restricted state's prefix is ``(|rows|, B)`` from step 1 on).
     """
 
-    __slots__ = ("_engine", "_params", "_kernel", "_targets", "_level", "_mass", "_acc")
+    __slots__ = ("_engine", "_params", "_kernel", "_targets", "_rows", "_level",
+                 "_mass", "_acc")
 
     def __init__(
-        self, engine: WalkEngine, params: "DHTParams | BlockKernel", targets: Sequence[int]
+        self, engine: WalkEngine, params: "DHTParams | BlockKernel",
+        targets: Sequence[int], rows: Optional[Sequence[int]] = None,
     ) -> None:
         self._engine = engine
         self._params = params
         self._kernel = as_block_kernel(params)
         self._targets = engine._check_target_block(targets)
+        self._rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         self._level = 0
         # The level-0 blocks (one-hot mass, zero prefix) are implicit;
         # buffers materialise on the first advance_to() step.  Both are
-        # (B, n) CSR frontier blocks or both (n, B) arrays.
+        # (B, n) CSR frontier blocks or both (n, B) arrays, except that
+        # a row-restricted prefix is a (|rows|, B) array and a finished
+        # state (see advance_to) has no mass.
         self._mass = None
         self._acc = None
 
@@ -140,6 +190,7 @@ class WalkState:
         engine: WalkEngine,
         params: DHTParams,
         targets: np.ndarray,
+        rows: Optional[np.ndarray],
         level: int,
         mass,
         acc,
@@ -149,6 +200,7 @@ class WalkState:
         state._params = params
         state._kernel = as_block_kernel(params)
         state._targets = targets
+        state._rows = rows
         state._level = level
         state._mass = mass
         state._acc = acc
@@ -192,17 +244,18 @@ class WalkState:
     @property
     def nbytes(self) -> int:
         """Bytes held by the materialised buffers (0 at level 0)."""
-        if self._mass is None:
+        if self._acc is None:
             return 0
-        return _nbytes(self._mass) + _nbytes(self._acc)
+        return _nbytes(self._acc) + (0 if self._mass is None else _nbytes(self._mass))
 
     @property
     def _dense_nbytes(self) -> int:
-        """What the two ``(n, B)`` float64 arrays cost."""
-        return 16 * self._engine.num_nodes * self.width
+        """What the dense state's mass and prefix arrays cost."""
+        n = self._engine.num_nodes
+        return 8 * (n + (n if self._rows is None else self._rows.size)) * self.width
 
     def _densify(self) -> None:
-        """Leave the frontier phase: commit both blocks, once, to
+        """Leave the frontier phase: commit the blocks, once, to
         C-contiguous ``(n, B)`` arrays (there is no way back)."""
         self._mass = dense_block(self._mass)
         self._acc = dense_block(self._acc)
@@ -216,35 +269,50 @@ class WalkState:
     # Propagation
     # ------------------------------------------------------------------
 
-    def advance_to(self, level: int) -> "WalkState":
+    def advance_to(
+        self, level: int, tail: Optional[RestrictedTail] = None
+    ) -> "WalkState":
         """Extend the walk to ``level`` steps (no-op if already there).
 
         A state can only move forward — the propagation recurrence
         cannot be run backwards — so ``level`` below the current one
-        raises.  Returns ``self`` for chaining.
+        raises.  A ``tail`` over a row-restricted state's rows runs the
+        last ``tail.depth`` steps, committed together, and finishes the
+        state.  Returns ``self`` for chaining.
         """
         if level < self._level:
             raise GraphValidationError(
                 f"cannot rewind a walk state from level {self._level} to {level}"
             )
+        if level > self._level and self._acc is not None and self._mass is None:
+            raise GraphValidationError("a finished walk cannot be extended")
+        if tail is not None and (self._rows is None or not np.array_equal(
+            np.sort(self._rows), tail.node_sets[0]
+        )):
+            raise GraphValidationError("a tail needs a state at its rows")
         engine, targets = self._engine, self._targets
-        if level > self._level and self._mass is None:
+        if level > self._level and self._acc is None:
             # Cold materialisation commits up to two (n, B) float64
-            # blocks — the walk starts on the frontier but may densify
+            # blocks (mass and prefix, or mass and the dense step's
+            # spare) — the walk starts on the frontier but may densify
             # at any step — so let the governor veto that ceiling
             # *before* any memory exists (16 bytes per node per column).
-            engine.checkpoint("alloc", nbytes=self._dense_nbytes)
+            engine.checkpoint("alloc", nbytes=16 * engine.num_nodes * self.width)
+        # The tail's steps (never step 1, the one-hot gather).
+        tail_from = level + 1 if tail is None else max(2, level - tail.depth + 1)
+        rows = self._rows
         # The dense steps ping-pong two mass buffers: each writes into
         # the block the step before it propagated from, so only the
         # first dense step of a call allocates.
         spare = None
-        while self._level < level:
+        while self._level < min(level, tail_from - 1):
             i = self._level + 1
             weight = self._kernel.weight(i)
             if i == 1:
                 # One-hot start: step 1 is a column gather of T.
                 self._mass = engine.backward_onehot_step(targets)
-                self._acc = self._mass * weight
+                held = self._mass if rows is None else block_rows(self._mass, rows)
+                self._acc = held * weight
             else:
                 if sparse.issparse(self._mass) and not engine.frontier_pays(
                     self._mass
@@ -257,17 +325,22 @@ class WalkState:
                 first = not self._kernel.absorbing
                 if sparse.issparse(spent):
                     self._mass = engine.backward_block_step(spent, targets, first)
-                    self._acc = self._acc + self._mass * weight
+                    held = self._mass if rows is None else block_rows(self._mass, rows)
+                    self._acc = self._acc + held * weight
                 else:
-                    # The prefix update rides in the step; the dead
-                    # block takes the next step's product.
+                    # A full-width prefix update rides in the step; the
+                    # dead block takes the next step's product.
                     self._mass = engine.backward_block_step(
                         spent, targets, first, out=spare,
-                        fold=(weight, self._acc),
+                        fold=None if rows is not None else (weight, self._acc),
                     )
+                    if rows is not None:
+                        self._acc += self._mass[rows] * weight
                     spare = spent
             self._level = i
-        if self._mass is not None:
+        if self._level < level:
+            self._finish_on(tail, level)
+        if self._acc is not None:
             self._fit()
             engine.stats.record_block_bytes(self.nbytes)
             governor = engine.governor
@@ -275,8 +348,8 @@ class WalkState:
                 # Detect poisoned mass *before* the block's scores can be
                 # consumed, donated to a cache, or folded into results.
                 if not (
-                    np.isfinite(_values(self._mass)).all()
-                    and np.isfinite(_values(self._acc)).all()
+                    np.isfinite(_values(self._acc)).all()
+                    and (self._mass is None or np.isfinite(_values(self._mass)).all())
                 ):
                     raise CorruptedWalkError(
                         f"non-finite walk mass at level {self._level} for "
@@ -284,11 +357,20 @@ class WalkState:
                     )
         return self
 
-    def extend(self, steps: int) -> "WalkState":
-        """Walk ``steps`` further steps; returns ``self``."""
-        if steps < 0:
-            raise GraphValidationError(f"steps must be >= 0, got {steps}")
-        return self.advance_to(self._level + steps)
+    def _finish_on(self, tail: RestrictedTail, level: int) -> None:
+        """The steps up to ``level`` on the tail — each maps the mass on
+        ``R_c`` (``c`` steps left) onto ``R_{c-1}`` — committed at the end."""
+        mass = block_rows(self._mass, tail.node_sets[level - self._level])
+        acc = self._acc.copy()
+        for i in range(self._level + 1, level + 1):
+            c = level - i + 1
+            mass = self._engine.backward_block_step(
+                mass, self._targets, not self._kernel.absorbing,
+                restricted=(tail.operators[c - 1], tail.node_sets[c]),
+            )
+            at = np.searchsorted(tail.node_sets[c - 1], self._rows)
+            acc += mass[at] * self._kernel.weight(i)
+        self._mass, self._acc, self._level = None, acc, level
 
     # ------------------------------------------------------------------
     # Scores
@@ -328,15 +410,19 @@ class WalkState:
         One gather of prefix rows (contiguous ones once the state is
         dense), then the kernel's fold on ``|rows| * B`` entries — the
         joins' read, which never touches the other ``n - |rows|`` rows
-        of the block.
+        of the block.  A row-restricted state is read at its own rows.
         """
         if self._acc is None:
             return self._kernel.empty_scores(
                 self._engine.num_nodes, self._targets
             )[rows]
-        return self._kernel.finalize_rows(
-            block_rows(self._acc, rows), rows, self._targets
-        )
+        if self._rows is None:
+            held = block_rows(self._acc, rows)
+        elif np.array_equal(rows, self._rows):
+            held = self._acc
+        else:
+            raise GraphValidationError("a row-restricted walk is read at its rows")
+        return self._kernel.finalize_rows(held, rows, self._targets)
 
     # ------------------------------------------------------------------
     # Restructuring
@@ -361,6 +447,7 @@ class WalkState:
             self._engine,
             self._params,
             self._targets[indices].copy(),
+            self._rows,
             self._level,
             take(self._mass),
             take(self._acc),
@@ -374,12 +461,13 @@ class WalkState:
     def concat(states: Sequence["WalkState"]) -> "WalkState":
         """Pack same-level states into one block (columns concatenated).
 
-        All states must share the engine, params, and level — Eq. 5
+        All states must share the engine, params, rows and level — Eq. 5
         columns propagate independently, so re-packing changes nothing
         about future steps.  ``B-IDJ``'s bounded-memory rounds use this
         to fold the survivors of this round's throwaway chunks into the
         retained resumable window.  The result owns fresh buffers: a
-        frontier block when every piece is still one, dense otherwise.
+        frontier block when every piece is still one, dense otherwise;
+        a finished state cannot be re-packed.
         """
         if not states:
             raise GraphValidationError("concat needs at least one state")
@@ -398,17 +486,21 @@ class WalkState:
                     f"concat needs states at one level, got "
                     f"{state._level} != {first._level}"
                 )
+            if not np.array_equal(state._rows, first._rows):  # None == None
+                raise GraphValidationError("concat needs states at one set of rows")
         if len(states) == 1:
             return first.select(np.arange(first.width))
         targets = np.concatenate([s._targets for s in states])
-        if first._mass is None:
+        if first._acc is None:
             mass = acc = None
         elif all(sparse.issparse(s._mass) for s in states):
             mass = sparse.vstack([s._mass for s in states], format="csr")
-            acc = sparse.vstack([s._acc for s in states], format="csr")
+            acc = (sparse.vstack([s._acc for s in states], format="csr")
+                   if first._rows is None else np.hstack([s._acc for s in states]))
         else:
             mass = np.hstack([dense_block(s._mass) for s in states])
             acc = np.hstack([dense_block(s._acc) for s in states])
         return WalkState._restore(
-            first._engine, first._params, targets, first._level, mass, acc
+            first._engine, first._params, targets, first._rows, first._level,
+            mass, acc,
         )
