@@ -261,13 +261,12 @@ def multi_way_join(
     plan:
         ``"fixed"`` (default — index edge order, the executor's default
         operator, the pre-planner behaviour), ``"auto"`` (the
-        cost-based planner of :mod:`repro.planner` chooses edge order,
-        per-edge operators, and block knobs from degree/skew
-        statistics), or an :class:`~repro.planner.plan.ExplainedPlan`
-        (replayed verbatim — pair with :func:`explain_multi_way_plan`
-        to inspect before running).  Plans never change answers, only
-        cost; ``"nl"`` has no per-edge structure and rejects
-        ``"auto"``.
+        cost-based planner of :mod:`repro.planner` chooses edge order
+        and per-edge operators from degree/skew statistics), or an
+        :class:`~repro.planner.plan.ExplainedPlan` (replayed verbatim —
+        pair with :func:`explain_multi_way_plan` to inspect before
+        running).  Plans never change answers, only cost; ``"nl"`` has
+        no per-edge structure and rejects ``"auto"``.
     budget / on_budget / fault_injector:
         Same semantics as :func:`two_way_join`; a flagged result's
         per-answer bounds aggregate the per-edge score intervals.  Under

@@ -35,10 +35,9 @@ class AllPairsJoin(NWayDriver):
 
     ``two_way`` is the default materialiser (``f-bj``/``b-bj``; omitted,
     the strategy table's: ``f-bj``, ``basic`` under a measure); ``plan``
-    (or ``spec.plan``) chooses per-edge materialiser, build order, and
-    ``b-bj``'s block width.  The materialised lists are complete either
-    way, so plans only move cost, never answers.  ``stats`` is the rank
-    join's own record.
+    (or ``spec.plan``) chooses per-edge materialiser and build order.
+    The materialised lists are complete either way, so plans only move
+    cost, never answers.  ``stats`` is the rank join's own record.
     """
 
     name = "AP"

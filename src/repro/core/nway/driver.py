@@ -14,8 +14,7 @@ the tables with the paper's cost models.
 
 Governance is a guard at the same seam, read from the thread-local
 ``spec.engine.governor`` (every api query installs one): without a
-governor it is the identity; with one, the plan resolves under it (so
-block knobs fit its byte budget), a budget stop — or a genuine
+governor it is the identity; with one, a budget stop — or a genuine
 ``MemoryError`` — in an edge's build leaves that edge its snapshot
 prefix (with score intervals) and no refills, a stop in a refill ends
 that stream, and the reasons are collected for
@@ -67,8 +66,7 @@ MEASURE_OPERATORS = {
     "idj": "idj",
 }
 
-#: Plan operator name -> ``context -> join`` factory (the block
-#: operators ``b-bj`` / ``basic`` also accept a ``block_size`` knob).
+#: Plan operator name -> ``context -> join`` factory.
 #: ``basic`` / ``idj`` are the names plans record under a measure.
 OPERATORS = {
     **_DHT_OPERATORS,
@@ -158,7 +156,7 @@ class _Materialised:
     next_pair = None
     limit = None
 
-    def __init__(self, context, factory, m, block_size, bound_factory) -> None:
+    def __init__(self, context, factory, m, bound_factory) -> None:
         governor = context.engine.governor
         if (
             factory is ForwardBasicJoin
@@ -168,8 +166,7 @@ class _Materialised:
             # F-BJ keeps no ``partial_pairs`` for a budget stop to
             # report; a stoppable materialisation scores backward.
             factory = BackwardBasicJoin
-        knobs = {} if block_size is None else {"block_size": block_size}
-        self.join = factory(context, **knobs)
+        self.join = factory(context)
 
     def initial(self) -> List[ScoredPair]:
         return sort_pairs(self.join.all_pairs())
@@ -183,7 +180,7 @@ class _RestartProvider:
     re-propagating them.
     """
 
-    def __init__(self, context, factory, m, block_size, bound_factory) -> None:
+    def __init__(self, context, factory, m, bound_factory) -> None:
         self._context = context
         self._factory = factory
         self.limit = m
@@ -212,7 +209,7 @@ class _Incremental:
     name is not consulted — only the caller's bound flavour.
     """
 
-    def __init__(self, context, factory, m, block_size, bound_factory) -> None:
+    def __init__(self, context, factory, m, bound_factory) -> None:
         self.join = IncrementalTwoWayJoin(context, bound_factory=bound_factory)
         self.limit = m
         self.refills = 0
@@ -307,8 +304,7 @@ class _Governed:
         try:
             return call()
         except BudgetExhaustedError as exc:
-            # Planning stops on a byte budget below one column; during
-            # candidate expansion, checkpoints inside cached-walk
+            # During candidate expansion, checkpoints inside cached-walk
             # lookups can still fire.  No answer is fabricated.
             self._flag_partial(exc.reason)
             return empty
@@ -373,7 +369,6 @@ class NWayDriver:
             self._spec.edge_context(e),
             _by_name(OPERATORS, ep.operator, "plan operator"),
             self._m,
-            ep.block_size,
             self._bound_factory,
         )
 
@@ -387,14 +382,13 @@ class NWayDriver:
             _Unguarded() if governor is None
             else _Governed(governor, self.reasons, self.intervals)
         )
-        # Resolved under the governor: block knobs fit its byte budget.
-        plan = self.plan = guard.attempt(lambda: spec.resolve_plan(
+        # Planning walks nothing and reads no budget: each edge's join
+        # plans its block widths under the governor when it runs.
+        plan = self.plan = spec.resolve_plan(
             self._strategy,
             plan=self._plan,
             default_operator=self._default_operator,
-        ), None)
-        if plan is None:
-            return []
+        )
         inputs: List[Optional[RankJoinInput]] = [None] * spec.query_graph.num_edges
         lazy = []  # the sources that can refill
         # The plan orders the *builds*; PBRJ still consumes ``inputs``

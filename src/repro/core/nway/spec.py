@@ -62,8 +62,8 @@ class NWayJoinSpec:
         ``"fixed"`` (default) keeps index order with each executor's
         default operator — the pre-planner behaviour and the planner's
         bit-identity oracle; ``"auto"`` lets the cost-based planner
-        (:mod:`repro.planner`) choose edge order, operators, and knobs
-        from degree/skew statistics; an
+        (:mod:`repro.planner`) choose edge order and operators from
+        degree/skew statistics; an
         :class:`~repro.planner.plan.ExplainedPlan` instance replays a
         previously computed plan verbatim.  Resolution happens lazily
         in :meth:`resolve_plan` — the core layer holds only the value.

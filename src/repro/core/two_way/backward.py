@@ -11,12 +11,13 @@ current top-``k`` floor is pruned before the expensive full-depth walk.
 The bound ``U_l^+`` is pluggable: ``X_l^+`` (Lemma 2) gives ``B-IDJ-X``,
 ``Y_l^+`` (Theorem 1) gives ``B-IDJ-Y``.
 
-This module runs both algorithms on the batched, resumable walk layer:
+This module runs both algorithms on the batched, resumable walk layer,
+and ``B-BJ`` is exactly ``B-IDJ``'s final level with nothing pruned:
 
-* ``B-BJ`` propagates its targets in blocks — one sparse product per
-  step instead of ``B`` mat-vecs.  Its cache-less lean scorer is a
-  row-restricted :class:`~repro.walks.state.WalkState` that finishes on
-  the left set's restricted tail.
+* ``B-BJ`` feeds its targets, in blocks, through the same rounds'
+  ``walk_level`` that ends ``B-IDJ`` — one sparse product per step
+  instead of ``B`` mat-vecs, and with no walk cache a row-restricted
+  walk that finishes on the left set's restricted tail.
 * ``B-IDJ`` keeps one :class:`~repro.walks.state.WalkState` across
   deepening rounds, so level ``2l`` *extends* level ``l`` (``d``
   column-steps per surviving target instead of ``~2d``).  The rounds
@@ -44,7 +45,7 @@ measure layer"); a measure is duck-typed, so ``core`` never imports
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -60,21 +61,16 @@ from repro.core.two_way.base import (
     ScoredPair,
     TwoWayContext,
 )
-from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
-from repro.walks.rounds import (
-    REWALK_ATTEMPTS,
-    DeepeningRounds,
-    MatrixRounds,
-    columns_for_budget,
-    triage,
-)
-from repro.walks.state import RestrictedTail, WalkState
+from repro.walks.rounds import DeepeningRounds, MatrixRounds, columns_for_budget
+from repro.walks.state import RestrictedTail
 
-# 16 columns keeps the dense mass block cache-resident on large graphs
-# (n x B x 8 bytes) while amortising the CSR index traffic.  Re-tune
-# against ``api.two_way.b-bj.p50_ms`` on ``twoway_cold`` (bench/run.py).
-DEFAULT_BLOCK_SIZE = 16
+# ``B-BJ``'s block width: 16 columns keeps the dense mass block
+# cache-resident on large graphs (n x B x 8 bytes) while amortising the
+# CSR index traffic; one block for all of ``Q`` costs peak RSS.  Re-tune
+# against ``api.two_way.b-bj.p50_ms`` / ``peak_rss_mb`` on
+# ``twoway_cold`` (bench/run.py).
+_BLOCK_SIZE = 16
 
 # ``(targets, block)``: ``block[i, j]`` scores ``(left[i], targets[j])``.
 LeftBlock = Tuple[Sequence[int], np.ndarray]
@@ -104,8 +100,22 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     return context.params.scores_from_matrix(series)
 
 
-def _tail_plan(context: TwoWayContext) -> RestrictedTail:
-    """The left set's restricted-tail plan, through the bound cache."""
+def _rounds(context: TwoWayContext):
+    """The walk plan of one pass: ``walk_level`` / ``donate_pruned`` /
+    ``repack`` over the context's kernel (or, without one, the
+    measure's iterates) and cache, under this thread's byte budget."""
+    if context.kernel is None:
+        return MatrixRounds(context.engine, context.measure, context.walk_cache)
+    return DeepeningRounds(context.engine, context.kernel, context.walk_cache)
+
+
+def _final_tail(context: TwoWayContext) -> Optional[RestrictedTail]:
+    """The plan a final level finishes on: the left set's restricted
+    tail, through the bound cache, exactly when there is a kernel to
+    walk and no cache to feed (so the states keep their prefix at the
+    left rows only)."""
+    if context.walk_cache is not None or context.kernel is None:
+        return None
     return context.bound_cache.tail_plan(
         context.left, context.d,
         lambda: RestrictedTail(context.engine, context.left_array, context.d),
@@ -138,29 +148,20 @@ class BackwardBasicJoin:
     """``B-BJ``: one full-depth backward walk per right node.
 
     ``O(|Q| d |E_G|)`` total — already ``|P|`` times faster than ``F-BJ``
-    — but walks every ``q`` to full depth regardless of ``k``.  Targets
-    are propagated in blocks of ``block_size`` columns (one sparse-dense
-    product per step per block; a width of 1 is a block like any
-    other).  A byte budget (``QueryBudget.max_bytes``) on the calling
-    thread clamps the block width when the join runs, so each
-    propagated block's buffers stay under it on both scorers, same
-    per-block semantics as ``B-IDJ``'s chunked rounds.
-
-    A measure changes only the scorer, :meth:`_score_block`, which
-    reads it off the context.
+    — but walks every ``q`` to full depth regardless of ``k``.  It is
+    ``B-IDJ``'s final level with nothing pruned: the right set is fed,
+    a block of at most 16 targets at a time (fewer under a byte budget,
+    ``QueryBudget.max_bytes``, planned when the join runs), through the
+    same rounds' ``walk_level`` that ends :meth:`BackwardIDJ._top_k` —
+    so cache hits, resumed donations, the allocation backoff, the
+    corrupted-block re-walk and the cache-less restricted tail are the
+    rounds', under every measure.
     """
 
     name = "B-BJ"
 
-    def __init__(
-        self, context: TwoWayContext, block_size: int = DEFAULT_BLOCK_SIZE
-    ) -> None:
-        if block_size < 1:
-            raise GraphValidationError(
-                f"block_size must be >= 1, got {block_size}"
-            )
+    def __init__(self, context: TwoWayContext) -> None:
         self._ctx = context
-        self._block_size = block_size
         # Exactly scored ``(targets, left-row block)`` groups so far; the
         # governed entry points read this after a budget stop to report
         # the completed prefix.
@@ -192,94 +193,20 @@ class BackwardBasicJoin:
             # Planned now, under this thread's byte budget (the api
             # installs the governor after building the join).
             cap = columns_for_budget(ctx.engine)
-            width = self._block_size if cap is None else min(self._block_size, cap)
-            if ctx.walk_cache is None and ctx.measure is None:
-                # A cache-less DHT join reads its blocks at P only.
-                self._score_lean(blocks, width)
-            else:
-                self._score_blocks(blocks, width)
+            width = _BLOCK_SIZE if cap is None else min(_BLOCK_SIZE, cap)
+            tail = _final_tail(ctx)
+
+            def consume(targets, block):
+                blocks.append((targets, block))
+
+            for start in range(0, len(ctx.right), width):
+                # Fresh rounds per block: a block fits the window, so a
+                # single-level pass never spills.
+                _rounds(ctx).walk_level(
+                    ctx.right[start : start + width], ctx.d, ctx.left_array,
+                    consume, tail,
+                )
             return blocks
-
-    def _score_block(self, targets: List[int]) -> Iterable[np.ndarray]:
-        """Full-depth score vectors of one target block, in order —
-        full-width because :meth:`_score_blocks` donates them (a DHT
-        context only gets here with a walk cache).  A matrix-backed
-        measure (no kernel) gathers them from its iterates."""
-        ctx = self._ctx
-        if ctx.kernel is None:
-            return ctx.measure.backward_scores_block(ctx.engine, targets, ctx.d).T
-        state = WalkState(ctx.engine, ctx.kernel, targets).advance_to(ctx.d)
-        return map(state.score_column, range(len(targets)))
-
-    def _rewalking(self, score, *args):
-        """``score(*args)``, re-run a bounded number of times when the
-        walk-state validation detects a corrupted block."""
-        for attempt in range(REWALK_ATTEMPTS):
-            try:
-                return score(*args)
-            except CorruptedWalkError:
-                self._ctx.engine.stats.add("degradations", 1)
-                if attempt == REWALK_ATTEMPTS - 1:
-                    raise
-        raise AssertionError("unreachable")
-
-    def _score_lean(self, blocks: List[LeftBlock], width: int) -> None:
-        """Batched scoring with the prefix kept at ``P`` only.
-
-        Without a cache to feed, only the left rows of each score vector
-        are ever read, so each block is a row-restricted
-        :class:`~repro.walks.state.WalkState` (an ``(|P|, B)`` prefix)
-        that walks its last steps on the left set's restricted tail.
-        """
-        ctx = self._ctx
-        left = ctx.left_array
-        tail = _tail_plan(ctx)
-        def score(chunk):
-            state = WalkState(ctx.engine, ctx.kernel, chunk, rows=left)
-            return state.advance_to(ctx.d, tail).scores_at(left)
-        for start in range(0, len(ctx.right), width):
-            chunk = ctx.right[start : start + width]
-            blocks.append((chunk, self._rewalking(score, chunk)))
-
-    def _score_blocks(self, blocks: List[LeftBlock], width: int) -> None:
-        """Batched scoring through the shared walk cache (when there is
-        one).
-
-        Cache hits (targets walked by an earlier join or query edge)
-        read the ``|P|`` left entries of the cached vectors; misses are
-        walked one block at a time and donated back for the next join,
-        so peak memory stays ``O(n * width)`` regardless of ``|Q|``.
-        Each triage window is as wide as the pending block has room, so
-        no lookup ever runs after a donation it could have preceded.
-        """
-        ctx = self._ctx
-        cache = ctx.walk_cache
-        left = ctx.left_array
-        pending: List[int] = []
-
-        def flush() -> None:
-            vectors = list(self._rewalking(self._score_block, pending))
-            if cache is not None:
-                cache.put_block(pending, ctx.d, vectors)
-            blocks.append(
-                (list(pending), np.array([v[left] for v in vectors]).T)
-            )
-            pending.clear()
-
-        start = 0
-        while start < len(ctx.right):  # validated sets carry no duplicates
-            window = ctx.right[start : start + width - len(pending)]
-            start += len(window)
-            hits, hit_block, missed = triage(
-                ctx.engine, cache, window, ctx.d, left
-            )
-            if hits:
-                blocks.append((hits, hit_block))
-            pending.extend(missed)
-            if len(pending) == width:
-                flush()
-        if pending:
-            flush()
 
     def top_k(self, k: int) -> List[ScoredPair]:
         """Top-``k`` pairs by exhaustive backward scoring."""
@@ -376,8 +303,7 @@ class BackwardIDJ:
     :class:`~repro.walks.rounds.DeepeningRounds` over the context's
     :attr:`~repro.core.two_way.base.TwoWayContext.kernel`, so the same
     loop runs under DHT and under any kernel measure; a kernel-less
-    measure runs :class:`~repro.walks.rounds.MatrixRounds` instead (see
-    :meth:`_rounds`).
+    measure runs :class:`~repro.walks.rounds.MatrixRounds` instead.
 
     Parameters
     ----------
@@ -420,15 +346,6 @@ class BackwardIDJ:
         """The validated join inputs."""
         return self._ctx
 
-    def _rounds(self):
-        """The walk plan of one run: ``walk_level`` / ``donate_pruned``
-        / ``repack`` over the context's kernel (or, without one, the
-        measure's iterates) and cache, under this thread's byte budget."""
-        ctx = self._ctx
-        if ctx.kernel is None:
-            return MatrixRounds(ctx.engine, ctx.measure, ctx.walk_cache)
-        return DeepeningRounds(ctx.engine, ctx.kernel, ctx.walk_cache)
-
     def top_k(self, k: int) -> List[ScoredPair]:
         """Top-``k`` pairs with iterative-deepening pruning on ``Q``."""
         if k < 0:
@@ -444,7 +361,7 @@ class BackwardIDJ:
         ctx = self._ctx
         self.budget_snapshot = None
         self.pruning_trace = []
-        rounds = self._rounds()  # widths planned before any walk
+        rounds = _rounds(ctx)  # widths planned before any walk
         bound = self._bound_factory(ctx)
         left = ctx.left_array
         zero = ctx.floor
@@ -527,8 +444,7 @@ class BackwardIDJ:
                     )
                 blocks.append((targets, block))
 
-            lean = active and ctx.walk_cache is None and ctx.kernel is not None
-            tail = _tail_plan(ctx) if lean else None
+            tail = _final_tail(ctx) if active else None
             rounds.walk_level(active, ctx.d, left, emit, tail)
         return ctx.top_pairs(blocks, k)
 

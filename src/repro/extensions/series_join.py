@@ -35,8 +35,7 @@ from repro.core.two_way.base import ScoredPair
 
 
 class SeriesBackwardJoin(BackwardBasicJoin):
-    """``B-BJ`` on a measure context: ``SeriesBackwardJoin(context,
-    block_size)``."""
+    """``B-BJ`` on a measure context: ``SeriesBackwardJoin(context)``."""
 
     name = "Series-B-BJ"
 

@@ -1,11 +1,10 @@
 """Degree/skew-aware cost-based planner for n-way join specs.
 
-The planner chooses, per query graph: (a) the edge evaluation order,
-(b) the per-edge two-way operator, and (c) tuning knobs (block width),
-from cheap graph statistics (:mod:`repro.planner.stats`), a
-step-denominated cost model (:mod:`repro.planner.cost`), and a greedy
-search over an LRU simulation of the shared walk cache
-(:mod:`repro.planner.plan`).  Executors consume the resulting
+The planner chooses, per query graph: (a) the edge evaluation order
+and (b) the per-edge two-way operator, from cheap graph statistics
+(:mod:`repro.planner.stats`), a step-denominated cost model
+(:mod:`repro.planner.cost`), and a greedy search over an LRU
+simulation of the shared walk cache (:mod:`repro.planner.plan`).  Executors consume the resulting
 :class:`ExplainedPlan` via ``NWayJoinSpec.resolve_plan``; the old
 fixed behaviour survives as ``plan="fixed"`` and doubles as the
 bit-identity oracle for the planner-decision test harness

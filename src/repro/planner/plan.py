@@ -1,12 +1,12 @@
-"""Plan choice: edge order + per-edge operator + knobs, explained.
+"""Plan choice: edge order + per-edge operator, explained.
 
 The planner sits between :class:`~repro.core.nway.spec.NWayJoinSpec`
 and the two-way contexts.  Executors never decide anything themselves
 any more: they call :meth:`NWayJoinSpec.resolve_plan` (which lands in
 :func:`resolve_spec_plan` here) and get back an :class:`ExplainedPlan`
 — a build order over the query edges plus one :class:`EdgePlan`
-(operator name, block width, cost breakdown) per edge.  Operator names,
-not classes, cross the boundary, so the core layer keeps its
+(operator name, cost breakdown) per edge.  Operator names, not
+classes, cross the boundary, so the core layer keeps its
 no-``extensions``-imports rule and each executor maps names to the
 classes it owns.
 
@@ -46,11 +46,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.nway.driver import STRATEGIES
-from repro.core.two_way.backward import DEFAULT_BLOCK_SIZE
 from repro.graph.validation import GraphValidationError
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
 from repro.planner.stats import GraphStats
-from repro.walks.rounds import columns_for_budget
 
 PLAN_MODES = ("fixed", "auto")
 PLAN_STRATEGIES = ("pj", "pj-i", "ap")
@@ -77,7 +75,6 @@ _OPERATOR_KINDS = {
     "f-bj": "f-bj",
     "f-idj": "f-idj",
 }
-_BLOCK_OPERATORS = ("b-bj", "basic")  # operators with a block-width knob
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class EdgePlan:
     edge_index: int
     edge_name: str
     operator: str
-    block_size: Optional[int]
     estimated_steps: float
     walk_steps: float
     bound_steps: float
@@ -101,7 +97,6 @@ class EdgePlan:
             "edge_index": self.edge_index,
             "edge_name": self.edge_name,
             "operator": self.operator,
-            "block_size": self.block_size,
             "estimated_steps": round(self.estimated_steps, 3),
             "walk_steps": round(self.walk_steps, 3),
             "bound_steps": round(self.bound_steps, 3),
@@ -117,10 +112,6 @@ class EdgePlan:
             edge_index=int(payload["edge_index"]),
             edge_name=str(payload["edge_name"]),
             operator=str(payload["operator"]),
-            block_size=(
-                None if payload.get("block_size") is None
-                else int(payload["block_size"])
-            ),
             estimated_steps=float(payload["estimated_steps"]),
             walk_steps=float(payload["walk_steps"]),
             bound_steps=float(payload["bound_steps"]),
@@ -168,7 +159,6 @@ class ExplainedPlan:
             "strategy": self.strategy,
             "build_order": list(self.build_order),
             "operators": list(self.operators),
-            "block_sizes": [ep.block_size for ep in self.edges],
         }
 
     def to_json(self) -> dict:
@@ -215,11 +205,10 @@ class ExplainedPlan:
             )
         for position, e in enumerate(self.build_order, start=1):
             ep = self.edges[e]
-            knob = f" block={ep.block_size}" if ep.block_size is not None else ""
             why = f"  [{'; '.join(ep.reasons)}]" if ep.reasons else ""
             lines.append(
                 f"{position:>3}. edge {e} {ep.edge_name:<12} "
-                f"op={ep.operator:<8}{knob} "
+                f"op={ep.operator:<8} "
                 f"est={ep.estimated_steps:.0f} "
                 f"(walk {ep.walk_steps:.0f} + bound {ep.bound_steps:.0f}"
                 f" - credit {ep.credit:.0f})"
@@ -298,17 +287,6 @@ def _operator_kind(operator: str, measure) -> str:
 
 def _uses_y_bound(operator: str, measure) -> bool:
     return _operator_kind(operator, measure) == "idj-y"
-
-
-def _block_knob(spec, operator: str) -> Optional[int]:
-    """The block-width knob for block-propagating operators, clamped
-    under the calling thread's byte budget (a query's plan resolves
-    under its governor; a plain explain, with no budget, shows the
-    unclamped width, which the join clamps when it runs)."""
-    if operator not in _BLOCK_OPERATORS:
-        return None
-    cap = columns_for_budget(spec.engine)
-    return DEFAULT_BLOCK_SIZE if cap is None else min(DEFAULT_BLOCK_SIZE, cap)
 
 
 def _tail_ratio(spec, left: Sequence[int], right: Sequence[int]) -> Optional[float]:
@@ -481,7 +459,6 @@ def _edge_plan(spec, e: int, operator: str, est: EdgeCostEstimate, overlap: int)
         edge_index=e,
         edge_name=spec.query_graph.edge_name(e),
         operator=operator,
-        block_size=_block_knob(spec, operator),
         estimated_steps=est.steps,
         walk_steps=est.walk_steps,
         bound_steps=est.bound_steps,

@@ -1,6 +1,8 @@
-"""Shared deepening-round walk machinery for the iterative-deepening joins.
+"""Shared deepening-round walk machinery for the backward joins.
 
-``B-IDJ`` runs one walk plan under DHT and under every kernel measure:
+``B-IDJ`` runs one walk plan under DHT and under every kernel measure,
+and ``B-BJ`` runs its final level alone (a fresh plan per block of
+targets, one ``walk_level`` at full depth):
 at each doubling level, feed every active target's scores *at the
 join's left rows* to a pruning step, one ``(|rows|, B)`` block per
 resolved group of targets, keeping one resumable
@@ -12,7 +14,7 @@ once; :class:`MatrixRounds` is its twin for a matrix-backed measure
 iterates.  Full length-``n`` score vectors are finalised only to be
 donated to a walk cache; a cache-less round never builds one (its
 states keep their prefix at the rows only).  The cache is read and fed
-per group of targets: :func:`triage` (shared with ``B-BJ`` and
+per group of targets: :func:`triage` (shared with
 :class:`MatrixRounds`) is one ``peek_block``, a walked part is donated
 with one ``put_block``.
 
@@ -21,9 +23,9 @@ the one walk-block ceiling, read once per join by
 :func:`columns_for_budget` under the model of 16 bytes per node per
 column (walker mass plus score prefix, both dense; a block still in its
 frontier phase holds less, never more).  Every block operator plans its
-width under it *before* walking — these rounds, ``B-BJ`` and the
-planner's block knob alike — so the governor's ``"alloc"`` veto never
-has to discover it.
+width under it *before* walking — these rounds and ``B-BJ``'s block
+width alike — so the governor's ``"alloc"`` veto never has to discover
+it.
 
 **Unbounded mode** (no byte budget): one full-width resumable block
 carries every walking target across levels; targets that fall out of
@@ -119,10 +121,10 @@ def columns_for_budget(engine: WalkEngine) -> Optional[int]:
     no byte budget, so no ceiling).
 
     The single source of the block-layout cost model — every clamp in
-    the join stack (window width, chunk width, ``B-BJ`` block width, the
-    planner's block knob) derives from it, so a layout change cannot
-    desynchronise them.  It reads ``engine.governor``, which is
-    thread-local, so call it when the join runs, not when it is built.
+    the join stack (window width, chunk width, ``B-BJ`` block width)
+    derives from it, so a layout change cannot desynchronise them.  It
+    reads ``engine.governor``, which is thread-local, so call it when
+    the join runs, not when it is built.
     A budget below one column's cost is infeasible: a single column is
     the smallest block the propagation can run, so the query stops with
     ``reason="bytes"`` and a message naming the minimum feasible budget.

@@ -1,6 +1,7 @@
 """Batched/resumable join paths against the brute-force oracle.
 
-``B-BJ``'s target blocks (any width, 1 included) and ``B-IDJ``'s
+``B-BJ``'s target blocks (any width a byte ceiling narrows them to,
+1 included) and ``B-IDJ``'s
 resumable deepening must return the oracle's top-k; the deepening
 walks at most ``d`` column-steps per right node — strictly fewer than
 restarting every walk at every level, the seed's cost, read off the
@@ -27,7 +28,7 @@ from repro.core.two_way.base import (
     make_context,
     sort_pairs,
 )
-from repro.graph.builders import preferential_attachment
+from repro.graph.builders import erdos_renyi, preferential_attachment
 from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
@@ -56,20 +57,50 @@ def restart_cost(trace, d, num_targets):
 
 
 class TestBatchedBBJ:
-    @pytest.mark.parametrize("block_size", [2, 3, 16])
-    def test_all_pairs_matches_per_target(self, random_graph, params, block_size):
+    @pytest.mark.parametrize("width", [1, 2, 3, 16])
+    def test_all_pairs_matches_per_target(
+        self, random_graph, params, width, byte_ceiling
+    ):
         ctx = make_context(
             random_graph, list(range(10)), list(range(20, 33)), params=params, d=8
         )
-        assert_all_pairs(BackwardBasicJoin(ctx, block_size=block_size).all_pairs(), ctx)
-        # A width of 1 is the same block path, not a per-target fork.
-        assert_all_pairs(BackwardBasicJoin(ctx, block_size=1).all_pairs(), ctx)
+        # A ceiling of ``width`` columns narrows the blocks; a width of 1
+        # is the same block path, not a per-target fork.
+        max_bytes = width * 16 * random_graph.num_nodes
+        with byte_ceiling(ctx.engine, max_bytes):
+            assert_all_pairs(BackwardBasicJoin(ctx).all_pairs(), ctx)
+        assert 0 < ctx.engine.stats.peak_block_bytes <= max_bytes
 
     def test_all_pairs_matches_on_directed(self, random_digraph, params):
         ctx = make_context(
             random_digraph, list(range(8)), list(range(10, 22)), params=params, d=6
         )
         assert_all_pairs(BackwardBasicJoin(ctx).all_pairs(), ctx)
+
+    def test_resumes_the_columns_b_idj_donated(self, params):
+        """``B-IDJ-Y`` donates its pruned targets' partial walks to the
+        cache; a later ``B-BJ`` over the same cache resumes them — the
+        same rounds resolve its targets — instead of re-walking them
+        from step 0, and its answers equal a cold run's."""
+        graph = erdos_renyi(150, 5.0 / 150, np.random.default_rng(7), weighted=True)
+        left, right = list(range(12)), list(range(30, 70))
+        cold = make_context(graph, left, right, params=params, d=8)
+        shared = make_context(
+            graph, left, right, params=params, d=8,
+            walk_cache=WalkCache(cold.engine, params), engine=cold.engine,
+        )
+        BackwardIDJY(shared).top_k(8)
+        stats, cached = shared.engine.stats, shared.walk_cache.stats
+        before = (stats.propagation_steps, stats.steps_saved, cached.hits)
+        got = BackwardBasicJoin(shared).all_pairs()
+        walked = stats.propagation_steps - before[0]
+        saved = stats.steps_saved - before[1]
+        hits = cached.hits - before[2]
+        assert saved > 0
+        # Every target not already cached at full depth costs d column
+        # steps, walked now or saved by a resumed donation.
+        assert walked + saved == shared.d * (len(right) - hits)
+        assert sort_pairs(got) == sort_pairs(BackwardBasicJoin(cold).all_pairs())
 
     def test_cached_context_same_results(self, random_graph, params):
         plain = make_context(
@@ -86,18 +117,13 @@ class TestBatchedBBJ:
         BackwardBasicJoin(cached).all_pairs()
         assert cached.engine.stats.propagation_steps == 0
 
-    def test_invalid_block_size(self, path4, params):
-        ctx = make_context(path4, [0], [3], params=params, d=4)
-        with pytest.raises(GraphValidationError):
-            BackwardBasicJoin(ctx, block_size=0)
-
 
 class TestOneColumnCeiling:
     """A byte budget of one column (``QueryBudget(max_bytes=16 n)``)
-    narrows ``B-BJ`` to width-1 blocks on the same block path.  It used to switch to a
-    per-target fork instead, whose ``(d, n)`` hit series — 19 200 B per
-    target here — overshot the 4 800 B ceiling with no ``"alloc"``
-    checkpoint to stop it."""
+    narrows ``B-BJ`` to width-1 blocks on the same block path.  It used
+    to switch to a per-target fork instead, whose ``(d, n)`` hit
+    series — 19 200 B per target here — overshot the 4 800 B ceiling
+    with no ``"alloc"`` checkpoint to stop it."""
 
     GRAPH = preferential_attachment(300, 3, np.random.default_rng(14))
     LEFT, RIGHT = list(range(200, 215)), list(range(30))
@@ -120,7 +146,7 @@ class TestOneColumnCeiling:
         assert_top_k(as_ranked(got), ranking(ctx), 10)
         assert ctx.engine.stats.propagation_steps == ctx.d * len(self.RIGHT)
 
-    def test_ap_with_a_width_one_plan_stays_on_the_block_path(
+    def test_ap_under_a_one_column_ceiling_stays_on_the_block_path(
         self, params, no_per_target_walks, byte_ceiling
     ):
         graph = self.GRAPH
@@ -129,10 +155,11 @@ class TestOneColumnCeiling:
             node_sets=[self.LEFT, self.RIGHT], k=10, params=params, d=8,
         )
         join = AllPairsJoin(spec, two_way="b-bj")
-        # A governed plan resolves under the governor's byte budget.
+        # The edge's B-BJ plans its width under the governor's byte
+        # budget when it runs.
         with byte_ceiling(spec.engine, 16 * graph.num_nodes):
             got = join.run()
-        assert [ep.block_size for ep in join.plan.edges] == [1]
+        assert join.plan.operators == ("b-bj",)
         oracle = rank_answers(
             [dht_scores(graph, params, 8)], spec.node_sets, spec.query_graph.edges
         )

@@ -149,11 +149,15 @@ class TestContextIntegration:
         assert context.engine.stats.bound_builds == builds == 1
         assert context.engine.stats.bound_cache_hits >= 1
 
-    def test_tail_plan_reused_across_materialisations(self, random_graph):
+    def test_tail_plan_reused_across_materialisations(
+        self, random_graph, byte_ceiling
+    ):
         context = make_context(random_graph, list(range(6)), list(range(20, 36)), d=4)
-        BackwardBasicJoin(context, block_size=4).all_pairs()
-        assert context.engine.stats.plan_builds == 1
-        BackwardBasicJoin(context, block_size=4).all_pairs()
+        # Four-column blocks: one plan serves every block of a join.
+        with byte_ceiling(context.engine, 4 * 16 * random_graph.num_nodes):
+            BackwardBasicJoin(context).all_pairs()
+            assert context.engine.stats.plan_builds == 1
+            BackwardBasicJoin(context).all_pairs()
         assert context.engine.stats.plan_builds == 1
         assert context.engine.stats.plan_cache_hits >= 1
 

@@ -100,29 +100,40 @@ def assert_two_way_sound(result, oracle, expected, atol=1e-9):
         assert lower - atol <= oracle[(pair.left, pair.right)] <= upper + atol
 
 
-def _run_two_way(workload, measure, fault, seed=13):
+def _run_two_way(workload, measure, fault, seed=13, algorithm="b-idj-y"):
     graph, left, right = workload
     engine = WalkEngine(graph)
     injector = _injector(fault, seed)
     result = two_way_join(
-        graph, left, right, 8, engine=engine, measure=measure,
-        budget=_budget(fault), fault_injector=injector,
+        graph, left, right, 8, algorithm=algorithm, engine=engine,
+        measure=measure, budget=_budget(fault), fault_injector=injector,
     )
     return result, engine, injector
 
 
 class TestTwoWayMatrix:
+    @pytest.mark.parametrize("algorithm", ["b-idj-y", "b-bj"])
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("fault", sorted(FAULT_SITES))
-    def test_exact_or_flagged_partial(self, workload, pair_oracles, measure, fault):
+    def test_exact_or_flagged_partial(
+        self, workload, pair_oracles, measure, fault, algorithm
+    ):
         graph, left, right = workload
-        expected = two_way_join(graph, left, right, 8, measure=measure)
-        result, engine, injector = _run_two_way(workload, measure, fault)
+        expected = two_way_join(
+            graph, left, right, 8, algorithm=algorithm, measure=measure
+        )
+        result, engine, injector = _run_two_way(
+            workload, measure, fault, algorithm=algorithm
+        )
         assert_two_way_sound(result, pair_oracles[measure], expected)
         assert engine.stats.checkpoints > 0
         if fault in ("alloc", "nan") and injector.fired and result.exact:
             # The fault was absorbed by a counted recovery, not ignored.
             assert engine.stats.degradations + engine.stats.alloc_retries > 0
+        if fault == "alloc" and injector.fired:
+            # Both joins walk through the same rounds, so one failed
+            # allocation is one backoff retry, never a stopped query.
+            assert result.exact and engine.stats.alloc_retries == 1
         if fault == "clock" and injector.fired:
             assert not result.exact and result.reason == "deadline"
             assert engine.stats.budget_stops == 1
@@ -180,8 +191,9 @@ class TestTwoWayMatrix:
 
 
 class TestCorruptedBlockInBasicJoin:
-    """``B-BJ``'s bounded re-walk covers every block scorer: the loop is
-    shared, so a measure's corrupted block is re-walked like DHT's."""
+    """``B-BJ`` walks through the rounds, so their bounded re-walk
+    covers it under every measure: a measure's corrupted block is
+    re-walked like DHT's."""
 
     @staticmethod
     def _measure(name):

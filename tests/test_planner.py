@@ -259,6 +259,20 @@ class TestPlanSerialization:
         assert restored.build_order == plan.build_order
         assert restored.operators == plan.operators
 
+    def test_plan_with_a_block_width_still_replays(self):
+        """Plans once recorded a ``block_size`` per edge (16 for the
+        block operators, ``null`` otherwise); the width is now the
+        join's own, so such a plan replays with the same answers."""
+        plan = choose_plan(small_star_spec(), "ap", default_operator="b-bj")
+        payload = json.loads(json.dumps(plan.to_json()))
+        for edge in payload["edges"]:
+            edge["block_size"] = 16 if edge["operator"] == "b-bj" else None
+        restored = ExplainedPlan.from_json(payload)
+        assert restored == plan
+        replayed = AllPairsJoin(small_star_spec(), plan=restored).run()
+        fresh = AllPairsJoin(small_star_spec(), plan=plan).run()
+        assert replayed and _answer_key(replayed) == _answer_key(fresh)
+
     def test_replayed_plan_validates_edge_count(self):
         star = FIXTURE.skewed_star_spec()
         chain = FIXTURE.chain_spec()

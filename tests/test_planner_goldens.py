@@ -1,7 +1,7 @@
 """Golden planner decisions: cost-model edits must be deliberate.
 
 Each golden file pins the planner's *decisions* — build order, per-edge
-operators, block knobs, and the cost-model version — for one fixture
+operators and the cost-model version — for one fixture
 (skewed star / chain / uniform ER).  A cost-model change that flips any
 decision fails here until the goldens are regenerated on purpose:
 

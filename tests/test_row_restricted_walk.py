@@ -9,9 +9,10 @@ the full-width walk, so every score at ``P`` must be *bit-identical* to
 depth, the block form (frontier or dense), the dense step's path, or
 the restructuring (``select`` / ``concat``) in between.
 
-The joins build these states whenever there is no walk cache
-(``B-IDJ``'s deepening rounds, ``B-BJ``'s lean scorer), and every step
-they run — tail steps included — is a ``"block"`` checkpoint.
+The joins build these states whenever there is no walk cache (the
+deepening rounds of ``B-IDJ`` and of ``B-BJ``, its final level alone),
+and every step they run — tail steps included — is a ``"block"``
+checkpoint.
 """
 
 from collections import Counter
@@ -240,9 +241,7 @@ def test_every_cacheless_step_is_a_block_checkpoint(graph, algorithm, measure):
             engine=engine, measure=MEASURES[measure],
         )
     assert result.exact and len(result.results) == 10
-    assert engine.stats.plan_builds == (
-        1 if measure == "dht" or algorithm != "b-bj" else 0
-    )
+    assert engine.stats.plan_builds == 1
     assert seen["block"] > 0
     assert seen["block"] + seen["step"] == engine.stats.sparse_products
     assert (seen["step"] > 0) == (engine.stats.bound_builds > 0)

@@ -4,6 +4,10 @@
 a triage pass over cached targets became one counted governor visit
 (``engine.checkpoint("cache", count=len(targets))``) instead of one call
 per target; every later edit of the hit path must reproduce it exactly.
+A ``b-bj`` cell walks through the deepening rounds: it triages one
+block of targets at a time and resumes the columns ``b-idj-y`` donated
+(fewer steps, more visits), and the ``pj-i`` cell after it finds those
+targets finished at full depth.
 Each sequence shares one walk cache and one bound cache across warm
 ``b-idj-y`` / ``b-bj`` two-way joins and a ``pj-i`` chain, all governed
 by a deadline no cell comes near, and records per cell
