@@ -18,7 +18,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     entry_points={
         "console_scripts": [

@@ -17,7 +17,7 @@ See ``README.md`` for the architecture map and paper-name glossary, and
 against ``BENCHMARK.json``).
 """
 
-from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
+from repro.api import explain_multi_way_plan, multi_way_join, run, two_way_join
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import AVG, MAX, MIN, SUM
@@ -25,6 +25,12 @@ from repro.core.nway.query_graph import QueryGraph
 from repro.core.two_way.base import ScoredPair
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
+from repro.query import (
+    ExplainRequest,
+    MultiWayRequest,
+    QueryOptions,
+    TwoWayRequest,
+)
 from repro.walks.engine import WalkEngine
 
 __version__ = "1.0.0"
@@ -33,16 +39,21 @@ __all__ = [
     "AVG",
     "BoundPlanCache",
     "DHTParams",
+    "ExplainRequest",
     "Graph",
     "GraphValidationError",
     "MAX",
     "MIN",
+    "MultiWayRequest",
+    "QueryOptions",
     "QueryGraph",
     "SUM",
     "ScoredPair",
+    "TwoWayRequest",
     "WalkEngine",
     "explain_multi_way_plan",
     "multi_way_join",
+    "run",
     "two_way_join",
     "__version__",
 ]

@@ -23,7 +23,9 @@ Usage (after ``pip install -e .``)::
 
 Graphs are TSV edge lists with a ``# nodes: N`` header
 (:mod:`repro.graph.io`); node sets are JSON ``{"name": [ids...]}``.
-The ``--requests`` file is a JSON list of request objects, e.g.
+Each query, one-shot or a ``serve`` request, is a :mod:`repro.query`
+request run by :func:`repro.api.run`.  The ``--requests`` file is a JSON
+list of request objects with the keys of :data:`REQUEST_KEYS`, e.g.
 ``[{"type": "two-way", "left": "DB", "right": "AI", "k": 5},
 {"type": "multi-way", "shape": "chain", "node_sets": ["DB", "AI"],
 "k": 5, "measure": "ppr"}]`` (``type`` also accepts ``"explain"``).
@@ -35,9 +37,10 @@ import argparse
 import dataclasses
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
+from repro.api import explain_multi_way_plan, run
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import aggregate_by_name
 from repro.core.nway.query_graph import QueryGraph
@@ -51,8 +54,60 @@ from repro.extensions.measures import TruncatedPPR
 from repro.extensions.simrank import SimRankMeasure
 from repro.graph.io import read_edge_list, read_node_sets
 from repro.graph.validation import GraphValidationError
+from repro.query import ExplainRequest, MultiWayRequest, TwoWayRequest
 
 _SHAPES = ("chain", "cycle", "triangle", "star", "clique")
+
+#: One flag per :class:`~repro.exec.budget.QueryBudget` field: its type
+#: and help.  Under ``serve`` the flags set the default budget of
+#: requests that carry none of their own.
+_BUDGET_FLAGS = {
+    "deadline_ms": (
+        float,
+        "wall-clock budget in milliseconds; on exhaustion the join "
+        "returns flagged best-effort results with score intervals (see "
+        "--on-budget); under serve queue wait counts against it",
+    ),
+    "step_budget": (
+        int,
+        "propagation-step budget (batching-invariant column-steps); same "
+        "exhaustion semantics as --deadline-ms",
+    ),
+    "max_bytes": (
+        int,
+        "walk-block byte ceiling (16 bytes per node per column): every "
+        "block operator plans its width under it; below one column the "
+        "join stops with reason 'bytes' (same exhaustion semantics as "
+        "--deadline-ms)",
+    ),
+}
+
+_REQUEST_TYPES = ("two-way", "multi-way", "explain")
+_NWAY_TYPES = ("multi-way", "explain")
+
+#: Every key a ``--requests`` entry may carry: the JSON types it accepts
+#: (``null`` only where the request field's unset value is ``None``) and
+#: the entry types it applies to.  The budget keys are the
+#: ``QueryBudget`` fields.
+REQUEST_KEYS = {
+    "type": (str, _REQUEST_TYPES),
+    "k": (int, _REQUEST_TYPES),
+    "algorithm": (str, _REQUEST_TYPES),
+    "measure": ((str, type(None)), _REQUEST_TYPES),
+    "left": ((str, list), ("two-way",)),
+    "right": ((str, list), ("two-way",)),
+    "node_sets": (list, _NWAY_TYPES),
+    "shape": (str, _NWAY_TYPES),
+    "bidirectional": (bool, _NWAY_TYPES),
+    "query_edges": (list, _NWAY_TYPES),
+    "m": (int, _NWAY_TYPES),
+    "plan": (str, _NWAY_TYPES),
+    **{
+        name: ((int, float, type(None)) if kind is float else (kind, type(None)),
+               _REQUEST_TYPES)
+        for name, (kind, _) in _BUDGET_FLAGS.items()
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,57 +118,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
-        p.add_argument("--sets", required=True, help="JSON node-set file")
-        p.add_argument("-k", type=int, default=10, help="answers to return")
-        p.add_argument(
-            "--measure",
-            choices=("dht-lambda", "dht-e", "dht", "ppr", "simrank"),
-            default="dht-lambda",
-            help="proximity measure ('dht' aliases 'dht-lambda'; 'ppr' and "
-                 "'simrank' run the measure-generic join stack)",
-        )
-        p.add_argument("--decay", type=float, default=0.2, help="lambda")
-        p.add_argument("--epsilon", type=float, default=1e-6,
-                       help="truncation error target (Lemma 1; also sets "
-                            "PPR's depth)")
-        p.add_argument("--damping", type=float, default=0.85,
-                       help="PPR continuation probability c (--measure ppr)")
-        p.add_argument("--sr-decay", type=float, default=0.8,
-                       help="SimRank decay C (--measure simrank)")
-        p.add_argument("--sr-iterations", type=int, default=10,
-                       help="SimRank fixed-point sweeps (--measure simrank)")
-        p.add_argument(
-            "--deadline-ms", type=float, default=None,
-            help="wall-clock budget in milliseconds; on exhaustion the "
-                 "join returns flagged best-effort results with score "
-                 "intervals (see --on-budget)",
-        )
-        p.add_argument(
-            "--step-budget", type=int, default=None,
-            help="propagation-step budget (batching-invariant "
-                 "column-steps); same exhaustion semantics as "
-                 "--deadline-ms",
-        )
-        p.add_argument(
-            "--max-bytes", type=int, default=None,
-            help="walk-block byte ceiling (16 bytes per node per "
-                 "column): every block operator plans its width under "
-                 "it; below one column the join stops with reason "
-                 "'bytes' (same exhaustion semantics as --deadline-ms)",
-        )
-        p.add_argument(
-            "--on-budget", choices=ON_BUDGET_POLICIES, default="partial",
-            help="what budget exhaustion does: 'partial' (default) "
-                 "returns best-effort results flagged exact=false, "
-                 "'error' exits with status 3",
-        )
+    def add_json(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit machine-readable JSON")
-        add_obs_common(p)
 
-    def add_obs_common(p: argparse.ArgumentParser) -> None:
+    def add_config(p: argparse.ArgumentParser) -> None:
+        """The flags ``serve`` shares with the one-shot subcommands."""
+        p.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
+        p.add_argument("--sets", required=True, help="JSON node-set file")
+        p.add_argument("--decay", type=float, default=0.2, help="lambda")
+        p.add_argument("--epsilon", type=float, default=1e-6,
+                       help="truncation error target (Lemma 1; one-shot "
+                            "runs also set PPR's depth from it)")
+        for name, (kind, text) in _BUDGET_FLAGS.items():
+            p.add_argument(
+                "--" + name.replace("_", "-"), type=kind, default=None,
+                help=text,
+            )
+        add_json(p)
         p.add_argument(
             "--trace-out", metavar="FILE", default=None,
             help="run under the structured tracer and append the query's "
@@ -126,8 +148,33 @@ def build_parser() -> argparse.ArgumentParser:
                  "text if FILE ends in .prom, else appended JSON lines",
         )
 
+    def add_query(p: argparse.ArgumentParser) -> None:
+        """The one-shot subcommands' flags: the shared ones, plus ``k``,
+        the measure and the exhaustion policy."""
+        add_config(p)
+        p.add_argument("-k", type=int, default=10, help="answers to return")
+        p.add_argument(
+            "--measure",
+            choices=("dht-lambda", "dht-e", "dht", "ppr", "simrank"),
+            default="dht-lambda",
+            help="proximity measure ('dht' aliases 'dht-lambda'; 'ppr' and "
+                 "'simrank' run the measure-generic join stack)",
+        )
+        p.add_argument("--damping", type=float, default=0.85,
+                       help="PPR continuation probability c (--measure ppr)")
+        p.add_argument("--sr-decay", type=float, default=0.8,
+                       help="SimRank decay C (--measure simrank)")
+        p.add_argument("--sr-iterations", type=int, default=10,
+                       help="SimRank fixed-point sweeps (--measure simrank)")
+        p.add_argument(
+            "--on-budget", choices=ON_BUDGET_POLICIES, default="partial",
+            help="what budget exhaustion does: 'partial' (default) "
+                 "returns best-effort results flagged exact=false, "
+                 "'error' exits with status 3",
+        )
+
     two = sub.add_parser("two-way", help="top-k 2-way join")
-    add_common(two)
+    add_query(two)
     two.add_argument("--left", required=True, help="left node-set name")
     two.add_argument("--right", required=True, help="right node-set name")
     two.add_argument(
@@ -135,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("f-bj", "f-idj", "b-bj", "b-idj-x", "b-idj-y"),
         default="b-idj-y",
     )
+    two.set_defaults(explain=None)
 
     multi = sub.add_parser("multi-way", help="top-k n-way join")
-    add_common(multi)
+    add_query(multi)
     multi.add_argument("--node-sets", nargs="+", required=True,
                        help="node-set names, one per query vertex")
     multi.add_argument("--shape", choices=_SHAPES, default="chain")
@@ -168,14 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="print graph statistics")
     stats.add_argument("graph")
-    stats.add_argument("--json", action="store_true", dest="as_json")
+    add_json(stats)
 
     serve = sub.add_parser(
         "serve",
         help="run a JSON request mix through the concurrent query service",
     )
-    serve.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
-    serve.add_argument("--sets", required=True, help="JSON node-set file")
+    add_config(serve)
     serve.add_argument("--requests", required=True,
                        help="JSON list of request objects (see module docs)")
     serve.add_argument("--workers", type=int, default=4,
@@ -186,18 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-in-flight", type=int, default=None,
                        help="ceiling on admitted-but-unfinished requests "
                             "(default workers + queue depth)")
-    serve.add_argument("--decay", type=float, default=0.2, help="lambda")
-    serve.add_argument("--epsilon", type=float, default=1e-6,
-                       help="truncation error target (Lemma 1)")
-    serve.add_argument("--deadline-ms", type=float, default=None,
-                       help="default per-query wall budget (requests "
-                            "without their own budget run under this; "
-                            "queue wait counts against it)")
-    serve.add_argument("--step-budget", type=int, default=None,
-                       help="default per-query propagation-step budget")
-    serve.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit machine-readable JSON")
-    add_obs_common(serve)
     serve.add_argument(
         "--metrics-interval", type=float, default=None, metavar="SECONDS",
         help="with --metrics-out: flush a registry snapshot every "
@@ -207,27 +242,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args) -> QueryBudget:
-    """The ``QueryBudget`` selected by the flags (``serve`` has no
-    ``--max-bytes``); no flag is ``QueryBudget()``, which never stops."""
-    return QueryBudget(
-        deadline_ms=args.deadline_ms, step_budget=args.step_budget,
-        max_bytes=getattr(args, "max_bytes", None),
-    )
+    """The ``QueryBudget`` selected by the flags; no flag is
+    ``QueryBudget()``, which never stops."""
+    return QueryBudget(**{name: getattr(args, name) for name in _BUDGET_FLAGS})
 
 
-def _envelope(result: PartialResult, rows: List[dict]) -> dict:
-    """The one ``--json`` shape, ``{"exact", "reason", "results"}``,
-    each row carrying its ``lower`` / ``upper`` score interval."""
-    for row, (lower, upper) in zip(rows, result.bounds):
+def _envelope(result: PartialResult) -> dict:
+    """The one ``--json`` result shape, ``{"exact", "reason", "results"}``,
+    each row carrying its ``lower`` / ``upper`` score interval (and an
+    n-way row its ``edge_scores``); one-shot runs print it, ``serve``
+    rows embed it."""
+    rows = []
+    for item, (lower, upper) in zip(result.results, result.bounds):
+        if hasattr(item, "nodes"):
+            row = {
+                "nodes": list(item.nodes),
+                "score": item.score,
+                "edge_scores": list(item.edge_scores),
+            }
+        else:
+            row = {"left": item.left, "right": item.right, "score": item.score}
         row["lower"] = lower
         row["upper"] = upper
+        rows.append(row)
     return {"exact": result.exact, "reason": result.reason, "results": rows}
-
-
-def _print_partial_note(result: PartialResult) -> None:
-    if not result.exact:
-        print(f"# partial result (budget exhausted: {result.reason}); "
-              f"scores are lower bounds")
 
 
 def _obs_setup(args, graph):
@@ -240,12 +278,18 @@ def _obs_setup(args, graph):
     """
     if args.trace_out is None and args.metrics_out is None:
         return None, None
-    from repro.obs import QueryTracer
     from repro.walks.engine import WalkEngine
 
-    engine = WalkEngine(graph)
-    tracer = QueryTracer() if args.trace_out is not None else None
-    return engine, tracer
+    return WalkEngine(graph), _tracer(args)
+
+
+def _tracer(args):
+    """A :class:`~repro.obs.QueryTracer` when ``--trace-out`` asks for one."""
+    if args.trace_out is None:
+        return None
+    from repro.obs import QueryTracer
+
+    return QueryTracer()
 
 
 def _obs_export(args, engine, tracer) -> None:
@@ -260,95 +304,97 @@ def _obs_export(args, engine, tracer) -> None:
         registry.write_snapshot(args.metrics_out)
 
 
-def _dht_params(args) -> DHTParams:
-    if args.measure == "dht-e":
-        return DHTParams.dht_e()
-    return DHTParams.dht_lambda(args.decay)
-
-
-def _measure_kwargs(args) -> dict:
-    """The API keywords ``--measure`` selects: a non-DHT measure object
-    (which fixes its own depth), or the DHT params plus ``epsilon``."""
+def _options(args) -> dict:
+    """The :class:`~repro.query.QueryOptions` the flags select: a non-DHT
+    ``--measure`` object (which fixes its own depth) or the DHT params
+    plus ``epsilon``, the budget and the exhaustion policy."""
+    options = {"budget": _budget(args), "on_budget": args.on_budget}
     if args.measure == "ppr":
-        return {"measure": TruncatedPPR(damping=args.damping, epsilon=args.epsilon)}
-    if args.measure == "simrank":
-        measure = SimRankMeasure(decay=args.sr_decay, iterations=args.sr_iterations)
-        return {"measure": measure}
-    return {"params": _dht_params(args), "epsilon": args.epsilon}
+        options["measure"] = TruncatedPPR(
+            damping=args.damping, epsilon=args.epsilon
+        )
+    elif args.measure == "simrank":
+        options["measure"] = SimRankMeasure(
+            decay=args.sr_decay, iterations=args.sr_iterations
+        )
+    else:
+        options["params"] = (
+            DHTParams.dht_e() if args.measure == "dht-e"
+            else DHTParams.dht_lambda(args.decay)
+        )
+        options["epsilon"] = args.epsilon
+    return options
 
 
 def _query_graph(shape: str, n: int, bidirectional: bool,
                  names: Sequence[str]) -> QueryGraph:
-    if shape == "chain":
-        return QueryGraph.chain(n, bidirectional=bidirectional, names=names)
-    if shape == "cycle":
-        return QueryGraph.cycle(n, bidirectional=bidirectional, names=names)
+    """The ``shape`` query graph over ``n`` node sets (a star's first
+    set is its center)."""
+    if shape not in _SHAPES:
+        raise GraphValidationError(f"unknown shape {shape!r}")
     if shape == "triangle":
         if n != 3:
             raise GraphValidationError("triangle needs exactly 3 node sets")
         return QueryGraph.triangle(names=names)
-    if shape == "star":
-        return QueryGraph.star(n - 1, bidirectional=bidirectional, names=names)
-    if shape == "clique":
-        return QueryGraph.clique(n, bidirectional=bidirectional, names=names)
-    raise GraphValidationError(f"unknown shape {shape!r}")  # pragma: no cover
+    size = n - 1 if shape == "star" else n
+    return getattr(QueryGraph, shape)(
+        size, bidirectional=bidirectional, names=names
+    )
 
 
-def _resolve_sets(path: str, names: Sequence[str]) -> List[List[int]]:
-    node_sets = read_node_sets(path)
-    missing = [name for name in names if name not in node_sets]
-    if missing:
-        raise GraphValidationError(
-            f"node sets {missing} not in {path} (available: {sorted(node_sets)})"
+def _resolve_sets(node_sets: dict, values, path: str) -> List[List[int]]:
+    """The node lists ``values`` name: each a set name from
+    ``node_sets``, the ``--sets`` file at ``path``, or an explicit id
+    list."""
+    resolved = []
+    for value in values:
+        if isinstance(value, str):
+            if value not in node_sets:
+                raise GraphValidationError(
+                    f"node set {value!r} not in {path} "
+                    f"(available: {sorted(node_sets)})"
+                )
+            resolved.append(node_sets[value])
+        elif isinstance(value, list):
+            resolved.append([int(u) for u in value])
+        else:
+            raise GraphValidationError(
+                f"{value!r} is not a set name or id list"
+            )
+    return resolved
+
+
+def _run_query(args) -> int:
+    """``two-way`` / ``multi-way``: build the request, run it, print it."""
+    graph = read_edge_list(args.graph)
+    engine, tracer = _obs_setup(args, graph)
+    options = _options(args)
+    plan = None
+    if args.command == "two-way":
+        left, right = _resolve_sets(
+            read_node_sets(args.sets), [args.left, args.right], args.sets
         )
-    return [node_sets[name] for name in names]
-
-
-def _run_two_way(args) -> int:
-    graph = read_edge_list(args.graph)
-    left, right = _resolve_sets(args.sets, [args.left, args.right])
-    engine, tracer = _obs_setup(args, graph)
-    result = two_way_join(
-        graph, left, right, k=args.k,
-        algorithm=args.algorithm,
-        budget=_budget(args), on_budget=args.on_budget,
-        engine=engine, tracer=tracer,
-        **_measure_kwargs(args),
-    )
-    _obs_export(args, engine, tracer)
-    if args.as_json:
-        rows = [
-            {"left": p.left, "right": p.right, "score": p.score} for p in result
-        ]
-        print(json.dumps(_envelope(result, rows)))
+        request = TwoWayRequest(left, right, args.k, args.algorithm, **options)
     else:
-        _print_partial_note(result)
-        for rank, pair in enumerate(result, start=1):
-            print(f"{rank:>4}  ({pair.left}, {pair.right})  h_d = {pair.score:+.6f}")
-    return 0
-
-
-def _run_multi_way(args) -> int:
-    graph = read_edge_list(args.graph)
-    sets = _resolve_sets(args.sets, args.node_sets)
-    query = _query_graph(
-        args.shape, len(sets), args.bidirectional, args.node_sets
-    )
-    budget = _budget(args)
-    engine, tracer = _obs_setup(args, graph)
-    # One keyword set for explaining and for running, so the join
-    # executes precisely the spec that was explained.
-    query_kwargs = dict(
-        algorithm=args.algorithm, aggregate=aggregate_by_name(args.aggregate),
-        m=args.m, plan=args.plan,
-        engine=engine,
-        **_measure_kwargs(args),
-    )
-    plan_obj = None
-    analyzed = None
+        sets = _resolve_sets(
+            read_node_sets(args.sets), args.node_sets, args.sets
+        )
+        query = _query_graph(
+            args.shape, len(sets), args.bidirectional, args.node_sets
+        )
+        # One option set for explaining and for running, so the join
+        # executes precisely the request that was explained.
+        options.update(
+            aggregate=aggregate_by_name(args.aggregate), m=args.m,
+            plan=args.plan,
+        )
+        request = MultiWayRequest(
+            query.edges, sets, args.k, args.algorithm,
+            names=tuple(args.node_sets), **options,
+        )
     if args.explain:
         analyze = args.explain == "analyze"
-        if analyze and not budget.unlimited:
+        if analyze and not request.budget.unlimited:
             raise GraphValidationError(
                 "--explain analyze runs the query unbudgeted; drop "
                 "--deadline-ms/--step-budget/--max-bytes or use --explain plan"
@@ -357,87 +403,54 @@ def _run_multi_way(args) -> int:
         # executes precisely what was explained (no double planning).
         # With 'analyze' the traced replay happens inside the API call
         # and its answers are the query's answers.
-        plan_obj = explain_multi_way_plan(
-            graph, query, sets, args.k, analyze=analyze, **query_kwargs
+        plan = explain_multi_way_plan(
+            graph, query, sets, args.k, args.algorithm, engine=engine,
+            analyze=analyze, **options,
         )
-        if analyze:
-            analyzed = plan_obj
-            if args.trace_out is not None and analyzed.trace is not None:
-                from repro.obs import write_trace_jsonl
+    if args.explain == "analyze":
+        if args.trace_out is not None and plan.trace is not None:
+            from repro.obs import write_trace_jsonl
 
-                write_trace_jsonl(args.trace_out, [analyzed.trace])
-            _obs_export(args, engine, None)
-            result = analyzed.answers
-        else:
-            query_kwargs["plan"] = plan_obj
-    if analyzed is None:
-        result = multi_way_join(
-            graph, query, sets, k=args.k,
-            budget=budget, on_budget=args.on_budget, tracer=tracer,
-            **query_kwargs,
-        )
+            write_trace_jsonl(args.trace_out, [plan.trace])
+        _obs_export(args, engine, None)
+        result = plan.answers
+    else:
+        if plan is not None:
+            request = replace(request, plan=plan)
+        result = run(graph, request, engine=engine, tracer=tracer)
         _obs_export(args, engine, tracer)
     if args.as_json:
-        rows = [
-            {
-                "nodes": list(a.nodes),
-                "score": a.score,
-                "edge_scores": list(a.edge_scores),
-            }
-            for a in result
-        ]
-        payload = _envelope(result, rows)
-        if plan_obj is not None:
-            payload["plan"] = plan_obj.to_json()
+        payload = _envelope(result)
+        if plan is not None:
+            payload["plan"] = plan.to_json()
         print(json.dumps(payload))
-    else:
-        if plan_obj is not None:
-            for line in plan_obj.format().splitlines():
-                print(f"# {line}")
-        _print_partial_note(result)
-        for rank, answer in enumerate(result, start=1):
-            nodes = ", ".join(str(u) for u in answer.nodes)
-            print(f"{rank:>4}  ({nodes})  f = {answer.score:+.6f}")
+        return 0
+    if plan is not None:
+        for line in plan.format().splitlines():
+            print(f"# {line}")
+    if not result.exact:
+        print(f"# partial result (budget exhausted: {result.reason}); "
+              f"scores are lower bounds")
+    for rank, item in enumerate(result, start=1):
+        if args.command == "two-way":
+            print(f"{rank:>4}  ({item.left}, {item.right})  h_d = {item.score:+.6f}")
+        else:
+            nodes = ", ".join(str(u) for u in item.nodes)
+            print(f"{rank:>4}  ({nodes})  f = {item.score:+.6f}")
     return 0
-
-
-def _resolve_members(node_sets: dict, value, path: str) -> List[int]:
-    """A node list from a set name or an explicit id list."""
-    if isinstance(value, str):
-        if value not in node_sets:
-            raise GraphValidationError(
-                f"node set {value!r} not in {path} "
-                f"(available: {sorted(node_sets)})"
-            )
-        return node_sets[value]
-    if not isinstance(value, list):
-        raise GraphValidationError(f"{value!r} is not a set name or id list")
-    return [int(u) for u in value]
-
-
-def _typed(entry: dict, key: str, types, default=None):
-    """``entry[key]``, which must be of ``types``; ``default`` when absent
-    (or given as the default itself, e.g. ``null`` for an unset budget).
-    A JSON bool passes only where ``types`` is ``bool``."""
-    value = entry.get(key, default)
-    if value is not default and (
-        isinstance(value, bool) != (types is bool)
-        or not isinstance(value, types)
-    ):
-        raise GraphValidationError(f"{key!r} has the wrong type: {value!r}")
-    return value
 
 
 def _parse_requests(path: str, sets_path: str) -> List[object]:
     """The request objects described by the ``--requests`` JSON file.
 
-    Each entry is ``{"type": "two-way" | "multi-way" | "explain", ...}``;
-    node sets are named (resolved through ``--sets``) or explicit id
-    lists, and multi-way entries give either a ``shape`` or explicit
-    ``query_edges``.  Per-entry ``deadline_ms`` / ``step_budget`` keys
-    become that request's own :class:`~repro.exec.budget.QueryBudget`.
-    A malformed entry — missing key, unknown type or set name, a field
-    of the wrong type — is a usage error naming the entry's index.
+    Each entry is ``{"type": "two-way" | "multi-way" | "explain", ...}``
+    with keys from :data:`REQUEST_KEYS`; node sets are named (resolved
+    through ``--sets``) or explicit id lists, and multi-way entries give
+    either a ``shape`` or explicit ``query_edges``.  Budget keys become
+    that request's own :class:`~repro.exec.budget.QueryBudget`.  A
+    malformed entry — missing or unknown key, unknown type or set name,
+    a value of the wrong type — is a usage error naming the entry's
+    index.
     """
     node_sets = read_node_sets(sets_path)
     with open(path, "r", encoding="utf-8") as handle:
@@ -458,66 +471,59 @@ def _parse_requests(path: str, sets_path: str) -> List[object]:
 
 
 def _parse_request(entry, node_sets: dict, sets_path: str) -> object:
-    """One entry of the ``--requests`` file as a service request."""
-    from repro.service import ExplainRequest, MultiWayRequest, TwoWayRequest
-
+    """One entry of the ``--requests`` file as a :mod:`repro.query`
+    request."""
     if not isinstance(entry, dict) or "type" not in entry:
         raise GraphValidationError("needs a 'type' key")
     kind = entry["type"]
-    if kind not in ("two-way", "multi-way", "explain"):
+    if kind not in _REQUEST_TYPES:
         raise GraphValidationError(
-            f"unknown type {kind!r} (expected 'two-way', 'multi-way', "
-            "or 'explain')"
+            f"unknown type {kind!r} (expected one of {_REQUEST_TYPES})"
         )
+    for key, value in entry.items():
+        types, kinds = REQUEST_KEYS.get(key, (None, ()))
+        if kind not in kinds:
+            raise GraphValidationError(f"unknown key {key!r} for a {kind} request")
+        # A JSON bool passes only where ``types`` is ``bool``.
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            raise GraphValidationError(f"{key!r} has the wrong type: {value!r}")
     for key in ("left", "right") if kind == "two-way" else ("node_sets",):
         if key not in entry:
             raise GraphValidationError(f"({kind}) needs a {key!r} key")
-    deadline_ms = _typed(entry, "deadline_ms", (int, float))
-    step_budget = _typed(entry, "step_budget", int)
-    budget = None
-    if deadline_ms is not None or step_budget is not None:
-        budget = QueryBudget(deadline_ms=deadline_ms, step_budget=step_budget)
-    k = _typed(entry, "k", int, 10)
-    measure = _typed(entry, "measure", str)
+    fields = {
+        key: entry[key]
+        for key in ("algorithm", "measure", "m", "plan") if key in entry
+    }
+    fields["k"] = entry.get("k", 10)
+    # ``null`` leaves an axis unset; no axis set keeps the serve default.
+    budget = {
+        name: entry[name]
+        for name in _BUDGET_FLAGS if entry.get(name) is not None
+    }
+    if budget:
+        fields["budget"] = QueryBudget(**budget)
     if kind == "two-way":
         return TwoWayRequest(
-            left=_resolve_members(node_sets, entry["left"], sets_path),
-            right=_resolve_members(node_sets, entry["right"], sets_path),
-            k=k,
-            algorithm=_typed(entry, "algorithm", str, "b-idj-y"),
-            measure=measure,
-            budget=budget,
+            *_resolve_sets(node_sets, [entry["left"], entry["right"]], sets_path),
+            **fields,
         )
-    sets = [
-        _resolve_members(node_sets, value, sets_path)
-        for value in _typed(entry, "node_sets", list)
-    ]
+    sets = _resolve_sets(node_sets, entry["node_sets"], sets_path)
+    names = None
     if "query_edges" in entry:
-        edges = _typed(entry, "query_edges", list)  # the request checks pairs
+        edges = entry["query_edges"]  # the request checks the pairs
     else:
-        names = [str(value) for value in entry["node_sets"]]
-        query = _query_graph(
-            _typed(entry, "shape", str, "chain"), len(sets),
-            _typed(entry, "bidirectional", bool, False), names,
-        )
-        edges = [(edge[0], edge[1]) for edge in query.edges]
-    common = dict(
-        query_edges=edges,
-        node_sets=sets,
-        k=k,
-        algorithm=_typed(entry, "algorithm", str, "pj-i"),
-        m=_typed(entry, "m", int, 50),
-        measure=measure,
-    )
-    if kind == "explain":
-        return ExplainRequest(plan=_typed(entry, "plan", str, "auto"), **common)
-    return MultiWayRequest(
-        plan=_typed(entry, "plan", str, "fixed"), budget=budget, **common
-    )
+        names = tuple(map(str, entry["node_sets"]))
+        edges = _query_graph(
+            entry.get("shape", "chain"), len(sets),
+            entry.get("bidirectional", False), names,
+        ).edges
+    kind_type = ExplainRequest if kind == "explain" else MultiWayRequest
+    return kind_type(edges, sets, names=names, **fields)
 
 
 def _response_payload(response) -> dict:
-    """A JSON-ready row for one :class:`QueryResponse`."""
+    """A JSON-ready row for one :class:`QueryResponse`: a join's rows
+    carry the one-shot :func:`_envelope`, an explain its plan."""
     row: dict = {
         "type": type(response.request).__name__,
         "status": response.status,
@@ -527,22 +533,9 @@ def _response_payload(response) -> dict:
     if response.error is not None:
         row["error"] = response.error
     result = response.result
-    if not response.ok or result is None:
-        return row
     if isinstance(result, PartialResult):
-        row["exact"] = result.exact
-        if not result.exact:
-            row["reason"] = result.reason
-        rows = []
-        for item in result.results:
-            if hasattr(item, "nodes"):
-                rows.append({"nodes": list(item.nodes), "score": item.score})
-            else:
-                rows.append({
-                    "left": item.left, "right": item.right, "score": item.score
-                })
-        row["results"] = rows
-    else:  # ExplainedPlan
+        row.update(_envelope(result))
+    elif result is not None:  # ExplainedPlan
         row["plan"] = result.to_json()
     return row
 
@@ -552,11 +545,7 @@ def _run_serve(args) -> int:
 
     graph = read_edge_list(args.graph)
     requests = _parse_requests(args.requests, args.sets)
-    tracer = None
-    if args.trace_out is not None:
-        from repro.obs import QueryTracer
-
-        tracer = QueryTracer()
+    tracer = _tracer(args)
     flush_stop = None
     with QueryService(
         graph,
@@ -641,10 +630,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "two-way":
-            return _run_two_way(args)
-        if args.command == "multi-way":
-            return _run_multi_way(args)
+        if args.command in ("two-way", "multi-way"):
+            return _run_query(args)
         if args.command == "serve":
             return _run_serve(args)
         return _run_stats(args)

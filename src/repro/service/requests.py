@@ -1,14 +1,14 @@
-"""Request and response value objects for the query service.
+"""Response value objects for the query service.
 
-Requests are frozen dataclasses so a seeded workload generator can build
-a deterministic mix once and replay it bit-identically — the concurrency
-battery's oracle comparisons depend on requests being immutable values.
-Node sets are stored as tuples for the same reason.
-
-Every completed request — exact, budget-flagged, or expired while
-queued — is answered with a :class:`QueryResponse` whose ``result`` is a
-:class:`~repro.exec.budget.PartialResult` (joins) or an
-:class:`~repro.planner.plan.ExplainedPlan` (explains).  Admission
+The service takes the :mod:`repro.query` request values
+(:class:`~repro.query.TwoWayRequest`,
+:class:`~repro.query.MultiWayRequest`,
+:class:`~repro.query.ExplainRequest`) — frozen, so a seeded workload
+generator can build a deterministic mix once and replay it
+bit-identically — and answers each completed one — exact,
+budget-flagged, or expired while queued — with a :class:`QueryResponse`
+whose ``result`` is a :class:`~repro.exec.budget.PartialResult` (joins)
+or an :class:`~repro.planner.plan.ExplainedPlan` (explains).  Admission
 failures are *clean rejections*: ``status == "rejected"``, no result,
 and the reason in ``error`` — never an exception out of the worker pool.
 """
@@ -16,9 +16,7 @@ and the reason in ``error`` — never an exception out of the worker pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.exec.budget import QueryBudget
+from typing import Optional
 
 #: Response statuses: the request ran (``result`` holds its outcome),
 #: was turned away at admission, or hit an unexpected execution error.
@@ -27,93 +25,6 @@ STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
 RESPONSE_STATUSES = (STATUS_OK, STATUS_REJECTED, STATUS_ERROR)
-
-
-@dataclass(frozen=True)
-class TwoWayRequest:
-    """One 2-way top-``k`` join (:func:`repro.api.two_way_join`).
-
-    ``measure`` is a name (``None``/DHT names for the core DHT path,
-    ``"ppr"`` / ``"simrank"`` otherwise) or a
-    :class:`~repro.extensions.measures.SeriesMeasure` instance; the
-    service resolves names to a fresh instance per execution, so request
-    values stay immutable and measure-internal memos are never shared
-    across worker threads.  ``budget`` overrides the service's default
-    :class:`~repro.exec.budget.QueryBudget` for this request only.
-    """
-
-    left: Tuple[int, ...]
-    right: Tuple[int, ...]
-    k: int
-    algorithm: str = "b-idj-y"
-    measure: Optional[object] = None
-    budget: Optional[QueryBudget] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(int(u) for u in self.left))
-        object.__setattr__(self, "right", tuple(int(u) for u in self.right))
-
-
-@dataclass(frozen=True)
-class MultiWayRequest:
-    """One n-way top-``k`` join (:func:`repro.api.multi_way_join`).
-
-    ``query_edges`` are directed query-graph edges over
-    ``len(node_sets)`` vertices; ``plan`` is ``"fixed"`` (the
-    bit-identity oracle order) or ``"auto"`` (cost-based planner).
-    """
-
-    query_edges: Tuple[Tuple[int, int], ...]
-    node_sets: Tuple[Tuple[int, ...], ...]
-    k: int
-    algorithm: str = "pj-i"
-    m: int = 50
-    measure: Optional[object] = None
-    plan: str = "fixed"
-    budget: Optional[QueryBudget] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "query_edges",
-            tuple((int(i), int(j)) for i, j in self.query_edges),
-        )
-        object.__setattr__(
-            self,
-            "node_sets",
-            tuple(tuple(int(u) for u in nodes) for nodes in self.node_sets),
-        )
-
-
-@dataclass(frozen=True)
-class ExplainRequest:
-    """Plan-only request (:func:`repro.api.explain_multi_way_plan`).
-
-    Returns the :class:`~repro.planner.plan.ExplainedPlan` the matching
-    :class:`MultiWayRequest` would execute, without walking.  Explains
-    are never budget-governed (planning is walk-free) but still pass
-    through admission control like any request.
-    """
-
-    query_edges: Tuple[Tuple[int, int], ...]
-    node_sets: Tuple[Tuple[int, ...], ...]
-    k: int
-    algorithm: str = "pj-i"
-    m: int = 50
-    measure: Optional[object] = None
-    plan: str = "auto"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "query_edges",
-            tuple((int(i), int(j)) for i, j in self.query_edges),
-        )
-        object.__setattr__(
-            self,
-            "node_sets",
-            tuple(tuple(int(u) for u in nodes) for nodes in self.node_sets),
-        )
 
 
 @dataclass

@@ -4,11 +4,11 @@
 for: it loads a graph **once** (one :class:`~repro.walks.engine.WalkEngine`,
 one transition matrix), keeps one shared
 :class:`~repro.walks.cache.WalkCache` / :class:`~repro.bounds_cache.BoundPlanCache`
-pair per measure identity, and serves
-:class:`~repro.service.requests.TwoWayRequest` /
-:class:`~repro.service.requests.MultiWayRequest` /
-:class:`~repro.service.requests.ExplainRequest` values from a pool of
-worker threads — so one user's hot targets warm the next user's query.
+pair per measure identity, and serves :mod:`repro.query` request values
+from a pool of worker threads — so one user's hot targets warm the next
+user's query.  A worker pins the request to its measure tier and the
+service's DHT configuration and hands it to :func:`repro.api.run`, the
+executor every front shares.
 
 Correctness under concurrency rests on three properties built in
 earlier layers:
@@ -46,19 +46,16 @@ from typing import Dict, Optional, Tuple
 from repro import api
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
-from repro.core.nway.query_graph import QueryGraph
 from repro.core.two_way.base import cache_identity, resolve_config
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
+from repro.query import QueryOptions
 from repro.service.requests import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
-    ExplainRequest,
-    MultiWayRequest,
     QueryResponse,
-    TwoWayRequest,
 )
 from repro.service.stats import ServiceStats, StatsAccumulator, percentile
 from repro.walks.cache import WalkCache
@@ -126,8 +123,9 @@ class QueryService:
         Every join runs under its worker's governor either way and
         answers a :class:`~repro.exec.budget.PartialResult`.
     params / d / epsilon:
-        Service-wide DHT configuration (requests cannot override it —
-        cache identity must stay fixed for sharing to be sound).
+        Service-wide DHT configuration: cache identity must stay fixed
+        for sharing to be sound, so a DHT request that sets its own
+        ``params`` / ``d`` / ``epsilon`` is an error response.
     clock:
         Injectable monotonic clock (seconds) for deterministic tests.
     tracer:
@@ -461,24 +459,26 @@ class QueryService:
         return respond(STATUS_OK, result=result)
 
     def _dispatch(self, request: object, budget: Optional[QueryBudget]):
-        if isinstance(request, TwoWayRequest):
-            return self._run(
-                api.two_way_join, request, list(request.left),
-                list(request.right), budget=budget,
-            )
-        if isinstance(request, MultiWayRequest):
-            return self._run(
-                api.multi_way_join, request, *_query_inputs(request),
-                m=request.m, plan=request.plan, budget=budget,
-            )
-        if isinstance(request, ExplainRequest):
-            return self._run(
-                api.explain_multi_way_plan, request, *_query_inputs(request),
-                m=request.m, plan=request.plan,
-            )
-        raise GraphValidationError(
-            f"unknown request type {type(request).__name__}; expected "
-            "TwoWayRequest, MultiWayRequest, or ExplainRequest"
+        """:func:`repro.api.run` on ``request``'s measure tier: the shared
+        engine and caches, plus the service's DHT configuration on the
+        DHT tier, which a request cannot override."""
+        if not isinstance(request, QueryOptions):
+            return api.run(self._graph, request)  # unknown request type
+        resolved = api._resolve_measure(request.measure)
+        walk_cache, bound_cache = self._tier_for(resolved)
+        config = {}
+        if resolved is None:
+            if (request.params, request.d, request.epsilon) != (None,) * 3:
+                raise GraphValidationError(
+                    "the service's DHT configuration is fixed (cache "
+                    "identity must stay fixed for sharing to be sound); "
+                    "drop the request's params / d / epsilon"
+                )
+            config = {"params": self._params, "d": self._d}
+        request = replace(request, measure=resolved, budget=budget, **config)
+        return api.run(
+            self._graph, request, engine=self._engine,
+            walk_cache=walk_cache, bound_cache=bound_cache,
         )
 
     # ------------------------------------------------------------------
@@ -498,29 +498,3 @@ class QueryService:
                 )
                 self._tiers[key] = tier
             return tier
-
-    def _run(self, entry_point, request, *inputs, **options):
-        """``entry_point`` of :mod:`repro.api` on ``request``'s measure
-        tier: the shared engine and caches, plus the service's DHT
-        configuration on the DHT tier only."""
-        resolved = api._resolve_measure(request.measure)
-        walk_cache, bound_cache = self._tier_for(resolved)
-        if resolved is None:
-            options.update(params=self._params, d=self._d)
-        return entry_point(
-            self._graph, *inputs, request.k,
-            algorithm=request.algorithm,
-            engine=self._engine,
-            walk_cache=walk_cache,
-            bound_cache=bound_cache,
-            measure=resolved,
-            **options,
-        )
-
-
-def _query_inputs(request) -> tuple:
-    """The ``(query_graph, node_sets)`` an n-way request names."""
-    return (
-        QueryGraph(len(request.node_sets), request.query_edges),
-        [list(nodes) for nodes in request.node_sets],
-    )

@@ -185,8 +185,8 @@ def test_readme_documents_every_cli_flag():
 
 
 def test_cli_budget_flags_are_the_query_budget_fields():
-    """One flag per ``QueryBudget`` field on ``two-way`` and
-    ``multi-way``, each landing on its field, and README's governor
+    """One flag per ``QueryBudget`` field on ``two-way``, ``multi-way``
+    and ``serve``, each landing on its field, and README's governor
     table lists exactly those rows: a new budget axis (or a renamed
     flag) moves the CLI and the README in the same diff."""
     import argparse
@@ -204,12 +204,14 @@ def test_cli_budget_flags_are_the_query_budget_fields():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    for command in ("two-way", "multi-way"):
+    extra = {
+        "two-way": ["--left", "A", "--right", "B"],
+        "multi-way": ["--node-sets", "A", "B"],
+        "serve": ["--requests", "requests.json"],
+    }
+    for command, flags in extra.items():
         parser = subparsers.choices[command]
-        required = ["graph.tsv", "--sets", "sets.json"] + (
-            ["--left", "A", "--right", "B"] if command == "two-way"
-            else ["--node-sets", "A", "B"]
-        )
+        required = ["graph.tsv", "--sets", "sets.json"] + flags
         assert _budget(parser.parse_args(required)) == QueryBudget()
         for flag, name in fields.items():
             budget = _budget(parser.parse_args(required + [flag, "7"]))
@@ -221,6 +223,33 @@ def test_cli_budget_flags_are_the_query_budget_fields():
     table = table[:table.index("\n\n", table.index("| Flag"))]
     rows = re.findall(r"^\| `(--[a-z-]+)", table, flags=re.MULTILINE)
     assert sorted(rows) == sorted(fields)
+
+
+def test_readme_lists_the_request_file_keys():
+    """README's ``--requests`` key table is the parser's key table:
+    the same keys, each for the same entry types, and the budget keys
+    are the ``QueryBudget`` fields."""
+    import dataclasses
+
+    from repro.cli import REQUEST_KEYS
+    from repro.exec import QueryBudget
+
+    every = ("two-way", "multi-way", "explain")
+    budget_keys = {field.name for field in dataclasses.fields(QueryBudget)}
+    assert budget_keys <= set(REQUEST_KEYS)
+    assert all(REQUEST_KEYS[key][1] == every for key in budget_keys)
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| Key | Entry types | Value |"):]
+    table = table[:table.index("\n\n")]
+    documented = {}
+    for keys, kinds in re.findall(
+        r"^\| (`[a-z_]+`(?: / `[a-z_]+`)*) \| ([a-z, -]+) \|", table,
+        flags=re.MULTILINE,
+    ):
+        kinds = every if kinds == "all" else tuple(kinds.split(", "))
+        for key in re.findall(r"`([a-z_]+)`", keys):
+            documented[key] = kinds
+    assert documented == {key: kinds for key, (_, kinds) in REQUEST_KEYS.items()}
 
 
 def test_cli_quickstart_flow(tmp_path, capsys):

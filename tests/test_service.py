@@ -413,7 +413,67 @@ def cli_workspace(tmp_path):
     return graph_path, sets_path, requests_path
 
 
+@pytest.fixture
+def er150_workspace(tmp_path):
+    """ER 150 (p = 0.05, seed 4): a graph where a 5-pair query under a
+    60-step budget stops mid-deepening."""
+    graph = erdos_renyi(150, 0.05, np.random.default_rng(4), weighted=True)
+    graph_path, sets_path = tmp_path / "graph.tsv", tmp_path / "sets.json"
+    write_edge_list(graph, graph_path)
+    write_node_sets({"A": list(range(12)), "B": list(range(40, 80))}, sets_path)
+
+    def serve(entry, capsys):
+        requests_path = tmp_path / "requests.json"
+        requests_path.write_text(json.dumps([entry]))
+        from repro.cli import main
+
+        capsys.readouterr()
+        code = main([
+            "serve", str(graph_path), "--sets", str(sets_path),
+            "--requests", str(requests_path), "--workers", "1", "--json",
+        ])
+        return code, capsys.readouterr()
+
+    return serve
+
+
 class TestServeCLI:
+    def test_request_max_bytes_reaches_the_budget(self, er150_workspace,
+                                                  capsys):
+        code, out = er150_workspace(
+            {"type": "two-way", "left": "A", "right": "B", "k": 3,
+             "max_bytes": 1},
+            capsys,
+        )
+        assert code == 0
+        (row,) = json.loads(out.out)["responses"]
+        assert row["exact"] is False and row["reason"] == "bytes"
+
+    def test_unknown_request_key_is_a_usage_error(self, er150_workspace,
+                                                  capsys):
+        code, out = er150_workspace(
+            {"type": "two-way", "left": "A", "right": "B", "k": 3,
+             "stepbudget": 1},
+            capsys,
+        )
+        assert code == 2
+        assert "request #0" in out.err
+        assert "unknown key 'stepbudget'" in out.err
+
+    def test_partial_rows_carry_the_one_shot_envelope(self, er150_workspace,
+                                                      capsys):
+        code, out = er150_workspace(
+            {"type": "two-way", "left": "A", "right": "B", "k": 5,
+             "step_budget": 60},
+            capsys,
+        )
+        assert code == 0
+        (row,) = json.loads(out.out)["responses"]
+        assert row["exact"] is False and row["reason"] == "steps"
+        assert len(row["results"]) == 5
+        for result in row["results"]:
+            assert result["lower"] <= result["score"] <= result["upper"]
+
     def test_serve_json(self, cli_workspace, capsys):
         from repro.cli import main
 
@@ -434,6 +494,13 @@ class TestServeCLI:
             r for r in payload["responses"] if r["type"] == "ExplainRequest"
         )
         assert "plan" in explain
+        for response in payload["responses"]:
+            if response["type"] == "ExplainRequest":
+                continue
+            assert response["exact"] is True and response["reason"] is None
+            for row in response["results"]:
+                assert row["lower"] == row["score"] == row["upper"]
+                assert ("edge_scores" in row) == ("nodes" in row)
 
     def test_serve_text(self, cli_workspace, capsys):
         from repro.cli import main
@@ -508,6 +575,10 @@ class TestServeCLI:
             {**chain, "type": "explain", "plan": 1},
             {**chain, "bidirectional": "no"},
             {**chain, "bidirectional": 1},
+            {**good, "max_bytes": "1"},
+            {**good, "stepbudget": 1},
+            {**good, "m": 5},
+            {**chain, "left": "A"},
         ):
             bad.write_text(json.dumps([good, entry]))
             capsys.readouterr()
