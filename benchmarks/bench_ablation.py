@@ -25,6 +25,7 @@ from _harness import (
     register_reporter,
     yeast_node_sets,
 )
+from repro.core.dht import DHTMeasure
 from repro.core.nway.aggregates import MIN
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
@@ -52,7 +53,7 @@ def make_spec(data, engine, k=K):
         node_sets=[list(s) for s in sets],
         k=k,
         aggregate=MIN,
-        d=8,
+        measure=DHTMeasure(d=8),
         engine=engine,
     )
 

@@ -23,7 +23,7 @@ from _harness import (
     print_sweep_table,
     register_reporter,
 )
-from repro.core.dht import DHTParams
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.two_way.backward import (
     BackwardBasicJoin,
     BackwardIDJX,
@@ -53,11 +53,10 @@ def make_context(data, engine, decay):
     ai = data.top_authors("AI", SET_SIZE)
     return TwoWayContext(
         graph=data.graph,
-        params=params,
         left=db,
         right=ai,
-        d=params.steps_for_epsilon(1e-6),
         engine=engine,
+        measure=DHTMeasure(params),
     )
 
 

@@ -24,6 +24,7 @@ from _harness import (
     register_reporter,
     yeast_node_sets,
 )
+from repro.core.dht import DHTMeasure
 from repro.core.nway.aggregates import MIN
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.nested_loop import NestedLoopJoin
@@ -52,7 +53,7 @@ def make_spec(data, engine, query, node_sets, k=K_DEFAULT):
         node_sets=[list(s) for s in node_sets],
         k=k,
         aggregate=MIN,
-        d=8,
+        measure=DHTMeasure(d=8),
         engine=engine,
     )
 

@@ -17,6 +17,7 @@ from _harness import (
     query_graph_with_edges,
     register_reporter,
 )
+from repro.core.dht import DHTMeasure
 from repro.core.nway.aggregates import MIN
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
@@ -48,7 +49,7 @@ def make_spec(data, engine, query, node_sets, k=K_DEFAULT):
         node_sets=[list(s) for s in node_sets],
         k=k,
         aggregate=MIN,
-        d=8,
+        measure=DHTMeasure(d=8),
         engine=engine,
     )
 

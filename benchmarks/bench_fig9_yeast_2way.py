@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from _harness import SeriesResult, print_sweep_table, register_reporter
-from repro.core.dht import DHTParams
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.two_way.backward import (
     BackwardBasicJoin,
     BackwardIDJX,
@@ -58,11 +58,10 @@ def make_context(data, engine, params=None, d=None):
     left, right = node_sets(data)
     return TwoWayContext(
         graph=data.graph,
-        params=params,
         left=list(left),
         right=list(right),
-        d=d if d is not None else params.steps_for_epsilon(1e-6),
         engine=engine,
+        measure=DHTMeasure(params, d=d),
     )
 
 

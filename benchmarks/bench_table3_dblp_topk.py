@@ -14,6 +14,7 @@ verified the same qualitatively).
 from __future__ import annotations
 
 from _harness import register_reporter
+from repro.core.dht import DHTMeasure
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -38,7 +39,7 @@ def test_table3_triangle(benchmark, dblp_data, dblp_engine):
         query_graph=QueryGraph.triangle(names=["DB", "AI", "SYS"]),
         node_sets=[db, ai, sys_],
         k=K,
-        d=8,
+        measure=DHTMeasure(d=8),
         engine=dblp_engine,
     )
     result = benchmark.pedantic(
@@ -56,7 +57,7 @@ def test_table3_chain(benchmark, dblp_data, dblp_engine):
         query_graph=QueryGraph.chain(3, names=["AI", "DB", "SYS"]),
         node_sets=[ai, db, sys_],
         k=K,
-        d=8,
+        measure=DHTMeasure(d=8),
         engine=dblp_engine,
     )
     result = benchmark.pedantic(
@@ -80,7 +81,7 @@ def test_table3_planted_labs_recovered(dblp_data, dblp_engine):
         query_graph=QueryGraph.triangle(),
         node_sets=[db, ai, sys_],
         k=K,
-        d=8,
+        measure=DHTMeasure(d=8),
         engine=dblp_engine,
     )
     answers = PartialJoinIncremental(spec, m=50).run()

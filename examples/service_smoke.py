@@ -16,7 +16,6 @@ import numpy as np
 from repro import api
 from repro.core.nway.query_graph import QueryGraph
 from repro.exec.budget import QueryBudget
-from repro.extensions.measures import measure_by_name
 from repro.graph.builders import erdos_renyi
 from repro.service import MultiWayRequest, QueryService, TwoWayRequest
 
@@ -35,9 +34,7 @@ def _rows(items):
 
 
 def _oracle_rows(graph, request):
-    measure = (
-        measure_by_name(request.measure) if request.measure else None
-    )
+    measure = request.measure
     if isinstance(request, TwoWayRequest):
         return _rows(api.two_way_join(
             graph, list(request.left), list(request.right), request.k,

@@ -16,10 +16,12 @@ and call it.
 
 Requests default to the paper's experimental configuration:
 ``DHT_lambda`` with ``lambda = 0.2``, ``epsilon = 1e-6`` (hence
-``d = 8``), ``MIN`` aggregate, and ``m = 50``.  A measure is a field of
-the one context / spec every join reads (Section VIII's future-work
-plan): the same operators run, with the measure's scorer and bound read
-off the context.
+``d = 8``), ``MIN`` aggregate, and ``m = 50``.  :func:`run` resolves a
+request's measure options once
+(:func:`~repro.query.resolve_measure`) to one measure value — DHT is a
+measure like PPR and SimRank (Section VIII's future-work plan) — which
+the one context / spec every join reads carries: the same operators
+run, with the measure's scorer and bound read off the context.
 
 Every join runs the same way: under an installed
 :class:`~repro.exec.governor.ExecutionGovernor` that enforces the
@@ -39,13 +41,12 @@ from functools import partial
 from typing import Optional, Sequence, Tuple
 
 from repro.bounds_cache import BoundPlanCache
-from repro.core.nway.driver import OPERATORS, STRATEGIES, two_way_operator
+from repro.core.nway.driver import OPERATORS, STRATEGIES, is_dht, two_way_operator
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.base import make_context
+from repro.core.two_way.base import TwoWayContext
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.exec.governor import ExecutionGovernor
-from repro.extensions.measures import MEASURE_NAMES, measure_by_name
 from repro.exec.governed import (
     check_on_budget,
     run_governed_multi_way,
@@ -58,25 +59,17 @@ from repro.query import (
     MultiWayRequest,
     QueryOptions,
     TwoWayRequest,
+    resolve_measure,
 )
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 
 
-#: What an object needs to be a measure (the ``SeriesMeasure`` contract
-#: the contexts and caches read).
-_MEASURE_CONTRACT = ("d", "floor", "cache_key", "kernel")
-
-
-def _resolve_measure(measure):
-    """``None`` for the DHT family, a ``SeriesMeasure`` otherwise."""
-    if isinstance(measure, str):
-        return measure_by_name(measure)
-    if measure is None or all(hasattr(measure, a) for a in _MEASURE_CONTRACT):
-        return measure
-    raise GraphValidationError(
-        f"measure must be None, a name ({', '.join(MEASURE_NAMES)}) or an "
-        f"object with {', '.join(_MEASURE_CONTRACT)}; got {measure!r}"
+def _measure(request: QueryOptions):
+    """The one measure ``request``'s options describe."""
+    return resolve_measure(
+        request.measure, params=request.params, d=request.d,
+        epsilon=request.epsilon,
     )
 
 
@@ -170,22 +163,20 @@ def run(
             "TwoWayRequest, MultiWayRequest, or ExplainRequest"
         )
     check_on_budget(request.on_budget)
+    measure = _measure(request)
     if tracer is not None and engine is None:
         engine = WalkEngine(graph)
     with _traced(engine, tracer, name, request.algorithm, request.k):
         if name == "two-way":
-            resolved = _resolve_measure(request.measure)
-            operator = OPERATORS[two_way_operator(request.algorithm, resolved)]
-            source = make_context(
-                graph, request.left, request.right, params=request.params,
-                d=request.d, epsilon=request.epsilon, engine=engine,
-                walk_cache=walk_cache, bound_cache=bound_cache,
-                measure=resolved,
+            operator = OPERATORS[two_way_operator(request.algorithm, measure)]
+            source = TwoWayContext(
+                graph, list(request.left), list(request.right), engine=engine,
+                walk_cache=walk_cache, bound_cache=bound_cache, measure=measure,
             )
             execute = partial(run_governed_top_k, operator(source), request.k)
         else:
             algorithm, source = _nway_spec(
-                graph, request, engine, walk_cache, bound_cache
+                graph, request, measure, engine, walk_cache, bound_cache
             )
             if algorithm == "nl" and source.plan != "fixed":
                 raise GraphValidationError(
@@ -313,13 +304,13 @@ _NWAY_ALGORITHMS = ("nl", "ap", "pj", "pj-i")
 
 
 def _nway_spec(
-    graph: Graph, request: MultiWayRequest, engine, walk_cache, bound_cache
+    graph: Graph, request: MultiWayRequest, measure, engine, walk_cache,
+    bound_cache,
 ) -> Tuple[str, NWayJoinSpec]:
     """The normalised algorithm name and the one :class:`NWayJoinSpec`
-    every n-way request runs (DHT or measure, budgeted or not)."""
-    resolved = _resolve_measure(request.measure)
+    every n-way request runs (any measure, budgeted or not)."""
     name = request.algorithm.lower()
-    if resolved is not None and (name, True) not in STRATEGIES:
+    if name == "nl" and not is_dht(measure):
         raise GraphValidationError(
             f"algorithm {request.algorithm!r} is DHT-only; under a measure "
             "choose from ['ap', 'pj', 'pj-i']"
@@ -338,9 +329,8 @@ def _nway_spec(
     spec = NWayJoinSpec(
         graph=graph, query_graph=query_graph,
         node_sets=[list(nodes) for nodes in request.node_sets], k=request.k,
-        aggregate=request.aggregate, params=request.params, d=request.d,
-        epsilon=request.epsilon, engine=engine, walk_cache=walk_cache,
-        bound_cache=bound_cache, plan=request.plan, measure=resolved,
+        aggregate=request.aggregate, engine=engine, walk_cache=walk_cache,
+        bound_cache=bound_cache, plan=request.plan, measure=measure,
     )
     return name, spec
 
@@ -349,12 +339,15 @@ def _explained(graph: Graph, request: MultiWayRequest, engine, walk_cache,
                bound_cache):
     """``(strategy, spec, plan)``: the plan ``request`` resolves to and
     the spec and edge-source strategy it was planned for."""
-    name, spec = _nway_spec(graph, request, engine, walk_cache, bound_cache)
+    measure = _measure(request)
+    name, spec = _nway_spec(
+        graph, request, measure, engine, walk_cache, bound_cache
+    )
     # The planner rejects "nl" (nothing to plan); the rest plan the edge
     # source they run.
     strategy = name
     if name != "nl":
-        strategy = STRATEGIES[(name, spec.measure is not None)][1]
+        strategy = STRATEGIES[(name, is_dht(measure))][1]
     return strategy, spec, spec.resolve_plan(strategy)
 
 

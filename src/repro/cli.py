@@ -127,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
         p.add_argument("--sets", required=True, help="JSON node-set file")
         p.add_argument("--decay", type=float, default=0.2, help="lambda")
-        p.add_argument("--epsilon", type=float, default=1e-6,
+        p.add_argument("--epsilon", type=float, default=None,
                        help="truncation error target (Lemma 1; one-shot "
-                            "runs also set PPR's depth from it)")
+                            "runs also set PPR's depth from it); unset, "
+                            "each measure keeps its own default")
         for name, (kind, text) in _BUDGET_FLAGS.items():
             p.add_argument(
                 "--" + name.replace("_", "-"), type=kind, default=None,
@@ -307,12 +308,12 @@ def _obs_export(args, engine, tracer) -> None:
 def _options(args) -> dict:
     """The :class:`~repro.query.QueryOptions` the flags select: a non-DHT
     ``--measure`` object (which fixes its own depth) or the DHT params
-    plus ``epsilon``, the budget and the exhaustion policy."""
+    plus ``epsilon`` (unset: the measure's own default, as for
+    ``measure="X"``), the budget and the exhaustion policy."""
     options = {"budget": _budget(args), "on_budget": args.on_budget}
+    epsilon = {} if args.epsilon is None else {"epsilon": args.epsilon}
     if args.measure == "ppr":
-        options["measure"] = TruncatedPPR(
-            damping=args.damping, epsilon=args.epsilon
-        )
+        options["measure"] = TruncatedPPR(damping=args.damping, **epsilon)
     elif args.measure == "simrank":
         options["measure"] = SimRankMeasure(
             decay=args.sr_decay, iterations=args.sr_iterations
@@ -322,7 +323,7 @@ def _options(args) -> dict:
             DHTParams.dht_e() if args.measure == "dht-e"
             else DHTParams.dht_lambda(args.decay)
         )
-        options["epsilon"] = args.epsilon
+        options.update(epsilon)
     return options
 
 
@@ -356,7 +357,7 @@ def _resolve_sets(node_sets: dict, values, path: str) -> List[List[int]]:
                 )
             resolved.append(node_sets[value])
         elif isinstance(value, list):
-            resolved.append([int(u) for u in value])
+            resolved.append(value)  # the request checks the ids
         else:
             raise GraphValidationError(
                 f"{value!r} is not a set name or id list"

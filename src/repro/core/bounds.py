@@ -18,7 +18,7 @@ measures how much it matters.
 
 The same two shapes serve every series measure (Section VIII):
 :class:`YBound` takes the per-step weights, so a measure with
-``tail_weight(i)`` gets the reach-mass tail, and :class:`ClosedFormTail`
+``tail_weights(d)`` gets the reach-mass tail, and :class:`ClosedFormTail`
 is a measure's own ``tail_bound(l)``.
 
 Memoisation semantics: a :class:`YBound` depends only on
@@ -38,12 +38,14 @@ Every build increments ``engine.stats.bound_builds`` and every cache hit
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.dht import DHTParams
 from repro.walks.engine import WalkEngine
+
+if TYPE_CHECKING:  # avoid a runtime cycle: core.dht builds these bounds
+    from repro.core.dht import DHTParams
 
 
 class ScoreUpperBound(Protocol):
@@ -116,7 +118,7 @@ class YBound:
         Walk engine for the join's graph.
     weights:
         Per-step weights ``w_i``, ``i = 1 .. d``: ``alpha * lambda^i``
-        (:func:`dht_tail_weights`) or a measure's ``tail_weight(i)``.
+        (DHT's) or any measure's ``tail_weights(d)``.
     sources:
         The left node set ``P`` of the 2-way join.
     d:
@@ -168,11 +170,6 @@ class YBound:
         """``Y_l^+(P, q)`` for every graph node in ``qs``: one gather."""
         _check_level(l, self._d)
         return self._suffix[l, np.asarray(qs, dtype=np.intp)]
-
-
-def dht_tail_weights(params: DHTParams, d: int) -> np.ndarray:
-    """Theorem 1's per-step weights ``alpha * lambda^i``, ``i = 1 .. d``."""
-    return params.alpha * params.decay ** np.arange(1, d + 1)
 
 
 class ClosedFormTail:

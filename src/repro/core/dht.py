@@ -15,14 +15,25 @@ from ``u``.  The two published variants are specialisations (Table II):
 
 In practice the series is truncated at ``d`` steps (Eq. 4); Lemma 1 gives
 the smallest ``d`` with truncation error at most ``epsilon``.
+
+:class:`DHTMeasure` is DHT as a measure value (coefficients plus depth),
+exactly like PPR and SimRank in :mod:`repro.extensions`: every join
+reads its kernel, floor, bounds and cache key off it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
+
+from repro.core.bounds import XBound
+from repro.graph.validation import GraphValidationError
+from repro.walks.engine import WalkEngine
+from repro.walks.state import WalkState
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,10 @@ class DHTParams:
         For the paper's defaults (``lambda=0.2, alpha=1.25``) and
         ``epsilon = 1e-6`` this returns ``d = 8``.
         """
-        if not (epsilon > 0):
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        if not (0.0 < epsilon < math.inf):
+            raise GraphValidationError(
+                f"epsilon must be finite and > 0, got {epsilon}"
+            )
         ratio = epsilon * (1.0 - self.decay) / (self.alpha * self.decay)
         if ratio >= 1.0:
             return 1
@@ -144,3 +157,73 @@ class DHTParams:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"DHT(alpha={self.alpha:.4g}, beta={self.beta:.4g}, lambda={self.decay:.4g})"
+
+
+class DHTMeasure:
+    """DHT as a :class:`~repro.extensions.measures.SeriesMeasure`: the
+    coefficients ``params`` (default ``DHT_lambda(0.2)``) truncated at
+    ``d`` steps.
+
+    Pass either ``d`` or the error target ``epsilon`` that sets it via
+    Lemma 1 (default ``1e-6``, so ``d = 8`` for the paper's defaults),
+    not both.  The cache identity is ``params`` itself, so a
+    ``WalkCache(engine, params)`` serves every depth of this measure.
+    """
+
+    def __init__(
+        self,
+        params: Optional[DHTParams] = None,
+        d: Optional[int] = None,
+        epsilon: Optional[float] = None,
+    ) -> None:
+        self.params = params if params is not None else DHTParams.dht_lambda(0.2)
+        if d is not None and epsilon is not None:
+            raise GraphValidationError("pass either d or epsilon, not both")
+        if d is None:
+            d = self.params.steps_for_epsilon(1e-6 if epsilon is None else epsilon)
+        elif isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise GraphValidationError(f"d must be an int, got {d!r}")
+        if d < 1:
+            raise GraphValidationError(f"d must be >= 1, got {d}")
+        self.d = int(d)
+        self.name = f"DHT(lambda={self.params.decay})"
+
+    @property
+    def floor(self) -> float:
+        """``beta`` — the score of a pair that never hits."""
+        return self.params.zero_score
+
+    def kernel(self) -> DHTParams:
+        """The params themselves: a :class:`~repro.walks.state.WalkState`
+        over them runs the first-hit (absorbing) block kernel of Eq. 5."""
+        return self.params
+
+    def cache_key(self) -> DHTParams:
+        """Walk/bound caches are keyed by the params."""
+        return self.params
+
+    def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
+        """Truncated DHT of every node to ``target`` via the per-target
+        first-hit kernel (Eqs. 4-5)."""
+        series = engine.backward_first_hit_series(target, steps)
+        return self.params.scores_from_matrix(series)
+
+    def backward_scores_block(
+        self, engine: WalkEngine, targets: Sequence[int], steps: int
+    ) -> np.ndarray:
+        """Batched truncated DHT: one resumable first-hit walk of the
+        whole block (reflexive entries carry the return-walk artefact)."""
+        return WalkState(engine, self.params, targets).advance_to(steps).scores_matrix()
+
+    def tail_bound(self, level: int) -> float:
+        """The ``X_l^+`` geometric tail (Lemma 2)."""
+        return self.params.truncation_error_bound(level)
+
+    def x_bound(self, d: int) -> XBound:
+        """Lemma 2's ``X`` table at depth ``d``."""
+        return XBound(self.params, d)
+
+    def tail_weights(self, d: int) -> np.ndarray:
+        """``w_i * sup P_i = alpha * lambda^i``, ``i = 1 .. d`` — the
+        Theorem 1 weights of the reach-mass ``Y`` bound."""
+        return self.params.alpha * self.params.decay ** np.arange(1, d + 1)

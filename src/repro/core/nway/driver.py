@@ -9,8 +9,9 @@ rest, written once: resolve the plan, walk its build order, open one
 sources (``ap``: materialised, ``pj``: restart, ``pj-i``: incremental)
 and the per-edge 2-way operators each come from one table below, and
 one more, :data:`STRATEGIES`, says which default operator and source a
-strategy runs on a DHT or a measure spec; ``docs/ALGORITHMS.md`` has
-the tables with the paper's cost models.
+strategy runs under DHT or another measure (:func:`is_dht`, the one DHT
+check); ``docs/ALGORITHMS.md`` has the tables with the paper's cost
+models.
 
 Governance is a guard at the same seam, read from the thread-local
 ``spec.engine.governor`` (every api query installs one): without a
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.dht import DHTMeasure
 from repro.core.nway.candidates import CandidateAnswer
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.backward import (
@@ -54,10 +56,10 @@ _DHT_OPERATORS = {
     "b-idj-y": BackwardIDJY,
 }
 
-#: The 2-way names a measure context runs, and the operator each one
-#: runs as there.  Forward processing relies on per-pair absorbing
-#: walks, a DHT-specific kernel, so it has no entry; both deepening
-#: names keep the reach-mass bound under a measure.
+#: The 2-way names a non-DHT measure context runs, and the operator
+#: each one runs as there.  Forward processing relies on per-pair
+#: absorbing walks, a DHT-specific kernel, so it has no entry; both
+#: deepening names keep the reach-mass bound under such a measure.
 MEASURE_OPERATORS = {
     "b-bj": "basic",
     "basic": "basic",
@@ -67,24 +69,31 @@ MEASURE_OPERATORS = {
 }
 
 #: Plan operator name -> ``context -> join`` factory.
-#: ``basic`` / ``idj`` are the names plans record under a measure.
+#: ``basic`` / ``idj`` are the names plans record under a non-DHT measure.
 OPERATORS = {
     **_DHT_OPERATORS,
     "idj": BackwardIDJY,
     "basic": BackwardBasicJoin,
 }
 
-#: ``(strategy, under a measure) -> (default operator, edge source)``.
-#: A measure has no incremental ``F`` structure, so its ``pj-i`` runs
-#: ``PJ``'s restart source.
+#: ``(strategy, is_dht(measure)) -> (default operator, edge source)``.
+#: A non-DHT measure has no incremental ``F`` structure, so its ``pj-i``
+#: runs ``PJ``'s restart source.
 STRATEGIES = {
-    ("ap", False): ("f-bj", "ap"),
-    ("ap", True): ("basic", "ap"),
-    ("pj", False): ("b-idj-y", "pj"),
-    ("pj", True): ("idj", "pj"),
-    ("pj-i", False): ("b-idj-y", "pj-i"),
-    ("pj-i", True): ("idj", "pj"),
+    ("ap", True): ("f-bj", "ap"),
+    ("ap", False): ("basic", "ap"),
+    ("pj", True): ("b-idj-y", "pj"),
+    ("pj", False): ("idj", "pj"),
+    ("pj-i", True): ("b-idj-y", "pj-i"),
+    ("pj-i", False): ("idj", "pj"),
 }
+
+
+def is_dht(measure) -> bool:
+    """Whether ``measure`` is DHT — the one check behind the DHT-only
+    choices: the forward operators, ``NL``, ``PJ-i``'s incremental
+    source and ``B-IDJ-X`` under its own name."""
+    return isinstance(measure, DHTMeasure)
 
 
 def _by_name(table: dict, name: str, what: str) -> Callable:
@@ -96,11 +105,11 @@ def _by_name(table: dict, name: str, what: str) -> Callable:
         ) from None
 
 
-def two_way_operator(name: str, measure: Optional[object]) -> str:
+def two_way_operator(name: str, measure) -> str:
     """The :data:`OPERATORS` key a 2-way algorithm ``name`` runs as: the
-    name itself on a DHT context, its :data:`MEASURE_OPERATORS` entry
-    under a measure."""
-    if measure is None:
+    name itself under DHT, its :data:`MEASURE_OPERATORS` entry under
+    another measure."""
+    if is_dht(measure):
         _by_name(_DHT_OPERATORS, name, "2-way algorithm")
         return name.lower()
     try:
@@ -350,7 +359,7 @@ class NWayDriver:
     ) -> None:
         if strategy != "ap" and m < 0:
             raise GraphValidationError(f"m must be >= 0, got {m}")
-        operator, source = STRATEGIES[(strategy, spec.measure is not None)]
+        operator, source = STRATEGIES[(strategy, is_dht(spec.measure))]
         self._spec = spec
         self._strategy = source
         self._default_operator = default_operator or operator

@@ -66,7 +66,7 @@ class NestedLoopJoin:
                 return cached
         spec = self._spec
         series = spec.engine.forward_first_hit_series(source, target, spec.d)
-        score = spec.params.score_from_series(series)
+        score = spec.measure.params.score_from_series(series)
         self.dht_computations += 1
         if self._memoize:
             self._cache[(source, target)] = score

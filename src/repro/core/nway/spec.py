@@ -1,4 +1,6 @@
-"""Shared validation and typing for n-way joins (Definitions 1–4)."""
+"""Shared validation and typing for n-way joins (Definitions 1–4): the
+query's structure plus the one measure value (DHT or a Section VIII
+measure) every query edge is joined under."""
 
 from __future__ import annotations
 
@@ -6,12 +8,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.bounds_cache import BoundPlanCache
-from repro.core.dht import DHTParams
-from repro.core.two_way.base import (
-    TwoWayContext,
-    cache_identity,
-    resolve_config,
-)
+from repro.core.dht import DHTMeasure
+from repro.core.two_way.base import TwoWayContext
 from repro.core.nway.aggregates import MIN, Aggregate
 from repro.core.nway.query_graph import QueryGraph
 from repro.graph.digraph import Graph
@@ -38,11 +36,17 @@ class NWayJoinSpec:
         experimental default.
     k:
         Number of answers (Definition 4).
-    params / d / epsilon:
-        DHT configuration under
-        :func:`~repro.core.two_way.base.resolve_config`: defaults to
-        ``DHT_lambda(0.2)`` with ``epsilon = 1e-6`` (``d = 8``), matching
-        Section VII-A.
+    measure:
+        The proximity measure every query edge is joined under: a
+        :class:`~repro.core.dht.DHTMeasure` (default: the paper's
+        ``DHT_lambda(0.2)`` at ``d = 8``, Section VII-A) or any
+        :class:`repro.extensions.measures.SeriesMeasure` (duck-typed;
+        the core layer never imports ``extensions``).  Its ``d`` is the
+        truncation depth and both shared caches are keyed by its
+        ``cache_key()``, so a PPR spec and a DHT spec on the same graph
+        keep fully isolated cache universes.  ``AP`` / ``PJ`` /
+        ``PJ-i`` run every measure (the driver's strategy table picks
+        their operators and source); ``NL`` is DHT-only.
     walk_cache:
         One :class:`~repro.walks.cache.WalkCache` is shared by every
         query edge of the join (created unbounded when omitted), so
@@ -67,17 +71,6 @@ class NWayJoinSpec:
         :class:`~repro.planner.plan.ExplainedPlan` instance replays a
         previously computed plan verbatim.  Resolution happens lazily
         in :meth:`resolve_plan` — the core layer holds only the value.
-    measure:
-        Optional :class:`repro.extensions.measures.SeriesMeasure`
-        (duck-typed; the core layer never imports ``extensions``).
-        ``None`` (default) is DHT: params/d/epsilon behave as above.
-        With a measure set, the measure fixes its own truncation depth
-        (``d = measure.d``; passing ``params``/``d``/``epsilon`` is an
-        error) and both shared caches are keyed by the measure's
-        :meth:`cache_key`, so a PPR spec and a DHT spec on the same
-        graph keep fully isolated cache universes.  ``AP`` / ``PJ`` /
-        ``PJ-i`` run measure specs (the driver's strategy table picks
-        their operators and source); ``NL`` is DHT-only.
     """
 
     graph: Graph
@@ -85,14 +78,11 @@ class NWayJoinSpec:
     node_sets: List[List[int]]
     k: int
     aggregate: Aggregate = MIN
-    params: DHTParams = None  # type: ignore[assignment]
-    d: Optional[int] = None
-    epsilon: Optional[float] = None
     engine: WalkEngine = field(default=None)  # type: ignore[assignment]
     walk_cache: Optional[WalkCache] = None
     bound_cache: Optional[BoundPlanCache] = None
     plan: object = "fixed"
-    measure: Optional[object] = None
+    measure: object = field(default_factory=DHTMeasure)
 
     def __post_init__(self) -> None:
         if isinstance(self.plan, str):
@@ -108,11 +98,6 @@ class NWayJoinSpec:
                 f"plan must be 'fixed', 'auto', or an ExplainedPlan; "
                 f"got {self.plan!r}"
             )
-        self.params, self.d = resolve_config(
-            self.params, self.d, self.epsilon, self.measure
-        )
-        if self.d < 1:
-            raise GraphValidationError(f"d must be >= 1, got {self.d}")
         if self.k < 0:
             raise GraphValidationError(f"k must be >= 0, got {self.k}")
         if len(self.node_sets) != self.query_graph.num_vertices:
@@ -126,11 +111,16 @@ class NWayJoinSpec:
         ]
         if self.engine is None:
             self.engine = WalkEngine(self.graph)
-        key_params = cache_identity(self.params, self.measure)
+        key = self.measure.cache_key()
         if self.walk_cache is None:
-            self.walk_cache = WalkCache(self.engine, key_params)
+            self.walk_cache = WalkCache(self.engine, key)
         if self.bound_cache is None:
-            self.bound_cache = BoundPlanCache(self.engine, key_params)
+            self.bound_cache = BoundPlanCache(self.engine, key)
+
+    @property
+    def d(self) -> int:
+        """Truncation depth: the measure's."""
+        return self.measure.d
 
     def resolve_plan(
         self,
@@ -201,12 +191,10 @@ class NWayJoinSpec:
         self.engine.checkpoint("edge")
         return TwoWayContext(
             graph=self.graph,
-            params=self.params,
             left=list(left),
             right=list(right),
-            d=self.d,
+            measure=self.measure,
             engine=self.engine,
             walk_cache=self.walk_cache,
             bound_cache=self.bound_cache,
-            measure=self.measure,
         )

@@ -49,13 +49,7 @@ from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bounds import (
-    ClosedFormTail,
-    ScoreUpperBound,
-    XBound,
-    YBound,
-    dht_tail_weights,
-)
+from repro.core.bounds import ScoreUpperBound, YBound
 from repro.core.two_way.base import (
     BoundedTopK,
     ScoredPair,
@@ -81,11 +75,10 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
 
     With a walk cache on the context, the request is served from the
     cache — an exact repeat costs one ``O(n)`` copy, a deeper repeat only
-    pays the walk's uncached suffix.  Without one it runs the
-    ``steps``-step backward first-hit propagation from ``target``
-    (Eq. 5) and converts the hit series into truncated DHT scores
-    (Eq. 4) — or, on a measure context, the measure's own per-target
-    ``backward_scores``.
+    pays the walk's uncached suffix.  Without one it is the measure's
+    own per-target ``backward_scores`` — for DHT the ``steps``-step
+    backward first-hit propagation from ``target`` (Eq. 5) folded into
+    truncated scores (Eq. 4).
 
     Returns the full length-``|V_G|`` score vector, for callers that
     want every node's score (link prediction, tests).  The joins do
@@ -94,19 +87,17 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     """
     if context.walk_cache is not None:
         return context.walk_cache.scores(target, steps)
-    if context.measure is not None:
-        return context.measure.backward_scores(context.engine, target, steps)
-    series = context.engine.backward_first_hit_series(target, steps)
-    return context.params.scores_from_matrix(series)
+    return context.measure.backward_scores(context.engine, target, steps)
 
 
 def _rounds(context: TwoWayContext):
     """The walk plan of one pass: ``walk_level`` / ``donate_pruned`` /
-    ``repack`` over the context's kernel (or, without one, the
-    measure's iterates) and cache, under this thread's byte budget."""
-    if context.kernel is None:
+    ``repack`` over the measure's kernel (or, without one, its
+    iterates) and the context's cache, under this thread's byte budget."""
+    kernel = context.measure.kernel()
+    if kernel is None:
         return MatrixRounds(context.engine, context.measure, context.walk_cache)
-    return DeepeningRounds(context.engine, context.kernel, context.walk_cache)
+    return DeepeningRounds(context.engine, kernel, context.walk_cache)
 
 
 def _final_tail(context: TwoWayContext) -> Optional[RestrictedTail]:
@@ -114,7 +105,7 @@ def _final_tail(context: TwoWayContext) -> Optional[RestrictedTail]:
     tail, through the bound cache, exactly when there is a kernel to
     walk and no cache to feed (so the states keep their prefix at the
     left rows only)."""
-    if context.walk_cache is not None or context.kernel is None:
+    if context.walk_cache is not None or context.measure.kernel() is None:
         return None
     return context.bound_cache.tail_plan(
         context.left, context.d,
@@ -228,14 +219,12 @@ def x_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     Served through the context's
     :class:`~repro.bounds_cache.BoundPlanCache` (keyed by depth only —
     ``X`` is data-independent), so repeated joins on one context and
-    ``F-IDJ`` runs at the same depth share one table.  A measure's ``X``
-    is its closed-form ``tail_bound``, uncached.
+    ``F-IDJ`` runs at the same depth share one table.  The table is
+    the measure's ``x_bound``: Lemma 2's ``X`` for DHT, a series
+    measure's closed-form ``tail_bound``.
     """
-    if context.measure is not None:
-        return ClosedFormTail(context.measure, context.d)
-    return context.bound_cache.x_bound(
-        context.d, lambda: XBound(context.params, context.d)
-    )
+    measure, d = context.measure, context.d
+    return context.bound_cache.x_bound(d, lambda: measure.x_bound(d))
 
 
 def y_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
@@ -248,21 +237,16 @@ def y_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     agree on the left set (every edge of a star spec, repeated sets of a
     clique spec — they share one cache via their
     :class:`~repro.core.nway.spec.NWayJoinSpec`) reuse the bound instead
-    of re-propagating.  A measure without ``tail_weight`` (SimRank)
-    gets its closed-form ``tail_bound``, uncached.
+    of re-propagating.  A measure without ``tail_weights`` (SimRank)
+    gets its closed-form ``x_bound``, uncached.
     """
-    measure = context.measure
-    if measure is not None and getattr(measure, "tail_weight", None) is None:
-        return ClosedFormTail(measure, context.d)
-
-    def build() -> YBound:
-        if measure is None:
-            weights = dht_tail_weights(context.params, context.d)
-        else:
-            weights = [measure.tail_weight(i) for i in range(1, context.d + 1)]
-        return YBound(context.engine, weights, context.left, context.d)
-
-    return context.bound_cache.y_bound(context.left, context.d, build)
+    measure, d = context.measure, context.d
+    if getattr(measure, "tail_weights", None) is None:
+        return measure.x_bound(d)
+    return context.bound_cache.y_bound(
+        context.left, d,
+        lambda: YBound(context.engine, measure.tail_weights(d), context.left, d),
+    )
 
 
 class BackwardIDJ:
@@ -300,9 +284,9 @@ class BackwardIDJ:
     memory/compute trade-off does, visible as extra
     ``propagation_steps`` and a capped ``peak_block_bytes`` in the
     engine stats.  The round machinery itself is
-    :class:`~repro.walks.rounds.DeepeningRounds` over the context's
-    :attr:`~repro.core.two_way.base.TwoWayContext.kernel`, so the same
-    loop runs under DHT and under any kernel measure; a kernel-less
+    :class:`~repro.walks.rounds.DeepeningRounds` over the measure's
+    ``kernel()``, so the same loop runs under DHT and under any kernel
+    measure; a kernel-less
     measure runs :class:`~repro.walks.rounds.MatrixRounds` instead.
 
     Parameters
@@ -364,7 +348,7 @@ class BackwardIDJ:
         rounds = _rounds(ctx)  # widths planned before any walk
         bound = self._bound_factory(ctx)
         left = ctx.left_array
-        zero = ctx.floor
+        zero = ctx.measure.floor
         active: List[int] = list(ctx.right)
 
         level = 1

@@ -1,11 +1,13 @@
-"""Shared types for 2-way joins over DHT.
+"""Shared types for 2-way joins.
 
 A 2-way join (Section V) takes node sets ``P`` (left) and ``Q`` (right)
-and returns the ``k`` pairs ``(p, q)`` with the highest truncated DHT
-scores ``h_d(p, q)``.  All five algorithms in the paper — ``F-BJ``,
-``F-IDJ``, ``B-BJ``, ``B-IDJ-X``, ``B-IDJ-Y`` — share the
-:class:`TwoWayContext` prepared here and return identical results; they
-differ only in how much work they avoid.
+and returns the ``k`` pairs ``(p, q)`` with the highest truncated scores
+``h_d(p, q)`` under one measure — DHT, the paper's, or a Section VIII
+series measure, each one value on the :class:`TwoWayContext` prepared
+here.  All five algorithms in the paper — ``F-BJ``, ``F-IDJ``, ``B-BJ``,
+``B-IDJ-X``, ``B-IDJ-Y`` — share that context and return identical
+results; they differ only in how much work they avoid (the forward two
+are DHT-only).
 """
 
 from __future__ import annotations
@@ -122,21 +124,27 @@ class TwoWayContext:
     graph / engine:
         The data graph and its walk engine (engine is created on demand
         and may be shared across joins on the same graph).
-    params:
-        DHT coefficients (general form).
     left / right:
         The node sets ``P`` and ``Q``.  Overlap is allowed; reflexive
         pairs ``(v, v)`` are excluded from results (``h(v, v) = 0`` by
         convention and is not a similarity between distinct entities).
-    d:
-        Truncation depth (Eq. 4), typically from
-        :meth:`repro.core.dht.DHTParams.steps_for_epsilon`.
+    measure:
+        The proximity measure: a :class:`~repro.core.dht.DHTMeasure` or
+        any :class:`repro.extensions.measures.SeriesMeasure` (duck-typed
+        — the core layer never imports ``extensions``).  Its ``d`` is the
+        truncation depth (Eq. 4); the backward joins read everything
+        measure-specific off it — ``kernel()``, ``floor``, and through
+        them the scorer, the tail bounds and the deepening rounds.  Both
+        caches are keyed by its ``cache_key()``, so a DHT cache and a
+        PPR cache on the same graph can never be mixed (the validation
+        below rejects the swap).  The forward algorithms (``F-*``) are
+        DHT-only.
     walk_cache:
         Optional cross-join :class:`~repro.walks.cache.WalkCache`.  When
         set, ``back_walk`` serves repeated ``(target, level)`` requests
         from it and the backward joins donate their walks into it; an
         n-way spec shares one cache across all its query edges.  Must be
-        bound to the same engine and params as this context.
+        bound to the same engine and measure as this context.
     bound_cache:
         The :class:`~repro.bounds_cache.BoundPlanCache` serving ``Y``
         bounds and restricted-tail plans.  A private cache is created
@@ -144,81 +152,44 @@ class TwoWayContext:
         restart refills) build each artifact once; an n-way spec passes
         one shared cache to every edge context so edges that agree on
         the left set share the build too.  Must be bound to the same
-        engine and params as this context.
-    measure:
-        Optional :class:`repro.extensions.measures.SeriesMeasure`
-        (duck-typed — the core layer never imports ``extensions``).
-        ``None`` (default) selects DHT: ``params`` are required and the
-        caches are keyed by them.  With a measure set, ``params`` may be
-        ``None``, ``d`` should be the measure's truncation depth, and
-        both caches are keyed by the measure's :meth:`cache_key` — so a
-        DHT cache and a PPR cache on the same graph can never be mixed
-        (the validation below rejects the swap).  The forward
-        algorithms (``F-*``) require ``measure=None``; the backward
-        ones read everything measure-specific off this context —
-        :attr:`kernel`, :attr:`floor`, and through them the scorer, the
-        tail bound and the deepening rounds.
+        engine and measure as this context.
     """
 
     graph: Graph
-    params: Optional[DHTParams]
     left: List[int]
     right: List[int]
-    d: int
+    measure: object
     engine: WalkEngine = field(default=None)  # type: ignore[assignment]
     walk_cache: Optional[WalkCache] = None
     bound_cache: Optional[BoundPlanCache] = None
-    measure: Optional[object] = None
 
     def __post_init__(self) -> None:
         self.left = validate_node_set(self.graph.num_nodes, self.left, "left node set")
         self.right = validate_node_set(self.graph.num_nodes, self.right, "right node set")
-        if self.params is None and self.measure is None:
-            raise GraphValidationError(
-                "a TwoWayContext needs DHT params or a series measure"
-            )
-        if self.d < 1:
-            raise GraphValidationError(f"d must be >= 1, got {self.d}")
         if self.engine is None:
             self.engine = WalkEngine(self.graph)
-        key_params = self.cache_params
+        key = self.measure.cache_key()
         for name in ("walk_cache", "bound_cache"):
             cache = getattr(self, name)
             if cache is not None and cache.engine is not self.engine:
                 raise GraphValidationError(
                     f"{name} is bound to a different engine than this context"
                 )
-            if cache is not None and cache.params != key_params:
+            if cache is not None and cache.params != key:
                 raise GraphValidationError(
                     f"{name} was built for a different measure configuration"
                 )
         if self.bound_cache is None:
-            self.bound_cache = BoundPlanCache(self.engine, key_params)
+            self.bound_cache = BoundPlanCache(self.engine, key)
         self._left_array = np.asarray(self.left, dtype=np.int64)
         self._num_pairs = len(self.left) * len(self.right) - len(
             set(self.left) & set(self.right)
         )
 
     @property
-    def cache_params(self):
-        """The identity walk/bound caches for this context are keyed by
-        (:func:`cache_identity`)."""
-        return cache_identity(self.params, self.measure)
-
-    @property
-    def kernel(self):
-        """What a :class:`~repro.walks.state.WalkState` propagates this
-        context's blocks with: the DHT params, or the measure's block
-        kernel (``None`` for a matrix-backed measure)."""
-        return self.params if self.measure is None else self.measure.kernel()
-
-    @property
-    def floor(self) -> float:
-        """Score of a pair with no walk statistic at all — the bottom of
-        the range (``params.zero_score`` / ``measure.floor``)."""
-        if self.measure is None:
-            return self.params.zero_score
-        return self.measure.floor
+    def d(self) -> int:
+        """Truncation depth: the measure's."""
+        return self.measure.d
 
     @property
     def left_array(self) -> np.ndarray:
@@ -276,50 +247,6 @@ class TwoWayContext:
         )))
 
 
-def resolve_config(
-    params: Optional[DHTParams] = None,
-    d: Optional[int] = None,
-    epsilon: Optional[float] = None,
-    measure: Optional[object] = None,
-) -> Tuple[Optional[DHTParams], int]:
-    """The one configuration rule: ``(params, d)`` of a join.
-
-    DHT (``measure=None``) defaults follow Section VII-A: ``DHT_lambda``
-    with ``lambda = 0.2`` and ``epsilon = 1e-6`` (which yields
-    ``d = 8``); pass either ``d`` directly or an ``epsilon`` to derive
-    it via Lemma 1 — not both.  A measure fixes its own coefficients and
-    depth, ``(None, measure.d)``; ``params`` / ``d`` / ``epsilon``
-    alongside one are an error (configure the measure instance instead —
-    silently dropping them would change results without warning).
-    """
-    if measure is not None:
-        passed = [
-            name for name, value in
-            (("params", params), ("d", d), ("epsilon", epsilon))
-            if value is not None
-        ]
-        if passed:
-            raise GraphValidationError(
-                "a measure fixes its own depth and coefficients, so params, "
-                "d and epsilon are DHT-only options; configure the measure "
-                f"instance instead (got {', '.join(passed)})"
-            )
-        return None, measure.d
-    params = params if params is not None else DHTParams.dht_lambda(0.2)
-    if d is not None and epsilon is not None:
-        raise GraphValidationError("pass either d or epsilon, not both")
-    if d is None:
-        d = params.steps_for_epsilon(epsilon if epsilon is not None else 1e-6)
-    return params, d
-
-
-def cache_identity(params: Optional[DHTParams], measure: Optional[object]):
-    """What walk and bound caches are keyed by: the measure's
-    ``cache_key()``, else the DHT params — one cache universe per
-    ``(graph, measure)``."""
-    return params if measure is None else measure.cache_key()
-
-
 def make_context(
     graph: Graph,
     left: Sequence[int],
@@ -332,11 +259,15 @@ def make_context(
     bound_cache: Optional[BoundPlanCache] = None,
     measure: Optional[object] = None,
 ) -> TwoWayContext:
-    """Build a :class:`TwoWayContext` under :func:`resolve_config`: the
-    paper's DHT defaults, or a ``measure`` that fixes its own depth."""
-    params, d = resolve_config(params, d, epsilon, measure)
+    """Build a :class:`TwoWayContext` from the query options: ``measure``
+    / ``params`` / ``d`` / ``epsilon`` resolve to one measure under
+    :func:`repro.query.resolve_measure` (the paper's DHT defaults when
+    none is given)."""
+    # Imported here: the query layer sits above core.
+    from repro.query import resolve_measure
+
     return TwoWayContext(
-        graph=graph, params=params, left=list(left), right=list(right), d=d,
-        engine=engine, walk_cache=walk_cache, bound_cache=bound_cache,
-        measure=measure,
+        graph=graph, left=list(left), right=list(right), engine=engine,
+        walk_cache=walk_cache, bound_cache=bound_cache,
+        measure=resolve_measure(measure, params=params, d=d, epsilon=epsilon),
     )

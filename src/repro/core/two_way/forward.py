@@ -4,13 +4,15 @@ Forward processing computes ``h_d(p, q)`` by propagating walker mass from
 ``p`` towards ``q``; one propagation serves a *single* pair, which is why
 both algorithms cost ``O(|P| |Q| d |E_G|)`` in the worst case and why the
 backward algorithms of Section VI beat them by a factor of ``|P|``.
+Per-pair absorbing walks are DHT's kernel, so both read the context
+measure's ``params`` (a :class:`~repro.core.dht.DHTMeasure`'s).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.core.bounds import XBound
+from repro.core.two_way.backward import x_bound_factory
 from repro.core.two_way.base import (
     ScoredPair,
     TwoWayContext,
@@ -37,13 +39,14 @@ class ForwardBasicJoin:
     def all_pairs(self) -> List[ScoredPair]:
         """Score every candidate pair (unsorted)."""
         ctx = self._ctx
+        params = ctx.measure.params
         pairs: List[ScoredPair] = []
         for p in ctx.left:
             for q in ctx.right:
                 if p == q:
                     continue
                 series = ctx.engine.forward_first_hit_series(p, q, ctx.d)
-                pairs.append(ScoredPair(p, q, ctx.params.score_from_series(series)))
+                pairs.append(ScoredPair(p, q, params.score_from_series(series)))
         return pairs
 
     def top_k(self, k: int) -> List[ScoredPair]:
@@ -86,9 +89,8 @@ class ForwardIDJ:
         if k == 0:
             return []
         ctx = self._ctx
-        xbound = ctx.bound_cache.x_bound(
-            ctx.d, lambda: XBound(ctx.params, ctx.d)
-        )
+        params = ctx.measure.params
+        xbound = x_bound_factory(ctx)
         self.pruning_trace = []
         active = list(ctx.left)
         level = 1
@@ -97,12 +99,12 @@ class ForwardIDJ:
             surviving: List[int] = []
             upper_by_p = {}
             for p in active:
-                best_l = ctx.params.zero_score
+                best_l = params.zero_score
                 for q in ctx.right:
                     if p == q:
                         continue
                     series = ctx.engine.forward_first_hit_series(p, q, level)
-                    h_l = ctx.params.score_from_series(series)
+                    h_l = params.score_from_series(series)
                     lower_bounds.append(h_l)
                     if h_l > best_l:
                         best_l = h_l
@@ -127,5 +129,5 @@ class ForwardIDJ:
                 if p == q:
                     continue
                 series = ctx.engine.forward_first_hit_series(p, q, ctx.d)
-                pairs.append(ScoredPair(p, q, ctx.params.score_from_series(series)))
+                pairs.append(ScoredPair(p, q, params.score_from_series(series)))
         return top_k_pairs(pairs, k)

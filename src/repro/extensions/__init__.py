@@ -2,18 +2,15 @@
 
 :mod:`repro.extensions.measures` defines the :class:`SeriesMeasure`
 contract (per-target + batched-block backward kernels, tail bounds,
-cache identity) with PPR and DHT instantiations;
+cache identity) with the PPR instantiation, and re-exports the core's
+:class:`~repro.core.dht.DHTMeasure`;
 :mod:`repro.extensions.simrank` adds the SimRank measure;
 :mod:`repro.extensions.series_join` names the core operators and
 executors under their measure names (``Series-B-BJ`` / ``Series-IDJ`` /
 ``Series-PJ``): a measure is a context field, so the same joins run it.
 """
 
-from repro.extensions.measures import (
-    DHTMeasure,
-    TruncatedPPR,
-    measure_by_name,
-)
+from repro.extensions.measures import DHTMeasure, TruncatedPPR
 from repro.extensions.series_join import (
     SeriesBackwardJoin,
     SeriesIDJ,
@@ -28,5 +25,4 @@ __all__ = [
     "SeriesPartialJoin",
     "SimRankMeasure",
     "TruncatedPPR",
-    "measure_by_name",
 ]

@@ -13,12 +13,11 @@ non-negative weight.  :class:`SeriesMeasure` captures that contract —
 per-target *and* batched-block backward kernels plus the tail algebra
 iterative deepening needs — and three families instantiate it:
 
+* :class:`~repro.core.dht.DHTMeasure` — the paper's own measure
+  (``M_i = P_i``, first-hit probability; absorbing propagation),
+  defined in the core layer and re-exported here.
 * :class:`TruncatedPPR` — Personalized PageRank (``M_i = S_i``, the
   *unrestricted* visit probability; plain propagation).
-* :class:`DHTMeasure` — the core DHT implementation adapted to the
-  contract (``M_i = P_i``, first-hit probability; absorbing
-  propagation), so generic joins can mix measures and the core
-  algorithms double as its oracles.
 * :class:`repro.extensions.simrank.SimRankMeasure` — SimRank, whose
   pairwise-recursive fixed point has no single-propagation kernel; it
   serves blocks from memoised (and resumable) matrix iterates instead.
@@ -35,8 +34,12 @@ on — see ``docs/ALGORITHMS.md`` for the worked derivations):
 3. ``floor`` is the score of a pair whose every statistic is zero — the
    bottom of the range, used to seed per-target maxima and to filter
    uninformative lower bounds.
-4. Optionally, ``tail_weight(i) = w_i * sup M_i`` per step enables the
-   data-dependent reach-mass tail :class:`~repro.core.bounds.YBound`
+4. ``x_bound(d)`` is the data-independent tail table ``B-IDJ-X`` reads
+   (DHT's Lemma 2 ``X``, else :class:`~repro.core.bounds.ClosedFormTail`
+   over ``tail_bound``).
+5. Optionally, ``tail_weights(d)``, the per-step ``w_i * sup M_i`` for
+   ``i = 1 .. d``, enables the data-dependent reach-mass tail
+   :class:`~repro.core.bounds.YBound`
    (Theorem 1, measure-generically: for DHT because first hits are a
    sub-event of visits, for PPR because ``S_i(p, q)`` is one summand of
    the left set's reach mass), which is tighter than the closed form
@@ -63,10 +66,10 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.dht import DHTParams
-from repro.graph.validation import GraphValidationError
+from repro.core.bounds import ClosedFormTail
+from repro.core.dht import DHTMeasure  # noqa: F401 - re-exported
 from repro.walks.engine import WalkEngine
-from repro.walks.kernels import BlockKernel, DHTBlockKernel, PPRBlockKernel
+from repro.walks.kernels import BlockKernel, PPRBlockKernel
 from repro.walks.state import WalkState
 
 
@@ -99,6 +102,11 @@ class SeriesMeasure(Protocol):
 
     def tail_bound(self, level: int) -> float:
         """Upper bound on the score mass of steps ``level+1 .. d``."""
+        ...
+
+    def x_bound(self, d: int) -> object:
+        """The data-independent tail table of depth ``d`` that
+        ``B-IDJ-X`` reads (a :class:`~repro.core.bounds.ScoreUpperBound`)."""
         ...
 
     @property
@@ -205,103 +213,11 @@ class TruncatedPPR:
             raise ValueError(f"level must be >= 0, got {level}")
         return self.damping ** (level + 1)
 
-    def tail_weight(self, i: int) -> float:
-        """``w_i * sup S_i = (1-c) c^i`` — enables the reach-mass
-        :class:`~repro.core.bounds.YBound`."""
-        if i < 1:
-            raise ValueError(f"i must be >= 1, got {i}")
-        return (1.0 - self.damping) * self.damping ** i
+    def x_bound(self, d: int) -> ClosedFormTail:
+        """:meth:`tail_bound` as a depth-``d`` table."""
+        return ClosedFormTail(self, d)
 
-
-class DHTMeasure:
-    """Adapter exposing the core DHT implementation as a
-    :class:`SeriesMeasure`, so generic joins can mix measures.
-
-    ``B-BJ`` / ``B-IDJ`` on this measure run the loops a
-    :class:`~repro.core.dht.DHTParams` context runs, on the same
-    first-hit kernel; the adapter exists so joins can mix measures and
-    so DHT is an oracle-rich third instantiation of the contract.
-    """
-
-    def __init__(self, params: DHTParams = None, epsilon: float = 1e-6) -> None:
-        self.params = params if params is not None else DHTParams.dht_lambda(0.2)
-        self.d = self.params.steps_for_epsilon(epsilon)
-        self.name = f"DHT(lambda={self.params.decay})"
-
-    @property
-    def floor(self) -> float:
-        """``beta`` — the score of a pair that never hits."""
-        return self.params.beta
-
-    def kernel(self) -> DHTBlockKernel:
-        """The first-hit (absorbing) block kernel of Eq. 5."""
-        return DHTBlockKernel.from_params(self.params)
-
-    def cache_key(self) -> DHTBlockKernel:
-        """Walk/bound caches are keyed by the kernel itself."""
-        return self.kernel()
-
-    def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
-        """Truncated DHT via the per-target first-hit kernel."""
-        series = engine.backward_first_hit_series(target, steps)
-        scores = self.params.scores_from_matrix(series)
-        scores[target] = 0.0
-        return scores
-
-    def backward_scores_block(
-        self, engine: WalkEngine, targets: Sequence[int], steps: int
-    ) -> np.ndarray:
-        """Batched truncated DHT with the reflexive convention of
-        :meth:`backward_scores` (``h(v, v) = 0``, replacing the block
-        kernel's return-walk artefact)."""
-        state = WalkState(engine, self.kernel(), targets).advance_to(steps)
-        scores = state.scores_matrix()
-        idx = np.asarray(targets, dtype=np.int64)
-        scores[idx, np.arange(idx.shape[0])] = 0.0
-        return scores
-
-    def tail_bound(self, level: int) -> float:
-        """The ``X_l^+`` geometric tail (Lemma 2)."""
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        return (
-            self.params.alpha
-            * self.params.decay ** (level + 1)
-            / (1.0 - self.params.decay)
-        )
-
-    def tail_weight(self, i: int) -> float:
-        """``w_i * sup P_i = alpha * lambda^i`` — the Theorem 1 weights."""
-        if i < 1:
-            raise ValueError(f"i must be >= 1, got {i}")
-        return self.params.alpha * self.params.decay ** i
-
-
-_DHT_NAMES = frozenset({"dht", "dht-lambda", "dht-e"})
-
-#: Every name :func:`measure_by_name` resolves.
-MEASURE_NAMES = tuple(sorted(_DHT_NAMES | {"ppr", "simrank"}))
-
-
-def measure_by_name(name: str, **options) -> Optional[object]:
-    """Resolve a measure name to a :class:`SeriesMeasure` instance.
-
-    The DHT family (``"dht"``, ``"dht-lambda"``, ``"dht-e"``) resolves
-    to ``None`` — callers keep the ``params``-configured DHT context
-    (:class:`~repro.core.dht.DHTParams`).  ``"ppr"`` builds
-    a :class:`TruncatedPPR` (options: ``damping``, ``epsilon``) and
-    ``"simrank"`` a :class:`repro.extensions.simrank.SimRankMeasure`
-    (options: ``decay``, ``iterations``, ``weighted``).
-    """
-    key = name.lower()
-    if key in _DHT_NAMES:
-        return None
-    if key == "ppr":
-        return TruncatedPPR(**options)
-    if key == "simrank":
-        from repro.extensions.simrank import SimRankMeasure
-
-        return SimRankMeasure(**options)
-    raise GraphValidationError(
-        f"unknown measure {name!r}; choose from {list(MEASURE_NAMES)}"
-    )
+    def tail_weights(self, d: int) -> list:
+        """``w_i * sup S_i = (1-c) c^i``, ``i = 1 .. d`` — enables the
+        reach-mass :class:`~repro.core.bounds.YBound`."""
+        return [(1.0 - self.damping) * self.damping ** i for i in range(1, d + 1)]

@@ -12,8 +12,8 @@ three pieces that genuinely differ off it:
   kernel and gathers a matrix-backed measure's blocks from
   :meth:`SeriesMeasure.backward_scores_block`;
 * **the bound** — ``y_bound_factory``: the reach-mass
-  :class:`~repro.core.bounds.YBound` over the measure's ``tail_weight``
-  through the bound cache, or its closed form;
+  :class:`~repro.core.bounds.YBound` over the measure's
+  ``tail_weights`` through the bound cache, or its closed form;
 * **the rounds** — :class:`~repro.walks.rounds.DeepeningRounds` for
   every kernel measure, :class:`~repro.walks.rounds.MatrixRounds` when
   ``kernel() is None``.

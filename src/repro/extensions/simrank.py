@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bounds import ClosedFormTail
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
 from repro.walks.engine import WalkEngine
@@ -207,3 +208,7 @@ class SimRankMeasure:
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
         return self.decay ** (level + 1)
+
+    def x_bound(self, d: int) -> ClosedFormTail:
+        """:meth:`tail_bound` as a depth-``d`` table."""
+        return ClosedFormTail(self, d)

@@ -23,6 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.dht import DHTMeasure
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.graph.builders import erdos_renyi, preferential_attachment
@@ -120,11 +121,11 @@ class PlannerFixture:
     # -- specs ---------------------------------------------------------
 
     @staticmethod
-    def _spec_depth(d: int, spec_kwargs: dict):
-        """``d`` for the spec — ``None`` under a measure (the measure
-        fixes its own depth; the ``d`` argument still sizes the
+    def _with_measure(d: int, spec_kwargs: dict) -> dict:
+        """``spec_kwargs`` with DHT at depth ``d`` as the default measure
+        (a passed measure fixes its own depth; ``d`` still sizes the
         walk-cache pressure estimate)."""
-        return None if spec_kwargs.get("measure") is not None else d
+        return {"measure": DHTMeasure(d=d), **spec_kwargs}
 
     def skewed_star_spec(
         self,
@@ -151,8 +152,7 @@ class PlannerFixture:
             query_graph=QueryGraph.star(spokes, bidirectional=True),
             node_sets=[hubs] + leaves,
             k=k,
-            d=self._spec_depth(d, spec_kwargs),
-            **spec_kwargs,
+            **self._with_measure(d, spec_kwargs),
         )
         # Holds the hub right set with headroom; a hub+leaf union (what
         # an interleaved order keeps alternating between) does not fit,
@@ -180,8 +180,7 @@ class PlannerFixture:
             query_graph=QueryGraph.chain(length, bidirectional=True),
             node_sets=node_sets,
             k=k,
-            d=self._spec_depth(d, spec_kwargs),
-            **spec_kwargs,
+            **self._with_measure(d, spec_kwargs),
         )
         return self._under_pressure(spec, hub_size + leaf_size // 6, d)
 
@@ -209,8 +208,7 @@ class PlannerFixture:
             query_graph=QueryGraph.chain(length, bidirectional=False),
             node_sets=node_sets,
             k=k,
-            d=self._spec_depth(d, spec_kwargs),
-            **spec_kwargs,
+            **self._with_measure(d, spec_kwargs),
         )
 
     # -- order helpers -------------------------------------------------

@@ -45,7 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.nway.driver import STRATEGIES
+from repro.core.nway.driver import STRATEGIES, is_dht
 from repro.graph.validation import GraphValidationError
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
 from repro.planner.stats import GraphStats
@@ -66,7 +66,7 @@ _SERIES_CANDIDATES = {
 }
 
 # Operator name -> cost-model kind.  "idj" resolves per measure (a
-# tail_weight measure gets the reach-mass Y cost, SimRank the X form).
+# tail_weights measure gets the reach-mass Y cost, SimRank the X form).
 _OPERATOR_KINDS = {
     "b-bj": "basic",
     "basic": "basic",
@@ -265,7 +265,7 @@ def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, .
         # Fixed mode keeps the executor's default; PJ-i's incremental
         # F-structure is its own operator — the planner only orders it.
         return (default,)
-    table = _SERIES_CANDIDATES if measure is not None else _DHT_CANDIDATES
+    table = _DHT_CANDIDATES if is_dht(measure) else _SERIES_CANDIDATES
     candidates = table[strategy]
     if default in candidates:
         return (default,) + tuple(c for c in candidates if c != default)
@@ -274,7 +274,7 @@ def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, .
 
 def _operator_kind(operator: str, measure) -> str:
     if operator == "idj":
-        has_tail = getattr(measure, "tail_weight", None) is not None
+        has_tail = getattr(measure, "tail_weights", None) is not None
         return "idj-y" if has_tail else "idj-x"
     try:
         return _OPERATOR_KINDS[operator]
@@ -396,7 +396,7 @@ def _build_plan(
         if getattr(engine_stats, "propagation_steps", 0) > 0 else None
     )
     model = CostModel(stats, spec.d, feedback=feedback)
-    row = STRATEGIES[(strategy, spec.measure is not None)]
+    row = STRATEGIES[(strategy, is_dht(spec.measure))]
     default = (default_operator or row[0]).lower()
     candidates = _candidates(strategy, spec.measure, default, mode)
 
@@ -441,7 +441,7 @@ def _build_plan(
         "credit_scale": round(model.credit_scale, 3),
         "walk_cache_capacity_targets": resident.capacity_targets,
         "d": int(spec.d),
-        "measure": getattr(spec.measure, "name", None) or "dht",
+        "measure": "dht" if is_dht(spec.measure) else spec.measure.name,
     }
     return ExplainedPlan(
         mode=mode,

@@ -7,9 +7,14 @@ the budget (Definition 4, Section VII-A).  :class:`TwoWayRequest`,
 type names.  :func:`repro.api.run` executes a request; the api's keyword
 entry points, the query service and the CLI all build one and call it.
 
+:func:`resolve_measure` turns the measure options into the one measure
+value every join below the api reads — DHT included: a
+:class:`~repro.core.dht.DHTMeasure` is a measure like PPR and SimRank.
+
 Requests are unvalidated values: construction only normalises node ids
-to tuples of ints, so a malformed request fails when it runs (an error
-response from the service, not a constructor exception).
+to tuples of ints (rejecting a non-integral or bool id), so any other
+malformed request fails when it runs (an error response from the
+service, not a constructor exception).
 """
 
 from __future__ import annotations
@@ -17,9 +22,91 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.dht import DHTParams
+import numpy as np
+
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.aggregates import MIN, Aggregate
 from repro.exec.budget import QueryBudget
+from repro.extensions.measures import TruncatedPPR
+from repro.extensions.simrank import SimRankMeasure
+from repro.graph.validation import GraphValidationError
+
+#: Every measure name, each its measure's default configuration.
+_NAMED = {
+    "dht": DHTMeasure,
+    "dht-lambda": DHTMeasure,
+    "dht-e": lambda: DHTMeasure(DHTParams.dht_e()),
+    "ppr": TruncatedPPR,
+    "simrank": SimRankMeasure,
+}
+MEASURE_NAMES = tuple(sorted(_NAMED))
+
+#: What an object needs to be a measure (the ``SeriesMeasure`` contract
+#: the contexts and caches read).
+_MEASURE_CONTRACT = ("d", "floor", "cache_key", "kernel")
+
+
+def resolve_measure(
+    measure: Optional[object] = None,
+    *,
+    params: Optional[DHTParams] = None,
+    d: Optional[int] = None,
+    epsilon: Optional[float] = None,
+):
+    """The one measure the :class:`QueryOptions` ``measure`` / ``params``
+    / ``d`` / ``epsilon`` describe.
+
+    ``measure=None`` is DHT configured by the other three (defaults:
+    ``DHT_lambda(0.2)``, ``epsilon = 1e-6``, so ``d = 8`` — Section
+    VII-A).  A name is that measure's default configuration and an
+    instance is returned as it is; either fixes its own depth and
+    coefficients, so ``params`` / ``d`` / ``epsilon`` alongside one are
+    an error (silently dropping them would change results).
+    """
+    if measure is None:
+        return DHTMeasure(params, d=d, epsilon=epsilon)
+    passed = [
+        name for name, value in
+        (("params", params), ("d", d), ("epsilon", epsilon))
+        if value is not None
+    ]
+    if passed:
+        raise GraphValidationError(
+            "a measure fixes its own depth and coefficients, so params, "
+            "d and epsilon are DHT-only options (pass them with "
+            "measure=None); configure the measure instance instead "
+            f"(got {', '.join(passed)})"
+        )
+    if isinstance(measure, str):
+        if measure.lower() not in _NAMED:
+            raise GraphValidationError(
+                f"unknown measure {measure!r}; choose from {list(MEASURE_NAMES)}"
+            )
+        return _NAMED[measure.lower()]()
+    if all(hasattr(measure, a) for a in _MEASURE_CONTRACT):
+        return measure
+    raise GraphValidationError(
+        f"measure must be None, a name ({', '.join(MEASURE_NAMES)}) or an "
+        f"object with {', '.join(_MEASURE_CONTRACT)}; got {measure!r}"
+    )
+
+
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _node_ids(values) -> Tuple[int, ...]:
+    """``values`` as ints; a bool or non-integral id is an error, never
+    truncated."""
+    values = tuple(values)
+    try:
+        ids = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ids = None
+    if ids != values or _BOOLS & set(map(type, values)):
+        raise GraphValidationError(
+            f"node ids must be integers, got {list(values)!r}"
+        )
+    return ids
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -27,20 +114,22 @@ class QueryOptions:
     """The options every query takes, each declared once.
 
     ``measure``
-        ``None`` / a DHT name (``"dht"``, ``"dht-lambda"``, ``"dht-e"``)
-        for the core DHT path, or ``"ppr"`` / ``"simrank"`` / a
-        :class:`~repro.extensions.measures.SeriesMeasure` instance for
-        the measure-generic path: the same operators run, with the
-        measure's scorer and bound read off the join's context.  Names
-        use the measure's default parameters and resolve to a fresh
-        instance per execution; pass an instance to configure.
+        ``None`` (DHT configured by ``params`` / ``d`` / ``epsilon``, or
+        the service's configured DHT), a name (``"dht"``,
+        ``"dht-lambda"``, ``"dht-e"``, ``"ppr"``, ``"simrank"``), or a
+        measure instance (:class:`~repro.core.dht.DHTMeasure` or any
+        :class:`~repro.extensions.measures.SeriesMeasure`): the same
+        operators run, with the measure's scorer and bound read off the
+        join's context.  Names use the measure's default parameters and
+        resolve to a fresh instance per execution; pass an instance to
+        configure.
     ``params`` / ``d`` / ``epsilon``
         DHT configuration (:class:`~repro.core.dht.DHTParams`, the
         truncation depth, or the error target that sets it — Lemma 1)
-        under :func:`~repro.core.two_way.base.resolve_config`; the
-        default is the paper's ``DHT_lambda(0.2)`` with
-        ``epsilon = 1e-6`` (``d = 8``).  Rejected under a non-DHT
-        measure, which fixes its own coefficients and depth.
+        under :func:`resolve_measure`; the default is the paper's
+        ``DHT_lambda(0.2)`` with ``epsilon = 1e-6`` (``d = 8``).
+        Rejected alongside a name or an instance, which fixes its own
+        coefficients and depth.
     ``budget``
         A :class:`~repro.exec.budget.QueryBudget` (deadline, step
         budget, byte ceiling) for the query's governor; ``None`` sets no
@@ -80,8 +169,8 @@ class TwoWayRequest(QueryOptions):
     algorithm: str = "b-idj-y"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(map(int, self.left)))
-        object.__setattr__(self, "right", tuple(map(int, self.right)))
+        object.__setattr__(self, "left", _node_ids(self.left))
+        object.__setattr__(self, "right", _node_ids(self.right))
 
 
 @dataclass(frozen=True)
@@ -129,7 +218,7 @@ class MultiWayRequest(QueryOptions):
         )
         object.__setattr__(
             self, "node_sets",
-            tuple([tuple(map(int, nodes)) for nodes in self.node_sets]),
+            tuple([_node_ids(nodes) for nodes in self.node_sets]),
         )
 
 

@@ -6,9 +6,9 @@ one transition matrix), keeps one shared
 :class:`~repro.walks.cache.WalkCache` / :class:`~repro.bounds_cache.BoundPlanCache`
 pair per measure identity, and serves :mod:`repro.query` request values
 from a pool of worker threads — so one user's hot targets warm the next
-user's query.  A worker pins the request to its measure tier and the
-service's DHT configuration and hands it to :func:`repro.api.run`, the
-executor every front shares.
+user's query.  A worker resolves the request's measure (``None`` is the
+service's configured DHT), pins the request to that measure's tier and
+hands it to :func:`repro.api.run`, the executor every front shares.
 
 Correctness under concurrency rests on three properties built in
 earlier layers:
@@ -46,11 +46,10 @@ from typing import Dict, Optional, Tuple
 from repro import api
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
-from repro.core.two_way.base import cache_identity, resolve_config
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
-from repro.query import QueryOptions
+from repro.query import QueryOptions, resolve_measure
 from repro.service.requests import (
     STATUS_ERROR,
     STATUS_OK,
@@ -123,9 +122,11 @@ class QueryService:
         Every join runs under its worker's governor either way and
         answers a :class:`~repro.exec.budget.PartialResult`.
     params / d / epsilon:
-        Service-wide DHT configuration: cache identity must stay fixed
-        for sharing to be sound, so a DHT request that sets its own
-        ``params`` / ``d`` / ``epsilon`` is an error response.
+        The service's DHT configuration — the measure of a request whose
+        ``measure`` is ``None``.  Cache identity must stay fixed for
+        sharing to be sound, so a request that sets its own ``params`` /
+        ``d`` / ``epsilon`` is an error response (a measure name or
+        instance picks another tier instead).
     clock:
         Injectable monotonic clock (seconds) for deterministic tests.
     tracer:
@@ -161,7 +162,7 @@ class QueryService:
             )
         self._graph = graph
         self._engine = WalkEngine(graph)
-        self._params, self._d = resolve_config(params, d, epsilon)
+        self._dht = resolve_measure(params=params, d=d, epsilon=epsilon)
         self._default_budget = default_budget
         self._clock = clock
         self._tracer = tracer
@@ -180,9 +181,9 @@ class QueryService:
         self._stats_lock = threading.Lock()
         self._acc = StatsAccumulator()
         # One (WalkCache, BoundPlanCache) pair per measure identity —
-        # DHTParams for the core path, measure.cache_key() otherwise.
-        # Identities are value objects, so every request naming the same
-        # measure configuration lands in the same shared tier.
+        # measure.cache_key(), DHTParams for DHT.  Identities are value
+        # objects, so every request naming the same measure
+        # configuration lands in the same shared tier.
         self._tiers: Dict[object, Tuple[WalkCache, BoundPlanCache]] = {}
         self._tiers_lock = threading.Lock()
         self._workers = [
@@ -220,10 +221,10 @@ class QueryService:
         """The shared ``(walk_cache, bound_cache)`` pair for ``measure``.
 
         ``measure`` is a name, a measure instance, or ``None`` for the
-        DHT tier; the tier is created on first use.  Tests and the bench
-        read cache stats through this.
+        service's DHT tier; the tier is created on first use.  Tests and
+        the bench read cache stats through this.
         """
-        return self._tier_for(api._resolve_measure(measure))
+        return self._tier_for(self._measure(measure))
 
     @property
     def tracer(self):
@@ -460,22 +461,19 @@ class QueryService:
 
     def _dispatch(self, request: object, budget: Optional[QueryBudget]):
         """:func:`repro.api.run` on ``request``'s measure tier: the shared
-        engine and caches, plus the service's DHT configuration on the
-        DHT tier, which a request cannot override."""
+        engine and caches, and the service's DHT when the request names
+        no measure — a configuration a request cannot override."""
         if not isinstance(request, QueryOptions):
             return api.run(self._graph, request)  # unknown request type
-        resolved = api._resolve_measure(request.measure)
-        walk_cache, bound_cache = self._tier_for(resolved)
-        config = {}
-        if resolved is None:
-            if (request.params, request.d, request.epsilon) != (None,) * 3:
-                raise GraphValidationError(
-                    "the service's DHT configuration is fixed (cache "
-                    "identity must stay fixed for sharing to be sound); "
-                    "drop the request's params / d / epsilon"
-                )
-            config = {"params": self._params, "d": self._d}
-        request = replace(request, measure=resolved, budget=budget, **config)
+        if (request.params, request.d, request.epsilon) != (None,) * 3:
+            raise GraphValidationError(
+                "the service's DHT configuration is fixed (cache "
+                "identity must stay fixed for sharing to be sound); "
+                "drop the request's params / d / epsilon"
+            )
+        measure = self._measure(request.measure)
+        walk_cache, bound_cache = self._tier_for(measure)
+        request = replace(request, measure=measure, budget=budget)
         return api.run(
             self._graph, request, engine=self._engine,
             walk_cache=walk_cache, bound_cache=bound_cache,
@@ -485,8 +483,12 @@ class QueryService:
     # Request execution
     # ------------------------------------------------------------------
 
-    def _tier_for(self, resolved) -> Tuple[WalkCache, BoundPlanCache]:
-        key = cache_identity(self._params, resolved)
+    def _measure(self, measure):
+        """``measure`` resolved; ``None`` is the service's DHT."""
+        return self._dht if measure is None else resolve_measure(measure)
+
+    def _tier_for(self, measure) -> Tuple[WalkCache, BoundPlanCache]:
+        key = measure.cache_key()
         with self._tiers_lock:
             tier = self._tiers.get(key)
             if tier is None:

@@ -57,14 +57,13 @@ class TestTwoWayFacade:
         """The basic joins score everything and only then slice to
         ``k``; a bad ``k`` must be refused before they walk or warm a
         shared cache."""
-        from repro.extensions.measures import measure_by_name
+        from repro.query import resolve_measure
         from repro.walks.cache import WalkCache
         from repro.walks.engine import WalkEngine
 
         engine = WalkEngine(graph)
-        resolved = measure_by_name(measure) if measure else None
-        key = resolved.cache_key() if resolved else DHTParams.dht_lambda(0.2)
-        cache = WalkCache(engine, key)
+        resolved = resolve_measure(measure)
+        cache = WalkCache(engine, resolved.cache_key())
         with pytest.raises(GraphValidationError, match="k must be >= 0, got -1"):
             two_way_join(
                 graph, [0, 1, 2], [20, 21, 22], -1, algorithm=algorithm,

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import as_ranked, assert_top_k, dht_scores, rank_answers, rank_pairs
+from repro.core.dht import DHTMeasure
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
@@ -37,7 +38,7 @@ from repro.walks.engine import WalkEngine
 def ranking(ctx):
     """The oracle's full ranking of ``ctx``'s pairs."""
     return rank_pairs(
-        dht_scores(ctx.graph, ctx.params, ctx.d), ctx.left, ctx.right
+        dht_scores(ctx.graph, ctx.measure.params, ctx.d), ctx.left, ctx.right
     )
 
 
@@ -152,7 +153,8 @@ class TestOneColumnCeiling:
         graph = self.GRAPH
         spec = NWayJoinSpec(
             graph=graph, query_graph=QueryGraph.chain(2),
-            node_sets=[self.LEFT, self.RIGHT], k=10, params=params, d=8,
+            node_sets=[self.LEFT, self.RIGHT], k=10,
+            measure=DHTMeasure(params, d=8),
         )
         join = AllPairsJoin(spec, two_way="b-bj")
         # The edge's B-BJ plans its width under the governor's byte

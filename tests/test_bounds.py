@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import ClosedFormTail, XBound, YBound, dht_tail_weights
-from repro.core.dht import DHTParams
+from repro.core.bounds import ClosedFormTail, XBound, YBound
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.two_way.backward import back_walk
 from repro.core.two_way.base import make_context
 from repro.extensions.simrank import SimRankMeasure
@@ -52,7 +52,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         sources = [0, 1, 2, 3, 4]
         d = 8
-        bound = YBound(engine, dht_tail_weights(params, d), sources, d)
+        bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
         return engine, sources, d, bound
 
     def test_tail_zero_at_l_equals_d(self, setup):
@@ -70,7 +70,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         d = 8
         sources = list(range(6))
-        y_bound = YBound(engine, dht_tail_weights(params, d), sources, d)
+        y_bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
         x_bound = XBound(params, d)
         for q in range(random_graph.num_nodes):
             for l in range(d + 1):
@@ -81,7 +81,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         d = 8
         sources = [0, 1, 2, 3, 4, 5]
-        bound = YBound(engine, dht_tail_weights(params, d), sources, d)
+        bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
         for q in (11, 22, 33):
             series = engine.backward_first_hit_series(q, d)
             for p in sources:
@@ -97,7 +97,7 @@ class TestYBound:
         engine = WalkEngine(random_graph)
         d = 6
         sources = [2, 3]
-        bound = YBound(engine, dht_tail_weights(params, d), sources, d)
+        bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
         reach = engine.reach_mass_series(sources, d)
         for q in (8, 15):
             for l in range(d):
@@ -122,7 +122,7 @@ class TestBoundsTightenPruning:
         engine = WalkEngine(random_graph)
         d = 12
         sources = [0, 1]
-        y_bound = YBound(engine, dht_tail_weights(params, d), sources, d)
+        y_bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
         x_bound = XBound(params, d)
         q = 35
         ratios = [
@@ -143,7 +143,7 @@ class TestVectorTails:
         d = self.D
         return [
             XBound(params, d),
-            YBound(engine, dht_tail_weights(params, d), [2, 3, 5], d),
+            YBound(engine, DHTMeasure(params).tail_weights(d), [2, 3, 5], d),
             ClosedFormTail(SimRankMeasure(), d),
         ]
 

@@ -15,8 +15,8 @@ import pytest
 from oracles import as_ranked, assert_top_k, dht_scores, rank_pairs
 
 from repro.bounds_cache import BoundPlanCache
-from repro.core.bounds import YBound, dht_tail_weights
-from repro.core.dht import DHTParams
+from repro.core.bounds import YBound
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.exec import BudgetExhaustedError
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -37,7 +37,7 @@ from repro.walks.state import WalkState
 
 
 def _y_bound(engine, params, sources, d):
-    return YBound(engine, dht_tail_weights(params, d), sources, d)
+    return YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ class TestNWaySharing:
             query_graph=QueryGraph.star(3, bidirectional=False),
             node_sets=[list(s) for s in sets],
             k=8,
-            d=6,
+            measure=DHTMeasure(d=6),
         )
 
     def test_star_pj_builds_once_with_identical_answers(self):
@@ -333,7 +333,7 @@ class TestChunkedBIDJ:
                     list(range(10)), list(range(20, 30)), list(range(40, 50))
                 ],
                 k=5,
-                d=6,
+                measure=DHTMeasure(d=6),
             )
 
         capped_spec, ceiling = spec(), 16 * 200 * 2

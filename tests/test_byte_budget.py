@@ -58,7 +58,7 @@ def _case_id(case):
 def _oracle(measure_name, left=LEFT, right=RIGHT):
     measure = MEASURES[measure_name]
     ctx = make_context(GRAPH, left, right, measure=measure)
-    return scores_for(GRAPH, ctx.d, params=ctx.params, measure=ctx.measure)
+    return scores_for(GRAPH, ctx.d, measure=ctx.measure)
 
 
 def _two_way(algorithm, measure_name, cached, budget=None, k=10):
@@ -66,7 +66,7 @@ def _two_way(algorithm, measure_name, cached, budget=None, k=10):
     engine = WalkEngine(GRAPH)
     cache = None
     if cached:
-        key = make_context(GRAPH, LEFT, RIGHT, measure=measure).cache_params
+        key = make_context(GRAPH, LEFT, RIGHT, measure=measure).measure.cache_key()
         cache = WalkCache(engine, key)
     result = two_way_join(
         GRAPH, LEFT, RIGHT, k, algorithm=algorithm, measure=measure,

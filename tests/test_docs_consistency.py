@@ -80,8 +80,8 @@ def test_algorithms_handbook_strategy_table_matches_driver():
         strategy, *cells = [
             cell.strip().strip("`") for cell in line.strip("|").split("|")
         ]
-        documented[(strategy, False)] = tuple(cells[:2])
-        documented[(strategy, True)] = tuple(cells[2:])
+        documented[(strategy, True)] = tuple(cells[:2])  # is_dht
+        documented[(strategy, False)] = tuple(cells[2:])
     assert documented == STRATEGIES
 
 

@@ -20,17 +20,14 @@ from oracles import (
     simrank_scores,
 )
 from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
+from repro.api import run as api_run
 from repro.core.dht import DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.bounds import YBound
 from repro.core.two_way.base import TwoWayContext, make_context, sort_pairs
-from repro.extensions.measures import (
-    DHTMeasure,
-    TruncatedPPR,
-    measure_by_name,
-)
+from repro.extensions.measures import DHTMeasure, TruncatedPPR
 from repro.extensions.series_join import (
     SeriesBackwardJoin,
     SeriesIDJ,
@@ -45,6 +42,7 @@ from repro.graph.builders import (
 )
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
+from repro.query import TwoWayRequest, resolve_measure
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 from repro.walks.kernels import DHTBlockKernel, PPRBlockKernel, as_block_kernel
@@ -486,7 +484,7 @@ class TestSeriesIDJResumable:
         measure = TruncatedPPR(damping=0.7, epsilon=1e-6)
         engine = WalkEngine(random_graph)
         sources = list(range(8))
-        weights = [measure.tail_weight(i) for i in range(1, measure.d + 1)]
+        weights = measure.tail_weights(measure.d)
         bound = YBound(engine, weights, sources, measure.d)
         full = ppr_scores(random_graph, measure.damping, measure.d).T
         for level in (1, 2, 4):
@@ -549,12 +547,16 @@ class TestMeasureNWay:
             )
 
     def test_measure_spec_rejects_dht_configuration(self, random_graph):
-        with pytest.raises(GraphValidationError, match="fixes its own"):
+        """A spec holds one measure value and no DHT options; the options
+        resolve before it exists, and a measure rejects them."""
+        with pytest.raises(TypeError):
             NWayJoinSpec(
                 graph=random_graph, query_graph=QueryGraph.chain(2),
                 node_sets=[[0], [1]], k=1,
                 measure=TruncatedPPR(), d=4,
             )
+        with pytest.raises(GraphValidationError, match="fixes its own"):
+            resolve_measure(TruncatedPPR(), d=4)
 
     def test_nway_rejects_unknown_algorithm(self, random_graph):
         with pytest.raises(GraphValidationError, match="DHT-only"):
@@ -593,8 +595,8 @@ class TestMeasureCacheIsolation:
         ppr_bounds = BoundPlanCache(engine, ppr.cache_key())
         with pytest.raises(GraphValidationError, match="measure configuration"):
             TwoWayContext(
-                graph=random_graph, params=params, left=[0], right=[5],
-                d=4, engine=engine, bound_cache=ppr_bounds,
+                graph=random_graph, left=[0], right=[5], engine=engine,
+                bound_cache=ppr_bounds, measure=DHTMeasure(params, d=4),
             )
 
     def test_cache_rejects_cross_measure_adoption(self, random_graph, params):
@@ -660,12 +662,16 @@ class TestMeasureCacheIsolation:
 
 class TestMeasureRegistryAndApi:
     def test_measure_by_name(self):
-        assert measure_by_name("dht") is None
-        assert measure_by_name("DHT-Lambda") is None
-        assert isinstance(measure_by_name("ppr"), TruncatedPPR)
-        assert isinstance(measure_by_name("simrank"), SimRankMeasure)
+        """Every name resolves to a measure value, DHT's included."""
+        assert resolve_measure("dht").params == DHTParams.dht_lambda(0.2)
+        assert resolve_measure("DHT-Lambda").params == DHTParams.dht_lambda(0.2)
+        assert resolve_measure("dht-e").params == DHTParams.dht_e()
+        assert isinstance(resolve_measure("ppr"), TruncatedPPR)
+        assert isinstance(resolve_measure("simrank"), SimRankMeasure)
         with pytest.raises(GraphValidationError, match="unknown measure"):
-            measure_by_name("katz")
+            resolve_measure("katz")
+        with pytest.raises(GraphValidationError, match="fixes its own"):
+            resolve_measure("dht-e", epsilon=1e-3)
 
     def test_api_two_way_measure_routing(self, random_graph):
         from repro.api import two_way_join
@@ -731,15 +737,14 @@ class TestMeasureRegistryAndApi:
 
 
 class TestOneConfigurationRule:
-    """Every entry point asks :func:`resolve_config` and nothing else."""
+    """Every entry point asks :func:`resolve_measure` and nothing else."""
 
     ENTRY_POINTS = {
         "make_context": lambda g, m, **kw: make_context(
             g, [0, 1], [5, 6], measure=m, **kw
         ),
-        "NWayJoinSpec": lambda g, m, **kw: NWayJoinSpec(
-            graph=g, query_graph=QueryGraph.chain(2), node_sets=[[0, 1], [5]],
-            k=1, measure=m, **kw,
+        "run": lambda g, m, **kw: api_run(
+            g, TwoWayRequest([0, 1], [5, 6], 1, measure=m, **kw)
         ),
         "two_way_join": lambda g, m, **kw: two_way_join(
             g, [0, 1], [5, 6], k=1, measure=m, **kw
@@ -758,11 +763,9 @@ class TestOneConfigurationRule:
     def test_a_measure_rejects_dht_options_with_one_message(
         self, random_graph, entry_point, option
     ):
-        from repro.core.two_way.base import resolve_config
-
         value = self.OPTIONS[option]
         with pytest.raises(GraphValidationError) as expected:
-            resolve_config(measure=TruncatedPPR(), **{option: value})
+            resolve_measure(TruncatedPPR(), **{option: value})
         with pytest.raises(GraphValidationError) as got:
             self.ENTRY_POINTS[entry_point](
                 random_graph, TruncatedPPR(), **{option: value}
@@ -775,7 +778,10 @@ class TestOneConfigurationRule:
         from repro.service import ExplainRequest, QueryService
 
         assert self.ENTRY_POINTS["make_context"](random_graph, None).d == 8
-        assert self.ENTRY_POINTS["NWayJoinSpec"](random_graph, None).d == 8
+        assert NWayJoinSpec(
+            graph=random_graph, query_graph=QueryGraph.chain(2),
+            node_sets=[[0, 1], [5]], k=1,
+        ).d == 8
         with QueryService(random_graph, workers=1) as service:
             plan = service.query(
                 ExplainRequest(((0, 1),), ((0, 1), (5,)), k=1)

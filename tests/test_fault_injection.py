@@ -199,7 +199,7 @@ class TestCorruptedBlockInBasicJoin:
     def _measure(name):
         from repro.extensions.measures import DHTMeasure, TruncatedPPR
 
-        return {"dht": None, "dht-measure": DHTMeasure(), "ppr": TruncatedPPR()}[name]
+        return {"dht": DHTMeasure(), "ppr": TruncatedPPR()}[name]
 
     def _faulted(self, workload, name, cached, max_fires):
         """Engine, cache, injector and the ``two_way_join`` keywords of
@@ -207,15 +207,7 @@ class TestCorruptedBlockInBasicJoin:
         graph, _, _ = workload
         measure = self._measure(name)
         engine = WalkEngine(graph)
-        cache = None
-        if cached:
-            from repro.core.dht import DHTParams
-
-            cache = WalkCache(
-                engine,
-                DHTParams.dht_lambda(0.2) if measure is None
-                else measure.cache_key(),
-            )
+        cache = WalkCache(engine, measure.cache_key()) if cached else None
         injector = FaultInjector(
             5, faults=("nan",), rate=1.0, start_after=3, max_fires=max_fires
         )
@@ -226,7 +218,7 @@ class TestCorruptedBlockInBasicJoin:
         return engine, cache, injector, kwargs
 
     @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("name", ["dht", "dht-measure", "ppr"])
+    @pytest.mark.parametrize("name", ["dht", "ppr"])
     def test_one_nan_is_rewalked(self, workload, name, cached):
         graph, left, right = workload
         expected = two_way_join(
@@ -238,12 +230,12 @@ class TestCorruptedBlockInBasicJoin:
         assert result.exact and result.results == expected.results
         assert engine.stats.degradations == 1
         if cached:  # every target donated at full depth, none poisoned
-            depth = 8 if name == "dht" else self._measure(name).d
+            depth = self._measure(name).d
             for q in right:
                 assert np.isfinite(cache.peek(q, depth)).all()
 
     @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("name", ["dht", "dht-measure", "ppr"])
+    @pytest.mark.parametrize("name", ["dht", "ppr"])
     def test_a_broken_environment_still_surfaces(self, workload, name, cached):
         from repro.exec.budget import CorruptedWalkError
         from repro.walks.rounds import REWALK_ATTEMPTS

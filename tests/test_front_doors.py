@@ -18,9 +18,12 @@ from repro import api
 from repro.cli import main as cli_main
 from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
+from repro.core.nway.spec import NWayJoinSpec
+from repro.core.two_way.base import TwoWayContext
 from repro.exec.budget import QueryBudget
 from repro.graph.builders import erdos_renyi
 from repro.graph.io import read_edge_list, write_edge_list, write_node_sets
+from repro.graph.validation import GraphValidationError
 from repro.query import (
     ExplainRequest,
     MultiWayRequest,
@@ -32,11 +35,11 @@ from repro.service import STATUS_ERROR, QueryService
 SETS = {"A": list(range(12)), "B": list(range(40, 80)), "C": list(range(90, 110))}
 CHAIN = QueryGraph.chain(3, names=["A", "B", "C"])
 #: The measure name the requests carry, and the CLI flags that build the
-#: same measure (``--measure ppr`` takes its depth from ``--epsilon``,
-#: whose default is DHT's 1e-6; the named measure's is 1e-4).
+#: same measure.
 MEASURES = {
     None: ["--measure", "dht-lambda"],
-    "ppr": ["--measure", "ppr", "--epsilon", "1e-4"],
+    "dht-e": ["--measure", "dht-e"],
+    "ppr": ["--measure", "ppr"],
 }
 
 
@@ -179,6 +182,10 @@ def test_keyword_entry_points_take_every_query_option(workspace, field):
         api.two_way_join, api.multi_way_join, api.explain_multi_way_plan
     ):
         assert field not in inspect.signature(entry_point).parameters
+    # Below the api a query's options are one measure value.
+    if field != "measure":
+        for below in (TwoWayContext, NWayJoinSpec):
+            assert field not in {f.name for f in dataclasses.fields(below)}
     assert _rows(api.two_way_join(graph, SETS["A"], SETS["B"], 3, **option)) \
         == _rows(api.run(graph, TwoWayRequest(SETS["A"], SETS["B"], 3, **option)))
     assert _rows(api.multi_way_join(graph, CHAIN, sets, 3, **option)) == _rows(
@@ -203,3 +210,79 @@ def test_requests_are_values_not_validators():
     assert ExplainRequest([(0, 1)], [[1], [2]], 1).plan == "auto"
     with pytest.raises(TypeError):
         TwoWayRequest((1,), (2,), 1, "b-bj", "ppr")  # options are keyword-only
+
+
+def test_dht_names_are_their_variant_at_every_door(workspace):
+    """``"dht-e"`` is DHT_e wherever it is named; ``None`` alone is the
+    configured DHT (the paper's ``DHT_lambda(0.2)`` by default)."""
+    graph = workspace[0]
+    named = _rows(api.two_way_join(graph, SETS["A"], SETS["B"], 3, measure="dht-e"))
+    configured = _rows(api.two_way_join(
+        graph, SETS["A"], SETS["B"], 3, params=DHTParams.dht_e()
+    ))
+    assert named == configured
+    assert named != _rows(api.two_way_join(graph, SETS["A"], SETS["B"], 3))
+
+
+HOSTILE_IDS = [[1.5, 2.7], [True, 3], ["3"], [float("nan")], [np.bool_(True)]]
+
+
+@pytest.mark.parametrize("ids", HOSTILE_IDS, ids=repr)
+def test_requests_reject_non_integral_ids(workspace, ids):
+    graph = workspace[0]
+    with pytest.raises(GraphValidationError, match="node ids must be integers"):
+        TwoWayRequest(ids, SETS["B"], 3)
+    with pytest.raises(GraphValidationError, match="node ids must be integers"):
+        MultiWayRequest(CHAIN.edges, [SETS["A"], ids, SETS["C"]], 3)
+    with pytest.raises(GraphValidationError, match="node ids must be integers"):
+        api.two_way_join(graph, SETS["A"], ids, 3)
+    # Integral values of any integer type are ids.
+    assert TwoWayRequest(np.array([1, 2]), (np.int32(3), 4.0), 1).left == (1, 2)
+
+
+@pytest.mark.parametrize("ids", [[1.5, 2.9], [True, 3]], ids=repr)
+def test_request_file_rejects_non_integral_ids(workspace, capsys, ids):
+    graph, graph_path, sets_path, root = workspace
+    requests_path = root / "hostile-ids.json"
+    requests_path.write_text(json.dumps(
+        [{"type": "two-way", "left": ids, "right": "B", "k": 3}]
+    ))
+    code = cli_main([
+        "serve", str(graph_path), "--sets", str(sets_path), "--requests",
+        str(requests_path), "--workers", "1", "--json",
+    ])
+    assert code == 2
+    assert "request #0" in capsys.readouterr().err
+
+
+HOSTILE_CONFIG = [
+    ("d", 2.5), ("d", True), ("d", "3"), ("d", 0),
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -1e-3),
+]
+
+
+@pytest.mark.parametrize("field,value", HOSTILE_CONFIG, ids=repr)
+def test_hostile_dht_configuration_is_a_validation_error(workspace, field, value):
+    """A bad ``d`` or ``epsilon`` is refused when the options resolve,
+    before any walk — never a ``TypeError`` from the walk layer."""
+    graph = workspace[0]
+    from repro.walks.engine import WalkEngine
+
+    engine = WalkEngine(graph)
+    with pytest.raises(GraphValidationError):
+        api.run(
+            graph, TwoWayRequest(SETS["A"], SETS["B"], 3, **{field: value}),
+            engine=engine,
+        )
+    assert engine.stats.propagation_steps == 0
+    with pytest.raises(GraphValidationError):
+        QueryService(graph, workers=1, **{field: value})
+    with QueryService(graph, workers=1) as service:
+        response = service.query(
+            MultiWayRequest(
+                CHAIN.edges, [SETS[name] for name in "ABC"], 3,
+                **{field: value},
+            )
+        )
+        assert response.status == STATUS_ERROR
+        assert service.engine.stats.propagation_steps == 0

@@ -8,6 +8,7 @@ instance, for every query shape and monotone aggregate.
 import numpy as np
 import pytest
 
+from repro.core.dht import DHTMeasure
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.nested_loop import NestedLoopJoin
@@ -26,7 +27,7 @@ def make_spec(graph, query, sets, k, aggregate=MIN, d=6):
         node_sets=[list(s) for s in sets],
         k=k,
         aggregate=aggregate,
-        d=d,
+        measure=DHTMeasure(d=d),
     )
 
 
@@ -46,14 +47,7 @@ class TestSpecValidation:
 
     def test_d_and_epsilon_exclusive(self, graph):
         with pytest.raises(GraphValidationError):
-            NWayJoinSpec(
-                graph=graph,
-                query_graph=QueryGraph.chain(2),
-                node_sets=[[0], [1]],
-                k=1,
-                d=4,
-                epsilon=1e-3,
-            )
+            DHTMeasure(d=4, epsilon=1e-3)
 
     def test_default_configuration(self, graph):
         spec = NWayJoinSpec(
@@ -61,7 +55,7 @@ class TestSpecValidation:
             node_sets=[[0], [1]], k=1,
         )
         assert spec.d == 8
-        assert spec.params.decay == 0.2
+        assert spec.measure.params.decay == 0.2
 
     def test_edge_node_sets(self, graph):
         spec = make_spec(graph, QueryGraph.chain(3), [[0], [1], [2]], k=1)
@@ -102,7 +96,7 @@ class TestNestedLoop:
 
         spec = make_spec(graph, QueryGraph.chain(2), [[0], [7]], k=1)
         answer = NestedLoopJoin(spec).run()[0]
-        ctx = make_context(graph, [0], [7], params=spec.params, d=spec.d)
+        ctx = make_context(graph, [0], [7], measure=spec.measure)
         assert answer.score == pytest.approx(float(back_walk(ctx, 7, spec.d)[0]))
 
 

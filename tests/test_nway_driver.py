@@ -31,6 +31,7 @@ import pytest
 
 from oracles import ATOL, assert_top_k, rank_answers, scores_for
 from repro import api
+from repro.core.dht import DHTMeasure
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -58,7 +59,9 @@ ARMS = ("ungoverned", "governed")
 
 
 def _measure(name):
-    return None if name == "dht" else TruncatedPPR(damping=0.85, epsilon=1e-4)
+    if name == "dht":
+        return DHTMeasure(d=5)
+    return TruncatedPPR(damping=0.85, epsilon=1e-4)
 
 
 def _triangle_spec(**spec_kwargs):
@@ -68,8 +71,7 @@ def _triangle_spec(**spec_kwargs):
         query_graph=QueryGraph.triangle(),
         node_sets=[hubs] + leaves,
         k=6,
-        d=FIXTURE._spec_depth(5, spec_kwargs),
-        **spec_kwargs,
+        **FIXTURE._with_measure(5, spec_kwargs),
     )
 
 
@@ -142,8 +144,6 @@ def _run_cell(spec_name, strategy, measure_name, plan, arm, rank_joins):
         measure=template.measure,
         plan=plan,
     )
-    if template.measure is None:
-        kwargs["d"] = template.d
     if arm == "governed":
         kwargs["budget"] = QueryBudget(deadline_ms=60000)
     result = api.multi_way_join(
@@ -246,7 +246,7 @@ EXECUTORS = {
 
 
 def _executor_stats(name):
-    measure = _measure("ppr") if name.startswith("Series") else None
+    measure = _measure("ppr" if name.startswith("Series") else "dht")
     spec = SPECS["chain"][0](measure=measure)
     join = EXECUTORS[name](spec)
     answers = join.run()
@@ -282,7 +282,7 @@ def test_executor_stats_match_golden(name, dense_paths):
 def _oracle_ranking(spec_name, measure_name):
     """Every answer of the spec, ranked by the brute-force oracle."""
     spec = SPECS[spec_name][0](measure=_measure(measure_name))
-    scores = scores_for(spec.graph, spec.d, params=spec.params, measure=spec.measure)
+    scores = scores_for(spec.graph, spec.d, measure=spec.measure)
     return rank_answers(
         [scores] * spec.query_graph.num_edges, spec.node_sets,
         spec.query_graph.edges, spec.aggregate,
@@ -310,11 +310,10 @@ def test_ungoverned_equals_reference(spec_name, strategy, measure_name):
     """A fresh run of every strategy is the oracle's top-``k``."""
     builder, m = SPECS[spec_name]
     spec = builder(measure=_measure(measure_name))
-    kwargs = {} if spec.measure is not None else {"d": spec.d}
     got = api.multi_way_join(
         spec.graph, spec.query_graph, spec.node_sets, spec.k,
         algorithm=strategy, m=m, measure=spec.measure, engine=spec.engine,
-        walk_cache=spec.walk_cache, **kwargs,
+        walk_cache=spec.walk_cache,
     )
     assert len(got) == spec.k
     _assert_oracle_answers(

@@ -41,7 +41,6 @@ import pytest
 from repro import api
 from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
-from repro.core.two_way.base import cache_identity
 from repro.exec.budget import BudgetExhaustedError, PartialResult, QueryBudget
 from repro.extensions.measures import TruncatedPPR
 from repro.graph.builders import preferential_attachment
@@ -88,9 +87,9 @@ def _config(measure_name):
     """``(params, measure)`` keyword arguments and the cache identity."""
     if measure_name == "dht":
         params = DHTParams.dht_lambda(0.2)
-        return {"params": params}, cache_identity(params, None)
+        return {"params": params}, params
     measure = TruncatedPPR(damping=0.85, epsilon=1e-4)
-    return {"measure": measure}, cache_identity(None, measure)
+    return {"measure": measure}, measure.cache_key()
 
 
 def _run_cell(key):

@@ -23,7 +23,7 @@ import pytest
 
 from repro.api import explain_multi_way_plan, multi_way_join
 from repro.bounds_cache import BoundPlanCache
-from repro.core.bounds import YBound, dht_tail_weights
+from repro.core.bounds import YBound
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
@@ -411,7 +411,7 @@ class TestCachePeek:
         built = cache.y_bound(
             left, spec.d,
             lambda: YBound(
-                spec.engine, dht_tail_weights(spec.params, spec.d), left, spec.d
+                spec.engine, spec.measure.tail_weights(spec.d), left, spec.d
             ),
         )
         hits_after_build = cache.stats.y_hits
@@ -424,7 +424,7 @@ class TestCachePeek:
         spec.bound_cache.y_bound(
             spec.node_sets[0], spec.d,
             lambda: YBound(
-                spec.engine, dht_tail_weights(spec.params, spec.d),
+                spec.engine, spec.measure.tail_weights(spec.d),
                 spec.node_sets[0], spec.d,
             ),
         )

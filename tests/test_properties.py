@@ -17,8 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import XBound, YBound, dht_tail_weights
-from repro.core.dht import DHTParams
+from repro.core.bounds import XBound, YBound
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.nested_loop import NestedLoopJoin
 from repro.core.nway.partial_join import PartialJoin
@@ -143,7 +143,7 @@ class TestBoundProperties:
         d = 6
         engine = WalkEngine(graph)
         x_bound = XBound(params, d)
-        y_bound = YBound(engine, dht_tail_weights(params, d), left, d)
+        y_bound = YBound(engine, DHTMeasure(params).tail_weights(d), left, d)
         for q in right:
             series = engine.backward_first_hit_series(q, d)
             for p in left:
@@ -195,7 +195,7 @@ class TestNWayEquivalence:
                 node_sets=[list(s) for s in sets],
                 k=k,
                 aggregate=aggregate,
-                d=5,
+                measure=DHTMeasure(d=5),
             )
 
         reference = NestedLoopJoin(spec()).run()
@@ -221,7 +221,7 @@ class TestNWayEquivalence:
                 node_sets=[list(s) for s in sets],
                 k=k,
                 aggregate=MIN,
-                d=5,
+                measure=DHTMeasure(d=5),
             )
 
         reference = NestedLoopJoin(spec()).run()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_dht_to_target
-from repro.core.dht import DHTParams
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.nested_loop import NestedLoopJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
@@ -95,8 +95,7 @@ class TestDisconnectedComponents:
             query_graph=QueryGraph.chain(3),
             node_sets=[[0, 3], [1, 4], [2, 5]],
             k=4,
-            d=6,
-            params=params,
+            measure=DHTMeasure(params, d=6),
         )
         reference = NestedLoopJoin(spec).run()
         spec2 = NWayJoinSpec(
@@ -104,8 +103,7 @@ class TestDisconnectedComponents:
             query_graph=QueryGraph.chain(3),
             node_sets=[[0, 3], [1, 4], [2, 5]],
             k=4,
-            d=6,
-            params=params,
+            measure=DHTMeasure(params, d=6),
         )
         fast = PartialJoinIncremental(spec2, m=2).run()
         assert np.allclose(

@@ -13,7 +13,7 @@ from repro import api
 from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.exec.budget import BUDGET_REASONS, PartialResult, QueryBudget
-from repro.extensions.measures import measure_by_name
+from repro.query import resolve_measure
 from repro.graph.builders import erdos_renyi
 from repro.graph.io import write_edge_list, write_node_sets
 from repro.service import (
@@ -86,7 +86,7 @@ class TestExecution:
         )
         assert response.ok and response.result.exact
         oracle = api.two_way_join(
-            graph, list(LEFT), list(RIGHT), k=4, measure=measure_by_name("ppr")
+            graph, list(LEFT), list(RIGHT), k=4, measure=resolve_measure("ppr")
         )
         assert rows(response.result.results) == rows(oracle)
 
@@ -182,7 +182,7 @@ class TestCacheSharing:
         assert dht_tier is not ppr_tier
         # Same identity from a name and from a fresh equal instance.
         assert service.cache_tier("ppr") is ppr_tier
-        assert service.cache_tier(measure_by_name("ppr")) is ppr_tier
+        assert service.cache_tier(resolve_measure("ppr")) is ppr_tier
 
     def test_answers_identical_warm_and_cold(self, graph, service):
         request = MultiWayRequest(

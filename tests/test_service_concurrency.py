@@ -27,7 +27,6 @@ from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.exec.budget import BUDGET_REASONS, PartialResult, QueryBudget
-from repro.extensions.measures import measure_by_name
 from repro.graph.builders import erdos_renyi
 from repro.service import MultiWayRequest, QueryService, TwoWayRequest
 from repro.walks.cache import WalkCache
@@ -313,9 +312,7 @@ class TestServiceBattery:
                else type(request)(**{**request.__dict__, "budget": None}))
         if key in cache:
             return cache[key]
-        measure = (
-            measure_by_name(request.measure) if request.measure else None
-        )
+        measure = request.measure
         if isinstance(request, TwoWayRequest):
             common = dict(algorithm=request.algorithm)
             if measure is None:

@@ -56,7 +56,7 @@ class TestBaseHelpers:
     def test_make_context_defaults(self, path4):
         ctx = make_context(path4, [0], [3])
         assert ctx.d == 8  # lambda=0.2, eps=1e-6
-        assert ctx.params.alpha == pytest.approx(1.25)
+        assert ctx.measure.params.alpha == pytest.approx(1.25)
 
     def test_make_context_epsilon(self, path4):
         ctx = make_context(path4, [0], [3], epsilon=1e-3)

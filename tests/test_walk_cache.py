@@ -4,7 +4,7 @@ extension, LRU bounding, and sharing across n-way query edges."""
 import numpy as np
 import pytest
 
-from repro.core.dht import DHTParams
+from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.base import make_context
@@ -244,7 +244,7 @@ class TestCrossEdgeSharing:
             query_graph=query,
             node_sets=[list(range(5)), hub, list(range(20, 25))],
             k=3,
-            params=params,
+            measure=DHTMeasure(params),
         )
         assert spec.walk_cache is not None
         from repro.core.nway.all_pairs import AllPairsJoin
