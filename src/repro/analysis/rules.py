@@ -415,12 +415,12 @@ def _annotation_names(node):
 
 
 def _identity_class_names(tree):
-    """Names returned by any ``cache_key`` method — those classes are
-    cache identities even if not named ``*Kernel``/``*Params``/``*Key``."""
+    """Names returned by any ``kernel`` method — a measure's kernel is
+    its cache identity, even if not named ``*Kernel``/``*Params``/``*Key``."""
     names = set()
     for node in ast.walk(tree):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == "cache_key"):
+                and node.name == "kernel"):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Return) and sub.value is not None:
                     values = (sub.value.elts

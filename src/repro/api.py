@@ -19,7 +19,7 @@ Requests default to the paper's experimental configuration:
 ``d = 8``), ``MIN`` aggregate, and ``m = 50``.  :func:`run` resolves a
 request's measure options once
 (:func:`~repro.query.resolve_measure`) to one measure value — DHT is a
-measure like PPR and SimRank (Section VIII's future-work plan) — which
+measure like PPR (Section VIII's future-work plan) — which
 the one context / spec every join reads carries: the same operators
 run, with the measure's scorer and bound read off the context.
 

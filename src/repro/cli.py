@@ -51,10 +51,11 @@ from repro.exec.budget import (
     QueryBudget,
 )
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.simrank import SimRankMeasure
 from repro.graph.io import read_edge_list, read_node_sets
 from repro.graph.validation import GraphValidationError
-from repro.query import ExplainRequest, MultiWayRequest, TwoWayRequest
+from repro.query import (
+    MEASURE_NAMES, ExplainRequest, MultiWayRequest, TwoWayRequest,
+)
 
 _SHAPES = ("chain", "cycle", "triangle", "star", "clique")
 
@@ -156,17 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-k", type=int, default=10, help="answers to return")
         p.add_argument(
             "--measure",
-            choices=("dht-lambda", "dht-e", "dht", "ppr", "simrank"),
+            choices=MEASURE_NAMES,
             default="dht-lambda",
-            help="proximity measure ('dht' aliases 'dht-lambda'; 'ppr' and "
-                 "'simrank' run the measure-generic join stack)",
+            help="proximity measure ('dht' aliases 'dht-lambda'; 'ppr' "
+                 "runs the measure-generic join stack)",
         )
         p.add_argument("--damping", type=float, default=0.85,
                        help="PPR continuation probability c (--measure ppr)")
-        p.add_argument("--sr-decay", type=float, default=0.8,
-                       help="SimRank decay C (--measure simrank)")
-        p.add_argument("--sr-iterations", type=int, default=10,
-                       help="SimRank fixed-point sweeps (--measure simrank)")
         p.add_argument(
             "--on-budget", choices=ON_BUDGET_POLICIES, default="partial",
             help="what budget exhaustion does: 'partial' (default) "
@@ -314,10 +311,6 @@ def _options(args) -> dict:
     epsilon = {} if args.epsilon is None else {"epsilon": args.epsilon}
     if args.measure == "ppr":
         options["measure"] = TruncatedPPR(damping=args.damping, **epsilon)
-    elif args.measure == "simrank":
-        options["measure"] = SimRankMeasure(
-            decay=args.sr_decay, iterations=args.sr_iterations
-        )
     else:
         options["params"] = (
             DHTParams.dht_e() if args.measure == "dht-e"

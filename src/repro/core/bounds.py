@@ -17,7 +17,7 @@ least as well; the property tests verify this, and Fig. 10(b)'s benchmark
 measures how much it matters.
 
 The same two shapes serve every series measure (Section VIII):
-:class:`YBound` takes the per-step weights, so a measure with
+:class:`YBound` takes the per-step weights, so every measure's
 ``tail_weights(d)`` gets the reach-mass tail, and :class:`ClosedFormTail`
 is a measure's own ``tail_bound(l)``.
 
@@ -174,8 +174,7 @@ class YBound:
 
 class ClosedFormTail:
     """A measure's data-independent tail ``tail_bound(l)`` — its ``X``
-    analogue, for measures without per-step tail weights (SimRank) —
-    for walks of length ``d``."""
+    analogue, what ``B-IDJ-X`` reads — for walks of length ``d``."""
 
     name = "closed-form"
 

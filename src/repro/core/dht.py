@@ -17,8 +17,8 @@ In practice the series is truncated at ``d`` steps (Eq. 4); Lemma 1 gives
 the smallest ``d`` with truncation error at most ``epsilon``.
 
 :class:`DHTMeasure` is DHT as a measure value (coefficients plus depth),
-exactly like PPR and SimRank in :mod:`repro.extensions`: every join
-reads its kernel, floor, bounds and cache key off it.
+exactly like PPR in :mod:`repro.extensions`: every join reads its
+kernel (also the cache identity), floor and bounds off it.
 """
 
 from __future__ import annotations
@@ -196,10 +196,6 @@ class DHTMeasure:
     def kernel(self) -> DHTParams:
         """The params themselves: a :class:`~repro.walks.state.WalkState`
         over them runs the first-hit (absorbing) block kernel of Eq. 5."""
-        return self.params
-
-    def cache_key(self) -> DHTParams:
-        """Walk/bound caches are keyed by the params."""
         return self.params
 
     def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:

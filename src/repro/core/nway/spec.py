@@ -43,7 +43,7 @@ class NWayJoinSpec:
         :class:`repro.extensions.measures.SeriesMeasure` (duck-typed;
         the core layer never imports ``extensions``).  Its ``d`` is the
         truncation depth and both shared caches are keyed by its
-        ``cache_key()``, so a PPR spec and a DHT spec on the same graph
+        ``kernel()``, so a PPR spec and a DHT spec on the same graph
         keep fully isolated cache universes.  ``AP`` / ``PJ`` /
         ``PJ-i`` run every measure (the driver's strategy table picks
         their operators and source); ``NL`` is DHT-only.
@@ -111,7 +111,7 @@ class NWayJoinSpec:
         ]
         if self.engine is None:
             self.engine = WalkEngine(self.graph)
-        key = self.measure.cache_key()
+        key = self.measure.kernel()
         if self.walk_cache is None:
             self.walk_cache = WalkCache(self.engine, key)
         if self.bound_cache is None:

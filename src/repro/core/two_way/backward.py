@@ -56,7 +56,7 @@ from repro.core.two_way.base import (
     TwoWayContext,
 )
 from repro.graph.validation import GraphValidationError
-from repro.walks.rounds import DeepeningRounds, MatrixRounds, columns_for_budget
+from repro.walks.rounds import DeepeningRounds, columns_for_budget
 from repro.walks.state import RestrictedTail
 
 # ``B-BJ``'s block width: 16 columns keeps the dense mass block
@@ -90,22 +90,20 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     return context.measure.backward_scores(context.engine, target, steps)
 
 
-def _rounds(context: TwoWayContext):
+def _rounds(context: TwoWayContext) -> DeepeningRounds:
     """The walk plan of one pass: ``walk_level`` / ``donate_pruned`` /
-    ``repack`` over the measure's kernel (or, without one, its
-    iterates) and the context's cache, under this thread's byte budget."""
-    kernel = context.measure.kernel()
-    if kernel is None:
-        return MatrixRounds(context.engine, context.measure, context.walk_cache)
-    return DeepeningRounds(context.engine, kernel, context.walk_cache)
+    ``repack`` over the measure's kernel and the context's cache, under
+    this thread's byte budget."""
+    return DeepeningRounds(
+        context.engine, context.measure.kernel(), context.walk_cache
+    )
 
 
 def _final_tail(context: TwoWayContext) -> Optional[RestrictedTail]:
     """The plan a final level finishes on: the left set's restricted
-    tail, through the bound cache, exactly when there is a kernel to
-    walk and no cache to feed (so the states keep their prefix at the
-    left rows only)."""
-    if context.walk_cache is not None or context.measure.kernel() is None:
+    tail, through the bound cache, exactly when there is no cache to
+    feed (so the states keep their prefix at the left rows only)."""
+    if context.walk_cache is not None:
         return None
     return context.bound_cache.tail_plan(
         context.left, context.d,
@@ -237,12 +235,9 @@ def y_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     agree on the left set (every edge of a star spec, repeated sets of a
     clique spec — they share one cache via their
     :class:`~repro.core.nway.spec.NWayJoinSpec`) reuse the bound instead
-    of re-propagating.  A measure without ``tail_weights`` (SimRank)
-    gets its closed-form ``x_bound``, uncached.
+    of re-propagating.
     """
     measure, d = context.measure, context.d
-    if getattr(measure, "tail_weights", None) is None:
-        return measure.x_bound(d)
     return context.bound_cache.y_bound(
         context.left, d,
         lambda: YBound(context.engine, measure.tail_weights(d), context.left, d),
@@ -285,9 +280,7 @@ class BackwardIDJ:
     ``propagation_steps`` and a capped ``peak_block_bytes`` in the
     engine stats.  The round machinery itself is
     :class:`~repro.walks.rounds.DeepeningRounds` over the measure's
-    ``kernel()``, so the same loop runs under DHT and under any kernel
-    measure; a kernel-less
-    measure runs :class:`~repro.walks.rounds.MatrixRounds` instead.
+    ``kernel()``, so the same loop runs under every measure.
 
     Parameters
     ----------

@@ -135,7 +135,7 @@ class TwoWayContext:
         truncation depth (Eq. 4); the backward joins read everything
         measure-specific off it — ``kernel()``, ``floor``, and through
         them the scorer, the tail bounds and the deepening rounds.  Both
-        caches are keyed by its ``cache_key()``, so a DHT cache and a
+        caches are keyed by its ``kernel()``, so a DHT cache and a
         PPR cache on the same graph can never be mixed (the validation
         below rejects the swap).  The forward algorithms (``F-*``) are
         DHT-only.
@@ -168,7 +168,7 @@ class TwoWayContext:
         self.right = validate_node_set(self.graph.num_nodes, self.right, "right node set")
         if self.engine is None:
             self.engine = WalkEngine(self.graph)
-        key = self.measure.cache_key()
+        key = self.measure.kernel()
         for name in ("walk_cache", "bound_cache"):
             cache = getattr(self, name)
             if cache is not None and cache.engine is not self.engine:

@@ -256,7 +256,7 @@ class IncrementalTwoWayJoin:
             # context so the caller's object is not mutated.
             context = replace(
                 context,
-                walk_cache=WalkCache(context.engine, context.measure.cache_key()),
+                walk_cache=WalkCache(context.engine, context.measure.kernel()),
             )
         self._ctx = context
         self._bound: ScoreUpperBound = bound_factory(context)

@@ -1,8 +1,8 @@
 """Random-walk proximity measures beyond DHT.
 
-The paper's conclusion (Section VIII) plans to "extend the study of
-n-way join for other proximity measures on graphs, including
-Personalized PageRank [and] SimRank".  The IDJ framework [19] the paper
+The paper's conclusion (Section VIII) plans to extend the study of
+n-way joins to other proximity measures on graphs, Personalized
+PageRank first among them.  The IDJ framework [19] the paper
 builds on supports any measure expressible as a truncated decayed
 series
 
@@ -11,16 +11,17 @@ series
 where ``M_i`` is some per-step walk statistic and ``w_i`` a
 non-negative weight.  :class:`SeriesMeasure` captures that contract —
 per-target *and* batched-block backward kernels plus the tail algebra
-iterative deepening needs — and three families instantiate it:
+iterative deepening needs — and two families instantiate it:
 
 * :class:`~repro.core.dht.DHTMeasure` — the paper's own measure
   (``M_i = P_i``, first-hit probability; absorbing propagation),
   defined in the core layer and re-exported here.
 * :class:`TruncatedPPR` — Personalized PageRank (``M_i = S_i``, the
   *unrestricted* visit probability; plain propagation).
-* :class:`repro.extensions.simrank.SimRankMeasure` — SimRank, whose
-  pairwise-recursive fixed point has no single-propagation kernel; it
-  serves blocks from memoised (and resumable) matrix iterates instead.
+
+Every measure has a block kernel: scores that are not a walk could not
+be planned under a query's byte ceiling (README, "Measures", names the
+measure dropped for that and why).
 
 **Admissibility contract** (what ``B-IDJ`` on a measure context relies
 on — see ``docs/ALGORITHMS.md`` for the worked derivations):
@@ -37,8 +38,8 @@ on — see ``docs/ALGORITHMS.md`` for the worked derivations):
 4. ``x_bound(d)`` is the data-independent tail table ``B-IDJ-X`` reads
    (DHT's Lemma 2 ``X``, else :class:`~repro.core.bounds.ClosedFormTail`
    over ``tail_bound``).
-5. Optionally, ``tail_weights(d)``, the per-step ``w_i * sup M_i`` for
-   ``i = 1 .. d``, enables the data-dependent reach-mass tail
+5. ``tail_weights(d)``, the per-step ``w_i * sup M_i`` for
+   ``i = 1 .. d``, builds the data-dependent reach-mass tail
    :class:`~repro.core.bounds.YBound`
    (Theorem 1, measure-generically: for DHT because first hits are a
    sub-event of visits, for PPR because ``S_i(p, q)`` is one summand of
@@ -50,19 +51,19 @@ per-target ``backward_scores`` at every node ``u != target`` (reflexive
 entries may differ by the kernel's return-walk convention; every join
 excludes ``p == q``).
 
-A measure whose ``kernel()`` is non-``None`` gets the full resumable
-walk layer for free: :class:`~repro.walks.state.WalkState` blocks,
-walk-cache adoption, and the bounded-memory chunked rounds of
-:class:`~repro.walks.rounds.DeepeningRounds` (a ``QueryBudget.max_bytes``
-ceiling with walk-cache spill of overflow survivors).  Matrix-backed
-measures (``kernel() is None``) use only the score-vector half of the
-walk cache and resume through their own memoised iterates.
+6. ``kernel()`` is the measure's block kernel (DHT's params, else a
+   :class:`~repro.walks.kernels.BlockKernel`) and its cache identity:
+   both caches are keyed by it, so every measure gets the full
+   resumable walk layer — :class:`~repro.walks.state.WalkState` blocks,
+   walk-cache adoption, and the bounded-memory rounds of
+   :class:`~repro.walks.rounds.DeepeningRounds` under
+   ``QueryBudget.max_bytes``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -114,20 +115,16 @@ class SeriesMeasure(Protocol):
         """Score of a pair with zero walk statistics (the range floor)."""
         ...
 
-    def cache_key(self) -> object:
-        """Hashable value identity for walk/bound caches.
-
-        Two measures share cached artifacts iff their keys compare
-        equal; distinct measure families must never collide (DHT and
-        PPR kernels are distinct frozen dataclasses by construction).
-        """
+    def tail_weights(self, d: int) -> Sequence[float]:
+        """Per-step ``w_i * sup M_i``, ``i = 1 .. d``: the weights of
+        the reach-mass :class:`~repro.core.bounds.YBound`."""
         ...
 
-    def kernel(self) -> Optional[BlockKernel]:
-        """The resumable block kernel, or ``None`` for matrix-backed
-        measures (no :class:`~repro.walks.state.WalkState` support —
-        and therefore no bounded-memory walk windows or cache spill;
-        such measures resume through their own memoised iterates)."""
+    def kernel(self) -> BlockKernel:
+        """The resumable block kernel, also the value identity of walk
+        and bound caches: two measures share cached artifacts iff their
+        kernels compare equal, and distinct families never collide (DHT
+        and PPR kernels are distinct frozen dataclasses)."""
         ...
 
 
@@ -169,10 +166,6 @@ class TruncatedPPR:
     def kernel(self) -> PPRBlockKernel:
         """The plain-propagation block kernel (weights ``(1-c) c^i``)."""
         return PPRBlockKernel(self.damping)
-
-    def cache_key(self) -> PPRBlockKernel:
-        """Walk/bound caches are keyed by the kernel itself."""
-        return self.kernel()
 
     def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
         """Truncated PPR of every node to ``target`` in one propagation.

@@ -9,14 +9,12 @@ here.  A measure is a field of the one
 three pieces that genuinely differ off it:
 
 * **the scorer** — ``B-BJ`` walks a ``WalkState`` over the measure's
-  kernel and gathers a matrix-backed measure's blocks from
-  :meth:`SeriesMeasure.backward_scores_block`;
+  kernel;
 * **the bound** — ``y_bound_factory``: the reach-mass
   :class:`~repro.core.bounds.YBound` over the measure's
-  ``tail_weights`` through the bound cache, or its closed form;
-* **the rounds** — :class:`~repro.walks.rounds.DeepeningRounds` for
-  every kernel measure, :class:`~repro.walks.rounds.MatrixRounds` when
-  ``kernel() is None``.
+  ``tail_weights`` through the bound cache;
+* **the rounds** — :class:`~repro.walks.rounds.DeepeningRounds` over
+  the measure's kernel.
 
 ``AP`` / ``PJ`` / ``PJ-i`` run measure specs through the driver's
 strategy table.  The classes below are those operators and executors

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.graph.digraph import Graph
-from repro.graph.validation import GraphValidationError
+from repro.graph.validation import GraphValidationError, node_ids
 
 PathLike = Union[str, Path]
 
@@ -75,12 +75,16 @@ def write_node_sets(node_sets: Dict[str, Sequence[int]], path: PathLike) -> None
 
 
 def read_node_sets(path: PathLike) -> Dict[str, List[int]]:
-    """Read node sets written by :func:`write_node_sets`."""
+    """Read node sets written by :func:`write_node_sets`; ids go through
+    the requests' :func:`~repro.graph.validation.node_ids` check."""
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise GraphValidationError(f"{path}: expected a JSON object of node sets")
-    return {str(name): [int(u) for u in nodes] for name, nodes in data.items()}
+    try:
+        return {str(name): list(node_ids(nodes)) for name, nodes in data.items()}
+    except GraphValidationError as exc:
+        raise GraphValidationError(f"{path}: {exc}") from None
 
 
 def write_labels(labels: Sequence[str], path: PathLike) -> None:

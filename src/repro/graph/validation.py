@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Tuple
 
+import numpy as np
+
 
 class GraphValidationError(ValueError):
     """Raised when a graph, node set, or query input is malformed."""
@@ -54,6 +56,22 @@ def validate_edges(
         key = (u, v)
         merged[key] = merged.get(key, 0.0) + w
     return merged
+
+
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def node_ids(values: Iterable) -> Tuple[int, ...]:
+    """``values`` as ints; a bool or non-integral id is an error, never
+    truncated (``1.5``, ``True`` and ``"3"`` are all rejected)."""
+    try:
+        values = tuple(values)
+        ids = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ids = None
+    if ids != values or _BOOLS & set(map(type, values)):
+        raise GraphValidationError(f"node ids must be integers, got {values!r}")
+    return ids
 
 
 def validate_node_set(graph_num_nodes: int, nodes: Iterable[int], name: str = "node set"):

@@ -65,8 +65,8 @@ _SERIES_CANDIDATES = {
     "ap": ("basic",),
 }
 
-# Operator name -> cost-model kind.  "idj" resolves per measure (a
-# tail_weights measure gets the reach-mass Y cost, SimRank the X form).
+# Operator name -> cost-model kind.  The series "idj" runs the measure's
+# reach-mass Y bound, so it costs as "idj-y".
 _OPERATOR_KINDS = {
     "b-bj": "basic",
     "basic": "basic",
@@ -74,6 +74,7 @@ _OPERATOR_KINDS = {
     "b-idj-x": "idj-x",
     "f-bj": "f-bj",
     "f-idj": "f-idj",
+    "idj": "idj-y",
 }
 
 
@@ -272,21 +273,14 @@ def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, .
     return candidates
 
 
-def _operator_kind(operator: str, measure) -> str:
-    if operator == "idj":
-        has_tail = getattr(measure, "tail_weights", None) is not None
-        return "idj-y" if has_tail else "idj-x"
+def _operator_kind(operator: str) -> str:
     try:
         return _OPERATOR_KINDS[operator]
     except KeyError:
         raise GraphValidationError(
             f"unknown plan operator {operator!r}; "
-            f"choose from {sorted(_OPERATOR_KINDS) + ['idj']}"
+            f"choose from {sorted(_OPERATOR_KINDS)}"
         ) from None
-
-
-def _uses_y_bound(operator: str, measure) -> bool:
-    return _operator_kind(operator, measure) == "idj-y"
 
 
 def _tail_ratio(spec, left: Sequence[int], right: Sequence[int]) -> Optional[float]:
@@ -336,10 +330,10 @@ def _estimate_edge(
     overlap = resident.overlap(right)
     best = None
     for operator in candidates:
-        kind = _operator_kind(operator, spec.measure)
+        kind = _operator_kind(operator)
         y_cached = False
         tail_ratio = None
-        if _uses_y_bound(operator, spec.measure):
+        if kind == "idj-y":
             from repro.bounds_cache import BoundPlanCache
 
             key = BoundPlanCache.node_set_key(left)
@@ -371,10 +365,10 @@ def _commit_edge(
 ) -> None:
     """Update the planning state after scheduling edge ``e``."""
     left, right = edge_sets[e]
-    kind = _operator_kind(operator, spec.measure)
+    kind = _operator_kind(operator)
     if kind in ("basic", "idj-y", "idj-x"):
         resident.admit(right)
-    if _uses_y_bound(operator, spec.measure) and getattr(spec, "bound_cache", None) is not None:
+    if kind == "idj-y" and getattr(spec, "bound_cache", None) is not None:
         from repro.bounds_cache import BoundPlanCache
 
         built_y.add(BoundPlanCache.node_set_key(left))

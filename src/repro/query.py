@@ -9,7 +9,7 @@ entry points, the query service and the CLI all build one and call it.
 
 :func:`resolve_measure` turns the measure options into the one measure
 value every join below the api reads — DHT included: a
-:class:`~repro.core.dht.DHTMeasure` is a measure like PPR and SimRank.
+:class:`~repro.core.dht.DHTMeasure` is a measure like PPR.
 
 Requests are unvalidated values: construction only normalises node ids
 to tuples of ints (rejecting a non-integral or bool id), so any other
@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.aggregates import MIN, Aggregate
 from repro.exec.budget import QueryBudget
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.simrank import SimRankMeasure
-from repro.graph.validation import GraphValidationError
+from repro.graph.validation import GraphValidationError, node_ids
 
 #: Every measure name, each its measure's default configuration.
 _NAMED = {
@@ -37,13 +34,12 @@ _NAMED = {
     "dht-lambda": DHTMeasure,
     "dht-e": lambda: DHTMeasure(DHTParams.dht_e()),
     "ppr": TruncatedPPR,
-    "simrank": SimRankMeasure,
 }
 MEASURE_NAMES = tuple(sorted(_NAMED))
 
 #: What an object needs to be a measure (the ``SeriesMeasure`` contract
-#: the contexts and caches read).
-_MEASURE_CONTRACT = ("d", "floor", "cache_key", "kernel")
+#: the joins, bounds and caches read).
+_MEASURE_CONTRACT = ("d", "floor", "kernel", "tail_weights", "x_bound")
 
 
 def resolve_measure(
@@ -80,7 +76,8 @@ def resolve_measure(
     if isinstance(measure, str):
         if measure.lower() not in _NAMED:
             raise GraphValidationError(
-                f"unknown measure {measure!r}; choose from {list(MEASURE_NAMES)}"
+                f"unknown measure {measure!r}; choose from "
+                f"{', '.join(MEASURE_NAMES)}"
             )
         return _NAMED[measure.lower()]()
     if all(hasattr(measure, a) for a in _MEASURE_CONTRACT):
@@ -91,24 +88,6 @@ def resolve_measure(
     )
 
 
-_BOOLS = frozenset({bool, np.bool_})
-
-
-def _node_ids(values) -> Tuple[int, ...]:
-    """``values`` as ints; a bool or non-integral id is an error, never
-    truncated."""
-    values = tuple(values)
-    try:
-        ids = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ids = None
-    if ids != values or _BOOLS & set(map(type, values)):
-        raise GraphValidationError(
-            f"node ids must be integers, got {list(values)!r}"
-        )
-    return ids
-
-
 @dataclass(frozen=True, kw_only=True)
 class QueryOptions:
     """The options every query takes, each declared once.
@@ -116,7 +95,7 @@ class QueryOptions:
     ``measure``
         ``None`` (DHT configured by ``params`` / ``d`` / ``epsilon``, or
         the service's configured DHT), a name (``"dht"``,
-        ``"dht-lambda"``, ``"dht-e"``, ``"ppr"``, ``"simrank"``), or a
+        ``"dht-lambda"``, ``"dht-e"``, ``"ppr"``), or a
         measure instance (:class:`~repro.core.dht.DHTMeasure` or any
         :class:`~repro.extensions.measures.SeriesMeasure`): the same
         operators run, with the measure's scorer and bound read off the
@@ -169,8 +148,8 @@ class TwoWayRequest(QueryOptions):
     algorithm: str = "b-idj-y"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", _node_ids(self.left))
-        object.__setattr__(self, "right", _node_ids(self.right))
+        object.__setattr__(self, "left", node_ids(self.left))
+        object.__setattr__(self, "right", node_ids(self.right))
 
 
 @dataclass(frozen=True)
@@ -218,7 +197,7 @@ class MultiWayRequest(QueryOptions):
         )
         object.__setattr__(
             self, "node_sets",
-            tuple([_node_ids(nodes) for nodes in self.node_sets]),
+            tuple([node_ids(nodes) for nodes in self.node_sets]),
         )
 
 

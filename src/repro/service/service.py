@@ -181,7 +181,7 @@ class QueryService:
         self._stats_lock = threading.Lock()
         self._acc = StatsAccumulator()
         # One (WalkCache, BoundPlanCache) pair per measure identity —
-        # measure.cache_key(), DHTParams for DHT.  Identities are value
+        # measure.kernel(), DHTParams for DHT.  Identities are value
         # objects, so every request naming the same measure
         # configuration lands in the same shared tier.
         self._tiers: Dict[object, Tuple[WalkCache, BoundPlanCache]] = {}
@@ -488,7 +488,7 @@ class QueryService:
         return self._dht if measure is None else resolve_measure(measure)
 
     def _tier_for(self, measure) -> Tuple[WalkCache, BoundPlanCache]:
-        key = measure.cache_key()
+        key = measure.kernel()
         with self._tiers_lock:
             tier = self._tiers.get(key)
             if tier is None:

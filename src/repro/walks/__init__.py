@@ -5,8 +5,8 @@ block propagation
 (:meth:`WalkEngine.backward_first_hit_block`), resumable walk state
 (:class:`WalkState`), the cross-join :class:`WalkCache`, and the
 deepening-round machinery (:class:`DeepeningRounds`: bounded-memory
-windows + walk-cache spill, for ``B-IDJ`` under DHT or any kernel
-measure; :class:`MatrixRounds` for a matrix-backed measure).
+windows + walk-cache spill, for ``B-BJ`` and ``B-IDJ`` under every
+measure's kernel).
 """
 
 from repro.walks.cache import WalkCache, WalkCacheStats
@@ -17,14 +17,13 @@ from repro.walks.kernels import (
     PPRBlockKernel,
     as_block_kernel,
 )
-from repro.walks.rounds import DeepeningRounds, MatrixRounds
+from repro.walks.rounds import DeepeningRounds
 from repro.walks.state import WalkState
 
 __all__ = [
     "BlockKernel",
     "DHTBlockKernel",
     "DeepeningRounds",
-    "MatrixRounds",
     "PPRBlockKernel",
     "WalkCache",
     "WalkCacheStats",

@@ -8,15 +8,13 @@ and clique query specs, ``PJ``'s restart refills, ``PJ-i``'s F-structure
 refinements) repeatedly ask for the same ``(target, level)`` walks; the
 cache answers those from memory instead of re-propagating.
 
-The cache is measure-generic: build it with
-:class:`~repro.core.dht.DHTParams` (the DHT first-hit kernel), any
-:class:`~repro.walks.kernels.BlockKernel` (e.g. PPR), or — for
-matrix-backed measures with no propagation kernel, like SimRank — any
-hashable cache identity, in which case only the score-vector layer is
-usable (``peek`` / ``put_scores``; the resumable layer needs a kernel).
-One cache per ``(graph, measure)``: entries of different measures never
-share a cache, which :class:`repro.core.two_way.base.TwoWayContext`
-validates and :meth:`WalkCache.adopt` enforces for donated states.
+The cache is measure-generic: build it with a measure's ``kernel()`` —
+:class:`~repro.core.dht.DHTParams` (the DHT first-hit kernel) or any
+:class:`~repro.walks.kernels.BlockKernel` (e.g. PPR); anything else is
+rejected when the cache is built.  One cache per ``(graph, measure)``:
+entries of different measures never share a cache, which
+:class:`repro.core.two_way.base.TwoWayContext` validates and
+:meth:`WalkCache.adopt` enforces for donated states.
 
 Two layers per target, bounded by an LRU over targets (and, when
 ``max_bytes`` is set, by a strict byte-denominated LRU budget over the
@@ -54,7 +52,7 @@ import numpy as np
 from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
 from repro.walks.engine import WalkEngine
-from repro.walks.kernels import as_block_kernel
+from repro.walks.kernels import BlockKernel, as_block_kernel
 from repro.walks.state import WalkState
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.dht imports repro.walks
@@ -104,10 +102,11 @@ class WalkCache:
     engine:
         The graph's walk engine; all cached walks run on it.
     params:
-        The measure identity: DHT coefficients, a block kernel, or any
-        hashable value object.  Cached vectors are only valid for this
-        exact configuration — build one cache per ``(graph, measure)``
-        pair.
+        The measure identity, its ``kernel()``: DHT coefficients or a
+        block kernel (anything else raises
+        :class:`~repro.graph.validation.GraphValidationError`).  Cached
+        vectors are only valid for this exact configuration — build one
+        cache per ``(graph, measure)`` pair.
     max_targets:
         LRU bound on the number of distinct targets retained (each
         target costs a few length-``n`` float64 vectors).
@@ -137,7 +136,7 @@ class WalkCache:
     def __init__(
         self,
         engine: WalkEngine,
-        params: "DHTParams | object",
+        params: "DHTParams | BlockKernel",
         max_targets: int = 256,
         max_bytes: Optional[int] = None,
     ) -> None:
@@ -151,6 +150,7 @@ class WalkCache:
             )
         self._engine = engine
         self._params = params
+        self._kernel = as_block_kernel(params)
         self._max_targets = max_targets
         self._max_bytes = max_bytes
         self._entries: "OrderedDict[int, _TargetEntry]" = OrderedDict()
@@ -165,7 +165,7 @@ class WalkCache:
         return self._engine
 
     @property
-    def params(self) -> "DHTParams | object":
+    def params(self) -> "DHTParams | BlockKernel":
         """The measure identity cached scores were folded with."""
         return self._params
 
@@ -310,7 +310,7 @@ class WalkCache:
         if state is not None and state.level <= level:
             resumed_from = state.level
         else:
-            state = WalkState(self._engine, self._params, [target])
+            state = WalkState(self._engine, self._kernel, [target])
         try:
             state.advance_to(level)
         except CorruptedWalkError:
@@ -322,7 +322,7 @@ class WalkCache:
             entry.state = None
             self._account(target)
             resumed_from = 0
-            state = WalkState(self._engine, self._params, [target])
+            state = WalkState(self._engine, self._kernel, [target])
             state.advance_to(level)
         if resumed_from > 0:
             self.stats.extensions += 1
@@ -403,18 +403,7 @@ class WalkCache:
             raise GraphValidationError(
                 f"adopt() takes a single-column state, got width {state.width}"
             )
-        try:
-            expected = as_block_kernel(self._params)
-        except GraphValidationError:
-            # Matrix-backed measures (e.g. SimRank) have no propagation
-            # kernel, so there is nothing a donated state could ever be
-            # resumed with — a distinct error from a kernel mismatch.
-            raise GraphValidationError(
-                "cannot adopt a resumable state: this cache's measure has "
-                "no resumable walk layer (only score vectors are cached "
-                "for matrix-backed measures)"
-            ) from None
-        if state.kernel != expected:
+        if state.kernel != self._kernel:
             raise GraphValidationError(
                 "adopted state was walked under a different measure kernel "
                 "than this cache"

@@ -27,11 +27,6 @@ which is what keeps DHT and PPR entries from ever colliding on the same
 graph — see :func:`as_block_kernel` and the context validation in
 :class:`repro.core.two_way.base.TwoWayContext`.
 
-Measures with no single-propagation backward kernel (SimRank's
-pairwise-recursive fixed point) have no block kernel; they implement the
-:class:`repro.extensions.measures.SeriesMeasure` block contract directly
-and use only the score-vector half of the walk cache.
-
 The module also holds the step those kernels fold: :func:`dense_step`,
 the one CSR x dense product of the walk layer.  It writes into a
 buffer its caller owns, splits the output rows across idle cores when
@@ -399,10 +394,8 @@ def as_block_kernel(params) -> BlockKernel:
     Accepts a kernel (returned as-is) or a
     :class:`~repro.core.dht.DHTParams`-shaped object (wrapped in a
     :class:`DHTBlockKernel`, preserving the pre-measure-generic
-    behaviour of every DHT call site).  Anything else — e.g. the cache
-    identity of a matrix-backed measure like SimRank, which has no
-    single-propagation kernel — is rejected, so a resumable walk can
-    never silently run under the wrong algebra.
+    behaviour of every DHT call site).  Anything else is rejected, so a
+    resumable walk can never silently run under the wrong algebra.
     """
     if (
         hasattr(params, "absorbing")

@@ -9,14 +9,12 @@ resolved group of targets, keeping one resumable
 :class:`~repro.walks.state.WalkState` block so level ``2l`` extends
 level ``l`` instead of restarting.  :class:`DeepeningRounds` is that
 plan, so the bounded-memory mode — and its spill policy — exist exactly
-once; :class:`MatrixRounds` is its twin for a matrix-backed measure
-(``kernel() is None``), whose levels are gathers from the measure's own
-iterates.  Full length-``n`` score vectors are finalised only to be
-donated to a walk cache; a cache-less round never builds one (its
-states keep their prefix at the rows only).  The cache is read and fed
-per group of targets: :func:`triage` (shared with
-:class:`MatrixRounds`) is one ``peek_block``, a walked part is donated
-with one ``put_block``.
+once, for every measure (each has a block kernel).  Full length-``n``
+score vectors are finalised only to be donated to a walk cache; a
+cache-less round never builds one (its states keep their prefix at the
+rows only).  The cache is read and fed per group of targets:
+:func:`triage` is one ``peek_block``, a walked part is donated with one
+``put_block``.
 
 **The ceiling** is the calling thread's ``QueryBudget.max_bytes`` —
 the one walk-block ceiling, read once per join by
@@ -478,67 +476,3 @@ class DeepeningRounds:
         for j in columns:
             self._cache.adopt(state.extract_column(j))
 
-
-class MatrixRounds:
-    """The deepening rounds of a matrix-backed measure (``kernel() is
-    None``), with :class:`DeepeningRounds`' interface.
-
-    There is nothing to resume in walk space: a level is a batched
-    gather from the measure's memoised iterates
-    (``measure.backward_scores_block``), which the measure itself
-    resumes.  A byte ceiling only clamps the gather width — the
-    iterate's dense ``O(n^2)`` memory lives in the measure, outside the
-    walk layer's budget — and only score vectors reach the walk cache.
-    """
-
-    def __init__(
-        self,
-        engine: WalkEngine,
-        measure: object,
-        cache: Optional[WalkCache],
-    ) -> None:
-        self._engine = engine
-        self._measure = measure
-        self._cache = cache
-        self._max_cols = columns_for_budget(engine)
-
-    def walk_level(
-        self, active: Sequence[int], level: int, rows: np.ndarray,
-        consume: Consumer, tail: Optional[RestrictedTail] = None,
-    ) -> None:
-        """Feed every active target's ``level`` scores at node ids
-        ``rows`` to ``consume(targets, block)``: the cached targets as
-        one block, the rest gathered in chunks under the byte ceiling
-        (``tail`` is unused: nothing here walks)."""
-        engine, cache = self._engine, self._cache
-        hits, hit_block, pending = triage(engine, cache, active, level, rows)
-        if hits:
-            consume(hits, hit_block)
-        while pending:
-            width = len(pending) if self._max_cols is None else self._max_cols
-            group = pending[: max(width, 1)]
-            try:
-                engine.checkpoint("round")
-                block = self._measure.backward_scores_block(engine, group, level)
-            except MemoryError:
-                # Adaptive backoff, the matrix-measure twin of the block
-                # split above: halve the gather width and retry; a
-                # single-column failure is genuine exhaustion.
-                if len(group) == 1:
-                    raise
-                half = max(1, len(group) // 2)
-                engine.stats.add("alloc_retries", 1)
-                engine.stats.add("degradations", 1)
-                if self._max_cols is None or half < self._max_cols:
-                    self._max_cols = half
-                continue
-            if cache is not None:
-                cache.put_block(group, level, block.T)
-            consume(group, block[rows])
-            del pending[: len(group)]
-
-    def donate_pruned(self, pruned) -> None:
-        """Nothing to donate: the iterates are the resumable state."""
-
-    def repack(self, survivors: set, level: int) -> None:
-        """Nothing to repack: no walk block is retained across levels."""

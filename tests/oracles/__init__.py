@@ -2,8 +2,8 @@
 
 The paper's 2-way algorithms and its n-way strategies are all defined to
 return the same top-k, so one brute-force answer checks them all: dense
-matrix-power scores (:mod:`oracles.measures` — DHT first hits, truncated
-PPR, SimRank iterates) ranked by exhaustive enumeration
+matrix-power scores (:mod:`oracles.measures` — DHT first hits and
+truncated PPR) ranked by exhaustive enumeration
 (:mod:`oracles.joins`).  Small graphs only.
 
 Independence is the point: this package imports numpy, the standard
@@ -25,10 +25,8 @@ from oracles.measures import (
     exact_dht_to_target,
     exact_ppr,
     first_hit_series,
-    in_weight_matrix,
     ppr_scores,
     scores_for,
-    simrank_scores,
     simulate_first_hit_series,
     transition_matrix,
 )
@@ -41,12 +39,10 @@ __all__ = [
     "exact_dht_to_target",
     "exact_ppr",
     "first_hit_series",
-    "in_weight_matrix",
     "ppr_scores",
     "rank_answers",
     "rank_pairs",
     "scores_for",
-    "simrank_scores",
     "simulate_first_hit_series",
     "transition_matrix",
 ]

@@ -1,6 +1,6 @@
-"""Dense reference scores: DHT first hits, truncated PPR, SimRank.
+"""Dense reference scores: DHT first hits and truncated PPR.
 
-Every function builds the graph's transition (or in-weight) matrix from
+Every function builds the graph's transition matrix from
 the adjacency dicts with a plain Python loop and then works on dense
 ``(n, n)`` arrays, so the cost is quadratic in the node count — small
 graphs only.  Entry ``[u, v]`` of a score matrix is the score of the
@@ -113,54 +113,19 @@ def exact_ppr(graph: Graph, damping: float) -> np.ndarray:
     )
 
 
-def in_weight_matrix(graph: Graph, weighted: bool = True) -> np.ndarray:
-    """``W[x, a] = w_xa / sum_in(a)`` (``1 / indeg(a)`` unweighted),
-    one dict entry at a time in adjacency insertion order."""
-    n = graph.num_nodes
-    w = np.zeros((n, n), dtype=np.float64)
-    for a in graph.nodes():
-        incoming = graph.in_neighbors(a)
-        if not incoming:
-            continue
-        total = sum(incoming.values()) if weighted else float(len(incoming))
-        for x, weight in incoming.items():
-            w[x, a] = (weight if weighted else 1.0) / total
-    return w
-
-
-def simrank_scores(
-    graph: Graph, decay: float = 0.8, iterations: int = 10,
-    weighted: bool = True,
-) -> np.ndarray:
-    """The ``iterations``-th SimRank iterate: ``S_0 = I`` and
-    ``S <- decay * W^T S W`` with the diagonal reset to 1 each sweep."""
-    if not (0.0 < decay < 1.0):
-        raise GraphValidationError(f"decay must be in (0, 1), got {decay}")
-    if iterations < 1:
-        raise GraphValidationError(f"iterations must be >= 1, got {iterations}")
-    w = in_weight_matrix(graph, weighted)
-    similarity = np.eye(graph.num_nodes)
-    for _ in range(iterations):
-        similarity = decay * (w.T @ similarity @ w)
-        np.fill_diagonal(similarity, 1.0)
-    return similarity
-
-
 def scores_for(graph: Graph, d: int, params=None, measure=None) -> np.ndarray:
     """The score matrix a join configured with ``params`` / ``measure``
     (as a two-way context or an n-way spec holds them) ranks by.
 
     The measure is read by duck typing, like the joins read it: DHT
-    coefficients (``alpha``) directly or under ``params``, a PPR
-    ``damping``, or SimRank's ``decay`` / ``weighted``.
+    coefficients (``alpha``) directly or under ``params``, or a PPR
+    ``damping``.
     """
     config = params if measure is None else getattr(measure, "params", measure)
     if hasattr(config, "alpha"):
         return dht_scores(graph, config, d)
     if hasattr(config, "damping"):
         return ppr_scores(graph, config.damping, d)
-    if hasattr(config, "weighted"):
-        return simrank_scores(graph, config.decay, d, config.weighted)
     raise TypeError(f"no oracle for {config!r}")
 
 

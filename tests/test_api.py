@@ -63,7 +63,7 @@ class TestTwoWayFacade:
 
         engine = WalkEngine(graph)
         resolved = resolve_measure(measure)
-        cache = WalkCache(engine, resolved.cache_key())
+        cache = WalkCache(engine, resolved.kernel())
         with pytest.raises(GraphValidationError, match="k must be >= 0, got -1"):
             two_way_join(
                 graph, [0, 1, 2], [20, 21, 22], -1, algorithm=algorithm,
@@ -72,7 +72,7 @@ class TestTwoWayFacade:
         assert engine.stats.propagation_steps == 0
         assert len(cache) == 0
 
-    @pytest.mark.parametrize("measure", [5, "ppr-ish", object()])
+    @pytest.mark.parametrize("measure", [5, "ppr-ish", object(), "simrank"])
     def test_a_measure_that_is_not_one_is_refused_up_front(self, graph, measure):
         """Anything but ``None``, a known name or an object with the
         measure contract is a validation error naming both — not an
@@ -80,10 +80,27 @@ class TestTwoWayFacade:
         with pytest.raises(GraphValidationError) as info:
             two_way_join(graph, [1, 2], [10, 11], 3, measure=measure)
         message = str(info.value)
-        assert "ppr" in message and "simrank" in message
+        assert "dht, dht-e, dht-lambda, ppr" in message
         if not isinstance(measure, str):
-            for attribute in ("d", "floor", "cache_key", "kernel"):
+            for attribute in ("d", "floor", "kernel", "tail_weights", "x_bound"):
                 assert attribute in message
+
+    def test_a_measure_without_tail_weights_is_refused_up_front(self, graph):
+        """The contract is what the joins read: a measure lacking the
+        reach-mass weights fails at the door, not inside ``B-IDJ-Y``."""
+        from repro.extensions.measures import TruncatedPPR
+        from repro.query import resolve_measure
+
+        class NoTailWeights:
+            def __init__(self):
+                self._ppr = TruncatedPPR()
+                self.d, self.floor = self._ppr.d, self._ppr.floor
+                self.kernel, self.x_bound = self._ppr.kernel, self._ppr.x_bound
+
+        with pytest.raises(GraphValidationError, match="tail_weights"):
+            resolve_measure(NoTailWeights())
+        with pytest.raises(GraphValidationError, match="tail_weights"):
+            two_way_join(graph, [1, 2], [10, 11], 3, measure=NoTailWeights())
 
     def test_shared_engine_reuse(self, graph):
         from repro.walks.engine import WalkEngine

@@ -7,7 +7,7 @@ from repro.core.bounds import ClosedFormTail, XBound, YBound
 from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.two_way.backward import back_walk
 from repro.core.two_way.base import make_context
-from repro.extensions.simrank import SimRankMeasure
+from repro.extensions.measures import TruncatedPPR
 from repro.walks.engine import WalkEngine
 
 
@@ -144,7 +144,7 @@ class TestVectorTails:
         return [
             XBound(params, d),
             YBound(engine, DHTMeasure(params).tail_weights(d), [2, 3, 5], d),
-            ClosedFormTail(SimRankMeasure(), d),
+            ClosedFormTail(TruncatedPPR(), d),
         ]
 
     def test_tails_equal_scalar_tails_bitwise(self, bounds, random_graph):

@@ -7,8 +7,11 @@ the result is exact, equal to the unbudgeted run, nothing is vetoed and
 backed off (``alloc_retries == 0``), and no block outgrows the ceiling.
 A ceiling below one column (``16 n - 1``) is a flagged ``"bytes"``
 partial whose intervals contain the oracle scores — the cache-less
-``B-BJ`` included.
+``B-BJ`` included.  :class:`TestAllocationProperty` holds every measure
+to what README's ``--max-bytes`` row says a query may allocate.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +22,12 @@ from repro.core.nway.query_graph import QueryGraph
 from repro.core.two_way.base import make_context
 from repro.exec import QueryBudget
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.simrank import SimRankMeasure
 from repro.graph.builders import preferential_attachment
 from repro.graph.validation import GraphValidationError
+from repro.query import resolve_measure
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
+from repro.walks.state import RestrictedTail
 
 GRAPH = preferential_attachment(300, 3, np.random.default_rng(14))
 N = GRAPH.num_nodes
@@ -36,7 +40,6 @@ ATOL = 1e-9
 MEASURES = {
     "dht": None,
     "ppr": TruncatedPPR(damping=0.7),
-    "simrank": SimRankMeasure(iterations=4),
 }
 
 # (algorithm, measure, with a walk cache)
@@ -44,7 +47,6 @@ TWO_WAY_CASES = [
     ("b-bj", "dht", False),
     ("b-bj", "dht", True),
     ("b-bj", "ppr", False),
-    ("b-bj", "simrank", False),
     ("b-idj-x", "dht", False),
     ("b-idj-y", "dht", False),
 ]
@@ -66,7 +68,7 @@ def _two_way(algorithm, measure_name, cached, budget=None, k=10):
     engine = WalkEngine(GRAPH)
     cache = None
     if cached:
-        key = make_context(GRAPH, LEFT, RIGHT, measure=measure).measure.cache_key()
+        key = make_context(GRAPH, LEFT, RIGHT, measure=measure).measure.kernel()
         cache = WalkCache(engine, key)
     result = two_way_join(
         GRAPH, LEFT, RIGHT, k, algorithm=algorithm, measure=measure,
@@ -181,3 +183,110 @@ class TestOnBudgetCheckedAtEntry:
                 on_budget="bogus",
             )
         assert engine.stats.propagation_steps == 0
+
+
+class TestAllocationProperty:
+    """Every allocation a query makes is planned under ``max_bytes`` or
+    named in README's ``--max-bytes`` row: the peak ``tracemalloc`` sees
+    during a query stays under the ceiling plus those named terms, or
+    the query stops with ``reason="bytes"``.
+
+    The named terms, per query: ``B-IDJ``'s retained window and repack
+    candidates (up to two more ceilings beside the block being walked),
+    each reach-mass ``Y`` bound built (about ``5 (d + 1) n`` floats
+    while it builds), each restricted-tail plan (what building it
+    allocates, traced on its own), what the walk cache retains, and the
+    left-row score blocks and answers with a fixed bookkeeping
+    allowance.
+    """
+
+    SIZES = (300, 1200)
+    MEASURE_NAMES = ("dht", "dht-e", "ppr")
+    ALGORITHMS = ("b-bj", "b-idj-x", "b-idj-y", "pj-i")
+    BOOKKEEPING = 64 * 1024
+
+    @staticmethod
+    def _workload(n):
+        graph = preferential_attachment(n, 4, np.random.default_rng(7))
+        order = np.random.default_rng(3).permutation(n).tolist()
+        return graph, [order[:10], order[10:50], order[50:60]]
+
+    @staticmethod
+    def _tail_plan_bytes(engine, left_sets, d):
+        """The largest restricted-tail plan build over ``left_sets``,
+        traced on its own."""
+        peaks = []
+        for rows in left_sets:
+            tracemalloc.start()
+            try:
+                RestrictedTail(engine, rows, d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return max(peaks)
+
+    def _allowance(self, engine, measure, sets, stats, cache_bytes, rounds):
+        """The named terms outside the ceiling, summed over the query."""
+        n, d = engine.num_nodes, measure.d
+        y_builds = stats["bound_builds"] * 5 * (d + 1) * n * 8
+        tail_plans = stats["plan_builds"] * self._tail_plan_bytes(
+            engine, sets[:-1], d
+        )
+        blocks = sum(64 * len(a) * len(b) for a, b in zip(sets, sets[1:]))
+        return (
+            rounds + y_builds + tail_plans + cache_bytes + blocks
+            + self.BOOKKEEPING
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("measure_name", MEASURE_NAMES)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("columns", [0, 4])
+    def test_peak_within_ceiling_plus_named_terms(
+        self, n, measure_name, algorithm, columns
+    ):
+        graph, sets = self._workload(n)
+        engine = WalkEngine(graph)
+        measure = resolve_measure(measure_name)
+        max_bytes = max(16 * n * columns, 16 * n - 1)
+        budget = QueryBudget(max_bytes=max_bytes)
+
+        def query(node_sets, walk_cache=None):
+            if algorithm == "pj-i":
+                return multi_way_join(
+                    graph, QueryGraph.chain(3), node_sets, 5,
+                    algorithm="pj-i", engine=engine, measure=measure,
+                    budget=budget, walk_cache=walk_cache,
+                )
+            return two_way_join(
+                graph, node_sets[0], node_sets[1], 5, algorithm=algorithm,
+                engine=engine, measure=measure, budget=budget,
+            )
+
+        # Lazily built graph structures and first-call imports belong to
+        # the process, not the query: pay them before tracing.
+        query([s[:1] for s in sets])
+        walk_cache = WalkCache(engine, measure.kernel())
+        before = {
+            name: getattr(engine.stats, name)
+            for name in ("bound_builds", "plan_builds")
+        }
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = query(sets, walk_cache)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stats = {
+            name: getattr(engine.stats, name) - count
+            for name, count in before.items()
+        }
+        allowance = self._allowance(
+            engine, measure, sets if algorithm == "pj-i" else sets[:2],
+            stats, walk_cache.current_bytes,
+            rounds=0 if algorithm == "b-bj" else 2 * max_bytes,
+        )
+        assert peak <= max_bytes + allowance or (
+            result.reason == "bytes" and not result.exact
+        ), (peak, max_bytes, allowance)

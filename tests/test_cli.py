@@ -93,6 +93,33 @@ class TestTwoWayCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("bad_id", [1.5, True, "3"])
+    def test_non_integral_set_id_exits_2(self, workspace, capsys, bad_id):
+        """A ``--sets`` id passes the requests' id check: never
+        truncated to an int (``1.5 -> 1``, ``true -> 1``, ``"3" -> 3``)."""
+        graph_path, sets_path = workspace
+        sets_path.write_text(json.dumps({"A": [0, 1], "B": [bad_id]}))
+        code = main([
+            "two-way", str(graph_path), "--sets", str(sets_path),
+            "--left", "A", "--right", "B",
+        ])
+        assert code == 2
+        assert "node ids must be integers" in capsys.readouterr().err
+
+    def test_measure_choices_are_the_measure_names(self, workspace, capsys):
+        """``--measure`` offers exactly ``repro.query.MEASURE_NAMES``."""
+        from repro.query import MEASURE_NAMES
+
+        graph_path, sets_path = workspace
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "two-way", str(graph_path), "--sets", str(sets_path),
+                "--left", "A", "--right", "B", "--measure", "simrank",
+            ])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert ", ".join(f"'{name}'" for name in MEASURE_NAMES) in err
+
 
 class TestMultiWayCommand:
     def test_chain_json(self, workspace, capsys):

@@ -58,8 +58,22 @@ def test_algorithms_handbook_covers_every_paper_name():
     text = ALGORITHMS.read_text(encoding="utf-8")
     for name in ("F-BJ", "F-IDJ", "B-BJ", "B-IDJ", "AP", "PJ", "PJ-i", "NL",
                  "SeriesMeasure", "backward_scores", "tail_bound", "floor",
-                 "TruncatedPPR", "SimRank"):
+                 "TruncatedPPR"):
         assert name in text, f"docs/ALGORITHMS.md must document {name}"
+
+
+def test_readme_measure_flag_names_exactly_the_measures():
+    """README's ``--measure a|b|...`` list is ``repro.query.MEASURE_NAMES``,
+    the one list the CLI's choices and the resolver read."""
+    from repro.query import MEASURE_NAMES
+
+    listed = re.findall(
+        r"`--measure ([\w-]+(?:\|[\w-]+)+)`",
+        README.read_text(encoding="utf-8"),
+    )
+    assert listed, "README must list the choices as `--measure a|b|...`"
+    for choices in listed:
+        assert tuple(sorted(choices.split("|"))) == MEASURE_NAMES, choices
 
 
 def test_algorithms_handbook_strategy_table_matches_driver():

@@ -183,13 +183,12 @@ class TestGovernedTwoWay:
 
     def test_series_measures_yield_sound_partials(self, workload):
         graph, left, right = workload
-        for measure in ("ppr", "simrank"):
-            oracle = _oracle_scores(graph, left, right, measure=measure)
-            result = two_way_join(
-                graph, left, right, 8, measure=measure,
-                budget=QueryBudget(step_budget=30),
-            )
-            assert_sound(result, oracle)
+        oracle = _oracle_scores(graph, left, right, measure="ppr")
+        result = two_way_join(
+            graph, left, right, 8, measure="ppr",
+            budget=QueryBudget(step_budget=30),
+        )
+        assert_sound(result, oracle)
 
     def test_ungoverned_runs_have_zero_budget_counters(self, workload):
         graph, left, right = workload

@@ -1,8 +1,8 @@
-"""Unit tests for the measure layer: PPR and SimRank joins.
+"""Unit tests for the measure layer: PPR joins and the measure contract.
 
 Every batched, resumable, or cached measure path must reproduce the
-brute-force oracle (``tests/oracles``), which ``TestSimRank`` and
-``test_matches_exact_linear_solve`` check against hand-solved cases.
+brute-force oracle (``tests/oracles``), which
+``test_matches_exact_linear_solve`` checks against hand-solved cases.
 """
 
 import numpy as np
@@ -12,12 +12,10 @@ from oracles import (
     as_ranked,
     assert_top_k,
     exact_ppr,
-    in_weight_matrix,
     ppr_scores,
     rank_answers,
     rank_pairs,
     scores_for,
-    simrank_scores,
 )
 from repro.api import explain_multi_way_plan, multi_way_join, two_way_join
 from repro.api import run as api_run
@@ -33,14 +31,7 @@ from repro.extensions.series_join import (
     SeriesIDJ,
     SeriesPartialJoin,
 )
-from repro.extensions.simrank import SimRankMeasure, _in_weight_matrix
-from repro.graph.builders import (
-    complete_graph,
-    erdos_renyi,
-    path_graph,
-    preferential_attachment,
-)
-from repro.graph.digraph import Graph
+from repro.graph.builders import complete_graph, path_graph
 from repro.graph.validation import GraphValidationError
 from repro.query import TwoWayRequest, resolve_measure
 from repro.walks.cache import WalkCache
@@ -62,13 +53,6 @@ def oracle_answers(graph, query, sets, measure, aggregate=MIN):
             [scores] * query.num_edges, sets, query.edges, aggregate
         )
     ]
-
-
-def measure_iterate(graph, decay=0.8, iterations=10):
-    """The measure's ``iterations``-sweep iterate, every column of it."""
-    return SimRankMeasure(decay=decay, iterations=iterations).backward_scores_block(
-        WalkEngine(graph), range(graph.num_nodes), iterations
-    )
 
 
 class TestTruncatedPPR:
@@ -185,176 +169,6 @@ class TestSeriesJoins:
             )
 
 
-class TestSimRank:
-    def test_identity_diagonal(self, random_graph):
-        sim = measure_iterate(random_graph, iterations=4)
-        assert np.allclose(np.diag(sim), 1.0)
-
-    def test_symmetric_on_undirected(self, random_graph):
-        sim = measure_iterate(random_graph, iterations=5)
-        assert np.allclose(sim, sim.T, atol=1e-12)
-
-    def test_range(self, random_graph):
-        sim = measure_iterate(random_graph, iterations=5)
-        assert np.all(sim >= -1e-12) and np.all(sim <= 1.0 + 1e-12)
-
-    def test_hand_case_two_leaves(self):
-        # Star 0-1, 0-2: leaves 1 and 2 share the single in-neighbour 0,
-        # so s(1,2) converges to C * s(0,0) = C.
-        g = Graph.from_undirected_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
-        for sim in (
-            simrank_scores(g, decay=0.8, iterations=30),
-            measure_iterate(g, decay=0.8, iterations=30),
-        ):
-            assert sim[1, 2] == pytest.approx(0.8, abs=1e-6)
-
-    def test_fixed_point_residual_shrinks(self, random_graph):
-        early = measure_iterate(random_graph, iterations=3)
-        late = measure_iterate(random_graph, iterations=12)
-        later = measure_iterate(random_graph, iterations=13)
-        assert np.max(np.abs(later - late)) < np.max(np.abs(late - early))
-
-    def test_validation(self, random_graph):
-        for bad in ({"decay": 1.5}, {"iterations": 0}):
-            with pytest.raises(GraphValidationError):
-                simrank_scores(random_graph, **bad)
-            with pytest.raises(GraphValidationError):
-                SimRankMeasure(**bad)
-
-    def test_join_ranks_structurally_similar_nodes(self):
-        # Two hubs with identical leaf sets should be most SimRank-alike.
-        edges = [(0, i, 1.0) for i in range(2, 6)] + [(1, i, 1.0) for i in range(2, 6)]
-        g = Graph.from_undirected_edges(6, edges)
-        measure = SimRankMeasure(iterations=8)
-        result = two_way_join(g, [0], [1, 2, 3], k=1, measure=measure)
-        assert result[0].right == 1
-        assert oracle_pairs(g, [0], [1, 2, 3], measure)[0][0] == (0, 1)
-
-    def test_join_excludes_reflexive(self, random_graph):
-        measure = SimRankMeasure(iterations=3)
-        result = two_way_join(random_graph, [0, 1], [1, 2], k=10, measure=measure)
-        assert all(p.left != p.right for p in result)
-        assert_top_k(
-            as_ranked(result), oracle_pairs(random_graph, [0, 1], [1, 2], measure), 10
-        )
-
-    def test_multi_way_join_runs(self, random_graph):
-        query = QueryGraph.chain(3)
-        sets = [[0, 1], [10, 11], [20, 21]]
-        answers = multi_way_join(
-            random_graph, query, sets, k=3,
-            measure=SimRankMeasure(iterations=4), algorithm="ap",
-        )
-        assert answers
-        scores = [a.score for a in answers]
-        assert scores == sorted(scores, reverse=True)
-        assert_top_k(
-            as_ranked(answers),
-            oracle_answers(random_graph, query, sets, SimRankMeasure(iterations=4)),
-            3,
-        )
-
-    def test_multi_way_set_count_mismatch(self, random_graph):
-        with pytest.raises(GraphValidationError):
-            multi_way_join(
-                random_graph, QueryGraph.chain(2), [[0]], k=1,
-                measure=SimRankMeasure(iterations=4), algorithm="ap",
-            )
-
-
-class TestInWeightMatrix:
-    """The vectorised in-weight builder against the oracle's dict loop."""
-
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_bit_identical_to_reference(self, random_graph, weighted):
-        got = _in_weight_matrix(random_graph, weighted)
-        ref = in_weight_matrix(random_graph, weighted)
-        assert np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_bit_identical_on_hub_graph(self, weighted):
-        graph = preferential_attachment(200, 3, np.random.default_rng(7))
-        assert np.array_equal(
-            _in_weight_matrix(graph, weighted),
-            in_weight_matrix(graph, weighted),
-        )
-
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_bit_identical_on_directed_weighted(self, tiny_directed, weighted):
-        assert np.array_equal(
-            _in_weight_matrix(tiny_directed, weighted),
-            in_weight_matrix(tiny_directed, weighted),
-        )
-
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_bit_identical_on_shuffled_edge_order(self, weighted):
-        """Adjacency insertion order (an arbitrary on-disk edge-list
-        order) dictates the reference's float summation order; the
-        vectorised builder must reproduce it exactly."""
-        rng = np.random.default_rng(13)
-        base = erdos_renyi(60, 0.15, rng, weighted=True)
-        edges = list(base.edges())
-        rng.shuffle(edges)
-        graph = Graph(base.num_nodes, edges)
-        assert np.array_equal(
-            _in_weight_matrix(graph, weighted),
-            in_weight_matrix(graph, weighted),
-        )
-
-    def test_empty_and_edgeless_graphs(self):
-        assert _in_weight_matrix(Graph(0, []), True).shape == (0, 0)
-        assert np.array_equal(
-            _in_weight_matrix(Graph(3, []), True), np.zeros((3, 3))
-        )
-
-    def test_columns_are_stochastic_or_zero(self, random_graph):
-        w = _in_weight_matrix(random_graph, True)
-        sums = w.sum(axis=0)
-        assert np.all(
-            np.isclose(sums, 1.0, atol=1e-12) | np.isclose(sums, 0.0)
-        )
-
-
-class TestSimRankIterateEviction:
-    """The iterate memo is capped: deepest kept, shallower LRU-evicted."""
-
-    def test_cap_holds_and_evictions_counted(self, random_graph):
-        measure = SimRankMeasure(iterations=10, max_cached_iterates=2)
-        engine = WalkEngine(random_graph)
-        for level in (1, 2, 4, 8, 10):
-            measure.backward_scores(engine, 3, level)
-        assert len(measure._iterates) <= 2
-        assert measure.stats.iterate_evictions > 0
-        # The deepest iterate is always retained for future resumes.
-        assert max(measure._iterates) == 10
-
-    def test_scores_unchanged_by_eviction(self, random_graph):
-        capped = SimRankMeasure(iterations=10, max_cached_iterates=1)
-        roomy = SimRankMeasure(iterations=10, max_cached_iterates=64)
-        engine = WalkEngine(random_graph)
-        # Interleave shallow and deep requests so the capped measure
-        # must recompute evicted iterates from the identity.
-        for level in (4, 1, 8, 2, 10, 4):
-            assert np.array_equal(
-                capped.backward_scores(engine, 5, level),
-                roomy.backward_scores(engine, 5, level),
-            )
-        assert capped.stats.sweeps > roomy.stats.sweeps  # recomputation
-        assert roomy.stats.iterate_evictions == 0
-
-    def test_deep_request_still_resumes_deepest(self, random_graph):
-        measure = SimRankMeasure(iterations=12, max_cached_iterates=1)
-        engine = WalkEngine(random_graph)
-        measure.backward_scores(engine, 0, 8)
-        measure.stats.reset()
-        measure.backward_scores(engine, 0, 12)
-        assert measure.stats.sweeps == 4  # resumed, not restarted
-
-    def test_validation(self):
-        with pytest.raises(GraphValidationError, match="max_cached_iterates"):
-            SimRankMeasure(max_cached_iterates=0)
-
-
 def _pairs_key(pairs):
     return [(p.left, p.right) for p in pairs]
 
@@ -366,7 +180,6 @@ def _answers_key(answers):
 MEASURE_FACTORIES = [
     lambda: TruncatedPPR(damping=0.7, epsilon=1e-6),
     lambda: DHTMeasure(),
-    lambda: SimRankMeasure(iterations=8),
 ]
 
 
@@ -407,22 +220,6 @@ class TestMeasureBlocks:
         assert np.allclose(scores, exact, atol=1e-2)
         assert scores[0] > 0.5  # revisits keep most mass at home
 
-    def test_simrank_measure_matches_matrix_solver(self, random_graph):
-        measure = SimRankMeasure(decay=0.7, iterations=6)
-        engine = WalkEngine(random_graph)
-        expected = simrank_scores(random_graph, decay=0.7, iterations=6)
-        block = measure.backward_scores_block(engine, [1, 5, 9], 6)
-        assert np.allclose(block, expected[:, [1, 5, 9]], atol=1e-15)
-
-    def test_simrank_iterates_resume_bit_identical(self, random_graph):
-        resumed = SimRankMeasure(decay=0.8, iterations=10)
-        engine = WalkEngine(random_graph)
-        resumed.backward_scores(engine, 0, 2)  # caches the level-2 iterate
-        column = resumed.backward_scores(engine, 0, 7)
-        fresh = simrank_scores(random_graph, decay=0.8, iterations=7)[:, 0]
-        assert np.array_equal(column, fresh)
-
-
 class TestSeriesIDJResumable:
     """The resumable, cached SeriesIDJ against the oracle."""
 
@@ -441,7 +238,7 @@ class TestSeriesIDJResumable:
     def test_idj_with_walk_cache_matches(self, random_graph, measure_factory):
         measure = measure_factory()
         engine = WalkEngine(random_graph)
-        cache = WalkCache(engine, measure.cache_key())
+        cache = WalkCache(engine, measure.kernel())
         left, right = list(range(6)), list(range(18, 30))
         def cached():
             return make_context(
@@ -504,7 +301,6 @@ class TestMeasureNWay:
         "measure_factory",
         [
             lambda: TruncatedPPR(damping=0.7, epsilon=1e-4),
-            lambda: SimRankMeasure(iterations=6),
             lambda: DHTMeasure(),
         ],
     )
@@ -525,26 +321,17 @@ class TestMeasureNWay:
 
     def test_nway_shares_walks_and_bounds_across_edges(self, random_graph):
         sets = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
-        # SimRank has no reach-mass bound to share; its edges still
-        # share walks.
-        for measure, has_reach_bound in (
-            (TruncatedPPR(damping=0.7, epsilon=1e-4), True),
-            (SimRankMeasure(iterations=6), False),
-        ):
-            spec = NWayJoinSpec(
-                graph=random_graph,
-                query_graph=QueryGraph.star(2, bidirectional=True),
-                node_sets=[list(s) for s in sets],
-                k=6,
-                measure=measure,
-            )
-            SeriesPartialJoin(spec, m=4).run()
-            assert spec.walk_cache.stats.hits > 0
-            assert (spec.bound_cache.stats.y_hits > 0) == has_reach_bound
-            assert (
-                spec.engine.stats.bound_cache_hits
-                == spec.bound_cache.stats.y_hits
-            )
+        spec = NWayJoinSpec(
+            graph=random_graph,
+            query_graph=QueryGraph.star(2, bidirectional=True),
+            node_sets=[list(s) for s in sets],
+            k=6,
+            measure=TruncatedPPR(damping=0.7, epsilon=1e-4),
+        )
+        SeriesPartialJoin(spec, m=4).run()
+        assert spec.walk_cache.stats.hits > 0
+        assert spec.bound_cache.stats.y_hits > 0
+        assert spec.engine.stats.bound_cache_hits == spec.bound_cache.stats.y_hits
 
     def test_measure_spec_rejects_dht_configuration(self, random_graph):
         """A spec holds one measure value and no DHT options; the options
@@ -592,7 +379,7 @@ class TestMeasureCacheIsolation:
 
         engine = WalkEngine(random_graph)
         ppr = TruncatedPPR()
-        ppr_bounds = BoundPlanCache(engine, ppr.cache_key())
+        ppr_bounds = BoundPlanCache(engine, ppr.kernel())
         with pytest.raises(GraphValidationError, match="measure configuration"):
             TwoWayContext(
                 graph=random_graph, left=[0], right=[5], engine=engine,
@@ -606,19 +393,18 @@ class TestMeasureCacheIsolation:
         with pytest.raises(GraphValidationError, match="different measure kernel"):
             dht_cache.adopt(ppr_state)
 
-    def test_simrank_cache_never_adopts_states(self, random_graph, params):
-        """Regression: a matrix-backed cache used to misreport adoption
-        as a *kernel mismatch*; the real reason is that the measure has
-        no resumable walk layer at all."""
+    def test_cache_rejects_non_kernel_identity(self, random_graph, params):
+        """A walk cache resolves its kernel when it is built: an identity
+        that is not one is rejected there, not at the first adoption."""
         engine = WalkEngine(random_graph)
-        sim_cache = WalkCache(engine, SimRankMeasure().cache_key())
-        dht_state = WalkState(engine, params, [3]).advance_to(2)
-        with pytest.raises(
-            GraphValidationError, match="no resumable walk layer"
-        ):
-            sim_cache.adopt(dht_state)
+        for identity in (("katz", 0.5), "ppr", None):
+            with pytest.raises(
+                GraphValidationError, match="no block propagation kernel"
+            ):
+                WalkCache(engine, identity)
         # A genuine kernel mismatch still reports as one.
-        ppr_cache = WalkCache(engine, TruncatedPPR().cache_key())
+        ppr_cache = WalkCache(engine, TruncatedPPR().kernel())
+        dht_state = WalkState(engine, params, [3]).advance_to(2)
         with pytest.raises(
             GraphValidationError, match="different measure kernel"
         ):
@@ -667,7 +453,6 @@ class TestMeasureRegistryAndApi:
         assert resolve_measure("DHT-Lambda").params == DHTParams.dht_lambda(0.2)
         assert resolve_measure("dht-e").params == DHTParams.dht_e()
         assert isinstance(resolve_measure("ppr"), TruncatedPPR)
-        assert isinstance(resolve_measure("simrank"), SimRankMeasure)
         with pytest.raises(GraphValidationError, match="unknown measure"):
             resolve_measure("katz")
         with pytest.raises(GraphValidationError, match="fixes its own"):
@@ -795,7 +580,7 @@ class TestMeasureContextsRunTheCoreOperators:
 
     @pytest.mark.parametrize(
         "measure_factory",
-        [lambda: TruncatedPPR(damping=0.7), lambda: SimRankMeasure(iterations=6)],
+        [lambda: TruncatedPPR(damping=0.7)],
     )
     @pytest.mark.parametrize("operator", ["B-BJ", "B-IDJ-X", "B-IDJ-Y"])
     def test_two_way_operators_match_block_size_1(

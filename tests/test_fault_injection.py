@@ -38,7 +38,7 @@ from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 from repro.walks.state import WalkState
 
-MEASURES = [None, "ppr", "simrank"]  # None = the DHT core path
+MEASURES = [None, "dht-e", "ppr"]  # None = the DHT core path
 
 #: Sites where each fault's trigger exists.  ``alloc``/``nan`` outside
 #: these sites would model failures the layer under test never produces.
@@ -138,8 +138,8 @@ class TestTwoWayMatrix:
             assert not result.exact and result.reason == "deadline"
             assert engine.stats.budget_stops == 1
         if not injector.fired:
-            # No trigger site on this path (e.g. nan under SimRank's
-            # matrix gathers): the run must simply be exact.
+            # No trigger site on this path: the run must simply be
+            # exact.
             assert result.exact
 
     @pytest.mark.parametrize("fault", sorted(FAULT_SITES))
@@ -207,7 +207,7 @@ class TestCorruptedBlockInBasicJoin:
         graph, _, _ = workload
         measure = self._measure(name)
         engine = WalkEngine(graph)
-        cache = WalkCache(engine, measure.cache_key()) if cached else None
+        cache = WalkCache(engine, measure.kernel()) if cached else None
         injector = FaultInjector(
             5, faults=("nan",), rate=1.0, start_after=3, max_fires=max_fires
         )

@@ -198,7 +198,7 @@ def _ppr_join(left, right, engine):
     measure = TruncatedPPR(damping=0.7)
     return make_context(
         GRAPH, left, right, engine=engine,
-        walk_cache=WalkCache(engine, measure.cache_key()), measure=measure,
+        walk_cache=WalkCache(engine, measure.kernel()), measure=measure,
     )
 
 

@@ -89,7 +89,7 @@ def _config(measure_name):
         params = DHTParams.dht_lambda(0.2)
         return {"params": params}, params
     measure = TruncatedPPR(damping=0.85, epsilon=1e-4)
-    return {"measure": measure}, measure.cache_key()
+    return {"measure": measure}, measure.kernel()
 
 
 def _run_cell(key):

@@ -1,7 +1,7 @@
 """Property-based planner equivalence: auto == fixed on random inputs.
 
 Random query graphs (up to 4 edges) over random data graphs, across
-DHT, Truncated PPR, and SimRank: the auto plan's top-k must match the
+DHT and Truncated PPR: the auto plan's top-k must match the
 fixed plan's oracle — same tuples, scores within 1e-9 — for every
 strategy that accepts a plan.  This is the planner's core safety net:
 whatever order and operators the cost model picks on inputs nobody
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.api import multi_way_join
 from repro.core.nway.query_graph import QueryGraph
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.simrank import SimRankMeasure
 
 SETTINGS = settings(
     max_examples=20,
@@ -97,16 +96,6 @@ class TestAutoEqualsFixedOracle:
         _assert_plans_agree(
             graph, query, node_sets, k, algorithm=algorithm, m=30,
             measure=TruncatedPPR(damping=0.85, epsilon=1e-3),
-        )
-
-    @SETTINGS
-    @given(data=workload(), k=st.integers(1, 5),
-           algorithm=st.sampled_from(["ap", "pj"]))
-    def test_simrank(self, data, k, algorithm):
-        graph, query, node_sets = data
-        _assert_plans_agree(
-            graph, query, node_sets, k, algorithm=algorithm, m=30,
-            measure=SimRankMeasure(decay=0.8, iterations=4),
         )
 
     @SETTINGS

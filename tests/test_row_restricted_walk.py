@@ -207,7 +207,7 @@ def _run(graph, algorithm, measure, cache, max_bytes=None):
     engine = WalkEngine(graph)
     walk_cache = None
     if cache:
-        identity = DHTParams.dht_lambda(0.2) if measure is None else measure.cache_key()
+        identity = DHTParams.dht_lambda(0.2) if measure is None else measure.kernel()
         walk_cache = WalkCache(engine, identity)
     result = api.two_way_join(
         graph, LEFT.tolist(), RIGHT, 10, algorithm=algorithm, engine=engine,

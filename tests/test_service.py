@@ -148,7 +148,7 @@ class TestExecution:
         response = service.query(request)
         assert response.status == STATUS_ERROR
         assert "AttributeError" not in response.error
-        for attribute in ("d", "floor", "cache_key", "kernel"):
+        for attribute in ("d", "floor", "kernel", "tail_weights", "x_bound"):
             assert attribute in response.error
         assert service.query(TwoWayRequest(LEFT, RIGHT, k=2)).ok
 

@@ -15,7 +15,7 @@ way :func:`repro.api.two_way_join` does and records
   engine, the join's ``pruning_trace``, and the walk cache's hit / miss /
   extension / steps-saved counters
 
-over {``b-bj``, ``b-idj-x``, ``b-idj-y``} x {DHT, PPR, SimRank} x {no walk cache, cold cache, a cache warmed by a ``k = 2``
+over {``b-bj``, ``b-idj-x``, ``b-idj-y``} x {DHT, PPR} x {no walk cache, cold cache, a cache warmed by a ``k = 2``
 run of the same algorithm} x {no byte budget, a 4-column byte budget} x
 ``k`` in {1, 10, all pairs} on a preferential-attachment and a weighted
 Erdos-Renyi graph.  Regenerate deliberately with
@@ -36,7 +36,6 @@ from repro.core.nway.driver import OPERATORS, two_way_operator
 from repro.core.two_way.base import make_context
 from repro.core.dht import DHTMeasure, DHTParams
 from repro.extensions.measures import TruncatedPPR
-from repro.extensions.simrank import SimRankMeasure
 from repro.graph.builders import erdos_renyi, preferential_attachment
 from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
@@ -56,15 +55,12 @@ RIGHT = [150] + list(range(60, 77))
 ALL_PAIRS = len(LEFT) * len(RIGHT) - 1
 
 PARAMS = DHTParams.dht_lambda(0.2)
-# Measures are value-configured, so cells share the instances (SimRank
-# memoises its dense iterates per graph — one instance per graph).
+# Measures are value-configured, so cells share the instances.
 _DHT = DHTMeasure(PARAMS)
 _PPR = TruncatedPPR(damping=0.7)
-_SIMRANK = {id(g): SimRankMeasure(iterations=4) for g in GRAPHS.values()}
 MEASURES = {
     "dht": lambda graph: _DHT,
     "ppr": lambda graph: _PPR,
-    "simrank": lambda graph: _SIMRANK[id(graph)],
 }
 
 ALGORITHMS = ("b-bj", "b-idj-x", "b-idj-y")
@@ -107,7 +103,7 @@ def _run_cell(byte_ceiling, graph_name, algorithm, measure_name, cache_mode,
     engine = WalkEngine(graph)
     cache = None
     if cache_mode != "none":
-        cache = WalkCache(engine, measure.cache_key())
+        cache = WalkCache(engine, measure.kernel())
     context = _context(graph, measure, engine, cache)
     # The 4-column ceiling is the query's byte budget on an installed
     # governor, which every block operator plans its width under.
@@ -202,14 +198,11 @@ def test_golden_exercises_the_interesting_paths():
     if UPDATE and not GOLDEN_PATH.exists():
         pytest.skip("goldens being regenerated")
     cells = _load_golden()["cells"]
-    assert len(cells) == len(CELLS) == 324
+    assert len(cells) == len(CELLS) == 216
     for measure in MEASURES:
         warm = cells[f"pa/b-bj/{measure}/warm/free/k10"]
         assert warm["propagation_steps"] == 0 and warm["cache"][0] == len(RIGHT)
-    # SimRank's closed-form tail is too loose to prune at 4 sweeps; its
-    # cells pin the matrix rounds' gathers and cache traffic instead.
-    assert len(cells["pa/b-idj-y/simrank/none/free/k1"]["pruning_trace"]) == 2
-    for measure in ("dht", "ppr"):  # the walk-space measures
+    for measure in MEASURES:
         tight = cells[f"pa/b-idj-y/{measure}/none/free/k1"]
         assert sum(row[2] for row in tight["pruning_trace"]) > 0, measure
         free = cells[f"pa/b-idj-y/{measure}/none/free/k10"]
@@ -263,7 +256,7 @@ def test_negative_k_rejected_before_any_walk(measure):
     graph = GRAPHS["pa"]
     resolved = MEASURES[measure](graph)
     engine = WalkEngine(graph)
-    cache = WalkCache(engine, resolved.cache_key())
+    cache = WalkCache(engine, resolved.kernel())
     join = _join(_context(graph, resolved, engine, cache), "b-bj")
     with pytest.raises(GraphValidationError, match=r"k must be >= 0, got -1"):
         join.top_k(-1)

@@ -16,7 +16,6 @@ from repro.core.two_way.backward import BackwardIDJY
 from repro.core.two_way.base import make_context
 from repro.extensions.measures import DHTMeasure, TruncatedPPR
 from repro.extensions.series_join import SeriesIDJ
-from repro.extensions.simrank import SimRankMeasure
 from repro.graph.builders import erdos_renyi
 from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
@@ -272,7 +271,7 @@ class TestBoundedSeriesIDJ:
         restart_steps = restart_alg.context.engine.stats.propagation_steps
 
         engine = WalkEngine(graph)
-        cache = WalkCache(engine, measure.cache_key())
+        cache = WalkCache(engine, measure.kernel())
         spill_alg = SeriesIDJ(make_context(
             graph, left, right, engine=engine, walk_cache=cache,
             measure=measure,
@@ -284,23 +283,3 @@ class TestBoundedSeriesIDJ:
         assert engine.stats.extensions > 0
         assert engine.stats.steps_saved > 0
         assert engine.stats.propagation_steps < restart_steps
-
-    def test_bounded_simrank_chunks_gathers(self, random_graph, byte_ceiling):
-        """Matrix-backed measures have no walk window; the ceiling just
-        chunks the iterate gathers, output unchanged."""
-        measure = SimRankMeasure(iterations=6)
-        left, right = list(range(8)), list(range(20, 36))
-        expected = SeriesIDJ(
-            make_context(random_graph, left, right, measure=measure)
-        ).top_k(6)
-        capped_alg = SeriesIDJ(make_context(
-            random_graph, left, right, measure=SimRankMeasure(iterations=6),
-        ))
-        with byte_ceiling(
-            capped_alg.context.engine, 16 * random_graph.num_nodes
-        ):
-            capped = capped_alg.top_k(6)
-        assert _pairs_key(capped) == _pairs_key(expected)
-        assert np.allclose(
-            [p.score for p in capped], [p.score for p in expected], atol=1e-12
-        )
