@@ -41,7 +41,7 @@ from functools import partial
 from typing import Optional, Sequence, Tuple
 
 from repro.bounds_cache import BoundPlanCache
-from repro.core.nway.driver import OPERATORS, STRATEGIES, is_dht, two_way_operator
+from repro.core.nway.driver import OPERATORS, runs_under, two_way_operator
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.two_way.base import TwoWayContext
@@ -310,15 +310,22 @@ def _nway_spec(
     """The normalised algorithm name and the one :class:`NWayJoinSpec`
     every n-way request runs (any measure, budgeted or not)."""
     name = request.algorithm.lower()
-    if name == "nl" and not is_dht(measure):
-        raise GraphValidationError(
-            f"algorithm {request.algorithm!r} is DHT-only; under a measure "
-            "choose from ['ap', 'pj', 'pj-i']"
-        )
     if name not in _NWAY_ALGORITHMS:
         raise GraphValidationError(
             f"unknown n-way algorithm {request.algorithm!r}; "
             f"choose from {_NWAY_ALGORITHMS}"
+        )
+    if not runs_under(name, measure):
+        raise GraphValidationError(
+            f"algorithm {request.algorithm!r} walks forward and is DHT-only; "
+            "under a measure choose from ['ap', 'pj', 'pj-i']"
+        )
+    budget = request.budget
+    if walk_cache is None and budget is not None and budget.max_bytes:
+        # The walk cache a query creates for itself keeps to its ceiling.
+        engine = engine or WalkEngine(graph)
+        walk_cache = WalkCache(
+            engine, measure.kernel(), max_bytes=budget.max_bytes
         )
     # A request's vertices are its named ones when it names them, so a
     # node-set count that disagrees is the spec's error, not the graph's.
@@ -338,17 +345,13 @@ def _nway_spec(
 def _explained(graph: Graph, request: MultiWayRequest, engine, walk_cache,
                bound_cache):
     """``(strategy, spec, plan)``: the plan ``request`` resolves to and
-    the spec and edge-source strategy it was planned for."""
+    the spec and strategy it was planned for (the planner rejects
+    ``"nl"``: nothing to plan)."""
     measure = _measure(request)
     name, spec = _nway_spec(
         graph, request, measure, engine, walk_cache, bound_cache
     )
-    # The planner rejects "nl" (nothing to plan); the rest plan the edge
-    # source they run.
-    strategy = name
-    if name != "nl":
-        strategy = STRATEGIES[(name, is_dht(measure))][1]
-    return strategy, spec, spec.resolve_plan(strategy)
+    return name, spec, spec.resolve_plan(name)
 
 
 def _analyze_plan(strategy: str, spec: NWayJoinSpec, resolved_plan, m: int):

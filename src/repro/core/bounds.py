@@ -16,10 +16,11 @@ Lemma 5 guarantees ``Y_l^+(P, q) <= X_l^+`` — the Y bound always prunes at
 least as well; the property tests verify this, and Fig. 10(b)'s benchmark
 measures how much it matters.
 
-The same two shapes serve every series measure (Section VIII):
+The same two tables serve every series measure (Section VIII):
 :class:`YBound` takes the per-step weights, so every measure's
-``tail_weights(d)`` gets the reach-mass tail, and :class:`ClosedFormTail`
-is a measure's own ``tail_bound(l)``.
+``tail_weights(d)`` gets the reach-mass tail, and :class:`XBound` takes
+the geometric tail's scale and ratio, so every measure's ``x_bound(d)``
+is one (PPR's ``c^{l+1}``: scale 1, ratio ``c``).
 
 Memoisation semantics: a :class:`YBound` depends only on
 ``(graph, measure, P, d)`` — not on the right set, not on ``k`` — so it is
@@ -38,14 +39,11 @@ Every build increments ``engine.stats.bound_builds`` and every cache hit
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.walks.engine import WalkEngine
-
-if TYPE_CHECKING:  # avoid a runtime cycle: core.dht builds these bounds
-    from repro.core.dht import DHTParams
 
 
 class ScoreUpperBound(Protocol):
@@ -77,7 +75,10 @@ def _check_level(l: int, d: int) -> None:
 
 
 class XBound:
-    """Lemma 2: ``X_l^+ = alpha * lambda^{l+1} / (1 - lambda)``.
+    """Lemma 2's closed form ``X_l^+ = scale * ratio^{l+1}``, a
+    measure's data-independent tail table — what ``B-IDJ-X`` and
+    ``F-IDJ`` read.  DHT's is ``alpha * lambda^{l+1} / (1 - lambda)``
+    (scale ``alpha / (1 - lambda)``, ratio ``lambda``).
 
     Independent of the data and of ``q``; ``O(1)`` per query after a
     trivial precomputation of the powers.
@@ -85,13 +86,12 @@ class XBound:
 
     name = "X"
 
-    def __init__(self, params: DHTParams, d: int) -> None:
+    def __init__(self, scale: float, ratio: float, d: int) -> None:
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
         self._d = d
-        scale = params.alpha / (1.0 - params.decay)
-        self._tails = scale * params.decay ** np.arange(1, d + 2)
-        # _tails[l] == alpha * lambda^{l+1} / (1-lambda) for l = 0..d
+        self._tails = scale * ratio ** np.arange(1, d + 2)
+        # _tails[l] == scale * ratio^{l+1} for l = 0..d
 
     @property
     def d(self) -> int:
@@ -131,7 +131,9 @@ class YBound:
     ``c_i(q) = w_i * min(sum_p S_i(p, q), 1)`` for the whole graph, and
     serves ``Y_l^+(P, q) = sum_{i > l} c_i(q)`` from suffix sums —
     ``O(1)`` per ``(l, q)`` query, ``O(d |V_G|)`` memory, matching the
-    complexity stated in Section VI-C.
+    complexity stated in Section VI-C.  The build holds the reach series
+    and the suffix table, about ``2 (d + 1) |V_G|`` floats, at its peak:
+    ``c_i`` is formed in place in the series and summed into the table.
     """
 
     name = "Y"
@@ -147,13 +149,13 @@ class YBound:
             raise ValueError(f"d must be >= 1, got {d}")
         self._d = d
         engine.stats.add("bound_builds", 1)
-        reach = engine.reach_mass_series(sources, d)  # (d, n)
-        capped = np.minimum(reach, 1.0)
-        contributions = capped * np.asarray(weights)[:, None]  # c_i(q), (d, n)
+        contributions = engine.reach_mass_series(sources, d)  # (d, n)
+        np.minimum(contributions, 1.0, out=contributions)
+        contributions *= np.asarray(weights)[:, None]  # c_i(q)
         # suffix[l, q] = sum_{i = l+1 .. d} c_i(q), for l = 0..d
-        n = reach.shape[1]
-        suffix = np.zeros((d + 1, n), dtype=np.float64)
-        suffix[:d] = np.cumsum(contributions[::-1], axis=0)[::-1]
+        suffix = np.empty((d + 1, contributions.shape[1]), dtype=np.float64)
+        suffix[d] = 0.0
+        np.cumsum(contributions[::-1], axis=0, out=suffix[d - 1 :: -1])
         self._suffix = suffix
 
     @property
@@ -171,25 +173,3 @@ class YBound:
         _check_level(l, self._d)
         return self._suffix[l, np.asarray(qs, dtype=np.intp)]
 
-
-class ClosedFormTail:
-    """A measure's data-independent tail ``tail_bound(l)`` — its ``X``
-    analogue, what ``B-IDJ-X`` reads — for walks of length ``d``."""
-
-    name = "closed-form"
-
-    def __init__(self, measure, d: int) -> None:
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        self._measure = measure
-        self._d = d
-
-    def tail(self, l: int, q: int = -1) -> float:
-        """``measure.tail_bound(l)``; valid for any ``q``."""
-        _check_level(l, self._d)
-        return self._measure.tail_bound(l)
-
-    def tails(self, l: int, qs: Sequence[int]) -> np.ndarray:
-        """``measure.tail_bound(l)`` once per target in ``qs``."""
-        _check_level(l, self._d)
-        return np.full(len(qs), self._measure.tail_bound(l), dtype=np.float64)

@@ -211,13 +211,11 @@ class DHTMeasure:
         whole block (reflexive entries carry the return-walk artefact)."""
         return WalkState(engine, self.params, targets).advance_to(steps).scores_matrix()
 
-    def tail_bound(self, level: int) -> float:
-        """The ``X_l^+`` geometric tail (Lemma 2)."""
-        return self.params.truncation_error_bound(level)
-
     def x_bound(self, d: int) -> XBound:
-        """Lemma 2's ``X`` table at depth ``d``."""
-        return XBound(self.params, d)
+        """Lemma 2's ``X`` table at depth ``d``:
+        ``X_l^+ = alpha * lambda^{l+1} / (1 - lambda)``."""
+        params = self.params
+        return XBound(params.alpha / (1.0 - params.decay), params.decay, d)
 
     def tail_weights(self, d: int) -> np.ndarray:
         """``w_i * sup P_i = alpha * lambda^i``, ``i = 1 .. d`` — the

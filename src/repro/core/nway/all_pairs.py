@@ -14,8 +14,8 @@ propagates its targets in batched blocks and, through the spec's shared
 walk cache, reuses full-depth walks across edges whose right sets
 overlap (star / clique query graphs).  The loop itself is the shared
 :class:`~repro.core.nway.driver.NWayDriver` with the *materialised*
-edge source.  On a measure spec the materialiser is ``B-BJ`` (under its
-measure name ``basic``): forward processing is DHT-only.
+edge source.  On a non-DHT spec the default materialiser is ``B-BJ``:
+forward walks are DHT-only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class AllPairsJoin(NWayDriver):
     """``AP``: full per-edge materialisation + PBRJ rank join.
 
     ``two_way`` is the default materialiser (``f-bj``/``b-bj``; omitted,
-    the strategy table's: ``f-bj``, ``basic`` under a measure); ``plan``
+    ``f-bj``, or ``b-bj`` where forward walks may not run); ``plan``
     (or ``spec.plan``) chooses per-edge materialiser and build order.
     The materialised lists are complete either way, so plans only move
     cost, never answers.  ``stats`` is the rank join's own record.

@@ -6,12 +6,12 @@ rank join over those streams).  :class:`NWayDriver` is that shared
 rest, written once: resolve the plan, walk its build order, open one
 *edge source* per edge, hand the streams to one
 :class:`~repro.rankjoin.pbrj.PBRJ`, fill one stats record.  The
-sources (``ap``: materialised, ``pj``: restart, ``pj-i``: incremental)
-and the per-edge 2-way operators each come from one table below, and
-one more, :data:`STRATEGIES`, says which default operator and source a
-strategy runs under DHT or another measure (:func:`is_dht`, the one DHT
-check); ``docs/ALGORITHMS.md`` has the tables with the paper's cost
-models.
+per-edge 2-way operators come from one table below (:data:`OPERATORS`)
+and each strategy's default operator and edge source from one more
+(:data:`STRATEGIES`: ``ap`` materialised, ``pj`` restart, ``pj-i``
+incremental).  A name means one thing under every measure; the one DHT
+check (:func:`runs_under`) only decides whether forward walks may run.
+``docs/ALGORITHMS.md`` has the tables with the paper's cost models.
 
 Governance is a guard at the same seam, read from the thread-local
 ``spec.engine.governor`` (every api query installs one): without a
@@ -34,7 +34,6 @@ from repro.core.two_way.backward import (
     BackwardBasicJoin,
     BackwardIDJX,
     BackwardIDJY,
-    BoundFactory,
     y_bound_factory,
 )
 from repro.core.two_way.base import ScoredPair, sort_pairs
@@ -48,7 +47,10 @@ from repro.rankjoin.pbrj import PBRJ, RankJoinStats
 Interval = Tuple[float, float]
 
 
-_DHT_OPERATORS = {
+#: Plan operator name -> ``context -> join`` factory.  Every name means
+#: one join under every measure; :func:`runs_under` only says whether
+#: the forward ones may run.
+OPERATORS = {
     "f-bj": ForwardBasicJoin,
     "f-idj": ForwardIDJ,
     "b-bj": BackwardBasicJoin,
@@ -56,44 +58,16 @@ _DHT_OPERATORS = {
     "b-idj-y": BackwardIDJY,
 }
 
-#: The 2-way names a non-DHT measure context runs, and the operator
-#: each one runs as there.  Forward processing relies on per-pair
-#: absorbing walks, a DHT-specific kernel, so it has no entry; both
-#: deepening names keep the reach-mass bound under such a measure.
-MEASURE_OPERATORS = {
-    "b-bj": "basic",
-    "basic": "basic",
-    "b-idj-x": "idj",
-    "b-idj-y": "idj",
-    "idj": "idj",
-}
-
-#: Plan operator name -> ``context -> join`` factory.
-#: ``basic`` / ``idj`` are the names plans record under a non-DHT measure.
-OPERATORS = {
-    **_DHT_OPERATORS,
-    "idj": BackwardIDJY,
-    "basic": BackwardBasicJoin,
-}
-
-#: ``(strategy, is_dht(measure)) -> (default operator, edge source)``.
-#: A non-DHT measure has no incremental ``F`` structure, so its ``pj-i``
-#: runs ``PJ``'s restart source.
-STRATEGIES = {
-    ("ap", True): ("f-bj", "ap"),
-    ("ap", False): ("basic", "ap"),
-    ("pj", True): ("b-idj-y", "pj"),
-    ("pj", False): ("idj", "pj"),
-    ("pj-i", True): ("b-idj-y", "pj-i"),
-    ("pj-i", False): ("idj", "pj"),
-}
+#: The names that walk forward — one absorbing walk per pair (``F-*``)
+#: or per answer tuple (``NL``), a DHT-specific kernel.
+FORWARD = ("f-bj", "f-idj", "nl")
 
 
-def is_dht(measure) -> bool:
-    """Whether ``measure`` is DHT — the one check behind the DHT-only
-    choices: the forward operators, ``NL``, ``PJ-i``'s incremental
-    source and ``B-IDJ-X`` under its own name."""
-    return isinstance(measure, DHTMeasure)
+def runs_under(name: str, measure) -> bool:
+    """Whether operator or strategy ``name`` may run under ``measure`` —
+    the one DHT check, and the one thing it decides: forward walks
+    (:data:`FORWARD`, and so ``AP``'s default materialiser) need DHT."""
+    return name not in FORWARD or isinstance(measure, DHTMeasure)
 
 
 def _by_name(table: dict, name: str, what: str) -> Callable:
@@ -106,19 +80,17 @@ def _by_name(table: dict, name: str, what: str) -> Callable:
 
 
 def two_way_operator(name: str, measure) -> str:
-    """The :data:`OPERATORS` key a 2-way algorithm ``name`` runs as: the
-    name itself under DHT, its :data:`MEASURE_OPERATORS` entry under
-    another measure."""
-    if is_dht(measure):
-        _by_name(_DHT_OPERATORS, name, "2-way algorithm")
-        return name.lower()
-    try:
-        return MEASURE_OPERATORS[name.lower()]
-    except KeyError:
+    """The :data:`OPERATORS` key of 2-way algorithm ``name`` — the name
+    itself, once it is known and may run under ``measure``."""
+    _by_name(OPERATORS, name, "2-way algorithm")
+    name = name.lower()
+    if not runs_under(name, measure):
         raise GraphValidationError(
-            f"algorithm {name!r} is DHT-only; under a measure choose from "
-            f"{sorted(MEASURE_OPERATORS)}"
-        ) from None
+            f"algorithm {name!r} walks forward and is DHT-only; under a "
+            f"measure choose from "
+            f"{sorted(op for op in OPERATORS if runs_under(op, measure))}"
+        )
+    return name
 
 
 def snapshot_partial(join, k: Optional[int], reason: str) -> PartialResult:
@@ -165,7 +137,7 @@ class _Materialised:
     next_pair = None
     limit = None
 
-    def __init__(self, context, factory, m, bound_factory) -> None:
+    def __init__(self, context, factory, m) -> None:
         governor = context.engine.governor
         if (
             factory is ForwardBasicJoin
@@ -189,7 +161,7 @@ class _RestartProvider:
     re-propagating them.
     """
 
-    def __init__(self, context, factory, m, bound_factory) -> None:
+    def __init__(self, context, factory, m) -> None:
         self._context = context
         self._factory = factory
         self.limit = m
@@ -212,14 +184,17 @@ class _RestartProvider:
 
 
 class _Incremental:
-    """``PJ-i``: one :class:`IncrementalTwoWayJoin` per edge.
-
-    The ``F``-structure is its own operator, so the plan's operator
-    name is not consulted — only the caller's bound flavour.
+    """``PJ-i``: one :class:`IncrementalTwoWayJoin` per edge, under the
+    bound of the plan row's operator (``b-idj-x``: ``X``, ``b-idj-y``:
+    ``Y``); a row whose operator has no bound (a replayed ``PJ`` plan's
+    ``b-bj``) refines under ``Y``, the paper's choice.
     """
 
-    def __init__(self, context, factory, m, bound_factory) -> None:
-        self.join = IncrementalTwoWayJoin(context, bound_factory=bound_factory)
+    def __init__(self, context, factory, m) -> None:
+        self.join = IncrementalTwoWayJoin(
+            context,
+            bound_factory=getattr(factory, "bound_factory", y_bound_factory),
+        )
         self.limit = m
         self.refills = 0
 
@@ -231,7 +206,21 @@ class _Incremental:
         return self.join.next_pair()
 
 
-_SOURCES = {"ap": _Materialised, "pj": _RestartProvider, "pj-i": _Incremental}
+#: strategy -> (default operator, edge source), one row per strategy
+#: under every measure; where forward walks may not run, ``AP``
+#: materialises with ``b-bj`` instead (:func:`strategy_operator`).
+STRATEGIES = {
+    "ap": ("f-bj", _Materialised),
+    "pj": ("b-idj-y", _RestartProvider),
+    "pj-i": ("b-idj-y", _Incremental),
+}
+
+
+def strategy_operator(strategy: str, measure) -> str:
+    """The operator a ``fixed`` plan of ``strategy`` gives every edge
+    under ``measure``."""
+    operator = STRATEGIES[strategy][0]
+    return operator if runs_under(operator, measure) else "b-bj"
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +321,13 @@ class NWayDriver:
     """One n-way join: ``strategy``'s edge sources under one PBRJ.
 
     ``strategy`` (``"ap"``/``"pj"``/``"pj-i"``) picks — through
-    :data:`STRATEGIES` and the spec's measure — the edge source and the
-    planner's candidates; ``default_operator`` is what a ``"fixed"``
-    plan gives every edge (default: the strategy's row); ``m`` is the
-    lazy sources' prefix length (``AP`` ignores it); ``plan`` overrides
-    ``spec.plan`` (its rows carry the materialised source's block
-    width); ``bound_factory`` is the incremental source's bound flavour.
-    The public per-strategy classes (``PartialJoin`` ...) document them
-    in full.
+    :data:`STRATEGIES` — the edge source and the planner's candidates;
+    ``default_operator`` is what a ``"fixed"`` plan gives every edge
+    (default: :func:`strategy_operator`); ``m`` is the lazy sources'
+    prefix length (``AP`` ignores it); ``plan`` overrides ``spec.plan``.
+    Every source reads its join — and ``PJ-i`` its bound — off the plan
+    row's operator.  The public per-strategy classes (``PartialJoin``
+    ...) document them in full.
 
     After :meth:`run`: ``plan`` is the resolved plan, ``stats`` the
     lazy-strategy record, ``rank_join`` the PBRJ's own stats, and — under
@@ -355,17 +343,16 @@ class NWayDriver:
         default_operator: Optional[str] = None,
         m: int = 50,
         plan=None,
-        bound_factory: BoundFactory = y_bound_factory,
     ) -> None:
         if strategy != "ap" and m < 0:
             raise GraphValidationError(f"m must be >= 0, got {m}")
-        operator, source = STRATEGIES[(strategy, is_dht(spec.measure))]
         self._spec = spec
-        self._strategy = source
-        self._default_operator = default_operator or operator
+        self._strategy = strategy
+        self._default_operator = default_operator or strategy_operator(
+            strategy, spec.measure
+        )
         self._m = m
         self._plan = plan
-        self._bound_factory = bound_factory
         self.plan = None
         self.stats = PartialJoinStats()
         self.rank_join: Optional[RankJoinStats] = None
@@ -374,11 +361,10 @@ class NWayDriver:
 
     def _open(self, e: int, ep):
         """The edge source of query edge ``e`` under its plan row."""
-        return _SOURCES[self._strategy](
+        return STRATEGIES[self._strategy][1](
             self._spec.edge_context(e),
             _by_name(OPERATORS, ep.operator, "plan operator"),
             self._m,
-            self._bound_factory,
         )
 
     def run(self) -> List[CandidateAnswer]:

@@ -12,10 +12,9 @@ waste (re-ranking from scratch) remains, keeping the PJ/PJ-i comparison
 honest.
 
 The per-edge 2-way joins default to ``B-IDJ-Y``, the paper's best
-algorithm for this role (Section VII-A) — under a measure, the same
-operator with the measure's bound.  The loop itself is the shared
-:class:`~repro.core.nway.driver.NWayDriver` with the *restart* edge
-source.
+algorithm for this role (Section VII-A), under every measure.  The loop
+itself is the shared :class:`~repro.core.nway.driver.NWayDriver` with
+the *restart* edge source.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ class PartialJoin(NWayDriver):
     two_way:
         Name of the default 2-way join algorithm used for both the
         initial prefixes and the restart refills; omitted, the strategy
-        table's (``"b-idj-y"``, ``"idj"`` under a measure).  Under
-        ``plan="auto"`` the planner may pick a different operator per
-        edge; the default seeds its candidate preference.
+        table's, ``"b-idj-y"``.  Under ``plan="auto"`` the planner may
+        pick a different operator per edge; the default seeds its
+        candidate preference.
     plan:
         Optional override of ``spec.plan`` — ``"fixed"``, ``"auto"``,
         or a replayed :class:`~repro.planner.plan.ExplainedPlan`.

@@ -6,11 +6,11 @@ top-``m`` prefix is computed by a ``B-IDJ`` instrumented to retain its
 bound information in the ``F`` structure, and every later
 ``getNextNodePair`` is answered by refining ``F`` instead of re-running a
 join from scratch.  This is the paper's best n-way algorithm (up to 50x
-faster than ``PJ``; two orders of magnitude at ``k = 200``).  The loop
-itself is the shared :class:`~repro.core.nway.driver.NWayDriver` with
-the *incremental* edge source — on a DHT spec; a measure has no ``F``
-structure, so on a measure spec the driver's strategy table runs
-``PJ``'s restart source instead.
+faster than ``PJ``; two orders of magnitude at ``k = 200``).  ``F``
+reads only per-step scores and the tail bound, so it runs under every
+measure.  The loop itself is the shared
+:class:`~repro.core.nway.driver.NWayDriver` with the *incremental* edge
+source.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.nway.candidates import CandidateAnswer
-from repro.core.nway.driver import NWayDriver, two_way_operator
+from repro.core.nway.driver import NWayDriver
 from repro.core.nway.spec import NWayJoinSpec
-from repro.core.two_way.backward import x_bound_factory, y_bound_factory
 from repro.graph.validation import GraphValidationError
-
-_BOUND_FACTORIES = {
-    "x": x_bound_factory,
-    "y": y_bound_factory,
-}
 
 
 class PartialJoinIncremental(NWayDriver):
@@ -40,13 +34,14 @@ class PartialJoinIncremental(NWayDriver):
         Per-edge prefix length (default 50, the paper's setting).
     bound:
         Upper-bound flavour for the underlying ``B-IDJ``; ``"y"``
-        (default, the paper's choice) or ``"x"``.  On a measure spec
-        both run ``idj`` (see :data:`~repro.core.nway.driver.MEASURE_OPERATORS`).
+        (default, the paper's choice) or ``"x"`` — the default operator
+        ``b-idj-y`` / ``b-idj-x``, whose bound the ``F`` refinement
+        reads too.
     plan:
         Optional override of ``spec.plan``.  ``PJ-i``'s incremental
-        ``F``-structure is its own operator, so the planner only
-        chooses the edge *build order* here (walk-cache residency),
-        never the operator.
+        ``F``-structure keeps its default operator on every edge, so the
+        planner only chooses the edge *build order* here (walk-cache
+        residency).
     """
 
     name = "PJ-i"
@@ -55,14 +50,11 @@ class PartialJoinIncremental(NWayDriver):
         self, spec: NWayJoinSpec, m: int = 50, bound: str = "y", plan=None
     ) -> None:
         bound = bound.lower()
-        if bound not in _BOUND_FACTORIES:
+        if bound not in ("x", "y"):
             raise GraphValidationError(
-                f"unknown bound {bound!r}; choose from {sorted(_BOUND_FACTORIES)}"
+                f"unknown bound {bound!r}; choose from ['x', 'y']"
             )
-        super().__init__(
-            spec, "pj-i", two_way_operator(f"b-idj-{bound}", spec.measure),
-            m=m, plan=plan, bound_factory=_BOUND_FACTORIES[bound],
-        )
+        super().__init__(spec, "pj-i", f"b-idj-{bound}", m=m, plan=plan)
 
     def run(self) -> List[CandidateAnswer]:
         """Execute ``PJ-i`` and return the top-``k`` answers."""

@@ -218,8 +218,8 @@ def x_bound_factory(context: TwoWayContext) -> ScoreUpperBound:
     :class:`~repro.bounds_cache.BoundPlanCache` (keyed by depth only —
     ``X`` is data-independent), so repeated joins on one context and
     ``F-IDJ`` runs at the same depth share one table.  The table is
-    the measure's ``x_bound``: Lemma 2's ``X`` for DHT, a series
-    measure's closed-form ``tail_bound``.
+    the measure's ``x_bound``: Lemma 2's ``X``, a geometric tail under
+    every measure.
     """
     measure, d = context.measure, context.d
     return context.bound_cache.x_bound(d, lambda: measure.x_bound(d))
@@ -430,11 +430,12 @@ class BackwardIDJX(BackwardIDJ):
     """``B-IDJ-X``: Algorithm 2 with the closed-form ``X_l^+`` bound."""
 
     name = "B-IDJ-X"
+    bound_factory = staticmethod(x_bound_factory)
 
     def __init__(
         self, context: TwoWayContext, observer: Optional[WalkObserver] = None
     ) -> None:
-        super().__init__(context, x_bound_factory, observer=observer)
+        super().__init__(context, self.bound_factory, observer=observer)
 
 
 class BackwardIDJY(BackwardIDJ):
@@ -445,8 +446,9 @@ class BackwardIDJY(BackwardIDJ):
     """
 
     name = "B-IDJ-Y"
+    bound_factory = staticmethod(y_bound_factory)
 
     def __init__(
         self, context: TwoWayContext, observer: Optional[WalkObserver] = None
     ) -> None:
-        super().__init__(context, y_bound_factory, observer=observer)
+        super().__init__(context, self.bound_factory, observer=observer)

@@ -77,6 +77,7 @@ class ForwardIDJ:
     """
 
     name = "F-IDJ"
+    bound_factory = staticmethod(x_bound_factory)
 
     def __init__(self, context: TwoWayContext) -> None:
         self._ctx = context
@@ -90,7 +91,7 @@ class ForwardIDJ:
             return []
         ctx = self._ctx
         params = ctx.measure.params
-        xbound = x_bound_factory(ctx)
+        xbound = self.bound_factory(ctx)
         self.pruning_trace = []
         active = list(ctx.left)
         level = 1

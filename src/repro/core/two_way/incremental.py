@@ -242,7 +242,9 @@ class IncrementalTwoWayJoin:
         Validated join inputs.
     bound_factory:
         Upper-bound flavour for both the initial ``B-IDJ`` and the
-        refinement loop; defaults to the ``Y`` bound, the paper's choice.
+        refinement loop; defaults to the ``Y`` bound, the paper's choice
+        (``PJ-i`` passes its plan row operator's).  Either runs under
+        every measure: ``F`` reads only per-step scores and tails.
     """
 
     def __init__(

@@ -30,15 +30,14 @@ on — see ``docs/ALGORITHMS.md`` for the worked derivations):
    ``h_l(., q)``, and ``h_l(p, q) <= h_d(p, q)`` for ``l <= d``
    (non-negative statistics and weights), so truncations are valid
    *lower* bounds.
-2. ``tail_bound(l) >= sum_{i > l} w_i sup_u,v M_i(u, v)``, so
-   ``h_d(p, q) <= h_l(p, q) + tail_bound(l)`` is a valid *upper* bound.
+2. ``x_bound(d)`` is the data-independent tail table ``B-IDJ-X`` reads,
+   an :class:`~repro.core.bounds.XBound` whose
+   ``tail(l) >= sum_{i > l} w_i sup_u,v M_i(u, v)``, so
+   ``h_d(p, q) <= h_l(p, q) + tail(l)`` is a valid *upper* bound.
 3. ``floor`` is the score of a pair whose every statistic is zero — the
    bottom of the range, used to seed per-target maxima and to filter
    uninformative lower bounds.
-4. ``x_bound(d)`` is the data-independent tail table ``B-IDJ-X`` reads
-   (DHT's Lemma 2 ``X``, else :class:`~repro.core.bounds.ClosedFormTail`
-   over ``tail_bound``).
-5. ``tail_weights(d)``, the per-step ``w_i * sup M_i`` for
+4. ``tail_weights(d)``, the per-step ``w_i * sup M_i`` for
    ``i = 1 .. d``, builds the data-dependent reach-mass tail
    :class:`~repro.core.bounds.YBound`
    (Theorem 1, measure-generically: for DHT because first hits are a
@@ -51,7 +50,7 @@ per-target ``backward_scores`` at every node ``u != target`` (reflexive
 entries may differ by the kernel's return-walk convention; every join
 excludes ``p == q``).
 
-6. ``kernel()`` is the measure's block kernel (DHT's params, else a
+5. ``kernel()`` is the measure's block kernel (DHT's params, else a
    :class:`~repro.walks.kernels.BlockKernel`) and its cache identity:
    both caches are keyed by it, so every measure gets the full
    resumable walk layer — :class:`~repro.walks.state.WalkState` blocks,
@@ -67,7 +66,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.core.bounds import ClosedFormTail
+from repro.core.bounds import XBound
 from repro.core.dht import DHTMeasure  # noqa: F401 - re-exported
 from repro.walks.engine import WalkEngine
 from repro.walks.kernels import BlockKernel, PPRBlockKernel
@@ -101,13 +100,10 @@ class SeriesMeasure(Protocol):
         every node ``u != targets[j]``."""
         ...
 
-    def tail_bound(self, level: int) -> float:
-        """Upper bound on the score mass of steps ``level+1 .. d``."""
-        ...
-
-    def x_bound(self, d: int) -> object:
+    def x_bound(self, d: int) -> XBound:
         """The data-independent tail table of depth ``d`` that
-        ``B-IDJ-X`` reads (a :class:`~repro.core.bounds.ScoreUpperBound`)."""
+        ``B-IDJ-X`` reads: ``tail(l)`` bounds the score mass of steps
+        ``l+1 .. d``."""
         ...
 
     @property
@@ -200,15 +196,10 @@ class TruncatedPPR:
         is part of the score)."""
         return WalkState(engine, self.kernel(), targets).advance_to(steps).scores_matrix()
 
-    def tail_bound(self, level: int) -> float:
-        """``(1-c) sum_{i > level} c^i = c^{level+1}`` (since S_i <= 1)."""
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        return self.damping ** (level + 1)
-
-    def x_bound(self, d: int) -> ClosedFormTail:
-        """:meth:`tail_bound` as a depth-``d`` table."""
-        return ClosedFormTail(self, d)
+    def x_bound(self, d: int) -> XBound:
+        """``X_l^+ = (1-c) sum_{i > l} c^i = c^{l+1}`` (since
+        ``S_i <= 1``) as a depth-``d`` table."""
+        return XBound(1.0, self.damping, d)
 
     def tail_weights(self, d: int) -> list:
         """``w_i * sup S_i = (1-c) c^i``, ``i = 1 .. d`` — enables the

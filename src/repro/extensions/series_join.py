@@ -10,16 +10,16 @@ three pieces that genuinely differ off it:
 
 * **the scorer** — ``B-BJ`` walks a ``WalkState`` over the measure's
   kernel;
-* **the bound** — ``y_bound_factory``: the reach-mass
-  :class:`~repro.core.bounds.YBound` over the measure's
-  ``tail_weights`` through the bound cache;
+* **the bound** — the reach-mass :class:`~repro.core.bounds.YBound`
+  over the measure's ``tail_weights`` (``b-idj-y``) or its ``x_bound``
+  table (``b-idj-x``), through the bound cache;
 * **the rounds** — :class:`~repro.walks.rounds.DeepeningRounds` over
   the measure's kernel.
 
-``AP`` / ``PJ`` / ``PJ-i`` run measure specs through the driver's
-strategy table.  The classes below are those operators and executors
-under their measure names, kept as the boundaries the benchmark's layer
-attribution wraps.
+Every operator and strategy name means the same join under every
+measure (the driver's tables; only the forward walks are DHT-only).
+The classes below are ``B-BJ``, ``B-IDJ-Y`` and ``PJ`` under other
+names, kept as the boundaries the benchmark's layer attribution wraps.
 """
 
 from __future__ import annotations

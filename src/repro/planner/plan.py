@@ -45,7 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.nway.driver import STRATEGIES, is_dht
+from repro.core.nway.driver import runs_under, strategy_operator
 from repro.graph.validation import GraphValidationError
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
 from repro.planner.stats import GraphStats
@@ -54,27 +54,20 @@ PLAN_MODES = ("fixed", "auto")
 PLAN_STRATEGIES = ("pj", "pj-i", "ap")
 
 # Operator candidates per strategy, best-guess first (ties in estimated
-# cost resolve toward the front of the tuple).  DHT names are the
-# paper's; series names are the measure-generic pair.
-_DHT_CANDIDATES = {
+# cost resolve toward the front of the tuple); the forward ones drop
+# out where forward walks may not run.
+_CANDIDATES = {
     "pj": ("b-idj-y", "b-idj-x", "b-bj", "f-idj"),
     "ap": ("b-bj", "f-bj"),
 }
-_SERIES_CANDIDATES = {
-    "pj": ("idj", "basic"),
-    "ap": ("basic",),
-}
 
-# Operator name -> cost-model kind.  The series "idj" runs the measure's
-# reach-mass Y bound, so it costs as "idj-y".
+# Operator name -> cost-model kind.
 _OPERATOR_KINDS = {
     "b-bj": "basic",
-    "basic": "basic",
     "b-idj-y": "idj-y",
     "b-idj-x": "idj-x",
     "f-bj": "f-bj",
     "f-idj": "f-idj",
-    "idj": "idj-y",
 }
 
 
@@ -263,11 +256,13 @@ class _ResidentSetModel:
 
 def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, ...]:
     if mode == "fixed" or strategy == "pj-i":
-        # Fixed mode keeps the executor's default; PJ-i's incremental
-        # F-structure is its own operator — the planner only orders it.
+        # Fixed mode keeps the executor's default; PJ-i's F structure
+        # refines under its default operator's bound — the planner only
+        # orders it.
         return (default,)
-    table = _DHT_CANDIDATES if is_dht(measure) else _SERIES_CANDIDATES
-    candidates = table[strategy]
+    candidates = tuple(
+        c for c in _CANDIDATES[strategy] if runs_under(c, measure)
+    )
     if default in candidates:
         return (default,) + tuple(c for c in candidates if c != default)
     return candidates
@@ -390,8 +385,9 @@ def _build_plan(
         if getattr(engine_stats, "propagation_steps", 0) > 0 else None
     )
     model = CostModel(stats, spec.d, feedback=feedback)
-    row = STRATEGIES[(strategy, is_dht(spec.measure))]
-    default = (default_operator or row[0]).lower()
+    default = (
+        default_operator or strategy_operator(strategy, spec.measure)
+    ).lower()
     candidates = _candidates(strategy, spec.measure, default, mode)
 
     edge_sets = [spec.edge_node_sets(e) for e in range(num_edges)]
@@ -435,7 +431,7 @@ def _build_plan(
         "credit_scale": round(model.credit_scale, 3),
         "walk_cache_capacity_targets": resident.capacity_targets,
         "d": int(spec.d),
-        "measure": "dht" if is_dht(spec.measure) else spec.measure.name,
+        "measure": spec.measure.name,
     }
     return ExplainedPlan(
         mode=mode,

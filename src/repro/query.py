@@ -135,11 +135,9 @@ class TwoWayRequest(QueryOptions):
     """Top-``k`` pairs between node sets ``left`` and ``right``.
 
     ``algorithm`` is one of ``"f-bj"``, ``"f-idj"``, ``"b-bj"``,
-    ``"b-idj-x"``, ``"b-idj-y"`` (default — the paper's fastest).  Under
-    a non-DHT measure the backward names run as
-    :data:`~repro.core.nway.driver.MEASURE_OPERATORS` says (``b-bj`` ->
-    ``basic``, ``b-idj-*`` -> ``idj``, both with the measure's
-    reach-mass bound); the forward algorithms are DHT-only.
+    ``"b-idj-x"``, ``"b-idj-y"`` (default — the paper's fastest).  Each
+    name runs the same join under every measure, with the measure's
+    scorer and bound; the forward algorithms are DHT-only.
     """
 
     left: Tuple[int, ...]
@@ -162,12 +160,13 @@ class MultiWayRequest(QueryOptions):
 
     ``algorithm``
         ``"nl"``, ``"ap"``, ``"pj"``, or ``"pj-i"`` (default — the
-        paper's best).  Under a non-DHT measure ``"pj-i"`` runs ``PJ``'s
-        restart source (incremental refinement is DHT-specific) and
-        ``"nl"`` is DHT-only — the driver's
-        :data:`~repro.core.nway.driver.STRATEGIES` table.  Under a budget
-        or a fault injector ``"pj-i"`` runs ``PJ``'s restart source too,
-        ``"ap"`` materialises with ``B-BJ``, and ``"nl"`` is rejected.
+        paper's best), each with the source and default operator of the
+        driver's :data:`~repro.core.nway.driver.STRATEGIES` table under
+        every measure; ``"nl"``, and ``"ap"``'s default ``F-BJ``, walk
+        forward, so under a non-DHT measure ``"nl"`` is rejected and
+        ``"ap"`` materialises with ``B-BJ``.  Under a budget or a fault
+        injector ``"pj-i"`` runs ``PJ``'s restart source, ``"ap"``
+        materialises with ``B-BJ``, and ``"nl"`` is rejected.
     ``m``
         Prefix length for ``PJ``/``PJ-i`` (ignored by ``NL``/``AP``).
     ``aggregate``

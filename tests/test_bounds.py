@@ -1,43 +1,67 @@
 """Unit tests for the X and Y score upper bounds (Section VI-C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.bounds import ClosedFormTail, XBound, YBound
+from repro.core.bounds import XBound, YBound
 from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.two_way.backward import back_walk
 from repro.core.two_way.base import make_context
 from repro.extensions.measures import TruncatedPPR
+from repro.graph.builders import preferential_attachment
 from repro.walks.engine import WalkEngine
+
+
+def dht_x(params, d):
+    """DHT's ``X`` table at depth ``d``, as its measure builds it."""
+    return DHTMeasure(params, d=d).x_bound(d)
 
 
 class TestXBound:
     def test_closed_form(self, params):
         # X_l = alpha * lambda^{l+1} / (1 - lambda)  (Lemma 2)
-        bound = XBound(params, d=8)
+        bound = dht_x(params, 8)
         for l in range(9):
             expected = params.alpha * params.decay ** (l + 1) / (1 - params.decay)
             assert bound.tail(l) == pytest.approx(expected)
 
     def test_decreasing_in_l(self, params):
-        bound = XBound(params, d=8)
+        bound = dht_x(params, 8)
         tails = [bound.tail(l) for l in range(9)]
         assert all(b < a for a, b in zip(tails, tails[1:]))
 
     def test_range_checks(self, params):
-        bound = XBound(params, d=4)
+        bound = dht_x(params, 4)
         with pytest.raises(ValueError):
             bound.tail(-1)
         with pytest.raises(ValueError):
             bound.tail(5)
         with pytest.raises(ValueError):
-            XBound(params, d=0)
+            XBound(1.0, 0.5, d=0)
+
+    def test_dht_table_is_the_numpy_power_table(self, params):
+        """DHT's table is ``alpha / (1 - lambda) * lambda ** arange``
+        bit for bit (Python's scalar power differs in the last bit on
+        some entries), at every depth."""
+        scale = params.alpha / (1.0 - params.decay)
+        for d in (1, 5, 8, 20):
+            want = scale * params.decay ** np.arange(1, d + 2)
+            got = np.array([dht_x(params, d).tail(l) for l in range(d + 1)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_ppr_table_is_its_geometric_tail(self):
+        # (1-c) sum_{i > l} c^i = c^{l+1}
+        bound = TruncatedPPR(damping=0.7).x_bound(6)
+        for l in range(7):
+            assert bound.tail(l) == pytest.approx(0.7 ** (l + 1))
 
     def test_validity(self, params, random_graph):
         # h_d(p, q) <= h_l(p, q) + X_l for every prefix l.
         engine = WalkEngine(random_graph)
         d = 8
-        bound = XBound(params, d)
+        bound = dht_x(params, d)
         series = engine.backward_first_hit_series(7, d)
         for p in (0, 3, 12):
             full = params.score_from_series(series[:, p])
@@ -71,7 +95,7 @@ class TestYBound:
         d = 8
         sources = list(range(6))
         y_bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
-        x_bound = XBound(params, d)
+        x_bound = dht_x(params, d)
         for q in range(random_graph.num_nodes):
             for l in range(d + 1):
                 assert y_bound.tail(l, q) <= x_bound.tail(l) + 1e-12
@@ -106,6 +130,37 @@ class TestYBound:
                 )
                 assert bound.tail(l, q) - bound.tail(l + 1, q) == pytest.approx(step)
 
+    def test_table_is_the_reversed_cumsum_bitwise(self, params, random_graph):
+        """The in-place build keeps the table of the plain expression:
+        ``cumsum`` over ``min(reach, 1) * w``, reversed, bit for bit."""
+        engine = WalkEngine(random_graph)
+        d = 8
+        weights = DHTMeasure(params).tail_weights(d)
+        bound = YBound(engine, weights, [1, 4, 9], d)
+        reach = engine.reach_mass_series([1, 4, 9], d)
+        contributions = np.minimum(reach, 1.0) * np.asarray(weights)[:, None]
+        want = np.zeros((d + 1, reach.shape[1]))
+        want[:d] = np.cumsum(contributions[::-1], axis=0)[::-1]
+        got = np.array([bound.tails(l, range(reach.shape[1])) for l in range(d + 1)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_build_peaks_at_two_tables(self, params):
+        """The build holds the reach series and the suffix table, about
+        ``2 (d + 1) n`` floats, plus ``O(n)`` propagation vectors."""
+        graph = preferential_attachment(3000, 3, np.random.default_rng(5))
+        engine = WalkEngine(graph)
+        n, d = graph.num_nodes, 8
+        weights = DHTMeasure(params).tail_weights(d)
+        engine.reach_mass_series([0], 1)  # the transition matrix is the graph's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            YBound(engine, weights, list(range(20)), d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * (d + 1) + 2) * n * 8, peak
+
     def test_range_checks(self, setup):
         _, _, d, bound = setup
         with pytest.raises(ValueError):
@@ -123,7 +178,7 @@ class TestBoundsTightenPruning:
         d = 12
         sources = [0, 1]
         y_bound = YBound(engine, DHTMeasure(params).tail_weights(d), sources, d)
-        x_bound = XBound(params, d)
+        x_bound = dht_x(params, d)
         q = 35
         ratios = [
             y_bound.tail(l, q) / x_bound.tail(l) for l in range(1, 5)
@@ -142,9 +197,9 @@ class TestVectorTails:
         engine = WalkEngine(random_graph)
         d = self.D
         return [
-            XBound(params, d),
+            dht_x(params, d),
             YBound(engine, DHTMeasure(params).tail_weights(d), [2, 3, 5], d),
-            ClosedFormTail(TruncatedPPR(), d),
+            TruncatedPPR().x_bound(d),
         ]
 
     def test_tails_equal_scalar_tails_bitwise(self, bounds, random_graph):

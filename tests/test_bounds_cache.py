@@ -376,10 +376,8 @@ class TestXBoundCaching:
     """F-IDJ / B-IDJ-X pull their X tables from the BoundPlanCache."""
 
     def test_x_bound_built_once(self, cache, engine, params):
-        from repro.core.bounds import XBound
-
-        first = cache.x_bound(4, lambda: XBound(params, 4))
-        second = cache.x_bound(4, lambda: XBound(params, 4))
+        first = cache.x_bound(4, lambda: DHTMeasure(params, d=4).x_bound(4))
+        second = cache.x_bound(4, lambda: DHTMeasure(params, d=4).x_bound(4))
         assert first is second
         assert cache.stats.x_builds == 1 and cache.stats.x_hits == 1
         assert engine.stats.bound_cache_hits == 1  # hits land in engine stats

@@ -154,7 +154,7 @@ def test_ungoverned_explain_replays_under_a_ceiling():
     plan = explain_multi_way_plan(
         GRAPH, NWAY_QUERY, NWAY_SETS, 5, algorithm="ap", measure="ppr",
     )
-    assert set(plan.operators) == {"basic"}
+    assert set(plan.operators) == {"b-bj"}
     engine = WalkEngine(GRAPH)
     result = multi_way_join(
         GRAPH, NWAY_QUERY, NWAY_SETS, 5, algorithm="ap", measure="ppr",
@@ -163,6 +163,36 @@ def test_ungoverned_explain_replays_under_a_ceiling():
     assert result.exact
     assert engine.stats.alloc_retries == 0
     assert engine.stats.peak_block_bytes <= FOUR_COLUMNS
+
+
+def test_nway_query_cache_keeps_to_the_ceiling(monkeypatch):
+    """The walk cache an n-way query creates for itself is bounded by
+    the query's ``max_bytes``, like every walk block it plans."""
+    import repro.api
+    import repro.core.nway.spec
+
+    created = []
+
+    class Recorded(WalkCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(repro.api, "WalkCache", Recorded)
+    monkeypatch.setattr(repro.core.nway.spec, "WalkCache", Recorded)
+    graph = preferential_attachment(1200, 4, np.random.default_rng(7))
+    order = np.random.default_rng(3).permutation(1200).tolist()
+    sets = [order[:10], order[10:50], order[50:60]]
+    max_bytes = 16 * 1200 * 4
+    expected = multi_way_join(graph, QueryGraph.chain(3), sets, 5)
+    del created[:]
+    result = multi_way_join(
+        graph, QueryGraph.chain(3), sets, 5, algorithm="pj-i",
+        budget=QueryBudget(max_bytes=max_bytes),
+    )
+    assert result.exact and result.results == expected.results
+    assert len(created) == 1
+    assert 0 < created[0].current_bytes <= max_bytes
 
 
 class TestOnBudgetCheckedAtEntry:
@@ -193,8 +223,8 @@ class TestAllocationProperty:
 
     The named terms, per query: ``B-IDJ``'s retained window and repack
     candidates (up to two more ceilings beside the block being walked),
-    each reach-mass ``Y`` bound built (about ``5 (d + 1) n`` floats
-    while it builds), each restricted-tail plan (what building it
+    each reach-mass ``Y`` bound built (about ``2 (d + 1) n`` floats
+    while it builds, plus ``O(n)``), each restricted-tail plan (what building it
     allocates, traced on its own), what the walk cache retains, and the
     left-row score blocks and answers with a fixed bookkeeping
     allowance.
@@ -228,7 +258,7 @@ class TestAllocationProperty:
     def _allowance(self, engine, measure, sets, stats, cache_bytes, rounds):
         """The named terms outside the ceiling, summed over the query."""
         n, d = engine.num_nodes, measure.d
-        y_builds = stats["bound_builds"] * 5 * (d + 1) * n * 8
+        y_builds = stats["bound_builds"] * (2 * (d + 1) + 2) * n * 8
         tail_plans = stats["plan_builds"] * self._tail_plan_bytes(
             engine, sets[:-1], d
         )

@@ -57,7 +57,7 @@ def test_algorithms_handbook_covers_every_paper_name():
     name and every measure entry point must appear."""
     text = ALGORITHMS.read_text(encoding="utf-8")
     for name in ("F-BJ", "F-IDJ", "B-BJ", "B-IDJ", "AP", "PJ", "PJ-i", "NL",
-                 "SeriesMeasure", "backward_scores", "tail_bound", "floor",
+                 "SeriesMeasure", "backward_scores", "x_bound", "floor",
                  "TruncatedPPR"):
         assert name in text, f"docs/ALGORITHMS.md must document {name}"
 
@@ -77,15 +77,12 @@ def test_readme_measure_flag_names_exactly_the_measures():
 
 
 def test_algorithms_handbook_strategy_table_matches_driver():
-    """The handbook's (strategy x DHT / measure) table is the driver's
-    ``STRATEGIES``, row for row."""
+    """The handbook's strategy table is the driver's ``STRATEGIES``,
+    row for row: one default operator and one edge source each."""
     from repro.core.nway.driver import STRATEGIES
 
     text = ALGORITHMS.read_text(encoding="utf-8")
-    header = (
-        "| Strategy | DHT operator | DHT source | Measure operator "
-        "| Measure source |"
-    )
+    header = "| Strategy | Operator | Source |"
     assert header in text, "docs/ALGORITHMS.md lost the strategy table"
     documented = {}
     for line in text.split(header, 1)[1].splitlines()[2:]:
@@ -94,9 +91,11 @@ def test_algorithms_handbook_strategy_table_matches_driver():
         strategy, *cells = [
             cell.strip().strip("`") for cell in line.strip("|").split("|")
         ]
-        documented[(strategy, True)] = tuple(cells[:2])  # is_dht
-        documented[(strategy, False)] = tuple(cells[2:])
-    assert documented == STRATEGIES
+        documented[strategy] = tuple(cells)
+    assert documented == {
+        strategy: (operator, source.__name__)
+        for strategy, (operator, source) in STRATEGIES.items()
+    }
 
 
 @pytest.mark.parametrize("module,name", [

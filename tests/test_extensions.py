@@ -98,7 +98,8 @@ class TestTruncatedPPR:
         full = measure.backward_scores(engine, 7, measure.d)
         for level in (1, 2, 4):
             partial = measure.backward_scores(engine, 7, level)
-            assert np.all(full <= partial + measure.tail_bound(level) + 1e-12)
+            tail = measure.x_bound(measure.d).tail(level)
+            assert np.all(full <= partial + tail + 1e-12)
             assert np.all(partial <= full + 1e-12)  # monotone in depth
 
 
@@ -136,14 +137,14 @@ class TestSeriesJoins:
         measure = TruncatedPPR()
         result = two_way_join(
             random_graph, [0, 1], [20, 21], k=3, measure=measure,
-            algorithm="idj",
+            algorithm="b-idj-y",
         )
         assert len(result) == 3
         scores = [p.score for p in result]
         assert scores == sorted(scores, reverse=True)
 
     def test_two_way_facade_unknown_algorithm(self, random_graph):
-        with pytest.raises(GraphValidationError, match="'magic' is DHT-only"):
+        with pytest.raises(GraphValidationError, match="unknown 2-way algorithm 'magic'"):
             two_way_join(
                 random_graph, [0], [5], k=1,
                 measure=TruncatedPPR(), algorithm="magic",
@@ -289,7 +290,7 @@ class TestSeriesIDJResumable:
             for q in range(20, 28):
                 partial = truncated[q]
                 tail = bound.tail(level, q)
-                assert tail <= measure.tail_bound(level) + 1e-12
+                assert tail <= measure.x_bound(measure.d).tail(level) + 1e-12
                 for p in sources:
                     if p == q:
                         continue
@@ -470,6 +471,25 @@ class TestMeasureRegistryAndApi:
             two_way_join(
                 random_graph, [0], [5], k=1, measure="ppr", algorithm="f-bj"
             )
+
+    def test_ppr_b_idj_x_runs_the_x_bound(self, random_graph):
+        """``b-idj-x`` is ``B-IDJ-X`` under PPR too: it prunes with the
+        measure's closed-form table and builds no reach-mass ``Y``."""
+        left, right = [0, 1, 2, 3], list(range(10, 30))
+        oracle = oracle_pairs(random_graph, left, right, TruncatedPPR())
+        engine = WalkEngine(random_graph)
+        got = two_way_join(
+            random_graph, left, right, k=5, measure="ppr",
+            algorithm="b-idj-x", engine=engine,
+        )
+        assert_top_k(as_ranked(got), oracle, 5)
+        assert engine.stats.bound_builds == 0
+        engine = WalkEngine(random_graph)
+        two_way_join(
+            random_graph, left, right, k=5, measure="ppr",
+            algorithm="b-idj-y", engine=engine,
+        )
+        assert engine.stats.bound_builds == 1
 
     def test_api_multi_way_measure_routing(self, random_graph):
         from repro.api import multi_way_join

@@ -509,8 +509,16 @@ class TestExplainAPI:
             algorithm="pj", measure=TruncatedPPR(damping=0.85, epsilon=1e-3),
         )
         assert plan.strategy == "pj"
-        assert set(plan.operators) <= {"idj", "basic"}
+        # The paper's names under every measure, the forward ones out.
+        assert set(plan.operators) <= {"b-idj-y", "b-idj-x", "b-bj"}
         assert plan.signals["measure"].startswith("PPR")
+        for strategy, operator in (("ap", "b-bj"), ("pj-i", "b-idj-y")):
+            plan = explain_multi_way_plan(
+                spec.graph, spec.query_graph, spec.node_sets, spec.k,
+                algorithm=strategy, measure="ppr", plan="fixed",
+            )
+            assert plan.strategy == strategy
+            assert set(plan.operators) == {operator}
 
     def test_explain_rejects_nl(self):
         spec = small_star_spec()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import XBound, YBound
+from repro.core.bounds import YBound
 from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.nested_loop import NestedLoopJoin
@@ -142,7 +142,7 @@ class TestBoundProperties:
         graph, (left, right) = data
         d = 6
         engine = WalkEngine(graph)
-        x_bound = XBound(params, d)
+        x_bound = DHTMeasure(params, d=d).x_bound(d)
         y_bound = YBound(engine, DHTMeasure(params).tail_weights(d), left, d)
         for q in right:
             series = engine.backward_first_hit_series(q, d)
