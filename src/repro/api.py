@@ -41,6 +41,7 @@ from functools import partial
 from typing import Optional, Sequence, Tuple
 
 from repro.bounds_cache import BoundPlanCache
+from repro.core.nway import EXECUTORS
 from repro.core.nway.driver import OPERATORS, runs_under, two_way_operator
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
@@ -178,12 +179,6 @@ def run(
             algorithm, source = _nway_spec(
                 graph, request, measure, engine, walk_cache, bound_cache
             )
-            if algorithm == "nl" and source.plan != "fixed":
-                raise GraphValidationError(
-                    "the NL strategy scores answers one tuple at a time; it "
-                    "has no per-edge build order or operator choice to plan "
-                    "— use 'ap', 'pj', or 'pj-i' with plan='auto'"
-                )
             execute = partial(
                 run_governed_multi_way, source, algorithm=algorithm,
                 m=request.m,
@@ -300,9 +295,6 @@ def _nway_request(cls, query_graph: QueryGraph, node_sets, k, algorithm,
     )
 
 
-_NWAY_ALGORITHMS = ("nl", "ap", "pj", "pj-i")
-
-
 def _nway_spec(
     graph: Graph, request: MultiWayRequest, measure, engine, walk_cache,
     bound_cache,
@@ -310,15 +302,16 @@ def _nway_spec(
     """The normalised algorithm name and the one :class:`NWayJoinSpec`
     every n-way request runs (any measure, budgeted or not)."""
     name = request.algorithm.lower()
-    if name not in _NWAY_ALGORITHMS:
+    if name not in EXECUTORS:
         raise GraphValidationError(
             f"unknown n-way algorithm {request.algorithm!r}; "
-            f"choose from {_NWAY_ALGORITHMS}"
+            f"choose from {tuple(EXECUTORS)}"
         )
     if not runs_under(name, measure):
         raise GraphValidationError(
             f"algorithm {request.algorithm!r} walks forward and is DHT-only; "
-            "under a measure choose from ['ap', 'pj', 'pj-i']"
+            "under a measure choose from "
+            f"{[other for other in EXECUTORS if runs_under(other, measure)]}"
         )
     budget = request.budget
     if walk_cache is None and budget is not None and budget.max_bytes:

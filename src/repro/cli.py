@@ -24,8 +24,10 @@ Usage (after ``pip install -e .``)::
 Graphs are TSV edge lists with a ``# nodes: N`` header
 (:mod:`repro.graph.io`); node sets are JSON ``{"name": [ids...]}``.
 Each query, one-shot or a ``serve`` request, is a :mod:`repro.query`
-request run by :func:`repro.api.run`.  The ``--requests`` file is a JSON
-list of request objects with the keys of :data:`REQUEST_KEYS`, e.g.
+request run by :func:`repro.api.run`.  :data:`REQUEST_KEYS` declares
+every request option once: a ``--requests`` entry's keys, and the
+one-shot flags, which become the same entry and the same request.  The
+``--requests`` file is a JSON list of request objects, e.g.
 ``[{"type": "two-way", "left": "DB", "right": "AI", "k": 5},
 {"type": "multi-way", "shape": "chain", "node_sets": ["DB", "AI"],
 "k": 5, "measure": "ppr"}]`` (``type`` also accepts ``"explain"``).
@@ -38,12 +40,15 @@ import dataclasses
 import json
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.api import explain_multi_way_plan, run
 from repro.core.dht import DHTParams
+from repro.core.nway import EXECUTORS
 from repro.core.nway.aggregates import aggregate_by_name
+from repro.core.nway.driver import OPERATORS
 from repro.core.nway.query_graph import QueryGraph
+from repro.core.nway.spec import PLAN_MODES
 from repro.exec.budget import (
     ON_BUDGET_POLICIES,
     BudgetExhaustedError,
@@ -58,56 +63,81 @@ from repro.query import (
 )
 
 _SHAPES = ("chain", "cycle", "triangle", "star", "clique")
-
-#: One flag per :class:`~repro.exec.budget.QueryBudget` field: its type
-#: and help.  Under ``serve`` the flags set the default budget of
-#: requests that carry none of their own.
-_BUDGET_FLAGS = {
-    "deadline_ms": (
-        float,
-        "wall-clock budget in milliseconds; on exhaustion the join "
-        "returns flagged best-effort results with score intervals (see "
-        "--on-budget); under serve queue wait counts against it",
-    ),
-    "step_budget": (
-        int,
-        "propagation-step budget (batching-invariant column-steps); same "
-        "exhaustion semantics as --deadline-ms",
-    ),
-    "max_bytes": (
-        int,
-        "walk-block byte ceiling (16 bytes per node per column): every "
-        "block operator plans its width under it; below one column the "
-        "join stops with reason 'bytes' (same exhaustion semantics as "
-        "--deadline-ms)",
-    ),
-}
-
 _REQUEST_TYPES = ("two-way", "multi-way", "explain")
 _NWAY_TYPES = ("multi-way", "explain")
+_BUDGET_KEYS = tuple(field.name for field in dataclasses.fields(QueryBudget))
+_NONE = type(None)
 
-#: Every key a ``--requests`` entry may carry: the JSON types it accepts
-#: (``null`` only where the request field's unset value is ``None``) and
-#: the entry types it applies to.  The budget keys are the
-#: ``QueryBudget`` fields.
+
+class RequestKey(NamedTuple):
+    """One request option: the JSON types a ``--requests`` entry may
+    give it (``null`` only where the request field's unset value is
+    ``None``), the entry types it applies to, and the argparse keywords
+    of its one-shot flag, which is unset by default (``None``: no flag;
+    ``choices`` may map each subcommand to its own)."""
+
+    types: object
+    kinds: Tuple[str, ...]
+    flag: Optional[dict] = None
+
+
+#: Every key a ``--requests`` entry may carry, and the one-shot flag of
+#: each; the budget keys are the ``QueryBudget`` fields (under ``serve``
+#: their flags set the default budget of requests that carry none).
 REQUEST_KEYS = {
-    "type": (str, _REQUEST_TYPES),
-    "k": (int, _REQUEST_TYPES),
-    "algorithm": (str, _REQUEST_TYPES),
-    "measure": ((str, type(None)), _REQUEST_TYPES),
-    "left": ((str, list), ("two-way",)),
-    "right": ((str, list), ("two-way",)),
-    "node_sets": (list, _NWAY_TYPES),
-    "shape": (str, _NWAY_TYPES),
-    "bidirectional": (bool, _NWAY_TYPES),
-    "query_edges": (list, _NWAY_TYPES),
-    "m": (int, _NWAY_TYPES),
-    "plan": (str, _NWAY_TYPES),
-    **{
-        name: ((int, float, type(None)) if kind is float else (kind, type(None)),
-               _REQUEST_TYPES)
-        for name, (kind, _) in _BUDGET_FLAGS.items()
-    },
+    "type": RequestKey(str, _REQUEST_TYPES),
+    "k": RequestKey(int, _REQUEST_TYPES, dict(type=int, help="answers to return")),
+    "algorithm": RequestKey(str, _REQUEST_TYPES, dict(
+        choices={"two-way": tuple(OPERATORS), "multi-way": tuple(EXECUTORS)},
+    )),
+    "measure": RequestKey((str, _NONE), _REQUEST_TYPES, dict(
+        choices=MEASURE_NAMES,
+        help="proximity measure ('dht' aliases 'dht-lambda'; 'ppr' runs "
+             "the measure-generic join stack)",
+    )),
+    "on_budget": RequestKey(str, _REQUEST_TYPES, dict(
+        choices=ON_BUDGET_POLICIES,
+        help="what budget exhaustion does: 'partial' (default) returns "
+             "best-effort results flagged exact=false, 'error' exits with "
+             "status 3",
+    )),
+    "deadline_ms": RequestKey((int, float, _NONE), _REQUEST_TYPES, dict(
+        type=float,
+        help="wall-clock budget in milliseconds; on exhaustion the join "
+             "returns flagged best-effort results with score intervals (see "
+             "--on-budget); under serve queue wait counts against it",
+    )),
+    "step_budget": RequestKey((int, _NONE), _REQUEST_TYPES, dict(
+        type=int,
+        help="propagation-step budget (batching-invariant column-steps); "
+             "same exhaustion semantics as --deadline-ms",
+    )),
+    "max_bytes": RequestKey((int, _NONE), _REQUEST_TYPES, dict(
+        type=int,
+        help="walk-block byte ceiling (16 bytes per node per column): every "
+             "block operator plans its width under it; below one column the "
+             "join stops with reason 'bytes' (same exhaustion semantics as "
+             "--deadline-ms)",
+    )),
+    "left": RequestKey((str, list), ("two-way",), dict(
+        required=True, help="left node-set name")),
+    "right": RequestKey((str, list), ("two-way",), dict(
+        required=True, help="right node-set name")),
+    "node_sets": RequestKey(list, _NWAY_TYPES, dict(
+        nargs="+", required=True, help="node-set names, one per query vertex")),
+    "shape": RequestKey(str, _NWAY_TYPES, dict(choices=_SHAPES)),
+    "bidirectional": RequestKey(bool, _NWAY_TYPES, dict(
+        action="store_true", help="add both directions per query edge")),
+    "query_edges": RequestKey(list, _NWAY_TYPES),
+    "aggregate": RequestKey(str, _NWAY_TYPES, dict()),
+    "m": RequestKey(int, _NWAY_TYPES, dict(type=int, help="PJ/PJ-i prefix length")),
+    "plan": RequestKey(str, _NWAY_TYPES, dict(
+        choices=PLAN_MODES,
+        help="edge order / per-edge operator selection: 'fixed' (default) "
+             "keeps index order with the strategy default, 'auto' lets the "
+             "degree/skew cost planner choose (answers are identical either "
+             "way; only cost moves)",
+    )),
 }
 
 
@@ -123,20 +153,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit machine-readable JSON")
 
-    def add_config(p: argparse.ArgumentParser) -> None:
-        """The flags ``serve`` shares with the one-shot subcommands."""
+    def add_config(p: argparse.ArgumentParser, command: str, keys) -> None:
+        """The flags ``serve`` shares with the one-shot subcommands, and
+        ``command``'s flags of request keys ``keys``."""
         p.add_argument("graph", help="TSV edge list with a '# nodes: N' header")
         p.add_argument("--sets", required=True, help="JSON node-set file")
-        p.add_argument("--decay", type=float, default=0.2, help="lambda")
+        p.add_argument("--decay", type=float, default=None,
+                       help="DHT_lambda's lambda (default 0.2); only for a "
+                            "DHT_lambda measure")
         p.add_argument("--epsilon", type=float, default=None,
                        help="truncation error target (Lemma 1; one-shot "
                             "runs also set PPR's depth from it); unset, "
                             "each measure keeps its own default")
-        for name, (kind, text) in _BUDGET_FLAGS.items():
-            p.add_argument(
-                "--" + name.replace("_", "-"), type=kind, default=None,
-                help=text,
-            )
+        for key in keys:
+            flag = dict(REQUEST_KEYS[key].flag)
+            if isinstance(flag.get("choices"), dict):
+                flag["choices"] = flag["choices"][command]
+            name = "-" + key if len(key) == 1 else "--" + key.replace("_", "-")
+            p.add_argument(name, **flag)
         add_json(p)
         p.add_argument(
             "--trace-out", metavar="FILE", default=None,
@@ -150,58 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
                  "text if FILE ends in .prom, else appended JSON lines",
         )
 
-    def add_query(p: argparse.ArgumentParser) -> None:
-        """The one-shot subcommands' flags: the shared ones, plus ``k``,
-        the measure and the exhaustion policy."""
-        add_config(p)
-        p.add_argument("-k", type=int, default=10, help="answers to return")
-        p.add_argument(
-            "--measure",
-            choices=MEASURE_NAMES,
-            default="dht-lambda",
-            help="proximity measure ('dht' aliases 'dht-lambda'; 'ppr' "
-                 "runs the measure-generic join stack)",
-        )
-        p.add_argument("--damping", type=float, default=0.85,
-                       help="PPR continuation probability c (--measure ppr)")
-        p.add_argument(
-            "--on-budget", choices=ON_BUDGET_POLICIES, default="partial",
-            help="what budget exhaustion does: 'partial' (default) "
-                 "returns best-effort results flagged exact=false, "
-                 "'error' exits with status 3",
-        )
-
-    two = sub.add_parser("two-way", help="top-k 2-way join")
-    add_query(two)
-    two.add_argument("--left", required=True, help="left node-set name")
-    two.add_argument("--right", required=True, help="right node-set name")
-    two.add_argument(
-        "--algorithm",
-        choices=("f-bj", "f-idj", "b-bj", "b-idj-x", "b-idj-y"),
-        default="b-idj-y",
-    )
-    two.set_defaults(explain=None)
-
-    multi = sub.add_parser("multi-way", help="top-k n-way join")
-    add_query(multi)
-    multi.add_argument("--node-sets", nargs="+", required=True,
-                       help="node-set names, one per query vertex")
-    multi.add_argument("--shape", choices=_SHAPES, default="chain")
-    multi.add_argument("--bidirectional", action="store_true",
-                       help="add both directions per query edge")
-    multi.add_argument(
-        "--algorithm", choices=("nl", "ap", "pj", "pj-i"), default="pj-i"
-    )
-    multi.add_argument("--aggregate", default="MIN")
-    multi.add_argument("-m", type=int, default=50, help="PJ/PJ-i prefix length")
-    multi.add_argument(
-        "--plan", choices=("fixed", "auto"), default="fixed",
-        help="edge order / per-edge operator selection: 'fixed' "
-             "(default) keeps index order with the strategy default, "
-             "'auto' lets the degree/skew cost planner choose (answers "
-             "are identical either way; only cost moves)",
-    )
-    multi.add_argument(
+    queries = {}
+    for command, text in (
+        ("two-way", "top-k 2-way join"), ("multi-way", "top-k n-way join"),
+    ):
+        query = queries[command] = sub.add_parser(command, help=text)
+        add_config(query, command, [
+            key for key, row in REQUEST_KEYS.items()
+            if row.flag is not None and command in row.kinds
+        ])
+        query.add_argument("--damping", type=float, default=None,
+                           help="PPR continuation probability c (default "
+                                "0.85); only with --measure ppr")
+        query.set_defaults(explain=None)
+    queries["multi-way"].add_argument(
         "--explain", nargs="?", const="plan", choices=("plan", "analyze"),
         default=None,
         help="print the chosen plan (order, operators, cost estimates) "
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run a JSON request mix through the concurrent query service",
     )
-    add_config(serve)
+    add_config(serve, "serve", _BUDGET_KEYS)
     serve.add_argument("--requests", required=True,
                        help="JSON list of request objects (see module docs)")
     serve.add_argument("--workers", type=int, default=4,
@@ -242,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _budget(args) -> QueryBudget:
     """The ``QueryBudget`` selected by the flags; no flag is
     ``QueryBudget()``, which never stops."""
-    return QueryBudget(**{name: getattr(args, name) for name in _BUDGET_FLAGS})
+    return QueryBudget(**{name: getattr(args, name) for name in _BUDGET_KEYS})
 
 
 def _envelope(result: PartialResult) -> dict:
@@ -302,22 +298,29 @@ def _obs_export(args, engine, tracer) -> None:
         registry.write_snapshot(args.metrics_out)
 
 
-def _options(args) -> dict:
-    """The :class:`~repro.query.QueryOptions` the flags select: a non-DHT
-    ``--measure`` object (which fixes its own depth) or the DHT params
-    plus ``epsilon`` (unset: the measure's own default, as for
-    ``measure="X"``), the budget and the exhaustion policy."""
-    options = {"budget": _budget(args), "on_budget": args.on_budget}
-    epsilon = {} if args.epsilon is None else {"epsilon": args.epsilon}
-    if args.measure == "ppr":
-        options["measure"] = TruncatedPPR(damping=args.damping, **epsilon)
-    else:
-        options["params"] = (
-            DHTParams.dht_e() if args.measure == "dht-e"
-            else DHTParams.dht_lambda(args.decay)
+def _measure_flags(request, args):
+    """``request`` with ``--decay`` / ``--damping`` / ``--epsilon``
+    configuring its named measure.  A flag that measure does not read is
+    a usage error, as the api rejects ``params`` beside a named measure."""
+    name = request.measure or "dht-lambda"
+    if args.decay is not None and name not in ("dht", "dht-lambda"):
+        raise GraphValidationError(
+            f"--decay does not apply to --measure {name} (only to dht-lambda)"
         )
-        options.update(epsilon)
-    return options
+    if args.damping is not None and name != "ppr":
+        raise GraphValidationError(
+            f"--damping does not apply to --measure {name} (only to ppr)"
+        )
+    if name == "ppr":
+        given = {"damping": args.damping, "epsilon": args.epsilon}
+        given = {key: value for key, value in given.items() if value is not None}
+        return replace(request, measure=TruncatedPPR(**given)) if given else request
+    if args.decay is None and args.epsilon is None:
+        return request
+    params = None if args.decay is None else DHTParams.dht_lambda(args.decay)
+    if name == "dht-e":
+        params = DHTParams.dht_e()
+    return replace(request, measure=None, params=params, epsilon=args.epsilon)
 
 
 def _query_graph(shape: str, n: int, bidirectional: bool,
@@ -359,36 +362,25 @@ def _resolve_sets(node_sets: dict, values, path: str) -> List[List[int]]:
 
 
 def _run_query(args) -> int:
-    """``two-way`` / ``multi-way``: build the request, run it, print it."""
+    """``two-way`` / ``multi-way``: build the request, run it, print it.
+
+    The flags become the ``--requests`` entry that asks for the same
+    query, built by the same :func:`_parse_request`, and then
+    :func:`_measure_flags` configures its measure."""
     graph = read_edge_list(args.graph)
     engine, tracer = _obs_setup(args, graph)
-    options = _options(args)
+    entry = {"type": args.command}
+    entry.update(
+        (key, value) for key in REQUEST_KEYS
+        if (value := getattr(args, key, None)) is not None
+    )
+    request = _measure_flags(
+        _parse_request(entry, read_node_sets(args.sets), args.sets), args
+    )
     plan = None
-    if args.command == "two-way":
-        left, right = _resolve_sets(
-            read_node_sets(args.sets), [args.left, args.right], args.sets
-        )
-        request = TwoWayRequest(left, right, args.k, args.algorithm, **options)
-    else:
-        sets = _resolve_sets(
-            read_node_sets(args.sets), args.node_sets, args.sets
-        )
-        query = _query_graph(
-            args.shape, len(sets), args.bidirectional, args.node_sets
-        )
-        # One option set for explaining and for running, so the join
-        # executes precisely the request that was explained.
-        options.update(
-            aggregate=aggregate_by_name(args.aggregate), m=args.m,
-            plan=args.plan,
-        )
-        request = MultiWayRequest(
-            query.edges, sets, args.k, args.algorithm,
-            names=tuple(args.node_sets), **options,
-        )
     if args.explain:
         analyze = args.explain == "analyze"
-        if analyze and not request.budget.unlimited:
+        if analyze and request.budget is not None:
             raise GraphValidationError(
                 "--explain analyze runs the query unbudgeted; drop "
                 "--deadline-ms/--step-budget/--max-bytes or use --explain plan"
@@ -397,8 +389,18 @@ def _run_query(args) -> int:
         # executes precisely what was explained (no double planning).
         # With 'analyze' the traced replay happens inside the API call
         # and its answers are the query's answers.
+        query = ("query_edges", "node_sets", "k", "algorithm", "names")
+        options = {
+            field.name: getattr(request, field.name)
+            for field in dataclasses.fields(request) if field.name not in query
+        }
         plan = explain_multi_way_plan(
-            graph, query, sets, args.k, args.algorithm, engine=engine,
+            graph,
+            QueryGraph(
+                len(request.node_sets), request.query_edges,
+                names=request.names,
+            ),
+            request.node_sets, request.k, request.algorithm, engine=engine,
             analyze=analyze, **options,
         )
     if args.explain == "analyze":
@@ -465,8 +467,8 @@ def _parse_requests(path: str, sets_path: str) -> List[object]:
 
 
 def _parse_request(entry, node_sets: dict, sets_path: str) -> object:
-    """One entry of the ``--requests`` file as a :mod:`repro.query`
-    request."""
+    """One ``--requests`` entry (or the one-shot flags as one) as a
+    :mod:`repro.query` request."""
     if not isinstance(entry, dict) or "type" not in entry:
         raise GraphValidationError("needs a 'type' key")
     kind = entry["type"]
@@ -475,24 +477,27 @@ def _parse_request(entry, node_sets: dict, sets_path: str) -> object:
             f"unknown type {kind!r} (expected one of {_REQUEST_TYPES})"
         )
     for key, value in entry.items():
-        types, kinds = REQUEST_KEYS.get(key, (None, ()))
+        types, kinds, _ = REQUEST_KEYS.get(key, (None, (), None))
         if kind not in kinds:
             raise GraphValidationError(f"unknown key {key!r} for a {kind} request")
         # A JSON bool passes only where ``types`` is ``bool``.
         if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise GraphValidationError(f"{key!r} has the wrong type: {value!r}")
-    for key in ("left", "right") if kind == "two-way" else ("node_sets",):
-        if key not in entry:
+    for key, row in REQUEST_KEYS.items():
+        if kind in row.kinds and (row.flag or {}).get("required") and key not in entry:
             raise GraphValidationError(f"({kind}) needs a {key!r} key")
     fields = {
         key: entry[key]
-        for key in ("algorithm", "measure", "m", "plan") if key in entry
+        for key in ("algorithm", "measure", "m", "plan", "on_budget")
+        if key in entry
     }
     fields["k"] = entry.get("k", 10)
+    if "aggregate" in entry:
+        fields["aggregate"] = aggregate_by_name(entry["aggregate"])
     # ``null`` leaves an axis unset; no axis set keeps the serve default.
     budget = {
         name: entry[name]
-        for name in _BUDGET_FLAGS if entry.get(name) is not None
+        for name in _BUDGET_KEYS if entry.get(name) is not None
     }
     if budget:
         fields["budget"] = QueryBudget(**budget)
@@ -547,7 +552,7 @@ def _run_serve(args) -> int:
         queue_depth=args.queue_depth,
         max_in_flight=args.max_in_flight,
         default_budget=_budget(args),
-        params=DHTParams.dht_lambda(args.decay),
+        params=None if args.decay is None else DHTParams.dht_lambda(args.decay),
         epsilon=args.epsilon,
         tracer=tracer,
     ) as service:

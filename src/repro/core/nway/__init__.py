@@ -9,6 +9,12 @@ from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 
+#: Every n-way strategy name -> its executor, built as ``cls(spec, m=m,
+#: plan=plan)``; the api, the governed runner, the planner and the CLI
+#: read the names here.
+EXECUTORS = {"nl": NestedLoopJoin, "ap": AllPairsJoin, "pj": PartialJoin,
+             "pj-i": PartialJoinIncremental}
+
 __all__ = [
     "AVG",
     "MAX",
@@ -16,6 +22,7 @@ __all__ = [
     "SUM",
     "AllPairsJoin",
     "CandidateAnswer",
+    "EXECUTORS",
     "NWayJoinSpec",
     "NestedLoopJoin",
     "PartialJoin",

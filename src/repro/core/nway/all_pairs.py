@@ -37,13 +37,15 @@ class AllPairsJoin(NWayDriver):
     ``f-bj``, or ``b-bj`` where forward walks may not run); ``plan``
     (or ``spec.plan``) chooses per-edge materialiser and build order.
     The materialised lists are complete either way, so plans only move
-    cost, never answers.  ``stats`` is the rank join's own record.
+    cost, never answers.  ``m`` is unused (no prefix).  ``stats`` is the
+    rank join's own record.
     """
 
     name = "AP"
 
     def __init__(
-        self, spec: NWayJoinSpec, two_way: Optional[str] = None, plan=None
+        self, spec: NWayJoinSpec, two_way: Optional[str] = None, plan=None,
+        m: int = 50,
     ) -> None:
         operator = None
         if two_way is not None:
@@ -53,7 +55,7 @@ class AllPairsJoin(NWayDriver):
                     f"choose from {list(_MATERIALISERS)}"
                 )
             operator = two_way_operator(two_way, spec.measure)
-        super().__init__(spec, "ap", operator, plan=plan)
+        super().__init__(spec, "ap", operator, m=m, plan=plan)
         self.stats = None
 
     def run(self) -> List[CandidateAnswer]:

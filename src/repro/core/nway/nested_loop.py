@@ -6,32 +6,35 @@ forward walk — no sharing, no pruning.  This is the paper's strawman: it
 is exponential in ``n`` and repeats identical DHT computations across
 tuples, which is exactly why it "cannot complete in a reasonable time" at
 ``n >= 3`` (Fig. 7(a)).
-
-``memoize_pairs=True`` deviates from the strict baseline by caching pair
-scores; it is off by default and exists only so tests can cross-check the
-enumeration logic quickly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.nway.candidates import CandidateAnswer
 from repro.core.nway.spec import NWayJoinSpec
 
 
 class NestedLoopJoin:
-    """``NL``: exhaustive enumeration with per-tuple DHT evaluation."""
+    """``NL``: exhaustive enumeration with per-tuple DHT evaluation.
+
+    Built like every n-way executor, ``cls(spec, m=m, plan=plan)``; ``m``
+    is unused, ``plan`` (or ``spec.plan``) must be ``"fixed"``, and with
+    no threshold state ``reasons`` / ``intervals`` stay empty.
+    """
 
     name = "NL"
 
-    def __init__(self, spec: NWayJoinSpec, memoize_pairs: bool = False) -> None:
+    def __init__(self, spec: NWayJoinSpec, m: int = 50, plan=None) -> None:
+        if (spec.plan if plan is None else plan) != "fixed":
+            spec.resolve_plan("nl", plan=plan)  # the planner rejects NL
         self._spec = spec
-        self._memoize = memoize_pairs
-        self._cache: Dict[Tuple[int, int], float] = {}
         self.tuples_scored = 0
         self.dht_computations = 0
+        self.reasons: List[str] = []
+        self.intervals: dict = {}
 
     def run(self) -> List[CandidateAnswer]:
         """Enumerate, score, sort, and return the top-``k`` answers.
@@ -59,15 +62,7 @@ class NestedLoopJoin:
         return answers[: spec.k]
 
     def _pair_score(self, source: int, target: int) -> float:
-        if self._memoize:
-            key = (source, target)
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         spec = self._spec
         series = spec.engine.forward_first_hit_series(source, target, spec.d)
-        score = spec.measure.params.score_from_series(series)
         self.dht_computations += 1
-        if self._memoize:
-            self._cache[(source, target)] = score
-        return score
+        return spec.measure.params.score_from_series(series)

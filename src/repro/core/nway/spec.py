@@ -17,6 +17,9 @@ from repro.graph.validation import GraphValidationError, validate_node_set
 from repro.walks.cache import WalkCache
 from repro.walks.engine import NULL_SPAN, WalkEngine
 
+#: A spec's plan modes; the planner and the CLI read them here.
+PLAN_MODES = ("fixed", "auto")
+
 
 @dataclass
 class NWayJoinSpec:
@@ -87,7 +90,7 @@ class NWayJoinSpec:
     def __post_init__(self) -> None:
         if isinstance(self.plan, str):
             normalized = self.plan.lower()
-            if normalized not in ("fixed", "auto"):
+            if normalized not in PLAN_MODES:
                 raise GraphValidationError(
                     f"plan must be 'fixed', 'auto', or an ExplainedPlan; "
                     f"got {self.plan!r}"

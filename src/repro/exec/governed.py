@@ -48,11 +48,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.nway.all_pairs import AllPairsJoin
+from repro.core.nway import EXECUTORS
 from repro.core.nway.driver import Interval, snapshot_partial
-from repro.core.nway.nested_loop import NestedLoopJoin
-from repro.core.nway.partial_join import PartialJoin
-from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.spec import NWayJoinSpec
 from repro.exec.budget import (
     ON_BUDGET_POLICIES,
@@ -111,9 +108,6 @@ def run_governed_top_k(
     return _run_governed(lambda: join.top_k(k), join, k, governor, on_budget)
 
 
-_LAZY_EXECUTORS = {"pj": PartialJoin, "pj-i": PartialJoinIncremental}
-
-
 def run_governed_multi_way(
     spec: NWayJoinSpec,
     governor: ExecutionGovernor,
@@ -124,11 +118,10 @@ def run_governed_multi_way(
 ) -> PartialResult:
     """The one n-way runner: ``algorithm``'s executor under ``governor``.
 
-    ``algorithm`` is ``"nl"``, ``"ap"``, ``"pj"`` or ``"pj-i"``; the
-    runner constructs its executor class (:class:`AllPairsJoin`,
-    :class:`PartialJoin`, :class:`PartialJoinIncremental`,
-    :class:`NestedLoopJoin`), and ``plan`` overrides ``spec.plan`` (e.g.
-    to replay an explained plan).  Per-edge exhaustion never aborts the
+    ``algorithm`` is a key of :data:`repro.core.nway.EXECUTORS`; the
+    runner constructs that executor, and ``plan`` overrides
+    ``spec.plan`` (e.g. to replay an explained plan).  Per-edge
+    exhaustion never aborts the
     join under ``on_budget="partial"``: the stopped edge contributes its
     snapshot prefix (with intervals), its refills are disabled, and the
     final answers are flagged partial with componentwise-aggregated
@@ -152,25 +145,20 @@ def run_governed_multi_way(
     interaction tests pin this).
     """
     name = algorithm.lower()
-    if name == "nl":
-        if governor.can_stop:
-            raise GraphValidationError(
-                "the NL strategy scores answers one tuple at a time and has "
-                "no resumable threshold state; use 'pj', 'pj-i', or 'ap' "
-                "under a query budget"
-            )
-        return exact_result(NestedLoopJoin(spec).run())
-    if name == "pj-i" and governor.can_stop:
-        name = "pj"
-    if name == "ap":
-        executor = AllPairsJoin(spec, plan=plan)
-    elif name in _LAZY_EXECUTORS:
-        executor = _LAZY_EXECUTORS[name](spec, m=m, plan=plan)
-    else:
+    if name not in EXECUTORS:
         raise GraphValidationError(
             f"unknown n-way algorithm {algorithm!r}; "
-            f"choose from ('pj', 'pj-i', 'ap', 'nl')"
+            f"choose from {tuple(EXECUTORS)}"
         )
+    if name == "nl" and governor.can_stop:
+        raise GraphValidationError(
+            "the NL strategy scores answers one tuple at a time and has "
+            "no resumable threshold state; use 'pj', 'pj-i', or 'ap' "
+            "under a query budget"
+        )
+    if name == "pj-i" and governor.can_stop:
+        name = "pj"
+    executor = EXECUTORS[name](spec, m=m, plan=plan)
     answers = executor.run()
     reasons, intervals = executor.reasons, executor.intervals
     exact = not reasons

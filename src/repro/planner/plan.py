@@ -45,13 +45,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.nway.driver import runs_under, strategy_operator
+from repro.core.nway import EXECUTORS
+from repro.core.nway.driver import STRATEGIES, runs_under, strategy_operator
+from repro.core.nway.spec import PLAN_MODES
 from repro.graph.validation import GraphValidationError
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
 from repro.planner.stats import GraphStats
-
-PLAN_MODES = ("fixed", "auto")
-PLAN_STRATEGIES = ("pj", "pj-i", "ap")
 
 # Operator candidates per strategy, best-guess first (ties in estimated
 # cost resolve toward the front of the tuple); the forward ones drop
@@ -61,7 +60,8 @@ _CANDIDATES = {
     "ap": ("b-bj", "f-bj"),
 }
 
-# Operator name -> cost-model kind.
+# Operator name (each key of the driver's ``OPERATORS``) -> cost-model
+# kind.
 _OPERATOR_KINDS = {
     "b-bj": "basic",
     "b-idj-y": "idj-y",
@@ -460,16 +460,19 @@ def _edge_plan(spec, e: int, operator: str, est: EdgeCostEstimate, overlap: int)
 
 
 def _check_strategy(strategy: str) -> str:
+    """``strategy`` lower-cased, once it names an executor with edges to
+    plan: one with a row in the driver's ``STRATEGIES``."""
     strategy = strategy.lower()
-    if strategy == "nl":
+    if strategy not in EXECUTORS:
         raise GraphValidationError(
-            "the NL strategy scores answers one tuple at a time; it has no "
-            "per-edge build order or operator choice to plan — use 'ap', "
-            "'pj', or 'pj-i' with plan='auto'"
+            f"unknown plan strategy {strategy!r}; "
+            f"choose from {tuple(STRATEGIES)}"
         )
-    if strategy not in PLAN_STRATEGIES:
+    if strategy not in STRATEGIES:
         raise GraphValidationError(
-            f"unknown plan strategy {strategy!r}; choose from {PLAN_STRATEGIES}"
+            f"the {strategy.upper()} strategy scores answers one tuple at "
+            "a time; it has no per-edge build order or operator choice to "
+            "plan — use 'ap', 'pj', or 'pj-i' with plan='auto'"
         )
     return strategy
 

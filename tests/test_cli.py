@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.graph.builders import erdos_renyi
 from repro.graph.io import write_edge_list, write_node_sets
+from repro.query import MEASURE_NAMES
 
 
 @pytest.fixture
@@ -189,3 +190,129 @@ class TestStatsCommand:
         assert main(["stats", str(graph_path), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["num_nodes"] == 25.0
+
+
+class TestOneRequestBuilder:
+    """A one-shot run and a ``--requests`` entry asking for the same
+    query build the same request: the flags are the entry's keys."""
+
+    MEASURES = [[], *(["--measure", name] for name in MEASURE_NAMES)]
+    BUDGETS = [[], ["--deadline-ms", "7"], ["--step-budget", "7"],
+               ["--max-bytes", "7"]]
+    POLICIES = [[], ["--on-budget", "partial"], ["--on-budget", "error"]]
+    PLANS = [[], ["--plan", "fixed"], ["--plan", "auto"]]
+    AGGREGATES = [[], ["--aggregate", "MIN"], ["--aggregate", "sum"]]
+
+    @staticmethod
+    def _entry(command, flags):
+        """The ``--requests`` entry of the one-shot ``flags``."""
+        entry = {"type": command}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            key = flag.lstrip("-").replace("-", "_")
+            entry[key] = value if key in ("measure", "on_budget", "plan",
+                                          "aggregate") else int(value)
+        return entry
+
+    def test_one_shot_request_is_the_entry_request(self, workspace, capsys,
+                                                   monkeypatch):
+        import itertools
+
+        from repro import cli
+        from repro.exec.budget import exact_result
+        from repro.graph.io import read_node_sets
+
+        graph_path, sets_path = workspace
+        executed = []
+
+        def run(graph, request, **kwargs):
+            executed.append(request)
+            return exact_result([])
+
+        monkeypatch.setattr(cli, "run", run)
+        node_sets = read_node_sets(str(sets_path))
+        grid = {
+            "two-way": (
+                ["--left", "A", "--right", "B"], {"left": "A", "right": "B"},
+                [self.MEASURES, self.BUDGETS, self.POLICIES],
+            ),
+            "multi-way": (
+                ["--node-sets", "A", "B", "C"], {"node_sets": ["A", "B", "C"]},
+                [self.MEASURES, self.BUDGETS, self.POLICIES, self.PLANS,
+                 self.AGGREGATES],
+            ),
+        }
+        checked = 0
+        for command, (sets_flags, sets_entry, axes) in grid.items():
+            for combo in itertools.product(*axes):
+                flags = [flag for axis in combo for flag in axis]
+                assert main([command, str(graph_path), "--sets",
+                             str(sets_path), *sets_flags, *flags]) == 0
+                entry = {**self._entry(command, flags), **sets_entry}
+                expected = cli._parse_request(entry, node_sets, str(sets_path))
+                assert executed.pop() == expected, (command, flags)
+                checked += 1
+        capsys.readouterr()
+        assert checked == 5 * 4 * 3 * (1 + 3 * 3)
+
+    def test_choices_are_read_from_the_tables_that_run_them(self):
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.core.nway import EXECUTORS
+        from repro.core.nway.driver import OPERATORS
+        from repro.core.nway.spec import PLAN_MODES
+
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        choices = {
+            (command, action.dest): tuple(action.choices)
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions if action.choices
+        }
+        assert choices["two-way", "algorithm"] == tuple(OPERATORS)
+        assert choices["multi-way", "algorithm"] == tuple(EXECUTORS)
+        assert choices["multi-way", "plan"] == PLAN_MODES
+
+
+class TestMeasureFlags:
+    """``--decay`` / ``--damping`` configure the measure that reads them
+    and are a usage error beside any other, never silently dropped."""
+
+    BASE = ["--left", "A", "--right", "B", "-k", "3", "--json"]
+
+    def _scores(self, workspace, capsys, *flags):
+        graph_path, sets_path = workspace
+        capsys.readouterr()
+        assert main(["two-way", str(graph_path), "--sets", str(sets_path),
+                     *self.BASE, *flags]) == 0
+        return [row["score"] for row in json.loads(capsys.readouterr().out)["results"]]
+
+    @pytest.mark.parametrize("flags", [
+        ["--measure", "ppr", "--decay", "0.3"],
+        ["--measure", "dht-e", "--decay", "0.3"],
+        ["--damping", "0.5"],
+        ["--measure", "dht", "--damping", "0.5"],
+        ["--measure", "dht-e", "--damping", "0.5"],
+    ])
+    def test_a_flag_the_measure_does_not_read_exits_2(self, workspace, capsys,
+                                                      flags):
+        graph_path, sets_path = workspace
+        code = main(["two-way", str(graph_path), "--sets", str(sets_path),
+                     *self.BASE, *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flags[-2] in err and "does not apply" in err
+
+    def test_a_flag_the_measure_reads_configures_it(self, workspace, capsys):
+        dht = self._scores(workspace, capsys)
+        assert self._scores(workspace, capsys, "--decay", "0.2") == dht
+        assert self._scores(workspace, capsys, "--decay", "0.5") != dht
+        ppr = self._scores(workspace, capsys, "--measure", "ppr")
+        assert self._scores(
+            workspace, capsys, "--measure", "ppr", "--damping", "0.85"
+        ) == ppr
+        assert self._scores(
+            workspace, capsys, "--measure", "ppr", "--damping", "0.5"
+        ) != ppr

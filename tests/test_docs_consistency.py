@@ -262,7 +262,7 @@ def test_readme_lists_the_request_file_keys():
         kinds = every if kinds == "all" else tuple(kinds.split(", "))
         for key in re.findall(r"`([a-z_]+)`", keys):
             documented[key] = kinds
-    assert documented == {key: kinds for key, (_, kinds) in REQUEST_KEYS.items()}
+    assert documented == {key: kinds for key, (_, kinds, _) in REQUEST_KEYS.items()}
 
 
 def test_cli_quickstart_flow(tmp_path, capsys):

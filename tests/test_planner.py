@@ -314,6 +314,13 @@ class TestPlanSerialization:
                 algorithm="nl", plan="auto", d=spec.d,
             )
 
+    def test_every_operator_has_a_cost_kind(self):
+        """The planner prices exactly the driver's operators."""
+        from repro.core.nway.driver import OPERATORS
+        from repro.planner.plan import _OPERATOR_KINDS
+
+        assert set(_OPERATOR_KINDS) == set(OPERATORS)
+
 
 class TestPlanEquivalence:
     """Auto must be bit-identical to every fixed-order plan's top-k."""
