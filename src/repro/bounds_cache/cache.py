@@ -43,6 +43,10 @@ supplied zero-argument builders, so this module depends on neither
 Capacity is a single LRU over all kinds; hit/build counts are mirrored
 into :class:`repro.walks.engine.WalkEngineStats` (``bound_cache_hits``,
 ``plan_cache_hits``) so benchmarks read one counter source.
+
+Every read is a lookup-or-build by a join.  The n-way planner
+(:mod:`repro.planner`) never reads this cache: what an earlier query
+memoised here changes the work a plan costs, never the plan.
 """
 
 from __future__ import annotations
@@ -171,18 +175,6 @@ class BoundPlanCache:
         engine/params; it runs only on a miss.
         """
         return self._get(("y", self.node_set_key(sources), int(d)), build)
-
-    def peek_y_bound(self, sources: Iterable[int], d: int):
-        """Pure probe: the memoised ``Y`` bound for ``(sources, d)``, or
-        ``None``.
-
-        Unlike :meth:`y_bound` this never builds, never counts a hit,
-        and never reorders the LRU — the planner uses it to read
-        already-paid-for reach-mass tails without perturbing either the
-        cache or the engine's accounting.
-        """
-        with self._lock:
-            return self._entries.get(("y", self.node_set_key(sources), int(d)))
 
     def tail_plan(self, rows: Iterable[int], d: int, build: Callable[[], object]):
         """The restricted-tail plan for ``rows`` at depth ``d``.

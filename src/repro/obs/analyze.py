@@ -62,15 +62,13 @@ class AnalyzedPlan:
     def format(self) -> str:
         """The plan rendering interleaved with per-edge actuals."""
         plan = self.plan
-        lines = plan.format().splitlines()
-        out: List[str] = []
+        out = plan.format_header()
         by_edge = {row.edge_index: row for row in self.actuals}
-        for line in lines:
-            out.append(line)
-            edge = _edge_of_plan_line(line, plan)
-            if edge is None or edge not in by_edge:
+        for edge in plan.build_order:
+            out.append(plan.format_edge(edge))
+            row = by_edge.get(edge)
+            if row is None:
                 continue
-            row = by_edge[edge]
             estimated = plan.edges[edge].estimated_steps
             ratio = (
                 row.propagation_steps / estimated if estimated > 0
@@ -115,20 +113,6 @@ class AnalyzedPlan:
             "total_actual_steps": self.total_actual_steps,
             "elapsed_s": self.elapsed_s,
         }
-
-
-def _edge_of_plan_line(line: str, plan) -> Optional[int]:
-    """The edge index a ``format()`` row describes (None for headers)."""
-    parts = line.split()
-    # EdgePlan rows render as "  {pos}. edge {e} {name} ...".
-    if len(parts) >= 3 and parts[0].endswith(".") and parts[1] == "edge":
-        try:
-            edge = int(parts[2])
-        except ValueError:
-            return None
-        if 0 <= edge < len(plan.edges):
-            return edge
-    return None
 
 
 def edge_actuals_from_trace(root: TraceSpan, plan) -> Tuple[EdgeActuals, ...]:

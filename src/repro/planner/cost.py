@@ -15,8 +15,8 @@ operator kind   estimated column-steps
 ``idj-y``       ``q * (1 + sigma * (d - 1)) + (d if Y unbuilt)`` —
                 level 1 always walks; survivors (fraction ``sigma``)
                 pay the remaining depth; the reach-mass ``Y`` table
-                costs one ``d``-step aggregated propagation unless the
-                bound cache already holds it
+                costs one ``d``-step aggregated propagation unless an
+                earlier edge of the plan built it
 ``idj-x``       like ``idj-y`` with a weaker (closed-form) tail:
                 pruning power is discounted, the bound is free
 ``f-bj``        ``d * p * q`` — one absorbing walk per *pair*
@@ -28,30 +28,27 @@ round; the pruning power ``rho`` is driven by the degree-skew signals
 (hub fraction of the left set, the graph's out-degree coefficient of
 variation) — skewed reach mass concentrates score on few pairs, so the
 ``Y`` threshold bites early (the Section VII observation that ``B-IDJ``
-wins big exactly on hub-heavy graphs).  When a memoised ``Y`` table is
-available, its actual tail decay refines ``rho`` with measured data.
+wins big exactly on hub-heavy graphs).
 
 Backward operators additionally earn a *cache credit*: targets of
 ``Q`` predicted resident in the shared walk cache at build time are
-walks the edge will not pay again (``d`` steps each).  The credit is
-scaled by the observed resume rate from optional
-:class:`~repro.walks.engine.WalkEngineStats` feedback — a prior run
-that resumed most of its walks earns full credit, a cold engine only
-half, so a bad prior never flips a sign, only a margin.
+walks the edge will not pay again (``d`` steps each), discounted by the
+fixed ``_CREDIT_SCALE``.  Every input is a degree statistic or the
+plan's own simulated state, so one query always gets one plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.planner.stats import GraphStats, NodeSetStats
 
 # Bump whenever a formula or coefficient below changes: the golden
 # decision tests pin this version, so a cost-model edit that flips a
 # plan choice fails CI until the goldens are regenerated deliberately.
-COST_MODEL_VERSION = 1
+COST_MODEL_VERSION = 2
 
 # Pruning power never reaches 1: some survivors always walk full depth.
 RHO_MAX = 0.9
@@ -61,6 +58,9 @@ _CV_WEIGHT = 1.5
 # The closed-form X tail is data-independent and prunes roughly half as
 # well as the reach-mass Y table on the bench topologies.
 _X_DISCOUNT = 0.5
+# Share of a resident target's ``d`` steps the cache credit counts as
+# saved: a resident walk resumes, but not always from full depth.
+_CREDIT_SCALE = 0.75
 
 _BACKWARD_KINDS = ("basic", "idj-y", "idj-x")
 _KINDS = _BACKWARD_KINDS + ("f-bj", "f-idj")
@@ -88,59 +88,28 @@ class CostModel:
         The graph's degree statistics.
     d:
         The spec's truncation depth.
-    feedback:
-        Optional :class:`~repro.walks.engine.WalkEngineStats` from a
-        prior run on the same engine; its resume rate scales the
-        walk-cache credit (see :meth:`credit_scale`).
     """
 
-    def __init__(self, stats: GraphStats, d: int, feedback=None) -> None:
+    def __init__(self, stats: GraphStats, d: int) -> None:
         self._stats = stats
         self._d = int(d)
-        self.credit_scale = self._feedback_credit_scale(feedback)
 
     @property
     def d(self) -> int:
         return self._d
 
-    @staticmethod
-    def _feedback_credit_scale(feedback) -> float:
-        """Resume-rate-scaled credit in ``[0.5, 1.0]``.
-
-        ``steps_saved / (propagation_steps + steps_saved)`` is the share
-        of walk work a prior run served from resumable cache state; a
-        cold engine (no feedback, or no walks yet) earns the
-        conservative floor.
-        """
-        if feedback is None:
-            return 0.75
-        walked = float(getattr(feedback, "propagation_steps", 0))
-        saved = float(getattr(feedback, "steps_saved", 0))
-        total = walked + saved
-        if total <= 0:
-            return 0.75
-        return 0.5 + 0.5 * min(1.0, saved / total)
-
-    def pruning_power(
-        self,
-        left: NodeSetStats,
-        tail_ratio: Optional[float] = None,
-    ) -> float:
+    def pruning_power(self, left: NodeSetStats) -> float:
         """``rho`` in ``[0, RHO_MAX]``: predicted fraction pruned early.
 
         Monotone increasing in the left set's hub fraction and in the
         graph's out-degree coefficient of variation — more skew, more
-        early pruning.  A measured ``tail_ratio`` (the memoised ``Y``
-        table's mid-depth/level-1 tail quotient; small = fast decay)
-        can only sharpen the prediction upward, never soften it.
+        early pruning.
         """
         cv = self._stats.cv_out_degree
         cv_norm = cv / (1.0 + cv)
         rho = 1.0 - math.exp(
             -(_HUB_WEIGHT * left.hub_fraction + _CV_WEIGHT * cv_norm)
         )
-        if tail_ratio is not None:
-            rho = max(rho, 1.0 - max(0.0, min(1.0, tail_ratio)))
         return min(RHO_MAX, max(0.0, rho))
 
     def estimate(
@@ -150,21 +119,20 @@ class CostModel:
         right: NodeSetStats,
         resident_overlap: int = 0,
         y_bound_cached: bool = False,
-        tail_ratio: Optional[float] = None,
     ) -> EdgeCostEstimate:
         """Predicted column-steps of one operator on edge ``(P, Q)``.
 
         ``resident_overlap`` is the number of right-set targets the
         LRU simulation predicts resident in the shared walk cache when
         this edge builds; ``y_bound_cached`` says the ``(P, d)``
-        reach-mass table is already memoised (by the bound cache or by
-        an earlier edge of this very plan).
+        reach-mass table is already built by an earlier edge of this
+        very plan.
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown operator kind {kind!r}; choose from {_KINDS}")
         d, p, q = float(self._d), float(left.size), float(right.size)
         reasons = []
-        rho = self.pruning_power(left, tail_ratio=tail_ratio)
+        rho = self.pruning_power(left)
         bound_steps = 0.0
         credit = 0.0
         if kind == "basic":
@@ -190,13 +158,11 @@ class CostModel:
             else:
                 bound_steps = d
                 reasons.append(f"rho={rho:.2f}, Y build {d:.0f}")
-            if tail_ratio is not None:
-                reasons.append(f"measured tail ratio {tail_ratio:.2f}")
         if kind in _BACKWARD_KINDS and resident_overlap > 0:
             # Resident targets resume from the cache instead of
             # re-walking full depth.
             credit = min(
-                walk_steps, self.credit_scale * d * float(resident_overlap)
+                walk_steps, _CREDIT_SCALE * d * float(resident_overlap)
             )
             reasons.append(f"{resident_overlap} targets resident")
         return EdgeCostEstimate(

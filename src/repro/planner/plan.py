@@ -10,6 +10,12 @@ classes, cross the boundary, so the core layer keeps its
 no-``extensions``-imports rule and each executor maps names to the
 classes it owns.
 
+A plan is a function of its query: the spec's graph, query graph,
+node sets, measure and ``d``, its walk cache's capacity, and the
+graph's :class:`~repro.planner.stats.GraphStats`.  It never reads what
+earlier queries left behind — the contents of the shared caches or the
+engine's counters — so the same request always gets the same plan.
+
 Two modes:
 
 ``"fixed"``
@@ -46,7 +52,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.nway import EXECUTORS
-from repro.core.nway.driver import STRATEGIES, runs_under, strategy_operator
+from repro.core.nway.driver import (
+    STRATEGIES,
+    runs_under,
+    strategy_operator,
+    two_way_operator,
+)
 from repro.core.nway.spec import PLAN_MODES
 from repro.graph.validation import GraphValidationError
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
@@ -100,21 +111,6 @@ class EdgePlan:
             "reasons": list(self.reasons),
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "EdgePlan":
-        return cls(
-            edge_index=int(payload["edge_index"]),
-            edge_name=str(payload["edge_name"]),
-            operator=str(payload["operator"]),
-            estimated_steps=float(payload["estimated_steps"]),
-            walk_steps=float(payload["walk_steps"]),
-            bound_steps=float(payload["bound_steps"]),
-            credit=float(payload["credit"]),
-            survivor_fraction=float(payload["survivor_fraction"]),
-            cached_targets=int(payload["cached_targets"]),
-            reasons=tuple(payload.get("reasons", ())),
-        )
-
 
 @dataclass(frozen=True)
 class ExplainedPlan:
@@ -123,8 +119,9 @@ class ExplainedPlan:
     ``edges`` is indexed by *edge index* (``edges[e]`` plans query edge
     ``e``); ``build_order`` is the evaluation order over those indices.
     The plan is a value object: executors read it, the CLI prints it
-    (:meth:`format`), goldens pin it (:meth:`decisions`), and
-    ``to_json``/``from_json`` round-trip it losslessly enough to replay.
+    (:meth:`format`, or ``to_json`` under ``--json``), goldens pin it
+    (:meth:`decisions`), and a caller replays it by passing the value
+    itself as ``plan=``.
     """
 
     mode: str
@@ -166,21 +163,8 @@ class ExplainedPlan:
             "edges": [ep.to_json() for ep in self.edges],
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ExplainedPlan":
-        edges = tuple(EdgePlan.from_json(e) for e in payload["edges"])
-        return cls(
-            mode=str(payload["mode"]),
-            strategy=str(payload["strategy"]),
-            cost_model_version=int(payload["cost_model_version"]),
-            build_order=tuple(int(e) for e in payload["build_order"]),
-            edges=edges,
-            signals=dict(payload.get("signals", {})),
-            total_estimated_steps=float(payload.get("total_estimated_steps", 0.0)),
-        )
-
-    def format(self) -> str:
-        """Human-readable multi-line rendering (the ``--explain`` text)."""
+    def format_header(self) -> List[str]:
+        """The ``--explain`` text's lines above the edge rows."""
         sig = self.signals.get("graph", {})
         lines = [
             f"plan[{self.mode}] strategy={self.strategy} "
@@ -194,21 +178,30 @@ class ExplainedPlan:
                 f"mean-out={sig.get('mean_out_degree')} "
                 f"cv-out={sig.get('cv_out_degree')} "
                 f"heavy={sig.get('heavy_count')} "
-                f"({100.0 * sig.get('heavy_fraction', 0.0):.1f}%) "
-                f"credit-scale={self.signals.get('credit_scale', '?')}"
+                f"({100.0 * sig.get('heavy_fraction', 0.0):.1f}%)"
             )
-        for position, e in enumerate(self.build_order, start=1):
-            ep = self.edges[e]
-            why = f"  [{'; '.join(ep.reasons)}]" if ep.reasons else ""
-            lines.append(
-                f"{position:>3}. edge {e} {ep.edge_name:<12} "
-                f"op={ep.operator:<8} "
-                f"est={ep.estimated_steps:.0f} "
-                f"(walk {ep.walk_steps:.0f} + bound {ep.bound_steps:.0f}"
-                f" - credit {ep.credit:.0f})"
-                f"{why}"
-            )
-        return "\n".join(lines)
+        return lines
+
+    def format_edge(self, e: int) -> str:
+        """Query edge ``e``'s row of the ``--explain`` text."""
+        ep = self.edges[e]
+        position = self.build_order.index(e) + 1
+        why = f"  [{'; '.join(ep.reasons)}]" if ep.reasons else ""
+        return (
+            f"{position:>3}. edge {e} {ep.edge_name:<12} "
+            f"op={ep.operator:<8} "
+            f"est={ep.estimated_steps:.0f} "
+            f"(walk {ep.walk_steps:.0f} + bound {ep.bound_steps:.0f}"
+            f" - credit {ep.credit:.0f})"
+            f"{why}"
+        )
+
+    def format(self) -> str:
+        """Human-readable multi-line rendering (the ``--explain`` text)."""
+        return "\n".join(
+            self.format_header()
+            + [self.format_edge(e) for e in self.build_order]
+        )
 
 
 class _ResidentSetModel:
@@ -268,46 +261,6 @@ def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, .
     return candidates
 
 
-def _operator_kind(operator: str) -> str:
-    try:
-        return _OPERATOR_KINDS[operator]
-    except KeyError:
-        raise GraphValidationError(
-            f"unknown plan operator {operator!r}; "
-            f"choose from {sorted(_OPERATOR_KINDS)}"
-        ) from None
-
-
-def _tail_ratio(spec, left: Sequence[int], right: Sequence[int]) -> Optional[float]:
-    """Measured tail decay from an already-memoised ``Y`` table.
-
-    Pure probe: only a table the bound cache already holds is consulted
-    (``peek_y_bound``), so planning never triggers a bound build.  The
-    quotient ``tail(d/2) / tail(1)`` averaged over a small right-set
-    sample is the table's measured decay — small means reach mass dies
-    fast and pruning will bite.
-    """
-    cache = getattr(spec, "bound_cache", None)
-    if cache is None:
-        return None
-    bound = cache.peek_y_bound(left, spec.d)
-    if bound is None:
-        return None
-    mid = max(1, spec.d // 2)
-    sample = list(right)[:8]
-    try:
-        heads = bound.tails(1, sample).tolist()
-        mids = bound.tails(mid, sample).tolist()
-    except (ValueError, IndexError):  # pragma: no cover - defensive
-        return None
-    # Summed left to right (Python's sum, not numpy's pairwise one): the
-    # same bits as a per-target loop, so no plan moves on an ulp.
-    total_head = sum(heads)
-    if total_head <= 0:
-        return None
-    return sum(mids) / total_head
-
-
 def _estimate_edge(
     spec,
     model: CostModel,
@@ -325,25 +278,13 @@ def _estimate_edge(
     overlap = resident.overlap(right)
     best = None
     for operator in candidates:
-        kind = _operator_kind(operator)
-        y_cached = False
-        tail_ratio = None
-        if kind == "idj-y":
-            from repro.bounds_cache import BoundPlanCache
-
-            key = BoundPlanCache.node_set_key(left)
-            cache = getattr(spec, "bound_cache", None)
-            y_cached = key in built_y or (
-                cache is not None and cache.peek_y_bound(left, spec.d) is not None
-            )
-            tail_ratio = _tail_ratio(spec, left, right)
+        kind = _OPERATOR_KINDS[operator]
         est = model.estimate(
             kind,
             left_stats,
             right_stats,
             resident_overlap=overlap if kind in ("basic", "idj-y", "idj-x") else 0,
-            y_bound_cached=y_cached,
-            tail_ratio=tail_ratio,
+            y_bound_cached=kind == "idj-y" and frozenset(left) in built_y,
         )
         if best is None or est.steps < best[1].steps:
             best = (operator, est)
@@ -351,22 +292,21 @@ def _estimate_edge(
 
 
 def _commit_edge(
-    spec,
     edge_sets,
     e: int,
     operator: str,
     resident: _ResidentSetModel,
     built_y: set,
 ) -> None:
-    """Update the planning state after scheduling edge ``e``."""
+    """Update the planning state after scheduling edge ``e``: its right
+    set is walked into the cache, and a ``Y`` edge's left-set table is
+    built for the edges after it (the spec's bound cache shares it)."""
     left, right = edge_sets[e]
-    kind = _operator_kind(operator)
+    kind = _OPERATOR_KINDS[operator]
     if kind in ("basic", "idj-y", "idj-x"):
         resident.admit(right)
-    if kind == "idj-y" and getattr(spec, "bound_cache", None) is not None:
-        from repro.bounds_cache import BoundPlanCache
-
-        built_y.add(BoundPlanCache.node_set_key(left))
+    if kind == "idj-y":
+        built_y.add(frozenset(left))
 
 
 def _build_plan(
@@ -378,16 +318,11 @@ def _build_plan(
 ) -> ExplainedPlan:
     num_edges = spec.query_graph.num_edges
     stats = GraphStats.of(spec.graph)
-    engine_stats = spec.engine.stats
-    # A reused engine's counters are prior-run feedback.
-    feedback = (
-        engine_stats
-        if getattr(engine_stats, "propagation_steps", 0) > 0 else None
+    model = CostModel(stats, spec.d)
+    default = two_way_operator(
+        default_operator or strategy_operator(strategy, spec.measure),
+        spec.measure,
     )
-    model = CostModel(stats, spec.d, feedback=feedback)
-    default = (
-        default_operator or strategy_operator(strategy, spec.measure)
-    ).lower()
     candidates = _candidates(strategy, spec.measure, default, mode)
 
     edge_sets = [spec.edge_node_sets(e) for e in range(num_edges)]
@@ -405,7 +340,7 @@ def _build_plan(
                 (default,), resident, built_y,
             )
             plans[e] = _edge_plan(spec, e, operator, est, overlap)
-            _commit_edge(spec, edge_sets, e, operator, resident, built_y)
+            _commit_edge(edge_sets, e, operator, resident, built_y)
             build_order.append(e)
     else:
         remaining = list(range(num_edges))
@@ -421,14 +356,13 @@ def _build_plan(
             scored.sort(key=lambda item: (item[0], item[1]))
             _, e, operator, est, overlap = scored[0]
             plans[e] = _edge_plan(spec, e, operator, est, overlap)
-            _commit_edge(spec, edge_sets, e, operator, resident, built_y)
+            _commit_edge(edge_sets, e, operator, resident, built_y)
             build_order.append(e)
             remaining.remove(e)
 
     edges = tuple(plans[e] for e in range(num_edges))
     signals = {
         "graph": stats.summary(),
-        "credit_scale": round(model.credit_scale, 3),
         "walk_cache_capacity_targets": resident.capacity_targets,
         "d": int(spec.d),
         "measure": spec.measure.name,
@@ -487,8 +421,9 @@ def choose_plan(
 
     ``mode="fixed"`` reproduces the pre-planner behaviour (index order,
     default operator) with cost annotations; ``mode="auto"`` runs the
-    greedy cost-based search.  A reused engine's own counters serve as
-    prior-run feedback.
+    greedy cost-based search.  The plan reads the spec and the graph's
+    degree statistics only — never what earlier queries left in the
+    spec's caches or engine — so one spec always gets one plan.
     """
     strategy = _check_strategy(strategy)
     mode = mode.lower()
@@ -518,7 +453,9 @@ def plan_with_order(
 
 
 def validate_plan_for(plan: ExplainedPlan, spec, strategy: str) -> ExplainedPlan:
-    """Check a caller-supplied :class:`ExplainedPlan` against a spec."""
+    """Check a caller-supplied :class:`ExplainedPlan` against a spec:
+    its edge count, build order and strategy, and that every row's
+    operator may run under the spec's measure."""
     strategy = _check_strategy(strategy)
     num_edges = spec.query_graph.num_edges
     if plan.num_edges != num_edges:
@@ -539,6 +476,8 @@ def validate_plan_for(plan: ExplainedPlan, spec, strategy: str) -> ExplainedPlan
             f"plan was built for strategy {plan.strategy!r}, "
             f"not {strategy!r}"
         )
+    for operator in plan.operators:
+        two_way_operator(operator, spec.measure)
     return plan
 
 

@@ -3,13 +3,12 @@
 Everything the cost model consumes from the data graph is computed
 here, once per graph (:meth:`GraphStats.of` memoises it on the
 :class:`~repro.graph.digraph.Graph`, so planning a query does not pay
-for it again), from the degree arrays alone — ``O(|V_G|)`` work, no
+for it again), from the out-degree array alone — ``O(|V_G|)`` work, no
 walks.  The theory ground (Joglekar & Re "It's all a matter of
 degree", Ngo/Re/Rudra "Skew Strikes Back") says degree distributions
 and heavy/light splits are exactly the statistics a join planner should
-see; heavier signals (reach-mass tails, engine feedback) are layered on
-top by :mod:`repro.planner.cost` when they happen to be memoised
-already, never computed eagerly.
+see, and they are the only data-graph signals it reads: nothing a
+previous query left in a cache or an engine counter moves a plan.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class GraphStats:
     Parameters
     ----------
     graph:
-        The data graph ``G``.  Degree arrays are materialised once
-        (per-node ``O(1)`` lookups into the adjacency dicts) and all
-        moments derive from them.
+        The data graph ``G``.  The out-degree array is materialised
+        once (per-node ``O(1)`` lookups into the adjacency dicts) and
+        all moments derive from it.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -56,9 +55,6 @@ class GraphStats:
         n = graph.num_nodes
         self.out_degrees = np.fromiter(
             (graph.out_degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
-        self.in_degrees = np.fromiter(
-            (graph.in_degree(v) for v in range(n)), dtype=np.int64, count=n
         )
         out = self.out_degrees.astype(np.float64)
         self.mean_out_degree = float(out.mean()) if n else 0.0

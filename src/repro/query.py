@@ -204,7 +204,8 @@ class MultiWayRequest(QueryOptions):
 class ExplainRequest(MultiWayRequest):
     """The :class:`~repro.planner.plan.ExplainedPlan` the matching
     :class:`MultiWayRequest` would execute, planned without walking
-    (degree statistics and cache probes only); ``plan`` defaults to
+    from the request and the graph's degree statistics only, so it is
+    the same plan whatever ran before it; ``plan`` defaults to
     ``"auto"``."""
 
     plan: object = "auto"

@@ -516,6 +516,65 @@ class TestExplainAnalyze:
         assert payload["total_actual_steps"] == analyzed.total_actual_steps
         assert len(payload["actuals"]) == len(plan.build_order)
 
+    def test_format_text_is_pinned(self):
+        """The ``--explain analyze`` text, byte for byte: the plan's
+        header, then each build-order row with its actuals under it."""
+        from repro.obs import AnalyzedPlan, EdgeActuals
+        from repro.planner import EdgePlan, ExplainedPlan
+
+        def row(e, name, operator, estimated, reasons):
+            return EdgePlan(
+                edge_index=e, edge_name=name, operator=operator,
+                estimated_steps=estimated, walk_steps=estimated + 5.0,
+                bound_steps=5.0, credit=10.0, survivor_fraction=0.5,
+                cached_targets=2, reasons=reasons,
+            )
+
+        plan = ExplainedPlan(
+            mode="auto", strategy="pj", cost_model_version=2,
+            build_order=(1, 0),
+            edges=(
+                row(0, "A->B", "b-idj-y", 120.0, ("rho=0.40, Y build 5",)),
+                row(1, "B->C", "b-bj", 80.0, ()),
+            ),
+            signals={"graph": {
+                "num_nodes": 400, "mean_out_degree": 3.98,
+                "cv_out_degree": 1.2345, "heavy_count": 9,
+                "heavy_fraction": 0.0225,
+            }},
+            total_estimated_steps=200.0,
+        )
+        analyzed = AnalyzedPlan(
+            plan=plan,
+            actuals=(
+                EdgeActuals(1, 64, 3, 5, 1, 4096, 0, 0.0021),
+                EdgeActuals(0, 150, 0, 8, 0, 8192, 2, 0.0104),
+            ),
+            answers=[object(), object()],
+            elapsed_s=0.0125,
+        )
+        rows = [
+            "  1. edge 1 B->C         op=b-bj     est=80 "
+            "(walk 85 + bound 5 - credit 10)",
+            "  2. edge 0 A->B         op=b-idj-y  est=120 "
+            "(walk 125 + bound 5 - credit 10)  [rho=0.40, Y build 5]",
+        ]
+        header = [
+            "plan[auto] strategy=pj cost-model=v2 est-steps=200",
+            "signals: n=400 mean-out=3.98 cv-out=1.2345 heavy=9 (2.2%)",
+        ]
+        assert plan.format() == "\n".join(header + rows)
+        assert analyzed.format() == "\n".join(header + [
+            rows[0],
+            "      actual: steps=64 (est 80, 0.80x) walk_hits=3 "
+            "bound_hits=1 peak_block_bytes=4096 refills=0 elapsed=2.1ms",
+            rows[1],
+            "      actual: steps=150 (est 120, 1.25x) walk_hits=0 "
+            "bound_hits=0 peak_block_bytes=8192 refills=2 elapsed=10.4ms",
+            "analyze: total actual steps=214 (est 200) answers=2 "
+            "elapsed=0.013s",
+        ])
+
     def test_api_tracer_kwarg_installs_and_uninstalls(self, mid_graph):
         engine = WalkEngine(mid_graph)
         tracer = QueryTracer()

@@ -10,11 +10,13 @@ Two invariant families (the tentpole's contract):
   low-fanout in-edges (shared hub right set) first and contiguously;
   the cost model's pruning power is monotone under increasing skew.
 
-Plus the seams: stats/cost units, JSON round-trips, validation errors,
+Plus the seams: stats/cost units, replay validation, the planner's
+inputs (a plan is a function of its query, not of what ran before it),
 the governed-execution interaction (mid-plan budget exhaustion stays
 sound under every build order), and the CLI ``--explain`` path.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -22,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.api import explain_multi_way_plan, multi_way_join
-from repro.bounds_cache import BoundPlanCache
 from repro.core.bounds import YBound
 from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
@@ -45,6 +46,7 @@ from repro.planner import (
     plan_with_order,
 )
 from repro import cli
+from repro.service import ExplainRequest, MultiWayRequest, QueryService
 
 FIXTURE = PlannerFixture()
 
@@ -159,12 +161,6 @@ class TestCostModel:
         assert costs == sorted(costs, reverse=True)
         assert rhos[-1] > rhos[0]
 
-    def test_measured_tail_ratio_only_sharpens(self):
-        left = self.stats.node_set(range(16))
-        base = self.model.pruning_power(left)
-        assert self.model.pruning_power(left, tail_ratio=0.01) >= base
-        assert self.model.pruning_power(left, tail_ratio=0.99) == base
-
     def test_cached_y_bound_drops_build_cost(self):
         left = self.stats.node_set(range(16))
         right = self.stats.node_set(range(20, 40))
@@ -180,16 +176,6 @@ class TestCostModel:
         some = self.model.estimate("basic", left, right, resident_overlap=10)
         assert some.credit > 0 and some.steps < none.steps
         assert some.credit <= some.walk_steps  # never negative steps
-
-    def test_feedback_scales_credit(self):
-        class Stats:
-            propagation_steps = 100
-            steps_saved = 300  # resumed 75% of walk work
-
-        warm = CostModel(self.stats, d=6, feedback=Stats())
-        assert warm.credit_scale == pytest.approx(0.5 + 0.5 * 0.75)
-        cold = CostModel(self.stats, d=6)
-        assert cold.credit_scale == pytest.approx(0.75)
 
     def test_unknown_kind_rejected(self):
         left = self.stats.node_set(range(4))
@@ -250,29 +236,6 @@ class TestPlanSanity:
 
 
 class TestPlanSerialization:
-    def test_json_round_trip_preserves_decisions(self):
-        plan = choose_plan(FIXTURE.skewed_star_spec(), "pj")
-        restored = ExplainedPlan.from_json(
-            json.loads(json.dumps(plan.to_json()))
-        )
-        assert restored.decisions() == plan.decisions()
-        assert restored.build_order == plan.build_order
-        assert restored.operators == plan.operators
-
-    def test_plan_with_a_block_width_still_replays(self):
-        """Plans once recorded a ``block_size`` per edge (16 for the
-        block operators, ``null`` otherwise); the width is now the
-        join's own, so such a plan replays with the same answers."""
-        plan = choose_plan(small_star_spec(), "ap", default_operator="b-bj")
-        payload = json.loads(json.dumps(plan.to_json()))
-        for edge in payload["edges"]:
-            edge["block_size"] = 16 if edge["operator"] == "b-bj" else None
-        restored = ExplainedPlan.from_json(payload)
-        assert restored == plan
-        replayed = AllPairsJoin(small_star_spec(), plan=restored).run()
-        fresh = AllPairsJoin(small_star_spec(), plan=plan).run()
-        assert replayed and _answer_key(replayed) == _answer_key(fresh)
-
     def test_replayed_plan_validates_edge_count(self):
         star = FIXTURE.skewed_star_spec()
         chain = FIXTURE.chain_spec()
@@ -285,6 +248,22 @@ class TestPlanSerialization:
         ap_plan = choose_plan(spec, "ap")
         with pytest.raises(GraphValidationError, match="strategy"):
             PartialJoin(FIXTURE.skewed_star_spec(), plan=ap_plan).run()
+
+    def test_replayed_plan_validates_operators_under_the_measure(self):
+        """A replayed plan's operators must run under the query's
+        measure: a DHT ``AP`` plan's forward rows are a usage error
+        under PPR, before any walk, and so is an unknown name."""
+        spec = small_star_spec()
+        args = (spec.graph, QueryGraph.chain(3), spec.node_sets[:3], 3)
+        plan = explain_multi_way_plan(*args, algorithm="ap", plan="fixed")
+        assert plan.operators == ("f-bj", "f-bj")
+        with pytest.raises(GraphValidationError, match="DHT-only"):
+            multi_way_join(*args, algorithm="ap", plan=plan, measure="ppr")
+        unknown = dataclasses.replace(plan, edges=tuple(
+            dataclasses.replace(ep, operator="b-nope") for ep in plan.edges
+        ))
+        with pytest.raises(GraphValidationError, match="b-nope"):
+            multi_way_join(*args, algorithm="ap", plan=unknown)
 
     def test_pj_and_pji_plans_interchange(self):
         spec = FIXTURE.skewed_star_spec()
@@ -408,38 +387,46 @@ class TestPlanEquivalence:
             assert auto_steps <= steps
 
 
-class TestCachePeek:
-    def test_peek_is_pure(self):
-        spec = small_star_spec()
-        cache = spec.bound_cache
-        left = spec.node_sets[0]
-        assert cache.peek_y_bound(left, spec.d) is None
-        assert cache.stats.y_hits == 0 and cache.stats.y_builds == 0
-        built = cache.y_bound(
-            left, spec.d,
-            lambda: YBound(
-                spec.engine, spec.measure.tail_weights(spec.d), left, spec.d
-            ),
-        )
-        hits_after_build = cache.stats.y_hits
-        peeked = cache.peek_y_bound(left, spec.d)
-        assert peeked is built
-        assert cache.stats.y_hits == hits_after_build  # no accounting
+class TestPlanInputs:
+    """A plan is a function of its query: what earlier queries left in
+    the spec's engine and caches moves cost, never the plan."""
 
-    def test_planner_uses_memoised_tail(self):
-        spec = FIXTURE.skewed_star_spec()
-        spec.bound_cache.y_bound(
-            spec.node_sets[0], spec.d,
-            lambda: YBound(
-                spec.engine, spec.measure.tail_weights(spec.d),
-                spec.node_sets[0], spec.d,
-            ),
+    @pytest.mark.parametrize("mode", ["fixed", "auto"])
+    @pytest.mark.parametrize("strategy", ["pj", "pj-i"])
+    def test_warm_engine_and_bound_cache_leave_the_plan(self, strategy, mode):
+        graph = FIXTURE.power_law_graph(400)
+        fresh = choose_plan(small_star_spec(graph=graph), strategy, mode=mode)
+        warm = small_star_spec(graph=graph)
+        PartialJoin(warm, m=100).run()
+        for e in range(warm.query_graph.num_edges):
+            left, _ = warm.edge_node_sets(e)
+            warm.bound_cache.y_bound(
+                left, warm.d,
+                lambda left=left: YBound(
+                    warm.engine, warm.measure.tail_weights(warm.d), left, warm.d
+                ),
+            )
+        assert warm.engine.stats.propagation_steps > 0
+        assert warm.bound_cache.stats.y_builds > 0
+        replanned = choose_plan(warm, strategy, mode=mode)
+        assert replanned.to_json() == fresh.to_json()
+
+    def test_service_explains_one_plan_whatever_ran_before(self):
+        graph = FIXTURE.power_law_graph(2000)
+        order = FIXTURE.degree_order(graph)
+        sets = (order[:24], order[24:48], order[1000:1024])
+        query = dict(
+            query_edges=QueryGraph.triangle().edges, node_sets=sets, k=5,
+            algorithm="pj",
         )
-        plan = choose_plan(spec, "pj")
-        reasons = " ".join(
-            " ".join(plan.edges[e].reasons) for e in range(6)
-        )
-        assert "measured tail ratio" in reasons
+        with QueryService(graph, workers=1, queue_depth=4) as service:
+            before = service.query(ExplainRequest(**query))
+            for _ in range(3):
+                assert service.query(MultiWayRequest(**query)).ok
+            after = service.query(ExplainRequest(**query))
+        assert before.ok and after.ok
+        assert service.engine.stats.propagation_steps > 0
+        assert after.result.to_json() == before.result.to_json()
 
 
 class TestGovernedInteraction:

@@ -8,8 +8,10 @@ decision fails here until the goldens are regenerated on purpose:
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
         tests/test_planner_goldens.py
 
-Bump :data:`repro.planner.cost.COST_MODEL_VERSION` in the same change —
-the version is part of every golden, so a formula edit that happens to
+which prints, per decision key, how many ``<fixture>/<mode>`` cells
+moved (the ``golden_audit`` fixture).  Bump
+:data:`repro.planner.cost.COST_MODEL_VERSION` in the same change — the
+version is part of every golden, so a formula edit that happens to
 leave these three fixtures' decisions intact still shows up in review.
 """
 
@@ -42,29 +44,59 @@ CASES = [
 ]
 
 
-def _decisions(builder, strategy):
+MODES = ("fixed", "auto")
+
+
+def _decisions(name, builder, strategy):
     spec = builder()
-    payload = {"fixture": None, "strategy": strategy}
-    for mode in ("fixed", "auto"):
-        plan = choose_plan(spec, strategy, mode=mode)
-        payload[mode] = plan.decisions()
+    payload = {"fixture": name, "strategy": strategy}
+    for mode in MODES:
+        payload[mode] = choose_plan(spec, strategy, mode=mode).decisions()
     return payload
 
 
-@pytest.mark.parametrize("name,builder,strategy", CASES)
-def test_planner_decisions_match_golden(name, builder, strategy):
-    golden_path = GOLDEN_DIR / f"{name}.json"
-    payload = _decisions(builder, strategy)
-    payload["fixture"] = name
-    if UPDATE:
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        golden_path.write_text(json.dumps(payload, indent=2) + "\n")
-        return
+def _golden_path(name):
+    return GOLDEN_DIR / f"{name}.json"
+
+
+def _load_golden(name):
+    golden_path = _golden_path(name)
     assert golden_path.exists(), (
         f"missing golden {golden_path}; generate with REPRO_UPDATE_GOLDENS=1"
     )
-    golden = json.loads(golden_path.read_text())
-    assert payload == golden, (
+    return json.loads(golden_path.read_text())
+
+
+def _cells(payloads):
+    """``{"<fixture>/<mode>": decisions}`` over every golden file."""
+    return {
+        f"{payload['fixture']}/{mode}": payload[mode]
+        for payload in payloads for mode in MODES
+    }
+
+
+@pytest.mark.skipif(not UPDATE, reason="golden regeneration only")
+def test_regenerate_goldens(golden_audit):
+    replaced = [
+        json.loads(_golden_path(name).read_text())
+        for name, _, _ in CASES if _golden_path(name).exists()
+    ]
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, builder, strategy in CASES:
+        _golden_path(name).write_text(
+            json.dumps(_decisions(name, builder, strategy), indent=2) + "\n"
+        )
+    golden_audit(
+        f"{GOLDEN_DIR.name}/",
+        _cells(replaced),
+        _cells(_load_golden(name) for name, _, _ in CASES),
+    )
+
+
+@pytest.mark.skipif(UPDATE, reason="goldens being regenerated")
+@pytest.mark.parametrize("name,builder,strategy", CASES)
+def test_planner_decisions_match_golden(name, builder, strategy):
+    assert _decisions(name, builder, strategy) == _load_golden(name), (
         f"planner decisions for {name!r} diverged from the golden. If the "
         "cost-model change is intentional, bump COST_MODEL_VERSION and rerun "
         "with REPRO_UPDATE_GOLDENS=1."
@@ -75,11 +107,8 @@ def test_goldens_pin_current_cost_model_version():
     from repro.planner import COST_MODEL_VERSION
 
     for name, _, _ in CASES:
-        golden_path = GOLDEN_DIR / f"{name}.json"
-        if UPDATE and not golden_path.exists():
-            pytest.skip("goldens being regenerated")
-        golden = json.loads(golden_path.read_text())
-        for mode in ("fixed", "auto"):
+        golden = _load_golden(name)
+        for mode in MODES:
             assert golden[mode]["cost_model_version"] == COST_MODEL_VERSION
 
 
