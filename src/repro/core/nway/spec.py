@@ -5,7 +5,9 @@ measure) every query edge is joined under."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.bounds_cache import BoundPlanCache
 from repro.core.dht import DHTMeasure
@@ -56,6 +58,10 @@ class NWayJoinSpec:
         edges whose node sets overlap — star and clique specs
         especially — never walk the same target twice.  Pass a cache
         built with ``max_bytes`` to bound a long join's footprint.
+        The query walks, keeps and donates a target at the rows its
+        readers read (:meth:`walk_rows`), never as a full-graph vector;
+        a later reader outside those rows — a query sharing the cache —
+        misses and re-walks the target full width.
     bound_cache:
         One :class:`~repro.bounds_cache.BoundPlanCache` shared by every
         query edge (created when omitted), the bound-layer twin of the
@@ -119,6 +125,41 @@ class NWayJoinSpec:
             self.walk_cache = WalkCache(self.engine, key)
         if self.bound_cache is None:
             self.bound_cache = BoundPlanCache(self.engine, key)
+        self._walk_rows = self._reader_rows()
+
+    def _reader_rows(self) -> Dict[int, np.ndarray]:
+        """Right-set vertex -> the sorted union of the left sets of the
+        edges into it, merged across right sets that share a node (one
+        target, one set of rows), each array frozen and shared."""
+        edges = self.query_graph.edges
+        group = {j: j for _, j in edges}
+
+        def root(v: int) -> int:
+            while group[v] != v:
+                v = group[v]
+            return v
+
+        rights = [self.node_sets[j] for j in sorted(group)]
+        if len(set().union(*rights)) < sum(map(len, rights)):
+            holder: Dict[int, int] = {}  # some right sets share a node
+            for j in sorted(group):
+                for node in self.node_sets[j]:
+                    group[root(j)] = root(holder.setdefault(node, j))
+        lefts: Dict[int, set] = {}
+        for i, j in edges:
+            lefts.setdefault(root(j), set()).update(self.node_sets[i])
+        unions = {}
+        for r, nodes in lefts.items():
+            unions[r] = np.array(sorted(nodes), dtype=np.int64)
+            unions[r].setflags(write=False)
+        return {j: unions[root(j)] for j in group}
+
+    def walk_rows(self, vertex: int) -> np.ndarray:
+        """The rows every reader of right set ``vertex``'s targets reads
+        them at: the sorted union of the left sets of the query edges
+        into it (and into any right set sharing a node with it) — what
+        its edges' walks are kept and donated at."""
+        return self._walk_rows[vertex]
 
     @property
     def d(self) -> int:
@@ -188,7 +229,8 @@ class NWayJoinSpec:
 
         Every n-way algorithm builds its per-edge joins through this
         method, so the spec's shared engine, walk cache and bound cache
-        reach each edge uniformly.
+        reach each edge uniformly, with the rows the query reads the
+        edge's right set at (:meth:`walk_rows`).
         """
         left, right = self.edge_node_sets(edge_index)
         self.engine.checkpoint("edge")
@@ -200,4 +242,5 @@ class NWayJoinSpec:
             engine=self.engine,
             walk_cache=self.walk_cache,
             bound_cache=self.bound_cache,
+            walk_rows=self.walk_rows(self.query_graph.edges[edge_index][1]),
         )

@@ -92,10 +92,11 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
 
 def _rounds(context: TwoWayContext) -> DeepeningRounds:
     """The walk plan of one pass: ``walk_level`` / ``donate_pruned`` /
-    ``repack`` over the measure's kernel and the context's cache, under
-    this thread's byte budget."""
+    ``repack`` over the measure's kernel and the context's cache (shared
+    at its ``walk_rows``), under this thread's byte budget."""
     return DeepeningRounds(
-        context.engine, context.measure.kernel(), context.walk_cache
+        context.engine, context.measure.kernel(), context.walk_cache,
+        context.walk_rows,
     )
 
 

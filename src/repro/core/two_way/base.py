@@ -24,6 +24,7 @@ from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError, validate_node_set
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
+from repro.walks.state import row_positions
 
 
 class ScoredPair(NamedTuple):
@@ -153,6 +154,13 @@ class TwoWayContext:
         one shared cache to every edge context so edges that agree on
         the left set share the build too.  Must be bound to the same
         engine and measure as this context.
+    walk_rows:
+        With a walk cache, the sorted node ids every reader of this
+        context's targets reads them at — a superset of ``left`` — or
+        ``None`` (readers unknown: every node).  The backward joins
+        walk, keep and donate cached targets at these rows only; an n-way
+        spec sets them to the union of the left sets of the query edges
+        that read the right set.
     """
 
     graph: Graph
@@ -162,6 +170,7 @@ class TwoWayContext:
     engine: WalkEngine = field(default=None)  # type: ignore[assignment]
     walk_cache: Optional[WalkCache] = None
     bound_cache: Optional[BoundPlanCache] = None
+    walk_rows: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.left = validate_node_set(self.graph.num_nodes, self.left, "left node set")
@@ -182,6 +191,12 @@ class TwoWayContext:
         if self.bound_cache is None:
             self.bound_cache = BoundPlanCache(self.engine, key)
         self._left_array = np.asarray(self.left, dtype=np.int64)
+        if self.walk_rows is not None and row_positions(
+            self.walk_rows, self._left_array
+        ) is None:
+            raise GraphValidationError(
+                "walk_rows must be sorted node ids containing the left set"
+            )
         self._num_pairs = len(self.left) * len(self.right) - len(
             set(self.left) & set(self.right)
         )

@@ -2,14 +2,16 @@
 
 Every planner test and the planner bench section build their specs
 here, so the *mechanism under test* is stated once: edge order changes
-``propagation_steps`` only under walk-cache LRU pressure (a byte
-budget on the shared :class:`~repro.walks.cache.WalkCache`), and the
-win comes from grouping edges that share right sets and building
-cheap (low-fanout) edges first.  Without a byte budget the resumable
-cache makes every order cost the same — the star and chain fixtures
-therefore give their spec a walk cache whose ``max_bytes`` is tight
-enough that the star's interleaved natural order thrashes while the
-grouped order stays resident.
+``propagation_steps`` only under walk-cache LRU pressure (a bound on
+the shared :class:`~repro.walks.cache.WalkCache`), and the win comes
+from grouping edges that share right sets and building cheap
+(low-fanout) edges first.  Without a bound the resumable cache makes
+every order cost the same — the star and chain fixtures therefore give
+their spec a walk cache whose ``max_targets`` is tight enough that the
+star's interleaved natural order thrashes while the grouped order
+stays resident.  (A target count, not a byte budget: an n-way query
+keeps its walks at its reader rows, so what a byte budget holds
+depends on the query's set sizes.)
 
 ``m`` is large relative to ``k`` so PJ's rank join never refills:
 build-phase walk costs, the thing the planner orders, dominate the
@@ -94,27 +96,15 @@ class PlannerFixture:
     # -- walk-cache pressure -------------------------------------------
 
     @staticmethod
-    def pressure_bytes(
-        graph: Graph, resident_targets: int, d: int = 5
-    ) -> int:
-        """A walk-cache byte budget holding about ``resident_targets``
-        cached targets — enough for one edge's right set to stay
-        resident, not enough for an interleaved schedule's union."""
-        import math
-
-        levels = 1 + max(0, int(math.floor(math.log2(max(1, d)))))
-        per_target = 8 * graph.num_nodes * (levels + 2)
-        return per_target * max(1, resident_targets)
-
     def _under_pressure(
-        self, spec: NWayJoinSpec, resident_targets: int, d: int
+        spec: NWayJoinSpec, resident_targets: int
     ) -> NWayJoinSpec:
         """``spec`` with its shared walk cache swapped for one of the
-        same engine and key that holds about ``resident_targets``."""
+        same engine and key that holds ``resident_targets`` targets —
+        enough for one edge's right set to stay resident, not enough
+        for an interleaved schedule's union."""
         spec.walk_cache = WalkCache(
-            spec.engine,
-            spec.walk_cache.params,
-            max_bytes=self.pressure_bytes(spec.graph, resident_targets, d),
+            spec.engine, spec.walk_cache.params, max_targets=resident_targets
         )
         return spec
 
@@ -123,8 +113,7 @@ class PlannerFixture:
     @staticmethod
     def _with_measure(d: int, spec_kwargs: dict) -> dict:
         """``spec_kwargs`` with DHT at depth ``d`` as the default measure
-        (a passed measure fixes its own depth; ``d`` still sizes the
-        walk-cache pressure estimate)."""
+        (a passed measure fixes its own depth)."""
         return {"measure": DHTMeasure(d=d), **spec_kwargs}
 
     def skewed_star_spec(
@@ -157,7 +146,7 @@ class PlannerFixture:
         # Holds the hub right set with headroom; a hub+leaf union (what
         # an interleaved order keeps alternating between) does not fit,
         # so grouping is what avoids re-walks.
-        return self._under_pressure(spec, hub_size + leaf_size // 6, d)
+        return self._under_pressure(spec, hub_size + leaf_size // 6)
 
     def chain_spec(
         self,
@@ -182,7 +171,7 @@ class PlannerFixture:
             k=k,
             **self._with_measure(d, spec_kwargs),
         )
-        return self._under_pressure(spec, hub_size + leaf_size // 6, d)
+        return self._under_pressure(spec, hub_size + leaf_size // 6)
 
     def uniform_er_spec(
         self,

@@ -27,6 +27,16 @@ retained vectors and resumable buffers):
   level walked so far — a *deeper* request extends it (paying only the
   missing steps) instead of restarting from level 0.
 
+Each entry also records the rows its vectors and state cover: every
+node, or — when an n-way query donated it — the sorted rows ``U`` that
+query's edges read it at (``8 |U|`` bytes per vector instead of
+``8 n``).  One read rule serves both: a read at rows ``R`` hits only
+when ``R`` lies inside the entry's rows, and any other read is a miss
+that walks full width and replaces the entry with a full one.  A scoped
+donation never downgrades a full entry (:meth:`WalkCache.holds_full_width`
+lets a scoped round leave such a target to :meth:`WalkCache.scores`),
+and a scoped state is resumed only by a reader inside its rows.
+
 Algorithms that batch their own walks (``B-BJ``, ``B-IDJ``) look a whole
 group of targets up with :meth:`WalkCache.peek_block` and donate their
 results via :meth:`WalkCache.put_block` / :meth:`WalkCache.adopt` — one
@@ -53,7 +63,7 @@ from repro.exec.budget import CorruptedWalkError
 from repro.graph.validation import GraphValidationError
 from repro.walks.engine import WalkEngine
 from repro.walks.kernels import BlockKernel, as_block_kernel
-from repro.walks.state import WalkState
+from repro.walks.state import WalkState, row_positions
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.dht imports repro.walks
     from repro.core.dht import DHTParams
@@ -79,19 +89,47 @@ class WalkCacheStats:
 
 
 class _TargetEntry:
-    """Cached walks of one target: score vectors per level + deepest state."""
+    """Cached walks of one target: score vectors per level + deepest
+    state, all kept at ``rows`` (``None``: every node)."""
 
-    __slots__ = ("scores", "state")
+    __slots__ = ("scores", "state", "rows")
 
     def __init__(self) -> None:
         self.scores: Dict[int, np.ndarray] = {}
         self.state: Optional[WalkState] = None
+        self.rows: Optional[np.ndarray] = None
+
+    def index(self, rows: Optional[np.ndarray]):
+        """How to read node ids ``rows`` (``None``: every node) out of
+        this entry's vectors — ``None`` when they lie outside its rows."""
+        if self.rows is None:
+            return _EVERY if rows is None else rows
+        return None if rows is None else row_positions(self.rows, rows)
+
+    def rescope(self, rows: Optional[np.ndarray]) -> bool:
+        """Make the entry hold walks kept at ``rows``; ``False`` when it
+        must refuse them.  A full entry refuses a scoped walk (an entry
+        is never downgraded); anything at other rows than the entry's
+        replaces its contents."""
+        if rows is None:
+            if self.rows is not None:
+                self.scores, self.state, self.rows = {}, None, None
+            return True
+        if self.rows is None and (self.scores or self.state is not None):
+            return False
+        if self.rows is not rows and not np.array_equal(self.rows, rows):
+            self.scores, self.state, self.rows = {}, None, rows
+        return True
 
 
-def _read(vector: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
+# An entry's read at every node: a full copy of the vector.
+_EVERY = slice(None)
+
+
+def _read(vector: np.ndarray, index) -> np.ndarray:
     """What a lookup hands out of an immutable cached vector: always a
-    fresh array, restricted to ``rows`` when the caller names them."""
-    return vector.copy() if rows is None else vector[rows]
+    fresh array, gathered at ``index`` (see :meth:`_TargetEntry.index`)."""
+    return vector.copy() if index is _EVERY else vector[index]
 
 
 class WalkCache:
@@ -212,14 +250,14 @@ class WalkCache:
         A hit refreshes the target's LRU position and returns a fresh
         array (cached vectors are never handed out aliased): the entries
         at node ids ``rows`` when given — all a join reads — else a copy
-        of the whole vector.
+        of the whole vector.  An entry kept at fewer rows than asked for
+        is a miss.
         """
-        everything = slice(None) if rows is None else rows
-        _, block, _ = self.peek_block((target,), level, everything)
+        _, block, _ = self.peek_block((target,), level, rows)
         return None if block is None else block[:, 0]
 
     def peek_block(
-        self, targets: Sequence[int], level: int, rows: np.ndarray
+        self, targets: Sequence[int], level: int, rows: Optional[np.ndarray]
     ) -> Tuple[List[int], Optional[np.ndarray], List[int]]:
         """:meth:`peek` for a whole group of targets under one lock
         hold: ``(hits, block, misses)`` with ``block[i, j]`` the cached
@@ -230,40 +268,68 @@ class WalkCache:
         gathered after the lock is released.
         """
         hits: List[int] = []
-        vectors: List[np.ndarray] = []
+        reads: List[Tuple[np.ndarray, object]] = []
         misses: List[int] = []
+        every = _EVERY if rows is None else rows  # a full entry's read
+        # One inside-check per distinct scope (an n-way query donates
+        # every target of a right set at one rows array).
+        scoped: Dict[int, object] = {}
         with self._lock:
             lookup = self._entries.get
             touch = self._entries.move_to_end
             for target in targets:
                 entry = lookup(target)
                 vector = entry.scores.get(level) if entry is not None else None
-                if vector is None:
+                if vector is not None:
+                    if entry.rows is None:
+                        index = every
+                    else:
+                        key = id(entry.rows)
+                        if key not in scoped:
+                            scoped[key] = entry.index(rows)
+                        index = scoped[key]
+                if vector is None or index is None:
                     misses.append(target)
                 else:
                     touch(target)
                     hits.append(target)
-                    vectors.append(vector)
+                    reads.append((vector, index))
             self.stats.hits += len(hits)
             self.stats.misses += len(misses)
         if not hits:
             return hits, None, misses
-        return hits, np.array([vector[rows] for vector in vectors]).T, misses
+        return hits, np.array([v[index] for v, index in reads]).T, misses
 
-    def resumable_level(self, target: int) -> int:
-        """Level of the retained resumable state for ``target`` (0 if none).
+    def resumable_level(
+        self, target: int, rows: Optional[np.ndarray] = None
+    ) -> int:
+        """Level of the retained resumable state for ``target`` that a
+        reader at node ids ``rows`` (``None``: every node) may resume —
+        0 if none, or if the state is kept at rows that miss some of
+        them.
 
         A pure probe: touches neither the LRU order nor the hit/miss
         stats.  The bounded-memory joins use it to decide whether an
         overflow target has a spilled state worth resuming
-        (``0 < resumable_level(q) <= level``) or should be re-walked in
-        a fresh batched chunk.
+        (``0 < resumable_level(q, rows) <= level``) or should be
+        re-walked in a fresh batched chunk.
         """
         with self._lock:
             entry = self._entries.get(target)
-            if entry is None or entry.state is None:
+            if entry is None or entry.state is None or entry.index(rows) is None:
                 return 0
             return entry.state.level
+
+    def holds_full_width(self, target: int) -> bool:
+        """Whether ``target``'s entry holds walks at every node — so a
+        scoped donation for it would be dropped, and a scoped round
+        leaves the walk to :meth:`scores` instead.  A pure probe, like
+        :meth:`resumable_level`."""
+        with self._lock:
+            entry = self._entries.get(target)
+            return entry is not None and entry.rows is None and bool(
+                entry.scores or entry.state is not None
+            )
 
     def scores(
         self,
@@ -278,7 +344,10 @@ class WalkCache:
         given, else the whole vector.  Cache hit: that read.  Miss with
         a resumable state at a lower level: extends it, paying
         ``level - state.level`` steps.  Cold miss: a fresh ``level``-step
-        walk.  The result is always recorded for future hits.  Pass
+        walk.  A walk runs at the entry's rows, unless the entry is kept
+        at rows that miss some of ``rows``: then it runs full width and
+        the entry is replaced by a full one.  The result is always
+        recorded for future hits.  Pass
         ``count_stats=False`` when the caller already recorded this
         lookup via :meth:`peek`, so one logical request is not
         double-counted.
@@ -297,20 +366,25 @@ class WalkCache:
                 return hit
         with self._lock:
             entry = self._ensure_entry(target)
-            vector = entry.scores.get(level)
+            index = entry.index(rows)
+            vector = None if index is None else entry.scores.get(level)
             if vector is None:
+                if index is None:
+                    entry.rescope(None)  # an outside reader: go full width
+                    index = entry.index(rows)
                 vector = self._walk(target, entry, level)
-        return _read(vector, rows)
+        return _read(vector, index)
 
     def _walk(self, target: int, entry: _TargetEntry, level: int) -> np.ndarray:
-        """Walk ``target`` to ``level`` (resuming the retained state when
-        it is not deeper) and record the vector; lock held by caller."""
+        """Walk ``target`` to ``level`` at the entry's rows (resuming the
+        retained state when it is not deeper) and record the vector;
+        lock held by caller."""
         state = entry.state
         resumed_from = 0
         if state is not None and state.level <= level:
             resumed_from = state.level
         else:
-            state = WalkState(self._engine, self._kernel, [target])
+            state = WalkState(self._engine, self._kernel, [target], rows=entry.rows)
         try:
             state.advance_to(level)
         except CorruptedWalkError:
@@ -322,7 +396,7 @@ class WalkCache:
             entry.state = None
             self._account(target)
             resumed_from = 0
-            state = WalkState(self._engine, self._kernel, [target])
+            state = WalkState(self._engine, self._kernel, [target], rows=entry.rows)
             state.advance_to(level)
         if resumed_from > 0:
             self.stats.extensions += 1
@@ -333,7 +407,10 @@ class WalkCache:
             self._engine.stats.add("steps_saved", resumed_from)
         if entry.state is None or state.level >= entry.state.level:
             entry.state = state
-        vector = state.score_column(0)
+        if entry.rows is None:
+            vector = state.score_column(0)
+        else:
+            vector = state.scores_at(entry.rows)[:, 0]
         vector.setflags(write=False)
         entry.scores[level] = vector
         self._account(target)
@@ -350,10 +427,16 @@ class WalkCache:
         self.put_block((target,), level, (scores,))
 
     def put_block(
-        self, targets: Sequence[int], level: int, vectors: Iterable[np.ndarray]
+        self,
+        targets: Sequence[int],
+        level: int,
+        vectors: Iterable[np.ndarray],
+        rows: Optional[np.ndarray] = None,
     ) -> None:
         """Record externally computed ``h_level(., q)`` vectors, one per
-        target, under one lock hold.
+        target, under one lock hold — at every node, or at the sorted
+        node ids ``rows`` when given (a scoped donation: ``vectors[j][i]``
+        is ``h_level(rows[i], targets[j])``).
 
         The vectors must come from the step-accumulated score path
         (:class:`WalkState` columns) so cached and freshly walked scores
@@ -361,20 +444,25 @@ class WalkCache:
         owns contiguous memory (a freshly finalised column) is frozen
         and stored as is, so the donor's reference turns read-only; a
         view or strided array is copied first.  Anything but float64
-        ``(num_nodes,)`` vectors for in-range targets is rejected with
-        nothing stored.  Entries are inserted, accounted and evicted
-        target by target, in order — the LRU sequence of that many
-        single donations.
+        vectors of shape ``(num_nodes,)`` (``(|rows|,)`` when scoped)
+        for in-range targets is rejected with nothing stored.  Entries
+        are inserted, accounted and evicted target by target, in order —
+        the LRU sequence of that many single donations.  A scoped
+        vector is dropped (its target still touched) when the target's
+        entry is full; one at other rows than the entry's replaces it.
         """
         n = self._engine.num_nodes
+        if rows is not None:
+            rows = self._scope(rows)
+        shape = (n,) if rows is None else rows.shape
         frozen = []
         for target, scores in zip(targets, vectors):
             self._engine._check_target(target)
             scores = np.asarray(scores)
-            if scores.dtype != np.float64 or scores.shape != (n,):
+            if scores.dtype != np.float64 or scores.shape != shape:
                 raise GraphValidationError(
                     f"put_block needs float64 vectors of shape "
-                    f"({n},), got {scores.dtype} {scores.shape}"
+                    f"{shape}, got {scores.dtype} {scores.shape}"
                 )
             if not (scores.flags.owndata and scores.flags.c_contiguous):
                 scores = scores.copy()
@@ -383,9 +471,25 @@ class WalkCache:
         with self._lock:
             for target, scores in zip(targets, frozen):
                 entry = self._ensure_entry(target)
-                entry.scores[level] = scores
+                if entry.rescope(rows):
+                    entry.scores[level] = scores
                 self._account(target)
                 self._evict()
+
+    def _scope(self, rows) -> np.ndarray:
+        """``rows`` as a frozen, sorted, duplicate-free int64 array of
+        node ids (the caller's array when it already is one)."""
+        array = np.asarray(rows, dtype=np.int64)
+        if array.ndim != 1 or array.size == 0 or (
+            array.size > 1 and not (np.diff(array) > 0).all()
+        ) or array[0] < 0 or array[-1] >= self._engine.num_nodes:
+            raise GraphValidationError(
+                "scoped walks need sorted, distinct, in-range node ids"
+            )
+        if array.flags.writeable:
+            array = array.copy()
+            array.setflags(write=False)
+        return array
 
     def adopt(self, state: WalkState) -> None:
         """Adopt a single-column resumable state (deepest wins).
@@ -397,7 +501,9 @@ class WalkCache:
         longer fits the resumable window (the spill policy), so the next
         deepening round resumes it from here rather than re-walking it
         from level 0.  The caller hands over ownership: the cache may
-        extend the state in place.
+        extend the state in place.  A row-restricted state obeys
+        :meth:`put_block`'s scope rule: a full entry refuses it, and it
+        replaces an entry kept at other rows.
         """
         if state.width != 1:
             raise GraphValidationError(
@@ -410,9 +516,12 @@ class WalkCache:
             )
         target = int(state.targets[0])
         self._engine._check_target(target)
+        rows = None if state.rows is None else self._scope(state.rows)
         with self._lock:
             entry = self._ensure_entry(target)
-            if entry.state is None or state.level > entry.state.level:
+            if entry.rescope(rows) and (
+                entry.state is None or state.level > entry.state.level
+            ):
                 entry.state = state
             self._account(target)
             self._evict()

@@ -9,12 +9,14 @@ resolved group of targets, keeping one resumable
 :class:`~repro.walks.state.WalkState` block so level ``2l`` extends
 level ``l`` instead of restarting.  :class:`DeepeningRounds` is that
 plan, so the bounded-memory mode — and its spill policy — exist exactly
-once, for every measure (each has a block kernel).  Full length-``n``
-score vectors are finalised only to be donated to a walk cache; a
-cache-less round never builds one (its states keep their prefix at the
-rows only).  The cache is read and fed per group of targets:
-:func:`triage` is one ``peek_block``, a walked part is donated with one
-``put_block``.
+once, for every measure (each has a block kernel).  A state keeps its
+prefix only at the rows somebody reads: a cache-less round at the
+caller's rows, a round sharing a cache at its *scope* (an n-way query's
+reader rows, donated as ``(|scope|,)`` vectors).  Full length-``n``
+score vectors are finalised only by an unscoped round, to donate them to
+a cache whose readers are unknown (a two-way query on a shared tier).
+The cache is read and fed per group of targets: :func:`triage` is one
+``peek_block``, a walked part is donated with one ``put_block``.
 
 **The ceiling** is the calling thread's ``QueryBudget.max_bytes`` —
 the one walk-block ceiling, read once per join by
@@ -69,9 +71,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exec.budget import BudgetExhaustedError, CorruptedWalkError
+from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
-from repro.walks.state import RestrictedTail, WalkState
+from repro.walks.state import RestrictedTail, WalkState, row_positions
 
 # Bounded attempts at re-walking a corrupted block before giving up; a
 # walk that keeps producing non-finite mass is a broken environment, not
@@ -161,10 +164,16 @@ class DeepeningRounds:
     cache:
         Optional :class:`~repro.walks.cache.WalkCache` bound to the same
         engine and measure.  Hits are read at the caller's rows; walked
-        levels are donated (``put_block`` — the one reason a column is
-        ever finalised full-width), and in bounded mode it doubles as
-        the spill target for overflow survivors.  Without one, states
-        keep their score prefix at the caller's rows only.
+        levels are donated (``put_block``), and in bounded mode it
+        doubles as the spill target for overflow survivors.  Without
+        one, states keep their score prefix at the caller's rows only.
+    scope:
+        With a cache, the sorted node ids the cache's readers read
+        (``None``: unknown, so every node).  States keep their prefix
+        there and donate ``(|scope|,)`` vectors; only an unscoped round
+        — a two-way query on a shared cache — finalises full-width
+        columns, to donate them.  Every ``rows`` a caller passes must
+        lie inside it.
     """
 
     def __init__(
@@ -172,14 +181,18 @@ class DeepeningRounds:
         engine: WalkEngine,
         params: object,
         cache: Optional[WalkCache],
+        scope: Optional[np.ndarray] = None,
     ) -> None:
         self._engine = engine
         self._params = params
         self._cache = cache
         self._max_cols = columns_for_budget(engine)
-        # A cache-less round's prefix rows and final-level tail plan.
-        self._rows: Optional[np.ndarray] = None
+        # The states' prefix rows (a cache-less round's are the caller's,
+        # set per walk) and a cache-less round's final-level tail plan.
+        self._rows: Optional[np.ndarray] = None if cache is None else scope
         self._tail: Optional[RestrictedTail] = None
+        # ``(rows, their positions in the scope)`` of the last scoped read.
+        self._at: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
         self._state: Optional[WalkState] = None  # retained resumable window
         self._state_cols: Dict[int, int] = {}
         # This round's repack candidates (window + a budgeted prefix of
@@ -248,7 +261,10 @@ class DeepeningRounds:
                 resident.append(q)
             elif cache is not None and (
                 (self._max_cols is None and self._state is not None)
-                or 0 < cache.resumable_level(q) <= level
+                or 0 < cache.resumable_level(q, rows) <= level
+                # A scoped walk of a target held full width would be
+                # dropped; the cache walks it at its entry's width.
+                or (self._rows is not None and cache.holds_full_width(q))
             ):
                 resume.append(q)
             else:
@@ -338,18 +354,34 @@ class DeepeningRounds:
         consume: Consumer,
     ) -> None:
         """Hand the given columns of a walked block to the consumer as
-        one ``rows``-restricted block, donating each column's full
-        vector — the only place one is finalised — when there is a cache
-        to take it."""
+        one ``rows``-restricted block, donating each column — at the
+        scope, or full width when the round has none — when there is a
+        cache to take it."""
         if not columns:
             return
         fed = [targets[j] for j in columns]
-        if self._cache is not None:
-            self._cache.put_block(fed, level, map(part.score_column, columns))
-        block = part.scores_at(rows)
+        cache, scope = self._cache, self._rows
+        if cache is None:
+            block = part.scores_at(rows)
+        elif scope is None:
+            cache.put_block(fed, level, map(part.score_column, columns))
+            block = part.scores_at(rows)
+        else:
+            scoped = part.scores_at(scope)
+            cache.put_block(fed, level, (scoped[:, j] for j in columns), scope)
+            block = scoped[self._positions(rows)]
         if list(columns) != list(range(part.width)):
             block = np.take(block, columns, axis=1)
         consume(fed, block)
+
+    def _positions(self, rows: np.ndarray) -> np.ndarray:
+        """Where the caller's ``rows`` sit in a scoped round's scope."""
+        if self._at[0] is not rows:
+            at = row_positions(self._rows, rows)
+            if at is None:
+                raise GraphValidationError("a scoped round is read inside its scope")
+            self._at = (rows, at)
+        return self._at[1]
 
     def _new_state(self, targets: Sequence[int]) -> WalkState:
         return WalkState(self._engine, self._params, targets, rows=self._rows)

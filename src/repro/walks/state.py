@@ -38,10 +38,13 @@ that reads a state — scores, restructuring, bounds, pruning order, the
 step counters — can tell which form it is in; only ``nbytes`` and the
 wall clock can.
 
-A walk with no cache to feed is read at the join's rows ``P`` only:
-``WalkState(..., rows=P)`` keeps a ``(|P|, B)`` prefix and may finish
-its last steps on a :class:`RestrictedTail` (dropping its mass), with
-the same products in the same order — bit-identical scores at ``P``.
+A walk is kept at the rows its readers read: ``WalkState(..., rows=R)``
+keeps a ``(|R|, B)`` prefix, with the same products in the same order —
+bit-identical scores at ``R``.  A walk with no cache to feed keeps the
+join's rows ``P`` and may finish its last steps on a
+:class:`RestrictedTail` (dropping its mass); an n-way query's shared
+walks keep the sorted union ``U`` of the rows its edges read, and are
+read at any subset of it (a ``searchsorted`` gather).
 
 A dense state's buffers cost 16 bytes per node per column (two
 ``(n, B)`` float64 blocks) — the ceiling the ``"alloc"`` checkpoint
@@ -51,17 +54,17 @@ than exceed what the dense one would.  While :meth:`WalkState.advance_to`
 runs dense steps it also keeps the block the last step propagated from:
 that dead block is the next step's output buffer
 (:func:`~repro.walks.kernels.dense_step` writes into it), so only the
-first dense step of a call allocates.  A cached (full-width) walk holds
-mass and prefix, plus that transient third block while it steps; a
-cache-less (row-restricted) one holds its mass plus the step's spare,
-and a ``(|P|, B)`` prefix.  :meth:`WalkState.advance_to` reports each
+first dense step of a call allocates.  A full-width walk holds mass
+and prefix, plus that transient third block while it steps; a
+row-restricted one holds its mass plus the step's spare, and a
+``(|R|, B)`` prefix.  :meth:`WalkState.advance_to` reports each
 materialisation to ``engine.stats.peak_block_bytes``, the counter a
 ``QueryBudget.max_bytes`` ceiling (the widths every block operator
 plans under it) is audited against.  :meth:`WalkState.scores_at` is what the joins read:
 the scores of a block at the left set's rows, one row gather of the
 prefix instead of a full-graph vector per column
-(:meth:`WalkState.score_column`, which only walk-cache donation still
-uses).  :meth:`WalkState.select` narrows a block to surviving columns,
+(:meth:`WalkState.score_column`, which only a full-width walk donated to
+a walk cache still uses).  :meth:`WalkState.select` narrows a block to surviving columns,
 :meth:`WalkState.extract_column` copies one out (cache
 adoption — including the bounded rounds' spill of overflow survivors),
 and :meth:`WalkState.concat` re-packs same-level blocks — together they
@@ -95,6 +98,15 @@ def _nbytes(block) -> int:
 def _values(block) -> np.ndarray:
     """Every entry a block can hold a non-zero in."""
     return block.data if sparse.issparse(block) else block
+
+
+def row_positions(scope: np.ndarray, rows) -> Optional[np.ndarray]:
+    """Where node ids ``rows`` sit in the sorted id array ``scope``, or
+    ``None`` when some of them lie outside it."""
+    at = np.searchsorted(scope, rows)
+    if at.size and (at.max() >= scope.size or not np.array_equal(scope[at], rows)):
+        return None
+    return at
 
 
 class RestrictedTail:
@@ -146,7 +158,8 @@ class WalkState:
         (columns propagate independently).
     rows:
         Distinct node ids to keep the score prefix at (``None``: every
-        node); such a state is read only through ``scores_at(rows)``,
+        node); such a state is read only through ``scores_at`` — at
+        ``rows``, or at any subset of them when ``rows`` is sorted —
         never as full columns.
 
     Notes
@@ -235,6 +248,12 @@ class WalkState:
     def level(self) -> int:
         """Number of Eq. 5 steps walked so far."""
         return self._level
+
+    @property
+    def rows(self) -> Optional[np.ndarray]:
+        """The node ids the score prefix is kept at (``None``: every
+        node)."""
+        return self._rows
 
     @property
     def width(self) -> int:
@@ -410,7 +429,9 @@ class WalkState:
         One gather of prefix rows (contiguous ones once the state is
         dense), then the kernel's fold on ``|rows| * B`` entries — the
         joins' read, which never touches the other ``n - |rows|`` rows
-        of the block.  A row-restricted state is read at its own rows.
+        of the block.  A row-restricted state is read at its own rows
+        or, when those are sorted, at any subset of them (one
+        ``searchsorted`` gather).
         """
         if self._acc is None:
             return self._kernel.empty_scores(
@@ -418,10 +439,15 @@ class WalkState:
             )[rows]
         if self._rows is None:
             held = block_rows(self._acc, rows)
-        elif np.array_equal(rows, self._rows):
+        elif rows is self._rows or np.array_equal(rows, self._rows):
             held = self._acc
         else:
-            raise GraphValidationError("a row-restricted walk is read at its rows")
+            at = row_positions(self._rows, rows)
+            if at is None:
+                raise GraphValidationError(
+                    "a row-restricted walk is read inside its rows"
+                )
+            held = self._acc[at]
         return self._kernel.finalize_rows(held, rows, self._targets)
 
     # ------------------------------------------------------------------

@@ -5,10 +5,13 @@ dense product.  Whatever the number of row ranges it cuts a product
 into, every entry must be bit-identical to ``T.dot`` — checked here
 over random CSR shapes and every thread count from 1 to 4 (4 to 16
 row ranges) — and the ledger must keep the helper threads off the
-cores a :class:`~repro.service.QueryService` owns.
+cores a :class:`~repro.service.QueryService` owns.  The blocks a walk
+frees must stay in the process for the next walk (``HEAP_TOP_PAD``).
 """
 
 import os
+import platform
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -249,3 +252,56 @@ class TestOwnedOutput:
         assert sorted(retried) == sorted(clean)
         for q in clean:
             assert np.array_equal(retried[q], clean[q]), q
+
+
+# Five repeated row-restricted walks of 32 targets on an 8 000-node
+# graph, dense from step 2, after one warm walk; prints the minor page
+# faults the five took.  Run in a fresh interpreter: a long-lived
+# process's heap layout depends on everything it ran before.
+_HEAP_SCRIPT = """
+import resource
+from unittest import mock
+import numpy as np
+from repro.core.dht import DHTParams
+from repro.graph.builders import preferential_attachment
+from repro.walks import engine as engine_module
+from repro.walks.engine import WalkEngine
+from repro.walks.state import WalkState
+
+engine = WalkEngine(preferential_attachment(8_000, 2, np.random.default_rng(3)))
+params = DHTParams.dht_lambda(0.2)
+targets = np.arange(32, dtype=np.int64)
+rows = np.arange(100, 164, dtype=np.int64)
+
+def walk():
+    state = WalkState(engine, params, targets, rows=rows)
+    for level in (2, 4, 8):
+        state.advance_to(level)
+    return state.scores_at(rows)
+
+with mock.patch.object(engine_module, "FRONTIER_GATE", 2**40):
+    walk()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        walk()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is a glibc setting"
+)
+def test_repeated_walks_fault_in_no_block():
+    """Freed walk blocks stay in the process: a walk repeated on a warm
+    heap faults in (almost) no fresh pages, where a heap top handed back
+    to the kernel costs every block's pages again."""
+    src = os.path.dirname(os.path.dirname(api.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _HEAP_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    faults = int(done.stdout.split()[-1])
+    # One (8 000, 32) float64 block is 500 pages; each walk frees and
+    # re-allocates three of them.
+    assert faults < 500, faults

@@ -90,7 +90,7 @@ class TestExecution:
         )
         assert rows(response.result.results) == rows(oracle)
 
-    def test_explain_returns_plan(self, service):
+    def test_explain_returns_plan(self, graph, service):
         response = service.query(ExplainRequest(
             query_edges=((0, 1), (1, 2)),
             node_sets=(LEFT, RIGHT, THIRD),
@@ -98,7 +98,40 @@ class TestExecution:
         ))
         assert response.ok
         plan = response.result.to_json()
-        assert "edges" in plan or "order" in plan or plan  # shape is stable elsewhere
+        direct = api.explain_multi_way_plan(
+            graph, QueryGraph(3, [(0, 1), (1, 2)]),
+            [list(LEFT), list(RIGHT), list(THIRD)], k=3,
+        )
+        assert len(plan["edges"]) == direct.num_edges == 2
+        assert plan["strategy"] == direct.strategy == "pj-i"
+        assert [row["operator"] for row in plan["edges"]] == list(direct.operators)
+
+    def test_two_way_reads_outside_an_nway_scope_go_full_width(
+        self, graph, service
+    ):
+        """A chain query donates its right sets' walks at its reader rows
+        only; two-way queries on the same tier that read those targets at
+        other rows must miss, re-walk full width, match the oracle, and
+        leave full entries behind."""
+        chain = MultiWayRequest(
+            query_edges=((0, 1), (1, 2)), node_sets=(LEFT, RIGHT, THIRD), k=3,
+        )
+        assert service.query(chain).ok
+        walk_cache, _ = service.cache_tier(None)
+        d = resolve_measure(None).d
+        scope = sorted(LEFT)  # what edge (0, 1) reads RIGHT's walks at
+        assert walk_cache.peek(RIGHT[0], d, rows=np.array(scope)) is not None
+        assert walk_cache.peek(RIGHT[0], d) is None  # not a full vector
+        outside = (30, 31, 32, 33)
+        for right in (RIGHT, THIRD):
+            response = service.query(TwoWayRequest(outside, right, k=5))
+            assert response.ok and response.result.exact
+            oracle = api.two_way_join(graph, list(outside), list(right), k=5)
+            assert rows(response.result.results) == rows(oracle)
+        # Every target is walked at level 1 by both kinds of query.
+        for target in RIGHT + THIRD:
+            full = walk_cache.peek(target, 1)
+            assert full is not None and full.shape == (graph.num_nodes,)
 
     def test_query_sync_wrapper_and_ticket(self, service):
         ticket = service.submit(TwoWayRequest(LEFT, RIGHT, k=2))

@@ -126,9 +126,17 @@ class TestWalkCacheStress:
         donations — from 8 workers against an evicting cache: every block
         bit-identical to the reference, no lookup lost, and the traced
         locks show no walk under the cache lock (the workers walk their
-        misses themselves, outside it) and no lock taken inside it."""
+        misses themselves, outside it) and no lock taken inside it.
+
+        Even workers are n-way queries: they read at ``rows`` and donate
+        scoped vectors at ``scope``.  Odd workers are two-way queries on
+        the shared tier: they donate full vectors and read at ``rows`` or
+        at ``outside`` (which a scoped entry cannot serve), so entries
+        flip between scoped and full under contention."""
         targets, levels = list(range(12)), [2, 3, 5]
         rows = np.array([0, 7, 13, 21, 39])
+        scope = np.array([0, 2, 7, 13, 21, 30, 39])
+        outside = np.array([1, 7, 38])
         ref_cache = WalkCache(WalkEngine(graph), params)
         reference = {
             (t, d): ref_cache.scores(t, d) for t in targets for d in levels
@@ -142,16 +150,25 @@ class TestWalkCacheStress:
 
         def body(index):
             rng = np.random.default_rng(3000 + index)
-            for _ in range(rounds):
+            scoped = index % 2 == 0
+            for step in range(rounds):
                 group = rng.choice(targets, size=width, replace=False).tolist()
                 d = levels[int(rng.integers(len(levels)))]
-                hits, block, misses = cache.peek_block(group, d, rows)
+                read = rows if scoped or step % 2 else outside
+                hits, block, misses = cache.peek_block(group, d, read)
                 if sorted(hits + misses) != sorted(group):
                     mismatches.append(("split", group))
                 for j, q in enumerate(hits):
-                    if not np.array_equal(block[:, j], reference[(q, d)][rows]):
+                    if not np.array_equal(block[:, j], reference[(q, d)][read]):
                         mismatches.append((q, d))
-                if misses:
+                if misses and scoped:
+                    state = WalkState(engine, params, misses, rows=scope)
+                    walked = state.advance_to(d).scores_at(scope)
+                    cache.put_block(
+                        misses, d, (walked[:, j] for j in range(len(misses))),
+                        rows=scope,
+                    )
+                elif misses:
                     state = WalkState(engine, params, misses).advance_to(d)
                     cache.put_block(
                         misses, d, map(state.score_column, range(len(misses)))

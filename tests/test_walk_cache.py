@@ -335,6 +335,121 @@ class TestByteBudget:
             assert cache.current_bytes <= cache.max_bytes
 
 
+class TestScopedEntries:
+    """An entry kept at rows ``U`` (an n-way query's reader rows) serves
+    reads inside ``U`` only; anything else misses and goes full width."""
+
+    SCOPE = np.arange(0, 40, 3)  # 14 sorted node ids
+    INSIDE = np.array([9, 0, 30])  # unsorted, inside SCOPE
+    OUTSIDE = np.array([9, 1])  # 1 is not in SCOPE
+
+    def scoped(self, engine, params, target, level):
+        """A row-restricted walk of ``target`` and its finalised vector."""
+        state = WalkState(engine, params, [target], rows=self.SCOPE)
+        state.advance_to(level)
+        return state, state.scores_at(self.SCOPE)[:, 0]
+
+    def full(self, engine, params, target, level):
+        return WalkState(engine, params, [target]).advance_to(level).score_column(0)
+
+    def test_read_inside_matches_full_width(self, cache, engine, params):
+        _, vector = self.scoped(engine, params, 5, 4)
+        cache.put_block([5], 4, [vector], rows=self.SCOPE)
+        full = self.full(engine, params, 5, 4)
+        assert np.array_equal(cache.peek(5, 4, rows=self.INSIDE), full[self.INSIDE])
+        assert np.array_equal(
+            cache.scores(5, 4, rows=self.SCOPE), full[self.SCOPE]
+        )
+        hits, block, misses = cache.peek_block([5], 4, self.INSIDE)
+        assert hits == [5] and misses == []
+        assert np.array_equal(block[:, 0], full[self.INSIDE])
+        assert cache.stats.hits == 3 and cache.stats.misses == 0
+
+    def test_read_outside_misses_and_leaves_a_full_entry(
+        self, cache, engine, params
+    ):
+        _, vector = self.scoped(engine, params, 5, 4)
+        cache.put_block([5], 4, [vector], rows=self.SCOPE)
+        assert cache.peek(5, 4, rows=self.OUTSIDE) is None
+        assert cache.peek(5, 4) is None  # every node is outside too
+        assert cache.stats.misses == 2
+        engine.stats.reset()
+        got = cache.scores(5, 4, rows=self.OUTSIDE)
+        assert cache.stats.misses == 3
+        assert engine.stats.propagation_steps == 4  # a fresh full walk
+        full = self.full(engine, params, 5, 4)
+        assert np.array_equal(got, full[self.OUTSIDE])
+        # The entry is full now: every read hits, the whole vector too.
+        assert np.array_equal(cache.peek(5, 4), full)
+        assert np.array_equal(cache.peek(5, 4, rows=self.OUTSIDE), full[self.OUTSIDE])
+
+    def test_scoped_donation_never_downgrades_a_full_entry(
+        self, cache, engine, params
+    ):
+        full = cache.scores(5, 4)
+        retained = cache.current_bytes
+        state, vector = self.scoped(engine, params, 5, 2)
+        cache.put_block([5], 2, [vector], rows=self.SCOPE)
+        cache.adopt(state)
+        assert cache.current_bytes == retained
+        assert np.array_equal(cache.peek(5, 4), full)
+        assert cache.peek(5, 2, rows=self.INSIDE) is None
+        assert cache.resumable_level(5) == 4  # still the full walk's state
+
+    def test_full_donation_replaces_a_scoped_entry(self, cache, engine, params):
+        _, vector = self.scoped(engine, params, 5, 4)
+        cache.put_block([5], 4, [vector], rows=self.SCOPE)
+        cache.put_scores(5, 2, self.full(engine, params, 5, 2))
+        assert cache.peek(5, 4, rows=self.INSIDE) is None  # dropped with its scope
+        assert cache.peek(5, 2) is not None
+        assert cache.current_bytes == 8 * engine.num_nodes
+
+    def test_scoped_state_resumes_only_for_inside_readers(
+        self, cache, engine, params
+    ):
+        state, _ = self.scoped(engine, params, 12, 2)
+        cache.adopt(state)
+        assert cache.resumable_level(12) == 0
+        assert cache.resumable_level(12, self.OUTSIDE) == 0
+        assert cache.resumable_level(12, self.INSIDE) == 2
+        engine.stats.reset()
+        got = cache.scores(12, 4, rows=self.INSIDE)
+        assert engine.stats.propagation_steps == 2  # resumed
+        assert cache.stats.extensions == 1
+        assert np.array_equal(got, self.full(engine, params, 12, 4)[self.INSIDE])
+
+        other = WalkCache(engine, params)
+        other.adopt(self.scoped(engine, params, 12, 2)[0])
+        engine.stats.reset()
+        got = other.scores(12, 4, rows=self.OUTSIDE)
+        assert engine.stats.propagation_steps == 4  # not resumed
+        assert other.stats.extensions == 0
+        assert np.array_equal(got, self.full(engine, params, 12, 4)[self.OUTSIDE])
+        assert other.resumable_level(12) == 4  # the full walk's state
+
+    def test_bytes_charge_the_scope_and_the_bound_stays_strict(
+        self, engine, params
+    ):
+        per_vector = 8 * self.SCOPE.size
+        cache = WalkCache(engine, params, max_bytes=2 * per_vector + 1)
+        vectors = [self.scoped(engine, params, q, 3)[1] for q in (1, 2, 4)]
+        cache.put_block([1, 2], 3, vectors[:2], rows=self.SCOPE)
+        assert cache.current_bytes == 2 * per_vector
+        cache.put_block([4], 3, vectors[2:], rows=self.SCOPE)
+        assert cache.current_bytes == 2 * per_vector <= cache.max_bytes
+        assert 1 not in cache and cache.stats.evictions == 1
+
+    @pytest.mark.parametrize("rows", [[3, 0], [0, 0, 3], [-1, 3], [0, 10_000]])
+    def test_scoped_donation_needs_sorted_node_ids(self, cache, rows):
+        with pytest.raises(GraphValidationError, match="sorted"):
+            cache.put_block([1], 3, [np.zeros(len(rows))], rows=rows)
+        assert len(cache) == 0
+
+    def test_scoped_donation_checks_the_vector_shape(self, cache, engine):
+        with pytest.raises(GraphValidationError, match="shape"):
+            cache.put_block([1], 3, [np.zeros(engine.num_nodes)], rows=self.SCOPE)
+
+
 class TestErrorPathLockRelease:
     """Satellite of the RL001 pass: a raising public method must leave
     the cache usable — the lock released — and its message must speak

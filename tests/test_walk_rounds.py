@@ -21,6 +21,7 @@ from repro.graph.validation import GraphValidationError
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine
 from repro.walks.kernels import PPRBlockKernel
+from repro.walks.rounds import DeepeningRounds
 from repro.walks.state import WalkState
 
 
@@ -128,6 +129,63 @@ class TestResumableLevel:
         cache.resumable_level(5)
         cache.resumable_level(6)
         assert (cache.stats.hits, cache.stats.misses) == before
+
+
+class TestScopedRounds:
+    """A round sharing a cache at a scope (an n-way query's reader rows)
+    keeps and donates its walks there, and feeds blocks bit-identical to
+    the full-width walk at the caller's rows."""
+
+    SCOPE = np.arange(0, 40, 2)
+    ROWS = np.array([8, 0, 26])  # inside SCOPE, unsorted
+
+    @pytest.mark.parametrize("max_bytes", [None, 16 * 40 * 3])
+    def test_blocks_and_donations_match_full_width(
+        self, engine, random_graph, byte_ceiling, max_bytes
+    ):
+        params = DHTParams.dht_lambda(0.2)
+        cache = WalkCache(engine, params)
+        active = list(range(5, 15))
+        oracle_engine = WalkEngine(random_graph)
+        with byte_ceiling(engine, max_bytes):
+            rounds = DeepeningRounds(engine, params, cache, self.SCOPE)
+            for level in (1, 2, 4, 8):
+                seen = {}
+
+                def consume(targets, block):
+                    for q, column in zip(targets, block.T):
+                        seen[q] = column.copy()
+
+                rounds.walk_level(active, level, self.ROWS, consume)
+                oracle = WalkState(oracle_engine, params, active).advance_to(level)
+                for j, q in enumerate(active):
+                    full = oracle.score_column(j)
+                    assert np.array_equal(seen[q], full[self.ROWS])
+                    assert np.array_equal(
+                        cache.peek(q, level, rows=self.SCOPE), full[self.SCOPE]
+                    )
+                    assert cache.peek(q, level) is None  # kept at the scope only
+                rounds.repack(set(active), level)
+
+    def test_target_held_full_width_is_walked_by_the_cache(self, engine):
+        params = DHTParams.dht_lambda(0.2)
+        cache = WalkCache(engine, params)
+        cache.scores(5, 8)  # a full entry, deeper than the round's level
+        assert cache.holds_full_width(5) and not cache.holds_full_width(6)
+        rounds = DeepeningRounds(engine, params, cache, self.SCOPE)
+        rounds.walk_level([5, 6], 2, self.ROWS, lambda targets, block: None)
+        full = cache.peek(5, 2)  # donated full width, not dropped
+        assert full is not None and full.shape == (engine.num_nodes,)
+        assert cache.peek(6, 2) is None
+        assert cache.peek(6, 2, rows=self.ROWS) is not None
+
+    def test_reads_outside_the_scope_are_rejected(self, engine):
+        params = DHTParams.dht_lambda(0.2)
+        rounds = DeepeningRounds(
+            engine, params, WalkCache(engine, params), self.SCOPE
+        )
+        with pytest.raises(GraphValidationError, match="inside its scope"):
+            rounds.walk_level([5], 1, np.array([1]), lambda targets, block: None)
 
 
 class TestBIDJSpill:
