@@ -13,6 +13,7 @@ import itertools
 
 from repro import Graph, QueryGraph, WalkEngine, multi_way_join
 from repro.extensions import TruncatedPPR
+from repro.walks import WalkState
 
 
 def main() -> None:
@@ -48,15 +49,17 @@ def main() -> None:
         assert answers[0].nodes[0] == 4
 
     # The measure-generic PJ answers equal brute force: score every
-    # star (the MIN of its two spokes) from one PPR column per node.
+    # star (the MIN of its two spokes) from one walk of the measure's
+    # kernel over every node (``h[u, v]`` scores ``u`` towards ``v``).
     ppr = TruncatedPPR()
     pj_answers = multi_way_join(
         graph, query, sets, k=3, algorithm="pj", measure=ppr
     )
     engine = WalkEngine(graph)
-    column = {v: ppr.backward_scores(engine, v, ppr.d) for v in range(9)}
+    walk = WalkState(engine, ppr.kernel(), list(range(9))).advance_to(ppr.d)
+    h = walk.scores_matrix()
     stars = sorted(
-        (-min(column[left][bridge], column[right][bridge]), (bridge, left, right))
+        (-min(h[bridge, left], h[bridge, right]), (bridge, left, right))
         for bridge, left, right in itertools.product(*sets)
     )
     assert [(a.nodes, round(a.score, 10)) for a in pj_answers] == [

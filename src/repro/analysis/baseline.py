@@ -49,7 +49,3 @@ def load_baseline(path):
             )
         entries[key] = reason
     return entries
-
-
-def render_entry(finding, justification):
-    return f"{finding.key}  # {justification}"

@@ -312,7 +312,7 @@ def _check_rl001(module):
 _RL002_REQUIRING = {
     "advance_by", "advance_to", "backward_block_step",
     "backward_first_hit_block", "backward_first_hit_series",
-    "backward_onehot_step", "backward_scores", "backward_scores_block",
+    "backward_onehot_step", "backward_scores_block",
     "forward_first_hit_series", "peek", "peek_block", "reach_mass_series",
     "scores", "walk_level",
 }

@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.core.bounds import XBound
 from repro.graph.validation import GraphValidationError
-from repro.walks.engine import WalkEngine
-from repro.walks.state import WalkState
 
 
 @dataclass(frozen=True)
@@ -197,19 +195,6 @@ class DHTMeasure:
         """The params themselves: a :class:`~repro.walks.state.WalkState`
         over them runs the first-hit (absorbing) block kernel of Eq. 5."""
         return self.params
-
-    def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
-        """Truncated DHT of every node to ``target`` via the per-target
-        first-hit kernel (Eqs. 4-5)."""
-        series = engine.backward_first_hit_series(target, steps)
-        return self.params.scores_from_matrix(series)
-
-    def backward_scores_block(
-        self, engine: WalkEngine, targets: Sequence[int], steps: int
-    ) -> np.ndarray:
-        """Batched truncated DHT: one resumable first-hit walk of the
-        whole block (reflexive entries carry the return-walk artefact)."""
-        return WalkState(engine, self.params, targets).advance_to(steps).scores_matrix()
 
     def x_bound(self, d: int) -> XBound:
         """Lemma 2's ``X`` table at depth ``d``:

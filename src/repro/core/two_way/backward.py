@@ -57,7 +57,7 @@ from repro.core.two_way.base import (
 )
 from repro.graph.validation import GraphValidationError
 from repro.walks.rounds import DeepeningRounds, columns_for_budget
-from repro.walks.state import RestrictedTail
+from repro.walks.state import RestrictedTail, WalkState
 
 # ``B-BJ``'s block width: 16 columns keeps the dense mass block
 # cache-resident on large graphs (n x B x 8 bytes) while amortising the
@@ -75,10 +75,10 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
 
     With a walk cache on the context, the request is served from the
     cache — an exact repeat costs one ``O(n)`` copy, a deeper repeat only
-    pays the walk's uncached suffix.  Without one it is the measure's
-    own per-target ``backward_scores`` — for DHT the ``steps``-step
-    backward first-hit propagation from ``target`` (Eq. 5) folded into
-    truncated scores (Eq. 4).
+    pays the walk's uncached suffix.  Without one it is a one-column
+    walk of the measure's kernel, the scorer the cache runs on a miss —
+    for DHT the ``steps``-step backward first-hit propagation from
+    ``target`` (Eq. 5) folded into truncated scores (Eq. 4).
 
     Returns the full length-``|V_G|`` score vector, for callers that
     want every node's score (link prediction, tests).  The joins do
@@ -87,7 +87,8 @@ def back_walk(context: TwoWayContext, target: int, steps: int) -> np.ndarray:
     """
     if context.walk_cache is not None:
         return context.walk_cache.scores(target, steps)
-    return context.measure.backward_scores(context.engine, target, steps)
+    state = WalkState(context.engine, context.measure.kernel(), [target])
+    return state.advance_to(steps).score_column(0)
 
 
 def _rounds(context: TwoWayContext) -> DeepeningRounds:

@@ -263,18 +263,12 @@ class IncrementalTwoWayJoin:
         self._ctx = context
         self._bound: ScoreUpperBound = bound_factory(context)
         self._f = FStructure(context.left)
-        self._emitted = 0
         self._started = False
 
     @property
     def context(self) -> TwoWayContext:
         """The join's validated inputs."""
         return self._ctx
-
-    @property
-    def pairs_remaining(self) -> int:
-        """Candidate pairs not yet emitted."""
-        return self._ctx.num_pairs - self._emitted
 
     def top(self, m: int) -> List[ScoredPair]:
         """The top-``m`` pairs, via ``B-IDJ`` instrumented to fill ``F``.
@@ -301,7 +295,6 @@ class IncrementalTwoWayJoin:
             observer=recorder,
         )
         result = algorithm.top_k(m)
-        self._emitted = len(result)
         for pair in result:
             self._f.remove(pair[:2])
         for q, level, scores, tail in zip(
@@ -341,7 +334,6 @@ class IncrementalTwoWayJoin:
     # ------------------------------------------------------------------
 
     def _emit(self, entry: FEntry) -> ScoredPair:
-        self._emitted += 1
         self._f.remove(entry.pair)
         return ScoredPair(*entry.pair, entry.lower)
 

@@ -10,7 +10,7 @@ series
 
 where ``M_i`` is some per-step walk statistic and ``w_i`` a
 non-negative weight.  :class:`SeriesMeasure` captures that contract —
-per-target *and* batched-block backward kernels plus the tail algebra
+one resumable block kernel, the only scorer, plus the tail algebra
 iterative deepening needs — and two families instantiate it:
 
 * :class:`~repro.core.dht.DHTMeasure` — the paper's own measure
@@ -26,10 +26,11 @@ measure dropped for that and why).
 **Admissibility contract** (what ``B-IDJ`` on a measure context relies
 on — see ``docs/ALGORITHMS.md`` for the worked derivations):
 
-1. ``backward_scores(engine, q, l)`` returns the ``l``-step truncation
-   ``h_l(., q)``, and ``h_l(p, q) <= h_d(p, q)`` for ``l <= d``
-   (non-negative statistics and weights), so truncations are valid
-   *lower* bounds.
+1. A :class:`~repro.walks.state.WalkState` over ``kernel()`` advanced
+   to ``l`` steps scores the ``l``-step truncation ``h_l(., q)`` of
+   each of its targets ``q``, and ``h_l(p, q) <= h_d(p, q)`` for
+   ``l <= d`` (non-negative statistics and weights), so truncations
+   are valid *lower* bounds.
 2. ``x_bound(d)`` is the data-independent tail table ``B-IDJ-X`` reads,
    an :class:`~repro.core.bounds.XBound` whose
    ``tail(l) >= sum_{i > l} w_i sup_u,v M_i(u, v)``, so
@@ -45,18 +46,21 @@ on — see ``docs/ALGORITHMS.md`` for the worked derivations):
    the left set's reach mass), which is tighter than the closed form
    whenever the left set's ``i``-step reach mass at ``q`` is below 1.
 
-Batched-block equivalence: ``backward_scores_block`` must agree with
-per-target ``backward_scores`` at every node ``u != target`` (reflexive
-entries may differ by the kernel's return-walk convention; every join
-excludes ``p == q``).
-
 5. ``kernel()`` is the measure's block kernel (DHT's params, else a
    :class:`~repro.walks.kernels.BlockKernel`) and its cache identity:
    both caches are keyed by it, so every measure gets the full
    resumable walk layer — :class:`~repro.walks.state.WalkState` blocks,
    walk-cache adoption, and the bounded-memory rounds of
    :class:`~repro.walks.rounds.DeepeningRounds` under
-   ``QueryBudget.max_bytes``.
+   ``QueryBudget.max_bytes``.  A one-target walk and a block walk run
+   the same kernel, so per-target and batched scores agree by
+   construction (at every node but the target itself, whose entry
+   follows the kernel's return-walk convention; every join excludes
+   ``p == q``).
+
+These five — ``d``, ``x_bound``, ``floor``, ``tail_weights`` and
+``kernel`` — are the whole contract (``repro.query`` accepts any object
+with them as a measure).
 """
 
 from __future__ import annotations
@@ -76,29 +80,15 @@ from repro.walks.state import WalkState
 class SeriesMeasure(Protocol):
     """A truncated decayed-series proximity measure.
 
-    Implementations provide a *backward* kernel — one propagation from a
-    target yields the measure to all sources — in both per-target and
-    batched-block (the joins') forms, plus the algebra
-    needed for iterative-deepening bounds.  See the module docstring for
-    the admissibility conditions each piece must satisfy.
+    Implementations provide a *backward* block kernel — one propagation
+    from a block of targets yields the measure to all sources — plus
+    the algebra needed for iterative-deepening bounds.  See the module
+    docstring for the admissibility conditions each piece must satisfy.
+    (Both families also carry a display ``name``, which plans print;
+    it is not part of the contract.)
     """
 
-    name: str
     d: int
-
-    def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
-        """``steps``-truncated scores from every node to ``target`` —
-        what :func:`~repro.core.two_way.backward.back_walk` returns on a
-        cache-less measure context."""
-        ...
-
-    def backward_scores_block(
-        self, engine: WalkEngine, targets: Sequence[int], steps: int
-    ) -> np.ndarray:
-        """Batched backward scores: an ``(n, B)`` array, column ``j``
-        agreeing with ``backward_scores(engine, targets[j], steps)`` at
-        every node ``u != targets[j]``."""
-        ...
 
     def x_bound(self, d: int) -> XBound:
         """The data-independent tail table of depth ``d`` that
@@ -163,37 +153,12 @@ class TruncatedPPR:
         """The plain-propagation block kernel (weights ``(1-c) c^i``)."""
         return PPRBlockKernel(self.damping)
 
-    def backward_scores(self, engine: WalkEngine, target: int, steps: int) -> np.ndarray:
-        """Truncated PPR of every node to ``target`` in one propagation.
-
-        ``(1-c) * sum_{i=1..steps} c^i S_i(u, target)`` plus the ``i=0``
-        self-visit term for ``u == target`` itself.  Reports its steps
-        to ``engine.stats`` in the same column-step currency as the
-        batched paths.
-        """
-        back = np.zeros(engine.num_nodes, dtype=np.float64)
-        back[target] = 1.0
-        transition = engine.graph.transition_matrix()
-        scores = np.zeros(engine.num_nodes, dtype=np.float64)
-        scores[target] = 1.0 - self.damping  # i = 0 term
-        factor = 1.0 - self.damping
-        for i in range(1, steps + 1):
-            # Same governor visibility as the DHT per-target path,
-            # whose steps run through engine.backward_first_hit_series.
-            engine.checkpoint("step")
-            back = transition.dot(back)
-            scores += factor * self.damping ** i * back
-        engine.stats.add("propagation_steps", steps)
-        engine.stats.add("sparse_products", steps)
-        return scores
-
     def backward_scores_block(
         self, engine: WalkEngine, targets: Sequence[int], steps: int
     ) -> np.ndarray:
         """Batched truncated PPR: one sparse-dense product per step for
-        the whole target block, equal to :meth:`backward_scores` at
-        every node (PPR has no reflexive artefact — the self-visit term
-        is part of the score)."""
+        the whole target block (PPR has no reflexive artefact — the
+        self-visit term is part of the score)."""
         return WalkState(engine, self.kernel(), targets).advance_to(steps).scores_matrix()
 
     def x_bound(self, d: int) -> XBound:

@@ -145,16 +145,6 @@ class MetricsRegistry:
 
         self._sources.append(source)
 
-    def register_walk_cache(self, cache, **labels) -> None:
-        """Surface a :class:`WalkCache`'s hit/miss/spill counters."""
-        label_t = _label_tuple(labels)
-        self._sources.append(lambda: cache_samples("walk_cache", cache, label_t))
-
-    def register_bound_cache(self, cache, **labels) -> None:
-        """Surface a :class:`BoundPlanCache`'s build/hit counters."""
-        label_t = _label_tuple(labels)
-        self._sources.append(lambda: cache_samples("bound_cache", cache, label_t))
-
     def register_service(self, service, **labels) -> None:
         """Surface a :class:`QueryService` via its ``stats()`` snapshot."""
         label_t = _label_tuple(labels)

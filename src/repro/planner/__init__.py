@@ -3,15 +3,15 @@
 The planner chooses, per query graph: (a) the edge evaluation order
 and (b) the per-edge two-way operator, from cheap graph statistics
 (:mod:`repro.planner.stats`), a step-denominated cost model
-(:mod:`repro.planner.cost`), and a greedy search over an LRU
-simulation of the shared walk cache (:mod:`repro.planner.plan`).
-A plan is a pure function of its spec (graph, query graph, node sets,
-measure, ``d``, walk-cache capacity) and the graph's degree
-statistics: no cache contents, no engine counters.  Executors consume
-the resulting :class:`ExplainedPlan` via ``NWayJoinSpec.resolve_plan``;
-the old fixed behaviour survives as ``plan="fixed"`` and doubles as the
-bit-identity oracle for the planner-decision test harness
-(:mod:`repro.planner.fixture`).
+(:mod:`repro.planner.cost`), and one greedy scheduler that credits
+an edge for the right-set targets earlier edges of the plan walk
+(:mod:`repro.planner.plan`).  A plan is a pure function of its spec
+(graph, query graph, node sets, measure, ``d``) and the graph's
+degree statistics: no cache contents or capacity, no engine
+counters.  Executors consume the resulting :class:`ExplainedPlan` via
+``NWayJoinSpec.resolve_plan``; the old fixed behaviour survives as
+``plan="fixed"`` and doubles as the bit-identity oracle for the
+planner-decision test harness (:mod:`repro.planner.fixture`).
 """
 
 from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate

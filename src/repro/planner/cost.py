@@ -31,10 +31,11 @@ variation) — skewed reach mass concentrates score on few pairs, so the
 wins big exactly on hub-heavy graphs).
 
 Backward operators additionally earn a *cache credit*: targets of
-``Q`` predicted resident in the shared walk cache at build time are
-walks the edge will not pay again (``d`` steps each), discounted by the
-fixed ``_CREDIT_SCALE``.  Every input is a degree statistic or the
-plan's own simulated state, so one query always gets one plan.
+``Q`` that an earlier edge of the same plan already walks into the
+shared walk cache are walks this edge will not pay again (``d`` steps
+each), discounted by the fixed ``_CREDIT_SCALE``.  Every input is a
+degree statistic or the plan's own schedule so far, so one query
+always gets one plan.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ _X_DISCOUNT = 0.5
 # saved: a resident walk resumes, but not always from full depth.
 _CREDIT_SCALE = 0.75
 
-_BACKWARD_KINDS = ("basic", "idj-y", "idj-x")
-_KINDS = _BACKWARD_KINDS + ("f-bj", "f-idj")
+# The kinds that walk their right set backward into the shared cache.
+BACKWARD_KINDS = ("basic", "idj-y", "idj-x")
+_KINDS = BACKWARD_KINDS + ("f-bj", "f-idj")
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,11 @@ class CostModel:
     ) -> EdgeCostEstimate:
         """Predicted column-steps of one operator on edge ``(P, Q)``.
 
-        ``resident_overlap`` is the number of right-set targets the
-        LRU simulation predicts resident in the shared walk cache when
-        this edge builds; ``y_bound_cached`` says the ``(P, d)``
-        reach-mass table is already built by an earlier edge of this
-        very plan.
+        ``resident_overlap`` is the number of right-set targets an
+        earlier edge of this very plan already walks (a backward kind
+        resumes them instead of paying ``d`` steps each; a forward kind
+        ignores it); ``y_bound_cached`` says the ``(P, d)`` reach-mass
+        table is already built by an earlier edge of the plan.
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown operator kind {kind!r}; choose from {_KINDS}")
@@ -158,7 +160,7 @@ class CostModel:
             else:
                 bound_steps = d
                 reasons.append(f"rho={rho:.2f}, Y build {d:.0f}")
-        if kind in _BACKWARD_KINDS and resident_overlap > 0:
+        if kind in BACKWARD_KINDS and resident_overlap > 0:
             # Resident targets resume from the cache instead of
             # re-walking full depth.
             credit = min(

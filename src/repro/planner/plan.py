@@ -11,10 +11,11 @@ no-``extensions``-imports rule and each executor maps names to the
 classes it owns.
 
 A plan is a function of its query: the spec's graph, query graph,
-node sets, measure and ``d``, its walk cache's capacity, and the
-graph's :class:`~repro.planner.stats.GraphStats`.  It never reads what
-earlier queries left behind — the contents of the shared caches or the
-engine's counters — so the same request always gets the same plan.
+node sets, measure and ``d``, and the graph's
+:class:`~repro.planner.stats.GraphStats`.  It never reads the spec's
+caches — not what earlier queries left in them, not their capacity —
+nor the engine's counters, so the same request always gets the same
+plan, from a service tier or a one-shot call alike.
 
 Two modes:
 
@@ -26,14 +27,16 @@ Two modes:
     way.
 ``"auto"``
     Greedy cost-based ordering.  Each step picks the unplanned edge
-    (and its cheapest operator) with minimal marginal cost under an
-    LRU simulation of the shared walk cache's resident set — edges
-    whose right sets are predicted resident get a cache credit, so
-    edges sharing right sets group together and cheap (low-fanout)
-    edges go first.  That is exactly the order that avoids thrashing a
-    byte-budgeted walk cache: interleaving edges that share targets
-    re-walks them after eviction, grouping recovers the unbudgeted
-    cost.
+    (and its cheapest operator) with minimal marginal cost; an edge
+    whose right-set targets an earlier edge of the plan already walks
+    gets a cache credit for them, so edges sharing right sets group
+    together and cheap (low-fanout) edges go first.  That is the order
+    that avoids thrashing a bounded walk cache: interleaving edges that
+    share targets re-walks them after eviction, grouping recovers the
+    unbounded cost.
+
+Both modes (and an explicit order) run one scheduler, which differs
+only in what each step offers it: one edge, or every remaining one.
 
 Auto and fixed plans are *answer-equivalent by construction*: the
 rank-join driver consumes per-edge streams positionally
@@ -46,8 +49,6 @@ fixed-order permutation.
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +61,12 @@ from repro.core.nway.driver import (
 )
 from repro.core.nway.spec import PLAN_MODES
 from repro.graph.validation import GraphValidationError
-from repro.planner.cost import COST_MODEL_VERSION, CostModel, EdgeCostEstimate
+from repro.planner.cost import (
+    BACKWARD_KINDS,
+    COST_MODEL_VERSION,
+    CostModel,
+    EdgeCostEstimate,
+)
 from repro.planner.stats import GraphStats
 
 # Operator candidates per strategy, best-guess first (ties in estimated
@@ -204,54 +210,11 @@ class ExplainedPlan:
         )
 
 
-class _ResidentSetModel:
-    """LRU simulation of the shared walk cache's resident target set.
-
-    Capacity mirrors the real :class:`~repro.walks.cache.WalkCache`
-    budgets (``max_targets`` always, ``max_bytes`` when set); the
-    per-target byte estimate counts the retained doubling-level vectors
-    plus the resumable buffers, the dominant terms of
-    ``WalkCache.current_bytes``.  The model only has to *rank* orders,
-    not reproduce eviction byte-exactly.
-    """
-
-    def __init__(self, num_nodes: int, d: int, walk_cache) -> None:
-        levels = 1 + max(0, int(math.floor(math.log2(max(1, d)))))
-        # Retained level vectors + resumable current/accumulator pair.
-        self.bytes_per_target = 8 * num_nodes * (levels + 2)
-        self.max_targets = walk_cache.max_targets
-        self.max_bytes = walk_cache.max_bytes
-        self._resident: "OrderedDict[int, None]" = OrderedDict()
-
-    @property
-    def capacity_targets(self) -> int:
-        """How many targets fit, under both budgets."""
-        cap = self.max_targets
-        if self.max_bytes is not None and self.bytes_per_target > 0:
-            cap = min(cap, max(1, self.max_bytes // self.bytes_per_target))
-        return cap
-
-    def overlap(self, targets: Sequence[int]) -> int:
-        """How many of ``targets`` are predicted resident right now."""
-        return sum(1 for q in targets if q in self._resident)
-
-    def admit(self, targets: Sequence[int]) -> None:
-        """Touch ``targets`` (most-recent last) and evict LRU overflow."""
-        for q in targets:
-            if q in self._resident:
-                self._resident.move_to_end(q)
-            else:
-                self._resident[q] = None
-        cap = self.capacity_targets
-        while len(self._resident) > cap:
-            self._resident.popitem(last=False)
-
-
-def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, ...]:
-    if mode == "fixed" or strategy == "pj-i":
-        # Fixed mode keeps the executor's default; PJ-i's F structure
-        # refines under its default operator's bound — the planner only
-        # orders it.
+def _candidates(strategy: str, measure, default: str) -> Tuple[str, ...]:
+    """The operators ``auto`` weighs for each edge of ``strategy``."""
+    if strategy == "pj-i":
+        # PJ-i's F structure refines under its default operator's bound
+        # — the planner only orders it.
         return (default,)
     candidates = tuple(
         c for c in _CANDIDATES[strategy] if runs_under(c, measure)
@@ -261,54 +224,6 @@ def _candidates(strategy: str, measure, default: str, mode: str) -> Tuple[str, .
     return candidates
 
 
-def _estimate_edge(
-    spec,
-    model: CostModel,
-    edge_sets: Sequence[Tuple[Sequence[int], Sequence[int]]],
-    set_stats,
-    e: int,
-    candidates: Tuple[str, ...],
-    resident: _ResidentSetModel,
-    built_y: set,
-) -> Tuple[str, EdgeCostEstimate, int]:
-    """The cheapest candidate operator for edge ``e`` right now."""
-    left, right = edge_sets[e]
-    i, j = spec.query_graph.edges[e]
-    left_stats, right_stats = set_stats[i], set_stats[j]
-    overlap = resident.overlap(right)
-    best = None
-    for operator in candidates:
-        kind = _OPERATOR_KINDS[operator]
-        est = model.estimate(
-            kind,
-            left_stats,
-            right_stats,
-            resident_overlap=overlap if kind in ("basic", "idj-y", "idj-x") else 0,
-            y_bound_cached=kind == "idj-y" and frozenset(left) in built_y,
-        )
-        if best is None or est.steps < best[1].steps:
-            best = (operator, est)
-    return best[0], best[1], overlap
-
-
-def _commit_edge(
-    edge_sets,
-    e: int,
-    operator: str,
-    resident: _ResidentSetModel,
-    built_y: set,
-) -> None:
-    """Update the planning state after scheduling edge ``e``: its right
-    set is walked into the cache, and a ``Y`` edge's left-set table is
-    built for the edges after it (the spec's bound cache shares it)."""
-    left, right = edge_sets[e]
-    kind = _OPERATOR_KINDS[operator]
-    if kind in ("basic", "idj-y", "idj-x"):
-        resident.admit(right)
-    if kind == "idj-y":
-        built_y.add(frozenset(left))
-
-
 def _build_plan(
     spec,
     strategy: str,
@@ -316,6 +231,14 @@ def _build_plan(
     order: Optional[Sequence[int]],
     default_operator: Optional[str],
 ) -> ExplainedPlan:
+    """The one scheduler.  A fixed or explicit order offers one edge per
+    step with the default operator; ``auto`` offers every remaining edge
+    with every candidate operator.  Each step keeps the offer minimal by
+    ``(estimated steps, edge index)`` — ties between operators go to the
+    front of the candidate tuple — and then records what the edge leaves
+    for later ones: the right-set targets its backward walks put in the
+    shared walk cache, and a ``Y`` edge's left-set table (the spec's
+    bound cache shares it)."""
     num_edges = spec.query_graph.num_edges
     stats = GraphStats.of(spec.graph)
     model = CostModel(stats, spec.d)
@@ -323,49 +246,51 @@ def _build_plan(
         default_operator or strategy_operator(strategy, spec.measure),
         spec.measure,
     )
-    candidates = _candidates(strategy, spec.measure, default, mode)
-
+    one_at_a_time = order is not None or mode == "fixed"
+    candidates = (
+        (default,) if one_at_a_time
+        else _candidates(strategy, spec.measure, default)
+    )
+    remaining = list(order) if order is not None else list(range(num_edges))
     edge_sets = [spec.edge_node_sets(e) for e in range(num_edges)]
     set_stats = [stats.node_set(nodes) for nodes in spec.node_sets]
-    resident = _ResidentSetModel(spec.graph.num_nodes, spec.d, spec.walk_cache)
+    walked: set = set()  # right-set targets an earlier edge walks
     built_y: set = set()
     plans: Dict[int, EdgePlan] = {}
-
-    if order is not None or mode == "fixed":
-        schedule = list(order) if order is not None else list(range(num_edges))
-        build_order = []
-        for e in schedule:
-            operator, est, overlap = _estimate_edge(
-                spec, model, edge_sets, set_stats, e,
-                (default,), resident, built_y,
-            )
-            plans[e] = _edge_plan(spec, e, operator, est, overlap)
-            _commit_edge(edge_sets, e, operator, resident, built_y)
-            build_order.append(e)
-    else:
-        remaining = list(range(num_edges))
-        build_order = []
-        while remaining:
-            scored = []
-            for e in remaining:
-                operator, est, overlap = _estimate_edge(
-                    spec, model, edge_sets, set_stats, e,
-                    candidates, resident, built_y,
+    build_order = []
+    while remaining:
+        best = None
+        for e in remaining[:1] if one_at_a_time else remaining:
+            left, right = edge_sets[e]
+            i, j = spec.query_graph.edges[e]
+            overlap = len(walked.intersection(right))
+            for operator in candidates:
+                kind = _OPERATOR_KINDS[operator]
+                est = model.estimate(
+                    kind,
+                    set_stats[i],
+                    set_stats[j],
+                    resident_overlap=overlap,
+                    y_bound_cached=kind == "idj-y" and frozenset(left) in built_y,
                 )
-                scored.append((est.steps, e, operator, est, overlap))
-            scored.sort(key=lambda item: (item[0], item[1]))
-            _, e, operator, est, overlap = scored[0]
-            plans[e] = _edge_plan(spec, e, operator, est, overlap)
-            _commit_edge(edge_sets, e, operator, resident, built_y)
-            build_order.append(e)
-            remaining.remove(e)
+                if best is None or (est.steps, e) < best[0]:
+                    best = ((est.steps, e), operator, est, overlap)
+        (_, e), operator, est, overlap = best
+        plans[e] = _edge_plan(spec, e, operator, est, overlap)
+        kind = _OPERATOR_KINDS[operator]
+        if kind in BACKWARD_KINDS:
+            walked.update(edge_sets[e][1])
+        if kind == "idj-y":
+            built_y.add(frozenset(edge_sets[e][0]))
+        build_order.append(e)
+        remaining.remove(e)
 
     edges = tuple(plans[e] for e in range(num_edges))
     signals = {
         "graph": stats.summary(),
-        "walk_cache_capacity_targets": resident.capacity_targets,
         "d": int(spec.d),
-        "measure": spec.measure.name,
+        # ``name`` is a label, not part of the measure contract.
+        "measure": getattr(spec.measure, "name", type(spec.measure).__name__),
     }
     return ExplainedPlan(
         mode=mode,

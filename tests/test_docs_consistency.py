@@ -57,7 +57,7 @@ def test_algorithms_handbook_covers_every_paper_name():
     name and every measure entry point must appear."""
     text = ALGORITHMS.read_text(encoding="utf-8")
     for name in ("F-BJ", "F-IDJ", "B-BJ", "B-IDJ", "AP", "PJ", "PJ-i", "NL",
-                 "SeriesMeasure", "backward_scores", "x_bound", "floor",
+                 "SeriesMeasure", "kernel", "tail_weights", "x_bound", "floor",
                  "TruncatedPPR"):
         assert name in text, f"docs/ALGORITHMS.md must document {name}"
 

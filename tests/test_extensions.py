@@ -24,6 +24,7 @@ from repro.core.nway.aggregates import MIN, SUM
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.bounds import YBound
+from repro.core.two_way.backward import back_walk
 from repro.core.two_way.base import TwoWayContext, make_context, sort_pairs
 from repro.extensions.measures import DHTMeasure, TruncatedPPR
 from repro.extensions.series_join import (
@@ -79,25 +80,31 @@ class TestTruncatedPPR:
         assert truncated[0, 0] == pytest.approx((1 - c) * (1 + c ** 2))
         assert truncated[0, 1] == pytest.approx((1 - c) * (c + c ** 3))
         measure = TruncatedPPR(damping=0.7, epsilon=1e-10)
-        engine = WalkEngine(random_graph)
         exact = exact_ppr(random_graph, 0.7)
         for target in (0, 13):
-            truncated = measure.backward_scores(engine, target, measure.d)
+            truncated = back_walk(
+                make_context(random_graph, [1], [target], measure=measure),
+                target, measure.d,
+            )
             assert np.allclose(truncated, exact[:, target], atol=1e-8)
 
     def test_self_score_highest(self, random_graph):
         # A PPR walker restarts at itself, so pi_v(v) dominates.
         measure = TruncatedPPR(damping=0.85)
-        engine = WalkEngine(random_graph)
-        scores = measure.backward_scores(engine, 5, measure.d)
+        scores = back_walk(
+            make_context(random_graph, [0], [5], measure=measure), 5, measure.d
+        )
         assert scores[5] == max(scores)
+        assert np.allclose(
+            scores, scores_for(random_graph, measure.d, measure=measure)[:, 5],
+            atol=1e-12,
+        )
 
     def test_tail_bound_valid(self, random_graph):
         measure = TruncatedPPR(damping=0.6, epsilon=1e-8)
-        engine = WalkEngine(random_graph)
-        full = measure.backward_scores(engine, 7, measure.d)
+        full = scores_for(random_graph, measure.d, measure=measure)[:, 7]
         for level in (1, 2, 4):
-            partial = measure.backward_scores(engine, 7, level)
+            partial = scores_for(random_graph, level, measure=measure)[:, 7]
             tail = measure.x_bound(measure.d).tail(level)
             assert np.all(full <= partial + tail + 1e-12)
             assert np.all(partial <= full + 1e-12)  # monotone in depth
@@ -185,21 +192,64 @@ MEASURE_FACTORIES = [
 
 
 class TestMeasureBlocks:
-    """Batched block kernels against the per-target paths and the oracle."""
+    """Batched block kernels against the per-target path and the oracle."""
 
     @pytest.mark.parametrize("measure_factory", MEASURE_FACTORIES)
     def test_block_matches_per_target(self, random_graph, measure_factory):
         measure = measure_factory()
         engine = WalkEngine(random_graph)
+        context = make_context(random_graph, [0], [3], engine=engine, measure=measure)
         targets = [3, 11, 25, 30]
         for level in (1, 3, measure.d):
-            block = measure.backward_scores_block(engine, targets, level)
+            block = WalkState(engine, measure.kernel(), targets).advance_to(
+                level
+            ).scores_matrix()
             oracle = scores_for(random_graph, level, measure=measure)
             for j, q in enumerate(targets):
-                single = measure.backward_scores(engine, q, level)
+                single = back_walk(context, q, level)
                 mask = np.arange(random_graph.num_nodes) != q
-                assert np.allclose(block[mask, j], single[mask], atol=1e-12)
+                assert np.allclose(single[mask], oracle[mask, q], atol=1e-12)
                 assert np.allclose(block[mask, j], oracle[mask, q], atol=1e-12)
+
+    @pytest.mark.parametrize("measure_factory", MEASURE_FACTORIES)
+    def test_contract_only_measure_runs_everywhere(
+        self, random_graph, measure_factory
+    ):
+        """An object with exactly the measure contract (``d``, ``floor``,
+        ``kernel``, ``tail_weights``, ``x_bound``) is a measure: a
+        cache-less context's ``back_walk`` and both api joins run it and
+        agree with the oracle of the measure it wraps."""
+        inner = measure_factory()
+
+        class ContractOnly:
+            d = inner.d
+            floor = inner.floor
+            kernel = staticmethod(inner.kernel)
+            tail_weights = staticmethod(inner.tail_weights)
+            x_bound = staticmethod(inner.x_bound)
+
+        measure = resolve_measure(ContractOnly())
+        assert isinstance(measure, ContractOnly)
+        oracle = scores_for(random_graph, inner.d, measure=inner)
+        context = make_context(random_graph, [0, 1], [7], measure=measure)
+        assert context.walk_cache is None
+        scores = back_walk(context, 7, inner.d)
+        mask = np.arange(random_graph.num_nodes) != 7
+        assert np.allclose(scores[mask], oracle[mask, 7], atol=1e-12)
+
+        left, right = [0, 1, 2, 3], list(range(10, 20))
+        for algorithm in ("b-bj", "b-idj-y", "b-idj-x"):
+            got = two_way_join(
+                random_graph, left, right, k=4, measure=measure,
+                algorithm=algorithm,
+            )
+            assert_top_k(as_ranked(got), oracle_pairs(random_graph, left, right, inner), 4)
+        sets = [[0, 1, 2], [10, 11, 12], [20, 21, 22]]
+        query = QueryGraph.chain(3)
+        got = multi_way_join(
+            random_graph, query, sets, k=3, measure=measure, plan="auto"
+        )
+        assert_top_k(as_ranked(got), oracle_answers(random_graph, query, sets, inner), 3)
 
     def test_ppr_state_extension_matches_fresh(self, random_graph):
         measure = TruncatedPPR(damping=0.6)

@@ -220,7 +220,7 @@ class TestIncrementalStream:
         while (pair := join.next_pair()) is not None:
             stream.append(pair)
         assert stream == reference
-        assert join.pairs_remaining == 0
+        assert join.next_pair() is None  # drained stays drained
 
 
 # ---------------------------------------------------------------------------

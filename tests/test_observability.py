@@ -29,12 +29,10 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.bounds_cache import BoundPlanCache
 from repro.core.nway.query_graph import QueryGraph
 from repro.graph.builders import erdos_renyi
 from repro.obs import (
     METRIC_NAMES,
-    MetricsRegistry,
     QueryTracer,
     TRACE_SCHEMA,
     render_jsonl,
@@ -54,7 +52,6 @@ from repro.service.stats import (
     SLOW_QUERY_RING,
     StatsAccumulator,
 )
-from repro.walks.cache import WalkCache
 from repro.walks.engine import NULL_SPAN, STAT_COUNTERS, STAT_PEAKS, WalkEngine
 
 
@@ -187,47 +184,39 @@ class TestTraceSpans:
 
 
 class TestMetricsRegistry:
-    def _full_registry(self, mid_graph):
-        from repro.core.dht import DHTParams
-
-        engine = WalkEngine(mid_graph)
-        params = DHTParams.dht_lambda(0.2)
-        registry = MetricsRegistry()
-        registry.register_engine(engine.stats)
-        registry.register_walk_cache(WalkCache(engine, params), tier="0")
-        registry.register_bound_cache(BoundPlanCache(engine, params), tier="0")
-        return engine, registry
-
-    def test_names_match_frozen_contract(self, mid_graph):
-        engine, registry = self._full_registry(mid_graph)
-        names = {s.name for s in registry.collect()}
-        assert names <= METRIC_NAMES
-        # Service metrics complete the contract.
+    @pytest.fixture
+    def service_registry(self, mid_graph):
+        """A service and its own registry, the DHT tier created by one
+        query (tiers, and their cache rows, appear on first use)."""
         with QueryService(mid_graph, workers=1) as service:
-            registry.register_service(service)
-            names = {s.name for s in registry.collect()}
-            # The service's own registry renders its lazily created
-            # tiers through the same cache-sample rule: one walk-cache
-            # and one bound-cache row per counter, labeled by tier.
-            service.query(TwoWayRequest((0, 1, 2), (8, 9, 10), k=2))
-            service.query(TwoWayRequest((0, 1), (8, 9), k=2, measure="ppr"))
-            tier_rows = [
-                (s.name, s.labels, s.value, s.kind)
-                for s in service.metrics_registry().collect()
-                if s.labels
-            ]
-            expected = []
-            for index, (walk, bound) in enumerate(service._tiers.values()):
-                for tier, cache, fields in (
-                    ("walk_cache", walk, WALK_CACHE_FIELDS),
-                    ("bound_cache", bound, BOUND_CACHE_FIELDS),
-                ):
-                    expected += [
-                        (f"repro_{tier}_{field}_total",
-                         (("tier", str(index)),),
-                         float(getattr(cache.stats, field)), "counter")
-                        for field in fields
-                    ]
+            assert service.query(TwoWayRequest((0, 1, 2), (8, 9, 10), k=2)).ok
+            yield service, service.metrics_registry()
+
+    def test_names_match_frozen_contract(self, service_registry):
+        service, registry = service_registry
+        # The service's registry renders its lazily created tiers
+        # through one cache-sample rule: one walk-cache and one
+        # bound-cache row per counter, labeled by tier.
+        assert service.query(
+            TwoWayRequest((0, 1), (8, 9), k=2, measure="ppr")
+        ).ok
+        samples = registry.collect()
+        names = {s.name for s in samples}
+        tier_rows = [
+            (s.name, s.labels, s.value, s.kind) for s in samples if s.labels
+        ]
+        expected = []
+        for index, (walk, bound) in enumerate(service._tiers.values()):
+            for tier, cache, fields in (
+                ("walk_cache", walk, WALK_CACHE_FIELDS),
+                ("bound_cache", bound, BOUND_CACHE_FIELDS),
+            ):
+                expected += [
+                    (f"repro_{tier}_{field}_total",
+                     (("tier", str(index)),),
+                     float(getattr(cache.stats, field)), "counter")
+                    for field in fields
+                ]
         assert names == METRIC_NAMES
         assert len(expected) == 2 * (len(WALK_CACHE_FIELDS) + len(BOUND_CACHE_FIELDS))
         assert tier_rows == expected
@@ -244,8 +233,8 @@ class TestMetricsRegistry:
             ]
         )
 
-    def test_counters_monotone_and_consistent(self, mid_graph):
-        engine, registry = self._full_registry(mid_graph)
+    def test_counters_monotone_and_consistent(self, service_registry):
+        service, registry = service_registry
 
         def counter_values():
             return {
@@ -254,16 +243,16 @@ class TestMetricsRegistry:
             }
 
         before = counter_values()
-        api.two_way_join(
-            mid_graph, list(range(8)), list(range(16, 24)), 3, engine=engine,
-        )
+        assert service.query(
+            TwoWayRequest(tuple(range(8)), tuple(range(16, 24)), k=3)
+        ).ok
         after = counter_values()
         assert after.keys() == before.keys()
         assert all(after[key] >= before[key] for key in before)
         assert any(after[key] > before[key] for key in before)
 
-    def test_render_formats(self, mid_graph):
-        _, registry = self._full_registry(mid_graph)
+    def test_render_formats(self, service_registry):
+        _, registry = service_registry
         samples = registry.collect()
         prom = render_prometheus(samples)
         assert "# TYPE repro_engine_propagation_steps_total counter" in prom
@@ -272,8 +261,8 @@ class TestMetricsRegistry:
         assert set(doc) == {"ts", "metrics"}
         assert {m["name"] for m in doc["metrics"]} == {s.name for s in samples}
 
-    def test_snapshot_files(self, mid_graph, tmp_path):
-        _, registry = self._full_registry(mid_graph)
+    def test_snapshot_files(self, service_registry, tmp_path):
+        _, registry = service_registry
         prom_path = tmp_path / "metrics.prom"
         jsonl_path = tmp_path / "metrics.jsonl"
         assert registry.write_snapshot(str(prom_path))
@@ -285,8 +274,8 @@ class TestMetricsRegistry:
         assert registry.write_snapshot(str(jsonl_path))  # appends
         assert len(jsonl_path.read_text().splitlines()) == 2
 
-    def test_snapshot_failure_never_raises(self, mid_graph, tmp_path):
-        _, registry = self._full_registry(mid_graph)
+    def test_snapshot_failure_never_raises(self, service_registry, tmp_path):
+        _, registry = service_registry
         assert not registry.write_snapshot(
             str(tmp_path / "missing" / "metrics.jsonl")
         )

@@ -19,6 +19,7 @@ sound under every build order), and the CLI ``--explain`` path.
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,9 @@ from repro.planner import (
     plan_with_order,
 )
 from repro import cli
+from repro.planner import plan as plan_module
 from repro.service import ExplainRequest, MultiWayRequest, QueryService
+from repro.walks.cache import WalkCache
 
 FIXTURE = PlannerFixture()
 
@@ -427,6 +430,28 @@ class TestPlanInputs:
         assert before.ok and after.ok
         assert service.engine.stats.propagation_steps > 0
         assert after.result.to_json() == before.result.to_json()
+
+    @pytest.mark.parametrize("mode", ["fixed", "auto"])
+    @pytest.mark.parametrize("strategy", ["pj", "pj-i", "ap"])
+    @pytest.mark.parametrize(
+        "build", ["skewed_star_spec", "chain_spec", "uniform_er_spec"]
+    )
+    def test_walk_cache_bounds_leave_the_plan(self, build, strategy, mode):
+        """No cache bound reaches the plan: a one-target cache, a
+        16-bytes-per-node one and an unbounded one plan alike, so a
+        service tier and a one-shot call plan the same query alike."""
+        spec = getattr(FIXTURE, build)()
+        n = spec.graph.num_nodes
+        key = spec.walk_cache.params
+        plans = []
+        for bounds in ({"max_targets": 1}, {"max_bytes": 16 * n}, {}):
+            spec.walk_cache = WalkCache(spec.engine, key, **bounds)
+            plans.append(choose_plan(spec, strategy, mode=mode).to_json())
+        assert plans[0] == plans[1] == plans[2]
+
+    def test_plan_module_never_names_the_walk_cache(self):
+        source = Path(plan_module.__file__).read_text()
+        assert "walk_cache" not in source
 
 
 class TestGovernedInteraction:

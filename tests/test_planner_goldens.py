@@ -1,9 +1,10 @@
 """Golden planner decisions: cost-model edits must be deliberate.
 
 Each golden file pins the planner's *decisions* — build order, per-edge
-operators and the cost-model version — for one fixture
-(skewed star / chain / uniform ER).  A cost-model change that flips any
-decision fails here until the goldens are regenerated on purpose:
+operators and the cost-model version — for one fixture (skewed star /
+chain / uniform ER, and four bench-shaped specs).  A cost-model change
+that flips any decision fails here until the goldens are regenerated on
+purpose:
 
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
         tests/test_planner_goldens.py
@@ -12,16 +13,21 @@ which prints, per decision key, how many ``<fixture>/<mode>`` cells
 moved (the ``golden_audit`` fixture).  Bump
 :data:`repro.planner.cost.COST_MODEL_VERSION` in the same change — the
 version is part of every golden, so a formula edit that happens to
-leave these three fixtures' decisions intact still shows up in review.
+leave these fixtures' decisions intact still shows up in review.
 """
 
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.dht import DHTMeasure
+from repro.core.nway.query_graph import QueryGraph
+from repro.core.nway.spec import NWayJoinSpec
 from repro.extensions.measures import TruncatedPPR
+from repro.graph.builders import erdos_renyi, preferential_attachment
 from repro.planner import PlannerFixture, choose_plan
 
 GOLDEN_DIR = Path(__file__).parent / "goldens" / "planner"
@@ -42,6 +48,45 @@ CASES = [
     ),
     ("uniform_er", lambda: FIXTURE.uniform_er_spec(), "pj"),
 ]
+
+# Bench-shaped specs: the ``nway_cold`` shapes (``PJ-i`` on a weighted
+# Erdos-Renyi graph) and the service mix's chain (``PJ``, which a
+# budgeted ``pj-i`` request plans under, on preferential attachment),
+# at n = 2 000 with disjoint sets of 32 drawn from one seeded stream,
+# each with the spec's default (unbounded) walk cache.
+BENCH_SEED = 2015
+BENCH_NODES = 2000
+BENCH_SET_SIZE = 32
+BENCH_SHAPES = {
+    "chain": QueryGraph.chain(3),
+    "star": QueryGraph.star(3),
+    "triangle": QueryGraph.triangle(),
+}
+
+
+def _bench_spec(graph_kind, shape):
+    rng = np.random.default_rng(BENCH_SEED)
+    if graph_kind == "er":
+        graph = erdos_renyi(BENCH_NODES, 4.0 / BENCH_NODES, rng, weighted=True)
+    else:
+        graph = preferential_attachment(BENCH_NODES, 4, rng)
+    query_graph = BENCH_SHAPES[shape]
+    count = query_graph.num_vertices
+    nodes = rng.choice(BENCH_NODES, count * BENCH_SET_SIZE, replace=False)
+    node_sets = [
+        [int(v) for v in nodes[i * BENCH_SET_SIZE:(i + 1) * BENCH_SET_SIZE]]
+        for i in range(count)
+    ]
+    return NWayJoinSpec(
+        graph=graph, query_graph=query_graph, node_sets=node_sets, k=10,
+        measure=DHTMeasure(),
+    )
+
+
+CASES += [
+    (f"nway_cold_{shape}", lambda shape=shape: _bench_spec("er", shape), "pj-i")
+    for shape in BENCH_SHAPES
+] + [("service_chain", lambda: _bench_spec("pa", "chain"), "pj")]
 
 
 MODES = ("fixed", "auto")
