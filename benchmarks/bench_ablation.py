@@ -21,7 +21,6 @@ import pytest
 
 from _harness import (
     SeriesResult,
-    print_sweep_table,
     register_reporter,
     yeast_node_sets,
 )

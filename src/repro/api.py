@@ -263,11 +263,12 @@ def explain_multi_way_plan(
     The returned plan can be passed back via ``plan=`` to run precisely
     what was explained (the CLI's ``--explain`` does this).
 
-    With ``analyze=True`` the resolved plan *is* executed, unbudgeted,
-    under a private :class:`~repro.obs.QueryTracer`, and the return type
-    becomes an :class:`~repro.obs.AnalyzedPlan`: the plan annotated with
-    per-edge actuals (propagation steps, cache hits, peak block bytes,
-    refill counts) sourced from the trace, plus the traced run's
+    With ``analyze=True`` the resolved plan *is* executed, unbudgeted
+    (a ``budget`` raises :class:`GraphValidationError` rather than being
+    dropped), under a private :class:`~repro.obs.QueryTracer`, and the
+    return type becomes an :class:`~repro.obs.AnalyzedPlan`: the plan
+    annotated with per-edge actuals (propagation steps, cache hits, peak
+    block bytes, refill counts) sourced from the trace, plus the traced run's
     :class:`~repro.exec.budget.PartialResult` — bit-identical to an
     untraced :func:`multi_way_join` with the same plan and no budget
     (the CLI's ``--explain analyze`` prints it).
@@ -276,6 +277,11 @@ def explain_multi_way_plan(
         ExplainRequest, query_graph, node_sets, k, algorithm, options
     )
     if analyze:
+        if request.budget is not None:
+            raise GraphValidationError(
+                "explain analyze runs the query unbudgeted; drop the budget "
+                "or explain without analyze"
+            )
         return _analyze_plan(
             *_explained(graph, request, engine, walk_cache, bound_cache),
             request.m,

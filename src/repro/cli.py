@@ -379,12 +379,6 @@ def _run_query(args) -> int:
     )
     plan = None
     if args.explain:
-        analyze = args.explain == "analyze"
-        if analyze and request.budget is not None:
-            raise GraphValidationError(
-                "--explain analyze runs the query unbudgeted; drop "
-                "--deadline-ms/--step-budget/--max-bytes or use --explain plan"
-            )
         # Plan once, print it, then replay that exact plan — the join
         # executes precisely what was explained (no double planning).
         # With 'analyze' the traced replay happens inside the API call
@@ -401,7 +395,7 @@ def _run_query(args) -> int:
                 names=request.names,
             ),
             request.node_sets, request.k, request.algorithm, engine=engine,
-            analyze=analyze, **options,
+            analyze=args.explain == "analyze", **options,
         )
     if args.explain == "analyze":
         if args.trace_out is not None and plan.trace is not None:

@@ -127,19 +127,6 @@ class DHTParams:
         weights = self.decay ** np.arange(1, d + 1)
         return float(self.alpha * hit_probs.dot(weights) + self.beta)
 
-    def scores_from_matrix(self, hit_matrix: np.ndarray) -> np.ndarray:
-        """Vectorised ``h_d`` for a ``(d, n)`` matrix of hit series.
-
-        Column ``u`` of ``hit_matrix`` is ``[P_1(u, q), ..., P_d(u, q)]``
-        (the layout produced by
-        :meth:`repro.walks.engine.WalkEngine.backward_first_hit_series`);
-        the result is the length-``n`` vector of ``h_d(u, q)`` scores.
-        """
-        hit_matrix = np.asarray(hit_matrix, dtype=np.float64)
-        d = hit_matrix.shape[0]
-        weights = self.decay ** np.arange(1, d + 1)
-        return self.alpha * weights.dot(hit_matrix) + self.beta
-
     def partial_score_prefixes(self, hit_probs: np.ndarray) -> np.ndarray:
         """All prefixes ``[h_0, h_1, ..., h_d]`` from one hit series.
 

@@ -2,10 +2,14 @@
 
 The paper (Section III-A) assumes a directed weighted graph ``G`` stored as
 an adjacency list, so that the out-neighbours (and their transition
-probabilities) of a node can be enumerated quickly.  :class:`Graph` keeps
-that adjacency-list view and additionally exposes compressed sparse row
-(CSR) transition matrices for the vectorised random-walk kernels in
-:mod:`repro.walks`.
+probabilities) of a node can be enumerated quickly.  :class:`Graph` stores
+exactly that list as compressed sparse rows (CSR): one row pointer plus
+the heads, tails and weights of every edge, each row keeping its edges in
+first-appearance order.  Those four read-only arrays are the graph's only
+copy of its edges: the accessors read them, and the row-stochastic
+transition matrix ``T`` (and its transpose) that the random-walk kernels
+in :mod:`repro.walks` multiply by is built from them without a Python
+loop over the edges.
 
 Nodes are dense integer ids ``0 .. num_nodes - 1``; an optional label table
 maps ids to human-readable names (author names, protein ids, ...).
@@ -13,9 +17,11 @@ maps ids to human-readable names (author names, protein ids, ...).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.graph.validation import GraphValidationError, validate_edges
 
@@ -48,13 +54,14 @@ class Graph:
 
     __slots__ = (
         "_num_nodes",
-        "_out_adj",
-        "_in_adj",
+        "_indptr",
+        "_heads",
+        "_tails",
+        "_weights",
         "_out_weight_sum",
         "_labels",
         "_label_index",
-        "_num_edges",
-        "_csr_cache",
+        "_memo",
     )
 
     def __init__(
@@ -65,35 +72,34 @@ class Graph:
     ) -> None:
         if num_nodes < 0:
             raise GraphValidationError(f"num_nodes must be >= 0, got {num_nodes}")
-        self._num_nodes = int(num_nodes)
-        merged = validate_edges(self._num_nodes, edges)
-        self._out_adj: List[Dict[int, float]] = [dict() for _ in range(self._num_nodes)]
-        self._in_adj: List[Dict[int, float]] = [dict() for _ in range(self._num_nodes)]
-        for (u, v), w in merged.items():
-            self._out_adj[u][v] = w
-            self._in_adj[v][u] = w
-        self._num_edges = len(merged)
-        if merged:
-            heads = np.fromiter(
-                (uv[0] for uv in merged), dtype=np.int64, count=len(merged)
-            )
-            weights = np.fromiter(
-                merged.values(), dtype=np.float64, count=len(merged)
-            )
-            self._out_weight_sum = np.bincount(
-                heads, weights=weights, minlength=self._num_nodes
-            )
-        else:
-            self._out_weight_sum = np.zeros(self._num_nodes, dtype=np.float64)
+        self._num_nodes = n = int(num_nodes)
+        merged = validate_edges(n, edges)
+        m = len(merged)
+        pairs = np.fromiter(
+            chain.from_iterable(merged), dtype=np.int64, count=2 * m
+        ).reshape(m, 2)
+        # A stable sort by head keeps each row in first-appearance order.
+        order = np.argsort(pairs[:, 0], kind="stable")
+        self._heads = _frozen(pairs[order, 0])
+        self._tails = _frozen(pairs[order, 1])
+        self._weights = _frozen(
+            np.fromiter(merged.values(), dtype=np.float64, count=m)[order]
+        )
+        self._indptr = _frozen(
+            np.concatenate(([0], np.cumsum(np.bincount(self._heads, minlength=n))))
+        )
+        self._out_weight_sum = _frozen(
+            np.bincount(self._heads, weights=self._weights, minlength=n)
+        )
         if labels is not None:
             labels = list(labels)
-            if len(labels) != self._num_nodes:
+            if len(labels) != n:
                 raise GraphValidationError(
-                    f"labels has {len(labels)} entries for {self._num_nodes} nodes"
+                    f"labels has {len(labels)} entries for {n} nodes"
                 )
         self._labels: Optional[List[str]] = labels
         self._label_index: Optional[Dict[str, int]] = None
-        self._csr_cache: dict = {}
+        self._memo: dict = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -130,7 +136,14 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges (after parallel-edge merging)."""
-        return self._num_edges
+        return len(self._tails)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointer: ``u``'s out-edges are positions
+        ``indptr[u] .. indptr[u + 1]``, so ``np.diff(indptr)`` is the
+        out-degree array.  Read-only."""
+        return self._indptr
 
     def nodes(self) -> range:
         """All node ids."""
@@ -142,57 +155,75 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the directed edge ``(u, v)`` exists."""
-        return self.has_node(u) and v in self._out_adj[u]
+        return self.has_node(u) and self._position(u, v) >= 0
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all ``(u, v, weight)`` arcs."""
+        """Iterate over all ``(u, v, weight)`` arcs, row by row."""
         for u in range(self._num_nodes):
-            for v, w in self._out_adj[u].items():
+            for v, w in self._row(u):
                 yield (u, v, w)
 
     def out_neighbors(self, u: int) -> Dict[int, float]:
-        """Out-neighbour map ``{v: weight}`` of ``u`` (``O_u`` in the paper)."""
+        """Out-neighbour map ``{v: weight}`` of ``u`` (``O_u`` in the paper),
+        a fresh dict in first-appearance order."""
         self._check_node(u)
-        return self._out_adj[u]
+        return dict(self._row(u))
 
     def in_neighbors(self, u: int) -> Dict[int, float]:
-        """In-neighbour map ``{v: weight}`` of ``u`` (``I_u`` in the paper)."""
+        """In-neighbour map ``{v: weight}`` of ``u`` (``I_u`` in the paper),
+        read off ``T^T``'s row ``u``, so in source-id order."""
         self._check_node(u)
-        return self._in_adj[u]
+        transpose = self.transition_matrix_transpose()
+        sources = transpose.indices[transpose.indptr[u]:transpose.indptr[u + 1]]
+        return {v: self.weight(v, u) for v in sources.tolist()}
 
     def out_degree(self, u: int) -> int:
         """Number of out-neighbours of ``u``."""
         self._check_node(u)
-        return len(self._out_adj[u])
+        return int(self._indptr[u + 1] - self._indptr[u])
 
     def in_degree(self, u: int) -> int:
         """Number of in-neighbours of ``u``."""
         self._check_node(u)
-        return len(self._in_adj[u])
+        indptr = self.transition_matrix_transpose().indptr
+        return int(indptr[u + 1] - indptr[u])
 
     def weight(self, u: int, v: int) -> float:
         """Weight ``w_uv`` of edge ``(u, v)``; raises ``KeyError`` if absent."""
         self._check_node(u)
-        return self._out_adj[u][v]
+        i = self._position(u, v)
+        if i < 0:
+            raise KeyError(v)
+        return float(self._weights[i])
 
     def transition_probability(self, u: int, v: int) -> float:
         """Transition probability ``p_uv = w_uv / sum_{v'} w_uv'``.
 
-        Returns 0.0 when the edge does not exist.  Raises
-        ``ZeroDivisionError``-free: dangling ``u`` simply yields 0.0.
+        Returns 0.0 when the edge does not exist (so always for a
+        dangling ``u``).
         """
         self._check_node(u)
         self._check_node(v)
-        w = self._out_adj[u].get(v)
-        if w is None:
+        i = self._position(u, v)
+        if i < 0:
             return 0.0
-        total = self._out_weight_sum[u]
-        return w / total if total > 0 else 0.0
+        return float(self._weights[i]) / self._out_weight_sum[u]
 
     def is_dangling(self, u: int) -> bool:
         """Whether ``u`` has no out-edges (walker gets stuck there)."""
         self._check_node(u)
-        return not self._out_adj[u]
+        return bool(self._indptr[u] == self._indptr[u + 1])
+
+    def _row(self, u: int) -> Iterator[Tuple[int, float]]:
+        """``(v, w_uv)`` over ``u``'s out-edges, in first-appearance order."""
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        return zip(self._tails[lo:hi].tolist(), self._weights[lo:hi].tolist())
+
+    def _position(self, u: int, v: int) -> int:
+        """Index of edge ``(u, v)`` in the CSR arrays, or -1."""
+        lo = self._indptr[u]
+        hits = np.flatnonzero(self._tails[lo:self._indptr[u + 1]] == v)
+        return int(lo + hits[0]) if hits.size else -1
 
     # ------------------------------------------------------------------
     # Labels
@@ -231,19 +262,29 @@ class Graph:
         build, but ``setdefault`` publishes one result and every caller
         gets that same object.
         """
-        cached = self._csr_cache.get(key)
+        cached = self._memo.get(key)
         if cached is None:
-            cached = self._csr_cache.setdefault(key, build())
+            cached = self._memo.setdefault(key, build())
         return cached
 
-    def transition_matrix(self):
+    def transition_matrix(self) -> sparse.csr_matrix:
         """Row-stochastic transition matrix ``T`` as ``scipy.sparse.csr_matrix``.
 
-        ``T[u, v] = p_uv``.  Rows of dangling nodes are all zero.
+        ``T[u, v] = p_uv`` per Section V-A, with sorted column indices.
+        Rows of dangling nodes are all zero, so walk mass parked there
+        simply disappears from subsequent steps — it can never hit the
+        target.
         """
-        from repro.graph.csr import build_transition_matrix
+        return self.memoized("T", self._build_transition_matrix)
 
-        return self.memoized("T", lambda: build_transition_matrix(self))
+    def _build_transition_matrix(self) -> sparse.csr_matrix:
+        n = self._num_nodes
+        probabilities = self._weights / self._out_weight_sum[self._heads]
+        matrix = sparse.csr_matrix(
+            (probabilities, self._tails, self._indptr), shape=(n, n), copy=True
+        )
+        matrix.sort_indices()
+        return matrix
 
     def transition_matrix_transpose(self):
         """``T^T`` as CSR, used by forward propagation kernels."""
@@ -266,7 +307,7 @@ class Graph:
         edges = [
             (mapping[u], mapping[v], w)
             for u in keep
-            for v, w in self._out_adj[u].items()
+            for v, w in self.out_neighbors(u).items()
             if v in mapping
         ]
         labels = [self.label(u) for u in keep] if self._labels is not None else None
@@ -291,10 +332,10 @@ class Graph:
 
     def degree_statistics(self) -> Dict[str, float]:
         """Summary statistics used by dataset generators and docs."""
-        out_degrees = np.array([len(a) for a in self._out_adj], dtype=np.float64)
+        out_degrees = np.diff(self._indptr).astype(np.float64)
         return {
             "num_nodes": float(self._num_nodes),
-            "num_edges": float(self._num_edges),
+            "num_edges": float(self.num_edges),
             "mean_out_degree": float(out_degrees.mean()) if self._num_nodes else 0.0,
             "max_out_degree": float(out_degrees.max()) if self._num_nodes else 0.0,
             "dangling_nodes": float((out_degrees == 0).sum()),
@@ -307,4 +348,9 @@ class Graph:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Graph(num_nodes={self._num_nodes}, num_edges={self._num_edges})"
+        return f"Graph(num_nodes={self._num_nodes}, num_edges={self.num_edges})"
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array

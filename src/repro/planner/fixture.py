@@ -65,11 +65,7 @@ class PlannerFixture:
     @staticmethod
     def degree_order(graph: Graph) -> List[int]:
         """Node ids sorted by descending out-degree."""
-        n = graph.num_nodes
-        deg = np.fromiter(
-            (graph.out_degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
-        return [int(v) for v in np.argsort(-deg)]
+        return np.argsort(-np.diff(graph.indptr)).tolist()
 
     def hub_and_leaf_sets(
         self,

@@ -45,17 +45,14 @@ class GraphStats:
     Parameters
     ----------
     graph:
-        The data graph ``G``.  The out-degree array is materialised
-        once (per-node ``O(1)`` lookups into the adjacency dicts) and
-        all moments derive from it.
+        The data graph ``G``.  The out-degree array is the difference
+        of its CSR row pointer, and all moments derive from it.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
         n = graph.num_nodes
-        self.out_degrees = np.fromiter(
-            (graph.out_degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
+        self.out_degrees = np.diff(graph.indptr)
         out = self.out_degrees.astype(np.float64)
         self.mean_out_degree = float(out.mean()) if n else 0.0
         self.std_out_degree = float(out.std()) if n else 0.0

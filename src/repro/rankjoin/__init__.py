@@ -1,13 +1,11 @@
 """Rank-join substrate: PBRJ driver with the HRJN corner bound."""
 
 from repro.rankjoin.hrjn import RoundRobinPuller, corner_bound
-from repro.rankjoin.inputs import LazyInput, MaterializedInput, RankJoinInput
+from repro.rankjoin.inputs import RankJoinInput
 from repro.rankjoin.pbrj import PBRJ
 
 __all__ = [
     "PBRJ",
-    "LazyInput",
-    "MaterializedInput",
     "RankJoinInput",
     "RoundRobinPuller",
     "corner_bound",

@@ -2,9 +2,9 @@
 
 A rank-join input is a stream of :class:`~repro.core.two_way.base.ScoredPair`
 in non-increasing score order.  ``AP`` materialises the whole 2-way join
-up front (:class:`MaterializedInput`); ``PJ``/``PJ-i`` expose a top-``m``
-prefix plus a refill callback that produces the next pair on demand
-(:class:`LazyInput` — the paper's ``getNextNodePair``).
+up front (a :class:`RankJoinInput` with no refill); ``PJ``/``PJ-i`` expose
+a top-``m`` prefix plus a refill callback that produces the next pair on
+demand (the paper's ``getNextNodePair``).
 """
 
 from __future__ import annotations
@@ -101,22 +101,3 @@ class RankJoinInput:
         self._last_score = item.score
         self._pulled += 1
         return item
-
-
-class MaterializedInput(RankJoinInput):
-    """An input backed by a fully computed, sorted list (used by ``AP``)."""
-
-    def __init__(self, pairs: Sequence[ScoredPair], name: str = "materialized") -> None:
-        super().__init__(pairs, refill=None, name=name)
-
-
-class LazyInput(RankJoinInput):
-    """A top-``m`` prefix plus an on-demand refill (used by ``PJ``/``PJ-i``)."""
-
-    def __init__(
-        self,
-        prefix: Sequence[ScoredPair],
-        refill: RefillFn,
-        name: str = "lazy",
-    ) -> None:
-        super().__init__(prefix, refill=refill, name=name)

@@ -22,6 +22,7 @@ from oracles.joins import (
 )
 from oracles.measures import (
     dht_scores,
+    dht_scores_from_series,
     exact_dht_to_target,
     exact_ppr,
     first_hit_series,
@@ -36,6 +37,7 @@ __all__ = [
     "as_ranked",
     "assert_top_k",
     "dht_scores",
+    "dht_scores_from_series",
     "exact_dht_to_target",
     "exact_ppr",
     "first_hit_series",

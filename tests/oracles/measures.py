@@ -1,7 +1,7 @@
 """Dense reference scores: DHT first hits and truncated PPR.
 
 Every function builds the graph's transition matrix from
-the adjacency dicts with a plain Python loop and then works on dense
+its out-neighbour maps with a plain Python loop and then works on dense
 ``(n, n)`` arrays, so the cost is quadratic in the node count — small
 graphs only.  Entry ``[u, v]`` of a score matrix is the score of the
 pair ``(u, v)`` (``u`` the left node, ``v`` the right one); diagonal
@@ -67,6 +67,19 @@ def dht_scores(graph: Graph, params, steps: int) -> np.ndarray:
     series = first_hit_series(graph, steps)
     weights = params.decay ** np.arange(1, steps + 1)
     return params.alpha * np.tensordot(weights, series, axes=1) + params.beta
+
+
+def dht_scores_from_series(params, series: np.ndarray) -> np.ndarray:
+    """Truncated DHT ``h_d`` of every column of a ``(d, n)`` hit series
+    (column ``u`` is ``[P_1(u, q), ..., P_d(u, q)]``, the layout of
+    ``WalkEngine.backward_first_hit_series``):
+    ``alpha * sum_i lambda^i series[i - 1] + beta``.
+
+    ``params`` is anything with ``alpha`` / ``beta`` / ``decay``.
+    """
+    series = np.asarray(series, dtype=np.float64)
+    weights = params.decay ** np.arange(1, series.shape[0] + 1)
+    return params.alpha * weights.dot(series) + params.beta
 
 
 def exact_dht_to_target(graph: Graph, params, target: int) -> np.ndarray:

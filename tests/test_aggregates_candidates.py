@@ -1,6 +1,5 @@
 """Unit tests for aggregates and candidate-buffer expansion."""
 
-import numpy as np
 import pytest
 
 from repro.core.nway.aggregates import (

@@ -7,8 +7,6 @@ import pytest
 
 from repro.core.bounds import XBound, YBound
 from repro.core.dht import DHTMeasure, DHTParams
-from repro.core.two_way.backward import back_walk
-from repro.core.two_way.base import make_context
 from repro.extensions.measures import TruncatedPPR
 from repro.graph.builders import preferential_attachment
 from repro.walks.engine import WalkEngine

@@ -154,6 +154,18 @@ class TestMultiWayCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("budget", (["--deadline-ms", "60000"],
+                                        ["--step-budget", "100000"]))
+    def test_explain_analyze_with_a_budget_exits_2(self, workspace, capsys,
+                                                    budget):
+        graph_path, sets_path = workspace
+        code = main([
+            "multi-way", str(graph_path), "--sets", str(sets_path),
+            "--node-sets", "A", "B", "C", "--explain", "analyze", *budget,
+        ])
+        assert code == 2
+        assert "unbudgeted" in capsys.readouterr().err
+
     def test_algorithms_agree(self, workspace, capsys):
         graph_path, sets_path = workspace
         scores = {}

@@ -8,7 +8,7 @@ from repro.datasets.splits import remove_edge_per_clique, remove_random_cross_ed
 from repro.eval.clique_prediction import evaluate_clique_prediction, score_table
 from repro.eval.link_prediction import evaluate_link_prediction, rank_candidate_links
 from repro.eval.roc import auc_from_scores, roc_curve, true_positive_rate_at
-from repro.graph.builders import complete_graph, planted_partition
+from repro.graph.builders import complete_graph
 from repro.graph.digraph import Graph
 from repro.graph.validation import GraphValidationError
 

@@ -25,14 +25,14 @@ from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
 from repro.core.bounds import YBound
 from repro.core.two_way.backward import back_walk
-from repro.core.two_way.base import TwoWayContext, make_context, sort_pairs
+from repro.core.two_way.base import TwoWayContext, make_context
 from repro.extensions.measures import DHTMeasure, TruncatedPPR
 from repro.extensions.series_join import (
     SeriesBackwardJoin,
     SeriesIDJ,
     SeriesPartialJoin,
 )
-from repro.graph.builders import complete_graph, path_graph
+from repro.graph.builders import path_graph
 from repro.graph.validation import GraphValidationError
 from repro.query import TwoWayRequest, resolve_measure
 from repro.walks.cache import WalkCache

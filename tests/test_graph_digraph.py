@@ -81,6 +81,13 @@ class TestAccessors:
             tiny_directed.out_neighbors(99)
         with pytest.raises(GraphValidationError):
             tiny_directed.in_neighbors(-1)
+        for accessor in (tiny_directed.out_degree, tiny_directed.in_degree,
+                         tiny_directed.is_dangling):
+            with pytest.raises(GraphValidationError):
+                accessor(4)
+        with pytest.raises(GraphValidationError):
+            tiny_directed.transition_probability(0, -1)
+        assert not tiny_directed.has_edge(5, 0)
 
     def test_weight_missing_edge(self, tiny_directed):
         with pytest.raises(KeyError):
@@ -164,6 +171,11 @@ class TestDerivedGraphs:
         sub, _ = g.subgraph([2, 0])
         assert sub.label(0) == "c"
         assert sub.label(1) == "a"
+
+    def test_subgraph_rejects_out_of_range_ids(self, tiny_directed):
+        for bad in (-1, 4):
+            with pytest.raises(GraphValidationError):
+                tiny_directed.subgraph([0, bad])
 
     def test_without_edges_removes_both_arcs(self):
         g = Graph.from_undirected_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -18,7 +18,6 @@ import pytest
 from repro.analysis.lockorder import (
     DEFAULT_PROPAGATION_ALLOWED,
     LockOrderError,
-    LockOrderSanitizer,
 )
 from repro.walks.cache import WalkCache
 from repro.walks.engine import WalkEngine

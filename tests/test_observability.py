@@ -30,7 +30,9 @@ import pytest
 
 from repro import api
 from repro.core.nway.query_graph import QueryGraph
+from repro.exec.budget import QueryBudget
 from repro.graph.builders import erdos_renyi
+from repro.graph.validation import GraphValidationError
 from repro.obs import (
     METRIC_NAMES,
     QueryTracer,
@@ -451,6 +453,18 @@ class TestSnapshotConsistencyUnderLoad:
 
 
 class TestExplainAnalyze:
+    @pytest.mark.parametrize("budget", (QueryBudget(deadline_ms=60_000.0),
+                                        QueryBudget(step_budget=100_000)))
+    def test_a_budget_is_rejected_not_dropped(self, budget):
+        """``analyze`` runs unbudgeted, so a caller's deadline or step
+        budget is an error; a plain explain still takes one."""
+        spec = PlannerFixture().skewed_star_spec()
+        args = (spec.graph, spec.query_graph, spec.node_sets, spec.k)
+        with pytest.raises(GraphValidationError, match="unbudgeted"):
+            api.explain_multi_way_plan(*args, analyze=True, budget=budget)
+        plan = api.explain_multi_way_plan(*args, budget=budget)
+        assert plan.edges
+
     def test_actuals_are_trace_sourced_and_answers_identical(self):
         fixture = PlannerFixture()
         spec = fixture.skewed_star_spec()

@@ -17,11 +17,9 @@ sound under every build order), and the CLI ``--explain`` path.
 """
 
 import dataclasses
-import itertools
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api import explain_multi_way_plan, multi_way_join
@@ -30,7 +28,6 @@ from repro.core.nway.all_pairs import AllPairsJoin
 from repro.core.nway.partial_join import PartialJoin
 from repro.core.nway.partial_join_inc import PartialJoinIncremental
 from repro.core.nway.query_graph import QueryGraph
-from repro.core.nway.spec import NWayJoinSpec
 from repro.exec.budget import PartialResult, QueryBudget
 from repro.extensions.measures import TruncatedPPR
 from repro.graph.builders import star_graph

@@ -9,7 +9,6 @@ hand-tuned, answers never move.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

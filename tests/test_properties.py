@@ -10,10 +10,7 @@ These are the paper's core invariants, checked on arbitrary inputs:
 * PBRJ equals brute-force materialisation for monotone aggregates.
 """
 
-import math
-
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -12,7 +12,7 @@ from repro.core.nway.query_graph import QueryGraph
 from repro.core.two_way.base import ScoredPair
 from repro.graph.validation import GraphValidationError
 from repro.rankjoin.hrjn import RoundRobinPuller, corner_bound
-from repro.rankjoin.inputs import LazyInput, MaterializedInput
+from repro.rankjoin.inputs import RankJoinInput
 from repro.rankjoin.pbrj import PBRJ
 
 
@@ -22,7 +22,7 @@ def pairs(*triples):
 
 class TestInputs:
     def test_pull_order_and_bookkeeping(self):
-        inp = MaterializedInput(pairs((0, 1, 3.0), (0, 2, 2.0), (1, 1, 1.0)))
+        inp = RankJoinInput(pairs((0, 1, 3.0), (0, 2, 2.0), (1, 1, 1.0)))
         assert inp.first_score is None
         assert inp.pull().score == 3.0
         assert inp.first_score == 3.0
@@ -36,11 +36,11 @@ class TestInputs:
 
     def test_unsorted_initial_rejected(self):
         with pytest.raises(GraphValidationError, match="sorted"):
-            MaterializedInput(pairs((0, 1, 1.0), (0, 2, 2.0)))
+            RankJoinInput(pairs((0, 1, 1.0), (0, 2, 2.0)))
 
     def test_refill_extends_stream(self):
         supply = iter(pairs((5, 5, 0.5), (6, 6, 0.25)))
-        inp = LazyInput(pairs((0, 1, 1.0)), refill=lambda: next(supply, None))
+        inp = RankJoinInput(pairs((0, 1, 1.0)), refill=lambda: next(supply, None))
         assert inp.pull().score == 1.0
         assert inp.pull().score == 0.5
         assert inp.refill_calls == 1
@@ -50,7 +50,7 @@ class TestInputs:
 
     def test_refill_monotonicity_enforced(self):
         supply = iter(pairs((5, 5, 9.0)))
-        inp = LazyInput(pairs((0, 1, 1.0)), refill=lambda: next(supply, None))
+        inp = RankJoinInput(pairs((0, 1, 1.0)), refill=lambda: next(supply, None))
         inp.pull()
         with pytest.raises(GraphValidationError, match="monotone"):
             inp.pull()
@@ -58,8 +58,8 @@ class TestInputs:
 
 class TestCornerBound:
     def make_inputs(self):
-        a = MaterializedInput(pairs((0, 1, 5.0), (0, 2, 3.0)), name="A")
-        b = MaterializedInput(pairs((1, 1, 4.0), (1, 2, 1.0)), name="B")
+        a = RankJoinInput(pairs((0, 1, 5.0), (0, 2, 3.0)), name="A")
+        b = RankJoinInput(pairs((1, 1, 4.0), (1, 2, 1.0)), name="B")
         return a, b
 
     def test_infinite_before_first_pull(self):
@@ -102,8 +102,8 @@ class TestCornerBound:
 
 class TestRoundRobin:
     def test_cycles_and_skips_exhausted(self):
-        a = MaterializedInput(pairs((0, 1, 1.0)), name="A")
-        b = MaterializedInput(pairs((1, 1, 1.0), (1, 2, 0.5)), name="B")
+        a = RankJoinInput(pairs((0, 1, 1.0)), name="A")
+        b = RankJoinInput(pairs((1, 1, 1.0), (1, 2, 0.5)), name="B")
         puller = RoundRobinPuller(2)
         assert puller.next_input([a, b]) == 0
         assert puller.next_input([a, b]) == 1
@@ -169,7 +169,7 @@ class TestPBRJ:
             random_edge_list(rng, range(10, 14), range(20, 24)),
         ]
         expected = brute_force_join(query, aggregate, lists, 7)
-        inputs = [MaterializedInput(l) for l in lists]
+        inputs = [RankJoinInput(l) for l in lists]
         got = PBRJ(query, aggregate, inputs, 7).run()
         assert [a.nodes for a in got] == [a.nodes for a in expected]
         assert np.allclose([a.score for a in got], [a.score for a in expected])
@@ -184,7 +184,7 @@ class TestPBRJ:
             random_edge_list(rng, range(20, 24), range(4)),
         ]
         expected = brute_force_join(query, MIN, lists, 5)
-        got = PBRJ(query, MIN, [MaterializedInput(l) for l in lists], 5).run()
+        got = PBRJ(query, MIN, [RankJoinInput(l) for l in lists], 5).run()
         assert np.allclose([a.score for a in got], [a.score for a in expected])
         assert [a.nodes for a in got] == [a.nodes for a in expected]
 
@@ -196,32 +196,32 @@ class TestPBRJ:
             for i in range(3)
         ]
         expected = brute_force_join(query, SUM, lists, 6)
-        got = PBRJ(query, SUM, [MaterializedInput(l) for l in lists], 6).run()
+        got = PBRJ(query, SUM, [RankJoinInput(l) for l in lists], 6).run()
         assert np.allclose([a.score for a in got], [a.score for a in expected])
 
     def test_early_termination_pulls_less_than_everything(self):
         rng = np.random.default_rng(5)
         query = QueryGraph.chain(2)  # single edge: join is the list itself
         big = random_edge_list(rng, range(30), range(100, 130), density=1.0)
-        inp = MaterializedInput(big)
+        inp = RankJoinInput(big)
         result = PBRJ(query, SUM, [inp], 3).run()
         assert len(result) == 3
         assert inp.pulled < len(big)
 
     def test_k_zero(self):
         query = QueryGraph.chain(2)
-        assert PBRJ(query, SUM, [MaterializedInput([])], 0).run() == []
+        assert PBRJ(query, SUM, [RankJoinInput([])], 0).run() == []
 
     def test_k_larger_than_results(self):
         query = QueryGraph.chain(2)
-        inp = MaterializedInput(pairs((0, 1, 1.0), (0, 2, 0.5)))
+        inp = RankJoinInput(pairs((0, 1, 1.0), (0, 2, 0.5)))
         result = PBRJ(query, SUM, [inp], 10).run()
         assert len(result) == 2
 
     def test_input_count_mismatch_rejected(self):
         query = QueryGraph.chain(3)
         with pytest.raises(GraphValidationError, match="inputs"):
-            PBRJ(query, SUM, [MaterializedInput([])], 3)
+            PBRJ(query, SUM, [RankJoinInput([])], 3)
 
     def test_stats_populated(self):
         rng = np.random.default_rng(6)
@@ -230,7 +230,7 @@ class TestPBRJ:
             random_edge_list(rng, range(3), range(10, 13)),
             random_edge_list(rng, range(10, 13), range(20, 23)),
         ]
-        driver = PBRJ(query, MIN, [MaterializedInput(l) for l in lists], 4)
+        driver = PBRJ(query, MIN, [RankJoinInput(l) for l in lists], 4)
         driver.run()
         assert driver.stats.pulls > 0
         assert len(driver.stats.pulls_per_edge) == 2

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core.dht import DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.exec.budget import BUDGET_REASONS, PartialResult, QueryBudget
 from repro.query import resolve_measure

@@ -8,7 +8,6 @@ No interleaving may produce a silently-wrong result.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

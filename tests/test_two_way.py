@@ -8,7 +8,7 @@ tie-breaking.
 import numpy as np
 import pytest
 
-from oracles import dht_scores, rank_pairs
+from oracles import dht_scores, dht_scores_from_series, rank_pairs
 
 from repro.core.dht import DHTParams
 from repro.core.two_way.backward import (
@@ -141,7 +141,7 @@ class TestBackWalk:
         ctx = make_context(random_graph, [0, 1], [9], params=params, d=8)
         scores = back_walk(ctx, 9, 8)
         series = ctx.engine.backward_first_hit_series(9, 8)
-        assert np.allclose(scores, params.scores_from_matrix(series))
+        assert np.allclose(scores, dht_scores_from_series(params, series))
 
     def test_short_walk_lower_bounds_long_walk(self, random_graph, params):
         ctx = make_context(random_graph, [0], [9], params=params, d=8)

@@ -4,6 +4,8 @@ extension, LRU bounding, and sharing across n-way query edges."""
 import numpy as np
 import pytest
 
+from oracles import dht_scores_from_series
+
 from repro.core.dht import DHTMeasure, DHTParams
 from repro.core.nway.query_graph import QueryGraph
 from repro.core.nway.spec import NWayJoinSpec
@@ -41,7 +43,7 @@ class TestHitMiss:
     def test_scores_match_oracle(self, cache, engine, params):
         cached = cache.scores(9, 6)
         series = engine.backward_first_hit_series(9, 6)
-        assert np.allclose(cached, params.scores_from_matrix(series), atol=1e-12)
+        assert np.allclose(cached, dht_scores_from_series(params, series), atol=1e-12)
 
     def test_returned_vectors_are_private_copies(self, cache):
         first = cache.scores(5, 4)
@@ -62,7 +64,7 @@ class TestHitMiss:
         shallow = cache.scores(7, 3)
         series = engine.backward_first_hit_series(7, 3)
         assert np.allclose(
-            shallow, params.scores_from_matrix(series), atol=1e-12
+            shallow, dht_scores_from_series(params, series), atol=1e-12
         )
         # The deep vector must still be served.
         assert np.array_equal(cache.scores(7, 6), deep)

@@ -10,6 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import dht_scores_from_series
+
 from repro.api import two_way_join
 from repro.core.dht import DHTParams
 from repro.graph.builders import complete_graph, erdos_renyi, path_graph
@@ -145,7 +147,7 @@ class TestWalkState:
         state = WalkState(engine, params, [7, 21]).advance_to(6)
         for j, target in enumerate((7, 21)):
             series = engine.backward_first_hit_series(target, 6)
-            oracle = params.scores_from_matrix(series)
+            oracle = dht_scores_from_series(params, series)
             assert np.allclose(state.score_column(j), oracle, atol=1e-12)
 
     def test_level_zero_scores_are_beta(self, engine, params):
@@ -199,7 +201,7 @@ class TestWalkState:
         state = WalkState(engine, params, [2]).advance_to(3)
         series = engine.backward_first_hit_series(2, 3)
         assert np.allclose(
-            state.score_column(0), params.scores_from_matrix(series), atol=1e-12
+            state.score_column(0), dht_scores_from_series(params, series), atol=1e-12
         )
 
 
@@ -210,6 +212,6 @@ class TestDHTEVariant:
         series = engine.backward_first_hit_series(11, 5)
         assert np.allclose(
             state.score_column(0),
-            params.scores_from_matrix(series),
+            dht_scores_from_series(params, series),
             atol=1e-12,
         )
